@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet bench bench-json bench-diff check fuzz oracle soak churn-soak recal-soak
+.PHONY: build test race vet bench bench-json bench-diff profile check fuzz oracle soak churn-soak recal-soak
 SOAKTIME ?= 30s
 CHURNTIME ?= 30s
 RECALTIME ?= 30s
@@ -52,6 +52,20 @@ else
 	$(GO) run ./cmd/benchdiff -interleave $(BENCH_INTERLEAVE) -bench $(BENCH_PATTERN) \
 		-pkg $(BENCH_PKG) -benchtime 100x -env-a $(BENCH_ENV_A) -env-b $(BENCH_ENV_B)
 endif
+
+# profile runs BenchmarkPlanJob — one whole planning job over the 22 TPC-H
+# queries, the operation of the repository benchmark's optimizer-bound
+# workload — on one CPU and leaves its CPU and allocation profiles, and the
+# test binary pprof needs to symbolize them, under .bench_build/ (git-ignored).
+# Read them with `go tool pprof -top .bench_build/ishare.test
+# .bench_build/planjob.cpu.pprof` (add -sample_index=alloc_space for the
+# allocation profile).
+PROFILE_TIME ?= 10x
+profile:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkPlanJob$$' -benchtime $(PROFILE_TIME) -cpu 1 -benchmem \
+		-o .bench_build/ishare.test \
+		-cpuprofile .bench_build/planjob.cpu.pprof -memprofile .bench_build/planjob.alloc.pprof
 
 check:
 	./scripts/check.sh

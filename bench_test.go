@@ -464,6 +464,41 @@ func BenchmarkGreedySearch(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanJob measures one whole planning job, the operation of the
+// repository benchmark's optimizer-bound workload: the 22 queries as SQL text
+// → tpch.Bind → opt.AbsoluteConstraints → opt.Plan(IShare, MaxPace 40,
+// Workers 1). Query q gets relative constraint level (q+i) mod 4 in
+// iteration i, so consecutive iterations search different paces. `make
+// profile` profiles it.
+func BenchmarkPlanJob(b *testing.B) {
+	cfg := benchConfig()
+	cat, err := tpch.NewCatalog(cfg.SF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	levels := []float64{1.0, 0.5, 0.2, 0.1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bound, err := tpch.Bind(tpch.All(), cat, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel := make([]float64, len(bound))
+		for q := range rel {
+			rel[q] = levels[(q+i)%len(levels)]
+		}
+		abs, err := opt.AbsoluteConstraints(bound, rel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := opt.Request{Queries: bound, Constraints: abs, MaxPace: cfg.MaxPace, Workers: 1}
+		if _, err := opt.Plan(opt.IShare, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdmit measures online admission onto a live shared plan: "warm"
 // admits Q22 into a running {Q1, Q6} plan — matching state-identical
 // subplans against the previous revision and transplanting their memoized

@@ -1,0 +1,187 @@
+package cost_test
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ishare/internal/catalog"
+	"ishare/internal/cost"
+	"ishare/internal/mqo"
+	"ishare/internal/opt"
+	"ishare/internal/pace"
+)
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// cloneProfile copies a profile deeply, so a later overwrite of buffers it
+// aliased would show.
+func cloneProfile(p cost.Profile) cost.Profile {
+	p.PerQuery = append([]float64(nil), p.PerQuery...)
+	p.Cols = append([]catalog.ColumnStats(nil), p.Cols...)
+	return p
+}
+
+func uniform(g *mqo.Graph, p int) []int {
+	v := make([]int, len(g.Subplans))
+	for i := range v {
+		v[i] = p
+	}
+	return v
+}
+
+// TestMemoizedOutputsSurviveArenaReuse: what a simulation hands to the memo
+// must not alias the arena it ran in. Every subplan is memoized at pace 7;
+// 50 further evaluations then re-simulate every subplan at other paces
+// through the same pooled arenas; the memoized outputs must be unchanged, and
+// parents consuming them must cost exactly what a memo-less model computes.
+func TestMemoizedOutputsSurviveArenaReuse(t *testing.T) {
+	g := tpchGraph(t)
+	m := cost.NewModel(g)
+	base := uniform(g, 7)
+	outs, err := m.OutputProfiles(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := make([]cost.Profile, len(outs))
+	for i, p := range outs {
+		snapshot[i] = cloneProfile(p)
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 50; i++ {
+		paces := make([]int, len(g.Subplans))
+		for s := range paces {
+			paces[s] = 1 + rng.Intn(40)
+		}
+		if _, err := m.Evaluate(paces); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sims := m.Sims
+	again, err := m.OutputProfiles(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Sims != sims {
+		t.Fatalf("pace-7 outputs were re-simulated (%d sims), not served from the memo", m.Sims-sims)
+	}
+	for i := range again {
+		if !reflect.DeepEqual(again[i], snapshot[i]) {
+			t.Errorf("subplan %d: memoized output changed after later simulations:\n got %+v\nwant %+v", i, again[i], snapshot[i])
+		}
+	}
+
+	// Raise only the root subplans: their children are memo hits, so the
+	// memoized outputs are what the fresh simulations consume.
+	mixed := append([]int(nil), base...)
+	for _, s := range g.Subplans {
+		if len(s.Parents) == 0 {
+			mixed[s.ID] = 3
+		}
+	}
+	fresh := cost.NewModel(g)
+	fresh.UseMemo = false
+	for _, paces := range [][]int{base, mixed} {
+		got, err := m.Evaluate(paces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Evaluate(paces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("paces %v: memoized model %+v, memo-less model %+v", paces, got, want)
+		}
+	}
+}
+
+// TestParallelSearchMatchesSequentialTPCH runs the greedy pace search over
+// the 22-query graph with four workers — concurrent simulations sharing the
+// compiled plans and the arena pool — and requires exactly the sequential
+// search's result. Run under -race it also proves the sharing safe.
+func TestParallelSearchMatchesSequentialTPCH(t *testing.T) {
+	g := tpchGraph(t)
+	queries := tpchQueries(t)
+	rel := make([]float64, len(queries))
+	for q := range rel {
+		rel[q] = goldenLevels[q%len(goldenLevels)]
+	}
+	abs, err := opt.AbsoluteConstraints(queries, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(workers int) ([]int, cost.Eval, *cost.Model, int64) {
+		m := cost.NewModel(g)
+		o, err := pace.NewOptimizer(m, abs, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Workers = workers
+		paces, ev, err := o.Greedy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paces, ev, m, o.Evals
+	}
+	p1, ev1, m1, evals1 := search(1)
+	p4, ev4, m4, evals4 := search(4)
+	if !reflect.DeepEqual(p1, p4) {
+		t.Errorf("paces differ: workers=1 %v, workers=4 %v", p1, p4)
+	}
+	if !reflect.DeepEqual(ev1, ev4) {
+		t.Errorf("evals differ: workers=1 %+v, workers=4 %+v", ev1, ev4)
+	}
+	if evals1 != evals4 || m1.Lookups != m4.Lookups {
+		t.Errorf("traffic differs: evals %d vs %d, lookups %d vs %d", evals1, evals4, m1.Lookups, m4.Lookups)
+	}
+}
+
+// TestEvaluateAllocations guards the allocation-free hot path: a fully
+// memoized evaluation allocates only its result, and a simulation on a warm
+// arena allocates only the output that escapes — the same at pace 40 as at
+// pace 2.
+func TestEvaluateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random")
+	}
+	g := tpchGraph(t)
+	m := cost.NewModel(g)
+	paces := uniform(g, 7)
+	if _, err := m.Evaluate(paces); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := m.Evaluate(paces); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("memoized Evaluate: %v allocs, want <= 3", n)
+	}
+
+	var widest *mqo.Subplan
+	for _, s := range g.Subplans {
+		if widest == nil || len(s.Ops) > len(widest.Ops) {
+			widest = s
+		}
+	}
+	inputs, err := m.SubplanInputs(widest, paces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cost.CompileSubplan(widest)
+	allocs := func(pace int) float64 {
+		plan.Simulate(pace, inputs) // warm the arena
+		return testing.AllocsPerRun(50, func() { plan.Simulate(pace, inputs) })
+	}
+	at2, at40 := allocs(2), allocs(40)
+	if at2 != at40 {
+		t.Errorf("simulation allocs depend on steps: %v at pace 2, %v at pace 40", at2, at40)
+	}
+	if at40 > 4 {
+		t.Errorf("simulation on a warm arena: %v allocs, want <= 4", at40)
+	}
+}

@@ -70,9 +70,9 @@ func (m *Model) applyCalibration(s *mqo.Subplan, res SimResult) SimResult {
 		out := res.Out
 		out.Gross *= f.Out
 		out.Net *= f.Out
-		scaled := make(map[int]float64, len(out.PerQuery))
-		for q, v := range out.PerQuery {
-			scaled[q] = v * f.Out
+		scaled := make([]float64, len(out.PerQuery))
+		for i, v := range out.PerQuery {
+			scaled[i] = v * f.Out
 		}
 		out.PerQuery = scaled
 		res.Out = out

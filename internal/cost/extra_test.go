@@ -152,17 +152,16 @@ func TestValueClassesSplitStreams(t *testing.T) {
 	}
 }
 
-func TestProfileQueryShare(t *testing.T) {
-	p := Profile{Gross: 100, PerQuery: map[int]float64{0: 25}}
-	if got := p.queryShare(0); got != 0.25 {
-		t.Errorf("queryShare = %v", got)
+func TestProfileGrossFor(t *testing.T) {
+	p := Profile{Gross: 100, Queries: mqo.Bit(0).With(3), PerQuery: []float64{25, 40}}
+	if got := p.grossFor(0); got != 25 {
+		t.Errorf("grossFor(0) = %v", got)
 	}
-	if got := p.queryShare(1); got != 1 {
-		t.Errorf("unknown query share = %v, want 1", got)
+	if got := p.grossFor(3); got != 40 {
+		t.Errorf("grossFor(3) = %v", got)
 	}
-	empty := Profile{}
-	if got := empty.queryShare(0); got != 0 {
-		t.Errorf("empty share = %v", got)
+	if got := p.grossFor(1); got != 100 {
+		t.Errorf("query without an entry sees %v, want the whole stream", got)
 	}
 }
 

@@ -43,15 +43,27 @@ type Model struct {
 	memoMu      []sync.RWMutex
 	memo        []map[string]memoEntry
 	descendants [][]int
-	tableMu     sync.RWMutex
-	tableProf   map[tableKey]Profile
-	calibMu     sync.RWMutex
-	calib       Calibration
+	// plans[i] is subplan i compiled for simulation and sources[i] where
+	// each of its external inputs comes from, parallel to plans[i].ext.
+	plans   []*SimPlan
+	sources [][]inputSource
+	calibMu sync.RWMutex
+	calib   Calibration
 }
 
-type tableKey struct {
-	name    string
-	queries mqo.Bitset
+// inputSource is where one external input of a subplan comes from: the
+// output of child subplan sub, or, for a scan (sub < 0), the table's arrival
+// profile, derived from the catalog statistics when the model is built.
+type inputSource struct {
+	sub   int
+	table Profile
+}
+
+func (src inputSource) profile(outputs []Profile) Profile {
+	if src.sub < 0 {
+		return src.table
+	}
+	return outputs[src.sub]
 }
 
 type memoEntry struct {
@@ -73,14 +85,25 @@ type Eval struct {
 // NewModel builds a model for the graph with memoization enabled.
 func NewModel(g *mqo.Graph) *Model {
 	m := &Model{
-		Graph:     g,
-		UseMemo:   true,
-		memoMu:    make([]sync.RWMutex, len(g.Subplans)),
-		memo:      make([]map[string]memoEntry, len(g.Subplans)),
-		tableProf: make(map[tableKey]Profile),
+		Graph:   g,
+		UseMemo: true,
+		memoMu:  make([]sync.RWMutex, len(g.Subplans)),
+		memo:    make([]map[string]memoEntry, len(g.Subplans)),
+		plans:   make([]*SimPlan, len(g.Subplans)),
+		sources: make([][]inputSource, len(g.Subplans)),
 	}
-	for i := range m.memo {
+	for i, s := range g.Subplans {
 		m.memo[i] = make(map[string]memoEntry)
+		p := CompileSubplan(s)
+		m.plans[i] = p
+		m.sources[i] = make([]inputSource, len(p.ext))
+		for j, e := range p.ext {
+			if e.op.Kind == mqo.KindScan {
+				m.sources[i][j] = inputSource{sub: -1, table: TableProfile(e.op.Table, e.op.Queries)}
+			} else {
+				m.sources[i][j] = inputSource{sub: g.SubplanOf(e.op.Children[e.child]).ID}
+			}
+		}
 	}
 	m.descendants = make([][]int, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first: descendants already set
@@ -104,53 +127,82 @@ func NewModel(g *mqo.Graph) *Model {
 	return m
 }
 
+// outputScratch pools the per-subplan output vector of evaluations whose
+// caller wants only the Eval.
+var outputScratch = sync.Pool{New: func() any { return new([]Profile) }}
+
 // Evaluate estimates the cost of a pace configuration.
 func (m *Model) Evaluate(paces []int) (Eval, error) {
-	ev, _, err := m.evaluateFull(paces)
+	sp := outputScratch.Get().(*[]Profile)
+	*sp = resize(*sp, len(m.Graph.Subplans))
+	ev, err := m.evaluateFull(paces, *sp)
+	clear(*sp) // a pooled vector must not pin the memo entries it held
+	outputScratch.Put(sp)
 	return ev, err
 }
 
 // OutputProfiles returns each subplan's estimated output profile under the
 // pace configuration, indexed by subplan id.
 func (m *Model) OutputProfiles(paces []int) ([]Profile, error) {
-	_, outs, err := m.evaluateFull(paces)
+	outs := make([]Profile, len(m.Graph.Subplans))
+	_, err := m.evaluateFull(paces, outs)
 	return outs, err
 }
 
 // SubplanInputs returns each member operator's external input profiles for
-// one subplan under the pace configuration.
+// one subplan under the pace configuration: one profile for a scan, one slot
+// per child otherwise, slots of children inside the subplan left zero.
 func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profile, error) {
 	outs, err := m.OutputProfiles(paces)
 	if err != nil {
 		return nil, err
 	}
-	return m.inputsFor(s, outs), nil
+	in := make(map[*mqo.Op][]Profile, len(s.Ops))
+	for _, o := range s.Ops {
+		in[o] = make([]Profile, max(1, len(o.Children)))
+	}
+	for j, e := range m.plans[s.ID].ext {
+		in[e.op][e.child] = m.sources[s.ID][j].profile(outs)
+	}
+	return in, nil
 }
 
 // OpOutputs simulates one subplan under the pace configuration and returns
 // every member operator's accumulated output profile — the input
 // cardinalities used by decomposition's subtree-local optimization.
 func (m *Model) OpOutputs(s *mqo.Subplan, paces []int) (map[*mqo.Op]Profile, error) {
-	inputs, err := m.SubplanInputs(s, paces)
+	outs, err := m.OutputProfiles(paces)
 	if err != nil {
 		return nil, err
 	}
 	atomic.AddInt64(&m.Sims, 1)
-	_, outs := SimulateSubplanOps(s, paces[s.ID], inputs, true)
-	return outs, nil
+	_, ops := m.simulate(s, paces[s.ID], outs, true)
+	return ops, nil
 }
 
-func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
+// simulate runs subplan s's compiled plan at one pace, its external inputs
+// wired from the table profiles and the child outputs computed so far.
+func (m *Model) simulate(s *mqo.Subplan, pace int, outputs []Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
+	p := m.plans[s.ID]
+	a := p.arena()
+	for j, src := range m.sources[s.ID] {
+		a.inputs[j] = src.profile(outputs)
+	}
+	return p.run(a, pace, collect)
+}
+
+// evaluateFull evaluates the configuration, leaving every subplan's output
+// profile in outputs (one slot per subplan; prior contents are ignored).
+func (m *Model) evaluateFull(paces []int, outputs []Profile) (Eval, error) {
 	g := m.Graph
 	if len(paces) != len(g.Subplans) {
-		return Eval{}, nil, fmt.Errorf("cost: %d paces for %d subplans", len(paces), len(g.Subplans))
+		return Eval{}, fmt.Errorf("cost: %d paces for %d subplans", len(paces), len(g.Subplans))
 	}
-	ev := Eval{
-		SubTotal:   make([]float64, len(g.Subplans)),
-		SubFinal:   make([]float64, len(g.Subplans)),
-		QueryFinal: make([]float64, g.Plan.NumQueries()),
-	}
-	outputs := make([]Profile, len(g.Subplans))
+	// The three vectors share one backing array; capacities are clipped so
+	// a caller's append cannot run one into the next.
+	n := len(g.Subplans)
+	vec := make([]float64, 2*n+g.Plan.NumQueries())
+	ev := Eval{SubTotal: vec[:n:n], SubFinal: vec[n : 2*n : 2*n], QueryFinal: vec[2*n:]}
 	keyBuf := make([]byte, 0, 64)
 	// Counters accumulate locally and publish once per evaluation: one
 	// atomic add per counter instead of one per subplan keeps concurrent
@@ -174,7 +226,7 @@ func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
 		}
 		if !hit {
 			sims++
-			res = SimulateSubplan(s, paces[s.ID], m.inputsFor(s, outputs))
+			res, _ = m.simulate(s, paces[s.ID], outputs, false)
 			res = m.applyCalibration(s, res)
 			if m.UseMemo {
 				mu := &m.memoMu[s.ID]
@@ -187,7 +239,7 @@ func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
 		ev.SubTotal[s.ID] = res.PrivateTotal
 		ev.SubFinal[s.ID] = res.PrivateFinal
 		ev.Total += res.PrivateTotal
-		for _, q := range s.Queries.Members() {
+		for _, q := range m.plans[s.ID].queries {
 			ev.QueryFinal[q] += res.PrivateFinal
 		}
 	}
@@ -208,46 +260,7 @@ func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
 		m.Trace.Count("cost.memo_hits", hits)
 		m.Trace.Count("cost.sims", sims)
 	}
-	return ev, outputs, nil
-}
-
-// inputsFor assembles each member op's external input profiles.
-func (m *Model) inputsFor(s *mqo.Subplan, outputs []Profile) map[*mqo.Op][]Profile {
-	member := make(map[*mqo.Op]bool, len(s.Ops))
-	for _, o := range s.Ops {
-		member[o] = true
-	}
-	in := make(map[*mqo.Op][]Profile)
-	for _, o := range s.Ops {
-		if o.Kind == mqo.KindScan {
-			in[o] = []Profile{m.tableProfile(o)}
-			continue
-		}
-		profs := make([]Profile, len(o.Children))
-		for i, c := range o.Children {
-			if member[c] {
-				continue // computed inline by the simulator
-			}
-			profs[i] = outputs[m.Graph.SubplanOf(c).ID]
-		}
-		in[o] = profs
-	}
-	return in
-}
-
-func (m *Model) tableProfile(o *mqo.Op) Profile {
-	k := tableKey{name: o.Table.Name, queries: o.Queries}
-	m.tableMu.RLock()
-	p, ok := m.tableProf[k]
-	m.tableMu.RUnlock()
-	if ok {
-		return p
-	}
-	p = TableProfile(o.Table, o.Queries)
-	m.tableMu.Lock()
-	m.tableProf[k] = p
-	m.tableMu.Unlock()
-	return p
+	return ev, nil
 }
 
 // appendPrivateKey renders the subplan's private pace configuration into buf.

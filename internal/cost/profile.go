@@ -29,43 +29,24 @@ type Profile struct {
 	Net float64
 	// DeleteShare is the fraction of Gross that are deletions.
 	DeleteShare float64
-	// PerQuery maps query id to the gross tuples valid for that query.
-	PerQuery map[int]float64
+	// Queries is the set of queries PerQuery has an entry for.
+	Queries mqo.Bitset
+	// PerQuery holds the gross tuples valid for each member of Queries,
+	// densely in ascending query order: PerQuery[i] belongs to the i-th
+	// smallest member.
+	PerQuery []float64
 	// Cols carries per-column statistics for selectivity and distinct
 	// estimation.
 	Cols []catalog.ColumnStats
 }
 
-// queryShare returns the fraction of the stream valid for query q.
-func (p Profile) queryShare(q int) float64 {
-	if p.Gross <= 0 {
-		return 0
+// grossFor returns the gross tuples valid for query q. A query the profile
+// has no entry for sees the whole stream.
+func (p Profile) grossFor(q int) float64 {
+	if p.Queries.Has(q) {
+		return p.PerQuery[p.Queries.Intersect(mqo.Bit(q)-1).Count()]
 	}
-	if v, ok := p.PerQuery[q]; ok {
-		return clamp01(v / p.Gross)
-	}
-	return 1
-}
-
-// avgBits returns the average number of valid query bits per tuple,
-// restricted to the given query set.
-func (p Profile) avgBits(queries mqo.Bitset) float64 {
-	if p.Gross <= 0 {
-		return 0
-	}
-	var sum float64
-	for _, q := range queries.Members() {
-		if v, ok := p.PerQuery[q]; ok {
-			sum += v
-		} else {
-			sum += p.Gross
-		}
-	}
-	b := sum / p.Gross
-	if b < 0 {
-		return 0
-	}
-	return b
+	return p.Gross
 }
 
 // TableProfile derives the arrival profile of a base table from catalog
@@ -74,7 +55,8 @@ func TableProfile(t *catalog.Table, queries mqo.Bitset) Profile {
 	p := Profile{
 		Gross:    t.Stats.RowCount,
 		Net:      t.Stats.RowCount,
-		PerQuery: make(map[int]float64),
+		Queries:  queries,
+		PerQuery: make([]float64, queries.Count()),
 		Cols:     make([]catalog.ColumnStats, len(t.Columns)),
 	}
 	for i, c := range t.Columns {
@@ -84,18 +66,20 @@ func TableProfile(t *catalog.Table, queries mqo.Bitset) Profile {
 			p.Cols[i] = catalog.ColumnStats{Distinct: t.Stats.RowCount}
 		}
 	}
-	for _, q := range queries.Members() {
-		p.PerQuery[q] = t.Stats.RowCount
+	for i := range p.PerQuery {
+		p.PerQuery[i] = t.Stats.RowCount
 	}
 	return p
 }
 
-// colStats adapts a profile to the expr.StatsProvider interface.
+// colStats adapts a profile's column statistics to the expr.StatsProvider
+// interface. The methods are on the pointer so that a long-lived value (the
+// simulation arena's) converts to the interface without allocating.
 type colStats struct {
 	cols []catalog.ColumnStats
 }
 
-func (c colStats) ColumnStats(i int) (catalog.ColumnStats, bool) {
+func (c *colStats) ColumnStats(i int) (catalog.ColumnStats, bool) {
 	if i < 0 || i >= len(c.cols) {
 		return catalog.ColumnStats{}, false
 	}

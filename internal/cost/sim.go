@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"sync"
+
 	"ishare/internal/catalog"
 	"ishare/internal/exec"
 	"ishare/internal/expr"
@@ -25,256 +27,455 @@ type SimResult struct {
 	Out Profile
 }
 
-// opSim is the per-operator simulation state persisted across the simulated
-// incremental executions of one subplan.
-type opSim struct {
-	op *mqo.Op
-
-	// Join state.
-	leftState, rightState     perQueryCard
-	leftNet, rightNet         float64
-	leftKeyDist, rightKeyDist float64
-	// Aggregate state.
-	arrived     perQueryCard
-	arrivedAll  float64
-	groupsPrev  perQueryCard
-	groupDomain float64
-	netState    float64
-}
-
-// perQueryCard is a per-query cardinality vector.
-type perQueryCard map[int]float64
-
-func (p perQueryCard) add(q int, v float64) {
-	p[q] += v
-}
-
 // SimulateSubplan runs the analytic simulation of one subplan: pace
 // executions, each consuming 1/pace of every input profile (the paper's
 // memoization-friendly redefinition of pace over the subplan's own input).
+// It compiles the subplan on every call; callers simulating one subplan at
+// several paces compile it once with CompileSubplan.
 func SimulateSubplan(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile) SimResult {
-	res, _ := SimulateSubplanOps(s, pace, inputs, false)
-	return res
+	return CompileSubplan(s).Simulate(pace, inputs)
 }
 
 // SimulateSubplanOps additionally returns each member operator's
 // accumulated output profile when collect is true — the input cardinalities
 // decomposition needs for subtree-local optimization (paper Figure 7).
 func SimulateSubplanOps(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
-	sims := make(map[*mqo.Op]*opSim, len(s.Ops))
-	member := make(map[*mqo.Op]bool, len(s.Ops))
-	for _, o := range s.Ops {
-		sims[o] = newOpSim(o, inputs)
-		member[o] = true
-	}
-
-	var res SimResult
-	var outGross, outDeletes, outNet float64
-	var outPerQuery perQueryCard = make(map[int]float64)
-	var outCols []catalog.ColumnStats
-	var opOut map[*mqo.Op]Profile
-	if collect {
-		opOut = make(map[*mqo.Op]Profile, len(s.Ops))
-	}
-
-	for e := 1; e <= pace; e++ {
-		var work float64
-		var rootOut Profile
-		var visit func(o *mqo.Op) Profile
-		visit = func(o *mqo.Op) Profile {
-			var ins []Profile
-			if o.Kind == mqo.KindScan {
-				ins = []Profile{chunk(inputs[o][0], pace)}
-			} else {
-				ins = make([]Profile, len(o.Children))
-				for i, c := range o.Children {
-					if member[c] {
-						ins[i] = visit(c)
-					} else {
-						ins[i] = chunk(inputs[o][i], pace)
-					}
-				}
-			}
-			out, w := sims[o].step(ins)
-			work += w
-			if collect {
-				acc := opOut[o]
-				if acc.PerQuery == nil {
-					acc.PerQuery = make(map[int]float64)
-				}
-				acc.Gross += out.Gross
-				acc.DeleteShare += out.Gross * out.DeleteShare // normalized below
-				acc.Net += out.Net
-				acc.Cols = out.Cols
-				for q, v := range out.PerQuery {
-					acc.PerQuery[q] += v
-				}
-				opOut[o] = acc
-			}
-			return out
-		}
-		rootOut = visit(s.Root)
-		// Root output materialization plus the per-execution startup
-		// cost, as in the engine.
-		work += rootOut.Gross
-		work += float64(exec.StartupCostPerOp * len(s.Ops))
-		res.PrivateTotal += work
-		if e == pace {
-			res.PrivateFinal = work
-		}
-		outGross += rootOut.Gross
-		outDeletes += rootOut.Gross * rootOut.DeleteShare
-		outNet += rootOut.Net
-		for q, v := range rootOut.PerQuery {
-			outPerQuery.add(q, v)
-		}
-		outCols = rootOut.Cols
-	}
-	res.Out = Profile{
-		Gross:    outGross,
-		Net:      outNet,
-		PerQuery: outPerQuery,
-		Cols:     outCols,
-	}
-	if outGross > 0 {
-		res.Out.DeleteShare = outDeletes / outGross
-	}
-	// Normalize the accumulated delete shares.
-	for o, p := range opOut {
-		if p.Gross > 0 {
-			p.DeleteShare /= p.Gross
-		}
-		opOut[o] = p
-	}
-	return res, opOut
+	return CompileSubplan(s).simulate(pace, inputs, collect)
 }
 
-// chunk returns one execution's share of an input profile.
-func chunk(p Profile, pace int) Profile {
-	k := float64(pace)
-	out := Profile{
-		Gross:       p.Gross / k,
-		Net:         p.Net / k,
-		DeleteShare: p.DeleteShare,
-		PerQuery:    make(map[int]float64, len(p.PerQuery)),
-		Cols:        p.Cols,
+// SimPlan is one subplan compiled for simulation: everything that is fixed
+// per subplan — the children-first operator order, where each operator's
+// inputs come from, the dense slot of every query, the distinct-predicate
+// classes, which operators see the same chunk at every step — is resolved
+// once, so a simulation is a flat loop over preallocated buffers. A SimPlan
+// is immutable and safe for concurrent use; the buffers a simulation writes
+// live in a pooled arena it holds for its duration.
+type SimPlan struct {
+	// queries maps slot to query id, ascending: every per-query vector of a
+	// simulation is indexed by slot. All member operators of a subplan share
+	// one query set, so one mapping serves the whole plan.
+	queries []int
+	mask    mqo.Bitset
+	// ops is the order the recursive descent from the root finishes
+	// operators in (children before parents, left before right, root last);
+	// per-step work is summed in this order.
+	ops []simOp
+	// ext lists the profiles the plan reads from outside the subplan.
+	ext []extInput
+	// startup is the per-execution fixed cost, as in the engine.
+	startup float64
+	// stateFloats counts the floats of per-query operator state.
+	stateFloats int
+}
+
+// extInput names one external input: inputs[op][child] in the map form.
+type extInput struct {
+	op    *mqo.Op
+	child int
+}
+
+// simOp is one compiled operator.
+type simOp struct {
+	op *mqo.Op
+	// in locates each input: i >= 0 is the output of ops[i], i < 0 the
+	// chunk of ext[^i].
+	in [2]int
+	// invariant marks a scan, or a projection over invariant inputs: it is
+	// stateless and sees the identical chunk at every step, so it is
+	// simulated once per simulation and its output and work reused.
+	invariant bool
+	// colsVary reports that the output column statistics change between
+	// steps (only ever in Distinct), so a join above must refresh its copy.
+	colsVary bool
+	// preds lists the slots carrying a marker predicate, ascending.
+	preds []simPred
+	// colSrc is, per projection or group-by expression, the input column it
+	// passes through, or -1 for a computed expression.
+	colSrc []int
+	// hasExtremum marks an aggregate with a MIN/MAX that rescans on deletes.
+	hasExtremum bool
+	// state is the offset of the per-query state in the arena's floats: a
+	// join's two sides' net arrivals, an aggregate's arrivals.
+	state int
+}
+
+// simPred is one query's marker predicate on an operator's output.
+type simPred struct {
+	slot int
+	pred expr.Expr
+	// first marks the first slot, in ascending order, of its class of
+	// identical predicates: the union survival counts each class once.
+	first bool
+}
+
+// opState is an operator's scalar state across the steps of one simulation.
+type opState struct {
+	// work is the operator's work in the step last simulated.
+	work float64
+	// Join: net rows held per side.
+	leftNet, rightNet float64
+	// Aggregate.
+	arrivedAll, groupDomain, netState float64
+}
+
+// simArena holds every buffer one simulation writes. An arena belongs to one
+// simulation at a time — taken from the pool and laid out for its plan by
+// SimPlan.arena, returned by run — so concurrent simulations never share
+// one, and nothing in it is referenced after run returns: what escapes is
+// cloned.
+type simArena struct {
+	inputs  []Profile // external inputs, set by the caller, parallel to ext
+	chunks  []Profile // one step's share of each input
+	outs    []Profile // each operator's output in the current step
+	state   []opState
+	rootAcc []float64             // the root's per-query output, summed over steps
+	floats  []float64             // backs the per-query state and every PerQuery above
+	cols    []catalog.ColumnStats // backs the operators' own Cols, handed out in the first step
+	stats   colStats
+}
+
+var arenas = sync.Pool{New: func() any { return new(simArena) }}
+
+// resize returns s with length n, reusing its backing array when it fits.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for q, v := range p.PerQuery {
-		out.PerQuery[q] = v / k
+	return s[:n]
+}
+
+// CompileSubplan compiles a subplan for simulation.
+func CompileSubplan(s *mqo.Subplan) *SimPlan {
+	p := &SimPlan{
+		queries: s.Queries.Members(),
+		mask:    s.Queries,
+		startup: float64(exec.StartupCostPerOp * len(s.Ops)),
+	}
+	member := make(map[*mqo.Op]bool, len(s.Ops))
+	for _, o := range s.Ops {
+		member[o] = true
+	}
+	n := len(p.queries)
+	external := func(o *mqo.Op, child int) int {
+		p.ext = append(p.ext, extInput{op: o, child: child})
+		return ^(len(p.ext) - 1)
+	}
+	classes := make(map[string]bool)
+	var visit func(o *mqo.Op) int
+	visit = func(o *mqo.Op) int {
+		c := simOp{op: o}
+		steady, childColsVary := true, false
+		if o.Kind == mqo.KindScan {
+			c.in[0] = external(o, 0)
+		} else {
+			for i, ch := range o.Children {
+				if !member[ch] {
+					c.in[i] = external(o, i)
+					continue
+				}
+				c.in[i] = visit(ch)
+				steady = steady && p.ops[c.in[i]].invariant
+				childColsVary = childColsVary || p.ops[c.in[i]].colsVary
+			}
+		}
+		clear(classes)
+		for slot, q := range p.queries {
+			if pred, ok := o.Preds[q]; ok {
+				canon := expr.Canon(pred)
+				c.preds = append(c.preds, simPred{slot: slot, pred: pred, first: !classes[canon]})
+				classes[canon] = true
+			}
+		}
+		switch o.Kind {
+		case mqo.KindScan:
+			c.invariant = true
+		case mqo.KindProject:
+			c.invariant = steady
+			c.colsVary = !steady
+			c.colSrc = columnSources(o.Exprs)
+		case mqo.KindJoin:
+			c.colsVary = childColsVary
+			c.state = p.stateFloats
+			p.stateFloats += 2 * n
+		case mqo.KindAggregate:
+			c.colsVary = true
+			c.colSrc = columnSources(o.GroupBy)
+			for _, a := range o.Aggs {
+				if !a.Func.Incremental() {
+					c.hasExtremum = true
+				}
+			}
+			c.state = p.stateFloats
+			p.stateFloats += n
+		}
+		p.ops = append(p.ops, c)
+		return len(p.ops) - 1
+	}
+	visit(s.Root)
+	return p
+}
+
+// columnSources resolves each expression to the input column it passes
+// through, or -1.
+func columnSources(exprs []plan.NamedExpr) []int {
+	out := make([]int, len(exprs))
+	for i, ne := range exprs {
+		out[i] = -1
+		if c, ok := ne.E.(*expr.Column); ok {
+			out[i] = c.Index
+		}
 	}
 	return out
 }
 
-func newOpSim(o *mqo.Op, inputs map[*mqo.Op][]Profile) *opSim {
-	return &opSim{
-		op:         o,
-		leftState:  make(map[int]float64),
-		rightState: make(map[int]float64),
-		arrived:    make(map[int]float64),
-		groupsPrev: make(map[int]float64),
+// passesThrough reports whether a compiled column source names an input
+// column; anything else is a computed expression.
+func passesThrough(src int, in []catalog.ColumnStats) bool {
+	return src >= 0 && src < len(in)
+}
+
+// copyThrough copies the whole statistics of every passed-through column.
+func copyThrough(out []catalog.ColumnStats, srcs []int, in []catalog.ColumnStats) {
+	for j, src := range srcs {
+		if passesThrough(src, in) {
+			out[j] = in[src]
+		}
 	}
 }
 
-// step simulates one execution of the operator over one input chunk per
-// child and returns (output profile, work units).
-func (s *opSim) step(ins []Profile) (Profile, float64) {
-	switch s.op.Kind {
+// arena takes an arena from the pool and lays it out for this plan: state
+// zeroed, one per-query vector per operator output, per input chunk and for
+// the root accumulator. The caller sets a.inputs and hands the arena to run.
+func (p *SimPlan) arena() *simArena {
+	a := arenas.Get().(*simArena)
+	n := len(p.queries)
+	a.inputs = resize(a.inputs, len(p.ext))
+	a.chunks = resize(a.chunks, len(p.ext))
+	a.outs = resize(a.outs, len(p.ops))
+	a.state = resize(a.state, len(p.ops))
+	a.floats = resize(a.floats, p.stateFloats+(len(p.ops)+len(p.ext)+1)*n)
+	a.cols = a.cols[:0]
+	clear(a.state)
+	clear(a.floats[:p.stateFloats])
+	off := p.stateFloats
+	vector := func() []float64 {
+		off += n
+		return a.floats[off-n : off : off]
+	}
+	for i := range a.outs {
+		a.outs[i] = Profile{Queries: p.mask, PerQuery: vector()}
+	}
+	for i := range a.chunks {
+		a.chunks[i] = Profile{Queries: p.mask, PerQuery: vector()}
+	}
+	a.rootAcc = vector()
+	clear(a.rootAcc)
+	return a
+}
+
+// Simulate runs the simulation at one pace over the external inputs, given
+// in the form SubplanInputs returns them.
+func (p *SimPlan) Simulate(pace int, inputs map[*mqo.Op][]Profile) SimResult {
+	res, _ := p.simulate(pace, inputs, false)
+	return res
+}
+
+func (p *SimPlan) simulate(pace int, inputs map[*mqo.Op][]Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
+	a := p.arena()
+	for i, e := range p.ext {
+		a.inputs[i] = inputs[e.op][e.child]
+	}
+	return p.run(a, pace, collect)
+}
+
+// run simulates pace executions over a.inputs and releases the arena.
+// Everything it returns is cloned out of the arena (or aliases an input's
+// immutable column statistics).
+func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.Op]Profile) {
+	defer arenas.Put(a)
+	n := len(p.queries)
+
+	// One execution's share of every input: the same at every step.
+	k := float64(pace)
+	for i := range a.chunks {
+		in, c := &a.inputs[i], &a.chunks[i]
+		c.Gross = in.Gross / k
+		c.Net = in.Net / k
+		c.DeleteShare = in.DeleteShare
+		c.Cols = in.Cols
+		for slot, q := range p.queries {
+			// A query the input has no entry for sees the whole chunk.
+			c.PerQuery[slot] = in.grossFor(q) / k
+		}
+	}
+
+	var acc []Profile
+	if collect {
+		acc = make([]Profile, len(p.ops))
+		for i := range acc {
+			acc[i].Queries = p.mask
+			acc[i].PerQuery = make([]float64, n)
+		}
+	}
+
+	var res SimResult
+	var outGross, outDeletes, outNet float64
+	root := &a.outs[len(p.ops)-1]
+	for e := 1; e <= pace; e++ {
+		var work float64
+		for i := range p.ops {
+			if e == 1 || !p.ops[i].invariant {
+				a.state[i].work = p.step(a, i, e == 1)
+			}
+			work += a.state[i].work
+			if collect {
+				out, t := &a.outs[i], &acc[i]
+				t.Gross += out.Gross
+				t.DeleteShare += out.Gross * out.DeleteShare // normalized below
+				t.Net += out.Net
+				for slot, v := range out.PerQuery {
+					t.PerQuery[slot] += v
+				}
+			}
+		}
+		// Root output materialization plus the per-execution startup
+		// cost, as in the engine.
+		work += root.Gross
+		work += p.startup
+		res.PrivateTotal += work
+		if e == pace {
+			res.PrivateFinal = work
+		}
+		outGross += root.Gross
+		outDeletes += root.Gross * root.DeleteShare
+		outNet += root.Net
+		for slot, v := range root.PerQuery {
+			a.rootAcc[slot] += v
+		}
+	}
+	res.Out = Profile{
+		Gross:    outGross,
+		Net:      outNet,
+		Queries:  p.mask,
+		PerQuery: append([]float64(nil), a.rootAcc...),
+		Cols:     p.escapeCols(len(p.ops)-1, root.Cols),
+	}
+	if outGross > 0 {
+		res.Out.DeleteShare = outDeletes / outGross
+	}
+	if !collect {
+		return res, nil
+	}
+	opOut := make(map[*mqo.Op]Profile, len(p.ops))
+	for i := range acc {
+		if acc[i].Gross > 0 {
+			acc[i].DeleteShare /= acc[i].Gross
+		}
+		acc[i].Cols = p.escapeCols(i, a.outs[i].Cols)
+		opOut[p.ops[i].op] = acc[i]
+	}
+	return res, opOut
+}
+
+// escapeCols returns operator i's column statistics in a form that outlives
+// the arena: a scan's alias its input's, which nothing writes; every other
+// operator's live in the arena and are cloned.
+func (p *SimPlan) escapeCols(i int, cols []catalog.ColumnStats) []catalog.ColumnStats {
+	if p.ops[i].op.Kind == mqo.KindScan {
+		return cols
+	}
+	return append([]catalog.ColumnStats(nil), cols...)
+}
+
+func (p *SimPlan) input(a *simArena, ref int) *Profile {
+	if ref >= 0 {
+		return &a.outs[ref]
+	}
+	return &a.chunks[^ref]
+}
+
+// ownCols gives operator output n column slots of its own in the first
+// step; later steps write the same slots in place.
+func (a *simArena) ownCols(out *Profile, n int) {
+	start := len(a.cols)
+	a.cols = append(a.cols, make([]catalog.ColumnStats, n)...)
+	out.Cols = a.cols[start:len(a.cols):len(a.cols)]
+}
+
+// step simulates one execution of operator i over one chunk per input,
+// writes its output profile in place and returns its work units.
+func (p *SimPlan) step(a *simArena, i int, first bool) float64 {
+	o := &p.ops[i]
+	out := &a.outs[i]
+	switch o.op.Kind {
 	case mqo.KindScan:
-		return s.stepFilterLike(ins[0], s.op.Schema(), true)
+		in := p.input(a, o.in[0])
+		p.applyPreds(a, o, in, out)
+		out.Cols = in.Cols
+		return in.Gross + out.Gross
 	case mqo.KindProject:
-		return s.stepProject(ins[0])
+		in := p.input(a, o.in[0])
+		p.applyPreds(a, o, in, out)
+		// Projection rewrites columns; derive output stats per expression.
+		if first {
+			a.ownCols(out, len(o.colSrc))
+			copyThrough(out.Cols, o.colSrc, in.Cols)
+		}
+		for j, src := range o.colSrc {
+			out.Cols[j].Distinct = out.Net
+			if passesThrough(src, in.Cols) {
+				out.Cols[j].Distinct = in.Cols[src].Distinct
+			}
+		}
+		return in.Gross + out.Gross
 	case mqo.KindJoin:
-		return s.stepJoin(ins[0], ins[1])
+		return p.stepJoin(a, o, out, &a.state[i], first)
 	case mqo.KindAggregate:
-		return s.stepAgg(ins[0])
+		return p.stepAgg(a, o, out, &a.state[i], first)
 	default:
-		return Profile{}, 0
+		return 0
 	}
 }
 
 // applyPreds computes the per-query and union survival of the operator's
 // marker predicates over a stream.
-func (s *opSim) applyPreds(in Profile) (out Profile) {
-	out = Profile{
-		Net:         in.Net,
-		DeleteShare: in.DeleteShare,
-		PerQuery:    make(map[int]float64),
-		Cols:        in.Cols,
-	}
-	stats := colStats{cols: in.Cols}
+func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *Profile) {
+	out.DeleteShare = in.DeleteShare
+	copy(out.PerQuery, in.PerQuery)
 	// The union survival multiplies misses over DISTINCT predicates:
 	// queries sharing an identical predicate select the same tuples, so
 	// counting the predicate once keeps the union (and the per-query
 	// divergence signal downstream) correct.
 	unionMiss := 1.0
-	anyPass := false
-	seenPred := make(map[string]bool, len(s.op.Preds))
-	for _, q := range s.op.Queries.Members() {
-		inQ := in.Gross
-		if v, ok := in.PerQuery[q]; ok {
-			inQ = v
+	a.stats.cols = in.Cols
+	for _, sp := range o.preds {
+		sel := expr.Selectivity(sp.pred, &a.stats)
+		if sp.first {
+			unionMiss *= 1 - sel
 		}
-		sel := 1.0
-		if pred, ok := s.op.Preds[q]; ok {
-			sel = expr.Selectivity(pred, stats)
-			canon := expr.Canon(pred)
-			if !seenPred[canon] {
-				seenPred[canon] = true
-				unionMiss *= 1 - sel
-			}
-		} else {
-			anyPass = true
-		}
-		out.PerQuery[q] = inQ * sel
+		out.PerQuery[sp.slot] = in.PerQuery[sp.slot] * sel
 	}
 	unionSel := 1.0
-	if !anyPass {
+	if len(o.preds) == len(p.queries) { // no query passes unfiltered
 		unionSel = 1 - unionMiss
 	}
 	out.Gross = in.Gross * unionSel
 	out.Net = in.Net * unionSel
-	return out
 }
 
-// stepFilterLike models scans (and any pass-through with markers).
-func (s *opSim) stepFilterLike(in Profile, schema []plan.Field, isScan bool) (Profile, float64) {
-	out := s.applyPreds(in)
-	work := in.Gross + out.Gross
-	return out, work
-}
-
-func (s *opSim) stepProject(in Profile) (Profile, float64) {
-	out := s.applyPreds(in)
-	// Projection rewrites columns; derive output stats per expression.
-	out.Cols = projectCols(s.op.Exprs, in.Cols, out.Net)
-	work := in.Gross + out.Gross
-	return out, work
-}
-
-func projectCols(exprs []plan.NamedExpr, in []catalog.ColumnStats, n float64) []catalog.ColumnStats {
-	out := make([]catalog.ColumnStats, len(exprs))
-	for i, ne := range exprs {
-		if c, ok := ne.E.(*expr.Column); ok && c.Index < len(in) {
-			out[i] = in[c.Index]
-			continue
-		}
-		out[i] = catalog.ColumnStats{Distinct: n}
-	}
-	return out
-}
-
-func (s *opSim) stepJoin(l, r Profile) (Profile, float64) {
+func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *Profile, st *opState, first bool) float64 {
+	l, r := p.input(a, o.in[0]), p.input(a, o.in[1])
 	// Key distinct estimates refresh with arrived data. Composite keys
 	// multiply per-column distincts, capped by the side's row count.
-	if len(s.op.LeftKeys) > 0 {
-		s.leftKeyDist = compositeDistinct(s.op.LeftKeys, l.Cols, s.leftNet+l.Net)
-		s.rightKeyDist = compositeDistinct(s.op.RightKeys, r.Cols, s.rightNet+r.Net)
-	} else {
-		s.leftKeyDist, s.rightKeyDist = 1, 1
+	leftKeyDist, rightKeyDist := 1.0, 1.0
+	if len(o.op.LeftKeys) > 0 {
+		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Cols, st.leftNet+l.Net)
+		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Cols, st.rightNet+r.Net)
 	}
-	d := s.leftKeyDist
-	if s.rightKeyDist > d {
-		d = s.rightKeyDist
+	d := leftKeyDist
+	if rightKeyDist > d {
+		d = rightKeyDist
 	}
 	if d < 1 {
 		d = 1
@@ -284,40 +485,43 @@ func (s *opSim) stepJoin(l, r Profile) (Profile, float64) {
 	work := l.Gross + r.Gross // tuples
 	work += l.Gross + r.Gross // state updates
 
-	out := Profile{PerQuery: make(map[int]float64)}
-	for _, q := range s.op.Queries.Members() {
-		lq := grossFor(l, q)
-		rq := grossFor(r, q)
-		lState := s.leftState[q]
-		rState := s.rightState[q]
+	n := len(p.queries)
+	leftState, rightState := a.floats[o.state:o.state+n], a.floats[o.state+n:o.state+2*n]
+	for slot := range out.PerQuery {
+		lq, rq := l.PerQuery[slot], r.PerQuery[slot]
+		lState, rState := leftState[slot], rightState[slot]
 		// ΔL ⋈ R_old + (L_old + ΔL) ⋈ ΔR.
-		matches := lq*rState*sel + (lState+lq)*rq*sel
-		out.PerQuery[q] = matches
+		out.PerQuery[slot] = lq*rState*sel + (lState+lq)*rq*sel
+		// State holds net arrivals.
+		leftState[slot] = lState + lq*(1-2*l.DeleteShare)
+		rightState[slot] = rState + rq*(1-2*r.DeleteShare)
 	}
-	lU, rU := l.Gross, r.Gross
-	lStateU, rStateU := s.leftNetGrossState(), s.rightNetGrossState()
-	union := lU*rStateU*sel + (lStateU+lU)*rU*sel
+	union := l.Gross*st.rightNet*sel + (st.leftNet+l.Gross)*r.Gross*sel
 	out.Gross = union
 	work += union // outputs
 
-	// Update state with net arrivals; the output's net increment is the
-	// derivative of Ln·Rn·sel: ΔLn·Rn_old + Ln_new·ΔRn.
-	for _, q := range s.op.Queries.Members() {
-		s.leftState.add(q, grossFor(l, q)*(1-2*l.DeleteShare))
-		s.rightState.add(q, grossFor(r, q)*(1-2*r.DeleteShare))
-	}
-	netInc := (l.Net*s.rightNet + (s.leftNet+l.Net)*r.Net) * sel
-	s.leftNet += l.Net
-	s.rightNet += r.Net
-
-	out.Net = netInc
+	// The output's net increment is the derivative of Ln·Rn·sel:
+	// ΔLn·Rn_old + Ln_new·ΔRn.
+	out.Net = (l.Net*st.rightNet + (st.leftNet+l.Net)*r.Net) * sel
+	st.leftNet += l.Net
+	st.rightNet += r.Net
 	out.DeleteShare = combineDeleteShare(l.DeleteShare, r.DeleteShare)
-	out.Cols = append(append([]catalog.ColumnStats{}, l.Cols...), r.Cols...)
-	return out, work
-}
 
-func (s *opSim) leftNetGrossState() float64  { return s.leftNet }
-func (s *opSim) rightNetGrossState() float64 { return s.rightNet }
+	if first {
+		a.ownCols(out, len(l.Cols)+len(r.Cols))
+		copy(out.Cols, l.Cols)
+		copy(out.Cols[len(l.Cols):], r.Cols)
+	} else if o.colsVary {
+		for j := range l.Cols {
+			out.Cols[j].Distinct = l.Cols[j].Distinct
+		}
+		right := out.Cols[len(l.Cols):]
+		for j := range r.Cols {
+			right[j].Distinct = r.Cols[j].Distinct
+		}
+	}
+	return work
+}
 
 // compositeDistinct estimates the distinct count of a multi-column join
 // key: the product of per-column distincts, capped by the number of rows.
@@ -338,41 +542,39 @@ func compositeDistinct(keys []expr.Expr, cols []catalog.ColumnStats, n float64) 
 	return d
 }
 
-func grossFor(p Profile, q int) float64 {
-	if v, ok := p.PerQuery[q]; ok {
-		return v
-	}
-	return p.Gross
-}
-
 // combineDeleteShare: a join output delta is a delete when exactly one of
 // the contributing deltas is a delete.
 func combineDeleteShare(a, b float64) float64 {
 	return a*(1-b) + b*(1-a)
 }
 
-func (s *opSim) stepAgg(in Profile) (Profile, float64) {
-	if s.groupDomain == 0 {
-		s.groupDomain = groupDomain(s.op.GroupBy, in.Cols)
+func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, first bool) float64 {
+	in := p.input(a, o.in[0])
+	if first {
+		st.groupDomain = groupDomain(o.op.GroupBy, in.Cols)
 	}
+	n := len(p.queries)
+	arrived := a.floats[o.state : o.state+n]
+
 	work := in.Gross // tuples
 	// Accumulator updates: one per valid query bit per aggregate.
-	avgBits := in.avgBits(s.op.Queries)
-	work += in.Gross * avgBits * float64(maxInt(1, len(s.op.Aggs)))
+	avgBits := 0.0
+	if in.Gross > 0 {
+		var sum float64
+		for _, v := range in.PerQuery {
+			sum += v
+		}
+		avgBits = maxf(0, sum/in.Gross)
+	}
+	work += in.Gross * avgBits * float64(max(1, len(o.op.Aggs)))
 
 	// MIN/MAX rescans on deletions.
-	hasExtremum := false
-	for _, a := range s.op.Aggs {
-		if !a.Func.Incremental() {
-			hasExtremum = true
-		}
-	}
 	deletes := in.Gross * in.DeleteShare
-	groupsNow := drawnDistinct(s.groupDomain, s.arrivedAll+in.Gross)
-	if hasExtremum && deletes > 0 {
+	groupsNow := drawnDistinct(st.groupDomain, st.arrivedAll+in.Gross)
+	if o.hasExtremum && deletes > 0 {
 		valsPerGroup := 1.0
 		if groupsNow > 0 {
-			valsPerGroup = maxf(1, s.netState/groupsNow)
+			valsPerGroup = maxf(1, st.netState/groupsNow)
 		}
 		hits := deletes
 		if hits > groupsNow {
@@ -382,7 +584,7 @@ func (s *opSim) stepAgg(in Profile) (Profile, float64) {
 	}
 
 	// Affected groups this execution.
-	groupsBefore := drawnDistinct(s.groupDomain, s.arrivedAll)
+	groupsBefore := drawnDistinct(st.groupDomain, st.arrivedAll)
 	inserts := in.Gross * (1 - in.DeleteShare)
 	affected := drawnDistinct(groupsNow, in.Gross)
 	newGroups := groupsNow - groupsBefore
@@ -397,41 +599,49 @@ func (s *opSim) stepAgg(in Profile) (Profile, float64) {
 	// shared aggregate emits one output row per value class instead of one
 	// row carrying all bits — the extra work a shared aggregate does over
 	// the individual aggregates (paper §5.4).
-	classes := s.valueClasses(in)
+	classes := valueClasses(arrived, in, st.arrivedAll)
 	// Changed groups retract the old row and emit the new one; new groups
 	// emit one row — per value class.
 	baseOut := (affected-newGroups)*2 + newGroups
-	outGross := baseOut * classes
-
-	out := Profile{
-		Gross: outGross,
-		// The net increment of an aggregate's output is its newly created
-		// groups; changed groups retract and re-emit, netting zero.
-		Net:      newGroups,
-		PerQuery: make(map[int]float64),
+	out.Gross = baseOut * classes
+	// The net increment of an aggregate's output is its newly created
+	// groups; changed groups retract and re-emit, netting zero.
+	out.Net = newGroups
+	out.DeleteShare = 0
+	if out.Gross > 0 {
+		out.DeleteShare = (affected - newGroups) / out.Gross
 	}
-	if outGross > 0 {
-		out.DeleteShare = (affected - newGroups) / outGross
-	}
-	for _, q := range s.op.Queries.Members() {
-		arrivedQ := s.arrived[q] + grossFor(in, q)
-		s.arrived[q] = arrivedQ
-		gq := drawnDistinct(s.groupDomain, arrivedQ)
+	for slot, v := range in.PerQuery {
+		arrived[slot] += v
 		share := 0.0
 		if groupsNow > 0 {
-			share = clamp01(gq / groupsNow)
+			share = clamp01(drawnDistinct(st.groupDomain, arrived[slot]) / groupsNow)
 		}
 		// A query's own delta stream is single-class.
-		out.PerQuery[q] = baseOut * share
-		s.groupsPrev[q] = gq
+		out.PerQuery[slot] = baseOut * share
 	}
-	s.arrivedAll += in.Gross
-	s.netState += inserts - deletes
+	st.arrivedAll += in.Gross
+	st.netState += inserts - deletes
 
-	work += outGross // output tuples
-	out.Cols = aggCols(s.op, in.Cols, groupsNow)
-	_ = inserts
-	return out, work
+	work += out.Gross // output tuples
+
+	groupBy := len(o.colSrc)
+	if first {
+		a.ownCols(out, groupBy+len(o.op.Aggs))
+		copyThrough(out.Cols, o.colSrc, in.Cols)
+		for j := groupBy; j < len(out.Cols); j++ {
+			out.Cols[j].Min, out.Cols[j].Max = value.Null, value.Null
+		}
+	}
+	for j := range out.Cols {
+		out.Cols[j].Distinct = groupsNow
+	}
+	for j, src := range o.colSrc {
+		if passesThrough(src, in.Cols) {
+			out.Cols[j].Distinct = minf(in.Cols[src].Distinct, groupsNow)
+		}
+	}
+	return work
 }
 
 // valueClasses estimates how many distinct per-query value classes the
@@ -441,19 +651,18 @@ func (s *opSim) stepAgg(in Profile) (Profile, float64) {
 // the overlap of the queries' input shares: with n live queries whose
 // shares of the union sum to S, full overlap (S = n) gives one class and
 // pairwise-disjoint inputs (S = 1) give n classes.
-func (s *opSim) valueClasses(in Profile) float64 {
-	members := s.op.Queries.Members()
-	if len(members) <= 1 {
+func valueClasses(arrived []float64, in *Profile, arrivedAll float64) float64 {
+	if len(arrived) <= 1 {
 		return 1
 	}
-	total := s.arrivedAll + in.Gross
+	total := arrivedAll + in.Gross
 	if total <= 0 {
 		return 1
 	}
 	live := 0
 	sumShares := 0.0
-	for _, q := range members {
-		arrivedQ := s.arrived[q] + grossFor(in, q)
+	for slot, v := range in.PerQuery {
+		arrivedQ := arrived[slot] + v
 		if arrivedQ <= 0 {
 			continue
 		}
@@ -483,30 +692,6 @@ func groupDomain(groups []plan.NamedExpr, cols []catalog.ColumnStats) float64 {
 		}
 	}
 	return d
-}
-
-func aggCols(op *mqo.Op, in []catalog.ColumnStats, groups float64) []catalog.ColumnStats {
-	out := make([]catalog.ColumnStats, 0, len(op.GroupBy)+len(op.Aggs))
-	for _, g := range op.GroupBy {
-		if c, ok := g.E.(*expr.Column); ok && c.Index < len(in) {
-			st := in[c.Index]
-			st.Distinct = minf(st.Distinct, groups)
-			out = append(out, st)
-			continue
-		}
-		out = append(out, catalog.ColumnStats{Distinct: groups})
-	}
-	for range op.Aggs {
-		out = append(out, catalog.ColumnStats{Distinct: groups, Min: value.Null, Max: value.Null})
-	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func maxf(a, b float64) float64 {

@@ -35,6 +35,16 @@ type LocalProblem struct {
 	Sims int64
 
 	cache map[simKey]cost.SimResult
+	// parts caches, per partition, the restricted subplan copy compiled
+	// for simulation: neither depends on the pace being tried.
+	parts map[mqo.Bitset]*restricted
+}
+
+// restricted is the subplan copy for one partition, compiled, with the
+// copies' external inputs.
+type restricted struct {
+	plan   *cost.SimPlan
+	inputs map[*mqo.Op][]cost.Profile
 }
 
 type simKey struct {
@@ -63,9 +73,17 @@ func (lp *LocalProblem) simulate(part mqo.Bitset, pace int) cost.SimResult {
 	if r, ok := lp.cache[k]; ok {
 		return r
 	}
-	sub, inputs := lp.restrict(part)
+	rp, ok := lp.parts[part]
+	if !ok {
+		sub, inputs := lp.restrict(part)
+		rp = &restricted{plan: cost.CompileSubplan(sub), inputs: inputs}
+		if lp.parts == nil {
+			lp.parts = make(map[mqo.Bitset]*restricted)
+		}
+		lp.parts[part] = rp
+	}
 	lp.Sims++
-	r := cost.SimulateSubplan(sub, pace, inputs)
+	r := rp.plan.Simulate(pace, rp.inputs)
 	lp.cache[k] = r
 	return r
 }

@@ -25,6 +25,11 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The repository benchmark is its own module, which ./... does not reach.
+echo "== go vet + go test (bench module)"
+go vet -C bench ./...
+go test -C bench ./...
+
 # Chunk-boundary coverage: rerun the executor and differential tests with a
 # tiny vectorized batch size so bugs that only appear at chunk seams cannot
 # hide behind the 1024-tuple default. -count=1 forces a real run: the env
