@@ -53,19 +53,24 @@ else
 		-pkg $(BENCH_PKG) -benchtime 100x -env-a $(BENCH_ENV_A) -env-b $(BENCH_ENV_B)
 endif
 
-# profile runs BenchmarkPlanJob — one whole planning job over the 22 TPC-H
-# queries, the operation of the repository benchmark's optimizer-bound
-# workload — on one CPU and leaves its CPU and allocation profiles, and the
-# test binary pprof needs to symbolize them, under .bench_build/ (git-ignored).
-# Read them with `go tool pprof -top .bench_build/ishare.test
-# .bench_build/planjob.cpu.pprof` (add -sample_index=alloc_space for the
-# allocation profile).
+# profile runs one whole-job benchmark on one CPU and leaves its CPU and
+# allocation profiles, and the test binary pprof needs to symbolize them,
+# under .bench_build/ (git-ignored). PROFILE_BENCH picks the job: PlanJob
+# (default) is one planning job over the 22 TPC-H queries, the operation of
+# the repository benchmark's optimizer-bound workload; ExecJob is the
+# executor's share of one job of its executor-bound workload (NewRunner +
+# Run at SF 2, planned outside the timer). Read them with `go tool pprof
+# -top .bench_build/ishare.test .bench_build/planjob.cpu.pprof` (add
+# -sample_index=alloc_space for the allocation profile; the files are named
+# after the lower-cased PROFILE_BENCH).
+PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
+PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)
 profile:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench 'BenchmarkPlanJob$$' -benchtime $(PROFILE_TIME) -cpu 1 -benchmem \
+	$(GO) test -run '^$$' -bench 'Benchmark$(PROFILE_BENCH)$$' -benchtime $(PROFILE_TIME) -cpu 1 -benchmem \
 		-o .bench_build/ishare.test \
-		-cpuprofile .bench_build/planjob.cpu.pprof -memprofile .bench_build/planjob.alloc.pprof
+		-cpuprofile $(PROFILE_OUT).cpu.pprof -memprofile $(PROFILE_OUT).alloc.pprof
 
 check:
 	./scripts/check.sh

@@ -499,6 +499,51 @@ func BenchmarkPlanJob(b *testing.B) {
 	}
 }
 
+// BenchmarkExecJob measures the executor's share of one job of the
+// repository benchmark's executor-bound workload: the 22 queries at SF 2
+// (177k insert-only rows), query q at relative constraint level q mod 4,
+// planned once by opt.Plan(IShare, MaxPace 40) outside the timer; each
+// iteration builds one exec.Runner per planned job and runs it at the
+// planned paces. `make profile PROFILE_BENCH=ExecJob` profiles it.
+func BenchmarkExecJob(b *testing.B) {
+	const sf = 2
+	cat, err := tpch.NewCatalog(sf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound, err := tpch.Bind(tpch.All(), cat, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	levels := []float64{1.0, 0.5, 0.2, 0.1}
+	rel := make([]float64, len(bound))
+	for q := range rel {
+		rel[q] = levels[q%len(levels)]
+	}
+	abs, err := opt.AbsoluteConstraints(bound, rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planned, err := opt.Plan(opt.IShare, opt.Request{Queries: bound, Constraints: abs, MaxPace: benchConfig().MaxPace, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := tpch.Generate(sf, benchConfig().Seed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pj := range planned.Jobs {
+			r, err := exec.NewRunner(pj.Graph, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Run(pj.Paces); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkAdmit measures online admission onto a live shared plan: "warm"
 // admits Q22 into a running {Q1, Q6} plan — matching state-identical
 // subplans against the previous revision and transplanting their memoized

@@ -184,6 +184,11 @@ type ArrangeStats struct {
 	// across live arrangements — the resident-memory proxy that drops
 	// when subplans share.
 	Entries int64
+	// LongestChain is the most join entries under one key hash — a skewed
+	// build side shows here — and IndexedEntries how many identity-index
+	// keys such long chains hold (joinArr.idx).
+	LongestChain   int32
+	IndexedEntries int64
 	// Built counts arrangements ever constructed; SharedAttaches counts
 	// attaches served by an existing arrangement instead of a build.
 	Built, SharedAttaches int64
@@ -216,6 +221,8 @@ func (r *Registry) Stats() ArrangeStats {
 		switch arr := a.(type) {
 		case *joinArr:
 			st.Entries += int64(arr.arena.Len())
+			st.LongestChain = max(st.LongestChain, arr.longest)
+			st.IndexedEntries += int64(arr.idx.Len())
 		case *aggArr:
 			st.Entries += int64(arr.arena.Len())
 		}
@@ -307,39 +314,34 @@ type countVer struct {
 // reordered — a multiplicity that returns to zero leaves a tombstone in
 // place, and a later matching delta revives it — so chain order and arena
 // refs are stable no matter how many sharers write at different paces.
-// hist is the entry's multiplicity history, materialized lazily on the
-// second change; until then created+count describe the single version.
+// hist indexes the arrangement's side arena of multiplicity histories, -1
+// until the entry's second change materializes one; until then
+// created+count describe the single version. head is the entry's chain
+// head; tail and n are the chain's last entry and length, kept on the head
+// only, so an append never walks.
 type arrEntry struct {
-	row     value.Row
-	bits    mqo.Bitset
-	count   int32
-	next    int32
-	created int64
-	hist    []countVer
+	row         value.Row
+	bits        mqo.Bitset
+	created     int64
+	count, next int32
+	hist, head  int32
+	tail, n     int32
 }
 
-// countAt returns the multiplicity visible to a handle at stream position
-// pos: the count after the last change at a position < pos.
-func (e *arrEntry) countAt(pos int64) int32 {
-	if e.hist == nil {
-		if pos > e.created {
-			return e.count
-		}
-		return 0
-	}
-	lo, hi := 0, len(e.hist)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.hist[mid].pos < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return e.hist[lo-1].count
+// indexThreshold is the chain length past which a chain's entries enter the
+// identity index. Short chains (two thirds of a TPC-H job's entries) are
+// cheaper to walk than to hash and index; 8 measured best (DESIGN.md §6h).
+// A variable only so tests can force both regimes; nothing else writes it.
+var indexThreshold int32 = 8
+
+// identityHash keys the identity index: the row's Equal-consistent hash
+// mixed with the canonical bits and the chain's key hash. Rows that are
+// Equal under different join-key hashes (a computed key can tell Int(0)
+// from Float(0)) belong to different chains and must not meet. A variable
+// so a test can force collisions.
+var identityHash = func(row value.Row, cb mqo.Bitset, h uint64) (uint64, bool) {
+	rh, ok := value.IdentityHash(row)
+	return rh ^ (uint64(cb)+h)*0xD6E8FEB86659FD93, ok
 }
 
 // joinArr is a shared join build side: a multiset of (row, bits) keyed by
@@ -348,13 +350,50 @@ func (e *arrEntry) countAt(pos int64) int32 {
 // have applied. pos counts survivors physically applied; live counts
 // entries with a non-zero current multiplicity. mu serializes everything —
 // wave-parallel subplans sharing one arrangement apply and probe under it.
+//
+// idx is the identity index: for every entry of a chain longer than
+// indexThreshold, identityHash → the first such entry in chain order, so a
+// state update on a skewed key is one lookup and one verifying comparison
+// instead of a walk. It is an accelerator only: a verify miss (64-bit
+// collision, or the first-in-chain-order entry being another one) falls
+// back to the walk, and walkOnly retires it for good once any row proves
+// unhashable.
 type joinArr struct {
 	arrHeader
-	mu    sync.Mutex
-	tab   hashtab.Table
-	arena hashtab.Arena[arrEntry]
-	pos   int64
-	live  int64
+	mu       sync.Mutex
+	tab, idx hashtab.Table
+	arena    hashtab.Arena[arrEntry]
+	hists    hashtab.Arena[[]countVer]
+	pos      int64
+	live     int64
+	longest  int32
+	walkOnly bool
+	walked   int64 // entries compared by walk; read by tests only
+}
+
+// countAt returns the multiplicity of e visible to a handle at stream
+// position pos: the count after the last change at a position < pos.
+func (a *joinArr) countAt(e *arrEntry, pos int64) int32 {
+	if e.hist < 0 {
+		if pos > e.created {
+			return e.count
+		}
+		return 0
+	}
+	hist := *a.hists.At(e.hist)
+	lo, hi := 0, len(hist)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if hist[mid].pos < pos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return 0
+	}
+	return hist[lo-1].count
 }
 
 // apply advances one handle past survivor t. If another holder already
@@ -370,47 +409,104 @@ func (a *joinArr) apply(pos *int64, to bitMap, t delta.Tuple, h uint64) int64 {
 	a.pos = p + 1
 	cb := to.apply(t.Bits)
 	d := int32(t.Sign)
-	if head, ok := a.tab.Get(h); ok {
-		prev := int32(-1)
-		for ref := head; ref >= 0; {
-			e := a.arena.At(ref)
-			if e.bits == cb && e.row.Equal(t.Row) {
-				a.bump(e, p, d)
-				return 1
-			}
-			prev = ref
-			ref = e.next
+	headRef, ok := a.tab.Get(h)
+	var id uint64 // t's identity hash, when vacant: idx holds nothing under it
+	var vacant bool
+	if ok {
+		var e *arrEntry
+		if e, id, vacant = a.find(headRef, t.Row, cb, h); e != nil {
+			a.bump(e, p, d)
+			return 1
 		}
-		a.arena.At(prev).next = a.newEntry(t.Row, cb, d, p)
-		return 1
 	}
-	a.tab.Put(h, a.newEntry(t.Row, cb, d, p))
+	// A delete with no prior insert records a negative multiplicity so a
+	// late matching insert cancels it — the multiset algebra stays closed
+	// under any delta order.
+	ref := a.arena.Alloc()
+	if !ok {
+		headRef = ref
+		a.tab.Put(h, ref)
+	}
+	head := a.arena.At(headRef)
+	*a.arena.At(ref) = arrEntry{row: t.Row, bits: cb, created: p, count: d, next: -1, hist: -1, head: headRef}
+	if ok {
+		a.arena.At(head.tail).next = ref
+	}
+	head.tail = ref
+	head.n++
+	a.live++
+	a.longest = max(a.longest, head.n)
+	if vacant {
+		a.idx.Put(id, ref)
+	} else if head.n > indexThreshold && !a.walkOnly {
+		// Crossing the threshold enters the whole chain, in chain order.
+		if head.n-1 == indexThreshold {
+			ref = headRef
+		}
+		for ; ref >= 0 && !a.walkOnly; ref = a.arena.At(ref).next {
+			a.index(ref, h)
+		}
+	}
 	return 1
 }
 
+// find returns the first entry of the chain at headRef identical to
+// (row, cb), or nil: through the identity index when the chain is in it,
+// else — and whenever the index cannot answer exactly — by walking. vacant
+// reports an index miss: no such entry, and id is free for the one the
+// caller appends.
+func (a *joinArr) find(headRef int32, row value.Row, cb mqo.Bitset, h uint64) (e *arrEntry, id uint64, vacant bool) {
+	if a.arena.At(headRef).n > indexThreshold && !a.walkOnly {
+		if hash, ok := identityHash(row, cb, h); ok {
+			ref, hit := a.idx.Get(hash)
+			if !hit {
+				return nil, hash, true
+			}
+			if e := a.arena.At(ref); e.head == headRef && e.bits == cb && e.row.Equal(row) {
+				return e, 0, false
+			}
+		}
+	}
+	for ref := headRef; ref >= 0; {
+		e := a.arena.At(ref)
+		a.walked++
+		if e.bits == cb && e.row.Equal(row) {
+			return e, 0, false
+		}
+		ref = e.next
+	}
+	return nil, 0, false
+}
+
+// index enters one entry of a long chain, keeping the earlier entry when
+// two share a hash: Equal is not transitive across kinds (Int(2^53) and
+// Int(2^53+1) both equal Float(2^53)), and the walk matches the first.
+func (a *joinArr) index(ref int32, h uint64) {
+	e := a.arena.At(ref)
+	id, ok := identityHash(e.row, e.bits, h)
+	if !ok {
+		a.walkOnly, a.idx = true, hashtab.Table{}
+		return
+	}
+	if _, dup := a.idx.Get(id); !dup {
+		a.idx.Put(id, ref)
+	}
+}
+
 func (a *joinArr) bump(e *arrEntry, p int64, d int32) {
-	if e.hist == nil {
-		e.hist = append(make([]countVer, 0, 4), countVer{pos: e.created, count: e.count})
+	if e.hist < 0 {
+		e.hist = a.hists.Alloc()
+		*a.hists.At(e.hist) = append(make([]countVer, 0, 2), countVer{pos: e.created, count: e.count})
 	}
 	old := e.count
 	e.count += d
-	e.hist = append(e.hist, countVer{pos: p, count: e.count})
+	hist := a.hists.At(e.hist)
+	*hist = append(*hist, countVer{pos: p, count: e.count})
 	if old == 0 && e.count != 0 {
 		a.live++
 	} else if old != 0 && e.count == 0 {
 		a.live--
 	}
-}
-
-// newEntry allocates at the chain tail. A delete with no prior insert
-// records a negative multiplicity so a late matching insert cancels it —
-// the multiset algebra stays closed under any delta order.
-func (a *joinArr) newEntry(row value.Row, cb mqo.Bitset, d int32, p int64) int32 {
-	ref := a.arena.Alloc()
-	e := a.arena.At(ref)
-	e.row, e.bits, e.count, e.next, e.created, e.hist = row, cb, d, -1, p, nil
-	a.live++
-	return ref
 }
 
 // lockArrs acquires both sides' arrangements for one probe chunk, in id

@@ -203,8 +203,12 @@ func TestArrangementSharingInvariance(t *testing.T) {
 // TestParallelSharedArrangements runs wave-parallel workers over subplans
 // that share arrangements (the lock-order and MVCC dedup paths race under
 // -race here) and requires byte-identical reports and results at every
-// worker count.
+// worker count, in every identity-index regime.
 func TestParallelSharedArrangements(t *testing.T) {
+	IndexRegimes(t, parallelSharedArrangements)
+}
+
+func parallelSharedArrangements(t *testing.T) {
 	const k = 4
 	sqls, order := arrangeSQLs(k, k)
 	h := newHarness(t, sqls, order)

@@ -5,7 +5,7 @@ package exec_test
 // pinned to literal values. The state layer underneath the executor — hash
 // tables, multisets, scratch pooling — may change freely, but the modeled
 // work that drives every cost-model number, pace decision and experiment
-// table must stay bit-identical.
+// table must stay bit-identical, in every identity-index regime.
 
 import (
 	"testing"
@@ -16,6 +16,10 @@ import (
 )
 
 func TestGoldenModeledWork(t *testing.T) {
+	exec.IndexRegimes(t, goldenModeledWork)
+}
+
+func goldenModeledWork(t *testing.T) {
 	const sf, seed, updateFrac = 0.02, 1, 0.2
 	cat, err := tpch.NewCatalog(sf)
 	if err != nil {

@@ -152,8 +152,8 @@ func (s *joinSide) keyAt(e *arrEntry, c int) value.Value {
 }
 
 // keyMatches reports whether the entry's key equals key. Chains hold one
-// 64-bit hash, so mismatches are collision-rare; comparison order matches
-// the materialized-key Row.Equal it replaced.
+// 64-bit hash, so mismatches are collision-rare; key columns compare in
+// order under value.Equal.
 func (s *joinSide) keyMatches(e *arrEntry, key value.Row) bool {
 	for c := range key {
 		if !value.Equal(s.keyAt(e, c), key[c]) {
@@ -233,7 +233,7 @@ func (j *joinExec) runPhase(self, other *joinSide, tuples []delta.Tuple, selfIsL
 				if !other.keyMatches(e, key) {
 					continue
 				}
-				count := e.countAt(other.pos)
+				count := other.arr.countAt(e, other.pos)
 				bits := other.fromCanon.apply(e.bits.Intersect(probeBits))
 				if selfIsLeft {
 					j.addCand(t.Row, e.row, bits, t.Sign, int(count))

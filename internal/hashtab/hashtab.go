@@ -146,10 +146,15 @@ func (t *Table) grow() {
 	}
 }
 
-// slabBits sizes arena slabs at 256 entries: slabs are never reallocated,
-// so pointers returned by At remain valid for the arena's lifetime.
-const slabBits = 8
-const slabSize = 1 << slabBits
+// slabSize is the entry count of an arena slab: slabs are never
+// reallocated, so pointers returned by At remain valid for the arena's
+// lifetime. 255, not 256: the runtime prefixes a pointer-holding object
+// over 512 B with an 8-byte header, and 256 entries of 8k bytes fill a
+// size class exactly, so the header tipped every slab into the next class
+// — 2 KB of a 64-byte-entry slab, an eighth of it, allocated and never
+// used. Refs stay dense; dividing by a constant costs no measurable time
+// against the cache miss At's caller is about to take.
+const slabSize = 255
 
 // Arena is a slab-backed allocator with an int32 reference space and a free
 // list. Alloc returns zeroed entries; Free zeroes the entry (dropping any
@@ -176,7 +181,7 @@ func (a *Arena[T]) Alloc() int32 {
 	}
 	ref := a.next
 	a.next++
-	if int(ref)>>slabBits == len(a.slabs) {
+	if int(ref)/slabSize == len(a.slabs) {
 		a.slabs = append(a.slabs, make([]T, slabSize))
 	}
 	return ref
@@ -185,7 +190,8 @@ func (a *Arena[T]) Alloc() int32 {
 // At returns the entry for ref. The pointer stays valid until the entry is
 // freed.
 func (a *Arena[T]) At(ref int32) *T {
-	return &a.slabs[ref>>slabBits][ref&(slabSize-1)]
+	u := uint32(ref) // unsigned: division by the constant needs no sign fix-up
+	return &a.slabs[u/slabSize][u%slabSize]
 }
 
 // Free zeroes the entry and returns its slot to the free list.

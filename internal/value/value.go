@@ -243,9 +243,10 @@ func (r Row) String() string {
 }
 
 // Equal reports whether two rows are element-wise equal. The loop inlines
-// Equal's same-kind cases: this is the inner comparison of the join's
-// state-update chain walk, where rows come from one table and kinds match
-// column-for-column.
+// Equal's same-kind cases: this is the identity test of the join's state
+// update — once per entry walked on a short chain, once to verify an
+// identity-index hit on a long one (see IdentityHash) — where rows come
+// from one table and kinds match column-for-column.
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {
 		return false
@@ -374,6 +375,38 @@ func HashRow(r Row) uint64 {
 	var h Hasher
 	h.h.SetSeed(hashSeed)
 	return h.RowHash(r)
+}
+
+// IdentityHash hashes a row consistently with Row.Equal: any two rows that
+// Equal reports equal hash alike. Numeric kinds hash by their float64 image
+// (Int(2) ≡ Float(2)) with -0 folded into +0, which compare equal although
+// their bits — and their WriteValue hashes — differ. ok is false for a row
+// holding a float NaN: Equal matches a NaN against every number, so no hash
+// can be consistent with it and the caller must compare instead. Unequal
+// rows may collide; Equal is the arbiter.
+func IdentityHash(r Row) (sum uint64, ok bool) {
+	const mul = 0x9E3779B97F4A7C15
+	sum = mul
+	for _, v := range r {
+		var x uint64
+		switch v.K {
+		case KindNull:
+		case KindString:
+			x = maphash.String(hashSeed, v.S)
+		default:
+			f := v.AsFloat()
+			if f != f {
+				return 0, false
+			}
+			if f == 0 {
+				f = 0 // -0 == 0: hash both as +0
+			}
+			x = math.Float64bits(f)
+		}
+		sum = (sum ^ x ^ uint64(hashClass(v.K))<<58) * mul
+		sum ^= sum >> 29
+	}
+	return sum, true
 }
 
 // AppendKey appends r's deterministic key encoding (see Key) to buf and

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -141,6 +142,43 @@ func TestHashEqualRowsEqualHash(t *testing.T) {
 	}
 	if Key(a) != Key(b) {
 		t.Error("rows that compare equal must key equal")
+	}
+}
+
+// TestIdentityHashAgreesWithEqual pins the contract the join's identity
+// index rests on: rows Row.Equal calls equal hash alike — across Int/Float
+// twins, ±0 and integers past float precision — and a row holding a NaN,
+// which Equal matches against any number, is refused.
+func TestIdentityHashAgreesWithEqual(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []Value{
+		Null, Int(0), Float(0), Float(negZero), Int(2), Float(2), Float(2.5), Bool(true), Int(1), Date(1),
+		Str(""), Str("a"), Int(1 << 53), Int(1<<53 + 1), Float(1 << 53), Int(-7), Float(-7),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ra, rb := Row{Str("k"), a}, Row{Str("k"), b}
+			ha, oka := IdentityHash(ra)
+			hb, okb := IdentityHash(rb)
+			if !oka || !okb {
+				t.Fatalf("IdentityHash refused %v or %v", ra, rb)
+			}
+			if ra.Equal(rb) && ha != hb {
+				t.Errorf("%v equals %v but hashes %x vs %x", ra, rb, ha, hb)
+			}
+		}
+	}
+	h12, _ := IdentityHash(Row{Int(1), Int(2)})
+	h21, _ := IdentityHash(Row{Int(2), Int(1)})
+	if h12 == h21 {
+		t.Error("column order does not reach the hash")
+	}
+	nan := Row{Int(1), Float(math.NaN())}
+	if !nan.Equal(Row{Int(1), Float(3)}) {
+		t.Error("Row.Equal stopped matching NaN against numbers: IdentityHash may hash it now")
+	}
+	if _, ok := IdentityHash(nan); ok {
+		t.Error("IdentityHash accepted a row holding NaN")
 	}
 }
 

@@ -53,6 +53,12 @@ ISHARE_SHARE_ARRANGEMENTS=0 go test -count=1 ./internal/exec ./internal/oracle
 echo "== go test (ISHARE_REUSE=0)"
 ISHARE_REUSE=0 go test -count=1 ./internal/exec ./internal/sched ./internal/oracle
 
+# Compile-and-run smoke of the executor's whole-job benchmark: one job of
+# the repository benchmark's exec_batch22 (22 queries at SF 2, planned
+# outside the timer), the target of `make profile PROFILE_BENCH=ExecJob`.
+echo "== BenchmarkExecJob smoke (-benchtime 1x)"
+go test -run '^$' -bench 'BenchmarkExecJob$' -benchtime 1x -benchmem .
+
 echo "== trace smoke (-experiment sched -trace)"
 TRACE_OUT="$(mktemp /tmp/ishare-trace.XXXXXX.json)"
 go run ./cmd/ishare -experiment sched -sf 0.02 -trace "$TRACE_OUT" >/dev/null
