@@ -38,19 +38,23 @@ bench-json:
 # ignores how the numbers moved. Set BENCH_INTERLEAVE=N to instead measure
 # an A/B env delta live with N interleaved runs per side and report the
 # medians — the only defensible acceptance method on a noisy host. The
-# default A/B compares the window-reuse fast path off vs on.
+# engine itself reads no environment variable, so the caller names the two
+# environments (BENCH_ENV_A/BENCH_ENV_B, e.g. GOGC=50 vs GOGC=200); with the
+# default pattern each side also prints the window-reuse fast path on and
+# off as the reuse=on / reuse=off sub-benchmarks.
 BENCH_BASE ?= BENCH_PR9.json
 BENCH_INTERLEAVE ?= 0
 BENCH_PATTERN ?= BenchmarkWindowReuse
 BENCH_PKG ?= ./internal/exec
-BENCH_ENV_A ?= ISHARE_REUSE=0
-BENCH_ENV_B ?= ISHARE_REUSE=1
+BENCH_ENV_A ?=
+BENCH_ENV_B ?=
 bench-diff:
 ifeq ($(BENCH_INTERLEAVE),0)
 	$(GO) run ./cmd/benchdiff $(BENCH_BASE) $(BENCH_JSON)
 else
+	@test -n "$(BENCH_ENV_A)$(BENCH_ENV_B)" || { echo "set BENCH_ENV_A and/or BENCH_ENV_B (KEY=VALUE) to name the two sides" >&2; exit 2; }
 	$(GO) run ./cmd/benchdiff -interleave $(BENCH_INTERLEAVE) -bench $(BENCH_PATTERN) \
-		-pkg $(BENCH_PKG) -benchtime 100x -env-a $(BENCH_ENV_A) -env-b $(BENCH_ENV_B)
+		-pkg $(BENCH_PKG) -benchtime 100x -env-a '$(BENCH_ENV_A)' -env-b '$(BENCH_ENV_B)'
 endif
 
 # profile runs one whole-job benchmark on one CPU and leaves its CPU and

@@ -17,8 +17,12 @@
 // only defensible way to accept a perf change on a noisy box; a single
 // back-to-back pair is not.
 //
-//	benchdiff -interleave 5 -bench BenchmarkWindowReuse -pkg ./internal/exec \
-//	    -env-a ISHARE_REUSE=0 -env-b ISHARE_REUSE=1
+//	benchdiff -interleave 5 -bench BenchmarkExecJob -pkg . \
+//	    -env-a GOGC=50 -env-b GOGC=200
+//
+// The engine reads no environment variable of its own; two code paths of one
+// build are compared as sub-benchmarks instead (BenchmarkWindowReuse's
+// reuse=on / reuse=off).
 package main
 
 import (

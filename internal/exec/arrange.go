@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/bits"
-	"os"
 	"sync"
 
 	"ishare/internal/delta"
@@ -23,19 +22,6 @@ import (
 // remapping into the arrangement's canonical query space, so results and
 // modeled Work are bit-identical whether an arrangement has one holder or
 // twenty — only the actual build work and resident memory change.
-
-// ShareFromEnv reports the ISHARE_SHARE_ARRANGEMENTS environment default:
-// arrangement sharing is on unless the variable is "0", "false" or "off".
-// Like vec.BatchFromEnv, it is read at runner construction rather than
-// package init so `go test` keys its cache on the variable: a CI pass with
-// sharing disabled can never reuse cached shared-mode results.
-func ShareFromEnv() bool {
-	switch os.Getenv("ISHARE_SHARE_ARRANGEMENTS") {
-	case "0", "false", "off":
-		return false
-	}
-	return true
-}
 
 // arrHeader is the registry-facing identity of an arrangement.
 type arrHeader struct {

@@ -139,7 +139,9 @@ func arrangeData() DeltaDataset {
 // sharing on and off: results and the full work report must be
 // byte-identical (sharing is purely physical), while the shared registry
 // must actually multi-use its arrangements and hold fewer resident entries.
-func TestArrangementSharingInvariance(t *testing.T) {
+func TestArrangementSharingInvariance(t *testing.T) { overOptions(t, testArrangementSharingInvariance) }
+
+func testArrangementSharingInvariance(t *testing.T) {
 	const k = 3
 	sqls, order := arrangeSQLs(k, k)
 	h := newHarness(t, sqls, order)
@@ -151,7 +153,9 @@ func TestArrangementSharingInvariance(t *testing.T) {
 	}
 
 	run := func(share bool) (*Runner, *Report) {
-		r, err := NewDeltaRunnerShare(g, data, share)
+		o := h.opts
+		o.NoShare = !share
+		r, err := New(g, data, o)
 		if err != nil {
 			t.Fatalf("share=%v: %v", share, err)
 		}
@@ -205,7 +209,7 @@ func TestArrangementSharingInvariance(t *testing.T) {
 // -race here) and requires byte-identical reports and results at every
 // worker count, in every identity-index regime.
 func TestParallelSharedArrangements(t *testing.T) {
-	IndexRegimes(t, parallelSharedArrangements)
+	IndexRegimes(t, func(t *testing.T) { overOptions(t, parallelSharedArrangements) })
 }
 
 func parallelSharedArrangements(t *testing.T) {
@@ -222,7 +226,7 @@ func parallelSharedArrangements(t *testing.T) {
 	var ref *Report
 	var refResults [][]string
 	for _, workers := range []int{1, 4} {
-		r, err := NewDeltaRunnerShare(g, data, true)
+		r, err := New(g, data, h.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +263,9 @@ func parallelSharedArrangements(t *testing.T) {
 // arrangements (ArrangementsFreed, deferred to the next window seal), and
 // the refcount invariant holds after every step with zero retained state
 // once all sharers are gone.
-func TestGraftArrangementLifecycle(t *testing.T) {
+func TestGraftArrangementLifecycle(t *testing.T) { overOptions(t, testGraftArrangementLifecycle) }
+
+func testGraftArrangementLifecycle(t *testing.T) {
 	sqls := map[string]string{
 		"agg":   "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
 		"join":  "SELECT p_brand, l_quantity FROM part, lineitem WHERE p_partkey = l_partkey",
@@ -288,7 +294,7 @@ func TestGraftArrangementLifecycle(t *testing.T) {
 	}
 
 	gAB := build(0, 1)
-	r, err := NewDeltaRunnerShare(gAB, DeltaDataset{}, true)
+	r, err := New(gAB, DeltaDataset{}, harnessOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +376,7 @@ func BenchmarkSharedBuild(b *testing.B) {
 				var entries int64
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					r, err := NewDeltaRunnerShare(g, data, mode.share)
+					r, err := New(g, data, Options{NoShare: !mode.share})
 					if err != nil {
 						b.Fatal(err)
 					}

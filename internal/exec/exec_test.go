@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -16,6 +17,26 @@ type harness struct {
 	cat     *catalog.Catalog
 	graph   *mqo.Graph
 	queries []plan.Query
+	// opts configures the runners built over this harness (harnessOpts at
+	// the time newHarness ran).
+	opts Options
+}
+
+// harnessOpts is what newHarness stamps on the harnesses it builds;
+// overOptions sets it for the duration of a subtest.
+var harnessOpts Options
+
+// overOptions runs a harness scenario under the default Options and under
+// three-tuple chunks, so a chunk-boundary bug cannot hide behind the default
+// batch size.
+func overOptions(t *testing.T, scenario func(*testing.T)) {
+	for _, o := range []Options{{}, {Batch: 3}} {
+		t.Run(fmt.Sprintf("batch=%d", o.batch()), func(t *testing.T) {
+			harnessOpts = o
+			defer func() { harnessOpts = Options{} }()
+			scenario(t)
+		})
+	}
 }
 
 func newHarness(t testing.TB, sqls map[string]string, order []string) *harness {
@@ -35,7 +56,7 @@ func newHarness(t testing.TB, sqls map[string]string, order []string) *harness {
 		catalog.Column{Name: "p_brand", Type: value.KindString},
 		catalog.Column{Name: "p_size", Type: value.KindInt},
 	)
-	h := &harness{cat: c}
+	h := &harness{cat: c, opts: harnessOpts}
 	for _, name := range order {
 		n, err := plan.ParseAndBind(sqls[name], c)
 		if err != nil {
@@ -57,7 +78,7 @@ func newHarness(t testing.TB, sqls map[string]string, order []string) *harness {
 
 func (h *harness) run(t *testing.T, data Dataset, paces []int) (*Runner, *Report) {
 	t.Helper()
-	r, err := NewRunner(h.graph, data)
+	r, err := New(h.graph, InsertStream(data), h.opts)
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
@@ -90,7 +111,9 @@ func partRows(rows ...[3]interface{}) []value.Row {
 	return out
 }
 
-func TestScanFilterProject(t *testing.T) {
+func TestScanFilterProject(t *testing.T) { overOptions(t, testScanFilterProject) }
+
+func testScanFilterProject(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT p_brand FROM part WHERE p_size > 10",
 	}, []string{"q"})
@@ -110,7 +133,9 @@ func TestScanFilterProject(t *testing.T) {
 	}
 }
 
-func TestAggregateBatch(t *testing.T) {
+func TestAggregateBatch(t *testing.T) { overOptions(t, testAggregateBatch) }
+
+func testAggregateBatch(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
 	}, []string{"q"})
@@ -124,6 +149,10 @@ func TestAggregateBatch(t *testing.T) {
 }
 
 func TestAggregateIncrementalRetraction(t *testing.T) {
+	overOptions(t, testAggregateIncrementalRetraction)
+}
+
+func testAggregateIncrementalRetraction(t *testing.T) {
 	// Pace 2: the first execution emits groups, the second retracts and
 	// re-emits updated groups. The net result must match batch, and the
 	// delta log must contain delete tuples.
@@ -167,7 +196,9 @@ func TestAggregateIncrementalRetraction(t *testing.T) {
 	}
 }
 
-func TestJoinIncrementalMatchesBatch(t *testing.T) {
+func TestJoinIncrementalMatchesBatch(t *testing.T) { overOptions(t, testJoinIncrementalMatchesBatch) }
+
+func testJoinIncrementalMatchesBatch(t *testing.T) {
 	sql := map[string]string{
 		"q": `SELECT p_brand, l_quantity FROM part, lineitem WHERE p_partkey = l_partkey`,
 	}
@@ -192,7 +223,9 @@ func TestJoinIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestSharedMarkerSemantics(t *testing.T) {
+func TestSharedMarkerSemantics(t *testing.T) { overOptions(t, testSharedMarkerSemantics) }
+
+func testSharedMarkerSemantics(t *testing.T) {
 	// Two queries share the part scan; q2's predicate is a marker that
 	// must not remove q1's tuples.
 	h := newHarness(t, map[string]string{
@@ -212,7 +245,9 @@ func TestSharedMarkerSemantics(t *testing.T) {
 	}
 }
 
-func TestPaperExampleEndToEnd(t *testing.T) {
+func TestPaperExampleEndToEnd(t *testing.T) { overOptions(t, testPaperExampleEndToEnd) }
+
+func testPaperExampleEndToEnd(t *testing.T) {
 	// Q_A/Q_B shapes over a small dataset; shared subplan runs eagerly,
 	// private subplans lazily.
 	h := newHarness(t, map[string]string{
@@ -253,7 +288,9 @@ func TestPaperExampleEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMinMaxRescanOnDelete(t *testing.T) {
+func TestMinMaxRescanOnDelete(t *testing.T) { overOptions(t, testMinMaxRescanOnDelete) }
+
+func testMinMaxRescanOnDelete(t *testing.T) {
 	// MAX over a SUM: updating a group's sum retracts the old value from
 	// the max aggregate; retracting the maximum forces a rescan (Q15's
 	// non-incrementable shape).
@@ -290,9 +327,11 @@ func TestMinMaxRescanOnDelete(t *testing.T) {
 	}
 }
 
-func TestRunnerRejectsBadPaces(t *testing.T) {
+func TestRunnerRejectsBadPaces(t *testing.T) { overOptions(t, testRunnerRejectsBadPaces) }
+
+func testRunnerRejectsBadPaces(t *testing.T) {
 	h := newHarness(t, map[string]string{"q": "SELECT p_brand FROM part"}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := New(h.graph, InsertStream(Dataset{}), h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +343,9 @@ func TestRunnerRejectsBadPaces(t *testing.T) {
 	}
 }
 
-func TestQueryFinalWorkSumsSubplans(t *testing.T) {
+func TestQueryFinalWorkSumsSubplans(t *testing.T) { overOptions(t, testQueryFinalWorkSumsSubplans) }
+
+func testQueryFinalWorkSumsSubplans(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"QA": `SELECT SUM(agg_l.sum_quantity) AS total FROM part p,
 			(SELECT SUM(l_quantity) AS sum_quantity FROM lineitem GROUP BY l_partkey) agg_l

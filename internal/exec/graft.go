@@ -91,7 +91,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// Flush any remainder of the current stream into the logs (a no-op for
 	// well-behaved window-boundary callers), then seal the window so the
 	// history below is complete.
-	r.arriveUpTo(1, 1)
+	r.ArriveWindow(1, 1)
 	r.sealWindow()
 	regBefore := r.reg.Stats()
 
@@ -153,7 +153,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 				continue
 			}
 		}
-		se, err := NewSubplanExec(newG, s, res, r.batch, r.reg)
+		se, err := NewSubplanExec(newG, s, res, r.opts.batch(), r.reg)
 		if err != nil {
 			return nil, fmt.Errorf("exec: graft: %w", err)
 		}
@@ -208,9 +208,9 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 
 	r.Execs = newExecs
 	r.Graph = newG
-	// Scan cones follow the new graph; skipping stays disabled until the
-	// next window boundary recomputes dirtiness (see reuse.go).
-	r.computeLineage()
+	// Scan cones and depths follow the new graph; skipping stays disabled
+	// until the next window boundary recomputes dirtiness (see reuse.go).
+	r.indexGraph()
 	r.winClean = make([]bool, len(newG.Subplans))
 	return stats, nil
 }

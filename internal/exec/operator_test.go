@@ -28,7 +28,9 @@ func TestWorkAccounting(t *testing.T) {
 	}
 }
 
-func TestCrossJoinScalarSubquery(t *testing.T) {
+func TestCrossJoinScalarSubquery(t *testing.T) { overOptions(t, testCrossJoinScalarSubquery) }
+
+func testCrossJoinScalarSubquery(t *testing.T) {
 	// QB's shape: a scalar aggregate cross-joined with a table and
 	// filtered by a non-equi predicate.
 	h := newHarness(t, map[string]string{
@@ -51,6 +53,10 @@ func TestCrossJoinScalarSubquery(t *testing.T) {
 }
 
 func TestCrossJoinIncrementalMatchesBatch(t *testing.T) {
+	overOptions(t, testCrossJoinIncrementalMatchesBatch)
+}
+
+func testCrossJoinIncrementalMatchesBatch(t *testing.T) {
 	sqls := map[string]string{
 		"q": `SELECT p_partkey FROM part,
 			(SELECT AVG(l_quantity) AS avg_q FROM lineitem) a
@@ -110,12 +116,14 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
-func TestJoinLateDeleteCancels(t *testing.T) {
+func TestJoinLateDeleteCancels(t *testing.T) { overOptions(t, testJoinLateDeleteCancels) }
+
+func testJoinLateDeleteCancels(t *testing.T) {
 	// A delete arriving before its matching insert must net out.
 	h := newHarness(t, map[string]string{
 		"q": "SELECT p_brand, l_quantity FROM part, lineitem WHERE p_partkey = l_partkey",
 	}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := New(h.graph, InsertStream(Dataset{}), h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,9 @@ func TestJoinLateDeleteCancels(t *testing.T) {
 	}
 }
 
-func TestAggregateFunctions(t *testing.T) {
+func TestAggregateFunctions(t *testing.T) { overOptions(t, testAggregateFunctions) }
+
+func testAggregateFunctions(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": `SELECT l_partkey, COUNT(*) AS c, AVG(l_quantity) AS a,
 			MIN(l_quantity) AS lo, MAX(l_quantity) AS hi
@@ -160,13 +170,17 @@ func TestAggregateFunctions(t *testing.T) {
 }
 
 func TestHavingRetractsWhenGroupFallsBelow(t *testing.T) {
+	overOptions(t, testHavingRetractsWhenGroupFallsBelow)
+}
+
+func testHavingRetractsWhenGroupFallsBelow(t *testing.T) {
 	// A group passes HAVING in an early execution, then a late delete
 	// pushes it below the threshold: the retraction must remove it.
 	h := newHarness(t, map[string]string{
 		"q": `SELECT l_partkey, SUM(l_quantity) AS s FROM lineitem
 			GROUP BY l_partkey HAVING SUM(l_quantity) > 15`,
 	}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := New(h.graph, InsertStream(Dataset{}), h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +201,10 @@ func TestHavingRetractsWhenGroupFallsBelow(t *testing.T) {
 }
 
 func TestAggregateNullArgumentsSkipped(t *testing.T) {
+	overOptions(t, testAggregateNullArgumentsSkipped)
+}
+
+func testAggregateNullArgumentsSkipped(t *testing.T) {
 	// SUM skips NULLs; COUNT(*) counts every row. A division by zero
 	// upstream produces the NULL.
 	h := newHarness(t, map[string]string{
@@ -204,17 +222,21 @@ func TestAggregateNullArgumentsSkipped(t *testing.T) {
 }
 
 func TestStateSizes(t *testing.T) {
-	j := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0)}, vec.BatchFromEnv())
+	j := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0)}, vec.DefaultBatch)
 	if j.stateSize() != 0 {
 		t.Error("fresh join state not empty")
 	}
-	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, vec.BatchFromEnv())
+	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, vec.DefaultBatch)
 	if a.stateSize() != 0 {
 		t.Error("fresh agg state not empty")
 	}
 }
 
 func TestOpWorkBreakdownSumsToSubplanWork(t *testing.T) {
+	overOptions(t, testOpWorkBreakdownSumsToSubplanWork)
+}
+
+func testOpWorkBreakdownSumsToSubplanWork(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": `SELECT p_brand, SUM(l_quantity) AS s FROM part, lineitem
 			WHERE p_partkey = l_partkey GROUP BY p_brand`,

@@ -9,7 +9,9 @@ import (
 // TestPropertyAnyPaceMatchesBatch is the engine's core invariant: for any
 // pace configuration (respecting parent ≤ child) and any dataset, the net
 // materialized result of every query equals batch execution.
-func TestPropertyAnyPaceMatchesBatch(t *testing.T) {
+func TestPropertyAnyPaceMatchesBatch(t *testing.T) { overOptions(t, testPropertyAnyPaceMatchesBatch) }
+
+func testPropertyAnyPaceMatchesBatch(t *testing.T) {
 	sqls := map[string]string{
 		"agg": `SELECT l_partkey, SUM(l_quantity) AS sq, COUNT(*) AS c
 			FROM lineitem GROUP BY l_partkey`,
@@ -75,11 +77,13 @@ func TestPropertyAnyPaceMatchesBatch(t *testing.T) {
 
 // TestPropertyDeletesCancel checks that inserting rows and then deleting
 // them leaves every query's result empty.
-func TestPropertyDeletesCancel(t *testing.T) {
+func TestPropertyDeletesCancel(t *testing.T) { overOptions(t, testPropertyDeletesCancel) }
+
+func testPropertyDeletesCancel(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
 	}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := New(h.graph, InsertStream(Dataset{}), h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ var jobSF = flag.Float64("jobsf", 0.1, "scale factor of TestJobWalkComparisons; 
 // runJob executes the repository benchmark's job — the 22 queries, query q
 // at relative constraint level q mod 4, planned by opt.Plan(IShare) — and
 // returns its runners.
-func runJob(t *testing.T, sf float64) []*exec.Runner {
+func runJob(t *testing.T, sf float64, opts exec.Options) []*exec.Runner {
 	t.Helper()
 	cat, err := tpch.NewCatalog(sf)
 	if err != nil {
@@ -52,7 +53,7 @@ func runJob(t *testing.T, sf float64) []*exec.Runner {
 	data := tpch.Generate(sf, 1)
 	var runners []*exec.Runner
 	for _, pj := range planned.Jobs {
-		r, err := exec.NewRunner(pj.Graph, data)
+		r, err := exec.New(pj.Graph, exec.InsertStream(data), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,13 +73,21 @@ func runJob(t *testing.T, sf float64) []*exec.Runner {
 // the workload never engaged it. Run with -jobsf 2 -v for the numbers of
 // the repository benchmark's exec_batch22 job.
 func TestJobWalkComparisons(t *testing.T) {
+	// Walk counts are per delta, so chunking must not move them: the
+	// three-tuple batch has to meet the same bounds as the default.
+	for _, o := range []exec.Options{{}, {Batch: 3}} {
+		t.Run(fmt.Sprintf("%+v", o), func(t *testing.T) { jobWalkComparisons(t, o) })
+	}
+}
+
+func jobWalkComparisons(t *testing.T, opts exec.Options) {
 	type counts struct{ applied, walked int64 }
 	var got []counts // in IndexRegimes' order: shipped threshold, 0, ∞
 	exec.IndexRegimes(t, func(t *testing.T) {
 		var entries, indexed int64
 		var c counts
 		var longest int32
-		for _, r := range runJob(t, *jobSF) {
+		for _, r := range runJob(t, *jobSF, opts) {
 			e, a, w := r.JoinStateStats()
 			entries, c.applied, c.walked = entries+e, c.applied+a, c.walked+w
 			st := r.ArrangeStats()

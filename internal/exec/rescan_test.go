@@ -31,7 +31,9 @@ func totalRescan(r *Runner) int64 {
 // current maximum of an n-value multiset must charge exactly n-1 units of
 // Rescan work (the size of the multiset scanned by the modeled rescan),
 // regardless of how the engine actually locates the next extremum.
-func TestModeledRescanCharge(t *testing.T) {
+func TestModeledRescanCharge(t *testing.T) { overOptions(t, testModeledRescanCharge) }
+
+func testModeledRescanCharge(t *testing.T) {
 	const n = 257
 	h := newHarness(t, map[string]string{
 		"q": `SELECT MAX(l_quantity) AS max_q FROM lineitem`,
@@ -40,7 +42,7 @@ func TestModeledRescanCharge(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		inserts = append(inserts, tupleFor(value.Row{value.Int(0), value.Float(float64(i))}))
 	}
-	r, err := NewDeltaRunner(h.graph, DeltaDataset{"lineitem": inserts})
+	r, err := New(h.graph, DeltaDataset{"lineitem": inserts}, h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

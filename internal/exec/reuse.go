@@ -1,12 +1,8 @@
 package exec
 
 import (
-	"os"
 	"sort"
 	"sync/atomic"
-
-	"ishare/internal/mqo"
-	"ishare/internal/vec"
 )
 
 // This file implements window-level result reuse: when none of the current
@@ -21,40 +17,6 @@ import (
 // arrangement maintenance — while charging exactly that same modeled Work,
 // so results, work reports, golden traces and event logs are bit-identical
 // with reuse on, off, or toggled mid-churn.
-
-// ReuseFromEnv reports the ISHARE_REUSE environment default: window-level
-// result reuse is on unless the variable is "0", "false" or "off". Like
-// ShareFromEnv, it is read at runner construction rather than package init
-// so `go test` keys its cache on the variable: a CI pass with reuse disabled
-// can never reuse cached reuse-on results.
-func ReuseFromEnv() bool {
-	switch os.Getenv("ISHARE_REUSE") {
-	case "0", "false", "off":
-		return false
-	}
-	return true
-}
-
-// NewDeltaRunnerReuse builds a runner with window-level result reuse
-// explicitly enabled or disabled, overriding the ISHARE_REUSE default — the
-// oracle's reuse-invariance pass constructs both variants and requires
-// byte-identical results and work reports.
-func NewDeltaRunnerReuse(g *mqo.Graph, data DeltaDataset, reuse bool) (*Runner, error) {
-	r, err := newDeltaRunner(g, data, vec.BatchFromEnv(), ShareFromEnv())
-	if err != nil {
-		return nil, err
-	}
-	r.reuse = reuse
-	return r, nil
-}
-
-// SetReuse flips the reuse gate for firings from now on. Like
-// SetShareArrangements it must be called between windows (reuse is decided
-// per window from the cone dirtiness computed at the window boundary), and
-// toggling it mid-churn must be observationally invisible — the oracle flips
-// it at random window boundaries and requires byte-identical results and
-// reports.
-func (r *Runner) SetReuse(v bool) { r.reuse = v }
 
 // ReuseStats is the runner's lifetime reuse accounting.
 type ReuseStats struct {
@@ -105,8 +67,8 @@ func (r *Runner) computeLineage() {
 // computeWinClean refreshes the per-subplan clean flags for the current
 // window: a subplan is clean iff no table in its scan cone has deltas past
 // its window base. Called at construction (the implicit first window) and by
-// StartWindow after the window's arrivals are appended; a Graft marks every
-// subplan dirty instead (markAllDirty) until the next window boundary.
+// StartWindow after the window's arrivals are appended; a Graft instead
+// starts every subplan dirty (fresh all-false flags) until the next boundary.
 func (r *Runner) computeWinClean() {
 	if r.winClean == nil || len(r.winClean) != len(r.Graph.Subplans) {
 		r.winClean = make([]bool, len(r.Graph.Subplans))
@@ -129,23 +91,14 @@ func (r *Runner) computeWinClean() {
 	}
 }
 
-// markAllDirty conservatively disables skipping until the next window
-// boundary recomputes cone dirtiness — a graft rewires cones mid-boundary,
-// and a replayed executor must not be skipped against stale flags.
-func (r *Runner) markAllDirty() {
-	for i := range r.winClean {
-		r.winClean[i] = false
-	}
-}
-
-// runOnce is the reuse gate every scheduled firing goes through (Run,
-// RunParallel and RunSubplan; graft replay calls SubplanExec.RunOnce
-// directly and is never gated). A clean-cone firing counts as skippable
-// either way; with reuse on it is elided via skipOnce.
+// runOnce is the reuse gate every scheduled firing goes through (RunGroup
+// and RunSubplan; graft replay calls SubplanExec.RunOnce directly and is
+// never gated). A clean-cone firing counts as skippable either way; with
+// reuse on it is elided via skipOnce.
 func (r *Runner) runOnce(id int) Work {
 	if r.winClean[id] {
 		atomic.AddInt64(&r.reuseSkippable, 1)
-		if r.reuse {
+		if !r.opts.NoReuse {
 			atomic.AddInt64(&r.reuseSkipped, 1)
 			return r.Execs[id].skipOnce()
 		}

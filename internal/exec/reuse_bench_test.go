@@ -10,14 +10,10 @@ import (
 // windows. Six part-only queries see deltas only in the seed window; every
 // later window feeds lineitem alone at pace 8, so the entire part side of
 // the plan (well over half the subplans) is provably clean and its firings
-// are skippable. The benchmark constructs its runner through NewDeltaRunner,
-// so ISHARE_REUSE selects the mode — compare with
-//
-//	go run ./cmd/benchdiff -interleave 5 -bench BenchmarkWindowReuse \
-//	    -pkg ./internal/exec -env-a ISHARE_REUSE=0 -env-b ISHARE_REUSE=1
-//
-// (interleaved medians; single back-to-back runs are meaningless on a noisy
-// host).
+// are skippable. The reuse=on and reuse=off sub-benchmarks run the same
+// windows with the gate skipping and with every firing executed for real;
+// compare medians of several -count runs (single back-to-back runs are
+// meaningless on a noisy host).
 func BenchmarkWindowReuse(b *testing.B) {
 	sqls := map[string]string{
 		"lq": "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
@@ -48,8 +44,8 @@ func BenchmarkWindowReuse(b *testing.B) {
 		pace    = 8
 	)
 
-	run := func() *Runner {
-		r, err := NewDeltaRunner(h.graph, DeltaDataset{})
+	run := func(b *testing.B, opts Options) *Runner {
+		r, err := New(h.graph, DeltaDataset{}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,15 +68,21 @@ func BenchmarkWindowReuse(b *testing.B) {
 
 	// The shape contract the measurement depends on: at least half of all
 	// post-seed firings must be skippable (idle part cones).
-	r := run()
+	r := run(b, Options{})
 	total := int64(windows * pace * len(r.Graph.Subplans))
 	if stats := r.ReuseStats(); stats.Skippable*2 < total {
 		b.Fatalf("only %d of %d firings skippable; the benchmark lost its idle-cone shape", stats.Skippable, total)
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
+	for _, mode := range []struct {
+		name string
+		opts Options
+	}{{"reuse=on", Options{}}, {"reuse=off", Options{NoReuse: true}}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(b, mode.opts)
+			}
+		})
 	}
 }

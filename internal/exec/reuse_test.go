@@ -27,7 +27,9 @@ func reuseWindows(t *testing.T, r *Runner, toggle bool) {
 	}
 	for w, arrivals := range windows {
 		if toggle && w > 0 {
-			r.SetReuse(w%2 == 1)
+			o := r.opts
+			o.NoReuse = w%2 == 0
+			r.SetOptions(o)
 		}
 		r.StartWindow(arrivals)
 		for j := 1; j <= 2; j++ {
@@ -44,7 +46,9 @@ func reuseWindows(t *testing.T, r *Runner, toggle bool) {
 // results and the full modeled-work report are byte-identical, while the
 // skippable count (clean-cone firings, counted regardless of the knob) is
 // identical everywhere and only the physical skipped count differs.
-func TestReuseInvariance(t *testing.T) {
+func TestReuseInvariance(t *testing.T) { overOptions(t, testReuseInvariance) }
+
+func testReuseInvariance(t *testing.T) {
 	sqls := map[string]string{
 		"q1": "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
 		"q2": "SELECT p_brand FROM part WHERE p_size > 10",
@@ -58,7 +62,9 @@ func TestReuseInvariance(t *testing.T) {
 	}
 	runMode := func(reuse, toggle bool) outcome {
 		h := newHarness(t, sqls, order)
-		r, err := NewDeltaRunnerReuse(h.graph, DeltaDataset{}, reuse)
+		o := h.opts
+		o.NoReuse = !reuse
+		r, err := New(h.graph, DeltaDataset{}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +114,9 @@ func TestReuseInvariance(t *testing.T) {
 // real execution over an empty window, including the injected-slowdown hook:
 // both paths must charge the identical fixed-only Work and leave the
 // executor's cumulative accounting in the same state.
-func TestReuseSkipEqualsEmptyFiring(t *testing.T) {
+func TestReuseSkipEqualsEmptyFiring(t *testing.T) { overOptions(t, testReuseSkipEqualsEmptyFiring) }
+
+func testReuseSkipEqualsEmptyFiring(t *testing.T) {
 	sqls := map[string]string{
 		"q": "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
 	}
@@ -117,7 +125,9 @@ func TestReuseSkipEqualsEmptyFiring(t *testing.T) {
 
 	runEmpty := func(reuse bool) (Work, *Report) {
 		h := newHarness(t, sqls, []string{"q"})
-		r, err := NewDeltaRunnerReuse(h.graph, DeltaDataset{}, reuse)
+		o := h.opts
+		o.NoReuse = !reuse
+		r, err := New(h.graph, DeltaDataset{}, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
 	"time"
 
 	"ishare/internal/buffer"
@@ -32,14 +32,11 @@ type Runner struct {
 	Data  DeltaDataset
 	Execs []*SubplanExec
 	// Trace optionally receives per-execution spans and shared work
-	// counters. Spans are recorded only on the sequential Run path;
-	// RunSubplan — driven concurrently by the scheduler runtime, which
-	// records its own canonically ordered spans — feeds order-independent
-	// counters only, so traces stay worker-count-invariant.
+	// counters. Spans are recorded only by Run (one worker, so a firing can
+	// be bracketed on the caller's goroutine); every other driver — the
+	// scheduler runtime records its own canonically ordered spans — feeds
+	// order-independent counters only, so traces stay worker-count-invariant.
 	Trace *trace.Tracer
-	// TraceProcess names the tracer process for Run's spans ("exec" when
-	// empty).
-	TraceProcess string
 
 	tables   map[string]*buffer.Log
 	appended map[string]int
@@ -47,9 +44,9 @@ type Runner struct {
 	// stream starts (see StartWindow); zero for single-window Run use.
 	windowBase map[string]int
 
-	// batch is the vectorized chunk size, kept so Graft can build fresh
-	// executors that chunk identically to the originals.
-	batch int
+	// opts is the executor configuration in force (see Options); Graft
+	// builds fresh executors under it.
+	opts Options
 	// winData records, at each window seal, the length of every stream in
 	// Data (all names, not just scanned tables — a later plan revision may
 	// start scanning a table that has been arriving unobserved). Together
@@ -65,14 +62,44 @@ type Runner struct {
 	reg *Registry
 
 	// Window-level result reuse (see reuse.go): lineage holds each
-	// subplan's scan cone, winClean the per-window clean flags, reuse the
-	// gate knob; the counters are atomic because wave-parallel firings hit
-	// the gate concurrently.
+	// subplan's scan cone and winClean the per-window clean flags; the
+	// counters are atomic because wave-parallel firings hit the gate
+	// concurrently.
 	lineage        [][]string
 	winClean       []bool
-	reuse          bool
 	reuseSkippable int64
 	reuseSkipped   int64
+
+	// depth is each subplan's dependency depth (see indexGraph); byDepth
+	// and depths are RunGroup's wave-partitioning scratch, reset per group.
+	depth   []int
+	byDepth [][]int
+	depths  []int
+}
+
+// Options is the executor's whole configuration. The zero value is the
+// default: chunks of vec.DefaultBatch tuples, arrangement sharing on, window
+// reuse on. Each field selects a physically different path that must be
+// observationally identical — same results, same modeled Work — and exists
+// because the differential oracle runs the off-path as its reference; none
+// is reachable from the facade or the CLI.
+type Options struct {
+	// Batch is the vectorized chunk size: 0 selects vec.DefaultBatch, a
+	// negative value one chunk per input.
+	Batch int
+	// NoShare keeps every operator's indexed state private instead of
+	// attaching same-key state to one shared arrangement (arrange.go).
+	NoShare bool
+	// NoReuse executes clean-cone firings for real instead of skipping
+	// them (reuse.go).
+	NoReuse bool
+}
+
+func (o Options) batch() int {
+	if o.Batch == 0 {
+		return vec.DefaultBatch
+	}
+	return o.Batch
 }
 
 // NewRunner builds fresh operator state, buffers and table logs for an
@@ -95,42 +122,23 @@ func InsertStream(data Dataset) DeltaDataset {
 	return deltas
 }
 
-// NewDeltaRunner builds a runner over signed change streams using the batch
-// size from the ISHARE_BATCH environment variable (vec.DefaultBatch when
-// unset). The env var is read here, at construction time, rather than at
-// package init so `go test` records it in the test cache key — a CI run with
-// the knob set can never reuse cached default-batch results.
+// NewDeltaRunner builds a default-Options runner over signed change streams.
 func NewDeltaRunner(g *mqo.Graph, data DeltaDataset) (*Runner, error) {
-	return NewDeltaRunnerBatch(g, data, vec.BatchFromEnv())
+	return New(g, data, Options{})
 }
 
-// NewDeltaRunnerBatch builds a runner whose operators iterate deltas in
-// chunks of batch tuples (any value < 1 means one chunk per input). Results
-// and modeled work are identical at every batch size; the knob exists for
-// performance tuning and for the invariance tests that prove that claim.
-// Arrangement sharing comes from the environment (ShareFromEnv).
-func NewDeltaRunnerBatch(g *mqo.Graph, data DeltaDataset, batch int) (*Runner, error) {
-	return newDeltaRunner(g, data, batch, ShareFromEnv())
-}
-
-// NewDeltaRunnerShare builds a runner with arrangement sharing explicitly
-// enabled or disabled, overriding the ISHARE_SHARE_ARRANGEMENTS default —
-// the oracle's sharing-invariance pass constructs both variants and
-// requires byte-identical results and work reports.
-func NewDeltaRunnerShare(g *mqo.Graph, data DeltaDataset, share bool) (*Runner, error) {
-	return newDeltaRunner(g, data, vec.BatchFromEnv(), share)
-}
-
-func newDeltaRunner(g *mqo.Graph, data DeltaDataset, batch int, share bool) (*Runner, error) {
+// New builds fresh operator state, buffers and table logs for the graph over
+// signed change streams. It is the one general constructor; NewRunner and
+// NewDeltaRunner are its zero-Options forms.
+func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	r := &Runner{
 		Graph:      g,
 		Data:       data,
 		tables:     make(map[string]*buffer.Log),
 		appended:   make(map[string]int),
 		windowBase: make(map[string]int),
-		batch:      batch,
-		reg:        NewRegistry(share),
-		reuse:      ReuseFromEnv(),
+		opts:       opts,
+		reg:        NewRegistry(!opts.NoShare),
 	}
 	// A non-empty construction dataset is the first (implicit) window: if
 	// the plan is later grafted, that history must be replayable.
@@ -151,15 +159,27 @@ func newDeltaRunner(g *mqo.Graph, data DeltaDataset, batch int, share bool) (*Ru
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first, so child execs exist
-		se, err := NewSubplanExec(g, s, r, batch, r.reg)
+		se, err := NewSubplanExec(g, s, r, opts.batch(), r.reg)
 		if err != nil {
 			return nil, err
 		}
 		r.Execs[s.ID] = se
 	}
-	r.computeLineage()
+	r.indexGraph()
 	r.computeWinClean() // the construction dataset is the implicit first window
 	return r, nil
+}
+
+// SetOptions replaces the executor configuration. It must be called between
+// windows: reuse is decided per window from the cone dirtiness computed at
+// the boundary, and sharing and batch size apply to operators attached from
+// now on (the next Graft's fresh executors) — state already shared stays
+// shared until its holders release. Switching mid-run must be
+// observationally invisible; the churn oracle flips sharing and reuse at
+// random window boundaries and requires byte-identical results and reports.
+func (r *Runner) SetOptions(opts Options) {
+	r.opts = opts
+	r.reg.SetShare(!opts.NoShare)
 }
 
 // TableLog implements inputResolver.
@@ -178,23 +198,6 @@ func (r *Runner) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
 		return nil, fmt.Errorf("exec: subplan %d has no executor yet", s.ID)
 	}
 	return se.Out, nil
-}
-
-// event is one scheduled incremental execution: subplan sub runs when j/p of
-// the window's data has arrived.
-type event struct {
-	sub  int
-	j, p int
-}
-
-// less orders events by arrival fraction (exact rational comparison), then
-// children-first by subplan id.
-func (e event) less(o event) bool {
-	l, r := e.j*o.p, o.j*e.p
-	if l != r {
-		return l < r
-	}
-	return e.sub < o.sub
 }
 
 // Report summarizes one run.
@@ -216,40 +219,66 @@ type Report struct {
 	Wall time.Duration
 }
 
-// Run executes the configured paces over the full dataset. It must be
-// called once per Runner; operator state is not reset between runs.
-func (r *Runner) Run(paces []int) (*Report, error) {
+// Run executes the configured paces over the full dataset on the calling
+// goroutine, recording one tracer span per firing when Trace is set. It must
+// be called once per Runner; operator state is not reset between runs.
+func (r *Runner) Run(paces []int) (*Report, error) { return r.drive(paces, 1) }
+
+// RunParallel executes the pace configuration like Run, but runs independent
+// subplans concurrently: at each arrival fraction the due subplans execute
+// in dependency waves on up to workers goroutines (any value < 1 selects
+// GOMAXPROCS; resolved here, once). Work accounting and results are
+// identical to the sequential Run — the engine's work units are
+// deterministic — only wall-clock time changes. The paper's prototype
+// similarly spreads each incremental execution over its 20 cores.
+func (r *Runner) RunParallel(paces []int, workers int) (*Report, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return r.drive(paces, workers)
+}
+
+// drive runs one window's firing sequence group by group on n ≥ 1 workers.
+// With one worker every firing is its own group — firing order already runs
+// children first — so each can be bracketed by a span.
+func (r *Runner) drive(paces []int, n int) (*Report, error) {
 	if len(paces) != len(r.Graph.Subplans) {
 		return nil, fmt.Errorf("exec: %d paces for %d subplans", len(paces), len(r.Graph.Subplans))
 	}
-	var events []event
-	for i, p := range paces {
-		if p < 1 {
-			return nil, fmt.Errorf("exec: subplan %d has pace %d < 1", i, p)
-		}
-		for j := 1; j <= p; j++ {
-			events = append(events, event{sub: i, j: j, p: p})
-		}
+	fs, err := Schedule(paces)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a].less(events[b]) })
-
 	tr := r.Trace
-	pid := r.traceProcess()
+	spans := tr != nil && n == 1
+	pid := 0
+	if spans {
+		pid = r.traceProcess()
+	}
 	start := time.Now()
-	for _, e := range events {
-		r.arriveUpTo(e.j, e.p)
-		if tr == nil {
-			r.runOnce(e.sub)
-			continue
+	for lo, hi := 0, 0; lo < len(fs); lo = hi {
+		hi = lo + 1
+		if n > 1 {
+			hi = GroupEnd(fs, lo)
 		}
+		f := fs[lo]
+		r.ArriveWindow(f.Index, f.Pace)
 		runStart := tr.Since()
-		w := r.runOnce(e.sub)
-		tr.Span(pid, 1+e.sub, "exec", fmt.Sprintf("run %d/%d", e.j, e.p), runStart, tr.Since(),
-			trace.Arg{Key: "tuples", Value: w.Tuples},
-			trace.Arg{Key: "output", Value: w.Output},
-			trace.Arg{Key: "rescan", Value: w.Rescan},
-			trace.Arg{Key: "work", Value: w.Total()})
-		r.CountWork(w)
+		works, err := r.RunGroup(fs[lo:hi], n, "exec", nil)
+		if err != nil {
+			return nil, err
+		}
+		if spans {
+			w := works[0]
+			tr.Span(pid, 1+f.Subplan, "exec", fmt.Sprintf("run %d/%d", f.Index, f.Pace), runStart, tr.Since(),
+				trace.Arg{Key: "tuples", Value: w.Tuples},
+				trace.Arg{Key: "output", Value: w.Output},
+				trace.Arg{Key: "rescan", Value: w.Rescan},
+				trace.Arg{Key: "work", Value: w.Total()})
+		}
+		for _, w := range works {
+			r.CountWork(w)
+		}
 	}
 	r.CountArrangements()
 	return r.report(paces, time.Since(start)), nil
@@ -301,9 +330,10 @@ func (r *Runner) report(paces []int, wall time.Duration) *Report {
 // RunSubplan) driving mode's equivalent of Run's return value.
 func (r *Runner) ReportNow() *Report { return r.report(nil, 0) }
 
-// arriveUpTo appends each table's deltas up to fraction j/p of the current
-// window's stream (the whole stream when StartWindow was never called).
-func (r *Runner) arriveUpTo(j, p int) {
+// ArriveWindow appends each table's deltas up to fraction j/p of the current
+// window's stream (the construction dataset when StartWindow was never
+// called).
+func (r *Runner) ArriveWindow(j, p int) {
 	for name, log := range r.tables {
 		tuples := r.Data[name]
 		base := r.windowBase[name]
@@ -320,9 +350,9 @@ func (r *Runner) arriveUpTo(j, p int) {
 // each table's stream and become the window's arrivals, and fractions passed
 // to ArriveWindow are measured over them alone. Operator and buffer state
 // carries over — the engine keeps ingesting, as the paper's recurring
-// trigger windows do. The scheduler runtime (internal/sched) drives
-// multi-window executions through this; Run and RunParallel consume the
-// single window the Runner was constructed with.
+// trigger windows do. The scheduler runtime (internal/sched) and Session
+// drive multi-window executions through this; Run and RunParallel consume
+// the single window the Runner was constructed with.
 func (r *Runner) StartWindow(arrivals DeltaDataset) {
 	r.sealWindow()
 	r.winOpen = true
@@ -361,31 +391,17 @@ func (r *Runner) sealWindow() {
 	r.reg.Sweep()
 }
 
-// ArriveWindow appends each table's deltas up to fraction j/p of the current
-// window's arrivals.
-func (r *Runner) ArriveWindow(j, p int) { r.arriveUpTo(j, p) }
-
-// RunSubplan performs one incremental execution of subplan id and returns
-// the execution's work — the per-execution reporting the scheduler runtime
-// charges against its clock. It stays a single inlinable expression: callers
-// that want the execution published to the tracer's counters pass the work
-// to CountWork from their own (sequential) accounting path.
+// RunSubplan performs one bare incremental execution of subplan id and
+// returns its work: one firing of RunGroup without the waves or the panic
+// recovery, for callers that hand-drive a window (the oracle, the benchmark).
 func (r *Runner) RunSubplan(id int) Work { return r.runOnce(id) }
 
-// traceProcess registers the runner's tracer process and per-subplan thread
-// tracks (tid 1+id) and returns the pid; zero with no tracer.
+// traceProcess registers the "exec" tracer process and its per-subplan
+// thread tracks (tid 1+id) for Run's spans and returns the pid.
 func (r *Runner) traceProcess() int {
-	tr := r.Trace
-	if tr == nil {
-		return 0
-	}
-	name := r.TraceProcess
-	if name == "" {
-		name = "exec"
-	}
-	pid := tr.Process(name)
+	pid := r.Trace.Process("exec")
 	for _, s := range r.Graph.Subplans {
-		tr.Thread(pid, 1+s.ID, fmt.Sprintf("subplan %d", s.ID))
+		r.Trace.Thread(pid, 1+s.ID, fmt.Sprintf("subplan %d", s.ID))
 	}
 	return pid
 }
@@ -408,13 +424,6 @@ func (r *Runner) CountWork(w Work) {
 		tr.Count("exec.rescan_work", w.Rescan)
 	}
 }
-
-// SetShareArrangements flips arrangement sharing for operators attached
-// from now on (the next Graft's fresh executors); state already shared
-// stays shared until its holders release. Toggling mid-churn must be
-// observationally invisible — the oracle flips it at random window
-// boundaries and requires byte-identical results and reports.
-func (r *Runner) SetShareArrangements(v bool) { r.reg.SetShare(v) }
 
 // ArrangeStats returns the arrangement registry's current accounting. Not
 // safe to call concurrently with running executions.

@@ -9,7 +9,9 @@ import (
 // hand — two trigger windows, each arriving in halves — and checks the
 // trigger-point results equal a plain single-window Run over the
 // concatenated stream.
-func TestWindowedRunMatchesSingleRun(t *testing.T) {
+func TestWindowedRunMatchesSingleRun(t *testing.T) { overOptions(t, testWindowedRunMatchesSingleRun) }
+
+func testWindowedRunMatchesSingleRun(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT l_partkey, SUM(l_quantity) FROM lineitem GROUP BY l_partkey",
 	}, []string{"q"})
@@ -20,7 +22,7 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 	full := Dataset{"lineitem": rows}
 
 	_, want := func() (*Runner, []string) {
-		r, err := NewRunner(h.graph, full)
+		r, err := New(h.graph, InsertStream(full), h.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +38,7 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 
 	// Windowed: same stream split across two windows, each arriving in two
 	// halves with every subplan fired at each half (pace 2 per window).
-	wr, err := NewDeltaRunner(h.graph, DeltaDataset{})
+	wr, err := New(h.graph, DeltaDataset{}, h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,13 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 	}
 }
 
-func TestArriveWindowFractions(t *testing.T) {
+func TestArriveWindowFractions(t *testing.T) { overOptions(t, testArriveWindowFractions) }
+
+func testArriveWindowFractions(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT l_partkey FROM lineitem",
 	}, []string{"q"})
-	r, err := NewDeltaRunner(h.graph, DeltaDataset{})
+	r, err := New(h.graph, DeltaDataset{}, h.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +103,15 @@ func TestArriveWindowFractions(t *testing.T) {
 }
 
 func TestDebugSlowSubplanChargesFixedWork(t *testing.T) {
+	overOptions(t, testDebugSlowSubplanChargesFixedWork)
+}
+
+func testDebugSlowSubplanChargesFixedWork(t *testing.T) {
 	build := func() *Runner {
 		h := newHarness(t, map[string]string{
 			"q": "SELECT p_brand FROM part WHERE p_size > 10",
 		}, []string{"q"})
-		r, err := NewRunner(h.graph, Dataset{"part": partRows([3]interface{}{1, "A", 15})})
+		r, err := New(h.graph, InsertStream(Dataset{"part": partRows([3]interface{}{1, "A", 15})}), h.opts)
 		if err != nil {
 			t.Fatal(err)
 		}

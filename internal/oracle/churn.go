@@ -215,12 +215,11 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mis
 			}
 			return nil
 		}
-		share := exec.ShareFromEnv()
+		var opts exec.Options // the runner starts at the defaults
 		toggles := make(map[int]int, len(cp.ToggleShare))
 		for _, tk := range cp.ToggleShare {
 			toggles[tk]++
 		}
-		reuse := exec.ReuseFromEnv()
 		reuseToggles := make(map[int]int, len(cp.ToggleReuse))
 		for _, tk := range cp.ToggleReuse {
 			reuseToggles[tk]++
@@ -229,18 +228,13 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mis
 			// Sharing and reuse toggles apply at the boundary, before the
 			// graft, so a revision's fresh executors attach under the
 			// flipped mode.
-			if n := toggles[k]; n > 0 {
-				if n%2 == 1 {
-					share = !share
-				}
-				runner.SetShareArrangements(share)
+			if toggles[k]%2 == 1 {
+				opts.NoShare = !opts.NoShare
 			}
-			if n := reuseToggles[k]; n > 0 {
-				if n%2 == 1 {
-					reuse = !reuse
-				}
-				runner.SetReuse(reuse)
+			if reuseToggles[k]%2 == 1 {
+				opts.NoReuse = !opts.NoReuse
 			}
+			runner.SetOptions(opts)
 			if k > 0 && events[k] {
 				ng, err := build(layouts[k])
 				if err != nil {

@@ -193,7 +193,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 		var refConfig string
 		for _, batch := range opts.BatchSizes {
 			config := fmt.Sprintf("shared/chunk=%d/paces=%v", batch, paces)
-			runner, err := exec.NewDeltaRunnerBatch(shared, data, batch)
+			runner, err := exec.New(shared, data, exec.Options{Batch: batch})
 			if err != nil {
 				return nil, fmt.Errorf("oracle: %s: %w", config, err)
 			}
@@ -249,7 +249,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 			var refConfig string
 			for _, share := range []bool{true, false} {
 				config := fmt.Sprintf("%s/arrangements=%v/paces=%v", v.name, share, paces)
-				runner, err := exec.NewDeltaRunnerShare(v.g, data, share)
+				runner, err := exec.New(v.g, data, exec.Options{NoShare: !share})
 				if err != nil {
 					return nil, fmt.Errorf("oracle: %s: %w", config, err)
 				}
@@ -315,7 +315,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 			refSkippable := int64(-1)
 			for _, reuse := range []bool{true, false} {
 				config := fmt.Sprintf("%s/reuse=%v/windows=%d", v.name, reuse, windows)
-				runner, err := exec.NewDeltaRunnerReuse(v.g, exec.DeltaDataset{}, reuse)
+				runner, err := exec.New(v.g, exec.DeltaDataset{}, exec.Options{NoReuse: !reuse})
 				if err != nil {
 					return nil, fmt.Errorf("oracle: %s: %w", config, err)
 				}

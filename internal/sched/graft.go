@@ -12,11 +12,11 @@ import (
 
 // Graft swaps the scheduler onto a new plan revision between windows: the
 // runner transplants or replays operator state (exec.Runner.Graft), then the
-// scheduler re-derives everything it sizes per subplan or per query — depth
-// vector, per-window accumulators, per-subplan counters and tracer threads —
-// from the new graph. Prior windows' Result entries and flushed metrics are
-// untouched: closeWindow has already settled them, so a run with grafts
-// produces a byte-identical prefix to the same run without.
+// scheduler re-derives everything it sizes per subplan or per query (sizeFor)
+// from the new graph; the runner refreshes its own depth vector. Prior
+// windows' Result entries and flushed metrics are untouched: closeWindow has
+// already settled them, so a run with grafts produces a byte-identical prefix
+// to the same run without.
 //
 // Graft is only legal between windows (after Tick closes one and before it
 // opens the next, or before the first Tick) and before the run completes.
@@ -63,28 +63,13 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	s.graph = g
 	s.paces = append([]int(nil), paces...)
 	s.cfg.Deadlines = append([]time.Duration(nil), deadlines...)
-	n := len(g.Subplans)
-	s.depth = make([]int, n)
-	for _, sub := range g.Subplans { // children-first order
-		d := 0
-		for _, c := range sub.Children {
-			if s.depth[c.ID]+1 > d {
-				d = s.depth[c.ID] + 1
-			}
-		}
-		s.depth[sub.ID] = d
-	}
-	s.finish = make([]time.Time, n)
-	s.spent = make([]time.Duration, n)
-	s.winSubExecs = make([]int64, n)
-	s.winSubWork = make([]int64, n)
+	s.sizeFor(g)
 	// The recalibration trigger restarts from scratch on the new revision:
 	// alert streaks describe the old graph's subplans, and the policy's
 	// model — if one is installed — was built over the old graph. A model
 	// over the new graph starts uncalibrated (the profiler's baseline is
 	// cleared too, so no alerts fire until the caller rebases); constraints
 	// that no longer fit the new query count disable the policy entirely.
-	s.streak = make([]int, n)
 	s.recalCooldown = 0
 	if rp := s.cfg.Recalibrate; rp != nil {
 		if len(rp.Constraints) == g.Plan.NumQueries() {
@@ -94,6 +79,19 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 		}
 	}
 	s.flushReuseStats()
+	return stats, nil
+}
+
+// sizeFor (re)allocates what the scheduler keeps per subplan — this window's
+// completion and spend, alert streaks, per-window accumulators, counters and
+// tracer threads — for graph g: New's initial sizing and Graft's resize.
+func (s *Scheduler) sizeFor(g *mqo.Graph) {
+	n := len(g.Subplans)
+	s.finish = make([]time.Time, n)
+	s.spent = make([]time.Duration, n)
+	s.streak = make([]int, n)
+	s.winSubExecs = make([]int64, n)
+	s.winSubWork = make([]int64, n)
 	// Counters are registry-backed by name, so a subplan ID that exists in
 	// both revisions keeps accumulating into the same counter.
 	s.subExecs = make([]*metrics.Counter, n)
@@ -107,5 +105,4 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 			s.tr.Thread(s.tracePid, 1+sub.ID, fmt.Sprintf("subplan %d", sub.ID))
 		}
 	}
-	return stats, nil
 }

@@ -40,7 +40,7 @@ func (s idleMiddle) WindowData(window int) exec.DeltaDataset {
 
 // TestSchedulerReuseInvariance pins the end-to-end invariance the reuse knob
 // promises: a scheduler run renders byte-identical Result JSON and event
-// JSONL with ISHARE_REUSE on or off, at workers 1 and 4 — the event log's
+// JSONL with exec.Options.NoReuse unset or set, at workers 1 and 4 — the event log's
 // reuse.skip events carry the deterministic skippable count, never the
 // knob-dependent skipped count — while the status snapshot (deliberately
 // outside the comparison) shows the knob actually skipping firings.
@@ -54,8 +54,7 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 			deadlines[i] = 100 * time.Millisecond
 		}
 
-		run := func(reuse string, workers int) ([]byte, sched.Status, *sched.Scheduler) {
-			t.Setenv("ISHARE_REUSE", reuse)
+		run := func(reuse bool, workers int) ([]byte, sched.Status, *sched.Scheduler) {
 			ev := eventlog.New(nil, 0)
 			status := &sched.StatusBoard{}
 			s, err := sched.New(tp.graph, paces, idleMiddle{data: tp.data}, sched.Config{
@@ -72,6 +71,7 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.SetExecOptions(exec.Options{NoReuse: !reuse})
 			res, err := s.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 
 		var first []byte
 		var firstStatus sched.Status
-		for _, reuse := range []string{"1", "0"} {
+		for _, reuse := range []bool{true, false} {
 			for _, workers := range []int{1, 4} {
 				got, st, s := run(reuse, workers)
 				if first == nil {
@@ -107,20 +107,20 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 					}
 				} else {
 					if !bytes.Equal(first, got) {
-						t.Errorf("seed %d: reuse=%s workers=%d diverged:\n%s\n--- vs ---\n%s",
+						t.Errorf("seed %d: reuse=%v workers=%d diverged:\n%s\n--- vs ---\n%s",
 							seed, reuse, workers, got, first)
 					}
 					if st.Reuse.Skippable != firstStatus.Reuse.Skippable {
 						t.Errorf("seed %d: skippable count knob/worker-dependent: %d vs %d",
 							seed, st.Reuse.Skippable, firstStatus.Reuse.Skippable)
 					}
-					if reuse == "0" && st.Reuse.Skipped != 0 {
+					if !reuse && st.Reuse.Skipped != 0 {
 						t.Errorf("seed %d: reuse off skipped %d firings", seed, st.Reuse.Skipped)
 					}
 				}
 				for q, want := range tp.want {
 					if got := oracle.Canon(s.Results(q)); !eqStrings(got, want) {
-						t.Errorf("seed %d reuse=%s workers=%d: query %d = %v, want %v",
+						t.Errorf("seed %d reuse=%v workers=%d: query %d = %v, want %v",
 							seed, reuse, workers, q, got, want)
 					}
 				}

@@ -27,20 +27,14 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"ishare/internal/eventlog"
 	"ishare/internal/exec"
 	"ishare/internal/metrics"
 	"ishare/internal/mqo"
-	"ishare/internal/pace"
 	"ishare/internal/profile"
 	"ishare/internal/trace"
 	"ishare/internal/value"
@@ -67,10 +61,11 @@ type Config struct {
 	Deadlines []time.Duration
 	// Workers bounds concurrent subplan execution within a dependency
 	// wave of firings due at the same instant: 1 (and the zero value) is
-	// fully sequential, 0 < n fans out on up to n goroutines, and -1
-	// selects GOMAXPROCS. Schedules, work accounting and metrics are
-	// byte-identical at any setting — clock time is charged in canonical
-	// sequential order — only real wall time changes.
+	// fully sequential, n > 1 fans out on up to n goroutines, and any
+	// negative value selects GOMAXPROCS (resolved once, in New). Schedules,
+	// work accounting and metrics are byte-identical at any setting — clock
+	// time is charged in canonical sequential order — only real wall time
+	// changes.
 	Workers int
 	// DisableDegradation turns the overload policy off: paces then stay
 	// fixed for the whole run no matter how many deadlines miss.
@@ -182,18 +177,18 @@ type Result struct {
 // New, then either Run for the whole configured horizon or Tick to step one
 // firing group at a time.
 type Scheduler struct {
-	cfg    Config
-	graph  *mqo.Graph
-	runner *exec.Runner
-	src    Source
-	clock  Clock
-	reg    *metrics.Registry
-	paces  []int
-	depth  []int // subplan depth: children strictly below parents
+	cfg     Config
+	graph   *mqo.Graph
+	runner  *exec.Runner
+	src     Source
+	clock   Clock
+	reg     *metrics.Registry
+	paces   []int
+	workers int // Config.Workers resolved to n ≥ 1
 
 	epoch    time.Time
 	window   int
-	firings  []pace.Firing
+	firings  []exec.Firing
 	pos      int
 	winStart time.Time
 	finish   []time.Time     // per-subplan completion instant, this window
@@ -210,6 +205,12 @@ type Scheduler struct {
 	traceBase time.Duration      // scheduler epoch's offset on the tracer timeline
 	subExecs  []*metrics.Counter // per-subplan execution counters
 	subWork   []*metrics.Counter // per-subplan work counters
+	// The run-wide instruments the per-group and per-window loops feed,
+	// resolved once like the per-subplan counters above.
+	execs     *metrics.Counter
+	workTotal *metrics.Counter
+	lagHist   *metrics.Histogram
+	slackHist *metrics.Histogram
 	// Per-window accumulators for the counters above: the canonical
 	// accounting loop is single-threaded, so plain increments here and one
 	// atomic flush per window keep the per-firing hot path free of atomics.
@@ -312,33 +313,20 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 		clock:  cfg.Clock,
 		reg:    cfg.Metrics,
 		paces:  append([]int(nil), paces...),
-		depth:  make([]int, len(g.Subplans)),
-		finish: make([]time.Time, len(g.Subplans)),
-		spent:  make([]time.Duration, len(g.Subplans)),
-		streak: make([]int, len(g.Subplans)),
+		prof:   cfg.Profile,
+		ev:     cfg.Events,
+		status: cfg.Status,
 	}
-	for _, sub := range g.Subplans { // children-first order
-		d := 0
-		for _, c := range sub.Children {
-			if s.depth[c.ID]+1 > d {
-				d = s.depth[c.ID] + 1
-			}
-		}
-		s.depth[sub.ID] = d
+	s.workers = max(cfg.Workers, 1)
+	if cfg.Workers < 0 {
+		s.workers = runtime.GOMAXPROCS(0)
 	}
-	// Per-subplan counters are created once up front so the per-firing hot
-	// loop pays two atomic adds, not a registry lookup plus key formatting.
-	s.subExecs = make([]*metrics.Counter, len(g.Subplans))
-	s.subWork = make([]*metrics.Counter, len(g.Subplans))
-	s.winSubExecs = make([]int64, len(g.Subplans))
-	s.winSubWork = make([]int64, len(g.Subplans))
-	for i := range g.Subplans {
-		s.subExecs[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.executions", i))
-		s.subWork[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.work", i))
-	}
-	s.prof = cfg.Profile
-	s.ev = cfg.Events
-	s.status = cfg.Status
+	// Instruments are resolved once up front so the per-firing hot loop pays
+	// atomic adds, not a registry lookup plus key formatting.
+	s.execs = s.reg.Counter("sched.executions")
+	s.workTotal = s.reg.Counter("sched.work_total")
+	s.lagHist = s.reg.Histogram("sched.exec_lag_ms", 1, 5, 10, 50, 100, 500, 1000, 5000)
+	s.slackHist = s.reg.Histogram("sched.query_slack_ms", -5000, -1000, -100, -10, 0, 10, 100, 1000, 5000)
 	s.epoch = s.clock.Now()
 	if tr := cfg.Tracer; tr != nil {
 		s.tr = tr
@@ -349,12 +337,9 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 		s.tracePid = tr.Process(name)
 		s.traceBase = tr.Since()
 		tr.Thread(s.tracePid, 0, "windows")
-		for _, sub := range g.Subplans {
-			tr.Thread(s.tracePid, 1+sub.ID, fmt.Sprintf("subplan %d", sub.ID))
-		}
 		runner.Trace = tr
-		runner.TraceProcess = name
 	}
+	s.sizeFor(g)
 	return s, nil
 }
 
@@ -374,7 +359,8 @@ func (s *Scheduler) Run() (*Result, error) {
 // Tick executes the next firing group (every firing due at the same
 // instant); when the group closes a window it also settles the window's
 // deadlines and applies the degradation policy. It reports whether any work
-// remains.
+// remains. A panicking operator surfaces as an error naming the subplan; the
+// run cannot continue past it.
 func (s *Scheduler) Tick() (bool, error) {
 	if s.done {
 		return false, nil
@@ -384,11 +370,10 @@ func (s *Scheduler) Tick() (bool, error) {
 			return false, err
 		}
 	}
-	end := s.pos + 1
-	for end < len(s.firings) && pace.SameFraction(s.firings[s.pos], s.firings[end]) {
-		end++
+	end := exec.GroupEnd(s.firings, s.pos)
+	if err := s.runGroup(s.firings[s.pos:end]); err != nil {
+		return false, err
 	}
-	s.runGroup(s.firings[s.pos:end])
 	s.pos = end
 	if s.pos >= len(s.firings) {
 		s.closeWindow()
@@ -420,7 +405,7 @@ func (s *Scheduler) Snapshot() metrics.Snapshot { return s.reg.Snapshot() }
 func (s *Scheduler) Paces() []int { return append([]int(nil), s.paces...) }
 
 func (s *Scheduler) openWindow() error {
-	fs, err := pace.ScheduleWindow(s.paces, s.cfg.Window)
+	fs, err := exec.Schedule(s.paces)
 	if err != nil {
 		return err
 	}
@@ -441,13 +426,12 @@ func (s *Scheduler) openWindow() error {
 	return nil
 }
 
-// runGroup executes every firing due at one instant. The subplans are run
-// in dependency waves (children strictly before parents) with up to
-// cfg.Workers goroutines per wave, but clock time is charged in canonical
-// order — firing order within the group — so schedules and metrics are
-// identical at any worker count.
-func (s *Scheduler) runGroup(group []pace.Firing) {
-	due := s.winStart.Add(group[0].Offset)
+// runGroup executes every firing due at one instant through the runner's
+// group executor (dependency waves on up to s.workers goroutines), then
+// charges clock time in canonical order — firing order within the group — so
+// schedules and metrics are identical at any worker count.
+func (s *Scheduler) runGroup(group []exec.Firing) error {
+	due := s.winStart.Add(group[0].Offset(s.cfg.Window))
 	s.clock.WaitUntil(due)
 	groupStart := s.clock.Now()
 	if lag := groupStart.Sub(due); lag > s.maxLag {
@@ -455,15 +439,17 @@ func (s *Scheduler) runGroup(group []pace.Firing) {
 	}
 	s.runner.ArriveWindow(group[0].Index, group[0].Pace)
 
+	// Measured wall-ns is the profiler's nondeterministic rider column;
+	// without a profiler the clock reads are skipped entirely.
 	var walls []int64
 	if s.prof != nil {
 		walls = make([]int64, len(group))
 	}
-	works := s.execute(group, walls)
+	works, err := s.runner.RunGroup(group, s.workers, "sched", walls)
+	if err != nil {
+		return fmt.Errorf("sched: window %d: %w", s.window, err)
+	}
 
-	lagHist := s.reg.Histogram("sched.exec_lag_ms", 1, 5, 10, 50, 100, 500, 1000, 5000)
-	execs := s.reg.Counter("sched.executions")
-	workCtr := s.reg.Counter("sched.work_total")
 	t := groupStart
 	for i, f := range group {
 		d := s.workDuration(works[i])
@@ -484,11 +470,11 @@ func (s *Scheduler) runGroup(group []pace.Firing) {
 		s.winWork += w
 		s.winExecs++
 		s.res.TotalWork += w
-		execs.Inc()
-		workCtr.Add(w)
+		s.execs.Inc()
+		s.workTotal.Add(w)
 		s.winSubExecs[f.Subplan]++
 		s.winSubWork[f.Subplan] += w
-		lagHist.Observe(float64(start.Sub(due)) / float64(time.Millisecond))
+		s.lagHist.Observe(float64(start.Sub(due)) / float64(time.Millisecond))
 		if s.tr != nil {
 			// Offsets come from this canonical loop, not the workers'
 			// clocks, so the exported trace is worker-count-invariant; the
@@ -524,67 +510,7 @@ func (s *Scheduler) runGroup(group []pace.Firing) {
 			s.finish[f.Subplan] = now
 		}
 	}
-}
-
-// execute runs the group's subplans and returns their works, positionally
-// aligned with the group. Same-instant subplans at the same dependency
-// depth never feed each other, so each depth wave may fan out safely.
-// A non-nil walls receives each execution's measured wall nanoseconds
-// (captured on the executing goroutine — the profiler's nondeterministic
-// rider column); nil skips the clock reads entirely.
-func (s *Scheduler) execute(group []pace.Firing, walls []int64) []exec.Work {
-	works := make([]exec.Work, len(group))
-	workers := s.cfg.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(group) == 1 {
-		for i, f := range group {
-			if walls != nil {
-				t0 := time.Now()
-				works[i] = s.runner.RunSubplan(f.Subplan)
-				walls[i] = time.Since(t0).Nanoseconds()
-				continue
-			}
-			works[i] = s.runner.RunSubplan(f.Subplan)
-		}
-		return works
-	}
-	byDepth := map[int][]int{} // depth → group indexes
-	var depths []int
-	for i, f := range group {
-		d := s.depth[f.Subplan]
-		if len(byDepth[d]) == 0 {
-			depths = append(depths, d)
-		}
-		byDepth[d] = append(byDepth[d], i)
-	}
-	sort.Ints(depths)
-	sem := make(chan struct{}, workers)
-	for _, d := range depths {
-		var wg sync.WaitGroup
-		for _, i := range byDepth[d] {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				// Label the worker so CPU profiles attribute samples to
-				// the subplan and the sched phase (pprof tag filtering).
-				pprof.Do(context.Background(), pprof.Labels("phase", "sched", "subplan", strconv.Itoa(group[i].Subplan)), func(context.Context) {
-					if walls != nil {
-						t0 := time.Now()
-						works[i] = s.runner.RunSubplan(group[i].Subplan)
-						walls[i] = time.Since(t0).Nanoseconds()
-						return
-					}
-					works[i] = s.runner.RunSubplan(group[i].Subplan)
-				})
-			}(i)
-		}
-		wg.Wait()
-	}
-	return works
+	return nil
 }
 
 func (s *Scheduler) workDuration(w exec.Work) time.Duration {
@@ -615,7 +541,6 @@ func (s *Scheduler) closeWindow() {
 	}
 	nq := s.graph.Plan.NumQueries()
 	ws.QuerySlack = make([]time.Duration, nq)
-	slackHist := s.reg.Histogram("sched.query_slack_ms", -5000, -1000, -100, -10, 0, 10, 100, 1000, 5000)
 	for q := 0; q < nq; q++ {
 		completion := winEnd
 		for _, sub := range s.graph.QuerySubplans(q) {
@@ -630,7 +555,7 @@ func (s *Scheduler) closeWindow() {
 		} else {
 			ws.Missed++
 		}
-		slackHist.Observe(float64(slack) / float64(time.Millisecond))
+		s.slackHist.Observe(float64(slack) / float64(time.Millisecond))
 		if s.tr != nil {
 			s.tr.Instant(s.tracePid, 0, "deadline", fmt.Sprintf("query %d", q),
 				s.traceBase+completion.Sub(s.epoch),
@@ -717,7 +642,7 @@ func (s *Scheduler) closeWindow() {
 		}
 		if reuse.Skippable > 0 {
 			// Only the deterministic skippable count goes on the log: the
-			// physical skipped count depends on the ISHARE_REUSE knob, and
+			// physical skipped count depends on exec.Options.NoReuse, and
 			// the event log must stay byte-identical with reuse on or off.
 			s.ev.Emit("reuse.skip", atNS, s.window, -1, -1, map[string]interface{}{
 				"skippable": reuse.Skippable,

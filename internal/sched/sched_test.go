@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -248,4 +249,38 @@ func eqStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestOperatorPanicFailsTick injects a panic into one subplan's executions
+// (exec.DebugSlowSubplan runs inside every firing) and requires Tick — at
+// one worker and on the wave workers — to return an error naming the window
+// and the subplan instead of taking the process down.
+func TestOperatorPanicFailsTick(t *testing.T) {
+	tp := buildPlan(t, 11)
+	bad := len(tp.graph.Subplans) - 1
+	exec.DebugSlowSubplan = func(id int) int64 {
+		if id == bad {
+			panic("injected operator failure")
+		}
+		return 0
+	}
+	defer func() { exec.DebugSlowSubplan = nil }()
+
+	want := fmt.Sprintf("sched: window 0: exec: subplan %d panicked: injected operator failure", bad)
+	for _, workers := range []int{1, 4} {
+		s, err := sched.New(tp.graph, randPaces(rand.New(rand.NewSource(11)), tp.graph, 4), sched.Replay{Data: tp.data}, sched.Config{
+			Window:    time.Second,
+			Windows:   2,
+			Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+			WorkRate:  100_000,
+			Deadlines: make([]time.Duration, tp.graph.Plan.NumQueries()),
+			Workers:   workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil || err.Error() != want {
+			t.Errorf("workers=%d: Run error %v, want %q", workers, err, want)
+		}
+	}
 }

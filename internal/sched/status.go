@@ -49,7 +49,7 @@ type Status struct {
 	Arrangements exec.ArrangeStats `json:"arrangements"`
 	// Reuse is the runner's cumulative window-reuse accounting. Skippable
 	// (clean-cone firings) is deterministic; Skipped depends on the
-	// ISHARE_REUSE knob.
+	// exec.Options.NoReuse toggle.
 	Reuse exec.ReuseStats `json:"reuse"`
 	// Recalibrations counts closed-loop cost recalibrations so far;
 	// LastRecalibration is the window the latest one fired in (-1 before

@@ -14,9 +14,6 @@
 package vec
 
 import (
-	"os"
-	"strconv"
-
 	"ishare/internal/delta"
 	"ishare/internal/mqo"
 	"ishare/internal/value"
@@ -26,19 +23,6 @@ import (
 // working set (rows, bits, selection, a few expression vectors) inside L2
 // while amortizing per-chunk dispatch to noise.
 const DefaultBatch = 1024
-
-// BatchFromEnv returns the batch size from the ISHARE_BATCH environment
-// variable, or DefaultBatch when unset or invalid. CI runs the executor
-// tests once with a tiny value (e.g. 3) so chunk-boundary bugs cannot hide
-// behind the default.
-func BatchFromEnv() int {
-	if s := os.Getenv("ISHARE_BATCH"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return DefaultBatch
-}
 
 // SelVector is a selection vector: the indices of a chunk's active tuples,
 // ascending. Filters deactivate tuples by dropping their index from the

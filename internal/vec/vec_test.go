@@ -287,18 +287,3 @@ func TestChunkProjView(t *testing.T) {
 		t.Fatalf("Truths over rows = %v, want [false false]", truths[:2])
 	}
 }
-
-func TestBatchFromEnv(t *testing.T) {
-	t.Setenv("ISHARE_BATCH", "3")
-	if got := vec.BatchFromEnv(); got != 3 {
-		t.Errorf("BatchFromEnv = %d, want 3", got)
-	}
-	t.Setenv("ISHARE_BATCH", "bogus")
-	if got := vec.BatchFromEnv(); got != vec.DefaultBatch {
-		t.Errorf("BatchFromEnv(bogus) = %d, want DefaultBatch", got)
-	}
-	t.Setenv("ISHARE_BATCH", "")
-	if got := vec.BatchFromEnv(); got != vec.DefaultBatch {
-		t.Errorf("BatchFromEnv(unset) = %d, want DefaultBatch", got)
-	}
-}

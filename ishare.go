@@ -420,8 +420,10 @@ func (r *Report) Breakdown(w io.Writer) {
 }
 
 // Results returns a query's materialized result rows.
-func (r *Report) Results(query string) []Row {
-	rows := r.results[query]
+func (r *Report) Results(query string) []Row { return facadeRows(r.results[query]) }
+
+// facadeRows converts engine rows to the facade's untyped Row form.
+func facadeRows(rows []value.Row) []Row {
 	out := make([]Row, len(rows))
 	for i, row := range rows {
 		conv := make(Row, len(row))
@@ -434,20 +436,21 @@ func (r *Report) Results(query string) []Row {
 }
 
 // RunParallel is Run with independent subplans executed concurrently on up
-// to workers goroutines (0 selects GOMAXPROCS). Work accounting and results
-// are identical to Run; only wall-clock time changes.
+// to workers goroutines (0, like any value < 1, selects GOMAXPROCS; resolved
+// once per job by exec.Runner.RunParallel). Work accounting and results are
+// identical to Run; only wall-clock time changes.
 func (e *Engine) RunParallel(p *Plan, data map[string][]Row, workers int) (*Report, error) {
-	return e.run(p, data, true, workers)
+	return e.run(p, data, workers)
 }
 
 // Run executes the plan over the dataset: per table, the rows arriving
 // during the trigger window in arrival order. Engine state is fresh per
 // call.
 func (e *Engine) Run(p *Plan, data map[string][]Row) (*Report, error) {
-	return e.run(p, data, false, 0)
+	return e.run(p, data, 1)
 }
 
-func (e *Engine) run(p *Plan, data map[string][]Row, parallel bool, workers int) (*Report, error) {
+func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, error) {
 	ds, err := e.convertDataset(data)
 	if err != nil {
 		return nil, err
@@ -461,12 +464,7 @@ func (e *Engine) run(p *Plan, data map[string][]Row, parallel bool, workers int)
 		if err != nil {
 			return nil, err
 		}
-		var jr *exec.Report
-		if parallel {
-			jr, err = r.RunParallel(job.Paces, workers)
-		} else {
-			jr, err = r.Run(job.Paces)
-		}
+		jr, err := r.RunParallel(job.Paces, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -19,6 +19,15 @@ cd "$(dirname "$0")/.."
 echo "== go build ./..."
 go build ./...
 
+# The engine takes its configuration through exec.Options and function
+# arguments only: an environment read under internal/ would be a knob no
+# test pins and no caller can see.
+echo "== no environment reads under internal/"
+if grep -rnE 'os\.(Getenv|LookupEnv)' internal --include='*.go' | grep -v '_test\.go:'; then
+	echo "internal/ must not read the environment; pass an option instead" >&2
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -29,29 +38,6 @@ go test -race ./...
 echo "== go vet + go test (bench module)"
 go vet -C bench ./...
 go test -C bench ./...
-
-# Chunk-boundary coverage: rerun the executor and differential tests with a
-# tiny vectorized batch size so bugs that only appear at chunk seams cannot
-# hide behind the 1024-tuple default. -count=1 forces a real run: the env
-# knob is read at runner construction, which the test cache keys on only
-# when the variable is actually read during the test.
-echo "== go test (ISHARE_BATCH=3)"
-ISHARE_BATCH=3 go test -count=1 ./internal/exec ./internal/oracle
-
-# Sharing-off coverage: rerun the executor and differential tests with the
-# arrangement registry disabled, so the private-state path stays proven
-# equivalent (results and modeled work are required to be byte-identical
-# in both modes; the oracle also flips the knob mid-churn).
-echo "== go test (ISHARE_SHARE_ARRANGEMENTS=0)"
-ISHARE_SHARE_ARRANGEMENTS=0 go test -count=1 ./internal/exec ./internal/oracle
-
-# Reuse-off coverage: rerun the executor, scheduler and differential tests
-# with window-level result reuse disabled, so the skip-clean-cones fast path
-# stays proven observationally invisible (results, modeled work and event
-# logs are required to be byte-identical in both modes; the oracle also
-# flips the knob mid-churn).
-echo "== go test (ISHARE_REUSE=0)"
-ISHARE_REUSE=0 go test -count=1 ./internal/exec ./internal/sched ./internal/oracle
 
 # Compile-and-run smoke of the executor's whole-job benchmark: one job of
 # the repository benchmark's exec_batch22 (22 queries at SF 2, planned
@@ -77,7 +63,7 @@ rm -f "$EVENTS_OUT"
 echo "== status smoke (-serve-metrics/-serve-status)"
 go run ./cmd/ishare -experiment sched -sf 0.02 \
 	-serve-metrics 127.0.0.1:19090 -serve-status 127.0.0.1:19091 >/dev/null 2>&1 &
-ISHARE_PID=$!
+SERVE_PID=$!
 STATUS_OK=
 for _ in $(seq 1 60); do
 	if curl -fsS 127.0.0.1:19091/statusz >/dev/null 2>&1; then
@@ -86,11 +72,11 @@ for _ in $(seq 1 60); do
 	fi
 	sleep 1
 done
-[ -n "$STATUS_OK" ] || { echo "statusz never came up" >&2; kill "$ISHARE_PID"; exit 1; }
+[ -n "$STATUS_OK" ] || { echo "statusz never came up" >&2; kill "$SERVE_PID"; exit 1; }
 curl -fsS 127.0.0.1:19090/metrics | head -c 1 | grep -q '{'
 curl -fsS 127.0.0.1:19090/prometheus | grep -q '^# TYPE '
 curl -fsS 127.0.0.1:19091/statusz | grep -q '"window"'
-kill "$ISHARE_PID"
+kill "$SERVE_PID"
 
 # Informational benchmark diff: when both the frozen baseline and a current
 # bench-json report exist, print the per-benchmark deltas. Never fails the

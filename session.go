@@ -2,7 +2,6 @@ package ishare
 
 import (
 	"fmt"
-	"time"
 
 	"ishare/internal/exec"
 	"ishare/internal/opt"
@@ -31,7 +30,6 @@ type Session struct {
 	names   []string     // slot-indexed; "" = inactive
 	queries []plan.Query // slot-indexed; zero value = inactive
 	windows int
-	work    int64
 }
 
 // AdmitStats reports what one admission or retirement did to the live plan.
@@ -117,15 +115,21 @@ func (e *Engine) StartSession(o Options) (*Session, error) {
 // per-subplan modeled work per window, the session profiler's drift
 // baseline. nil when the model cannot evaluate (drift then stays 0).
 func batchBaseline(live *opt.Live) []float64 {
-	ones := make([]int, len(live.Graph.Subplans))
-	for i := range ones {
-		ones[i] = 1
-	}
-	ev, err := live.Model.Evaluate(ones)
+	ev, err := live.Model.Evaluate(batchPaces(live))
 	if err != nil {
 		return nil
 	}
 	return ev.SubTotal
+}
+
+// batchPaces is the session's pace vector: one execution per subplan per
+// window.
+func batchPaces(live *opt.Live) []int {
+	ones := make([]int, len(live.Graph.Subplans))
+	for i := range ones {
+		ones[i] = 1
+	}
+	return ones
 }
 
 // Slot returns the slot serving the named query, or -1.
@@ -228,24 +232,34 @@ func admitStats(rep *opt.AdmitReport, gs *exec.GraftStats) *AdmitStats {
 }
 
 // Step feeds one window of data (per table, rows in arrival order) through
-// the plan and returns the work units it cost.
+// the plan — the batch-pace schedule is a single firing group, run on the
+// calling goroutine — and returns the work units it cost. A panicking
+// operator surfaces as an error naming the subplan; the session cannot
+// continue past it.
 func (s *Session) Step(data map[string][]Row) (int64, error) {
 	ds, err := s.engine.convertDataset(data)
 	if err != nil {
 		return 0, err
 	}
+	group, err := exec.Schedule(batchPaces(s.live))
+	if err != nil {
+		return 0, err
+	}
 	s.runner.StartWindow(exec.InsertStream(ds))
 	s.runner.ArriveWindow(1, 1)
+	walls := make([]int64, len(group))
+	works, err := s.runner.RunGroup(group, 1, "exec", walls)
+	if err != nil {
+		return 0, fmt.Errorf("ishare: window %d: %w", s.windows, err)
+	}
 	var work int64
-	for id := 0; id < len(s.live.Graph.Subplans); id++ {
-		t0 := time.Now()
-		w := s.runner.RunSubplan(id).Total()
-		s.prof.Observe(id, w, time.Since(t0).Nanoseconds(), s.runner.Execs[id].LastBatches())
+	for i, f := range group {
+		w := works[i].Total()
+		s.prof.Observe(f.Subplan, w, walls[i], s.runner.Execs[f.Subplan].LastBatches())
 		work += w
 	}
 	s.prof.FlushWindow(s.windows)
 	s.windows++
-	s.work += work
 	return work, nil
 }
 
@@ -316,14 +330,5 @@ func (s *Session) Results(name string) ([]Row, error) {
 	if slot < 0 {
 		return nil, fmt.Errorf("ishare: query %q is not active", name)
 	}
-	rows := s.queries[slot].Present.Apply(s.runner.Results(slot))
-	out := make([]Row, len(rows))
-	for i, row := range rows {
-		conv := make(Row, len(row))
-		for j, v := range row {
-			conv[j] = valueToIface(v)
-		}
-		out[i] = conv
-	}
-	return out, nil
+	return facadeRows(s.queries[slot].Present.Apply(s.runner.Results(slot))), nil
 }

@@ -1,6 +1,10 @@
 package ishare
 
-import "testing"
+import (
+	"testing"
+
+	"ishare/internal/exec"
+)
 
 // TestSessionProfileAndDrift exercises the facade's observability surface:
 // a stepped session records one profile sample per fired subplan per
@@ -76,5 +80,39 @@ func TestSessionProfileAndDrift(t *testing.T) {
 	}
 	if !grew {
 		t.Error("no samples recorded after admission")
+	}
+}
+
+// TestSessionStepSurvivesOperatorPanic injects a panic into one subplan's
+// executions and requires Step to hand it back as an error naming the window
+// and the subplan — a failing operator must not take down the process
+// hosting the session.
+func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
+	e := ordersEngine(t)
+	if err := e.AddQuery("by_customer",
+		"SELECT o_customer, SUM(o_amount) AS total FROM orders GROUP BY o_customer", 1.0); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.StartSession(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(ordersData()); err != nil {
+		t.Fatal(err)
+	}
+	exec.DebugSlowSubplan = func(id int) int64 {
+		if id == 0 {
+			panic("injected operator failure")
+		}
+		return 0
+	}
+	defer func() { exec.DebugSlowSubplan = nil }()
+	_, err = s.Step(ordersData())
+	const want = "ishare: window 1: exec: subplan 0 panicked: injected operator failure"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Step error %v, want %q", err, want)
+	}
+	if s.Windows() != 1 {
+		t.Errorf("failed Step counted as a window: Windows() = %d, want 1", s.Windows())
 	}
 }
