@@ -66,7 +66,13 @@ endif
 # Run at SF 2, planned outside the timer). Read them with `go tool pprof
 # -top .bench_build/ishare.test .bench_build/planjob.cpu.pprof` (add
 # -sample_index=alloc_space for the allocation profile; the files are named
-# after the lower-cased PROFILE_BENCH).
+# after the lower-cased PROFILE_BENCH). PlanJob's inclusive top five since
+# evaluations became incremental (PR 16, ≈ 66 ms/job): cost.(*SimPlan).run
+# 46–55 % (stepJoin ≈ 25 %, stepAgg ≈ 10 %; math.Exp ≈ 10 % and log1p ≈ 4 %
+# inside them), runtime.mallocgc ≈ 13 % (memoized outputs, memo keys),
+# decompose.(*Decomposer).Candidates ≈ 11 %, the memo's map probe + insert
+# ≈ 10 %, GC background marking ≈ 7 %; cost.(*Model).EvaluateDelta's own
+# loop is ≈ 8 % self.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

@@ -1,7 +1,5 @@
 package cost
 
-import "strings"
-
 // AdoptMemo warm-starts this model's memo tables from a model built for a
 // previous revision of the same plan, using match (new subplan ID → old
 // subplan ID, from mqo.MatchSubplans). A memo key is the subplan's private
@@ -12,7 +10,9 @@ import "strings"
 // guarantees that for matched subplans, but the check is cheap and keeps
 // this safe against weaker matchings). Both models must apply the same
 // calibration: call SetCalibration (which clears the memo) before adopting.
-// Returns the number of entries adopted.
+// old must not be m. Evaluations of m made before the call are no longer
+// evaluated relative to (see EvaluateDelta). Returns the number of entries
+// adopted.
 //
 // This is what makes online admission's pace search warm: the old greedy
 // search memoized every private configuration it simulated, so the new
@@ -53,28 +53,27 @@ func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 		if !usable {
 			continue
 		}
+		var parts []int
+		var key []byte
 		old.memoMu[oldID].RLock()
-		entries := make(map[string]memoEntry, len(old.memo[oldID]))
-		for k, v := range old.memo[oldID] {
-			entries[k] = v
-		}
-		old.memoMu[oldID].RUnlock()
 		mu := &m.memoMu[s.ID]
 		mu.Lock()
 		dst := m.memo[s.ID]
-		for k, v := range entries {
-			parts := strings.Split(k, ",")
+		for k, v := range old.memo[oldID] {
+			parts = splitKey(parts[:0], k)
 			if len(parts) != len(perm) {
 				continue
 			}
-			out := make([]string, len(perm))
-			for i, p := range perm {
-				out[i] = parts[p]
+			key = key[:0]
+			for _, p := range perm {
+				key = appendKeyPace(key, parts[p])
 			}
-			dst[strings.Join(out, ",")] = v
+			dst[string(key)] = v
 			adopted++
 		}
 		mu.Unlock()
+		old.memoMu[oldID].RUnlock()
 	}
+	m.epoch.Add(1)
 	return adopted
 }

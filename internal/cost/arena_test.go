@@ -141,9 +141,10 @@ func TestParallelSearchMatchesSequentialTPCH(t *testing.T) {
 }
 
 // TestEvaluateAllocations guards the allocation-free hot path: a fully
-// memoized evaluation allocates only its result, and a simulation on a warm
-// arena allocates only the output that escapes — the same at pace 40 as at
-// pace 2.
+// memoized evaluation allocates only its result, a memoized evaluation of a
+// single-raise candidate relative to an incumbent allocates nothing, and a
+// simulation on a warm arena allocates only the output that escapes — the
+// same at pace 40 as at pace 2.
 func TestEvaluateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random")
@@ -160,6 +161,22 @@ func TestEvaluateAllocations(t *testing.T) {
 		}
 	}); n > 3 {
 		t.Errorf("memoized Evaluate: %v allocs, want <= 3", n)
+	}
+
+	base, cand := new(cost.Evaluation), new(cost.Evaluation)
+	if err := m.EvaluateDelta(nil, paces, base); err != nil {
+		t.Fatal(err)
+	}
+	raised := append([]int(nil), paces...)
+	raised[0]++
+	delta := func() {
+		if err := m.EvaluateDelta(base, raised, cand); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta() // memoizes the raised subplan and its ancestors, sizes cand
+	if n := testing.AllocsPerRun(50, delta); n != 0 {
+		t.Errorf("warm delta evaluation of a single raise: %v allocs, want 0", n)
 	}
 
 	var widest *mqo.Subplan

@@ -30,6 +30,9 @@ type Calibration map[string]Factor
 // map is swapped under its shard lock so the call is safe while concurrent
 // Evaluates are in flight — an evaluation racing the swap either reads the
 // old map (whose entries are still self-consistent) or the fresh one.
+// Evaluations made before the call are no longer evaluated relative to: the
+// epoch advances last, so one stamped with the new epoch saw only the new
+// factors and tables.
 func (m *Model) SetCalibration(c Calibration) {
 	m.calibMu.Lock()
 	m.calib = c
@@ -39,6 +42,7 @@ func (m *Model) SetCalibration(c Calibration) {
 		m.memo[i] = make(map[string]memoEntry)
 		m.memoMu[i].Unlock()
 	}
+	m.epoch.Add(1)
 }
 
 // Calibration returns the installed factors (nil when uncalibrated).

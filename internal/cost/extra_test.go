@@ -168,7 +168,7 @@ func TestProfileGrossFor(t *testing.T) {
 func TestCompositeDistinctCaps(t *testing.T) {
 	g := joinGraph(t)
 	_ = g
-	if got := compositeDistinct(nil, nil, 100); got != 1 {
+	if got := compositeDistinct(nil, nil, 100, nil); got != 1 {
 		t.Errorf("no keys = %v", got)
 	}
 }

@@ -86,22 +86,24 @@ func profileGolden(p cost.Profile) goldenProfile {
 	return g
 }
 
-func tpchQueries(t testing.TB) []plan.Query {
+// bindTPCH binds the given TPC-H queries against the golden catalog.
+func bindTPCH(t testing.TB, qs []tpch.Query) []plan.Query {
 	t.Helper()
 	cat, err := tpch.NewCatalog(goldenSF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := tpch.Bind(tpch.All(), cat, false)
+	bound, err := tpch.Bind(qs, cat, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return bound
 }
 
-func tpchGraph(t testing.TB) *mqo.Graph {
+// sharedGraph builds the shared subplan graph of the bound queries.
+func sharedGraph(t testing.TB, bound []plan.Query) *mqo.Graph {
 	t.Helper()
-	sp, err := mqo.Build(tpchQueries(t))
+	sp, err := mqo.Build(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +113,10 @@ func tpchGraph(t testing.TB) *mqo.Graph {
 	}
 	return g
 }
+
+func tpchQueries(t testing.TB) []plan.Query { return bindTPCH(t, tpch.All()) }
+
+func tpchGraph(t testing.TB) *mqo.Graph { return sharedGraph(t, tpchQueries(t)) }
 
 // goldenConfigs returns the frozen pace configurations: one uniform vector
 // per golden pace, plus a mixed one (subplan i at goldenPaces[i mod 4],

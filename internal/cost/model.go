@@ -1,9 +1,9 @@
 package cost
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +25,8 @@ import (
 type Model struct {
 	Graph *mqo.Graph
 	// UseMemo disables the memo table when false (the paper's
-	// simulate-from-scratch baseline in Figure 15).
+	// simulate-from-scratch baseline in Figure 15): every evaluation then
+	// simulates every subplan, whatever it is evaluated relative to.
 	UseMemo bool
 	// Trace optionally receives per-evaluation memo-traffic counters
 	// (cost.evals / cost.memo_lookups / cost.memo_hits / cost.sims); nil
@@ -33,16 +34,24 @@ type Model struct {
 	Trace *trace.Tracer
 
 	// Sims counts per-subplan simulations performed; Lookups and Hits
-	// count memo-table traffic. Experiments report these as optimization
-	// overhead. They are updated atomically; read them only after
-	// concurrent evaluation has quiesced.
+	// count memo-table traffic — one lookup per subplan an evaluation had
+	// to re-cost, none for the subplans it took unchanged from the
+	// evaluation it was computed relative to. Experiments report these as
+	// optimization overhead. They are updated atomically; read them only
+	// after concurrent evaluation has quiesced.
 	Sims, Lookups, Hits int64
 
 	// memoMu[i] guards memo[i] (both the map header, which SetCalibration
 	// swaps, and its contents).
-	memoMu      []sync.RWMutex
-	memo        []map[string]memoEntry
-	descendants [][]int
+	memoMu []sync.RWMutex
+	memo   []map[string]memoEntry
+	// epoch advances whenever the memo tables stop describing what earlier
+	// evaluations saw (SetCalibration, AdoptMemo): an Evaluation stamped
+	// with an older epoch is not evaluated relative to.
+	epoch atomic.Uint64
+	// descendants[i] and ancestors[i] are subplan i's transitive children
+	// and parents, ascending.
+	descendants, ancestors [][]int
 	// plans[i] is subplan i compiled for simulation and sources[i] where
 	// each of its external inputs comes from, parallel to plans[i].ext.
 	plans   []*SimPlan
@@ -82,6 +91,24 @@ type Eval struct {
 	QueryFinal []float64
 }
 
+// Evaluation is an evaluated pace configuration that a neighbouring
+// configuration can be costed relative to: the Eval, the paces it belongs to
+// and every subplan's output profile. The zero value is ready to be
+// evaluated into; EvaluateDelta reuses its buffers, so the Eval's slices are
+// valid until the Evaluation is next evaluated into.
+type Evaluation struct {
+	Eval
+	// Paces is the configuration evaluated; read-only.
+	Paces []int
+
+	vec   []float64 // backs SubTotal, SubFinal and QueryFinal
+	outs  []Profile // each subplan's output profile
+	dirty []bool    // the subplans the evaluation re-costed
+	key   []byte    // memo key scratch
+	model *Model
+	epoch uint64
+}
+
 // NewModel builds a model for the graph with memoization enabled.
 func NewModel(g *mqo.Graph) *Model {
 	m := &Model{
@@ -105,48 +132,65 @@ func NewModel(g *mqo.Graph) *Model {
 			}
 		}
 	}
-	m.descendants = make([][]int, len(g.Subplans))
-	for _, s := range g.Subplans { // children-first: descendants already set
-		seen := map[int]bool{}
-		var ids []int
-		for _, c := range s.Children {
-			if !seen[c.ID] {
-				seen[c.ID] = true
-				ids = append(ids, c.ID)
-			}
-			for _, d := range m.descendants[c.ID] {
-				if !seen[d] {
-					seen[d] = true
-					ids = append(ids, d)
-				}
-			}
-		}
-		sort.Ints(ids)
-		m.descendants[s.ID] = ids
+	// Subplans are ordered children-first, so a forward pass has every
+	// child's closure ready and a backward pass every parent's.
+	n := len(g.Subplans)
+	m.descendants = make([][]int, n)
+	for _, s := range g.Subplans {
+		m.descendants[s.ID] = closure(s.Children, m.descendants)
+	}
+	m.ancestors = make([][]int, n)
+	for i := n - 1; i >= 0; i-- {
+		m.ancestors[i] = closure(g.Subplans[i].Parents, m.ancestors)
 	}
 	return m
 }
 
-// outputScratch pools the per-subplan output vector of evaluations whose
-// caller wants only the Eval.
-var outputScratch = sync.Pool{New: func() any { return new([]Profile) }}
+// closure returns the ascending ids of the subplans next to a subplan along
+// one edge direction plus their closures, which must already be in done.
+func closure(next []*mqo.Subplan, done [][]int) []int {
+	seen := map[int]bool{}
+	var ids []int
+	for _, c := range next {
+		for _, d := range append([]int{c.ID}, done[c.ID]...) {
+			if !seen[d] {
+				seen[d] = true
+				ids = append(ids, d)
+			}
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// Ancestors returns subplan i's transitive parents, ascending: the subplans
+// whose cost depends on i's pace. The slice is shared; do not modify it.
+func (m *Model) Ancestors(i int) []int { return m.ancestors[i] }
+
+// evalScratch pools the Evaluation behind Evaluate, whose caller wants only
+// the Eval.
+var evalScratch = sync.Pool{New: func() any { return new(Evaluation) }}
 
 // Evaluate estimates the cost of a pace configuration.
 func (m *Model) Evaluate(paces []int) (Eval, error) {
-	sp := outputScratch.Get().(*[]Profile)
-	*sp = resize(*sp, len(m.Graph.Subplans))
-	ev, err := m.evaluateFull(paces, *sp)
-	clear(*sp) // a pooled vector must not pin the memo entries it held
-	outputScratch.Put(sp)
-	return ev, err
+	e := evalScratch.Get().(*Evaluation)
+	defer evalScratch.Put(e)
+	if err := m.EvaluateDelta(nil, paces, e); err != nil {
+		return Eval{}, err
+	}
+	clear(e.outs) // a pooled Evaluation must not pin the memo entries it held
+	e.model = nil
+	n := len(m.Graph.Subplans)
+	vec := append([]float64(nil), e.vec...)
+	return Eval{Total: e.Total, SubTotal: vec[:n:n], SubFinal: vec[n : 2*n : 2*n], QueryFinal: vec[2*n:]}, nil
 }
 
 // OutputProfiles returns each subplan's estimated output profile under the
 // pace configuration, indexed by subplan id.
 func (m *Model) OutputProfiles(paces []int) ([]Profile, error) {
-	outs := make([]Profile, len(m.Graph.Subplans))
-	_, err := m.evaluateFull(paces, outs)
-	return outs, err
+	var e Evaluation
+	err := m.EvaluateDelta(nil, paces, &e)
+	return e.outs, err
 }
 
 // SubplanInputs returns each member operator's external input profiles for
@@ -191,56 +235,82 @@ func (m *Model) simulate(s *mqo.Subplan, pace int, outputs []Profile, collect bo
 	return p.run(a, pace, collect)
 }
 
-// evaluateFull evaluates the configuration, leaving every subplan's output
-// profile in outputs (one slot per subplan; prior contents are ignored).
-func (m *Model) evaluateFull(paces []int, outputs []Profile) (Eval, error) {
+// EvaluateDelta evaluates the configuration into out relative to base, an
+// Evaluation of this model at a configuration that usually differs in a few
+// paces: a subplan is re-costed (memo lookup, simulation on a miss) only if
+// its private pace configuration changed — its own pace differs or a child
+// was re-costed — and otherwise keeps base's result, the entry the memo would
+// have returned. A nil base re-costs every subplan, and so does one that
+// cannot vouch for the memo: another model's, one from before a
+// SetCalibration or AdoptMemo, any with UseMemo off. Total and QueryFinal are
+// re-summed over all subplans in subplan order either way, so every float is
+// the one a from-scratch evaluation computes. out must not be base; several
+// goroutines may evaluate relative to one base at once, each into its own out.
+func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) error {
 	g := m.Graph
-	if len(paces) != len(g.Subplans) {
-		return Eval{}, fmt.Errorf("cost: %d paces for %d subplans", len(paces), len(g.Subplans))
+	n := len(g.Subplans)
+	if len(paces) != n {
+		return fmt.Errorf("cost: %d paces for %d subplans", len(paces), n)
 	}
+	epoch := m.epoch.Load()
+	if base != nil && !(m.UseMemo && base.model == m && base.epoch == epoch) {
+		base = nil
+	}
+	out.model, out.epoch = m, epoch
+	out.Paces = append(out.Paces[:0], paces...)
+	out.outs = resize(out.outs, n)
+	out.dirty = resize(out.dirty, n)
 	// The three vectors share one backing array; capacities are clipped so
 	// a caller's append cannot run one into the next.
-	n := len(g.Subplans)
-	vec := make([]float64, 2*n+g.Plan.NumQueries())
-	ev := Eval{SubTotal: vec[:n:n], SubFinal: vec[n : 2*n : 2*n], QueryFinal: vec[2*n:]}
-	keyBuf := make([]byte, 0, 64)
+	out.vec = resize(out.vec, 2*n+g.Plan.NumQueries())
+	out.Eval = Eval{SubTotal: out.vec[:n:n], SubFinal: out.vec[n : 2*n : 2*n], QueryFinal: out.vec[2*n:]}
+	clear(out.QueryFinal)
+	if base != nil {
+		copy(out.vec[:2*n], base.vec)
+		copy(out.outs, base.outs)
+	}
 	// Counters accumulate locally and publish once per evaluation: one
 	// atomic add per counter instead of one per subplan keeps concurrent
 	// candidate evaluations off each other's cache lines.
 	var lookups, hits, sims int64
 	for _, s := range g.Subplans {
-		var res SimResult
-		hit := false
-		if m.UseMemo {
-			keyBuf = m.appendPrivateKey(keyBuf[:0], s, paces)
-			lookups++
-			mu := &m.memoMu[s.ID]
-			mu.RLock()
-			e, ok := m.memo[s.ID][string(keyBuf)]
-			mu.RUnlock()
-			if ok {
-				hits++
-				res = SimResult{PrivateTotal: e.pT, PrivateFinal: e.pF, Out: e.out}
-				hit = true
-			}
+		id := s.ID
+		dirty := base == nil || paces[id] != base.Paces[id]
+		for _, c := range s.Children {
+			dirty = dirty || out.dirty[c.ID]
 		}
-		if !hit {
-			sims++
-			res, _ = m.simulate(s, paces[s.ID], outputs, false)
-			res = m.applyCalibration(s, res)
+		out.dirty[id] = dirty
+		if dirty {
+			var e memoEntry
+			hit := false
 			if m.UseMemo {
-				mu := &m.memoMu[s.ID]
-				mu.Lock()
-				m.memo[s.ID][string(keyBuf)] = memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal, out: res.Out}
-				mu.Unlock()
+				out.key = m.appendPrivateKey(out.key[:0], id, paces)
+				lookups++
+				mu := &m.memoMu[id]
+				mu.RLock()
+				e, hit = m.memo[id][string(out.key)]
+				mu.RUnlock()
 			}
+			if hit {
+				hits++
+			} else {
+				sims++
+				res, _ := m.simulate(s, paces[id], out.outs, false)
+				res = m.applyCalibration(s, res)
+				e = memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal, out: res.Out}
+				if m.UseMemo {
+					mu := &m.memoMu[id]
+					mu.Lock()
+					m.memo[id][string(out.key)] = e
+					mu.Unlock()
+				}
+			}
+			out.outs[id], out.SubTotal[id], out.SubFinal[id] = e.out, e.pT, e.pF
 		}
-		outputs[s.ID] = res.Out
-		ev.SubTotal[s.ID] = res.PrivateTotal
-		ev.SubFinal[s.ID] = res.PrivateFinal
-		ev.Total += res.PrivateTotal
-		for _, q := range m.plans[s.ID].queries {
-			ev.QueryFinal[q] += res.PrivateFinal
+		out.Total += out.SubTotal[id]
+		final := out.SubFinal[id]
+		for _, q := range m.plans[id].queries {
+			out.QueryFinal[q] += final
 		}
 	}
 	if lookups != 0 {
@@ -260,19 +330,34 @@ func (m *Model) evaluateFull(paces []int, outputs []Profile) (Eval, error) {
 		m.Trace.Count("cost.memo_hits", hits)
 		m.Trace.Count("cost.sims", sims)
 	}
-	return ev, nil
+	return nil
 }
 
-// appendPrivateKey renders the subplan's private pace configuration into buf.
-// Callers look the key up as string(buf), which the compiler recognizes as an
+// appendPrivateKey renders subplan id's private pace configuration — its own
+// pace, then its descendants' in ascending id order — into buf. Callers look
+// the key up as string(buf), which the compiler recognizes as an
 // allocation-free map access; the string is materialized only on store.
-func (m *Model) appendPrivateKey(buf []byte, s *mqo.Subplan, paces []int) []byte {
-	buf = strconv.AppendInt(buf, int64(paces[s.ID]), 10)
-	for _, d := range m.descendants[s.ID] {
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(paces[d]), 10)
+func (m *Model) appendPrivateKey(buf []byte, id int, paces []int) []byte {
+	buf = appendKeyPace(buf, paces[id])
+	for _, d := range m.descendants[id] {
+		buf = appendKeyPace(buf, paces[d])
 	}
 	return buf
+}
+
+// appendKeyPace and splitKey own the memo key format: one uvarint per pace.
+func appendKeyPace(buf []byte, pace int) []byte {
+	return binary.AppendUvarint(buf, uint64(pace))
+}
+
+// splitKey decodes a memo key into its paces, appended to dst.
+func splitKey(dst []int, key string) []int {
+	for b := []byte(key); len(b) > 0; {
+		v, w := binary.Uvarint(b)
+		dst = append(dst, int(v))
+		b = b[w:]
+	}
+	return dst
 }
 
 // BatchFinalWork estimates each query's final work when executed separately

@@ -92,11 +92,12 @@ func (c *colStats) ColumnStats(i int) (catalog.ColumnStats, bool) {
 
 // distinctOf estimates the number of distinct values of an expression over a
 // stream with the given column statistics. Non-column expressions fall back
-// to a third of the stream size.
-func distinctOf(e expr.Expr, cols []catalog.ColumnStats, n float64) float64 {
+// to a third of the stream size. dm is the caller's domain for this
+// expression, kept across the steps of a simulation.
+func distinctOf(e expr.Expr, cols []catalog.ColumnStats, n float64, dm *domain) float64 {
 	if c, ok := e.(*expr.Column); ok && c.Index < len(cols) {
 		if d := cols[c.Index].Distinct; d > 0 {
-			return drawnDistinct(d, n)
+			return dm.drawn(d, n)
 		}
 	}
 	d := n / 3
@@ -106,9 +107,16 @@ func distinctOf(e expr.Expr, cols []catalog.ColumnStats, n float64) float64 {
 	return d
 }
 
-// drawnDistinct estimates the distinct values observed after drawing n items
-// uniformly from a domain of size d (the balls-into-bins estimator).
-func drawnDistinct(d, n float64) float64 {
+// domain remembers log(1-1/d) for the domain size d it was last drawn from:
+// an operator that draws from one domain at every step of a simulation keeps
+// a domain in its state and pays for the logarithm once. The zero value is
+// ready to use (a d of 0 never gets as far as the logarithm).
+type domain struct{ d, missLog float64 }
+
+// drawn estimates the distinct values observed after drawing n items
+// uniformly from a domain of size d (the balls-into-bins estimator):
+// d·(1-(1-1/d)^n), the power computed stably as exp(n·log1p(-1/d)).
+func (dm *domain) drawn(d, n float64) float64 {
 	if d <= 0 {
 		return 1
 	}
@@ -118,7 +126,13 @@ func drawnDistinct(d, n float64) float64 {
 	if n >= d*32 {
 		return d
 	}
-	got := d * (1 - pow1m(1/d, n))
+	if dm.d != d {
+		dm.d, dm.missLog = d, math.Inf(-1) // (1-x)^n = 0 for x >= 1
+		if x := 1 / d; !(x >= 1) {
+			dm.missLog = math.Log1p(-x)
+		}
+	}
+	got := d * (1 - math.Exp(n*dm.missLog))
 	if got < 1 {
 		got = 1
 	}
@@ -128,12 +142,10 @@ func drawnDistinct(d, n float64) float64 {
 	return got
 }
 
-// pow1m computes (1-x)^n stably for small x via exp(n·log1p(-x)).
-func pow1m(x, n float64) float64 {
-	if x >= 1 {
-		return 0
-	}
-	return math.Exp(n * math.Log1p(-x))
+// drawnDistinct is domain.drawn for a one-off domain.
+func drawnDistinct(d, n float64) float64 {
+	var dm domain
+	return dm.drawn(d, n)
 }
 
 func clamp01(x float64) float64 {

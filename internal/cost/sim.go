@@ -64,8 +64,9 @@ type SimPlan struct {
 	ext []extInput
 	// startup is the per-execution fixed cost, as in the engine.
 	startup float64
-	// stateFloats counts the floats of per-query operator state.
-	stateFloats int
+	// stateFloats counts the floats of per-query operator state, domains the
+	// join-key domains.
+	stateFloats, domains int
 }
 
 // extInput names one external input: inputs[op][child] in the map form.
@@ -97,6 +98,9 @@ type simOp struct {
 	// state is the offset of the per-query state in the arena's floats: a
 	// join's two sides' net arrivals, an aggregate's arrivals.
 	state int
+	// domain is the offset of a join's key domains in the arena's: one per
+	// left key, then one per right key.
+	domain int
 }
 
 // simPred is one query's marker predicate on an operator's output.
@@ -114,8 +118,12 @@ type opState struct {
 	work float64
 	// Join: net rows held per side.
 	leftNet, rightNet float64
-	// Aggregate.
-	arrivedAll, groupDomain, netState float64
+	// Aggregate: groups is the number of groups after the step last
+	// simulated, which the next step starts from.
+	arrivedAll, groupDomain, netState, groups float64
+	// groupDraw draws from the group domain, affectedDraw from the groups
+	// seen so far, whose number stops changing once the domain is exhausted.
+	groupDraw, affectedDraw domain
 }
 
 // simArena holds every buffer one simulation writes. An arena belongs to one
@@ -130,6 +138,7 @@ type simArena struct {
 	state   []opState
 	rootAcc []float64             // the root's per-query output, summed over steps
 	floats  []float64             // backs the per-query state and every PerQuery above
+	domains []domain              // the joins' key domains
 	cols    []catalog.ColumnStats // backs the operators' own Cols, handed out in the first step
 	stats   colStats
 }
@@ -198,6 +207,8 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 			c.colsVary = childColsVary
 			c.state = p.stateFloats
 			p.stateFloats += 2 * n
+			c.domain = p.domains
+			p.domains += len(o.LeftKeys) + len(o.RightKeys)
 		case mqo.KindAggregate:
 			c.colsVary = true
 			c.colSrc = columnSources(o.GroupBy)
@@ -255,8 +266,10 @@ func (p *SimPlan) arena() *simArena {
 	a.outs = resize(a.outs, len(p.ops))
 	a.state = resize(a.state, len(p.ops))
 	a.floats = resize(a.floats, p.stateFloats+(len(p.ops)+len(p.ext)+1)*n)
+	a.domains = resize(a.domains, p.domains)
 	a.cols = a.cols[:0]
 	clear(a.state)
+	clear(a.domains)
 	clear(a.floats[:p.stateFloats])
 	off := p.stateFloats
 	vector := func() []float64 {
@@ -470,8 +483,9 @@ func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *Profile, st *opState, fir
 	// multiply per-column distincts, capped by the side's row count.
 	leftKeyDist, rightKeyDist := 1.0, 1.0
 	if len(o.op.LeftKeys) > 0 {
-		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Cols, st.leftNet+l.Net)
-		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Cols, st.rightNet+r.Net)
+		doms := a.domains[o.domain:]
+		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Cols, st.leftNet+l.Net, doms)
+		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Cols, st.rightNet+r.Net, doms[len(o.op.LeftKeys):])
 	}
 	d := leftKeyDist
 	if rightKeyDist > d {
@@ -525,10 +539,11 @@ func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *Profile, st *opState, fir
 
 // compositeDistinct estimates the distinct count of a multi-column join
 // key: the product of per-column distincts, capped by the number of rows.
-func compositeDistinct(keys []expr.Expr, cols []catalog.ColumnStats, n float64) float64 {
+// doms holds one domain per key.
+func compositeDistinct(keys []expr.Expr, cols []catalog.ColumnStats, n float64, doms []domain) float64 {
 	d := 1.0
-	for _, k := range keys {
-		d *= distinctOf(k, cols, n)
+	for i, k := range keys {
+		d *= distinctOf(k, cols, n, &doms[i])
 		if d >= n {
 			break
 		}
@@ -552,6 +567,7 @@ func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, firs
 	in := p.input(a, o.in[0])
 	if first {
 		st.groupDomain = groupDomain(o.op.GroupBy, in.Cols)
+		st.groups = drawnDistinct(st.groupDomain, st.arrivedAll)
 	}
 	n := len(p.queries)
 	arrived := a.floats[o.state : o.state+n]
@@ -570,7 +586,7 @@ func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, firs
 
 	// MIN/MAX rescans on deletions.
 	deletes := in.Gross * in.DeleteShare
-	groupsNow := drawnDistinct(st.groupDomain, st.arrivedAll+in.Gross)
+	groupsNow := st.groupDraw.drawn(st.groupDomain, st.arrivedAll+in.Gross)
 	if o.hasExtremum && deletes > 0 {
 		valsPerGroup := 1.0
 		if groupsNow > 0 {
@@ -583,10 +599,12 @@ func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, firs
 		work += hits * valsPerGroup * maxDeleteHitFraction
 	}
 
-	// Affected groups this execution.
-	groupsBefore := drawnDistinct(st.groupDomain, st.arrivedAll)
+	// Affected groups this execution. The groups before it are the previous
+	// step's groupsNow: the same draw, from the same domain.
+	groupsBefore := st.groups
+	st.groups = groupsNow
 	inserts := in.Gross * (1 - in.DeleteShare)
-	affected := drawnDistinct(groupsNow, in.Gross)
+	affected := st.affectedDraw.drawn(groupsNow, in.Gross)
 	newGroups := groupsNow - groupsBefore
 	if newGroups < 0 {
 		newGroups = 0
@@ -615,7 +633,7 @@ func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, firs
 		arrived[slot] += v
 		share := 0.0
 		if groupsNow > 0 {
-			share = clamp01(drawnDistinct(st.groupDomain, arrived[slot]) / groupsNow)
+			share = clamp01(st.groupDraw.drawn(st.groupDomain, arrived[slot]) / groupsNow)
 		}
 		// A query's own delta stream is single-class.
 		out.PerQuery[slot] = baseOut * share

@@ -83,6 +83,34 @@ func TestReverseGreedyDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineMidSearch lets the deadline pass while a step's candidates are
+// being costed (the searches below run for tens of milliseconds): whichever
+// worker notices, and wherever in the step, both searches end with
+// ErrDeadline at any worker count.
+func TestDeadlineMidSearch(t *testing.T) {
+	g := tpchGraph(t, "Q1", "Q3", "Q5", "Q7", "Q8", "Q9", "Q10", "Q15", "Q18", "Q21")
+	rel := make([]float64, g.Plan.NumQueries())
+	for q := range rel {
+		rel[q] = 0.05
+	}
+	start := make([]int, len(g.Subplans))
+	for i := range start {
+		start[i] = 60
+	}
+	for _, workers := range []int{1, 4} {
+		o := newSearch(t, g, rel, 60, workers)
+		o.Deadline = time.Now().Add(time.Millisecond)
+		if _, _, err := o.Greedy(); err != ErrDeadline {
+			t.Errorf("workers %d: greedy past its deadline returned %v after %d evals, want ErrDeadline", workers, err, o.Evals)
+		}
+		o = newSearch(t, g, rel, 60, workers)
+		o.Deadline = time.Now().Add(time.Millisecond)
+		if _, _, err := o.ReverseGreedy(start); err != ErrDeadline {
+			t.Errorf("workers %d: reverse greedy past its deadline returned %v after %d evals, want ErrDeadline", workers, err, o.Evals)
+		}
+	}
+}
+
 func TestOnes(t *testing.T) {
 	p := Ones(3)
 	if len(p) != 3 || p[0] != 1 || p[2] != 1 {

@@ -118,14 +118,14 @@ func (o *Optimizer) meets(e cost.Eval) bool {
 	return true
 }
 
-// eval wraps Model.Evaluate with bookkeeping and deadline enforcement. It is
-// called concurrently by the candidate-evaluation pool.
-func (o *Optimizer) eval(p []int) (cost.Eval, error) {
+// eval wraps Model.EvaluateDelta with bookkeeping and deadline enforcement.
+// It is called concurrently by the candidate-evaluation pool.
+func (o *Optimizer) eval(base *cost.Evaluation, p []int, out *cost.Evaluation) error {
 	if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
-		return cost.Eval{}, ErrDeadline
+		return ErrDeadline
 	}
 	atomic.AddInt64(&o.Evals, 1)
-	return o.Model.Evaluate(p)
+	return o.Model.EvaluateDelta(base, p, out)
 }
 
 // workerCount resolves the effective pool size for n candidates.
@@ -140,47 +140,158 @@ func (o *Optimizer) workerCount(n int) int {
 	return w
 }
 
-// evalEach evaluates every candidate pace configuration, fanning out over the
-// worker pool; evals is positionally aligned with cands. A single worker
-// degenerates to the plain sequential loop. Errors (in practice only
-// ErrDeadline) are reported for the lowest-indexed failing candidate so
-// parallel and sequential searches fail identically.
-func (o *Optimizer) evalEach(cands [][]int) ([]cost.Eval, error) {
-	evals := make([]cost.Eval, len(cands))
-	w := o.workerCount(len(cands))
-	if w <= 1 {
-		for k, c := range cands {
-			ev, err := o.eval(c)
-			if err != nil {
-				return nil, err
-			}
-			evals[k] = ev
+// search is the evaluation state of one search. cur, the incumbent, is the
+// evaluated configuration the search stands at: every candidate is costed
+// relative to it, so only the subplans a move touches and their ancestors are
+// re-costed. The search goroutine owns cur, p and ids and replaces cur only
+// in commit, between steps; while a step's candidates are being costed cur is
+// read-only and each worker writes nothing but its own searchWorker.
+type search struct {
+	o   *Optimizer
+	cur *cost.Evaluation
+	p   []int // cur's paces, for legality checks that try a move and undo it
+	ids []int // the step's candidate subplans, ascending
+	// scores holds every candidate's score, parallel to ids; only the
+	// decision trace reads it, so it is nil when tracing is off.
+	scores  []float64
+	workers []searchWorker
+}
+
+// searchWorker is one candidate-evaluation worker's scratch: a pace vector it
+// applies one move at a time to, and two Evaluations it swaps so that the
+// best candidate it has costed survives while the next one is written.
+type searchWorker struct {
+	p          []int
+	cand, best *cost.Evaluation
+	// k and score are best's index into ids (-1: none yet) and its score;
+	// when err is set, k is the index of the candidate that failed.
+	k     int
+	score float64
+	err   error
+}
+
+// startSearch evaluates the start configuration in full: the first incumbent.
+func (o *Optimizer) startSearch(start []int, traced bool) (*search, error) {
+	s := &search{o: o, cur: new(cost.Evaluation), p: append([]int(nil), start...)}
+	if traced {
+		s.scores = make([]float64, len(start))
+	}
+	if err := o.eval(nil, start, s.cur); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// move changes the pace of subplan i — and, for a chain, of all its
+// ancestors — by delta.
+func (s *search) move(p []int, i, delta int, chain bool) {
+	p[i] += delta
+	if chain {
+		for _, a := range s.o.Model.Ancestors(i) {
+			p[a] += delta
 		}
-		return evals, nil
 	}
-	errs := make([]error, len(cands))
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1))
-				if k >= len(cands) {
-					return
-				}
-				evals[k], errs[k] = o.eval(cands[k])
+}
+
+// score rates a costed candidate against the incumbent: a raise by the
+// incrementability it buys, a lowering by the incrementability it gives up
+// (the incumbent is then the eager side), eligible only if it causes no new
+// constraint miss.
+func (s *search) score(cand cost.Eval, delta int) (float64, bool) {
+	if delta > 0 {
+		return s.o.Incrementability(cand, s.cur.Eval), true
+	}
+	return s.o.Incrementability(s.cur.Eval, cand), s.o.noNewMisses(cand, s.cur.Eval)
+}
+
+// better orders scores: raises want the highest, lowerings the lowest.
+func better(a, b float64, delta int) bool {
+	if delta > 0 {
+		return a > b
+	}
+	return a < b
+}
+
+// pick costs every candidate move in s.ids against the incumbent, fanning
+// out over the worker pool, and returns the worker holding the best eligible
+// one (nil when there is none); a single worker runs on the caller's
+// goroutine. Ties break toward the lowest subplan id and an error (in
+// practice only ErrDeadline) is reported for the lowest-indexed failing
+// candidate, so the outcome is independent of the worker count and of which
+// worker costed what.
+func (s *search) pick(delta int, chain bool) (*searchWorker, error) {
+	n := s.o.workerCount(len(s.ids))
+	for len(s.workers) < n {
+		s.workers = append(s.workers, searchWorker{
+			p: make([]int, len(s.p)), cand: new(cost.Evaluation), best: new(cost.Evaluation)})
+	}
+	var next atomic.Int64
+	if n == 1 {
+		s.workers[0].run(s, delta, chain, &next)
+	} else {
+		var wg sync.WaitGroup
+		for i := range s.workers[:n] {
+			wg.Add(1)
+			go func(w *searchWorker) {
+				defer wg.Done()
+				w.run(s, delta, chain, &next)
+			}(&s.workers[i])
+		}
+		wg.Wait()
+	}
+	var win, failed *searchWorker
+	for i := range s.workers[:n] {
+		w := &s.workers[i]
+		switch {
+		case w.err != nil:
+			if failed == nil || w.k < failed.k {
+				failed = w
 			}
-		}()
+		case w.k < 0:
+		case win == nil || better(w.score, win.score, delta) || (w.score == win.score && w.k < win.k):
+			win = w
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	if failed != nil {
+		return nil, failed.err
+	}
+	return win, nil
+}
+
+// run costs the candidates the worker draws from next, keeping the best.
+// Indices are drawn in ascending order, so on equal scores the first kept is
+// the lowest.
+func (w *searchWorker) run(s *search, delta int, chain bool, next *atomic.Int64) {
+	copy(w.p, s.cur.Paces)
+	w.k, w.err = -1, nil
+	for {
+		k := int(next.Add(1)) - 1
+		if k >= len(s.ids) {
+			return
+		}
+		s.move(w.p, s.ids[k], delta, chain)
+		err := s.o.eval(s.cur, w.p, w.cand)
+		s.move(w.p, s.ids[k], -delta, chain)
 		if err != nil {
-			return nil, err
+			w.k, w.err = k, err
+			return
+		}
+		score, ok := s.score(w.cand.Eval, delta)
+		if s.scores != nil {
+			s.scores[k] = score
+		}
+		if ok && (w.k < 0 || better(score, w.score, delta)) {
+			w.k, w.score = k, score
+			w.cand, w.best = w.best, w.cand
 		}
 	}
-	return evals, nil
+}
+
+// commit makes the worker's best candidate the incumbent; the old
+// incumbent's buffers become the worker's spare.
+func (s *search) commit(w *searchWorker) {
+	s.cur, w.best = w.best, s.cur
+	copy(s.p, s.cur.Paces)
 }
 
 // childMin returns the minimum pace among subplan i's children (MaxPace+1
@@ -222,6 +333,7 @@ const (
 // search span. The zero value (tracing disabled) no-ops everywhere.
 type searchTrace struct {
 	t        *trace.Tracer
+	phase    string
 	pid, tid int
 	region   trace.Region
 	step     int
@@ -232,7 +344,7 @@ func (o *Optimizer) beginSearch(tid int, name string) *searchTrace {
 	if !o.Trace.Enabled() {
 		return &searchTrace{}
 	}
-	st := &searchTrace{t: o.Trace, pid: o.Trace.Process("optimizer"), tid: tid}
+	st := &searchTrace{t: o.Trace, phase: name, pid: o.Trace.Process("optimizer"), tid: tid}
 	st.t.Thread(st.pid, st.tid, name)
 	st.region = o.Trace.Begin(st.pid, st.tid, "opt", name,
 		trace.Arg{Key: "subplans", Value: len(o.Model.Graph.Subplans)})
@@ -254,21 +366,22 @@ func (st *searchTrace) end(o *Optimizer) {
 	st.t.Count("pace.evals", evals)
 }
 
-// decide records one step's Decision, attaching every candidate's score.
-func (st *searchTrace) decide(o *Optimizer, phase, action string, chosen int, score float64,
-	accepted bool, detail string, ids []int, evals []cost.Eval, scoreOf func(cost.Eval) float64) {
+// decide records one step's Decision; ids and scores, when given, list every
+// candidate considered with its score.
+func (st *searchTrace) decide(action string, chosen int, score float64, accepted bool, detail string,
+	ids []int, scores []float64) {
 	if st.t == nil {
 		return
 	}
 	st.step++
 	d := trace.Decision{
-		Phase: phase, Step: st.step, Subplan: chosen, Action: action,
+		Phase: st.phase, Step: st.step, Subplan: chosen, Action: action,
 		Score: score, Accepted: accepted, Detail: detail,
 	}
 	if len(ids) > 0 {
 		d.Candidates = make([]trace.Candidate, len(ids))
 		for k, i := range ids {
-			d.Candidates[k] = trace.Candidate{Subplan: i, Score: scoreOf(evals[k])}
+			d.Candidates[k] = trace.Candidate{Subplan: i, Score: scores[k]}
 		}
 	}
 	st.t.Decide(st.pid, st.tid, d)
@@ -302,57 +415,39 @@ func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
 	}
 	st := o.beginSearch(tidGreedy, "pace.greedy")
 	defer st.end(o)
-	n := len(o.Model.Graph.Subplans)
-	p := append([]int(nil), start...)
-	cur, err := o.eval(p)
+	s, err := o.startSearch(start, st.t != nil)
 	if err != nil {
 		return nil, cost.Eval{}, err
 	}
 	for {
-		if o.meets(cur) {
-			st.decide(o, "pace.greedy", "stop", -1, 0, false, "all constraints met", nil, nil, nil)
-			return p, cur, nil
+		if o.meets(s.cur.Eval) {
+			st.decide("stop", -1, 0, false, "all constraints met", nil, nil)
+			return s.p, s.cur.Eval, nil
 		}
-		if o.allAtMax(p) {
-			st.decide(o, "pace.greedy", "stop", -1, 0, false, "every pace at MaxPace", nil, nil, nil)
-			return p, cur, nil
+		if o.allAtMax(s.p) {
+			st.decide("stop", -1, 0, false, "every pace at MaxPace", nil, nil)
+			return s.p, s.cur.Eval, nil
 		}
 		atomic.AddInt64(&o.Steps, 1)
-		var ids []int
-		var cands [][]int
-		for i := 0; i < n; i++ {
-			if p[i] >= o.MaxPace {
-				continue
+		s.ids = s.ids[:0]
+		for i, v := range s.p {
+			// A raise must stay within MaxPace and not out-pace a child.
+			if v < o.MaxPace && v+1 <= o.childMin(i, s.p) {
+				s.ids = append(s.ids, i)
 			}
-			if p[i]+1 > o.childMin(i, p) {
-				continue // would out-pace a child subplan
-			}
-			cand := append([]int(nil), p...)
-			cand[i]++
-			ids = append(ids, i)
-			cands = append(cands, cand)
 		}
-		evals, err := o.evalEach(cands)
+		w, err := s.pick(+1, false)
 		if err != nil {
 			return nil, cost.Eval{}, err
 		}
-		best := -1
-		bestInc := 0.0
-		var bestEval cost.Eval
-		for k, i := range ids {
-			inc := o.Incrementability(evals[k], cur)
-			// Ties break toward the lowest subplan ID so the selection is
-			// independent of evaluation (and iteration) order.
-			if best == -1 || inc > bestInc || (inc == bestInc && i < best) {
-				best, bestInc, bestEval = i, inc, evals[k]
-			}
+		best, bestInc := -1, 0.0
+		if w != nil {
+			best, bestInc = s.ids[w.k], w.score
 		}
-		raised := best != -1 && bestInc > 0
-		st.decide(o, "pace.greedy", "raise", best, bestInc, raised, "", ids, evals,
-			func(e cost.Eval) float64 { return o.Incrementability(e, cur) })
+		raised := bestInc > 0
+		st.decide("raise", best, bestInc, raised, "", s.ids, s.scores)
 		if raised {
-			p[best]++
-			cur = bestEval
+			s.commit(w)
 			continue
 		}
 		// No single increment reduces any query's missed final work.
@@ -360,86 +455,43 @@ func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
 		// retraction churn inflates its parents' final executions — so
 		// try chain increments: a subplan together with its upward
 		// closure of ancestors, which consume the churn eagerly too.
-		chainID, chain, chainEval, chainInc, err := o.bestChain(p, cur)
+		s.chainCandidates()
+		w, err = s.pick(+1, true)
 		if err != nil {
 			return nil, cost.Eval{}, err
 		}
-		if chain == nil || chainInc <= 0 {
+		if w == nil || w.score <= 0 {
 			// The remaining misses are not incrementable at this
 			// granularity.
-			st.decide(o, "pace.greedy", "stop", -1, 0, false,
-				"remaining misses not incrementable (no raise or chain helps)", nil, nil, nil)
-			return p, cur, nil
+			st.decide("stop", -1, 0, false,
+				"remaining misses not incrementable (no raise or chain helps)", nil, nil)
+			return s.p, s.cur.Eval, nil
 		}
-		st.decide(o, "pace.greedy", "chain", chainID, chainInc, true,
-			"raised subplan with its ancestor closure", nil, nil, nil)
-		copy(p, chain)
-		cur = chainEval
+		st.decide("chain", s.ids[w.k], w.score, true,
+			"raised subplan with its ancestor closure", nil, nil)
+		s.commit(w)
 	}
 }
 
-// bestChain evaluates, for each subplan below MaxPace, the candidate that
-// increments the subplan and all of its transitive parents by one, skipping
-// candidates that would violate the parent≤child pace order elsewhere. It
-// returns the chosen chain's root subplan id (-1 when none qualifies).
-func (o *Optimizer) bestChain(p []int, cur cost.Eval) (int, []int, cost.Eval, float64, error) {
-	g := o.Model.Graph
-	var ids []int
-	var cands [][]int
-	for i := range g.Subplans {
-		if p[i] >= o.MaxPace {
-			continue
+// chainCandidates lists in s.ids the subplans that can be raised by one
+// together with all of their ancestors: nothing in that closure may pass
+// MaxPace or out-pace a child. The incumbent satisfies the parent ≤ child
+// order and a chain keeps it between members of the closure, so only the
+// closure's own child edges need checking.
+func (s *search) chainCandidates() {
+	o := s.o
+	s.ids = s.ids[:0]
+	for i := range s.p {
+		s.move(s.p, i, +1, true)
+		valid := s.p[i] <= o.MaxPace && s.p[i] <= o.childMin(i, s.p)
+		for _, a := range o.Model.Ancestors(i) {
+			valid = valid && s.p[a] <= o.MaxPace && s.p[a] <= o.childMin(a, s.p)
 		}
-		closure := map[int]bool{i: true}
-		var expand func(s int)
-		expand = func(s int) {
-			for _, par := range g.Subplans[s].Parents {
-				if !closure[par.ID] {
-					closure[par.ID] = true
-					expand(par.ID)
-				}
-			}
-		}
-		expand(i)
-		cand := append([]int(nil), p...)
-		valid := true
-		for id := range closure {
-			cand[id]++
-			if cand[id] > o.MaxPace {
-				valid = false
-			}
-		}
-		if !valid {
-			continue
-		}
-		for _, s := range g.Subplans {
-			for _, c := range s.Children {
-				if cand[s.ID] > cand[c.ID] {
-					valid = false
-				}
-			}
-		}
-		if !valid {
-			continue
-		}
-		ids = append(ids, i)
-		cands = append(cands, cand)
-	}
-	evals, err := o.evalEach(cands)
-	if err != nil {
-		return -1, nil, cost.Eval{}, 0, err
-	}
-	bestID := -1
-	var best []int
-	bestInc := 0.0
-	var bestEval cost.Eval
-	for k, i := range ids {
-		inc := o.Incrementability(evals[k], cur)
-		if inc > bestInc || (inc == bestInc && bestID != -1 && i < bestID) {
-			bestID, best, bestInc, bestEval = i, cands[k], inc, evals[k]
+		s.move(s.p, i, -1, true)
+		if valid {
+			s.ids = append(s.ids, i)
 		}
 	}
-	return bestID, best, bestEval, bestInc, nil
 }
 
 // ReverseGreedy starts from an eager configuration and repeatedly lowers
@@ -459,61 +511,38 @@ func (o *Optimizer) reverseGreedy(start []int) ([]int, cost.Eval, error) {
 	}
 	st := o.beginSearch(tidReverse, "pace.reverse")
 	defer st.end(o)
-	n := len(o.Model.Graph.Subplans)
-	p := append([]int(nil), start...)
-	cur, err := o.eval(p)
+	s, err := o.startSearch(start, st.t != nil)
 	if err != nil {
 		return nil, cost.Eval{}, err
 	}
 	for {
 		atomic.AddInt64(&o.Steps, 1)
-		var ids []int
-		var cands [][]int
-		for i := 0; i < n; i++ {
-			if p[i] <= 1 {
-				continue
+		s.ids = s.ids[:0]
+		for i, v := range s.p {
+			// A lowering must stay above 0 and not let a parent out-pace it.
+			if v > 1 && v-1 >= o.parentMax(i, s.p) {
+				s.ids = append(s.ids, i)
 			}
-			if p[i]-1 < o.parentMax(i, p) {
-				continue // a parent would out-pace this subplan
-			}
-			cand := append([]int(nil), p...)
-			cand[i]--
-			ids = append(ids, i)
-			cands = append(cands, cand)
 		}
-		evals, err := o.evalEach(cands)
+		// The winner has the least lost benefit per unit of work saved.
+		w, err := s.pick(-1, false)
 		if err != nil {
 			return nil, cost.Eval{}, err
 		}
-		best := -1
-		bestInc := math.Inf(1)
-		var bestEval cost.Eval
-		for k, i := range ids {
-			cand := evals[k]
-			if !o.noNewMisses(cand, cur) {
-				continue
-			}
-			// Lost benefit per unit of work saved: cur is the eager side.
-			inc := o.Incrementability(cur, cand)
-			if inc < bestInc || (inc == bestInc && best != -1 && i < best) {
-				best, bestInc, bestEval = i, inc, cand
-			}
+		if w == nil || math.IsInf(w.score, 1) {
+			st.decide("stop", -1, 0, false,
+				"no lowering keeps every bounded constraint", nil, nil)
+			return s.p, s.cur.Eval, nil
 		}
-		if best == -1 {
-			st.decide(o, "pace.reverse", "stop", -1, 0, false,
-				"no lowering keeps every bounded constraint", nil, nil, nil)
-			return p, cur, nil
-		}
-		if bestEval.Total >= cur.Total && bestInc > 0 {
+		best, bestInc := s.ids[w.k], w.score
+		if w.best.Total >= s.cur.Total && bestInc > 0 {
 			// Laziness must save work unless it is free.
-			st.decide(o, "pace.reverse", "stop", best, bestInc, false,
-				"cheapest lowering no longer saves work", nil, nil, nil)
-			return p, cur, nil
+			st.decide("stop", best, bestInc, false,
+				"cheapest lowering no longer saves work", nil, nil)
+			return s.p, s.cur.Eval, nil
 		}
-		st.decide(o, "pace.reverse", "lower", best, bestInc, true, "", ids, evals,
-			func(e cost.Eval) float64 { return o.Incrementability(cur, e) })
-		p[best]--
-		cur = bestEval
+		st.decide("lower", best, bestInc, true, "", s.ids, s.scores)
+		s.commit(w)
 	}
 }
 

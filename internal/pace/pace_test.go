@@ -110,6 +110,10 @@ func TestGreedyBatchWhenConstraintsLoose(t *testing.T) {
 	if !o.meets(ev) {
 		t.Error("batch does not meet its own relative constraint 1.0")
 	}
+	// The search ends on its first, full evaluation, which counts as one.
+	if o.Evals != 1 || o.Steps != 0 {
+		t.Errorf("evals %d, steps %d; want 1, 0", o.Evals, o.Steps)
+	}
 }
 
 func TestGreedyMeetsTightConstraints(t *testing.T) {

@@ -26,8 +26,10 @@ type ExplainSubplan struct {
 type ExplainJob struct {
 	Paces    []int
 	Subplans []ExplainSubplan
-	// MemoLookups, MemoHits and Sims are the job's cost-model traffic;
-	// Steps and Evals the pace-search effort.
+	// MemoLookups, MemoHits and Sims are the job's cost-model traffic:
+	// lookups count only the subplans an evaluation re-costed, not the ones
+	// it took unchanged from the search's incumbent. Steps and Evals are
+	// the pace-search effort.
 	MemoLookups, MemoHits, Sims int64
 	Steps, Evals                int64
 }
@@ -73,7 +75,7 @@ func (e *Explain) Write(w io.Writer) {
 		if job.MemoLookups > 0 {
 			hitRate = float64(job.MemoHits) / float64(job.MemoLookups)
 		}
-		fmt.Fprintf(w, "  memoization: %d lookups, %d hits (%.1f%%), %d simulations\n",
+		fmt.Fprintf(w, "  memoization: %d subplans re-costed (unchanged ones are taken from the incumbent unasked), %d memo hits (%.1f%%), %d simulations\n",
 			job.MemoLookups, job.MemoHits, 100*hitRate, job.Sims)
 		fmt.Fprintf(w, "  pace search: %d steps, %d cost evaluations\n", job.Steps, job.Evals)
 	}

@@ -39,11 +39,12 @@ echo "== go vet + go test (bench module)"
 go vet -C bench ./...
 go test -C bench ./...
 
-# Compile-and-run smoke of the executor's whole-job benchmark: one job of
-# the repository benchmark's exec_batch22 (22 queries at SF 2, planned
-# outside the timer), the target of `make profile PROFILE_BENCH=ExecJob`.
-echo "== BenchmarkExecJob smoke (-benchtime 1x)"
-go test -run '^$' -bench 'BenchmarkExecJob$' -benchtime 1x -benchmem .
+# Compile-and-run smoke of the two whole-job benchmarks `make profile`
+# targets: one planning job of the repository benchmark's plan_tight22
+# (PlanJob, the default) and one job of its exec_batch22 (ExecJob: 22
+# queries at SF 2, planned outside the timer).
+echo "== BenchmarkPlanJob + BenchmarkExecJob smoke (-benchtime 1x)"
+go test -run '^$' -bench 'Benchmark(Plan|Exec)Job$' -benchtime 1x -benchmem .
 
 echo "== trace smoke (-experiment sched -trace)"
 TRACE_OUT="$(mktemp /tmp/ishare-trace.XXXXXX.json)"
