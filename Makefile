@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet bench bench-json bench-diff profile check fuzz oracle soak churn-soak recal-soak
+.PHONY: build test race vet bench profile check fuzz oracle soak churn-soak recal-soak
 SOAKTIME ?= 30s
 CHURNTIME ?= 30s
 RECALTIME ?= 30s
@@ -20,42 +20,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# bench runs the repository benchmark: four whole-job workloads, every
+# end-to-end metric printed by name (bench/README.md). `bash bench/run.sh
+# -agree` runs two sets and checks them against each metric's bound.
 bench:
-	$(GO) test -bench=. -benchmem
-
-# bench-json runs the repo's benchmarks with allocation stats and renders
-# them as a machine-readable JSON report (name/iters/ns_op/bytes_op/
-# allocs_op per benchmark); CI uploads the file as an artifact so perf
-# regressions can be diffed across runs.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_TIME ?= 1x
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCH_TIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
-
-# bench-diff prints a per-benchmark delta table between the checked-in
-# baseline report (BENCH_BASE, frozen before the closed-cost-loop work) and
-# the current report produced by bench-json. Informational: the exit status
-# ignores how the numbers moved. Set BENCH_INTERLEAVE=N to instead measure
-# an A/B env delta live with N interleaved runs per side and report the
-# medians — the only defensible acceptance method on a noisy host. The
-# engine itself reads no environment variable, so the caller names the two
-# environments (BENCH_ENV_A/BENCH_ENV_B, e.g. GOGC=50 vs GOGC=200); with the
-# default pattern each side also prints the window-reuse fast path on and
-# off as the reuse=on / reuse=off sub-benchmarks.
-BENCH_BASE ?= BENCH_PR9.json
-BENCH_INTERLEAVE ?= 0
-BENCH_PATTERN ?= BenchmarkWindowReuse
-BENCH_PKG ?= ./internal/exec
-BENCH_ENV_A ?=
-BENCH_ENV_B ?=
-bench-diff:
-ifeq ($(BENCH_INTERLEAVE),0)
-	$(GO) run ./cmd/benchdiff $(BENCH_BASE) $(BENCH_JSON)
-else
-	@test -n "$(BENCH_ENV_A)$(BENCH_ENV_B)" || { echo "set BENCH_ENV_A and/or BENCH_ENV_B (KEY=VALUE) to name the two sides" >&2; exit 2; }
-	$(GO) run ./cmd/benchdiff -interleave $(BENCH_INTERLEAVE) -bench $(BENCH_PATTERN) \
-		-pkg $(BENCH_PKG) -benchtime 100x -env-a '$(BENCH_ENV_A)' -env-b '$(BENCH_ENV_B)'
-endif
+	bash bench/run.sh
 
 # profile runs one whole-job benchmark on one CPU and leaves its CPU and
 # allocation profiles, and the test binary pprof needs to symbolize them,
@@ -82,6 +51,8 @@ profile:
 		-o .bench_build/ishare.test \
 		-cpuprofile $(PROFILE_OUT).cpu.pprof -memprofile $(PROFILE_OUT).alloc.pprof
 
+# check is the merge gate; CI runs it with SKIP_FUZZ=1 and the soak and fuzz
+# targets below as separate jobs.
 check:
 	./scripts/check.sh
 

@@ -159,7 +159,7 @@ func (w *Workload) RunApproaches(rel []float64, maxPace int, approaches []opt.Ap
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a, err)
 		}
-		o, err := opt.Execute(p, w.Data, len(w.Queries))
+		o, err := opt.Execute(p, w.Data, len(w.Queries), 1, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a, err)
 		}

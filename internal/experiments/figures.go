@@ -102,7 +102,7 @@ func Figure10(cfg Config) (*Fig10Result, error) {
 		return nil, err
 	}
 	for _, job := range ns.Jobs {
-		o, err := opt.Execute(&opt.Planned{Jobs: []opt.Job{job}}, w.Data, len(w.Queries))
+		o, err := opt.Execute(&opt.Planned{Jobs: []opt.Job{job}}, w.Data, len(w.Queries), 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func Figure10(cfg Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	so, err := opt.Execute(su, w.Data, len(w.Queries))
+	so, err := opt.Execute(su, w.Data, len(w.Queries), 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,7 @@ func tuneApproach(w *Workload, a opt.Approach, target float64, maxPace int) (App
 		if err != nil {
 			return ApproachResult{}, err
 		}
-		o, err := opt.Execute(p, w.Data, len(w.Queries))
+		o, err := opt.Execute(p, w.Data, len(w.Queries), 1, nil)
 		if err != nil {
 			return ApproachResult{}, err
 		}

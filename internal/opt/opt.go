@@ -99,7 +99,7 @@ type Request struct {
 	// MaxPace is J.
 	MaxPace int
 	// Calibration optionally corrects the cost model with factors learned
-	// from a previous recurrence (see ExecuteWithCalibration).
+	// from a previous recurrence (see Job.CalibrateFrom).
 	Calibration cost.Calibration
 	// Workers bounds the pace search's candidate-evaluation pool: 1 is
 	// sequential, <= 0 defaults to GOMAXPROCS. Any setting returns the
@@ -421,15 +421,19 @@ type Outcome struct {
 	Wall time.Duration
 }
 
-// Execute runs every job over the dataset with fresh engine state.
-func Execute(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, error) {
+// Execute runs every job over the dataset with fresh engine state, on up to
+// workers goroutines per job (exec.Runner.RunParallel; 1 is sequential) — the
+// one run-a-plan loop. each, when non-nil, is handed every finished job's
+// index, runner (operator state, result rows) and report before the next job
+// starts; its error aborts the run.
+func Execute(p *Planned, ds exec.Dataset, numQueries, workers int, each func(job int, r *exec.Runner, rep *exec.Report) error) (*Outcome, error) {
 	out := &Outcome{QueryFinal: make([]int64, numQueries)}
-	for _, job := range p.Jobs {
+	for ji, job := range p.Jobs {
 		r, err := exec.NewRunner(job.Graph, ds)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := r.Run(job.Paces)
+		rep, err := r.RunParallel(job.Paces, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -437,70 +441,54 @@ func Execute(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, error) {
 		out.Wall += rep.Wall
 		for local, global := range job.QueryIDs {
 			out.QueryFinal[global] += rep.QueryFinal[local]
+		}
+		if each != nil {
+			if err := each(ji, r, rep); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
 }
 
-// ExecuteWithCalibration runs the plan like Execute and additionally
-// derives per-subplan calibration factors from the measured work and
-// output sizes — the feedback loop for recurring queries (paper §3.2).
-// Pass the returned Calibration in the next recurrence's Request.
-func ExecuteWithCalibration(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, cost.Calibration, error) {
-	out := &Outcome{QueryFinal: make([]int64, numQueries)}
-	merged := cost.Calibration{}
-	for _, job := range p.Jobs {
-		r, err := exec.NewRunner(job.Graph, ds)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := r.Run(job.Paces)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.TotalWork += rep.TotalWork
-		out.Wall += rep.Wall
-		for local, global := range job.QueryIDs {
-			out.QueryFinal[global] += rep.QueryFinal[local]
-		}
-		measuredWork := make([]float64, len(job.Graph.Subplans))
-		measuredFinal := make([]float64, len(job.Graph.Subplans))
-		measuredOut := make([]float64, len(job.Graph.Subplans))
-		for i, se := range r.Execs {
-			measuredWork[i] = float64(se.TotalWork().Total())
-			measuredFinal[i] = float64(se.FinalWork().Total())
-			measuredOut[i] = float64(se.Out.Len())
-		}
-		calib, err := cost.CalibrationFromRun(cost.NewModel(job.Graph), job.Paces, measuredWork, measuredFinal, measuredOut)
-		if err != nil {
-			return nil, nil, err
-		}
-		for sig, f := range calib {
-			merged[sig] = f
-		}
+// CalibrateFrom derives the job's per-subplan calibration factors from the
+// runner that just executed it — measured work, final work and output sizes
+// against the uncalibrated model — and merges them into calib: the feedback
+// loop for recurring queries (paper §3.2). Call it from Execute's each and
+// pass calib in the next recurrence's Request.
+func (j Job) CalibrateFrom(r *exec.Runner, calib cost.Calibration) error {
+	n := len(j.Graph.Subplans)
+	work, final, out := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, se := range r.Execs {
+		work[i] = float64(se.TotalWork().Total())
+		final[i] = float64(se.FinalWork().Total())
+		out[i] = float64(se.Out.Len())
 	}
-	return out, merged, nil
+	c, err := cost.CalibrationFromRun(cost.NewModel(j.Graph), j.Paces, work, final, out)
+	if err != nil {
+		return err
+	}
+	for sig, f := range c {
+		calib[sig] = f
+	}
+	return nil
 }
 
 // MeasuredBatchFinals executes each query separately in one batch and
 // returns the measured final work — the denominator for the experiments'
 // latency goals.
 func MeasuredBatchFinals(queries []plan.Query, ds exec.Dataset) ([]int64, error) {
-	out := make([]int64, len(queries))
+	p := &Planned{Jobs: make([]Job, len(queries))}
 	for i, q := range queries {
 		g, err := singleGraph(q)
 		if err != nil {
 			return nil, err
 		}
-		r, err := exec.NewRunner(g, ds)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := r.Run(pace.Ones(len(g.Subplans)))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rep.QueryFinal[0]
+		p.Jobs[i] = Job{Graph: g, Paces: pace.Ones(len(g.Subplans)), QueryIDs: []int{i}}
 	}
-	return out, nil
+	out, err := Execute(p, ds, len(queries), 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out.QueryFinal, nil
 }

@@ -82,7 +82,7 @@ func TestAllApproachesPlanAndExecute(t *testing.T) {
 		if len(p.Jobs) == 0 {
 			t.Fatalf("%s: no jobs", a)
 		}
-		o, err := Execute(p, ds, len(queries))
+		o, err := Execute(p, ds, len(queries), 1, nil)
 		if err != nil {
 			t.Fatalf("%s: Execute: %v", a, err)
 		}
@@ -162,11 +162,11 @@ func TestShareUniformSharesJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := Execute(shared, ds, 2)
+	so, err := Execute(shared, ds, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	no, err := Execute(noShare, ds, 2)
+	no, err := Execute(noShare, ds, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestIShareBeatsShareUniformOnMixedConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := Execute(su, ds, 2)
+	so, err := Execute(su, ds, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io, err := Execute(is, ds, 2)
+	io, err := Execute(is, ds, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

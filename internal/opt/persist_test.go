@@ -42,11 +42,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The loaded plan executes and matches the original's measured work.
-	o1, err := Execute(p, ds, len(queries))
+	o1, err := Execute(p, ds, len(queries), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := Execute(loaded, ds, len(queries))
+	o2, err := Execute(loaded, ds, len(queries), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSaveLoadNoSharePlan(t *testing.T) {
 	if len(loaded.Jobs) != 2 {
 		t.Fatalf("jobs = %d", len(loaded.Jobs))
 	}
-	if _, err := Execute(loaded, ds, len(queries)); err != nil {
+	if _, err := Execute(loaded, ds, len(queries), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 }

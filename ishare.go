@@ -33,7 +33,6 @@ import (
 	"ishare/internal/catalog"
 	"ishare/internal/cost"
 	"ishare/internal/exec"
-	"ishare/internal/mqo"
 	"ishare/internal/opt"
 	"ishare/internal/plan"
 	"ishare/internal/value"
@@ -256,19 +255,34 @@ type Planned = opt.Planned
 // Optimize builds the shared plan and pace configuration for the registered
 // queries under their constraints.
 func (e *Engine) Optimize(o Options) (*Plan, error) {
-	if len(e.queries) == 0 {
-		return nil, fmt.Errorf("ishare: no queries registered")
-	}
-	if o.MaxPace == 0 {
-		o.MaxPace = 50
+	req, err := e.request(o)
+	if err != nil {
+		return nil, err
 	}
 	approach, err := o.Approach.internal()
 	if err != nil {
 		return nil, err
 	}
-	abs, err := opt.AbsoluteConstraints(e.queries, e.rel)
+	p, err := opt.Plan(approach, req)
 	if err != nil {
 		return nil, err
+	}
+	return &Plan{planned: p, engine: e}, nil
+}
+
+// request turns the registered queries and the options into the optimizer's
+// input: MaxPace defaulted, relative constraints made absolute, by-name
+// absolute overrides applied.
+func (e *Engine) request(o Options) (opt.Request, error) {
+	if len(e.queries) == 0 {
+		return opt.Request{}, fmt.Errorf("ishare: no queries registered")
+	}
+	if o.MaxPace == 0 {
+		o.MaxPace = 50
+	}
+	abs, err := opt.AbsoluteConstraints(e.queries, e.rel)
+	if err != nil {
+		return opt.Request{}, err
 	}
 	for name, v := range o.AbsoluteConstraints {
 		found := false
@@ -279,20 +293,16 @@ func (e *Engine) Optimize(o Options) (*Plan, error) {
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("ishare: absolute constraint for unknown query %q", name)
+			return opt.Request{}, fmt.Errorf("ishare: absolute constraint for unknown query %q", name)
 		}
 	}
-	p, err := opt.Plan(approach, opt.Request{
+	return opt.Request{
 		Queries:     e.queries,
 		Constraints: abs,
 		MaxPace:     o.MaxPace,
 		Calibration: o.Calibration,
 		Workers:     o.OptWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{planned: p, engine: e}, nil
+	}, nil
 }
 
 // Explain writes a human-readable description of the plan: per job, the
@@ -355,29 +365,15 @@ func (e *Engine) LoadPlan(data []byte) (*Plan, error) {
 type Calibration = cost.Calibration
 
 // RunAndCalibrate executes the plan like Run and additionally returns
-// calibration factors comparing the cost model's estimates to the measured
-// execution — the paper's recurring-query feedback (§3.2). Pass them to the
-// next recurrence via Options.Calibration.
+// calibration factors comparing the cost model's estimates to that same
+// execution's measurements — the paper's recurring-query feedback (§3.2).
+// Pass them to the next recurrence via Options.Calibration.
 func (e *Engine) RunAndCalibrate(p *Plan, data map[string][]Row) (*Report, Calibration, error) {
-	ds, err := e.convertDataset(data)
+	calib := Calibration{}
+	rep, err := e.run(p, data, 1, calib)
 	if err != nil {
 		return nil, nil, err
 	}
-	outcome, calib, err := opt.ExecuteWithCalibration(p.planned, ds, len(e.queries))
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{
-		TotalWork: outcome.TotalWork,
-		FinalWork: make(map[string]int64, len(e.names)),
-		results:   make(map[string][]value.Row, len(e.names)),
-	}
-	for q, name := range e.names {
-		rep.FinalWork[name] = outcome.QueryFinal[q]
-	}
-	// Result materialization requires a fresh run per job; reuse Run for
-	// the result-bearing report when callers need rows too. Here the
-	// calibration-focused report carries work only.
 	return rep, calib, nil
 }
 
@@ -440,17 +436,20 @@ func facadeRows(rows []value.Row) []Row {
 // once per job by exec.Runner.RunParallel). Work accounting and results are
 // identical to Run; only wall-clock time changes.
 func (e *Engine) RunParallel(p *Plan, data map[string][]Row, workers int) (*Report, error) {
-	return e.run(p, data, workers)
+	return e.run(p, data, workers, nil)
 }
 
 // Run executes the plan over the dataset: per table, the rows arriving
 // during the trigger window in arrival order. Engine state is fresh per
 // call.
 func (e *Engine) Run(p *Plan, data map[string][]Row) (*Report, error) {
-	return e.run(p, data, 1)
+	return e.run(p, data, 1, nil)
 }
 
-func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, error) {
+// run executes the plan through opt.Execute and reads each finished job's
+// rows and per-subplan stats off its runner; a non-nil calib additionally
+// collects every job's calibration factors from that same runner.
+func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calib Calibration) (*Report, error) {
 	ds, err := e.convertDataset(data)
 	if err != nil {
 		return nil, err
@@ -459,20 +458,10 @@ func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, erro
 		FinalWork: make(map[string]int64, len(e.names)),
 		results:   make(map[string][]value.Row, len(e.names)),
 	}
-	for ji, job := range p.planned.Jobs {
-		r, err := exec.NewRunner(job.Graph, ds)
-		if err != nil {
-			return nil, err
-		}
-		jr, err := r.RunParallel(job.Paces, workers)
-		if err != nil {
-			return nil, err
-		}
-		rep.TotalWork += jr.TotalWork
+	out, err := opt.Execute(p.planned, ds, len(e.queries), workers, func(ji int, r *exec.Runner, jr *exec.Report) error {
+		job := p.planned.Jobs[ji]
 		for local, global := range job.QueryIDs {
-			name := e.names[global]
-			rep.FinalWork[name] += jr.QueryFinal[local]
-			rep.results[name] = e.queries[global].Present.Apply(r.Results(local))
+			rep.results[e.names[global]] = e.queries[global].Present.Apply(r.Results(local))
 		}
 		for _, s := range job.Graph.Subplans {
 			names := make([]string, 0, s.Queries.Count())
@@ -489,6 +478,17 @@ func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, erro
 				OutputRows: r.Execs[s.ID].Out.Len(),
 			})
 		}
+		if calib == nil {
+			return nil
+		}
+		return job.CalibrateFrom(r, calib)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.TotalWork = out.TotalWork
+	for q, name := range e.names {
+		rep.FinalWork[name] = out.QueryFinal[q]
 	}
 	return rep, nil
 }
@@ -592,6 +592,3 @@ func (p *Plan) SharingReport() string {
 	r.QueryNames = p.engine.names
 	return r.String()
 }
-
-// graphOf is used by the examples to reach diagnostics.
-func (p *Plan) graphOf(i int) *mqo.Graph { return p.planned.Jobs[i].Graph }

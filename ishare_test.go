@@ -262,6 +262,19 @@ func TestRunAndCalibrate(t *testing.T) {
 	if rep.TotalWork <= 0 || len(calib) == 0 {
 		t.Fatalf("report %v, calib %d entries", rep.TotalWork, len(calib))
 	}
+	// The calibrating run is Run plus factors: same work, rows and
+	// per-subplan stats as a plain Run of the same plan over the same data.
+	want, err := e.Run(p, ordersData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results("q")) == 0 || !reflect.DeepEqual(renderRows(rep.Results("q")), renderRows(want.Results("q"))) {
+		t.Errorf("rows %v, Run's %v", renderRows(rep.Results("q")), renderRows(want.Results("q")))
+	}
+	if rep.TotalWork != want.TotalWork || !reflect.DeepEqual(rep.FinalWork, want.FinalWork) ||
+		len(rep.Subplans) == 0 || !reflect.DeepEqual(rep.Subplans, want.Subplans) {
+		t.Errorf("RunAndCalibrate report differs from Run's:\n got %+v\nwant %+v", rep, want)
+	}
 	// Second recurrence plans with the learned factors.
 	p2, err := e.Optimize(Options{MaxPace: 10, Calibration: calib})
 	if err != nil {

@@ -1,12 +1,12 @@
 #!/bin/sh
-# check.sh — the repo's pre-merge gate: build, vet, the full test suite
-# under the race detector (the parallel pace search and the wave-parallel
-# executor must stay data-race-free), then a short fuzz smoke over the
-# native fuzz targets, a scheduler soak and a churn soak. Set SKIP_FUZZ=1
-# to stop after the race tests, FUZZTIME (default 10s) to change the
-# per-target fuzz budget, SOAKTIME (default 10s) for the scheduler soak,
-# CHURNTIME (default 10s) for the online-admission churn soak, and
-# RECALTIME (default 10s) for the closed-loop recalibration soak.
+# check.sh — the repo's merge gate, defined here once; CI only calls it.
+# Build, vet, the full test suite under the race detector (the parallel pace
+# search and the wave-parallel executor must stay data-race-free), the
+# benchmark module, the observability smokes, the deterministic benchmark
+# gate, then the soaks and a fuzz smoke through their make targets. Set
+# SKIP_FUZZ=1 to stop before the soaks (CI runs them as separate jobs), and
+# FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME (default 10s each) to change
+# the per-target fuzz budget and the three soak budgets.
 set -eu
 
 FUZZTIME="${FUZZTIME:-10s}"
@@ -34,7 +34,9 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# The repository benchmark is its own module, which ./... does not reach.
+# The repository benchmark is its own module, which ./... does not reach:
+# vet and test it here so a change to an internal package cannot silently
+# break it.
 echo "== go vet + go test (bench module)"
 go vet -C bench ./...
 go test -C bench ./...
@@ -46,25 +48,32 @@ go test -C bench ./...
 echo "== BenchmarkPlanJob + BenchmarkExecJob smoke (-benchtime 1x)"
 go test -run '^$' -bench 'Benchmark(Plan|Exec)Job$' -benchtime 1x -benchmem .
 
-echo "== trace smoke (-experiment sched -trace)"
-TRACE_OUT="$(mktemp /tmp/ishare-trace.XXXXXX.json)"
-go run ./cmd/ishare -experiment sched -sf 0.02 -trace "$TRACE_OUT" >/dev/null
-go run ./cmd/tracecheck "$TRACE_OUT"
-rm -f "$TRACE_OUT"
+# The observability smokes drive one built binary, so the status smoke can
+# stop the very process it started (killing a `go run` wrapper can leave its
+# child serving on the ports, and the next run would pass against it).
+SMOKE_DIR=.bench_build/smoke
+mkdir -p "$SMOKE_DIR"
+go build -o "$SMOKE_DIR/ishare" ./cmd/ishare
 
+# The Chrome trace must parse and hold at least one event per phase category.
+echo "== trace smoke (-experiment sched -trace)"
+"$SMOKE_DIR/ishare" -experiment sched -sf 0.02 -trace "$SMOKE_DIR/trace.json" >/dev/null
+go run ./cmd/tracecheck "$SMOKE_DIR/trace.json"
+
+# The structured event log must validate (dense sequence, known schema) and
+# contain window closes.
 echo "== event-log smoke (-experiment sched -events)"
-EVENTS_OUT="$(mktemp /tmp/ishare-events.XXXXXX.jsonl)"
-go run ./cmd/ishare -experiment sched -sf 0.02 -events "$EVENTS_OUT" >/dev/null
-go run ./cmd/eventcheck -types window.close "$EVENTS_OUT"
-rm -f "$EVENTS_OUT"
+"$SMOKE_DIR/ishare" -experiment sched -sf 0.02 -events "$SMOKE_DIR/events.jsonl" >/dev/null
+go run ./cmd/eventcheck -types window.close "$SMOKE_DIR/events.jsonl"
 
 # Status smoke: serve the run's metrics (JSON and Prometheus text) and the
 # live statusz view, and require all three endpoints to answer once the run
 # has finished (the process keeps serving after the last window closes).
 echo "== status smoke (-serve-metrics/-serve-status)"
-go run ./cmd/ishare -experiment sched -sf 0.02 \
+"$SMOKE_DIR/ishare" -experiment sched -sf 0.02 \
 	-serve-metrics 127.0.0.1:19090 -serve-status 127.0.0.1:19091 >/dev/null 2>&1 &
 SERVE_PID=$!
+trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 STATUS_OK=
 for _ in $(seq 1 60); do
 	if curl -fsS 127.0.0.1:19091/statusz >/dev/null 2>&1; then
@@ -73,36 +82,23 @@ for _ in $(seq 1 60); do
 	fi
 	sleep 1
 done
-[ -n "$STATUS_OK" ] || { echo "statusz never came up" >&2; kill "$SERVE_PID"; exit 1; }
+[ -n "$STATUS_OK" ] || { echo "statusz never came up" >&2; exit 1; }
 curl -fsS 127.0.0.1:19090/metrics | head -c 1 | grep -q '{'
 curl -fsS 127.0.0.1:19090/prometheus | grep -q '^# TYPE '
 curl -fsS 127.0.0.1:19091/statusz | grep -q '"window"'
-kill "$SERVE_PID"
+kill "$SERVE_PID" # fails, as it should, if ours died and a stale server answered
+trap - EXIT
 
-# Informational benchmark diff: when both the frozen baseline and a current
-# bench-json report exist, print the per-benchmark deltas. Never fails the
-# gate — CI-runner noise is too high for a hard perf gate.
-if [ -f BENCH_PR9.json ] && [ -f BENCH_PR10.json ]; then
-	echo "== bench-diff (informational)"
-	go run ./cmd/benchdiff BENCH_PR9.json BENCH_PR10.json || true
-else
-	echo "== bench-diff skipped (run 'make bench-json' to produce BENCH_PR10.json)"
-fi
+# The one performance step that can fail: see scripts/bench_gate.sh.
+echo "== benchmark gate (total_work exact, memory within bound, timings printed)"
+bash scripts/bench_gate.sh
 
 if [ "${SKIP_FUZZ:-}" != "1" ]; then
-	echo "== scheduler soak ($SOAKTIME, race)"
-	go test ./internal/sched -race -run TestSchedulerSoak -soaktime "$SOAKTIME"
-
-	echo "== churn soak ($CHURNTIME, race)"
-	go test ./internal/oracle -race -run TestChurnSoak -churntime "$CHURNTIME"
-
-	echo "== recalibration soak ($RECALTIME, race)"
-	go test ./internal/sched -race -run TestRecalibrationSoak -recaltime "$RECALTIME"
-
-	echo "== fuzz smoke ($FUZZTIME per target)"
-	go test ./internal/oracle -run '^$' -fuzz FuzzEngineVsOracle -fuzztime "$FUZZTIME"
-	go test ./internal/sqlparser -run '^$' -fuzz FuzzParserRoundTrip -fuzztime "$FUZZTIME"
-	go test ./internal/sqlparser -run '^$' -fuzz 'FuzzParse$' -fuzztime "$FUZZTIME"
+	echo "== scheduler soak, churn soak, recalibration soak, fuzz smoke"
+	make soak SOAKTIME="$SOAKTIME"
+	make churn-soak CHURNTIME="$CHURNTIME"
+	make recal-soak RECALTIME="$RECALTIME"
+	make fuzz FUZZTIME="$FUZZTIME"
 fi
 
 echo "OK"

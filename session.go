@@ -5,6 +5,7 @@ import (
 
 	"ishare/internal/exec"
 	"ishare/internal/opt"
+	"ishare/internal/pace"
 	"ishare/internal/plan"
 	"ishare/internal/profile"
 )
@@ -29,6 +30,9 @@ type Session struct {
 	prof    *profile.Profiler
 	names   []string     // slot-indexed; "" = inactive
 	queries []plan.Query // slot-indexed; zero value = inactive
+	// group is one window's firing sequence for the current plan revision:
+	// batch pace, so a single group with one firing per subplan.
+	group   []exec.Firing
 	windows int
 }
 
@@ -61,35 +65,11 @@ type AdmitStats struct {
 // StartSession begins serving the engine's registered queries online.
 // Options.Approach is ignored: sessions always run the shared plan.
 func (e *Engine) StartSession(o Options) (*Session, error) {
-	if len(e.queries) == 0 {
-		return nil, fmt.Errorf("ishare: no queries registered")
-	}
-	if o.MaxPace == 0 {
-		o.MaxPace = 50
-	}
-	abs, err := opt.AbsoluteConstraints(e.queries, e.rel)
+	req, err := e.request(o)
 	if err != nil {
 		return nil, err
 	}
-	for name, v := range o.AbsoluteConstraints {
-		found := false
-		for q, qn := range e.names {
-			if qn == name {
-				abs[q] = v
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("ishare: absolute constraint for unknown query %q", name)
-		}
-	}
-	live, err := opt.NewLive(opt.Request{
-		Queries:     e.queries,
-		Constraints: abs,
-		MaxPace:     o.MaxPace,
-		Calibration: o.Calibration,
-		Workers:     o.OptWorkers,
-	}, nil)
+	live, err := opt.NewLive(req, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,10 +77,15 @@ func (e *Engine) StartSession(o Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	group, err := exec.Schedule(pace.Ones(len(live.Graph.Subplans)))
+	if err != nil {
+		return nil, err
+	}
 	return &Session{
 		engine: e,
 		live:   live,
 		runner: runner,
+		group:  group,
 		prof: profile.New(profile.Config{
 			Subplans: len(live.Graph.Subplans),
 			Modeled:  batchBaseline(live),
@@ -115,21 +100,28 @@ func (e *Engine) StartSession(o Options) (*Session, error) {
 // per-subplan modeled work per window, the session profiler's drift
 // baseline. nil when the model cannot evaluate (drift then stays 0).
 func batchBaseline(live *opt.Live) []float64 {
-	ev, err := live.Model.Evaluate(batchPaces(live))
+	ev, err := live.Model.Evaluate(pace.Ones(len(live.Graph.Subplans)))
 	if err != nil {
 		return nil
 	}
 	return ev.SubTotal
 }
 
-// batchPaces is the session's pace vector: one execution per subplan per
-// window.
-func batchPaces(live *opt.Live) []int {
-	ones := make([]int, len(live.Graph.Subplans))
-	for i := range ones {
-		ones[i] = 1
+// graft moves the runner, the window's firing group and the profiler's drift
+// baseline to the live plan's new revision.
+func (s *Session) graft() (*exec.GraftStats, error) {
+	n := len(s.live.Graph.Subplans)
+	group, err := exec.Schedule(pace.Ones(n))
+	if err != nil {
+		return nil, err
 	}
-	return ones
+	gs, err := s.runner.Graft(s.live.Graph, exec.GraftOptions{})
+	if err != nil {
+		return nil, err
+	}
+	s.group = group
+	s.prof.Graft(n, batchBaseline(s.live))
+	return gs, nil
 }
 
 // Slot returns the slot serving the named query, or -1.
@@ -178,13 +170,12 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 	if err != nil {
 		return nil, err
 	}
-	gs, err := s.runner.Graft(s.live.Graph, exec.GraftOptions{})
+	gs, err := s.graft()
 	if err != nil {
 		// Best effort: put the plan back so the session stays usable.
 		s.live.Retire(slot)
 		return nil, err
 	}
-	s.prof.Graft(len(s.live.Graph.Subplans), batchBaseline(s.live))
 	for slot >= len(s.names) {
 		s.names = append(s.names, "")
 		s.queries = append(s.queries, plan.Query{})
@@ -206,11 +197,10 @@ func (s *Session) Retire(name string) (*AdmitStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	gs, err := s.runner.Graft(s.live.Graph, exec.GraftOptions{})
+	gs, err := s.graft()
 	if err != nil {
 		return nil, err
 	}
-	s.prof.Graft(len(s.live.Graph.Subplans), batchBaseline(s.live))
 	s.names[slot] = ""
 	s.queries[slot] = plan.Query{}
 	return admitStats(rep, gs), nil
@@ -241,19 +231,15 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	group, err := exec.Schedule(batchPaces(s.live))
-	if err != nil {
-		return 0, err
-	}
 	s.runner.StartWindow(exec.InsertStream(ds))
 	s.runner.ArriveWindow(1, 1)
-	walls := make([]int64, len(group))
-	works, err := s.runner.RunGroup(group, 1, "exec", walls)
+	walls := make([]int64, len(s.group))
+	works, err := s.runner.RunGroup(s.group, 1, "exec", walls)
 	if err != nil {
 		return 0, fmt.Errorf("ishare: window %d: %w", s.windows, err)
 	}
 	var work int64
-	for i, f := range group {
+	for i, f := range s.group {
 		w := works[i].Total()
 		s.prof.Observe(f.Subplan, w, walls[i], s.runner.Execs[f.Subplan].LastBatches())
 		work += w
