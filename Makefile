@@ -12,8 +12,8 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the full suite under the race detector; the parallel pace search
-# and the wave-parallel runner are exercised by their equivalence tests.
+# race runs the full suite under the race detector; the wave-parallel runner
+# and the scheduler's workers are exercised by their equivalence tests.
 race:
 	$(GO) test -race ./...
 

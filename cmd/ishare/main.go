@@ -61,7 +61,6 @@ func parseArgs(args []string) (*options, error) {
 		sf           = fs.Float64("sf", 0.05, "TPC-H scale factor")
 		seed         = fs.Int64("seed", 1, "data and constraint seed")
 		maxPace      = fs.Int("maxpace", 40, "maximum pace J")
-		optWorkers   = fs.Int("opt-workers", 0, "pace-search candidate evaluation workers (1 = sequential, 0 = GOMAXPROCS)")
 		budget       = fs.Duration("dnf", 30*time.Second, "optimization budget before DNF (fig15)")
 		dot          = fs.String("dot", "", "instead of an experiment, write the shared plan of the named queries (comma-separated, e.g. Q1,Q15) as Graphviz DOT to stdout")
 		serveMetrics = fs.String("serve-metrics", "", "serve scheduler metrics as JSON on this address (e.g. :8080) while and after running the experiment; /prometheus serves the text exposition format")
@@ -81,8 +80,7 @@ func parseArgs(args []string) (*options, error) {
 		Experiment: *experiment,
 		Config: experiments.Config{
 			SF: *sf, Seed: *seed, MaxPace: *maxPace,
-			DNFBudget: *budget, OptWorkers: *optWorkers,
-			Recalibrate: *recalibrate,
+			DNFBudget: *budget, Recalibrate: *recalibrate,
 		},
 		DOT:          *dot,
 		ServeMetrics: *serveMetrics,

@@ -2,17 +2,10 @@ package main
 
 import "testing"
 
-// TestParseArgsOptWorkers pins the CLI end of the Workers plumbing chain:
-// -opt-workers must land in experiments.Config.OptWorkers (from where the
-// experiments forward it into opt.Request and down to the pace search —
-// covered by the chain tests in internal/experiments and the root package).
-func TestParseArgsOptWorkers(t *testing.T) {
-	opts, err := parseArgs([]string{"-experiment", "sched", "-opt-workers", "3", "-serve-metrics", ":0"})
+func TestParseArgsFlags(t *testing.T) {
+	opts, err := parseArgs([]string{"-experiment", "sched", "-serve-metrics", ":0"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opts.Config.OptWorkers != 3 {
-		t.Errorf("OptWorkers = %d, want 3", opts.Config.OptWorkers)
 	}
 	if opts.Experiment != "sched" {
 		t.Errorf("Experiment = %q, want sched", opts.Experiment)
@@ -27,9 +20,6 @@ func TestParseArgsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Config.OptWorkers != 0 {
-		t.Errorf("default OptWorkers = %d, want 0 (GOMAXPROCS)", opts.Config.OptWorkers)
-	}
 	if opts.Experiment != "all" {
 		t.Errorf("default Experiment = %q, want all", opts.Experiment)
 	}
@@ -38,8 +28,12 @@ func TestParseArgsDefaults(t *testing.T) {
 	}
 }
 
+// TestParseArgsRejectsUnknownFlag also covers -opt-workers: the pace search
+// runs on one goroutine, so the flag that sized its worker pool is gone.
 func TestParseArgsRejectsUnknownFlag(t *testing.T) {
-	if _, err := parseArgs([]string{"-no-such-flag"}); err == nil {
-		t.Error("unknown flag accepted")
+	for _, flag := range []string{"-no-such-flag", "-opt-workers"} {
+		if _, err := parseArgs([]string{flag, "3"}); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }

@@ -55,9 +55,6 @@ func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 		}
 		var parts []int
 		var key []byte
-		old.memoMu[oldID].RLock()
-		mu := &m.memoMu[s.ID]
-		mu.Lock()
 		dst := m.memo[s.ID]
 		for k, v := range old.memo[oldID] {
 			parts = splitKey(parts[:0], k)
@@ -71,9 +68,7 @@ func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 			dst[string(key)] = v
 			adopted++
 		}
-		mu.Unlock()
-		old.memoMu[oldID].RUnlock()
 	}
-	m.epoch.Add(1)
+	m.epoch++
 	return adopted
 }

@@ -8,8 +8,6 @@ import (
 	"ishare/internal/catalog"
 	"ishare/internal/cost"
 	"ishare/internal/mqo"
-	"ishare/internal/opt"
-	"ishare/internal/pace"
 )
 
 // raceEnabled is set by race_test.go when the race detector is on.
@@ -96,47 +94,6 @@ func TestMemoizedOutputsSurviveArenaReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("paces %v: memoized model %+v, memo-less model %+v", paces, got, want)
 		}
-	}
-}
-
-// TestParallelSearchMatchesSequentialTPCH runs the greedy pace search over
-// the 22-query graph with four workers — concurrent simulations sharing the
-// compiled plans and the arena pool — and requires exactly the sequential
-// search's result. Run under -race it also proves the sharing safe.
-func TestParallelSearchMatchesSequentialTPCH(t *testing.T) {
-	g := tpchGraph(t)
-	queries := tpchQueries(t)
-	rel := make([]float64, len(queries))
-	for q := range rel {
-		rel[q] = goldenLevels[q%len(goldenLevels)]
-	}
-	abs, err := opt.AbsoluteConstraints(queries, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	search := func(workers int) ([]int, cost.Eval, *cost.Model, int64) {
-		m := cost.NewModel(g)
-		o, err := pace.NewOptimizer(m, abs, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Workers = workers
-		paces, ev, err := o.Greedy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return paces, ev, m, o.Evals
-	}
-	p1, ev1, m1, evals1 := search(1)
-	p4, ev4, m4, evals4 := search(4)
-	if !reflect.DeepEqual(p1, p4) {
-		t.Errorf("paces differ: workers=1 %v, workers=4 %v", p1, p4)
-	}
-	if !reflect.DeepEqual(ev1, ev4) {
-		t.Errorf("evals differ: workers=1 %+v, workers=4 %+v", ev1, ev4)
-	}
-	if evals1 != evals4 || m1.Lookups != m4.Lookups {
-		t.Errorf("traffic differs: evals %d vs %d, lookups %d vs %d", evals1, evals4, m1.Lookups, m4.Lookups)
 	}
 }
 

@@ -26,41 +26,25 @@ type Factor struct {
 type Calibration map[string]Factor
 
 // SetCalibration installs correction factors. The memo tables are cleared:
-// cached entries were computed under the previous factors. Each per-subplan
-// map is swapped under its shard lock so the call is safe while concurrent
-// Evaluates are in flight — an evaluation racing the swap either reads the
-// old map (whose entries are still self-consistent) or the fresh one.
-// Evaluations made before the call are no longer evaluated relative to: the
-// epoch advances last, so one stamped with the new epoch saw only the new
-// factors and tables.
+// cached entries were computed under the previous factors. Evaluations made
+// before the call are no longer evaluated relative to.
 func (m *Model) SetCalibration(c Calibration) {
-	m.calibMu.Lock()
 	m.calib = c
-	m.calibMu.Unlock()
 	for i := range m.memo {
-		m.memoMu[i].Lock()
 		m.memo[i] = make(map[string]memoEntry)
-		m.memoMu[i].Unlock()
 	}
-	m.epoch.Add(1)
+	m.epoch++
 }
 
 // Calibration returns the installed factors (nil when uncalibrated).
-func (m *Model) Calibration() Calibration {
-	m.calibMu.RLock()
-	defer m.calibMu.RUnlock()
-	return m.calib
-}
+func (m *Model) Calibration() Calibration { return m.calib }
 
 // applyCalibration scales a simulation result by the subplan's factors.
 func (m *Model) applyCalibration(s *mqo.Subplan, res SimResult) SimResult {
-	m.calibMu.RLock()
-	calib := m.calib
-	m.calibMu.RUnlock()
-	if calib == nil {
+	if m.calib == nil {
 		return res
 	}
-	f, ok := calib[s.Root.BaseSignature()]
+	f, ok := m.calib[s.Root.BaseSignature()]
 	if !ok {
 		return res
 	}
@@ -84,26 +68,20 @@ func (m *Model) applyCalibration(s *mqo.Subplan, res SimResult) SimResult {
 	return res
 }
 
-// CalibrationFromRun derives correction factors by comparing the model's
+// CalibrationFromRun derives correction factors by comparing the graph's
 // estimates under the executed pace configuration against the measured
 // per-subplan total work and output sizes. Factors are clamped to
 // [1/maxFactor, maxFactor] so one noisy recurrence cannot destabilize the
 // next optimization.
-func CalibrationFromRun(m *Model, paces []int, measuredWork, measuredFinal, measuredOut []float64) (Calibration, error) {
-	g := m.Graph
+func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, measuredOut []float64) (Calibration, error) {
 	if len(measuredWork) != len(g.Subplans) || len(measuredOut) != len(g.Subplans) ||
 		len(measuredFinal) != len(g.Subplans) {
 		return nil, fmt.Errorf("cost: calibration needs one measurement per subplan")
 	}
-	// Estimate with calibration disabled so repeated calibrations do not
+	// Estimate on an uncalibrated model so repeated calibrations do not
 	// compound.
-	fresh := NewModel(g)
-	ev, err := fresh.Evaluate(paces)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := fresh.OutputProfiles(paces)
-	if err != nil {
+	var ev Evaluation
+	if err := NewModel(g).EvaluateDelta(nil, paces, &ev); err != nil {
 		return nil, err
 	}
 	const maxFactor = 8.0
@@ -123,7 +101,7 @@ func CalibrationFromRun(m *Model, paces []int, measuredWork, measuredFinal, meas
 				f.Final = 1
 			}
 		}
-		if est := outs[s.ID].Gross; est > 0 && measuredOut[s.ID] > 0 {
+		if est := ev.outs[s.ID].Gross; est > 0 && measuredOut[s.ID] > 0 {
 			f.Out = clampFactor(measuredOut[s.ID]/est, maxFactor)
 		}
 		if f.Work > 0 || f.Out > 0 || f.Final > 0 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"ishare/internal/cost"
@@ -219,51 +218,5 @@ func TestStaleIncumbentIsNotReused(t *testing.T) {
 	}
 	if got := m.Lookups - before; got != n {
 		t.Errorf("relative to another model's evaluation a delta looked up %d subplans, want all %d", got, n)
-	}
-}
-
-// TestConcurrentDeltas costs many candidates relative to one incumbent from
-// four goroutines at once, each into its own Evaluation, and requires what
-// the sequential pass computes. Under -race it proves the incumbent is only
-// read.
-func TestConcurrentDeltas(t *testing.T) {
-	g := tpchGraph(t)
-	rng := rand.New(rand.NewSource(4))
-	base := new(cost.Evaluation)
-	seq := cost.NewModel(g)
-	if err := seq.EvaluateDelta(nil, uniform(g, 5), base); err != nil {
-		t.Fatal(err)
-	}
-	cands := make([][]int, 64)
-	want := make([]*cost.Evaluation, len(cands))
-	for k := range cands {
-		cands[k] = neighbour(seq, rng, base.Paces)
-		want[k] = new(cost.Evaluation)
-		if err := seq.EvaluateDelta(base, cands[k], want[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	par := cost.NewModel(g)
-	if err := par.EvaluateDelta(nil, uniform(g, 5), base); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]*cost.Evaluation, len(cands))
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(cands); k += 4 {
-				got[k] = new(cost.Evaluation)
-				if err := par.EvaluateDelta(base, cands[k], got[k]); err != nil {
-					t.Error(err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for k := range cands {
-		requireSameEvaluation(t, "concurrent", got[k], want[k])
 	}
 }

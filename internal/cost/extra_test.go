@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ishare/internal/mqo"
+	"ishare/internal/trace"
 )
 
 func joinGraph(t *testing.T) *mqo.Graph {
@@ -68,6 +69,27 @@ func TestSubplanInputsAndOpOutputs(t *testing.T) {
 		if p.Gross < 0 || p.Net < 0 {
 			t.Errorf("op %d: gross %v net %v", o.ID, p.Gross, p.Net)
 		}
+	}
+}
+
+// TestOpOutputsCountsItsSimulation: every simulation a model performs is
+// counted once in Model.Sims and once in the tracer's cost.sims, including the
+// per-operator one OpOutputs runs on top of its evaluation, so the trace
+// counter and EXPLAIN's simulation count agree.
+func TestOpOutputsCountsItsSimulation(t *testing.T) {
+	g := joinGraph(t)
+	m := NewModel(g)
+	tr := trace.New()
+	m.Trace = tr
+	paces := ones(len(g.Subplans))
+	if _, err := m.Evaluate(paces); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.OpOutputs(g.Subplans[len(g.Subplans)-1], paces); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Counter("cost.sims"); got != m.Sims {
+		t.Errorf("tracer counted %d simulations, the model %d", got, m.Sims)
 	}
 }
 

@@ -211,13 +211,13 @@ func computeGolden(t *testing.T) golden {
 		d := &decompose.Decomposer{
 			Queries:     queries,
 			Constraints: abs,
-			Opts:        decompose.Options{MaxPace: goldenMaxPace, Unshare: true, Partial: true, Workers: 1},
+			Opts:        decompose.Options{MaxPace: goldenMaxPace, Unshare: true, Partial: true},
 		}
 		res, err := d.Optimize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := opt.Plan(opt.IShare, opt.Request{Queries: queries, Constraints: abs, MaxPace: goldenMaxPace, Workers: 1})
+		planned, err := opt.Plan(opt.IShare, opt.Request{Queries: queries, Constraints: abs, MaxPace: goldenMaxPace})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ishare/internal/mqo"
 	"ishare/internal/trace"
@@ -17,11 +16,7 @@ import (
 // paces — which fully determines its inputs and therefore its cost (the
 // paper's Algorithm 1).
 //
-// Evaluate (and the helpers built on it) is safe for concurrent use: the
-// per-subplan memo tables are guarded by sharded locks, the table-profile
-// cache by its own lock, and the traffic counters are updated atomically.
-// Simulation is deterministic, so concurrent misses on the same key store
-// identical entries and the evaluation result is independent of scheduling.
+// A model has one owner: no two of its methods may run at once.
 type Model struct {
 	Graph *mqo.Graph
 	// UseMemo disables the memo table when false (the paper's
@@ -37,18 +32,14 @@ type Model struct {
 	// count memo-table traffic — one lookup per subplan an evaluation had
 	// to re-cost, none for the subplans it took unchanged from the
 	// evaluation it was computed relative to. Experiments report these as
-	// optimization overhead. They are updated atomically; read them only
-	// after concurrent evaluation has quiesced.
+	// optimization overhead.
 	Sims, Lookups, Hits int64
 
-	// memoMu[i] guards memo[i] (both the map header, which SetCalibration
-	// swaps, and its contents).
-	memoMu []sync.RWMutex
-	memo   []map[string]memoEntry
+	memo []map[string]memoEntry
 	// epoch advances whenever the memo tables stop describing what earlier
 	// evaluations saw (SetCalibration, AdoptMemo): an Evaluation stamped
 	// with an older epoch is not evaluated relative to.
-	epoch atomic.Uint64
+	epoch uint64
 	// descendants[i] and ancestors[i] are subplan i's transitive children
 	// and parents, ascending.
 	descendants, ancestors [][]int
@@ -56,7 +47,6 @@ type Model struct {
 	// each of its external inputs comes from, parallel to plans[i].ext.
 	plans   []*SimPlan
 	sources [][]inputSource
-	calibMu sync.RWMutex
 	calib   Calibration
 }
 
@@ -114,7 +104,6 @@ func NewModel(g *mqo.Graph) *Model {
 	m := &Model{
 		Graph:   g,
 		UseMemo: true,
-		memoMu:  make([]sync.RWMutex, len(g.Subplans)),
 		memo:    make([]map[string]memoEntry, len(g.Subplans)),
 		plans:   make([]*SimPlan, len(g.Subplans)),
 		sources: make([][]inputSource, len(g.Subplans)),
@@ -219,7 +208,8 @@ func (m *Model) OpOutputs(s *mqo.Subplan, paces []int) (map[*mqo.Op]Profile, err
 	if err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(&m.Sims, 1)
+	m.Sims++
+	m.Trace.Count("cost.sims", 1)
 	_, ops := m.simulate(s, paces[s.ID], outs, true)
 	return ops, nil
 }
@@ -244,19 +234,17 @@ func (m *Model) simulate(s *mqo.Subplan, pace int, outputs []Profile, collect bo
 // cannot vouch for the memo: another model's, one from before a
 // SetCalibration or AdoptMemo, any with UseMemo off. Total and QueryFinal are
 // re-summed over all subplans in subplan order either way, so every float is
-// the one a from-scratch evaluation computes. out must not be base; several
-// goroutines may evaluate relative to one base at once, each into its own out.
+// the one a from-scratch evaluation computes. out must not be base.
 func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) error {
 	g := m.Graph
 	n := len(g.Subplans)
 	if len(paces) != n {
 		return fmt.Errorf("cost: %d paces for %d subplans", len(paces), n)
 	}
-	epoch := m.epoch.Load()
-	if base != nil && !(m.UseMemo && base.model == m && base.epoch == epoch) {
+	if base != nil && !(m.UseMemo && base.model == m && base.epoch == m.epoch) {
 		base = nil
 	}
-	out.model, out.epoch = m, epoch
+	out.model, out.epoch = m, m.epoch
 	out.Paces = append(out.Paces[:0], paces...)
 	out.outs = resize(out.outs, n)
 	out.dirty = resize(out.dirty, n)
@@ -269,9 +257,8 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 		copy(out.vec[:2*n], base.vec)
 		copy(out.outs, base.outs)
 	}
-	// Counters accumulate locally and publish once per evaluation: one
-	// atomic add per counter instead of one per subplan keeps concurrent
-	// candidate evaluations off each other's cache lines.
+	// Counters accumulate locally and publish once per evaluation, to the
+	// model and to the tracer alike.
 	var lookups, hits, sims int64
 	for _, s := range g.Subplans {
 		id := s.ID
@@ -286,10 +273,7 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 			if m.UseMemo {
 				out.key = m.appendPrivateKey(out.key[:0], id, paces)
 				lookups++
-				mu := &m.memoMu[id]
-				mu.RLock()
 				e, hit = m.memo[id][string(out.key)]
-				mu.RUnlock()
 			}
 			if hit {
 				hits++
@@ -299,10 +283,7 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 				res = m.applyCalibration(s, res)
 				e = memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal, out: res.Out}
 				if m.UseMemo {
-					mu := &m.memoMu[id]
-					mu.Lock()
 					m.memo[id][string(out.key)] = e
-					mu.Unlock()
 				}
 			}
 			out.outs[id], out.SubTotal[id], out.SubFinal[id] = e.out, e.pT, e.pF
@@ -313,18 +294,10 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 			out.QueryFinal[q] += final
 		}
 	}
-	if lookups != 0 {
-		atomic.AddInt64(&m.Lookups, lookups)
-	}
-	if hits != 0 {
-		atomic.AddInt64(&m.Hits, hits)
-	}
-	if sims != 0 {
-		atomic.AddInt64(&m.Sims, sims)
-	}
+	m.Lookups += lookups
+	m.Hits += hits
+	m.Sims += sims
 	if m.Trace != nil {
-		// The same per-evaluation tallies feed the tracer — one attribution
-		// path, counter totals independent of concurrent evaluation order.
 		m.Trace.Count("cost.evals", 1)
 		m.Trace.Count("cost.memo_lookups", lookups)
 		m.Trace.Count("cost.memo_hits", hits)

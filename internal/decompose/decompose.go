@@ -30,9 +30,8 @@ type Options struct {
 	DisableMemo bool
 	// Deadline, when nonzero, aborts optimization with pace.ErrDeadline.
 	Deadline time.Time
-	// Workers bounds the pace optimizer's candidate-evaluation pool: 1
-	// searches sequentially, <= 0 defaults to GOMAXPROCS (see
-	// pace.Optimizer.Workers). Results are identical at any setting.
+	// Deprecated: ignored; the pace search runs on the caller's goroutine.
+	// Removed with ROADMAP item 4(c).
 	Workers int
 	// Calibration carries per-subplan correction factors learned from a
 	// previous recurrence (paper §3.2); base signatures survive rebuilds,
@@ -451,7 +450,6 @@ func (d *Decomposer) newOptimizer(m *cost.Model) (*pace.Optimizer, error) {
 		return nil, err
 	}
 	o.Deadline = d.Opts.Deadline
-	o.Workers = d.Opts.Workers
 	o.Trace = d.Opts.Tracer
 	return o, nil
 }

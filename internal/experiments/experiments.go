@@ -36,10 +36,6 @@ type Config struct {
 	// DNFBudget bounds each optimizer run in the overhead experiments;
 	// slower runs are reported as DNF (paper: 30 minutes).
 	DNFBudget time.Duration
-	// OptWorkers bounds the pace search's candidate-evaluation pool: 1 is
-	// sequential, <= 0 defaults to GOMAXPROCS. The planned configurations
-	// are identical at any setting; only optimization wall time changes.
-	OptWorkers int
 	// Tracer optionally records the whole run — parse/build/search spans,
 	// decision logs, scheduler firings — for -trace and -explain.
 	Tracer *trace.Tracer
@@ -83,8 +79,6 @@ type Workload struct {
 	// BatchFinal is each query's measured final work when executed
 	// separately in one batch — the denominator of latency goals.
 	BatchFinal []int64
-	// OptWorkers is forwarded from Config into every planning request.
-	OptWorkers int
 	// Tracer is forwarded from Config into every planning request.
 	Tracer *trace.Tracer
 }
@@ -112,7 +106,7 @@ func NewWorkload(cfg Config, names []string, withVariants bool) (*Workload, erro
 		}
 		bound = append(bound, variants...)
 	}
-	w := &Workload{Catalog: cat, Queries: bound, Data: tpch.Generate(cfg.SF, cfg.Seed), OptWorkers: cfg.OptWorkers, Tracer: cfg.Tracer}
+	w := &Workload{Catalog: cat, Queries: bound, Data: tpch.Generate(cfg.SF, cfg.Seed), Tracer: cfg.Tracer}
 	for _, q := range bound {
 		w.Names = append(w.Names, q.Name)
 	}
@@ -152,7 +146,7 @@ func (w *Workload) RunApproaches(rel []float64, maxPace int, approaches []opt.Ap
 	if err != nil {
 		return nil, err
 	}
-	req := opt.Request{Queries: w.Queries, Constraints: abs, MaxPace: maxPace, Workers: w.OptWorkers, Trace: w.Tracer}
+	req := opt.Request{Queries: w.Queries, Constraints: abs, MaxPace: maxPace, Trace: w.Tracer}
 	out := make([]ApproachResult, 0, len(approaches))
 	for _, a := range approaches {
 		p, err := opt.Plan(a, req)

@@ -28,10 +28,7 @@ func ExplainQueries(cfg Config, names []string, approach opt.Approach, rel float
 	if err != nil {
 		return err
 	}
-	req := opt.Request{
-		Queries: w.Queries, Constraints: abs, MaxPace: cfg.MaxPace,
-		Workers: w.OptWorkers, Trace: cfg.Tracer,
-	}
+	req := opt.Request{Queries: w.Queries, Constraints: abs, MaxPace: cfg.MaxPace, Trace: cfg.Tracer}
 	p, err := opt.Plan(approach, req)
 	if err != nil {
 		return err

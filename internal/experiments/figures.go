@@ -446,7 +446,6 @@ func Figure15(cfg Config, maxPaces []int) (*Fig15Result, error) {
 					Unshare:     true,
 					DisableMemo: disableMemo,
 					Deadline:    time.Now().Add(cfg.DNFBudget),
-					Workers:     cfg.OptWorkers,
 				},
 			}
 			start := time.Now()

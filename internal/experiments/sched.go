@@ -88,7 +88,7 @@ func SchedulerLatency(cfg Config, reg *metrics.Registry) (*SchedResult, error) {
 		Window: window, Windows: windows, WorkRate: workRate,
 	}
 	data := exec.InsertStream(w.Data)
-	req := opt.Request{Queries: w.Queries, Constraints: abs, MaxPace: cfg.MaxPace, Workers: w.OptWorkers, Trace: cfg.Tracer}
+	req := opt.Request{Queries: w.Queries, Constraints: abs, MaxPace: cfg.MaxPace, Trace: cfg.Tracer}
 	for _, a := range DefaultApproaches {
 		p, err := opt.Plan(a, req)
 		if err != nil {
@@ -124,7 +124,6 @@ func SchedulerLatency(cfg Config, reg *metrics.Registry) (*SchedResult, error) {
 					Model:       job.Model,
 					Constraints: jobCons,
 					MaxPace:     cfg.MaxPace,
-					Workers:     w.OptWorkers,
 				}
 			}
 			s, err := sched.New(job.Graph, job.Paces, sched.Slices{Data: data, N: windows}, sched.Config{

@@ -167,8 +167,7 @@ func TestCalibrationFromRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cost.NewModel(p.Jobs[0].Graph)
-	if _, err := cost.CalibrationFromRun(m, p.Jobs[0].Paces, []float64{1}, []float64{1}, []float64{1, 2, 3}); err == nil {
+	if _, err := cost.CalibrationFromRun(p.Jobs[0].Graph, p.Jobs[0].Paces, []float64{1}, []float64{1}, []float64{1, 2, 3}); err == nil {
 		t.Error("mismatched measurement lengths accepted")
 	}
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"sync/atomic"
 
 	"ishare/internal/cost"
 	"ishare/internal/pace"
@@ -78,9 +77,7 @@ func explainJobCosts(ej *trace.ExplainJob, job Job, req Request, ji int, names [
 		row.Incrementability = marginalRaise(o, m, job, s.ID, cur)
 		ej.Subplans = append(ej.Subplans, row)
 	}
-	ej.MemoLookups = atomic.LoadInt64(&m.Lookups)
-	ej.MemoHits = atomic.LoadInt64(&m.Hits)
-	ej.Sims = atomic.LoadInt64(&m.Sims)
+	ej.MemoLookups, ej.MemoHits, ej.Sims = m.Lookups, m.Hits, m.Sims
 	if tr := req.Trace; tr != nil {
 		ej.Steps = tr.Counter("pace.steps")
 		ej.Evals = tr.Counter("pace.evals")

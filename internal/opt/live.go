@@ -39,7 +39,6 @@ type Live struct {
 	constraints []float64
 	classes     func(sig string, q int) int
 	maxPace     int
-	workers     int
 	calib       cost.Calibration
 }
 
@@ -75,7 +74,6 @@ func NewLive(req Request, splits map[string][]mqo.Bitset) (*Live, error) {
 		constraints: append([]float64(nil), req.Constraints...),
 		classes:     decompose.ClassesFromSplits(splits),
 		maxPace:     req.MaxPace,
-		workers:     req.Workers,
 		calib:       req.Calibration,
 	}
 	if _, err := l.replan(nil, nil); err != nil {
@@ -196,7 +194,6 @@ func (l *Live) replan(apply, rollback func()) (*AdmitReport, error) {
 	if err != nil {
 		return fail(err)
 	}
-	o.Workers = l.workers
 	paces, _, err := o.GreedyFrom(pace.Ones(len(g.Subplans)))
 	if err != nil {
 		return fail(err)

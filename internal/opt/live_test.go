@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ishare/internal/cost"
 	"ishare/internal/pace"
 	"ishare/internal/plan"
 )
@@ -38,25 +39,10 @@ func liveRequest(t *testing.T, rels []float64, names ...string) (Request, []plan
 func TestLiveAdmitWarmStart(t *testing.T) {
 	req, queries, abs := liveRequest(t, []float64{0.5, 0.5, 0.5}, "Q1", "Q22", "Q6")
 
-	// Count the cost evaluations of every pace search through the same
-	// observer seam the plumbing tests use.
-	var searches []*pace.Optimizer
-	pace.DebugObserveSearch = func(o *pace.Optimizer) { searches = append(searches, o) }
-	defer func() { pace.DebugObserveSearch = nil }()
-
-	evalsOf := func(from int) int64 {
-		var n int64
-		for _, o := range searches[from:] {
-			n += o.Evals
-		}
-		return n
-	}
-
 	live, err := NewLive(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmFrom := len(searches)
 	slot, rep, err := live.Admit(queries[2], abs[2])
 	if err != nil {
 		t.Fatal(err)
@@ -73,20 +59,26 @@ func TestLiveAdmitWarmStart(t *testing.T) {
 	if rep.MemoSeeded < 1 {
 		t.Errorf("no memo entries transplanted (seeded=%d)", rep.MemoSeeded)
 	}
-	warmEvals := evalsOf(warmFrom)
 
-	coldFrom := len(searches)
+	// The cold replan is the same search over the final query set on a fresh
+	// model.
 	cold, err := NewLive(Request{Queries: queries, Constraints: abs, MaxPace: req.MaxPace}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldEvals := evalsOf(coldFrom)
+	coldSearch, err := pace.NewOptimizer(cost.NewModel(cold.Graph), abs, req.MaxPace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coldSearch.Greedy(); err != nil {
+		t.Fatal(err)
+	}
 
 	if rep.Sims >= cold.Model.Sims {
 		t.Errorf("warm admission simulated %d subplans, cold replan %d — memo transplant saved nothing", rep.Sims, cold.Model.Sims)
 	}
-	if warmEvals != coldEvals {
-		t.Errorf("warm admission made %d cost evals, cold replan %d — the memo must not change the search path", warmEvals, coldEvals)
+	if rep.Evals != coldSearch.Evals {
+		t.Errorf("warm admission made %d cost evals, cold replan %d — the memo must not change the search path", rep.Evals, coldSearch.Evals)
 	}
 	if !reflect.DeepEqual(rep.Paces, cold.Paces) {
 		t.Errorf("warm pace vector %v != cold %v — the transplant changed the search outcome", rep.Paces, cold.Paces)

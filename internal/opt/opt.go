@@ -101,9 +101,8 @@ type Request struct {
 	// Calibration optionally corrects the cost model with factors learned
 	// from a previous recurrence (see Job.CalibrateFrom).
 	Calibration cost.Calibration
-	// Workers bounds the pace search's candidate-evaluation pool: 1 is
-	// sequential, <= 0 defaults to GOMAXPROCS. Any setting returns the
-	// same plan.
+	// Deprecated: ignored; the pace search runs on the caller's goroutine.
+	// Removed with ROADMAP item 4(c).
 	Workers int
 	// Trace optionally records the whole optimization: build/search spans,
 	// memo counters and the pace/decomposition decision logs EXPLAIN and
@@ -210,7 +209,6 @@ func planNoShare(req Request, nonuniform bool) (*Planned, error) {
 			if err != nil {
 				return nil, err
 			}
-			o.Workers = req.Workers
 			o.Trace = req.Trace
 			pc, ev, err := o.Greedy()
 			if err != nil {
@@ -392,7 +390,6 @@ func planIShare(a Approach, req Request) (*Planned, error) {
 			Partial:     a == IShare,
 			BruteForce:  a == IShareBruteForce,
 			Calibration: req.Calibration,
-			Workers:     req.Workers,
 			Tracer:      req.Trace,
 		},
 	}
@@ -464,7 +461,7 @@ func (j Job) CalibrateFrom(r *exec.Runner, calib cost.Calibration) error {
 		final[i] = float64(se.FinalWork().Total())
 		out[i] = float64(se.Out.Len())
 	}
-	c, err := cost.CalibrationFromRun(cost.NewModel(j.Graph), j.Paces, work, final, out)
+	c, err := cost.CalibrationFromRun(j.Graph, j.Paces, work, final, out)
 	if err != nil {
 		return err
 	}

@@ -84,9 +84,8 @@ func TestReverseGreedyDeadline(t *testing.T) {
 }
 
 // TestDeadlineMidSearch lets the deadline pass while a step's candidates are
-// being costed (the searches below run for tens of milliseconds): whichever
-// worker notices, and wherever in the step, both searches end with
-// ErrDeadline at any worker count.
+// being costed (the searches below run for tens of milliseconds): wherever in
+// the step it is noticed, both searches end with ErrDeadline.
 func TestDeadlineMidSearch(t *testing.T) {
 	g := tpchGraph(t, "Q1", "Q3", "Q5", "Q7", "Q8", "Q9", "Q10", "Q15", "Q18", "Q21")
 	rel := make([]float64, g.Plan.NumQueries())
@@ -97,17 +96,15 @@ func TestDeadlineMidSearch(t *testing.T) {
 	for i := range start {
 		start[i] = 60
 	}
-	for _, workers := range []int{1, 4} {
-		o := newSearch(t, g, rel, 60, workers)
-		o.Deadline = time.Now().Add(time.Millisecond)
-		if _, _, err := o.Greedy(); err != ErrDeadline {
-			t.Errorf("workers %d: greedy past its deadline returned %v after %d evals, want ErrDeadline", workers, err, o.Evals)
-		}
-		o = newSearch(t, g, rel, 60, workers)
-		o.Deadline = time.Now().Add(time.Millisecond)
-		if _, _, err := o.ReverseGreedy(start); err != ErrDeadline {
-			t.Errorf("workers %d: reverse greedy past its deadline returned %v after %d evals, want ErrDeadline", workers, err, o.Evals)
-		}
+	o := newSearch(t, g, rel, 60)
+	o.Deadline = time.Now().Add(time.Millisecond)
+	if _, _, err := o.Greedy(); err != ErrDeadline {
+		t.Errorf("greedy past its deadline returned %v after %d evals, want ErrDeadline", err, o.Evals)
+	}
+	o = newSearch(t, g, rel, 60)
+	o.Deadline = time.Now().Add(time.Millisecond)
+	if _, _, err := o.ReverseGreedy(start); err != ErrDeadline {
+		t.Errorf("reverse greedy past its deadline returned %v after %d evals, want ErrDeadline", err, o.Evals)
 	}
 }
 

@@ -11,10 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ishare/internal/cost"
@@ -26,24 +23,11 @@ import (
 // no-memoization baseline in Figure 15).
 var ErrDeadline = errors.New("pace: optimization deadline exceeded")
 
-// DebugObserveSearch, when non-nil, is invoked with the fully configured
-// optimizer at the start of every Greedy and ReverseGreedy search. It is a
-// test seam (mirroring exec's Debug* fault hooks) for the regression tests
-// that prove knobs like Workers survive the CLI → ishare.Options →
-// experiments.Config → opt.Request → decompose.Options → pace.Optimizer
-// plumbing chain; production code must never set it.
-var DebugObserveSearch func(*Optimizer)
-
-// Optimizer searches pace configurations against a cost model.
-//
-// Each greedy step's candidate evaluations are mutually independent, so the
-// optimizer fans them out over a bounded worker pool (Workers). Selection is
-// deterministic — ties on incrementability break toward the lowest subplan ID
-// — so every worker count returns the same pace configuration and cost.Eval
-// as the sequential search.
+// Optimizer searches pace configurations against a cost model. A search runs
+// on the caller's goroutine and costs its candidates one after another; ties
+// on incrementability break toward the lowest subplan ID.
 type Optimizer struct {
-	// Model evaluates configurations. Concurrent candidate evaluation
-	// relies on cost.Model's internal synchronization.
+	// Model evaluates configurations.
 	Model *cost.Model
 	// MaxPace is J, the largest allowed pace per subplan.
 	MaxPace int
@@ -52,19 +36,15 @@ type Optimizer struct {
 	Constraints []float64
 	// Deadline, when nonzero, aborts the search with ErrDeadline.
 	Deadline time.Time
-	// Workers bounds the candidate-evaluation pool: 1 evaluates candidates
-	// sequentially on the caller's goroutine (today's exact code path);
-	// <= 0 defaults to GOMAXPROCS.
+	// Deprecated: ignored; the pace search runs on the caller's goroutine.
+	// Removed with ROADMAP item 4(c).
 	Workers int
 	// Trace optionally records the search as one span plus one structured
 	// Decision per greedy step (every candidate considered with its
-	// incrementability, and the accepted action). Decisions are recorded in
-	// the sequential selection section, so traces are identical at any
-	// Workers setting. Nil disables tracing.
+	// incrementability, and the accepted action). Nil disables tracing.
 	Trace *trace.Tracer
 
-	// Steps counts greedy iterations; Evals counts cost evaluations. Both
-	// are updated atomically; read them after the search returns.
+	// Steps counts greedy iterations; Evals counts cost evaluations.
 	Steps, Evals int64
 }
 
@@ -119,60 +99,34 @@ func (o *Optimizer) meets(e cost.Eval) bool {
 }
 
 // eval wraps Model.EvaluateDelta with bookkeeping and deadline enforcement.
-// It is called concurrently by the candidate-evaluation pool.
 func (o *Optimizer) eval(base *cost.Evaluation, p []int, out *cost.Evaluation) error {
 	if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
 		return ErrDeadline
 	}
-	atomic.AddInt64(&o.Evals, 1)
+	o.Evals++
 	return o.Model.EvaluateDelta(base, p, out)
-}
-
-// workerCount resolves the effective pool size for n candidates.
-func (o *Optimizer) workerCount(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 // search is the evaluation state of one search. cur, the incumbent, is the
 // evaluated configuration the search stands at: every candidate is costed
 // relative to it, so only the subplans a move touches and their ancestors are
-// re-costed. The search goroutine owns cur, p and ids and replaces cur only
-// in commit, between steps; while a step's candidates are being costed cur is
-// read-only and each worker writes nothing but its own searchWorker.
+// re-costed. cand and best are two Evaluations a step swaps so that the best
+// candidate costed so far survives while the next one is written; commit
+// makes best the incumbent.
 type search struct {
-	o   *Optimizer
-	cur *cost.Evaluation
-	p   []int // cur's paces, for legality checks that try a move and undo it
-	ids []int // the step's candidate subplans, ascending
+	o               *Optimizer
+	cur, cand, best *cost.Evaluation
+	p               []int // cur's paces; a candidate move is applied to it and undone
+	ids             []int // the step's candidate subplans, ascending
 	// scores holds every candidate's score, parallel to ids; only the
 	// decision trace reads it, so it is nil when tracing is off.
-	scores  []float64
-	workers []searchWorker
-}
-
-// searchWorker is one candidate-evaluation worker's scratch: a pace vector it
-// applies one move at a time to, and two Evaluations it swaps so that the
-// best candidate it has costed survives while the next one is written.
-type searchWorker struct {
-	p          []int
-	cand, best *cost.Evaluation
-	// k and score are best's index into ids (-1: none yet) and its score;
-	// when err is set, k is the index of the candidate that failed.
-	k     int
-	score float64
-	err   error
+	scores []float64
 }
 
 // startSearch evaluates the start configuration in full: the first incumbent.
 func (o *Optimizer) startSearch(start []int, traced bool) (*search, error) {
-	s := &search{o: o, cur: new(cost.Evaluation), p: append([]int(nil), start...)}
+	s := &search{o: o, cur: new(cost.Evaluation), cand: new(cost.Evaluation), best: new(cost.Evaluation),
+		p: append([]int(nil), start...)}
 	if traced {
 		s.scores = make([]float64, len(start))
 	}
@@ -212,85 +166,37 @@ func better(a, b float64, delta int) bool {
 	return a < b
 }
 
-// pick costs every candidate move in s.ids against the incumbent, fanning
-// out over the worker pool, and returns the worker holding the best eligible
-// one (nil when there is none); a single worker runs on the caller's
-// goroutine. Ties break toward the lowest subplan id and an error (in
-// practice only ErrDeadline) is reported for the lowest-indexed failing
-// candidate, so the outcome is independent of the worker count and of which
-// worker costed what.
-func (s *search) pick(delta int, chain bool) (*searchWorker, error) {
-	n := s.o.workerCount(len(s.ids))
-	for len(s.workers) < n {
-		s.workers = append(s.workers, searchWorker{
-			p: make([]int, len(s.p)), cand: new(cost.Evaluation), best: new(cost.Evaluation)})
-	}
-	var next atomic.Int64
-	if n == 1 {
-		s.workers[0].run(s, delta, chain, &next)
-	} else {
-		var wg sync.WaitGroup
-		for i := range s.workers[:n] {
-			wg.Add(1)
-			go func(w *searchWorker) {
-				defer wg.Done()
-				w.run(s, delta, chain, &next)
-			}(&s.workers[i])
-		}
-		wg.Wait()
-	}
-	var win, failed *searchWorker
-	for i := range s.workers[:n] {
-		w := &s.workers[i]
-		switch {
-		case w.err != nil:
-			if failed == nil || w.k < failed.k {
-				failed = w
-			}
-		case w.k < 0:
-		case win == nil || better(w.score, win.score, delta) || (w.score == win.score && w.k < win.k):
-			win = w
-		}
-	}
-	if failed != nil {
-		return nil, failed.err
-	}
-	return win, nil
-}
-
-// run costs the candidates the worker draws from next, keeping the best.
-// Indices are drawn in ascending order, so on equal scores the first kept is
-// the lowest.
-func (w *searchWorker) run(s *search, delta int, chain bool, next *atomic.Int64) {
-	copy(w.p, s.cur.Paces)
-	w.k, w.err = -1, nil
-	for {
-		k := int(next.Add(1)) - 1
-		if k >= len(s.ids) {
-			return
-		}
-		s.move(w.p, s.ids[k], delta, chain)
-		err := s.o.eval(s.cur, w.p, w.cand)
-		s.move(w.p, s.ids[k], -delta, chain)
+// pick costs every candidate move in s.ids against the incumbent, in order,
+// and returns the index into s.ids of the best eligible one (-1 when there is
+// none) and its score; s.best holds its evaluation. A candidate must score
+// strictly better to displace an earlier one, so ties break toward the lowest
+// subplan id. An error (in practice only ErrDeadline) ends the step at the
+// candidate that failed.
+func (s *search) pick(delta int, chain bool) (int, float64, error) {
+	k, best := -1, 0.0
+	for i, id := range s.ids {
+		s.move(s.p, id, delta, chain)
+		err := s.o.eval(s.cur, s.p, s.cand)
+		s.move(s.p, id, -delta, chain)
 		if err != nil {
-			w.k, w.err = k, err
-			return
+			return -1, 0, err
 		}
-		score, ok := s.score(w.cand.Eval, delta)
+		score, ok := s.score(s.cand.Eval, delta)
 		if s.scores != nil {
-			s.scores[k] = score
+			s.scores[i] = score
 		}
-		if ok && (w.k < 0 || better(score, w.score, delta)) {
-			w.k, w.score = k, score
-			w.cand, w.best = w.best, w.cand
+		if ok && (k < 0 || better(score, best, delta)) {
+			k, best = i, score
+			s.cand, s.best = s.best, s.cand
 		}
 	}
+	return k, best, nil
 }
 
-// commit makes the worker's best candidate the incumbent; the old
-// incumbent's buffers become the worker's spare.
-func (s *search) commit(w *searchWorker) {
-	s.cur, w.best = w.best, s.cur
+// commit makes the step's best candidate the incumbent; the old incumbent's
+// buffers become the spare.
+func (s *search) commit() {
+	s.cur, s.best = s.best, s.cur
 	copy(s.p, s.cur.Paces)
 }
 
@@ -357,13 +263,11 @@ func (st *searchTrace) end(o *Optimizer) {
 	if st.t == nil {
 		return
 	}
-	steps := atomic.LoadInt64(&o.Steps)
-	evals := atomic.LoadInt64(&o.Evals)
 	st.region.End(
-		trace.Arg{Key: "steps", Value: steps},
-		trace.Arg{Key: "evals", Value: evals})
-	st.t.Count("pace.steps", steps)
-	st.t.Count("pace.evals", evals)
+		trace.Arg{Key: "steps", Value: o.Steps},
+		trace.Arg{Key: "evals", Value: o.Evals})
+	st.t.Count("pace.steps", o.Steps)
+	st.t.Count("pace.evals", o.Evals)
 }
 
 // decide records one step's Decision; ids and scores, when given, list every
@@ -390,9 +294,8 @@ func (st *searchTrace) decide(action string, chosen int, score float64, accepted
 // Greedy finds a pace configuration starting from batch execution (all
 // paces 1), repeatedly raising the pace of the subplan with the highest
 // incrementability until every constraint is met, every pace reaches
-// MaxPace, or no single increment yields any benefit. The search goroutine
-// (and, by inheritance, its candidate-evaluation workers) carries the pprof
-// label phase=opt, so CPU profiles attribute search samples.
+// MaxPace, or no single increment yields any benefit. The search carries the
+// pprof label phase=opt, so CPU profiles attribute search samples.
 func (o *Optimizer) Greedy() ([]int, cost.Eval, error) {
 	return o.GreedyFrom(Ones(len(o.Model.Graph.Subplans)))
 }
@@ -410,9 +313,6 @@ func (o *Optimizer) GreedyFrom(start []int) (p []int, ev cost.Eval, err error) {
 }
 
 func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
-	if DebugObserveSearch != nil {
-		DebugObserveSearch(o)
-	}
 	st := o.beginSearch(tidGreedy, "pace.greedy")
 	defer st.end(o)
 	s, err := o.startSearch(start, st.t != nil)
@@ -428,7 +328,7 @@ func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
 			st.decide("stop", -1, 0, false, "every pace at MaxPace", nil, nil)
 			return s.p, s.cur.Eval, nil
 		}
-		atomic.AddInt64(&o.Steps, 1)
+		o.Steps++
 		s.ids = s.ids[:0]
 		for i, v := range s.p {
 			// A raise must stay within MaxPace and not out-pace a child.
@@ -436,18 +336,18 @@ func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
 				s.ids = append(s.ids, i)
 			}
 		}
-		w, err := s.pick(+1, false)
+		k, bestInc, err := s.pick(+1, false)
 		if err != nil {
 			return nil, cost.Eval{}, err
 		}
-		best, bestInc := -1, 0.0
-		if w != nil {
-			best, bestInc = s.ids[w.k], w.score
+		best := -1
+		if k >= 0 {
+			best = s.ids[k]
 		}
 		raised := bestInc > 0
 		st.decide("raise", best, bestInc, raised, "", s.ids, s.scores)
 		if raised {
-			s.commit(w)
+			s.commit()
 			continue
 		}
 		// No single increment reduces any query's missed final work.
@@ -456,20 +356,20 @@ func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
 		// try chain increments: a subplan together with its upward
 		// closure of ancestors, which consume the churn eagerly too.
 		s.chainCandidates()
-		w, err = s.pick(+1, true)
+		k, score, err := s.pick(+1, true)
 		if err != nil {
 			return nil, cost.Eval{}, err
 		}
-		if w == nil || w.score <= 0 {
+		if k < 0 || score <= 0 {
 			// The remaining misses are not incrementable at this
 			// granularity.
 			st.decide("stop", -1, 0, false,
 				"remaining misses not incrementable (no raise or chain helps)", nil, nil)
 			return s.p, s.cur.Eval, nil
 		}
-		st.decide("chain", s.ids[w.k], w.score, true,
+		st.decide("chain", s.ids[k], score, true,
 			"raised subplan with its ancestor closure", nil, nil)
-		s.commit(w)
+		s.commit()
 	}
 }
 
@@ -506,9 +406,6 @@ func (o *Optimizer) ReverseGreedy(start []int) (p []int, ev cost.Eval, err error
 }
 
 func (o *Optimizer) reverseGreedy(start []int) ([]int, cost.Eval, error) {
-	if DebugObserveSearch != nil {
-		DebugObserveSearch(o)
-	}
 	st := o.beginSearch(tidReverse, "pace.reverse")
 	defer st.end(o)
 	s, err := o.startSearch(start, st.t != nil)
@@ -516,7 +413,7 @@ func (o *Optimizer) reverseGreedy(start []int) ([]int, cost.Eval, error) {
 		return nil, cost.Eval{}, err
 	}
 	for {
-		atomic.AddInt64(&o.Steps, 1)
+		o.Steps++
 		s.ids = s.ids[:0]
 		for i, v := range s.p {
 			// A lowering must stay above 0 and not let a parent out-pace it.
@@ -525,24 +422,24 @@ func (o *Optimizer) reverseGreedy(start []int) ([]int, cost.Eval, error) {
 			}
 		}
 		// The winner has the least lost benefit per unit of work saved.
-		w, err := s.pick(-1, false)
+		k, bestInc, err := s.pick(-1, false)
 		if err != nil {
 			return nil, cost.Eval{}, err
 		}
-		if w == nil || math.IsInf(w.score, 1) {
+		if k < 0 || math.IsInf(bestInc, 1) {
 			st.decide("stop", -1, 0, false,
 				"no lowering keeps every bounded constraint", nil, nil)
 			return s.p, s.cur.Eval, nil
 		}
-		best, bestInc := s.ids[w.k], w.score
-		if w.best.Total >= s.cur.Total && bestInc > 0 {
+		best := s.ids[k]
+		if s.best.Total >= s.cur.Total && bestInc > 0 {
 			// Laziness must save work unless it is free.
 			st.decide("stop", best, bestInc, false,
 				"cheapest lowering no longer saves work", nil, nil)
 			return s.p, s.cur.Eval, nil
 		}
 		st.decide("lower", best, bestInc, true, "", s.ids, s.scores)
-		s.commit(w)
+		s.commit()
 	}
 }
 

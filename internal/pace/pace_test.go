@@ -2,12 +2,15 @@ package pace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ishare/internal/catalog"
 	"ishare/internal/cost"
 	"ishare/internal/mqo"
 	"ishare/internal/plan"
+	"ishare/internal/tpch"
+	"ishare/internal/trace"
 	"ishare/internal/value"
 )
 
@@ -78,6 +81,137 @@ func relConstraints(t *testing.T, m *cost.Model, rel []float64) []float64 {
 		out[q] = r * batch.QueryFinal[q]
 	}
 	return out
+}
+
+// tpchGraph binds the named TPC-H queries into one shared subplan graph.
+func tpchGraph(t *testing.T, names ...string) *mqo.Graph {
+	t.Helper()
+	cat, err := tpch.NewCatalog(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := tpch.ByName(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := tpch.Bind(qs, cat, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := mqo.Build(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := mqo.Extract(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// newSearch builds a fresh model and optimizer over g so each search starts
+// from a cold memo table.
+func newSearch(t *testing.T, g *mqo.Graph, rel []float64, maxPace int) *Optimizer {
+	t.Helper()
+	m := cost.NewModel(g)
+	o, err := NewOptimizer(m, relConstraints(t, m, rel), maxPace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// mirroredGraph builds two structurally identical single-table queries over
+// two tables with identical statistics, so their subplans tie exactly on
+// incrementability at every greedy step.
+func mirroredGraph(t *testing.T) *mqo.Graph {
+	t.Helper()
+	c := catalog.New()
+	for _, name := range []string{"t1", "t2"} {
+		err := c.Add(&catalog.Table{
+			Name: name,
+			Columns: []catalog.Column{
+				{Name: "k", Type: value.KindInt},
+				{Name: "v", Type: value.KindFloat},
+			},
+			Stats: catalog.TableStats{
+				RowCount: 5000,
+				Columns: map[string]catalog.ColumnStats{
+					"k": {Distinct: 100, Min: value.Int(0), Max: value.Int(99)},
+					"v": {Distinct: 50, Min: value.Int(1), Max: value.Int(50)},
+				},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buildGraph(t, c, map[string]string{
+		"QA": `SELECT SUM(v) AS s FROM t1 GROUP BY k`,
+		"QB": `SELECT SUM(v) AS s FROM t2 GROUP BY k`,
+	}, []string{"QA", "QB"})
+}
+
+// TestGreedyTieBreakDeterminism documents the tie-breaking rule: when two
+// candidate increments have exactly equal incrementability, the lowest
+// subplan ID wins, and repeated cold searches return the same result.
+func TestGreedyTieBreakDeterminism(t *testing.T) {
+	g := mirroredGraph(t)
+	rel := []float64{0.5, 0.5}
+
+	// The mirrored subplans must produce a genuine exact tie on the first
+	// greedy step, otherwise this test exercises nothing.
+	o := newSearch(t, g, rel, 10)
+	base, err := o.Model.Evaluate(Ones(len(g.Subplans)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	incs := make(map[float64][]int)
+	for i := range g.Subplans {
+		p := Ones(len(g.Subplans))
+		if p[i]+1 > o.childMin(i, p) {
+			continue
+		}
+		p[i]++
+		ev, err := o.Model.Evaluate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := o.Incrementability(ev, base)
+		incs[inc] = append(incs[inc], i)
+	}
+	var tied []int
+	for inc, ids := range incs {
+		if inc > 0 && len(ids) >= 2 {
+			tied = ids
+		}
+	}
+	if tied == nil {
+		t.Fatalf("mirrored graph produced no exact incrementability tie: %v", incs)
+	}
+
+	ref := newSearch(t, g, rel, 10)
+	ref.Trace = trace.New()
+	want, wantEval, err := ref.Greedy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := ref.Trace.Decisions("pace.greedy")[0]; first.Action != "raise" || first.Subplan != tied[0] {
+		t.Errorf("first step %s subplan %d, want raise of the lowest tied subplan %d (tied: %v)",
+			first.Action, first.Subplan, tied[0], tied)
+	}
+	for run := 0; run < 4; run++ {
+		got, gotEval, err := newSearch(t, g, rel, 10).Greedy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("run %d: paces differ under ties: %v vs %v", run, want, got)
+		}
+		if !reflect.DeepEqual(wantEval, gotEval) {
+			t.Fatalf("run %d: evals differ under ties", run)
+		}
+	}
 }
 
 func paperGraph(t *testing.T) *mqo.Graph {

@@ -87,14 +87,13 @@ func digest(ds []trace.Decision) string {
 
 // runSearch runs one search on a cold model. With traced set it records the
 // decision trace too (the counts and the result must not depend on it).
-func runSearch(t *testing.T, g *mqo.Graph, abs []float64, search string, rotation, workers int, traced bool) searchRecord {
+func runSearch(t *testing.T, g *mqo.Graph, abs []float64, search string, rotation int, traced bool) searchRecord {
 	t.Helper()
 	m := cost.NewModel(g)
 	o, err := pace.NewOptimizer(m, abs, searchMaxPace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Workers = workers
 	if traced {
 		o.Trace = trace.New()
 	}
@@ -137,8 +136,7 @@ func runSearch(t *testing.T, g *mqo.Graph, abs []float64, search string, rotatio
 // bits of Eval.Total and a digest of the decision trace. The file was
 // recorded before evaluations became incremental; regenerate with `go test
 // ./internal/pace -run TestSearchGolden -update` only for an intended change
-// of the search or the cost model. Four workers must walk the same path
-// (Sims excepted: concurrent misses on one key may both simulate).
+// of the search or the cost model. Tracing must not change the search.
 func TestSearchGolden(t *testing.T) {
 	path := filepath.Join("testdata", "search_golden.json")
 	queries, g := searchQueries(t)
@@ -153,17 +151,12 @@ func TestSearchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, search := range []string{"greedy", "reverse"} {
-			rec := runSearch(t, g, abs, search, rot, 1, true)
+			rec := runSearch(t, g, abs, search, rot, true)
 			got = append(got, rec)
-			plain := runSearch(t, g, abs, search, rot, 1, false)
+			plain := runSearch(t, g, abs, search, rot, false)
 			plain.Decisions, plain.Chains = rec.Decisions, rec.Chains
 			if !reflect.DeepEqual(plain, rec) {
 				t.Errorf("%s rotation %d: tracing changed the search:\n traced %+v\nuntraced %+v", search, rot, rec, plain)
-			}
-			par := runSearch(t, g, abs, search, rot, 4, true)
-			par.Sims = rec.Sims
-			if !reflect.DeepEqual(par, rec) {
-				t.Errorf("%s rotation %d: workers=4 left the sequential path:\n got %+v\nwant %+v", search, rot, par, rec)
 			}
 		}
 	}

@@ -27,10 +27,6 @@ type RecalibratePolicy struct {
 	Constraints []float64
 	// MaxPace bounds the re-search's per-subplan paces.
 	MaxPace int
-	// Workers bounds the optimizer's candidate-evaluation pool; the search
-	// result is worker-count-invariant, so this is purely physical. 0
-	// evaluates sequentially.
-	Workers int
 	// Persistence is K: a subplan must raise a drift alert in K consecutive
 	// windows before recalibration fires (one noisy window must not retune
 	// the model). Defaults to 2.
@@ -160,10 +156,6 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	if err != nil {
 		s.resetRecalTrigger(rp)
 		return nil
-	}
-	opt.Workers = rp.Workers
-	if opt.Workers <= 0 {
-		opt.Workers = 1
 	}
 	newPaces, ev, err := opt.GreedyFrom(pace.Ones(len(s.graph.Subplans)))
 	if err != nil {

@@ -237,9 +237,8 @@ type Options struct {
 	// constraints with absolute final-work limits in work units (the
 	// paper supports both forms, §2.1). Keyed by query name.
 	AbsoluteConstraints map[string]float64
-	// OptWorkers bounds the pace search's candidate-evaluation pool: 1 is
-	// sequential, <= 0 (the default) uses GOMAXPROCS. The resulting plan
-	// is identical at any setting; only optimization wall time changes.
+	// Deprecated: ignored; the pace search runs on the caller's goroutine.
+	// Removed with ROADMAP item 4(c).
 	OptWorkers int
 }
 
@@ -301,7 +300,6 @@ func (e *Engine) request(o Options) (opt.Request, error) {
 		Constraints: abs,
 		MaxPace:     o.MaxPace,
 		Calibration: o.Calibration,
-		Workers:     o.OptWorkers,
 	}, nil
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's merge gate, defined here once; CI only calls it.
-# Build, vet, the full test suite under the race detector (the parallel pace
-# search and the wave-parallel executor must stay data-race-free), the
+# Build, the environment-read and single-owner-optimizer greps, vet, the full
+# test suite under the race detector (the wave-parallel executor, the
+# scheduler's workers and the HTTP servers must stay data-race-free), the
 # benchmark module, the observability smokes, the deterministic benchmark
 # gate, then the soaks and a fuzz smoke through their make targets. Set
 # SKIP_FUZZ=1 to stop before the soaks (CI runs them as separate jobs), and
@@ -25,6 +26,16 @@ go build ./...
 echo "== no environment reads under internal/"
 if grep -rnE 'os\.(Getenv|LookupEnv)' internal --include='*.go' | grep -v '_test\.go:'; then
 	echo "internal/ must not read the environment; pass an option instead" >&2
+	exit 1
+fi
+
+# The optimizer is single-owner: a cost model and a pace search belong to the
+# goroutine that runs them, so its packages start no goroutines and hold no
+# atomics or locks. sync.Pool, which only recycles scratch, is allowed.
+echo "== single-owner optimizer (no go statements, atomics or locks)"
+if grep -rnE '(^|[^[:alnum:]_])go (func|[[:alnum:]_.]+\()|"sync/atomic"|sync\.(RW)?Mutex|sync\.WaitGroup' \
+	internal/cost internal/pace internal/decompose internal/opt --include='*.go' | grep -v '_test\.go:'; then
+	echo "internal/{cost,pace,decompose,opt} must stay single-owner" >&2
 	exit 1
 fi
 
