@@ -36,12 +36,13 @@ bench:
 # -top .bench_build/ishare.test .bench_build/planjob.cpu.pprof` (add
 # -sample_index=alloc_space for the allocation profile; the files are named
 # after the lower-cased PROFILE_BENCH). PlanJob's inclusive top five since
-# evaluations became incremental (PR 16, ≈ 66 ms/job): cost.(*SimPlan).run
-# 46–55 % (stepJoin ≈ 25 %, stepAgg ≈ 10 %; math.Exp ≈ 10 % and log1p ≈ 4 %
-# inside them), runtime.mallocgc ≈ 13 % (memoized outputs, memo keys),
-# decompose.(*Decomposer).Candidates ≈ 11 %, the memo's map probe + insert
-# ≈ 10 %, GC background marking ≈ 7 %; cost.(*Model).EvaluateDelta's own
-# loop is ≈ 8 % self.
+# the memo became pointer-free (PROFILE_TIME=60x, ≈ 55 ms/job, 2 vCPUs):
+# cost.(*SimPlan).run ≈ 38 % (stepJoin ≈ 20 %, stepAgg ≈ 12 %; math.Exp
+# ≈ 15 % and log1p ≈ 3 % inside them), cost.(*Model).EvaluateDelta's own
+# loop ≈ 19 % self (almost half of it re-summing each query's final work), the
+# GC write barrier ≈ 10 %, decompose.(*Decomposer).Candidates ≈ 9 %,
+# runtime.mallocgc ≈ 8 % (memo slab growth, plans compiled by decompose);
+# the memo's map probe + insert is ≈ 8 %.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

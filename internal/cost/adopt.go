@@ -1,74 +1,76 @@
 package cost
 
+import (
+	"slices"
+
+	"ishare/internal/mqo"
+)
+
 // AdoptMemo warm-starts this model's memo tables from a model built for a
 // previous revision of the same plan, using match (new subplan ID → old
-// subplan ID, from mqo.MatchSubplans). A memo key is the subplan's private
-// pace configuration — its own pace followed by all descendant paces in
-// ascending-descendant-ID order — so adopting an entry means permuting its
-// components from the old descendant order into the new one. Only subplans
-// whose entire descendant cone is matched adopt anything (MatchSubplans
-// guarantees that for matched subplans, but the check is cheap and keeps
-// this safe against weaker matchings). Both models must apply the same
-// calibration: call SetCalibration (which clears the memo) before adopting.
-// old must not be m. Evaluations of m made before the call are no longer
-// evaluated relative to (see EvaluateDelta). Returns the number of entries
-// adopted.
+// subplan ID, from mqo.MatchSubplans). A memo key is the subplan's own pace
+// plus its children's entry ids, so adopting an entry means translating
+// those ids from the old children's tables into the new ones': subplans are
+// adopted children-first, each entry keeping its pace and taking its
+// children's translated ids. A subplan adopts only if each of its children
+// is matched to a child of its old counterpart and adopted in turn — so its
+// entire descendant cone is matched (MatchSubplans guarantees that for
+// matched subplans, but the check is cheap and keeps this safe against
+// weaker matchings) — and only if the two serve the same queries. Both
+// models must apply the same calibration: call SetCalibration (which clears
+// the memo) before adopting. old must not be m. Evaluations of m made before
+// the call are no longer evaluated relative to (see EvaluateDelta). Returns
+// the number of entries adopted.
 //
 // This is what makes online admission's pace search warm: the old greedy
 // search memoized every private configuration it simulated, so the new
 // search re-simulates only subplans the admission actually changed.
 func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 	adopted := 0
-	for _, s := range m.Graph.Subplans {
+	// remap[i] translates the entry ids of subplan i's old counterpart into
+	// i's own; nil where i adopted nothing.
+	remap := make([][]int32, len(m.Graph.Subplans))
+	var kids []int32
+	for _, s := range m.Graph.Subplans { // children-first: the children's remaps are ready
 		oldID, ok := match[s.ID]
 		if !ok {
 			continue
 		}
-		descNew := m.descendants[s.ID]
-		descOld := old.descendants[oldID]
-		if len(descNew) != len(descOld) {
+		src, dst := &old.memo[oldID], &m.memo[s.ID]
+		slots, ok := childSlots(s, old.Graph.Subplans[oldID], match, remap)
+		if !ok || src.queries != dst.queries || src.width != dst.width {
 			continue
 		}
-		// perm[i] is the component of the old key that becomes component i
-		// of the new key (component 0 is the subplan's own pace).
-		pos := make(map[int]int, len(descOld))
-		for i, d := range descOld {
-			pos[d] = i + 1
-		}
-		perm := make([]int, len(descNew)+1)
-		usable := true
-		for i, d := range descNew {
-			od, matched := match[d]
-			if !matched {
-				usable = false
-				break
+		ids := make([]int32, len(src.entries))
+		for e := range src.entries {
+			key := src.keys[e*src.arity : (e+1)*src.arity]
+			kids = kids[:0]
+			for i, c := range s.Children {
+				kids = append(kids, remap[c.ID][key[1+slots[i]]])
 			}
-			p, there := pos[od]
-			if !there {
-				usable = false
-				break
-			}
-			perm[i+1] = p
+			ids[e] = dst.adopt(src, int32(e), kids)
 		}
-		if !usable {
-			continue
-		}
-		var parts []int
-		var key []byte
-		dst := m.memo[s.ID]
-		for k, v := range old.memo[oldID] {
-			parts = splitKey(parts[:0], k)
-			if len(parts) != len(perm) {
-				continue
-			}
-			key = key[:0]
-			for _, p := range perm {
-				key = appendKeyPace(key, parts[p])
-			}
-			dst[string(key)] = v
-			adopted++
-		}
+		remap[s.ID] = ids
+		adopted += len(ids)
 	}
 	m.epoch++
 	return adopted
+}
+
+// childSlots returns, per child of s, the position among old's children of
+// the subplan it is matched to; ok is false unless every child is matched to
+// a child of old and has adopted that child's entries.
+func childSlots(s, old *mqo.Subplan, match map[int]int, remap [][]int32) (slots []int, ok bool) {
+	if len(s.Children) != len(old.Children) {
+		return nil, false
+	}
+	slots = make([]int, len(s.Children))
+	for i, c := range s.Children {
+		oc, matched := match[c.ID]
+		slots[i] = slices.IndexFunc(old.Children, func(o *mqo.Subplan) bool { return o.ID == oc })
+		if !matched || slots[i] < 0 || remap[c.ID] == nil {
+			return nil, false
+		}
+	}
+	return slots, true
 }

@@ -30,42 +30,37 @@ type Calibration map[string]Factor
 // before the call are no longer evaluated relative to.
 func (m *Model) SetCalibration(c Calibration) {
 	m.calib = c
-	for i := range m.memo {
-		m.memo[i] = make(map[string]memoEntry)
-	}
-	m.epoch++
+	m.resetMemo()
 }
 
 // Calibration returns the installed factors (nil when uncalibrated).
 func (m *Model) Calibration() Calibration { return m.calib }
 
-// applyCalibration scales a simulation result by the subplan's factors.
-func (m *Model) applyCalibration(s *mqo.Subplan, res SimResult) SimResult {
+// applyCalibration scales entry id of subplan s's memo table, a fresh
+// simulation result, by the subplan's factors.
+func (m *Model) applyCalibration(s *mqo.Subplan, t *memoTable, id int32) {
 	if m.calib == nil {
-		return res
+		return
 	}
 	f, ok := m.calib[s.Root.BaseSignature()]
 	if !ok {
-		return res
+		return
 	}
+	e := &t.entries[id]
 	if f.Work > 0 {
-		res.PrivateTotal *= f.Work
+		e.pT *= f.Work
 	}
 	if f.Final > 0 {
-		res.PrivateFinal *= f.Final
+		e.pF *= f.Final
 	}
 	if f.Out > 0 {
-		out := res.Out
-		out.Gross *= f.Out
-		out.Net *= f.Out
-		scaled := make([]float64, len(out.PerQuery))
-		for i, v := range out.PerQuery {
-			scaled[i] = v * f.Out
+		e.gross *= f.Out
+		e.net *= f.Out
+		perQuery := t.view(id).PerQuery
+		for i := range perQuery {
+			perQuery[i] *= f.Out
 		}
-		out.PerQuery = scaled
-		res.Out = out
 	}
-	return res
 }
 
 // CalibrationFromRun derives correction factors by comparing the graph's
@@ -80,8 +75,9 @@ func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, 
 	}
 	// Estimate on an uncalibrated model so repeated calibrations do not
 	// compound.
+	m := NewModel(g)
 	var ev Evaluation
-	if err := NewModel(g).EvaluateDelta(nil, paces, &ev); err != nil {
+	if err := m.EvaluateDelta(nil, paces, &ev); err != nil {
 		return nil, err
 	}
 	const maxFactor = 8.0
@@ -101,7 +97,7 @@ func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, 
 				f.Final = 1
 			}
 		}
-		if est := ev.outs[s.ID].Gross; est > 0 && measuredOut[s.ID] > 0 {
+		if est := m.memo[s.ID].entries[ev.ids[s.ID]].gross; est > 0 && measuredOut[s.ID] > 0 {
 			f.Out = clampFactor(measuredOut[s.ID]/est, maxFactor)
 		}
 		if f.Work > 0 || f.Out > 0 || f.Final > 0 {

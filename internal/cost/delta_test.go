@@ -110,7 +110,8 @@ func walkDeltas(t *testing.T, what string, m *cost.Model, newModel func() *cost.
 // output profile, the from-scratch evaluation of a fresh model — over random
 // shared graphs and the 22-query graph, for single-pace, chain and
 // multi-pace changes, after SetCalibration, after AdoptMemo, and with the
-// memo off (where every evaluation must simulate every subplan).
+// memo off (where every evaluation must simulate every subplan and the
+// tables hold no more than one evaluation's entries).
 func TestDeltaEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	graphs := []*mqo.Graph{tpchGraph(t)}
@@ -157,6 +158,11 @@ func TestDeltaEqualsFull(t *testing.T) {
 		if want := int64(steps+1) * int64(len(g.Subplans)); noMemo.Sims != want || noMemo.Lookups != 0 {
 			t.Errorf("memo off: %d sims, %d lookups over %d evaluations of %d subplans, want %d sims",
 				noMemo.Sims, noMemo.Lookups, steps+1, len(g.Subplans), want)
+		}
+		// Without a memo nothing outlives an evaluation.
+		if n := noMemo.MemoEntries(); n != len(g.Subplans) {
+			t.Errorf("memo off: %d entries held after %d evaluations, want one evaluation's %d",
+				n, steps+1, len(g.Subplans))
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestValueClassesSplitStreams(t *testing.T) {
 }
 
 func TestProfileGrossFor(t *testing.T) {
-	p := Profile{Gross: 100, Queries: mqo.Bit(0).With(3), PerQuery: []float64{25, 40}}
+	p := Profile{Gross: 100, Queries: mqo.Bit(0).With(3), PerQuery: []float64{25, 40}}.stream(nil)
 	if got := p.grossFor(0); got != 25 {
 		t.Errorf("grossFor(0) = %v", got)
 	}

@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -35,19 +34,23 @@ type Model struct {
 	// optimization overhead.
 	Sims, Lookups, Hits int64
 
-	memo []map[string]memoEntry
+	// memo[i] is subplan i's memo table. With UseMemo off it holds the
+	// entries of the last evaluation only, unindexed.
+	memo []memoTable
 	// epoch advances whenever the memo tables stop describing what earlier
-	// evaluations saw (SetCalibration, AdoptMemo): an Evaluation stamped
-	// with an older epoch is not evaluated relative to.
+	// evaluations saw (SetCalibration, AdoptMemo, every evaluation with
+	// UseMemo off): an Evaluation stamped with an older epoch is not
+	// evaluated relative to.
 	epoch uint64
-	// descendants[i] and ancestors[i] are subplan i's transitive children
-	// and parents, ascending.
-	descendants, ancestors [][]int
+	// ancestors[i] is subplan i's transitive parents, ascending.
+	ancestors [][]int
 	// plans[i] is subplan i compiled for simulation and sources[i] where
 	// each of its external inputs comes from, parallel to plans[i].ext.
 	plans   []*SimPlan
 	sources [][]inputSource
 	calib   Calibration
+	// kids is scratch for the child entry ids of the subplan being re-costed.
+	kids []int32
 }
 
 // inputSource is where one external input of a subplan comes from: the
@@ -55,19 +58,7 @@ type Model struct {
 // profile, derived from the catalog statistics when the model is built.
 type inputSource struct {
 	sub   int
-	table Profile
-}
-
-func (src inputSource) profile(outputs []Profile) Profile {
-	if src.sub < 0 {
-		return src.table
-	}
-	return outputs[src.sub]
-}
-
-type memoEntry struct {
-	pT, pF float64
-	out    Profile
+	table stream
 }
 
 // Eval is the estimated cost of one pace configuration.
@@ -83,18 +74,17 @@ type Eval struct {
 
 // Evaluation is an evaluated pace configuration that a neighbouring
 // configuration can be costed relative to: the Eval, the paces it belongs to
-// and every subplan's output profile. The zero value is ready to be
-// evaluated into; EvaluateDelta reuses its buffers, so the Eval's slices are
-// valid until the Evaluation is next evaluated into.
+// and every subplan's memo entry. The zero value is ready to be evaluated
+// into; EvaluateDelta reuses its buffers, so the Eval's slices are valid
+// until the Evaluation is next evaluated into.
 type Evaluation struct {
 	Eval
 	// Paces is the configuration evaluated; read-only.
 	Paces []int
 
 	vec   []float64 // backs SubTotal, SubFinal and QueryFinal
-	outs  []Profile // each subplan's output profile
+	ids   []int32   // each subplan's memo entry: its work and output
 	dirty []bool    // the subplans the evaluation re-costed
-	key   []byte    // memo key scratch
 	model *Model
 	epoch uint64
 }
@@ -104,30 +94,27 @@ func NewModel(g *mqo.Graph) *Model {
 	m := &Model{
 		Graph:   g,
 		UseMemo: true,
-		memo:    make([]map[string]memoEntry, len(g.Subplans)),
+		memo:    make([]memoTable, len(g.Subplans)),
 		plans:   make([]*SimPlan, len(g.Subplans)),
 		sources: make([][]inputSource, len(g.Subplans)),
 	}
 	for i, s := range g.Subplans {
-		m.memo[i] = make(map[string]memoEntry)
 		p := CompileSubplan(s)
 		m.plans[i] = p
+		m.memo[i] = newMemoTable(s, p)
 		m.sources[i] = make([]inputSource, len(p.ext))
 		for j, e := range p.ext {
 			if e.op.Kind == mqo.KindScan {
-				m.sources[i][j] = inputSource{sub: -1, table: TableProfile(e.op.Table, e.op.Queries)}
+				t := TableProfile(e.op.Table, e.op.Queries)
+				m.sources[i][j] = inputSource{sub: -1, table: t.stream(make([]float64, len(e.shape)))}
 			} else {
 				m.sources[i][j] = inputSource{sub: g.SubplanOf(e.op.Children[e.child]).ID}
 			}
 		}
 	}
-	// Subplans are ordered children-first, so a forward pass has every
-	// child's closure ready and a backward pass every parent's.
+	// Subplans are ordered children-first, so a backward pass has every
+	// parent's closure ready.
 	n := len(g.Subplans)
-	m.descendants = make([][]int, n)
-	for _, s := range g.Subplans {
-		m.descendants[s.ID] = closure(s.Children, m.descendants)
-	}
 	m.ancestors = make([][]int, n)
 	for i := n - 1; i >= 0; i-- {
 		m.ancestors[i] = closure(g.Subplans[i].Parents, m.ancestors)
@@ -167,8 +154,7 @@ func (m *Model) Evaluate(paces []int) (Eval, error) {
 	if err := m.EvaluateDelta(nil, paces, e); err != nil {
 		return Eval{}, err
 	}
-	clear(e.outs) // a pooled Evaluation must not pin the memo entries it held
-	e.model = nil
+	e.model = nil // a pooled Evaluation must not pin the model
 	n := len(m.Graph.Subplans)
 	vec := append([]float64(nil), e.vec...)
 	return Eval{Total: e.Total, SubTotal: vec[:n:n], SubFinal: vec[n : 2*n : 2*n], QueryFinal: vec[2*n:]}, nil
@@ -178,16 +164,29 @@ func (m *Model) Evaluate(paces []int) (Eval, error) {
 // pace configuration, indexed by subplan id.
 func (m *Model) OutputProfiles(paces []int) ([]Profile, error) {
 	var e Evaluation
-	err := m.EvaluateDelta(nil, paces, &e)
-	return e.outs, err
+	if err := m.EvaluateDelta(nil, paces, &e); err != nil {
+		return nil, err
+	}
+	return m.outputs(&e), nil
+}
+
+// outputs materializes every subplan's output profile under e, the model's
+// latest evaluation or one it could still evaluate relative to.
+func (m *Model) outputs(e *Evaluation) []Profile {
+	outs := make([]Profile, len(e.ids))
+	for i, id := range e.ids {
+		v := m.memo[i].view(id)
+		outs[i] = v.profile(m.plans[i].outShape())
+	}
+	return outs
 }
 
 // SubplanInputs returns each member operator's external input profiles for
 // one subplan under the pace configuration: one profile for a scan, one slot
 // per child otherwise, slots of children inside the subplan left zero.
 func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profile, error) {
-	outs, err := m.OutputProfiles(paces)
-	if err != nil {
+	var ev Evaluation
+	if err := m.EvaluateDelta(nil, paces, &ev); err != nil {
 		return nil, err
 	}
 	in := make(map[*mqo.Op][]Profile, len(s.Ops))
@@ -195,7 +194,8 @@ func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profil
 		in[o] = make([]Profile, max(1, len(o.Children)))
 	}
 	for j, e := range m.plans[s.ID].ext {
-		in[e.op][e.child] = m.sources[s.ID][j].profile(outs)
+		v := m.input(s.ID, j, ev.ids)
+		in[e.op][e.child] = v.profile(e.shape)
 	}
 	return in, nil
 }
@@ -204,25 +204,51 @@ func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profil
 // every member operator's accumulated output profile — the input
 // cardinalities used by decomposition's subtree-local optimization.
 func (m *Model) OpOutputs(s *mqo.Subplan, paces []int) (map[*mqo.Op]Profile, error) {
-	outs, err := m.OutputProfiles(paces)
-	if err != nil {
+	var ev Evaluation
+	if err := m.EvaluateDelta(nil, paces, &ev); err != nil {
 		return nil, err
 	}
 	m.Sims++
 	m.Trace.Count("cost.sims", 1)
-	_, ops := m.simulate(s, paces[s.ID], outs, true)
+	a := m.wire(s.ID, ev.ids)
+	defer arenas.Put(a)
+	_, ops := m.plans[s.ID].run(a, paces[s.ID], true)
 	return ops, nil
 }
 
-// simulate runs subplan s's compiled plan at one pace, its external inputs
-// wired from the table profiles and the child outputs computed so far.
-func (m *Model) simulate(s *mqo.Subplan, pace int, outputs []Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
-	p := m.plans[s.ID]
-	a := p.arena()
-	for j, src := range m.sources[s.ID] {
-		a.inputs[j] = src.profile(outputs)
+// input returns external input j of subplan id: a table's arrival profile,
+// or the output of the child's entry in ids.
+func (m *Model) input(id, j int, ids []int32) stream {
+	src := m.sources[id][j]
+	if src.sub < 0 {
+		return src.table
 	}
-	return p.run(a, pace, collect)
+	return m.memo[src.sub].view(ids[src.sub])
+}
+
+// wire takes an arena for subplan id's plan with its inputs set to the
+// table profiles and the outputs of the children's entries in ids.
+func (m *Model) wire(id int, ids []int32) *simArena {
+	a := m.plans[id].arena()
+	for j := range a.inputs {
+		a.inputs[j] = m.input(id, j, ids)
+	}
+	return a
+}
+
+// simulate runs subplan s at pace over the children's entries in ids — kids
+// lists them in Subplan.Children order — and appends the calibrated result
+// to s's memo table, returning the new entry's id.
+func (m *Model) simulate(s *mqo.Subplan, pace int, kids, ids []int32) int32 {
+	a := m.wire(s.ID, ids)
+	res, _ := m.plans[s.ID].run(a, pace, false)
+	out := &a.result
+	t := &m.memo[s.ID]
+	id := t.add(pace, kids, memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal,
+		gross: out.Gross, net: out.Net, deleteShare: out.DeleteShare}, out.PerQuery, out.Distinct)
+	arenas.Put(a)
+	m.applyCalibration(s, t, id)
+	return id
 }
 
 // EvaluateDelta evaluates the configuration into out relative to base, an
@@ -244,9 +270,14 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 	if base != nil && !(m.UseMemo && base.model == m && base.epoch == m.epoch) {
 		base = nil
 	}
+	if !m.UseMemo {
+		// Without a memo nothing outlives an evaluation, so the tables hold
+		// one evaluation's entries at a time.
+		m.resetMemo()
+	}
 	out.model, out.epoch = m, m.epoch
 	out.Paces = append(out.Paces[:0], paces...)
-	out.outs = resize(out.outs, n)
+	out.ids = resize(out.ids, n)
 	out.dirty = resize(out.dirty, n)
 	// The three vectors share one backing array; capacities are clipped so
 	// a caller's append cannot run one into the next.
@@ -255,7 +286,7 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 	clear(out.QueryFinal)
 	if base != nil {
 		copy(out.vec[:2*n], base.vec)
-		copy(out.outs, base.outs)
+		copy(out.ids, base.ids)
 	}
 	// Counters accumulate locally and publish once per evaluation, to the
 	// model and to the tracer alike.
@@ -268,25 +299,30 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 		}
 		out.dirty[id] = dirty
 		if dirty {
-			var e memoEntry
-			hit := false
+			kids := m.kids[:0]
+			for _, c := range s.Children {
+				kids = append(kids, out.ids[c.ID])
+			}
+			m.kids = kids
+			t := &m.memo[id]
+			var k memoKey
+			e, hit := int32(0), false
 			if m.UseMemo {
-				out.key = m.appendPrivateKey(out.key[:0], id, paces)
+				k = t.key(paces[id], kids)
 				lookups++
-				e, hit = m.memo[id][string(out.key)]
+				e, hit = t.index[k]
 			}
 			if hit {
 				hits++
 			} else {
 				sims++
-				res, _ := m.simulate(s, paces[id], out.outs, false)
-				res = m.applyCalibration(s, res)
-				e = memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal, out: res.Out}
+				e = m.simulate(s, paces[id], kids, out.ids)
 				if m.UseMemo {
-					m.memo[id][string(out.key)] = e
+					t.index[k] = e
 				}
 			}
-			out.outs[id], out.SubTotal[id], out.SubFinal[id] = e.out, e.pT, e.pF
+			out.ids[id] = e
+			out.SubTotal[id], out.SubFinal[id] = t.entries[e].pT, t.entries[e].pF
 		}
 		out.Total += out.SubTotal[id]
 		final := out.SubFinal[id]
@@ -306,31 +342,13 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 	return nil
 }
 
-// appendPrivateKey renders subplan id's private pace configuration — its own
-// pace, then its descendants' in ascending id order — into buf. Callers look
-// the key up as string(buf), which the compiler recognizes as an
-// allocation-free map access; the string is materialized only on store.
-func (m *Model) appendPrivateKey(buf []byte, id int, paces []int) []byte {
-	buf = appendKeyPace(buf, paces[id])
-	for _, d := range m.descendants[id] {
-		buf = appendKeyPace(buf, paces[d])
+// resetMemo empties every memo table and retires the Evaluations that named
+// their entries.
+func (m *Model) resetMemo() {
+	for i := range m.memo {
+		m.memo[i].reset()
 	}
-	return buf
-}
-
-// appendKeyPace and splitKey own the memo key format: one uvarint per pace.
-func appendKeyPace(buf []byte, pace int) []byte {
-	return binary.AppendUvarint(buf, uint64(pace))
-}
-
-// splitKey decodes a memo key into its paces, appended to dst.
-func splitKey(dst []int, key string) []int {
-	for b := []byte(key); len(b) > 0; {
-		v, w := binary.Uvarint(b)
-		dst = append(dst, int(v))
-		b = b[w:]
-	}
-	return dst
+	m.epoch++
 }
 
 // BatchFinalWork estimates each query's final work when executed separately

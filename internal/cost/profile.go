@@ -14,6 +14,7 @@ import (
 	"ishare/internal/catalog"
 	"ishare/internal/expr"
 	"ishare/internal/mqo"
+	"ishare/internal/value"
 )
 
 // Profile describes the tuple stream entering or leaving a subplan over one
@@ -40,15 +41,6 @@ type Profile struct {
 	Cols []catalog.ColumnStats
 }
 
-// grossFor returns the gross tuples valid for query q. A query the profile
-// has no entry for sees the whole stream.
-func (p Profile) grossFor(q int) float64 {
-	if p.Queries.Has(q) {
-		return p.PerQuery[p.Queries.Intersect(mqo.Bit(q)-1).Count()]
-	}
-	return p.Gross
-}
-
 // TableProfile derives the arrival profile of a base table from catalog
 // statistics: RowCount insert tuples valid for every query.
 func TableProfile(t *catalog.Table, queries mqo.Bitset) Profile {
@@ -72,18 +64,73 @@ func TableProfile(t *catalog.Table, queries mqo.Bitset) Profile {
 	return p
 }
 
-// colStats adapts a profile's column statistics to the expr.StatsProvider
-// interface. The methods are on the pointer so that a long-lived value (the
-// simulation arena's) converts to the interface without allocating.
+// stream is a tuple stream inside the simulator: a Profile whose column
+// statistics are reduced to their Distinct, the only part that changes with
+// pace. Min and Max follow from the catalog and the operator tree alone, so
+// a compiled plan holds them once, as column shapes.
+type stream struct {
+	Gross, Net, DeleteShare float64
+	Queries                 mqo.Bitset
+	PerQuery, Distinct      []float64
+}
+
+// grossFor returns the gross tuples valid for query q. A query the stream
+// has no entry for sees the whole stream.
+func (s *stream) grossFor(q int) float64 {
+	if s.Queries.Has(q) {
+		return s.PerQuery[s.Queries.Intersect(mqo.Bit(q)-1).Count()]
+	}
+	return s.Gross
+}
+
+// stream views the profile as a simulator input whose column Distincts are
+// copied into distinct, which has the input's width: a column the profile
+// has no statistics for reads 0. PerQuery is aliased, not copied.
+func (p Profile) stream(distinct []float64) stream {
+	for i := range distinct {
+		distinct[i] = 0
+		if i < len(p.Cols) {
+			distinct[i] = p.Cols[i].Distinct
+		}
+	}
+	return stream{Gross: p.Gross, Net: p.Net, DeleteShare: p.DeleteShare, Queries: p.Queries,
+		PerQuery: p.PerQuery, Distinct: distinct}
+}
+
+// profile materializes the stream as a Profile with full column statistics
+// that owns its slices.
+func (s *stream) profile(shape []colShape) Profile {
+	return Profile{Gross: s.Gross, Net: s.Net, DeleteShare: s.DeleteShare, Queries: s.Queries,
+		PerQuery: append([]float64(nil), s.PerQuery...), Cols: columnStats(shape, s.Distinct)}
+}
+
+// colShape is the part of a column's statistics that pace cannot change: its
+// value range.
+type colShape struct{ Min, Max value.Value }
+
+// columnStats joins column shapes with their Distincts.
+func columnStats(shape []colShape, distinct []float64) []catalog.ColumnStats {
+	cols := make([]catalog.ColumnStats, len(shape))
+	for i, c := range shape {
+		cols[i] = catalog.ColumnStats{Distinct: distinct[i], Min: c.Min, Max: c.Max}
+	}
+	return cols
+}
+
+// colStats adapts a stream's columns to the expr.StatsProvider interface:
+// Min and Max from their shape, Distinct from the stream. The methods are on
+// the pointer so that a long-lived value (the simulation arena's) converts
+// to the interface without allocating.
 type colStats struct {
-	cols []catalog.ColumnStats
+	shape    []colShape
+	distinct []float64
 }
 
 func (c *colStats) ColumnStats(i int) (catalog.ColumnStats, bool) {
-	if i < 0 || i >= len(c.cols) {
+	if i < 0 || i >= len(c.distinct) {
 		return catalog.ColumnStats{}, false
 	}
-	s := c.cols[i]
+	s := catalog.ColumnStats{Distinct: c.distinct[i], Min: c.shape[i].Min, Max: c.shape[i].Max}
 	if s.Distinct <= 0 {
 		return s, false
 	}
@@ -91,12 +138,12 @@ func (c *colStats) ColumnStats(i int) (catalog.ColumnStats, bool) {
 }
 
 // distinctOf estimates the number of distinct values of an expression over a
-// stream with the given column statistics. Non-column expressions fall back
+// stream with the given column Distincts. Non-column expressions fall back
 // to a third of the stream size. dm is the caller's domain for this
 // expression, kept across the steps of a simulation.
-func distinctOf(e expr.Expr, cols []catalog.ColumnStats, n float64, dm *domain) float64 {
-	if c, ok := e.(*expr.Column); ok && c.Index < len(cols) {
-		if d := cols[c.Index].Distinct; d > 0 {
+func distinctOf(e expr.Expr, distinct []float64, n float64, dm *domain) float64 {
+	if c, ok := e.(*expr.Column); ok && c.Index < len(distinct) {
+		if d := distinct[c.Index]; d > 0 {
 			return dm.drawn(d, n)
 		}
 	}

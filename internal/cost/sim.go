@@ -1,14 +1,13 @@
 package cost
 
 import (
+	"slices"
 	"sync"
 
-	"ishare/internal/catalog"
 	"ishare/internal/exec"
 	"ishare/internal/expr"
 	"ishare/internal/mqo"
 	"ishare/internal/plan"
-	"ishare/internal/value"
 )
 
 // maxDeleteHitFraction is the modeled probability weight that a deletion
@@ -17,39 +16,22 @@ import (
 // under a uniform model would underestimate the engine.
 const maxDeleteHitFraction = 0.5
 
-// SimResult is the outcome of simulating one subplan under one pace.
+// SimResult is the work of simulating one subplan under one pace.
 type SimResult struct {
 	// PrivateTotal is the estimated work of all incremental executions.
 	PrivateTotal float64
 	// PrivateFinal is the estimated work of the final execution.
 	PrivateFinal float64
-	// Out is the subplan's estimated output stream over the window.
-	Out Profile
-}
-
-// SimulateSubplan runs the analytic simulation of one subplan: pace
-// executions, each consuming 1/pace of every input profile (the paper's
-// memoization-friendly redefinition of pace over the subplan's own input).
-// It compiles the subplan on every call; callers simulating one subplan at
-// several paces compile it once with CompileSubplan.
-func SimulateSubplan(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile) SimResult {
-	return CompileSubplan(s).Simulate(pace, inputs)
-}
-
-// SimulateSubplanOps additionally returns each member operator's
-// accumulated output profile when collect is true — the input cardinalities
-// decomposition needs for subtree-local optimization (paper Figure 7).
-func SimulateSubplanOps(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
-	return CompileSubplan(s).simulate(pace, inputs, collect)
 }
 
 // SimPlan is one subplan compiled for simulation: everything that is fixed
 // per subplan — the children-first operator order, where each operator's
 // inputs come from, the dense slot of every query, the distinct-predicate
-// classes, which operators see the same chunk at every step — is resolved
-// once, so a simulation is a flat loop over preallocated buffers. A SimPlan
-// is immutable and safe for concurrent use; the buffers a simulation writes
-// live in a pooled arena it holds for its duration.
+// classes, which operators see the same chunk at every step, every column's
+// value range — is resolved once, so a simulation is a flat loop over
+// preallocated buffers. A SimPlan is immutable and safe for concurrent use;
+// the buffers a simulation writes live in a pooled arena it holds for its
+// duration.
 type SimPlan struct {
 	// queries maps slot to query id, ascending: every per-query vector of a
 	// simulation is indexed by slot. All member operators of a subplan share
@@ -60,19 +42,21 @@ type SimPlan struct {
 	// operators in (children before parents, left before right, root last);
 	// per-step work is summed in this order.
 	ops []simOp
-	// ext lists the profiles the plan reads from outside the subplan.
+	// ext lists the streams the plan reads from outside the subplan.
 	ext []extInput
 	// startup is the per-execution fixed cost, as in the engine.
 	startup float64
 	// stateFloats counts the floats of per-query operator state, domains the
-	// join-key domains.
-	stateFloats, domains int
+	// join-key domains, distincts the output columns of all operators.
+	stateFloats, domains, distincts int
 }
 
 // extInput names one external input: inputs[op][child] in the map form.
 type extInput struct {
 	op    *mqo.Op
 	child int
+	// shape is the input's columns.
+	shape []colShape
 }
 
 // simOp is one compiled operator.
@@ -85,8 +69,8 @@ type simOp struct {
 	// stateless and sees the identical chunk at every step, so it is
 	// simulated once per simulation and its output and work reused.
 	invariant bool
-	// colsVary reports that the output column statistics change between
-	// steps (only ever in Distinct), so a join above must refresh its copy.
+	// colsVary reports that the output column Distincts change between
+	// steps, so a join above must refresh its copy.
 	colsVary bool
 	// preds lists the slots carrying a marker predicate, ascending.
 	preds []simPred
@@ -101,6 +85,8 @@ type simOp struct {
 	// domain is the offset of a join's key domains in the arena's: one per
 	// left key, then one per right key.
 	domain int
+	// shape is the output's columns.
+	shape []colShape
 }
 
 // simPred is one query's marker predicate on an operator's output.
@@ -128,19 +114,25 @@ type opState struct {
 
 // simArena holds every buffer one simulation writes. An arena belongs to one
 // simulation at a time — taken from the pool and laid out for its plan by
-// SimPlan.arena, returned by run — so concurrent simulations never share
-// one, and nothing in it is referenced after run returns: what escapes is
-// cloned.
+// SimPlan.arena, returned by whoever took it once the result is read — so
+// concurrent simulations never share one.
 type simArena struct {
-	inputs  []Profile // external inputs, set by the caller, parallel to ext
-	chunks  []Profile // one step's share of each input
-	outs    []Profile // each operator's output in the current step
-	state   []opState
-	rootAcc []float64             // the root's per-query output, summed over steps
-	floats  []float64             // backs the per-query state and every PerQuery above
-	domains []domain              // the joins' key domains
-	cols    []catalog.ColumnStats // backs the operators' own Cols, handed out in the first step
+	inputs []stream // external inputs, set by the caller, parallel to ext
+	chunks []stream // one step's share of each input
+	outs   []stream // each operator's output in the current step
+	state  []opState
+	// rootAcc is the root's per-query output, summed over steps.
+	rootAcc []float64
+	// floats backs the per-query state, every PerQuery above and the
+	// operators' own Distincts.
+	floats  []float64
+	domains []domain // the joins' key domains
 	stats   colStats
+	// result is the root's output over the whole window, set by run; its
+	// slices are the arena's (or an input's).
+	result stream
+	// inDistinct backs the Distincts of inputs given as Profiles.
+	inDistinct []float64
 }
 
 var arenas = sync.Pool{New: func() any { return new(simArena) }}
@@ -166,14 +158,20 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 		member[o] = true
 	}
 	n := len(p.queries)
+	shapes := make(map[*mqo.Op][]colShape)
 	external := func(o *mqo.Op, child int) int {
-		p.ext = append(p.ext, extInput{op: o, child: child})
+		src := o // a scan reads its table, whose columns it passes on
+		if o.Kind != mqo.KindScan {
+			src = o.Children[child]
+		}
+		p.ext = append(p.ext, extInput{op: o, child: child, shape: shapeOf(src, shapes)})
 		return ^(len(p.ext) - 1)
 	}
 	classes := make(map[string]bool)
 	var visit func(o *mqo.Op) int
 	visit = func(o *mqo.Op) int {
-		c := simOp{op: o}
+		c := simOp{op: o, shape: shapeOf(o, shapes)}
+		p.distincts += len(c.shape)
 		steady, childColsVary := true, false
 		if o.Kind == mqo.KindScan {
 			c.in[0] = external(o, 0)
@@ -227,6 +225,46 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 	return p
 }
 
+// shapeOf returns the value ranges of o's output columns. Only a column's
+// Distinct depends on pace: its range is its source column's, copied through
+// from a base table, or none (Null) for a computed column. So shapes follow
+// from the catalog and the operator tree alone, across subplan boundaries
+// down to the scans. done memoizes the operators shaped so far.
+func shapeOf(o *mqo.Op, done map[*mqo.Op][]colShape) []colShape {
+	if sh, ok := done[o]; ok {
+		return sh
+	}
+	var sh []colShape
+	switch o.Kind {
+	case mqo.KindScan:
+		sh = make([]colShape, len(o.Table.Columns))
+		for i, c := range o.Table.Columns {
+			st := o.Table.Stats.Columns[c.Name]
+			sh[i] = colShape{Min: st.Min, Max: st.Max}
+		}
+	case mqo.KindProject:
+		sh = passThrough(columnSources(o.Exprs), 0, shapeOf(o.Children[0], done))
+	case mqo.KindJoin:
+		sh = append(slices.Clone(shapeOf(o.Children[0], done)), shapeOf(o.Children[1], done)...)
+	case mqo.KindAggregate:
+		sh = passThrough(columnSources(o.GroupBy), len(o.Aggs), shapeOf(o.Children[0], done))
+	}
+	done[o] = sh
+	return sh
+}
+
+// passThrough shapes the columns srcs select from an input shaped in,
+// followed by computed columns.
+func passThrough(srcs []int, computed int, in []colShape) []colShape {
+	sh := make([]colShape, len(srcs)+computed)
+	for j, src := range srcs {
+		if passesThrough(src, len(in)) {
+			sh[j] = in[src]
+		}
+	}
+	return sh
+}
+
 // columnSources resolves each expression to the input column it passes
 // through, or -1.
 func columnSources(exprs []plan.NamedExpr) []int {
@@ -240,24 +278,27 @@ func columnSources(exprs []plan.NamedExpr) []int {
 	return out
 }
 
-// passesThrough reports whether a compiled column source names an input
-// column; anything else is a computed expression.
-func passesThrough(src int, in []catalog.ColumnStats) bool {
-	return src >= 0 && src < len(in)
+// passesThrough reports whether a compiled column source names one of an
+// input's width columns; anything else is a computed expression.
+func passesThrough(src, width int) bool {
+	return src >= 0 && src < width
 }
 
-// copyThrough copies the whole statistics of every passed-through column.
-func copyThrough(out []catalog.ColumnStats, srcs []int, in []catalog.ColumnStats) {
-	for j, src := range srcs {
-		if passesThrough(src, in) {
-			out[j] = in[src]
-		}
+// outShape is the columns of the plan's output, its root's.
+func (p *SimPlan) outShape() []colShape { return p.ops[len(p.ops)-1].shape }
+
+// inShape is the columns of the input ref locates (see simOp.in).
+func (p *SimPlan) inShape(ref int) []colShape {
+	if ref >= 0 {
+		return p.ops[ref].shape
 	}
+	return p.ext[^ref].shape
 }
 
 // arena takes an arena from the pool and lays it out for this plan: state
 // zeroed, one per-query vector per operator output, per input chunk and for
-// the root accumulator. The caller sets a.inputs and hands the arena to run.
+// the root accumulator, one zeroed Distinct vector per operator output. The
+// caller sets a.inputs, hands the arena to run and puts it back in the pool.
 func (p *SimPlan) arena() *simArena {
 	a := arenas.Get().(*simArena)
 	n := len(p.queries)
@@ -265,48 +306,56 @@ func (p *SimPlan) arena() *simArena {
 	a.chunks = resize(a.chunks, len(p.ext))
 	a.outs = resize(a.outs, len(p.ops))
 	a.state = resize(a.state, len(p.ops))
-	a.floats = resize(a.floats, p.stateFloats+(len(p.ops)+len(p.ext)+1)*n)
+	a.floats = resize(a.floats, p.stateFloats+(len(p.ops)+len(p.ext)+1)*n+p.distincts)
 	a.domains = resize(a.domains, p.domains)
-	a.cols = a.cols[:0]
 	clear(a.state)
 	clear(a.domains)
 	clear(a.floats[:p.stateFloats])
+	clear(a.floats[len(a.floats)-p.distincts:])
 	off := p.stateFloats
-	vector := func() []float64 {
+	vector := func(n int) []float64 {
 		off += n
 		return a.floats[off-n : off : off]
 	}
 	for i := range a.outs {
-		a.outs[i] = Profile{Queries: p.mask, PerQuery: vector()}
+		a.outs[i] = stream{PerQuery: vector(n)}
 	}
 	for i := range a.chunks {
-		a.chunks[i] = Profile{Queries: p.mask, PerQuery: vector()}
+		a.chunks[i] = stream{PerQuery: vector(n)}
 	}
-	a.rootAcc = vector()
+	a.rootAcc = vector(n)
 	clear(a.rootAcc)
+	for i := range a.outs {
+		a.outs[i].Distinct = vector(len(p.ops[i].shape))
+	}
 	return a
 }
 
 // Simulate runs the simulation at one pace over the external inputs, given
-// in the form SubplanInputs returns them.
+// in the form SubplanInputs returns them. Of the inputs' column statistics
+// only Distinct is read: the value ranges are the plan's own.
 func (p *SimPlan) Simulate(pace int, inputs map[*mqo.Op][]Profile) SimResult {
-	res, _ := p.simulate(pace, inputs, false)
+	a := p.arena()
+	defer arenas.Put(a)
+	width := 0
+	for _, e := range p.ext {
+		width += len(e.shape)
+	}
+	a.inDistinct = resize(a.inDistinct, width)
+	distinct := a.inDistinct
+	for i, e := range p.ext {
+		w := len(e.shape)
+		a.inputs[i] = inputs[e.op][e.child].stream(distinct[:w:w])
+		distinct = distinct[w:]
+	}
+	res, _ := p.run(a, pace, false)
 	return res
 }
 
-func (p *SimPlan) simulate(pace int, inputs map[*mqo.Op][]Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
-	a := p.arena()
-	for i, e := range p.ext {
-		a.inputs[i] = inputs[e.op][e.child]
-	}
-	return p.run(a, pace, collect)
-}
-
-// run simulates pace executions over a.inputs and releases the arena.
-// Everything it returns is cloned out of the arena (or aliases an input's
-// immutable column statistics).
+// run simulates pace executions over a.inputs and leaves the root's output
+// over the window in a.result. With collect it also returns each member
+// operator's accumulated output, which owns its memory.
 func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.Op]Profile) {
-	defer arenas.Put(a)
 	n := len(p.queries)
 
 	// One execution's share of every input: the same at every step.
@@ -316,7 +365,7 @@ func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.
 		c.Gross = in.Gross / k
 		c.Net = in.Net / k
 		c.DeleteShare = in.DeleteShare
-		c.Cols = in.Cols
+		c.Distinct = in.Distinct
 		for slot, q := range p.queries {
 			// A query the input has no entry for sees the whole chunk.
 			c.PerQuery[slot] = in.grossFor(q) / k
@@ -367,15 +416,9 @@ func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.
 			a.rootAcc[slot] += v
 		}
 	}
-	res.Out = Profile{
-		Gross:    outGross,
-		Net:      outNet,
-		Queries:  p.mask,
-		PerQuery: append([]float64(nil), a.rootAcc...),
-		Cols:     p.escapeCols(len(p.ops)-1, root.Cols),
-	}
+	a.result = stream{Gross: outGross, Net: outNet, Queries: p.mask, PerQuery: a.rootAcc, Distinct: root.Distinct}
 	if outGross > 0 {
-		res.Out.DeleteShare = outDeletes / outGross
+		a.result.DeleteShare = outDeletes / outGross
 	}
 	if !collect {
 		return res, nil
@@ -385,39 +428,21 @@ func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.
 		if acc[i].Gross > 0 {
 			acc[i].DeleteShare /= acc[i].Gross
 		}
-		acc[i].Cols = p.escapeCols(i, a.outs[i].Cols)
+		acc[i].Cols = columnStats(p.ops[i].shape, a.outs[i].Distinct)
 		opOut[p.ops[i].op] = acc[i]
 	}
 	return res, opOut
 }
 
-// escapeCols returns operator i's column statistics in a form that outlives
-// the arena: a scan's alias its input's, which nothing writes; every other
-// operator's live in the arena and are cloned.
-func (p *SimPlan) escapeCols(i int, cols []catalog.ColumnStats) []catalog.ColumnStats {
-	if p.ops[i].op.Kind == mqo.KindScan {
-		return cols
-	}
-	return append([]catalog.ColumnStats(nil), cols...)
-}
-
-func (p *SimPlan) input(a *simArena, ref int) *Profile {
+func (p *SimPlan) input(a *simArena, ref int) *stream {
 	if ref >= 0 {
 		return &a.outs[ref]
 	}
 	return &a.chunks[^ref]
 }
 
-// ownCols gives operator output n column slots of its own in the first
-// step; later steps write the same slots in place.
-func (a *simArena) ownCols(out *Profile, n int) {
-	start := len(a.cols)
-	a.cols = append(a.cols, make([]catalog.ColumnStats, n)...)
-	out.Cols = a.cols[start:len(a.cols):len(a.cols)]
-}
-
 // step simulates one execution of operator i over one chunk per input,
-// writes its output profile in place and returns its work units.
+// writes its output stream in place and returns its work units.
 func (p *SimPlan) step(a *simArena, i int, first bool) float64 {
 	o := &p.ops[i]
 	out := &a.outs[i]
@@ -425,20 +450,16 @@ func (p *SimPlan) step(a *simArena, i int, first bool) float64 {
 	case mqo.KindScan:
 		in := p.input(a, o.in[0])
 		p.applyPreds(a, o, in, out)
-		out.Cols = in.Cols
+		out.Distinct = in.Distinct
 		return in.Gross + out.Gross
 	case mqo.KindProject:
 		in := p.input(a, o.in[0])
 		p.applyPreds(a, o, in, out)
 		// Projection rewrites columns; derive output stats per expression.
-		if first {
-			a.ownCols(out, len(o.colSrc))
-			copyThrough(out.Cols, o.colSrc, in.Cols)
-		}
 		for j, src := range o.colSrc {
-			out.Cols[j].Distinct = out.Net
-			if passesThrough(src, in.Cols) {
-				out.Cols[j].Distinct = in.Cols[src].Distinct
+			out.Distinct[j] = out.Net
+			if passesThrough(src, len(in.Distinct)) {
+				out.Distinct[j] = in.Distinct[src]
 			}
 		}
 		return in.Gross + out.Gross
@@ -453,7 +474,7 @@ func (p *SimPlan) step(a *simArena, i int, first bool) float64 {
 
 // applyPreds computes the per-query and union survival of the operator's
 // marker predicates over a stream.
-func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *Profile) {
+func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *stream) {
 	out.DeleteShare = in.DeleteShare
 	copy(out.PerQuery, in.PerQuery)
 	// The union survival multiplies misses over DISTINCT predicates:
@@ -461,7 +482,7 @@ func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *Profile) {
 	// counting the predicate once keeps the union (and the per-query
 	// divergence signal downstream) correct.
 	unionMiss := 1.0
-	a.stats.cols = in.Cols
+	a.stats = colStats{shape: p.inShape(o.in[0]), distinct: in.Distinct}
 	for _, sp := range o.preds {
 		sel := expr.Selectivity(sp.pred, &a.stats)
 		if sp.first {
@@ -477,15 +498,15 @@ func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *Profile) {
 	out.Net = in.Net * unionSel
 }
 
-func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *Profile, st *opState, first bool) float64 {
+func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *stream, st *opState, first bool) float64 {
 	l, r := p.input(a, o.in[0]), p.input(a, o.in[1])
 	// Key distinct estimates refresh with arrived data. Composite keys
 	// multiply per-column distincts, capped by the side's row count.
 	leftKeyDist, rightKeyDist := 1.0, 1.0
 	if len(o.op.LeftKeys) > 0 {
 		doms := a.domains[o.domain:]
-		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Cols, st.leftNet+l.Net, doms)
-		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Cols, st.rightNet+r.Net, doms[len(o.op.LeftKeys):])
+		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Distinct, st.leftNet+l.Net, doms)
+		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Distinct, st.rightNet+r.Net, doms[len(o.op.LeftKeys):])
 	}
 	d := leftKeyDist
 	if rightKeyDist > d {
@@ -521,18 +542,9 @@ func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *Profile, st *opState, fir
 	st.rightNet += r.Net
 	out.DeleteShare = combineDeleteShare(l.DeleteShare, r.DeleteShare)
 
-	if first {
-		a.ownCols(out, len(l.Cols)+len(r.Cols))
-		copy(out.Cols, l.Cols)
-		copy(out.Cols[len(l.Cols):], r.Cols)
-	} else if o.colsVary {
-		for j := range l.Cols {
-			out.Cols[j].Distinct = l.Cols[j].Distinct
-		}
-		right := out.Cols[len(l.Cols):]
-		for j := range r.Cols {
-			right[j].Distinct = r.Cols[j].Distinct
-		}
+	if first || o.colsVary {
+		copy(out.Distinct, l.Distinct)
+		copy(out.Distinct[len(l.Distinct):], r.Distinct)
 	}
 	return work
 }
@@ -540,10 +552,10 @@ func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *Profile, st *opState, fir
 // compositeDistinct estimates the distinct count of a multi-column join
 // key: the product of per-column distincts, capped by the number of rows.
 // doms holds one domain per key.
-func compositeDistinct(keys []expr.Expr, cols []catalog.ColumnStats, n float64, doms []domain) float64 {
+func compositeDistinct(keys []expr.Expr, distinct []float64, n float64, doms []domain) float64 {
 	d := 1.0
 	for i, k := range keys {
-		d *= distinctOf(k, cols, n, &doms[i])
+		d *= distinctOf(k, distinct, n, &doms[i])
 		if d >= n {
 			break
 		}
@@ -563,10 +575,10 @@ func combineDeleteShare(a, b float64) float64 {
 	return a*(1-b) + b*(1-a)
 }
 
-func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, first bool) float64 {
+func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *stream, st *opState, first bool) float64 {
 	in := p.input(a, o.in[0])
 	if first {
-		st.groupDomain = groupDomain(o.op.GroupBy, in.Cols)
+		st.groupDomain = groupDomain(o.op.GroupBy, in.Distinct)
 		st.groups = drawnDistinct(st.groupDomain, st.arrivedAll)
 	}
 	n := len(p.queries)
@@ -643,20 +655,12 @@ func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, firs
 
 	work += out.Gross // output tuples
 
-	groupBy := len(o.colSrc)
-	if first {
-		a.ownCols(out, groupBy+len(o.op.Aggs))
-		copyThrough(out.Cols, o.colSrc, in.Cols)
-		for j := groupBy; j < len(out.Cols); j++ {
-			out.Cols[j].Min, out.Cols[j].Max = value.Null, value.Null
-		}
-	}
-	for j := range out.Cols {
-		out.Cols[j].Distinct = groupsNow
+	for j := range out.Distinct {
+		out.Distinct[j] = groupsNow
 	}
 	for j, src := range o.colSrc {
-		if passesThrough(src, in.Cols) {
-			out.Cols[j].Distinct = minf(in.Cols[src].Distinct, groupsNow)
+		if passesThrough(src, len(in.Distinct)) {
+			out.Distinct[j] = minf(in.Distinct[src], groupsNow)
 		}
 	}
 	return work
@@ -669,7 +673,7 @@ func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *Profile, st *opState, firs
 // the overlap of the queries' input shares: with n live queries whose
 // shares of the union sum to S, full overlap (S = n) gives one class and
 // pairwise-disjoint inputs (S = 1) give n classes.
-func valueClasses(arrived []float64, in *Profile, arrivedAll float64) float64 {
+func valueClasses(arrived []float64, in *stream, arrivedAll float64) float64 {
 	if len(arrived) <= 1 {
 		return 1
 	}
@@ -694,15 +698,15 @@ func valueClasses(arrived []float64, in *Profile, arrivedAll float64) float64 {
 	return float64(live) - overlap*float64(live-1)
 }
 
-func groupDomain(groups []plan.NamedExpr, cols []catalog.ColumnStats) float64 {
+func groupDomain(groups []plan.NamedExpr, distinct []float64) float64 {
 	if len(groups) == 0 {
 		return 1
 	}
 	d := 1.0
 	for _, g := range groups {
 		gd := 1000.0
-		if c, ok := g.E.(*expr.Column); ok && c.Index < len(cols) && cols[c.Index].Distinct > 0 {
-			gd = cols[c.Index].Distinct
+		if c, ok := g.E.(*expr.Column); ok && c.Index < len(distinct) && distinct[c.Index] > 0 {
+			gd = distinct[c.Index]
 		}
 		d *= gd
 		if d > 1e12 {

@@ -34,6 +34,8 @@ type LocalProblem struct {
 	// Sims counts partition simulations (optimization-overhead metric).
 	Sims int64
 
+	// cache holds, per partition and pace, the two floats SelectedPace
+	// reads: the private total and final work.
 	cache map[simKey]cost.SimResult
 	// parts caches, per partition, the restricted subplan copy compiled
 	// for simulation: neither depends on the pace being tried.
@@ -63,8 +65,8 @@ type Partition struct {
 	Total float64
 }
 
-// simulate estimates the restricted subplan copy for one partition at one
-// pace.
+// simulate estimates the work of the restricted subplan copy for one
+// partition at one pace.
 func (lp *LocalProblem) simulate(part mqo.Bitset, pace int) cost.SimResult {
 	if lp.cache == nil {
 		lp.cache = make(map[simKey]cost.SimResult)
