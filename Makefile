@@ -36,13 +36,14 @@ bench:
 # -top .bench_build/ishare.test .bench_build/planjob.cpu.pprof` (add
 # -sample_index=alloc_space for the allocation profile; the files are named
 # after the lower-cased PROFILE_BENCH). PlanJob's inclusive top five since
-# the memo became pointer-free (PROFILE_TIME=60x, ≈ 55 ms/job, 2 vCPUs):
-# cost.(*SimPlan).run ≈ 38 % (stepJoin ≈ 20 %, stepAgg ≈ 12 %; math.Exp
-# ≈ 15 % and log1p ≈ 3 % inside them), cost.(*Model).EvaluateDelta's own
-# loop ≈ 19 % self (almost half of it re-summing each query's final work), the
-# GC write barrier ≈ 10 %, decompose.(*Decomposer).Candidates ≈ 9 %,
-# runtime.mallocgc ≈ 8 % (memo slab growth, plans compiled by decompose);
-# the memo's map probe + insert is ≈ 8 %.
+# the greedy stopped costing candidates that cannot score (PROFILE_TIME=60x,
+# ≈ 46 ms/job, 2 vCPUs): cost.(*SimPlan).run ≈ 52 % (stepJoin ≈ 28 %,
+# stepAgg ≈ 14 %; math.Exp ≈ 19 % and log1p ≈ 4 % inside them),
+# decompose.(*Decomposer).Candidates ≈ 12 % (almost all of it its local
+# problems' simulations), runtime.mallocgc ≈ 11 % (memo slab growth, plans
+# compiled by decompose), the memo's map probe + insert ≈ 8 %,
+# cost.(*Model).wire ≈ 6 % (arena reset ≈ 1.5 %); EvaluateDelta's own loop
+# is down to ≈ 4 % self and the GC write barrier to ≈ 4 %.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

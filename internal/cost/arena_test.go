@@ -11,9 +11,6 @@ import (
 	"ishare/internal/mqo"
 )
 
-// raceEnabled is set by race_test.go when the race detector is on.
-var raceEnabled bool
-
 // cloneProfile copies a profile deeply, so a later overwrite of buffers it
 // aliased would show.
 func cloneProfile(p cost.Profile) cost.Profile {
@@ -33,7 +30,7 @@ func uniform(g *mqo.Graph, p int) []int {
 // TestMemoizedOutputsSurviveArenaReuse: what a simulation hands to the memo
 // must not alias the arena it ran in. Every subplan is memoized at pace 7;
 // 50 further evaluations then re-simulate every subplan at other paces
-// through the same pooled arenas; the memoized outputs must be unchanged, and
+// through the same arenas; the memoized outputs must be unchanged, and
 // parents consuming them must cost exactly what a memo-less model computes.
 func TestMemoizedOutputsSurviveArenaReuse(t *testing.T) {
 	g := tpchGraph(t)
@@ -105,9 +102,6 @@ func TestMemoizedOutputsSurviveArenaReuse(t *testing.T) {
 // tables its new entries are appended to, and a simulation on a warm arena
 // allocates nothing — at pace 40 as at pace 2.
 func TestEvaluateAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop arenas at random")
-	}
 	g := tpchGraph(t)
 	m := cost.NewModel(g)
 	paces := uniform(g, 7)
@@ -155,7 +149,7 @@ func TestEvaluateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	miss() // warm the arena pool
+	miss() // lays out the arenas of the subplans a miss simulates
 	sims := m.Sims
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -185,9 +179,10 @@ func TestEvaluateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := cost.CompileSubplan(widest)
+	var arena cost.Arena
 	allocs := func(pace int) float64 {
-		plan.Simulate(pace, inputs) // warm the arena
-		return testing.AllocsPerRun(50, func() { plan.Simulate(pace, inputs) })
+		plan.Simulate(&arena, pace, inputs) // warm the arena
+		return testing.AllocsPerRun(50, func() { plan.Simulate(&arena, pace, inputs) })
 	}
 	at2, at40 := allocs(2), allocs(40)
 	if at2 != at40 {
@@ -195,5 +190,38 @@ func TestEvaluateAllocations(t *testing.T) {
 	}
 	if at40 != 0 {
 		t.Errorf("simulation on a warm arena: %v allocs, want 0", at40)
+	}
+}
+
+// TestArenaSharedAcrossPlans: an Arena is laid out for the plan simulated in
+// it and only reset while that plan is simulated again, so one arena serving
+// every subplan of the 22-query graph in turn, at changing paces, must give
+// exactly what a fresh arena per simulation gives.
+func TestArenaSharedAcrossPlans(t *testing.T) {
+	g := tpchGraph(t)
+	m := cost.NewModel(g)
+	paces := uniform(g, 7)
+	plans := make([]*cost.SimPlan, len(g.Subplans))
+	inputs := make([]map[*mqo.Op][]cost.Profile, len(g.Subplans))
+	for i, s := range g.Subplans {
+		plans[i] = cost.CompileSubplan(s)
+		in, err := m.SubplanInputs(s, paces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[i] = in
+	}
+	rng := rand.New(rand.NewSource(24))
+	var shared cost.Arena
+	for range 300 {
+		i, pace := rng.Intn(len(plans)), 1+rng.Intn(12)
+		if rng.Intn(2) == 0 { // the next simulation only resets the arena
+			plans[i].Simulate(&shared, 1+rng.Intn(12), inputs[i])
+		}
+		got := plans[i].Simulate(&shared, pace, inputs[i])
+		want := plans[i].Simulate(new(cost.Arena), pace, inputs[i])
+		if !sameBits([]float64{got.PrivateTotal, got.PrivateFinal}, []float64{want.PrivateTotal, want.PrivateFinal}) {
+			t.Fatalf("subplan %d at pace %d: shared arena %+v, fresh arena %+v", i, pace, got, want)
+		}
 	}
 }

@@ -44,6 +44,8 @@ func TestMemoIsPointerFree(t *testing.T) {
 		"float slab element":      reflect.TypeOf(tab.floats).Elem(),
 		"evaluation entry id":     reflect.TypeOf(ev.ids).Elem(),
 		"evaluation float vector": reflect.TypeOf(ev.vec).Elem(),
+		"evaluation prefix sum":   reflect.TypeOf(ev.prefix).Elem(),
+		"evaluation dirty set":    reflect.TypeOf(ev.dirty).Elem(),
 	} {
 		if !pointerFree(typ) {
 			t.Errorf("%s type %v holds pointers", name, typ)

@@ -2,8 +2,8 @@ package cost
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
-	"sync"
 
 	"ishare/internal/mqo"
 	"ishare/internal/trace"
@@ -44,13 +44,24 @@ type Model struct {
 	epoch uint64
 	// ancestors[i] is subplan i's transitive parents, ascending.
 	ancestors [][]int
-	// plans[i] is subplan i compiled for simulation and sources[i] where
-	// each of its external inputs comes from, parallel to plans[i].ext.
+	// recost[i] is the set of subplan ids a change of subplan i's pace
+	// re-costs: i and its ancestors, one bit per subplan.
+	recost [][]uint64
+	// querySubplans[q] lists the subplans query q participates in,
+	// ascending: the order its final work is summed in.
+	querySubplans [][]int
+	// plans[i] is subplan i compiled for simulation, sources[i] where each
+	// of its external inputs comes from, parallel to plans[i].ext, and
+	// arenas[i] the state its simulations write.
 	plans   []*SimPlan
 	sources [][]inputSource
+	arenas  []Arena
 	calib   Calibration
 	// kids is scratch for the child entry ids of the subplan being re-costed.
 	kids []int32
+	// scratch is the Evaluation behind Evaluate, OutputProfiles,
+	// SubplanInputs and OpOutputs, whose callers want only what they return.
+	scratch Evaluation
 }
 
 // inputSource is where one external input of a subplan comes from: the
@@ -82,11 +93,14 @@ type Evaluation struct {
 	// Paces is the configuration evaluated; read-only.
 	Paces []int
 
-	vec   []float64 // backs SubTotal, SubFinal and QueryFinal
-	ids   []int32   // each subplan's memo entry: its work and output
-	dirty []bool    // the subplans the evaluation re-costed
-	model *Model
-	epoch uint64
+	vec []float64 // backs SubTotal, SubFinal and QueryFinal
+	ids []int32   // each subplan's memo entry: its work and output
+	// prefix[i] is the sum of SubTotal[:i] in subplan order; prefix[n] is
+	// Total.
+	prefix []float64
+	dirty  []uint64 // the subplans the evaluation re-costed, one bit each
+	model  *Model
+	epoch  uint64
 }
 
 // NewModel builds a model for the graph with memoization enabled.
@@ -97,8 +111,13 @@ func NewModel(g *mqo.Graph) *Model {
 		memo:    make([]memoTable, len(g.Subplans)),
 		plans:   make([]*SimPlan, len(g.Subplans)),
 		sources: make([][]inputSource, len(g.Subplans)),
+		arenas:  make([]Arena, len(g.Subplans)),
 	}
+	m.querySubplans = make([][]int, g.Plan.NumQueries())
 	for i, s := range g.Subplans {
+		for _, q := range s.Queries.Members() {
+			m.querySubplans[q] = append(m.querySubplans[q], i)
+		}
 		p := CompileSubplan(s)
 		m.plans[i] = p
 		m.memo[i] = newMemoTable(s, p)
@@ -116,8 +135,15 @@ func NewModel(g *mqo.Graph) *Model {
 	// parent's closure ready.
 	n := len(g.Subplans)
 	m.ancestors = make([][]int, n)
+	m.recost = make([][]uint64, n)
+	words := make([]uint64, n*((n+63)/64))
 	for i := n - 1; i >= 0; i-- {
 		m.ancestors[i] = closure(g.Subplans[i].Parents, m.ancestors)
+		m.recost[i], words = words[:(n+63)/64], words[(n+63)/64:]
+		m.recost[i][i/64] |= 1 << (i % 64)
+		for _, a := range m.ancestors[i] {
+			m.recost[i][a/64] |= 1 << (a % 64)
+		}
 	}
 	return m
 }
@@ -143,18 +169,12 @@ func closure(next []*mqo.Subplan, done [][]int) []int {
 // whose cost depends on i's pace. The slice is shared; do not modify it.
 func (m *Model) Ancestors(i int) []int { return m.ancestors[i] }
 
-// evalScratch pools the Evaluation behind Evaluate, whose caller wants only
-// the Eval.
-var evalScratch = sync.Pool{New: func() any { return new(Evaluation) }}
-
 // Evaluate estimates the cost of a pace configuration.
 func (m *Model) Evaluate(paces []int) (Eval, error) {
-	e := evalScratch.Get().(*Evaluation)
-	defer evalScratch.Put(e)
+	e := &m.scratch
 	if err := m.EvaluateDelta(nil, paces, e); err != nil {
 		return Eval{}, err
 	}
-	e.model = nil // a pooled Evaluation must not pin the model
 	n := len(m.Graph.Subplans)
 	vec := append([]float64(nil), e.vec...)
 	return Eval{Total: e.Total, SubTotal: vec[:n:n], SubFinal: vec[n : 2*n : 2*n], QueryFinal: vec[2*n:]}, nil
@@ -163,11 +183,10 @@ func (m *Model) Evaluate(paces []int) (Eval, error) {
 // OutputProfiles returns each subplan's estimated output profile under the
 // pace configuration, indexed by subplan id.
 func (m *Model) OutputProfiles(paces []int) ([]Profile, error) {
-	var e Evaluation
-	if err := m.EvaluateDelta(nil, paces, &e); err != nil {
+	if err := m.EvaluateDelta(nil, paces, &m.scratch); err != nil {
 		return nil, err
 	}
-	return m.outputs(&e), nil
+	return m.outputs(&m.scratch), nil
 }
 
 // outputs materializes every subplan's output profile under e, the model's
@@ -185,8 +204,7 @@ func (m *Model) outputs(e *Evaluation) []Profile {
 // one subplan under the pace configuration: one profile for a scan, one slot
 // per child otherwise, slots of children inside the subplan left zero.
 func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profile, error) {
-	var ev Evaluation
-	if err := m.EvaluateDelta(nil, paces, &ev); err != nil {
+	if err := m.EvaluateDelta(nil, paces, &m.scratch); err != nil {
 		return nil, err
 	}
 	in := make(map[*mqo.Op][]Profile, len(s.Ops))
@@ -194,7 +212,7 @@ func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profil
 		in[o] = make([]Profile, max(1, len(o.Children)))
 	}
 	for j, e := range m.plans[s.ID].ext {
-		v := m.input(s.ID, j, ev.ids)
+		v := m.input(s.ID, j, m.scratch.ids)
 		in[e.op][e.child] = v.profile(e.shape)
 	}
 	return in, nil
@@ -204,14 +222,12 @@ func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profil
 // every member operator's accumulated output profile — the input
 // cardinalities used by decomposition's subtree-local optimization.
 func (m *Model) OpOutputs(s *mqo.Subplan, paces []int) (map[*mqo.Op]Profile, error) {
-	var ev Evaluation
-	if err := m.EvaluateDelta(nil, paces, &ev); err != nil {
+	if err := m.EvaluateDelta(nil, paces, &m.scratch); err != nil {
 		return nil, err
 	}
 	m.Sims++
 	m.Trace.Count("cost.sims", 1)
-	a := m.wire(s.ID, ev.ids)
-	defer arenas.Put(a)
+	a := m.wire(s.ID, m.scratch.ids)
 	_, ops := m.plans[s.ID].run(a, paces[s.ID], true)
 	return ops, nil
 }
@@ -219,17 +235,18 @@ func (m *Model) OpOutputs(s *mqo.Subplan, paces []int) (map[*mqo.Op]Profile, err
 // input returns external input j of subplan id: a table's arrival profile,
 // or the output of the child's entry in ids.
 func (m *Model) input(id, j int, ids []int32) stream {
-	src := m.sources[id][j]
+	src := &m.sources[id][j]
 	if src.sub < 0 {
 		return src.table
 	}
 	return m.memo[src.sub].view(ids[src.sub])
 }
 
-// wire takes an arena for subplan id's plan with its inputs set to the
-// table profiles and the outputs of the children's entries in ids.
-func (m *Model) wire(id int, ids []int32) *simArena {
-	a := m.plans[id].arena()
+// wire readies subplan id's arena with its inputs set to the table profiles
+// and the outputs of the children's entries in ids.
+func (m *Model) wire(id int, ids []int32) *Arena {
+	a := &m.arenas[id]
+	m.plans[id].prepare(a)
 	for j := range a.inputs {
 		a.inputs[j] = m.input(id, j, ids)
 	}
@@ -246,7 +263,6 @@ func (m *Model) simulate(s *mqo.Subplan, pace int, kids, ids []int32) int32 {
 	t := &m.memo[s.ID]
 	id := t.add(pace, kids, memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal,
 		gross: out.Gross, net: out.Net, deleteShare: out.DeleteShare}, out.PerQuery, out.Distinct)
-	arenas.Put(a)
 	m.applyCalibration(s, t, id)
 	return id
 }
@@ -254,13 +270,15 @@ func (m *Model) simulate(s *mqo.Subplan, pace int, kids, ids []int32) int32 {
 // EvaluateDelta evaluates the configuration into out relative to base, an
 // Evaluation of this model at a configuration that usually differs in a few
 // paces: a subplan is re-costed (memo lookup, simulation on a miss) only if
-// its private pace configuration changed — its own pace differs or a child
-// was re-costed — and otherwise keeps base's result, the entry the memo would
-// have returned. A nil base re-costs every subplan, and so does one that
-// cannot vouch for the memo: another model's, one from before a
-// SetCalibration or AdoptMemo, any with UseMemo off. Total and QueryFinal are
-// re-summed over all subplans in subplan order either way, so every float is
-// the one a from-scratch evaluation computes. out must not be base.
+// its private pace configuration changed — its own pace differs or a
+// descendant's does — and otherwise keeps base's result, the entry the memo
+// would have returned. A nil base re-costs every subplan, and so does one
+// that cannot vouch for the memo: another model's, one from before a
+// SetCalibration or AdoptMemo, any with UseMemo off. Total continues base's
+// subplan-order sum from the first re-costed subplan, and the final work of
+// every query a re-costed subplan serves is re-summed over that query's
+// subplans in subplan order; everything else is base's. So every float is the
+// one a from-scratch evaluation computes. out must not be base.
 func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) error {
 	g := m.Graph
 	n := len(g.Subplans)
@@ -278,27 +296,45 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 	out.model, out.epoch = m, m.epoch
 	out.Paces = append(out.Paces[:0], paces...)
 	out.ids = resize(out.ids, n)
-	out.dirty = resize(out.dirty, n)
+	out.prefix = resize(out.prefix, n+1)
+	out.dirty = resize(out.dirty, (n+63)/64)
 	// The three vectors share one backing array; capacities are clipped so
 	// a caller's append cannot run one into the next.
 	out.vec = resize(out.vec, 2*n+g.Plan.NumQueries())
 	out.Eval = Eval{SubTotal: out.vec[:n:n], SubFinal: out.vec[n : 2*n : 2*n], QueryFinal: out.vec[2*n:]}
-	clear(out.QueryFinal)
-	if base != nil {
-		copy(out.vec[:2*n], base.vec)
+	if base == nil {
+		for w := range out.dirty {
+			out.dirty[w] = ^uint64(0)
+		}
+		if n%64 != 0 {
+			out.dirty[len(out.dirty)-1] = 1<<(n%64) - 1
+		}
+		out.prefix[0] = 0
+		clear(out.QueryFinal)
+	} else {
+		copy(out.vec, base.vec)
 		copy(out.ids, base.ids)
+		copy(out.prefix, base.prefix)
+		clear(out.dirty)
+		for id, p := range paces {
+			if p != base.Paces[id] {
+				for w, word := range m.recost[id] {
+					out.dirty[w] |= word
+				}
+			}
+		}
 	}
 	// Counters accumulate locally and publish once per evaluation, to the
 	// model and to the tracer alike.
 	var lookups, hits, sims int64
-	for _, s := range g.Subplans {
-		id := s.ID
-		dirty := base == nil || paces[id] != base.Paces[id]
-		for _, c := range s.Children {
-			dirty = dirty || out.dirty[c.ID]
-		}
-		out.dirty[id] = dirty
-		if dirty {
+	// Dirty subplans in ascending id order, which is children-first.
+	first, touched := n, mqo.Bitset(0)
+	for w, word := range out.dirty {
+		for ; word != 0; word &= word - 1 {
+			id := w*64 + bits.TrailingZeros64(word)
+			first = min(first, id)
+			s := g.Subplans[id]
+			touched |= s.Queries
 			kids := m.kids[:0]
 			for _, c := range s.Children {
 				kids = append(kids, out.ids[c.ID])
@@ -324,11 +360,18 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 			out.ids[id] = e
 			out.SubTotal[id], out.SubFinal[id] = t.entries[e].pT, t.entries[e].pF
 		}
-		out.Total += out.SubTotal[id]
-		final := out.SubFinal[id]
-		for _, q := range m.plans[id].queries {
-			out.QueryFinal[q] += final
+	}
+	for id := first; id < n; id++ {
+		out.prefix[id+1] = out.prefix[id] + out.SubTotal[id]
+	}
+	out.Total = out.prefix[n]
+	for v := uint64(touched); v != 0; v &= v - 1 {
+		q := bits.TrailingZeros64(v)
+		var final float64
+		for _, id := range m.querySubplans[q] {
+			final += out.SubFinal[id]
 		}
+		out.QueryFinal[q] = final
 	}
 	m.Lookups += lookups
 	m.Hits += hits

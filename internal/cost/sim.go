@@ -2,7 +2,6 @@ package cost
 
 import (
 	"slices"
-	"sync"
 
 	"ishare/internal/exec"
 	"ishare/internal/expr"
@@ -29,9 +28,9 @@ type SimResult struct {
 // inputs come from, the dense slot of every query, the distinct-predicate
 // classes, which operators see the same chunk at every step, every column's
 // value range — is resolved once, so a simulation is a flat loop over
-// preallocated buffers. A SimPlan is immutable and safe for concurrent use;
-// the buffers a simulation writes live in a pooled arena it holds for its
-// duration.
+// preallocated buffers. A SimPlan is immutable once compiled; the buffers a
+// simulation writes live in an Arena its caller owns (a Model keeps one per
+// compiled plan).
 type SimPlan struct {
 	// queries maps slot to query id, ascending: every per-query vector of a
 	// simulation is indexed by slot. All member operators of a subplan share
@@ -112,11 +111,12 @@ type opState struct {
 	groupDraw, affectedDraw domain
 }
 
-// simArena holds every buffer one simulation writes. An arena belongs to one
-// simulation at a time — taken from the pool and laid out for its plan by
-// SimPlan.arena, returned by whoever took it once the result is read — so
-// concurrent simulations never share one.
-type simArena struct {
+// Arena holds every buffer a simulation writes. It has one owner and serves
+// one simulation at a time, of any plan: the buffers are laid out when a plan
+// is simulated in it for the first time since another plan was, and
+// otherwise only reset. The zero value is ready to use.
+type Arena struct {
+	plan   *SimPlan // the plan the buffers are laid out for
 	inputs []stream // external inputs, set by the caller, parallel to ext
 	chunks []stream // one step's share of each input
 	outs   []stream // each operator's output in the current step
@@ -134,8 +134,6 @@ type simArena struct {
 	// inDistinct backs the Distincts of inputs given as Profiles.
 	inDistinct []float64
 }
-
-var arenas = sync.Pool{New: func() any { return new(simArena) }}
 
 // resize returns s with length n, reusing its backing array when it fits.
 // The contents are unspecified.
@@ -295,48 +293,52 @@ func (p *SimPlan) inShape(ref int) []colShape {
 	return p.ext[^ref].shape
 }
 
-// arena takes an arena from the pool and lays it out for this plan: state
-// zeroed, one per-query vector per operator output, per input chunk and for
-// the root accumulator, one zeroed Distinct vector per operator output. The
-// caller sets a.inputs, hands the arena to run and puts it back in the pool.
-func (p *SimPlan) arena() *simArena {
-	a := arenas.Get().(*simArena)
+// prepare readies a for a simulation of this plan. Unless a is laid out for
+// the plan already, it lays it out: one per-query vector per operator output,
+// per input chunk and for the root accumulator, one Distinct vector per
+// operator output, all in a.floats after the per-query state. Either way it
+// zeroes the state, the root accumulator and the Distincts. An output keeps
+// its vectors from one simulation to the next: every step writes its
+// PerQuery, and only a scan's step re-points its Distinct — at its input's,
+// before anything reads it. The caller then sets a.inputs and hands a to run.
+func (p *SimPlan) prepare(a *Arena) {
 	n := len(p.queries)
-	a.inputs = resize(a.inputs, len(p.ext))
-	a.chunks = resize(a.chunks, len(p.ext))
-	a.outs = resize(a.outs, len(p.ops))
-	a.state = resize(a.state, len(p.ops))
-	a.floats = resize(a.floats, p.stateFloats+(len(p.ops)+len(p.ext)+1)*n+p.distincts)
-	a.domains = resize(a.domains, p.domains)
+	if a.plan != p {
+		a.plan = p
+		a.inputs = resize(a.inputs, len(p.ext))
+		a.chunks = resize(a.chunks, len(p.ext))
+		a.outs = resize(a.outs, len(p.ops))
+		a.state = resize(a.state, len(p.ops))
+		a.floats = resize(a.floats, p.stateFloats+(len(p.ops)+len(p.ext)+1)*n+p.distincts)
+		a.domains = resize(a.domains, p.domains)
+		off := p.stateFloats
+		vector := func(n int) []float64 {
+			off += n
+			return a.floats[off-n : off : off]
+		}
+		for i := range a.outs {
+			a.outs[i] = stream{PerQuery: vector(n)}
+		}
+		for i := range a.chunks {
+			a.chunks[i] = stream{PerQuery: vector(n)}
+		}
+		a.rootAcc = vector(n)
+		for i := range a.outs {
+			a.outs[i].Distinct = vector(len(p.ops[i].shape))
+		}
+	}
 	clear(a.state)
 	clear(a.domains)
 	clear(a.floats[:p.stateFloats])
-	clear(a.floats[len(a.floats)-p.distincts:])
-	off := p.stateFloats
-	vector := func(n int) []float64 {
-		off += n
-		return a.floats[off-n : off : off]
-	}
-	for i := range a.outs {
-		a.outs[i] = stream{PerQuery: vector(n)}
-	}
-	for i := range a.chunks {
-		a.chunks[i] = stream{PerQuery: vector(n)}
-	}
-	a.rootAcc = vector(n)
 	clear(a.rootAcc)
-	for i := range a.outs {
-		a.outs[i].Distinct = vector(len(p.ops[i].shape))
-	}
-	return a
+	clear(a.floats[len(a.floats)-p.distincts:])
 }
 
-// Simulate runs the simulation at one pace over the external inputs, given
-// in the form SubplanInputs returns them. Of the inputs' column statistics
-// only Distinct is read: the value ranges are the plan's own.
-func (p *SimPlan) Simulate(pace int, inputs map[*mqo.Op][]Profile) SimResult {
-	a := p.arena()
-	defer arenas.Put(a)
+// Simulate runs the simulation at one pace in a over the external inputs,
+// given in the form SubplanInputs returns them. Of the inputs' column
+// statistics only Distinct is read: the value ranges are the plan's own.
+func (p *SimPlan) Simulate(a *Arena, pace int, inputs map[*mqo.Op][]Profile) SimResult {
+	p.prepare(a)
 	width := 0
 	for _, e := range p.ext {
 		width += len(e.shape)
@@ -355,7 +357,7 @@ func (p *SimPlan) Simulate(pace int, inputs map[*mqo.Op][]Profile) SimResult {
 // run simulates pace executions over a.inputs and leaves the root's output
 // over the window in a.result. With collect it also returns each member
 // operator's accumulated output, which owns its memory.
-func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.Op]Profile) {
+func (p *SimPlan) run(a *Arena, pace int, collect bool) (SimResult, map[*mqo.Op]Profile) {
 	n := len(p.queries)
 
 	// One execution's share of every input: the same at every step.
@@ -434,7 +436,7 @@ func (p *SimPlan) run(a *simArena, pace int, collect bool) (SimResult, map[*mqo.
 	return res, opOut
 }
 
-func (p *SimPlan) input(a *simArena, ref int) *stream {
+func (p *SimPlan) input(a *Arena, ref int) *stream {
 	if ref >= 0 {
 		return &a.outs[ref]
 	}
@@ -443,7 +445,7 @@ func (p *SimPlan) input(a *simArena, ref int) *stream {
 
 // step simulates one execution of operator i over one chunk per input,
 // writes its output stream in place and returns its work units.
-func (p *SimPlan) step(a *simArena, i int, first bool) float64 {
+func (p *SimPlan) step(a *Arena, i int, first bool) float64 {
 	o := &p.ops[i]
 	out := &a.outs[i]
 	switch o.op.Kind {
@@ -474,7 +476,7 @@ func (p *SimPlan) step(a *simArena, i int, first bool) float64 {
 
 // applyPreds computes the per-query and union survival of the operator's
 // marker predicates over a stream.
-func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *stream) {
+func (p *SimPlan) applyPreds(a *Arena, o *simOp, in, out *stream) {
 	out.DeleteShare = in.DeleteShare
 	copy(out.PerQuery, in.PerQuery)
 	// The union survival multiplies misses over DISTINCT predicates:
@@ -498,7 +500,7 @@ func (p *SimPlan) applyPreds(a *simArena, o *simOp, in, out *stream) {
 	out.Net = in.Net * unionSel
 }
 
-func (p *SimPlan) stepJoin(a *simArena, o *simOp, out *stream, st *opState, first bool) float64 {
+func (p *SimPlan) stepJoin(a *Arena, o *simOp, out *stream, st *opState, first bool) float64 {
 	l, r := p.input(a, o.in[0]), p.input(a, o.in[1])
 	// Key distinct estimates refresh with arrived data. Composite keys
 	// multiply per-column distincts, capped by the side's row count.
@@ -575,7 +577,7 @@ func combineDeleteShare(a, b float64) float64 {
 	return a*(1-b) + b*(1-a)
 }
 
-func (p *SimPlan) stepAgg(a *simArena, o *simOp, out *stream, st *opState, first bool) float64 {
+func (p *SimPlan) stepAgg(a *Arena, o *simOp, out *stream, st *opState, first bool) float64 {
 	in := p.input(a, o.in[0])
 	if first {
 		st.groupDomain = groupDomain(o.op.GroupBy, in.Distinct)

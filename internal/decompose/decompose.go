@@ -59,6 +59,9 @@ type Decomposer struct {
 	Evals int64
 
 	splitStep int // decision-log sequence number on the split track
+	// arena is the simulation state all of the decomposer's local problems
+	// share.
+	arena cost.Arena
 }
 
 // decide appends one decomposition decision to the tracer's split track.
@@ -309,6 +312,7 @@ func (d *Decomposer) localProblem(s *mqo.Subplan, ops []*mqo.Op, shares map[int]
 		Inputs:      lpInputs,
 		Constraints: constraints,
 		MaxPace:     d.Opts.MaxPace,
+		arena:       &d.arena,
 	}
 }
 

@@ -40,6 +40,9 @@ type LocalProblem struct {
 	// parts caches, per partition, the restricted subplan copy compiled
 	// for simulation: neither depends on the pace being tried.
 	parts map[mqo.Bitset]*restricted
+	// arena is the state every partition's simulations write in turn, the
+	// Decomposer's when it built the problem.
+	arena *cost.Arena
 }
 
 // restricted is the subplan copy for one partition, compiled, with the
@@ -84,8 +87,11 @@ func (lp *LocalProblem) simulate(part mqo.Bitset, pace int) cost.SimResult {
 		}
 		lp.parts[part] = rp
 	}
+	if lp.arena == nil {
+		lp.arena = new(cost.Arena)
+	}
 	lp.Sims++
-	r := rp.plan.Simulate(pace, rp.inputs)
+	r := rp.plan.Simulate(lp.arena, pace, rp.inputs)
 	lp.cache[k] = r
 	return r
 }

@@ -41,9 +41,9 @@ type joinExec struct {
 	// arrangements tests build directly); released guards double-release.
 	reg      *Registry
 	released bool
-	// Pending emissions for the current chunk: markers run over the whole
-	// candidate set at once, then survivors are appended (with multiplicity)
-	// in probe order.
+	// Pending emissions for the current chunk: markers run over up to a
+	// batch of candidates at once, then survivors are appended (with
+	// multiplicity) in probe order.
 	cand     []delta.Tuple
 	candMult []int
 	candCh   vec.Chunk
@@ -215,7 +215,8 @@ func (j *joinExec) runPhase(self, other *joinSide, tuples []delta.Tuple, selfIsL
 		// Updates and probes for the chunk run under both arrangements'
 		// locks: other executors may share either side. Candidate rows are
 		// copied into the exec's own arena inside the critical section, so
-		// marker evaluation and emission (flushCand) run outside it.
+		// marker evaluation and emission (flushCand) run outside it, except
+		// for full batches of a high fan-out chunk.
 		lockArrs(self.arr, other.arr)
 		other.arr.tab.GetBatch(hashes, ch.Sel, refs)
 		for _, i := range ch.Sel {
@@ -239,6 +240,11 @@ func (j *joinExec) runPhase(self, other *joinSide, tuples []delta.Tuple, selfIsL
 					j.addCand(t.Row, e.row, bits, t.Sign, int(count))
 				} else {
 					j.addCand(e.row, t.Row, bits, t.Sign, int(count))
+				}
+				// A high fan-out chunk flushes every batch of candidates, so
+				// marker evaluation's scratch stays batch-sized.
+				if len(j.cand) >= j.batch {
+					out = j.flushCand(out, w)
 				}
 			}
 		}
@@ -265,7 +271,7 @@ func (j *joinExec) addCand(l, r value.Row, bits mqo.Bitset, sign delta.Sign, cou
 	j.candMult = append(j.candMult, n)
 }
 
-// flushCand applies the join's markers over the chunk's candidate emissions
+// flushCand applies the join's markers over the queued candidate emissions
 // column-at-a-time, then appends the survivors (with multiplicity) to out in
 // probe order.
 func (j *joinExec) flushCand(out []delta.Tuple, w *Work) []delta.Tuple {

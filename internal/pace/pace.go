@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ishare/internal/cost"
+	"ishare/internal/mqo"
 	"ishare/internal/trace"
 )
 
@@ -46,6 +47,10 @@ type Optimizer struct {
 
 	// Steps counts greedy iterations; Evals counts cost evaluations.
 	Steps, Evals int64
+
+	// reach[i] is the queries whose final work raising subplan i, alone or
+	// with its ancestors, can change: those of i and of its ancestors.
+	reach []mqo.Bitset
 }
 
 // NewOptimizer wires an optimizer.
@@ -56,7 +61,14 @@ func NewOptimizer(m *cost.Model, constraints []float64, maxPace int) (*Optimizer
 	if len(constraints) != m.Graph.Plan.NumQueries() {
 		return nil, fmt.Errorf("pace: %d constraints for %d queries", len(constraints), m.Graph.Plan.NumQueries())
 	}
-	return &Optimizer{Model: m, MaxPace: maxPace, Constraints: constraints}, nil
+	reach := make([]mqo.Bitset, len(m.Graph.Subplans))
+	for i, s := range m.Graph.Subplans {
+		reach[i] = s.Queries
+		for _, a := range m.Ancestors(i) {
+			reach[i] = reach[i].Union(m.Graph.Subplans[a].Queries)
+		}
+	}
+	return &Optimizer{Model: m, MaxPace: maxPace, Constraints: constraints, reach: reach}, nil
 }
 
 // Benefit implements Equation 1: the reduction in missed final work going
@@ -88,14 +100,30 @@ func (o *Optimizer) Incrementability(a, b cost.Eval) float64 {
 	return ben / dT
 }
 
-// meets reports whether every query's final work is within its constraint.
-func (o *Optimizer) meets(e cost.Eval) bool {
+// missed returns the queries whose final work exceeds their constraint.
+func (o *Optimizer) missed(e cost.Eval) mqo.Bitset {
+	var b mqo.Bitset
 	for q, l := range o.Constraints {
 		if e.QueryFinal[q] > l {
-			return false
+			b = b.With(q)
 		}
 	}
-	return true
+	return b
+}
+
+// meets reports whether every query's final work is within its constraint.
+func (o *Optimizer) meets(e cost.Eval) bool { return o.missed(e).Empty() }
+
+// mayScore reports whether raising subplan i, alone or with its ancestors,
+// can have a nonzero incrementability against an incumbent that misses the
+// goals of the queries in missed. It cannot unless one of those queries is in
+// i's reach: a query out of reach uses only subplans the raise leaves clean,
+// so its final work is re-summed from the same values in the same order and
+// is bitwise unchanged; a query in reach that meets its goal has
+// cur − max(goal, cand) ≤ 0. Either way Benefit adds nothing, so it is
+// exactly 0 and Incrementability +0, whatever the raise does to total work.
+func (o *Optimizer) mayScore(i int, missed mqo.Bitset) bool {
+	return !o.reach[i].Intersect(missed).Empty()
 }
 
 // eval wraps Model.EvaluateDelta with bookkeeping and deadline enforcement.
@@ -168,26 +196,38 @@ func better(a, b float64, delta int) bool {
 
 // pick costs every candidate move in s.ids against the incumbent, in order,
 // and returns the index into s.ids of the best eligible one (-1 when there is
-// none) and its score; s.best holds its evaluation. A candidate must score
-// strictly better to displace an earlier one, so ties break toward the lowest
-// subplan id. An error (in practice only ErrDeadline) ends the step at the
-// candidate that failed.
+// none) and its score; s.best holds its evaluation if it was costed, which a
+// lowering always is and a raise with a positive score too. A raise that
+// cannot score (see mayScore) is not costed: it scores 0, which is what
+// costing it would give. A candidate must score strictly better to
+// displace an earlier one, so ties break toward the lowest subplan id. An
+// error (in practice only ErrDeadline) ends the step at the candidate that
+// failed.
 func (s *search) pick(delta int, chain bool) (int, float64, error) {
 	k, best := -1, 0.0
+	var missed mqo.Bitset
+	if delta > 0 {
+		missed = s.o.missed(s.cur.Eval)
+	}
 	for i, id := range s.ids {
-		s.move(s.p, id, delta, chain)
-		err := s.o.eval(s.cur, s.p, s.cand)
-		s.move(s.p, id, -delta, chain)
-		if err != nil {
-			return -1, 0, err
+		score, ok, costed := 0.0, true, delta < 0 || s.o.mayScore(id, missed)
+		if costed {
+			s.move(s.p, id, delta, chain)
+			err := s.o.eval(s.cur, s.p, s.cand)
+			s.move(s.p, id, -delta, chain)
+			if err != nil {
+				return -1, 0, err
+			}
+			score, ok = s.score(s.cand.Eval, delta)
 		}
-		score, ok := s.score(s.cand.Eval, delta)
 		if s.scores != nil {
 			s.scores[i] = score
 		}
 		if ok && (k < 0 || better(score, best, delta)) {
 			k, best = i, score
-			s.cand, s.best = s.best, s.cand
+			if costed {
+				s.cand, s.best = s.best, s.cand
+			}
 		}
 	}
 	return k, best, nil

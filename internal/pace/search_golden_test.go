@@ -71,6 +71,21 @@ func searchQueries(t *testing.T) ([]plan.Query, *mqo.Graph) {
 	return bound, g
 }
 
+// rotationConstraints returns the absolute constraints of one rotation:
+// query q at relative level (q+rotation) mod 4.
+func rotationConstraints(t *testing.T, queries []plan.Query, rotation int) []float64 {
+	t.Helper()
+	rel := make([]float64, len(queries))
+	for q := range rel {
+		rel[q] = searchLevels[(q+rotation)%len(searchLevels)]
+	}
+	abs, err := opt.AbsoluteConstraints(queries, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return abs
+}
+
 // digest hashes a decision trace with every float as its IEEE-754 bits.
 func digest(ds []trace.Decision) string {
 	h := sha256.New()
@@ -142,14 +157,7 @@ func TestSearchGolden(t *testing.T) {
 	queries, g := searchQueries(t)
 	var got []searchRecord
 	for rot := range searchLevels {
-		rel := make([]float64, len(queries))
-		for q := range rel {
-			rel[q] = searchLevels[(q+rot)%len(searchLevels)]
-		}
-		abs, err := opt.AbsoluteConstraints(queries, rel)
-		if err != nil {
-			t.Fatal(err)
-		}
+		abs := rotationConstraints(t, queries, rot)
 		for _, search := range []string{"greedy", "reverse"} {
 			rec := runSearch(t, g, abs, search, rot, true)
 			got = append(got, rec)
