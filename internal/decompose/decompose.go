@@ -413,21 +413,7 @@ func (d *Decomposer) tryRebuild(res *Result, cand Candidate, sid int) error {
 
 // build constructs the shared plan under the current splits.
 func (d *Decomposer) build(splits map[string][]mqo.Bitset) (*mqo.Graph, *cost.Model, error) {
-	opts := mqo.BuildOptions{Trace: d.Opts.Tracer}
-	if len(splits) > 0 {
-		opts.Classes = func(sig string, q int) int {
-			parts, ok := splits[sig]
-			if !ok {
-				return 0
-			}
-			for i, p := range parts {
-				if p.Has(q) {
-					return i + 1
-				}
-			}
-			return 0
-		}
-	}
+	opts := mqo.BuildOptions{Trace: d.Opts.Tracer, Classes: ClassesFromSplits(splits)}
 	sp, err := mqo.BuildWithOptions(d.Queries, opts)
 	if err != nil {
 		return nil, nil, err

@@ -177,7 +177,7 @@ func TestIndexRegimesByteIdentical(t *testing.T) {
 		s, err := sched.New(g, paces, sched.Slices{Data: data, N: 3}, sched.Config{
 			Window: time.Second, Windows: 3, Clock: clock, WorkRate: 50_000,
 			Deadlines: make([]time.Duration, len(bound)),
-			Workers:   1, Trace: true, Tracer: tr, TraceName: "regimes", Events: ev, Status: status,
+			Workers:   1, Tracer: tr, TraceName: "regimes", Events: ev, Status: status,
 		})
 		if err != nil {
 			t.Fatal(err)

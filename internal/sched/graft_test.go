@@ -3,6 +3,7 @@ package sched_test
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"ishare/internal/oracle"
 	"ishare/internal/plan"
 	"ishare/internal/sched"
+	"ishare/internal/trace"
 )
 
 // churnPlan is a deterministic two-revision scenario for scheduler grafts:
@@ -66,17 +68,20 @@ func buildChurnPlan(t testing.TB, seed int64) *churnPlan {
 
 // driveChurn runs W windows, grafting revision B in place of A at the
 // boundary before window graftAt (no graft when graftAt < 0), and returns
-// the scheduler after completion.
-func driveChurn(t testing.TB, cp *churnPlan, workers, windows, graftAt int, onWindow func(win int, s *sched.Scheduler)) *sched.Scheduler {
+// the scheduler after completion with the tracer that followed it on the
+// run's clock.
+func driveChurn(t testing.TB, cp *churnPlan, workers, windows, graftAt int, onWindow func(win int, s *sched.Scheduler)) (*sched.Scheduler, *trace.Tracer) {
 	t.Helper()
+	clock := sched.NewVirtualClock(time.Unix(0, 0))
+	tr := trace.NewWithClock(clock.Now)
 	s, err := sched.New(cp.gA, cp.pacesA, sched.Slices{Data: cp.data, N: windows}, sched.Config{
 		Window:    time.Second,
 		Windows:   windows,
-		Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+		Clock:     clock,
 		WorkRate:  50_000,
 		Deadlines: make([]time.Duration, cp.gA.Plan.NumQueries()),
 		Workers:   workers,
-		Trace:     true,
+		Tracer:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +106,7 @@ func driveChurn(t testing.TB, cp *churnPlan, workers, windows, graftAt int, onWi
 			onWindow(win, s)
 		}
 	}
-	return s
+	return s, tr
 }
 
 // TestGraftPriorWindowsInvariant: admitting a query between windows must not
@@ -128,7 +133,7 @@ func TestGraftPriorWindowsInvariant(t *testing.T) {
 	}
 
 	var baseWindows, baseSnap string
-	base := driveChurn(t, cp, 1, windows, -1, func(win int, s *sched.Scheduler) {
+	base, _ := driveChurn(t, cp, 1, windows, -1, func(win int, s *sched.Scheduler) {
 		if win == graftAt-1 {
 			baseWindows = prefix(s, graftAt)
 			baseSnap = snapshot(s)
@@ -139,7 +144,7 @@ func TestGraftPriorWindowsInvariant(t *testing.T) {
 	}
 
 	var churnWindows, churnSnapBefore string
-	churn := driveChurn(t, cp, 1, windows, graftAt, func(win int, s *sched.Scheduler) {
+	churn, _ := driveChurn(t, cp, 1, windows, graftAt, func(win int, s *sched.Scheduler) {
 		if win == graftAt-1 {
 			churnWindows = prefix(s, graftAt)
 			churnSnapBefore = snapshot(s)
@@ -173,12 +178,13 @@ func TestGraftPriorWindowsInvariant(t *testing.T) {
 }
 
 // TestGraftWorkersInvariant: a churn run's schedule, work accounting,
-// deadline bookkeeping and metrics are byte-identical at any worker count.
+// deadline bookkeeping, metrics and trace are byte-identical at any worker
+// count.
 func TestGraftWorkersInvariant(t *testing.T) {
 	for _, seed := range []int64{3, 11, 19} {
 		cp := buildChurnPlan(t, seed)
 		render := func(workers int) string {
-			s := driveChurn(t, cp, workers, 3, 1, nil)
+			s, tr := driveChurn(t, cp, workers, 3, 1, nil)
 			res, err := json.MarshalIndent(s.Result(), "", " ")
 			if err != nil {
 				t.Fatal(err)
@@ -187,7 +193,11 @@ func TestGraftWorkersInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return string(res) + string(snap)
+			var chrome strings.Builder
+			if err := tr.WriteChrome(&chrome); err != nil {
+				t.Fatal(err)
+			}
+			return string(res) + string(snap) + chrome.String()
 		}
 		if one, four := render(1), render(4); one != four {
 			t.Errorf("seed %d: churn run differs between Workers=1 and Workers=4", seed)

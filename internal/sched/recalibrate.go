@@ -1,13 +1,9 @@
 package sched
 
 import (
-	"fmt"
-	"time"
-
 	"ishare/internal/cost"
 	"ishare/internal/pace"
 	"ishare/internal/profile"
-	"ishare/internal/trace"
 )
 
 // RecalibratePolicy closes the cost loop: when the drift detector's alerts
@@ -88,7 +84,7 @@ func (rp *RecalibratePolicy) cooldown() int {
 // returns the audit record, or nil when nothing fired.
 func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	rp := s.cfg.Recalibrate
-	if rp == nil || rp.Model == nil || s.prof == nil {
+	if rp == nil || rp.Model == nil || s.cfg.Profile == nil {
 		return nil
 	}
 	alerted := make([]bool, len(s.streak))
@@ -115,11 +111,13 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	if len(trig) == 0 {
 		return nil
 	}
+	// Fired: whatever the outcome, the trigger restarts and cools down.
+	defer s.resetRecalTrigger(rp)
 
 	// Correction factors from the persistent drifters only: subplans inside
 	// the drift band keep their factors, which is what makes their memo
 	// entries adoptable below.
-	drifts := s.prof.Drifts()
+	drifts := s.cfg.Profile.Drifts()
 	sel := make([]float64, len(drifts))
 	rec := &Recalibration{
 		Window:   s.window,
@@ -132,7 +130,6 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	}
 	newCalib, err := cost.CalibrateFromProfile(rp.Model, sel)
 	if err != nil {
-		s.resetRecalTrigger(rp)
 		return nil
 	}
 
@@ -154,12 +151,10 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	rec.Adopted = next.AdoptMemo(rp.Model, match)
 	opt, err := pace.NewOptimizer(next, rp.Constraints, rp.MaxPace)
 	if err != nil {
-		s.resetRecalTrigger(rp)
 		return nil
 	}
 	newPaces, ev, err := opt.GreedyFrom(pace.Ones(len(s.graph.Subplans)))
 	if err != nil {
-		s.resetRecalTrigger(rp)
 		return nil
 	}
 	rec.NewPaces = append([]int(nil), newPaces...)
@@ -182,12 +177,7 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	for i, v := range ev.SubTotal {
 		base[i] = v * scale
 	}
-	s.prof.Rebase(base)
-	s.resetRecalTrigger(rp)
-
-	s.res.Recalibrations = append(s.res.Recalibrations, *rec)
-	s.reg.Counter("sched.recalibrations").Inc()
-	s.reg.Gauge("sched.last_recalibration_window").Set(float64(rec.Window))
+	s.cfg.Profile.Rebase(base)
 	return rec
 }
 
@@ -197,32 +187,4 @@ func (s *Scheduler) resetRecalTrigger(rp *RecalibratePolicy) {
 		s.streak[i] = 0
 	}
 	s.recalCooldown = rp.cooldown()
-}
-
-// emitRecalibration puts the recalibration on the audit surfaces: one
-// cost.recalibrate event per drifting subplan, one pace.research event for
-// the warm re-search, and a tracer Decision mirroring the degradation
-// policy's. All content is deterministic (drift EWMAs are pure functions of
-// modeled work).
-func (s *Scheduler) emitRecalibration(rec *Recalibration, atNS int64, winEnd time.Time) {
-	if s.ev.Enabled() {
-		for i, id := range rec.Subplans {
-			s.ev.Emit("cost.recalibrate", atNS, rec.Window, id, -1, map[string]interface{}{
-				"drift": rec.Drifts[i],
-			})
-		}
-		s.ev.Emit("pace.research", atNS, rec.Window, -1, -1, map[string]interface{}{
-			"adopted": rec.Adopted, "steps": rec.Steps, "evals": rec.Evals,
-			"old_paces": fmt.Sprint(rec.OldPaces), "new_paces": fmt.Sprint(rec.NewPaces),
-		})
-	}
-	if s.tr != nil {
-		s.tr.DecideAt(s.tracePid, 0, s.traceBase+winEnd.Sub(s.epoch), trace.Decision{
-			Phase: "sched.recalibrate", Step: len(s.res.Recalibrations),
-			Subplan: rec.Subplans[0], Action: "recalibrate",
-			Score: rec.Drifts[0], Accepted: true,
-			Detail: fmt.Sprintf("window %d: %d subplans drifted, paces %v -> %v (%d memo entries adopted, %d evals)",
-				rec.Window, len(rec.Subplans), rec.OldPaces, rec.NewPaces, rec.Adopted, rec.Evals),
-		})
-	}
 }

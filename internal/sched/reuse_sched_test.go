@@ -14,6 +14,7 @@ import (
 	"ishare/internal/oracle"
 	"ishare/internal/profile"
 	"ishare/internal/sched"
+	"ishare/internal/trace"
 )
 
 // idleMiddle feeds a three-window schedule where the middle window delivers
@@ -57,14 +58,16 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 		run := func(reuse bool, workers int) ([]byte, sched.Status, *sched.Scheduler) {
 			ev := eventlog.New(nil, 0)
 			status := &sched.StatusBoard{}
+			clock := sched.NewVirtualClock(time.Unix(0, 0))
+			tr := trace.NewWithClock(clock.Now)
 			s, err := sched.New(tp.graph, paces, idleMiddle{data: tp.data}, sched.Config{
 				Window:    time.Second,
 				Windows:   windows,
-				Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+				Clock:     clock,
 				WorkRate:  50_000,
 				Deadlines: deadlines,
 				Workers:   workers,
-				Trace:     true,
+				Tracer:    tr,
 				Events:    ev,
 				Status:    status,
 			})
@@ -80,12 +83,15 @@ func TestSchedulerReuseInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var evBuf bytes.Buffer
-			if err := ev.WriteJSONL(&evBuf); err != nil {
+			out := bytes.NewBuffer(append(resJSON, '\n'))
+			if err := ev.WriteJSONL(out); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.WriteChrome(out); err != nil {
 				t.Fatal(err)
 			}
 			st, _ := status.Current()
-			return append(append(resJSON, '\n'), evBuf.Bytes()...), st, s
+			return out.Bytes(), st, s
 		}
 
 		var first []byte
@@ -195,14 +201,16 @@ func TestRecalibrationSoak(t *testing.T) {
 				Subplans: len(tp.graph.Subplans), Modeled: base, Bound: 1.5,
 			})
 			ev := eventlog.New(nil, 0)
+			clock := sched.NewVirtualClock(time.Unix(0, 0))
+			tr := trace.NewWithClock(clock.Now)
 			s, err := sched.New(tp.graph, paces, sched.Slices{Data: tp.data, N: windows}, sched.Config{
 				Window:    time.Second,
 				Windows:   windows,
-				Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+				Clock:     clock,
 				WorkRate:  50_000,
 				Deadlines: deadlines,
 				Workers:   workers,
-				Trace:     true,
+				Tracer:    tr,
 				Profile:   prof,
 				Events:    ev,
 				Recalibrate: &sched.RecalibratePolicy{
@@ -228,11 +236,14 @@ func TestRecalibrationSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var evBuf bytes.Buffer
-			if err := ev.WriteJSONL(&evBuf); err != nil {
+			out := bytes.NewBuffer(append(resJSON, '\n'))
+			if err := ev.WriteJSONL(out); err != nil {
 				t.Fatal(err)
 			}
-			return s, res, append(append(resJSON, '\n'), evBuf.Bytes()...)
+			if err := tr.WriteChrome(out); err != nil {
+				t.Fatal(err)
+			}
+			return s, res, out.Bytes()
 		}
 
 		s, res, first := run()

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"ishare/internal/mqo"
 	"ishare/internal/oracle"
 	"ishare/internal/sched"
+	"ishare/internal/trace"
 )
 
 // testPlan is a bound oracle workload ready to schedule.
@@ -52,21 +54,25 @@ func randPaces(r *rand.Rand, g *mqo.Graph, maxPace int) []int {
 }
 
 // runOnce drives a full scheduler run and returns the byte form the
-// determinism tests compare: the marshaled Result plus the metrics snapshot.
+// determinism tests compare: the marshaled Result, the metrics snapshot and
+// the Chrome trace, whose spans carry every firing's due, start, finish and
+// work.
 func runOnce(t testing.TB, tp *testPlan, paces []int, windows, workers int, workRate float64) (*sched.Scheduler, []byte) {
 	t.Helper()
 	deadlines := make([]time.Duration, tp.graph.Plan.NumQueries())
 	for i := range deadlines {
 		deadlines[i] = 100 * time.Millisecond
 	}
+	clock := sched.NewVirtualClock(time.Unix(0, 0))
+	tr := trace.NewWithClock(clock.Now)
 	s, err := sched.New(tp.graph, paces, sched.Slices{Data: tp.data, N: windows}, sched.Config{
 		Window:    time.Second,
 		Windows:   windows,
-		Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+		Clock:     clock,
 		WorkRate:  workRate,
 		Deadlines: deadlines,
 		Workers:   workers,
-		Trace:     true,
+		Tracer:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +89,11 @@ func runOnce(t testing.TB, tp *testPlan, paces []int, windows, workers int, work
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, append(append(resJSON, '\n'), snapJSON...)
+	out := bytes.NewBuffer(append(append(resJSON, '\n'), snapJSON...))
+	if err := tr.WriteChrome(out); err != nil {
+		t.Fatal(err)
+	}
+	return s, out.Bytes()
 }
 
 // TestVirtualClockDeterminism proves that one seed and workload yields a

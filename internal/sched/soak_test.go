@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"ishare/internal/exec"
 	"ishare/internal/oracle"
 	"ishare/internal/sched"
+	"ishare/internal/trace"
 )
 
 // soakTime stretches TestSchedulerSoak to a wall-clock budget; the CI soak
@@ -64,14 +66,16 @@ func TestSchedulerSoak(t *testing.T) {
 		}
 
 		run := func() (*sched.Scheduler, []byte) {
+			clock := sched.NewVirtualClock(time.Unix(0, 0))
+			tr := trace.NewWithClock(clock.Now)
 			s, err := sched.New(tp.graph, paces, sched.Slices{Data: tp.data, N: windows}, sched.Config{
 				Window:    time.Second,
 				Windows:   windows,
-				Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+				Clock:     clock,
 				WorkRate:  workRate,
 				Deadlines: deadlines,
 				Workers:   workers,
-				Trace:     true,
+				Tracer:    tr,
 			})
 			if err != nil {
 				t.Fatalf("scenario %d: %v", i, err)
@@ -93,7 +97,11 @@ func TestSchedulerSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s, append(append(resJSON, '\n'), snapJSON...)
+			out := bytes.NewBuffer(append(append(resJSON, '\n'), snapJSON...))
+			if err := tr.WriteChrome(out); err != nil {
+				t.Fatal(err)
+			}
+			return s, out.Bytes()
 		}
 
 		s, first := run()

@@ -22,7 +22,8 @@ func (r Replay) WindowData(int) exec.DeltaDataset { return r.Data }
 // Slices splits one dataset evenly across N windows, preserving arrival
 // order (and therefore the streams' prefix consistency): window i gets rows
 // (i·len/N, (i+1)·len/N] of every stream, so driving all N windows consumes
-// exactly the original dataset.
+// exactly the original dataset. A window at or past N — every window when
+// N < 1 — is empty, so a run longer than N windows idles after the data.
 type Slices struct {
 	Data exec.DeltaDataset
 	N    int
@@ -32,8 +33,11 @@ type Slices struct {
 func (s Slices) WindowData(i int) exec.DeltaDataset {
 	out := make(exec.DeltaDataset, len(s.Data))
 	for name, ts := range s.Data {
-		lo, hi := len(ts)*i/s.N, len(ts)*(i+1)/s.N
-		out[name] = ts[lo:hi]
+		if i < 0 || i >= s.N {
+			out[name] = ts[:0:0]
+			continue
+		}
+		out[name] = ts[len(ts)*i/s.N : len(ts)*(i+1)/s.N]
 	}
 	return out
 }

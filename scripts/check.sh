@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the repo's merge gate, defined here once; CI only calls it.
-# Build, the environment-read and single-owner-optimizer greps, vet, the full
-# test suite under the race detector (the wave-parallel executor, the
-# scheduler's workers and the HTTP servers must stay data-race-free), the
-# benchmark module, the observability smokes, the deterministic benchmark
-# gate, then the soaks and a fuzz smoke through their make targets. Set
+# Build, the environment-read, single-owner-optimizer and scheduler-report
+# greps, vet, the full test suite under the race detector (the wave-parallel
+# executor, the scheduler's workers and the HTTP servers must stay
+# data-race-free), the benchmark module, the observability smokes, the
+# deterministic benchmark gate, then the soaks and a fuzz smoke through their
+# make targets. Set
 # SKIP_FUZZ=1 to stop before the soaks (CI runs them as separate jobs), and
 # FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME (default 10s each) to change
 # the per-target fuzz budget and the three soak budgets.
@@ -36,6 +37,16 @@ echo "== single-owner optimizer (no go statements, atomics, locks or pools)"
 if grep -rnE '(^|[^[:alnum:]_])go (func|[[:alnum:]_.]+\()|"sync/atomic"|sync\.(RW)?Mutex|sync\.WaitGroup|sync\.Pool' \
 	internal/cost internal/pace internal/decompose internal/opt --include='*.go' | grep -v '_test\.go:'; then
 	echo "internal/{cost,pace,decompose,opt} must stay single-owner" >&2
+	exit 1
+fi
+
+# One way out of the scheduler: its accounting loop only records, and the
+# per-occasion reports in internal/sched/report.go are the only code there
+# that writes a metric, span, decision, event or status.
+echo "== scheduler observations leave through report.go only"
+if grep -rnE '\.(Emit|Publish|Span|Instant|DecideAt|Counter|Gauge|Histogram)\(|CountWork\(|CountArrangements\(' \
+	internal/sched --include='*.go' | grep -v '_test\.go:' | grep -v '^internal/sched/report\.go:'; then
+	echo "internal/sched writes observations outside report.go" >&2
 	exit 1
 fi
 
