@@ -43,7 +43,14 @@ bench:
 # problems' simulations), runtime.mallocgc ≈ 11 % (memo slab growth, plans
 # compiled by decompose), the memo's map probe + insert ≈ 8 %,
 # cost.(*Model).wire ≈ 6 % (arena reset ≈ 1.5 %); EvaluateDelta's own loop
-# is down to ≈ 4 % self and the GC write barrier to ≈ 4 %.
+# is down to ≈ 4 % self and the GC write barrier to ≈ 4 %. ExecJob's
+# inclusive top five since joins emit only the columns their consumers read
+# (PROFILE_TIME=10x, ≈ 1.6 s/job, 2 vCPUs): joinExec.runPhase ≈ 58 %
+# (joinArr.apply ≈ 25 % with find ≈ 15 % inside it, addCand ≈ 9 %),
+# aggExec.process ≈ 18 %, the GC's background mark ≈ 12 %,
+# vec.(*Eval).Values ≈ 10 %, runtime.mallocgc ≈ 10 % (clearing large slabs
+# ≈ 7 %). By bytes, row arenas still lead (32 %), then log appends (23 %)
+# and join entries (13 %).
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

@@ -107,7 +107,9 @@ type clustered struct {
 	bits mqo.Bitset
 }
 
-func newAggExec(op *mqo.Op, batch int) *aggExec {
+// newAggExec compiles the aggregation's GROUP BY and argument expressions
+// against its input's physical rows (lay).
+func newAggExec(op *mqo.Op, batch int, lay layouts) *aggExec {
 	g := &aggExec{
 		op:      op,
 		batch:   batch,
@@ -120,11 +122,11 @@ func newAggExec(op *mqo.Op, batch int) *aggExec {
 		args:    make([][]value.Value, len(op.Aggs)),
 	}
 	for i, ge := range op.GroupBy {
-		g.gbEvs[i] = vec.Compile(ge.E)
+		g.gbEvs[i] = vec.Compile(lay.over(op.Children[0], ge.E))
 	}
 	for i, spec := range op.Aggs {
 		if spec.Arg != nil {
-			g.argEvs[i] = vec.Compile(spec.Arg)
+			g.argEvs[i] = vec.Compile(lay.over(op.Children[0], spec.Arg))
 		}
 	}
 	for i, q := range g.queries {

@@ -1,8 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"ishare/internal/expr"
+	"ishare/internal/mqo"
+	"ishare/internal/vec"
 )
 
 // IndexRegimes runs f three times: at the shipped identity-index threshold,
@@ -20,6 +26,118 @@ func IndexRegimes(t *testing.T, f func(t *testing.T)) {
 			f(t)
 		})
 	}
+}
+
+// CheckLayouts verifies every compiled expression against the layout of the
+// executor that actually produces its input (after a graft, possibly an
+// adopted one): each column a join key, marker, project expression or
+// aggregate GROUP BY or argument reads must resolve, through that layout, to
+// the logical column the operator's own expression names. Query roots must
+// keep their full schema, and every row in a subplan's output log must be
+// as wide as its root's layout — full for scans, projects and aggregates.
+func (r *Runner) CheckLayouts() error {
+	colsOf := func(o *mqo.Op) []int {
+		if j, ok := r.Execs[r.Graph.SubplanOf(o).ID].ops[o].(*joinExec); ok {
+			return j.cols
+		}
+		return layouts(nil).cols(o)
+	}
+	reads := func(o *mqo.Op, logical expr.Expr, compiled *vec.Eval, producer []int) error {
+		lc, pc := expr.Columns(logical), expr.Columns(compiled.Source())
+		if len(lc) != len(pc) {
+			return fmt.Errorf("op %d: %s compiled to %s", o.ID, logical, compiled.Source())
+		}
+		for i := range lc {
+			if pc[i] >= len(producer) || producer[pc[i]] != lc[i] {
+				return fmt.Errorf("op %d: %s reads column %d at position %d of layout %v", o.ID, logical, lc[i], pc[i], producer)
+			}
+		}
+		return nil
+	}
+	markers := func(o *mqo.Op, ms []marker, own []int) error {
+		if len(ms) != len(o.Preds) {
+			return fmt.Errorf("op %d: %d markers for %d predicates", o.ID, len(ms), len(o.Preds))
+		}
+		for _, m := range ms {
+			if err := reads(o, o.Preds[m.q], m.pred, own); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, o := range r.Graph.Plan.QueryRoots {
+		if o != nil && !slices.Equal(colsOf(o), layouts(nil).cols(o)) {
+			return fmt.Errorf("query root op %d emits %v, not its full schema", o.ID, colsOf(o))
+		}
+	}
+	for _, se := range r.Execs {
+		for o, x := range se.ops {
+			var err error
+			switch x := x.(type) {
+			case *scanExec:
+				err = markers(o, x.markers, colsOf(o))
+			case *projectExec:
+				for i, ne := range o.Exprs {
+					if err == nil {
+						err = reads(o, ne.E, x.exprs[i], colsOf(o.Children[0]))
+					}
+				}
+				if err == nil {
+					err = markers(o, x.markers, colsOf(o))
+				}
+			case *aggExec:
+				for i, ge := range o.GroupBy {
+					if err == nil {
+						err = reads(o, ge.E, x.gbEvs[i], colsOf(o.Children[0]))
+					}
+				}
+				for i, a := range o.Aggs {
+					if err == nil && a.Arg != nil {
+						err = reads(o, a.Arg, x.argEvs[i], colsOf(o.Children[0]))
+					}
+				}
+			case *joinExec:
+				for c := range o.LeftKeys {
+					if err == nil {
+						err = reads(o, o.LeftKeys[c], x.left.kevs[c], colsOf(o.Children[0]))
+					}
+					if err == nil {
+						err = reads(o, o.RightKeys[c], x.right.kevs[c], colsOf(o.Children[1]))
+					}
+				}
+				if err == nil {
+					err = markers(o, x.markers, x.cols)
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+		width := len(colsOf(se.Sub.Root))
+		for _, t := range se.Out.All() {
+			if len(t.Row) != width {
+				return fmt.Errorf("subplan %d logged a %d-value row, layout width %d", se.Sub.ID, len(t.Row), width)
+			}
+		}
+	}
+	return nil
+}
+
+// JoinLayouts returns every join's output layout by column name, in
+// operator order.
+func (r *Runner) JoinLayouts() [][]string {
+	var out [][]string
+	for _, o := range r.Graph.Plan.Ops {
+		if o.Kind != mqo.KindJoin {
+			continue
+		}
+		var names []string
+		for _, c := range r.lay.cols(o) {
+			names = append(names, o.Schema()[c].Name)
+		}
+		out = append(out, names)
+	}
+	return out
 }
 
 // JoinStateStats sums, over the runner's live join arrangements, the

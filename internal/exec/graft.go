@@ -13,8 +13,9 @@ import (
 // state. Subplans of the new graph that are state-identical to an old
 // subplan (mqo.MatchSubplans) adopt the old executor wholesale — join build
 // sides, group indexes, ordset accumulators and the materialized output log
-// carry over via their stable references. Subplans with no state-identical
-// predecessor are rebuilt fresh and *replayed* through the sealed
+// carry over via their stable references — provided their joins keep the
+// same output layout (vetoLayoutChanges). Subplans with no such predecessor are
+// rebuilt fresh and *replayed* through the sealed
 // window-by-window history (Runner.winData / SubplanExec.winOut), so their
 // state, output and modeled work land exactly where a from-scratch run over
 // the same lifetime would have put them. Old subplans nothing adopted —
@@ -34,6 +35,10 @@ type GraftOptions struct {
 type GraftStats struct {
 	// Adopted counts subplans whose old executor state carried over.
 	Adopted int
+	// Vetoed counts state-identical matches not adopted because a member
+	// join's output layout differs under the new graph, or a child's match
+	// was vetoed; they are rebuilt (and counted there) instead.
+	Vetoed int
 	// Rebuilt counts subplans built fresh and replayed from history.
 	Rebuilt int
 	// Dropped counts old executors released because no new subplan adopted
@@ -95,7 +100,10 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	r.sealWindow()
 	regBefore := r.reg.Stats()
 
+	stats := &GraftStats{}
+	newLay := planLayouts(newG)
 	match := mqo.MatchSubplans(r.Graph, newG)
+	stats.Vetoed = r.vetoLayoutChanges(match, newG, newLay)
 	var looseBySig map[string][]int
 	var newLoose []string
 	if DebugGraftLooseMatch {
@@ -121,7 +129,6 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		}
 	}
 
-	stats := &GraftStats{}
 	newExecs := make([]*SubplanExec, len(newG.Subplans))
 	res := graftResolver{r: r, execs: newExecs}
 	adoptedOld := make(map[int]bool)
@@ -138,7 +145,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		if DebugGraftLooseMatch {
 			staleAdopted := false
 			for _, oldID := range looseBySig[newLoose[s.ID]] {
-				if adoptedOld[oldID] {
+				if adoptedOld[oldID] || !sameLayouts(r.Graph, r.Graph.Subplans[oldID], s, r.lay, newLay) {
 					continue
 				}
 				se := r.Execs[oldID]
@@ -153,7 +160,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 				continue
 			}
 		}
-		se, err := NewSubplanExec(newG, s, res, r.opts.batch(), r.reg)
+		se, err := newSubplanExec(newG, s, res, r.opts.batch(), r.reg, newLay)
 		if err != nil {
 			return nil, fmt.Errorf("exec: graft: %w", err)
 		}
@@ -208,6 +215,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 
 	r.Execs = newExecs
 	r.Graph = newG
+	r.lay = newLay
 	// Scan cones and depths follow the new graph; skipping stays disabled
 	// until the next window boundary recomputes dirtiness (see reuse.go).
 	r.indexGraph()
@@ -215,19 +223,46 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	return stats, nil
 }
 
+// vetoLayoutChanges drops from match (newID → oldID) every pair the old
+// executor cannot serve although it is state-identical: one whose member
+// joins emit a different layout under the new graph — the layout is not part
+// of the state signature, so retiring a query and admitting another into
+// its slot can keep a shared join's signature while its readers change —
+// and, children-first, every matched ancestor of a vetoed pair, whose
+// adopted operators read the vetoed child's old-layout log. It returns the
+// number of pairs dropped.
+func (r *Runner) vetoLayoutChanges(match map[int]int, newG *mqo.Graph, newLay layouts) int {
+	vetoed := 0
+	for _, s := range newG.Subplans { // children-first
+		oldID, ok := match[s.ID]
+		if !ok {
+			continue
+		}
+		keep := sameLayouts(r.Graph, r.Graph.Subplans[oldID], s, r.lay, newLay)
+		for _, c := range s.Children {
+			if _, ok := match[c.ID]; !ok {
+				keep = false
+			}
+		}
+		if !keep {
+			delete(match, s.ID)
+			vetoed++
+		}
+	}
+	return vetoed
+}
+
 // adopt remaps the executor's per-operator bookkeeping from the old
 // subplan's operators onto the state-identical new subplan's by walking the
-// two operator trees in lockstep (a subplan's interior is a proper tree —
-// multi-parent operators are always subplan roots). Operator instances,
-// input readers, the output log and all accumulated work carry over
-// untouched; only the map keys change identity.
+// two operator trees in lockstep (pairOps). Operator instances, input
+// readers, the output log and all accumulated work carry over untouched;
+// only the map keys change identity.
 func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
 	ops := make(map[*mqo.Op]operator, len(se.ops))
 	member := make(map[*mqo.Op]bool, len(se.member))
 	inputs := make(map[inputKey]*buffer.Reader, len(se.inputs))
 	opWork := make(map[*mqo.Op]Work, len(se.opWork))
-	var walk func(oldOp, newOp *mqo.Op)
-	walk = func(oldOp, newOp *mqo.Op) {
+	pairOps(oldSub.Root, newSub.Root, func(o *mqo.Op) bool { return se.member[o] }, func(oldOp, newOp *mqo.Op) {
 		ops[newOp] = se.ops[oldOp]
 		member[newOp] = true
 		opWork[newOp] = se.opWork[oldOp]
@@ -235,16 +270,12 @@ func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
 			inputs[inputKey{newOp, 0}] = se.inputs[inputKey{oldOp, 0}]
 			return
 		}
-		for i := range oldOp.Children {
-			oc, nc := oldOp.Children[i], newOp.Children[i]
-			if se.member[oc] {
-				walk(oc, nc)
-			} else {
+		for i, oc := range oldOp.Children {
+			if !se.member[oc] {
 				inputs[inputKey{newOp, i}] = se.inputs[inputKey{oldOp, i}]
 			}
 		}
-	}
-	walk(oldSub.Root, newSub.Root)
+	})
 	se.Sub = newSub
 	se.ops, se.member, se.inputs, se.opWork = ops, member, inputs, opWork
 }

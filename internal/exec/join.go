@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"ishare/internal/delta"
 	"ishare/internal/expr"
 	"ishare/internal/mqo"
@@ -47,8 +49,13 @@ type joinExec struct {
 	cand     []delta.Tuple
 	candMult []int
 	candCh   vec.Chunk
-	// arena carves the concatenated output rows; emitted rows are retained
-	// downstream and never rewritten.
+	// cols is the join's output layout (see layouts): the logical columns
+	// it emits. runs tile an output row with contiguous copies out of the
+	// two input rows.
+	cols []int
+	runs []colRun
+	// arena carves the output rows; emitted rows are retained downstream
+	// and never rewritten.
 	arena vec.RowArena
 	// outBuf is the pooled emission buffer, reused across incremental
 	// executions; callers consume the returned slice before the next
@@ -56,14 +63,47 @@ type joinExec struct {
 	outBuf []delta.Tuple
 }
 
-func newJoinExec(op *mqo.Op, batch int) *joinExec {
-	return &joinExec{
+// colRun is one contiguous copy into an output row: values from:to of the
+// left (or right) input row, which is in that child's physical layout.
+type colRun struct {
+	right    bool
+	from, to int
+}
+
+// newJoinExec compiles the join against lay: keys over each child's
+// physical rows, markers over the join's own layout, and the copy runs that
+// carve its output rows.
+func newJoinExec(op *mqo.Op, batch int, lay layouts) *joinExec {
+	l, r := op.Children[0], op.Children[1]
+	j := &joinExec{
 		op:      op,
 		batch:   batch,
-		markers: compileMarkers(op),
-		left:    newJoinSide(op.LeftKeys),
-		right:   newJoinSide(op.RightKeys),
+		left:    newJoinSide(l, op.LeftKeys, lay),
+		right:   newJoinSide(r, op.RightKeys, lay),
+		cols:    lay.cols(op),
+		markers: compileMarkers(op, lay.colMap(op)),
 	}
+	lw := len(l.Schema())
+	lm, rm := lay.colMap(l), lay.colMap(r)
+	for _, c := range j.cols {
+		right, m := c >= lw, lm
+		if right {
+			c, m = c-lw, rm
+		}
+		p := c
+		if m != nil {
+			var ok bool
+			if p, ok = m[c]; !ok {
+				panic(fmt.Sprintf("exec: join %d keeps column %d its input does not carry", op.ID, c))
+			}
+		}
+		if n := len(j.runs); n > 0 && j.runs[n-1].right == right && j.runs[n-1].to == p {
+			j.runs[n-1].to++
+		} else {
+			j.runs = append(j.runs, colRun{right: right, from: p, to: p + 1})
+		}
+	}
+	return j
 }
 
 // attach re-keys both sides through the registry. A side whose arrangement
@@ -122,7 +162,13 @@ type joinSide struct {
 	refs    []int32
 }
 
-func newJoinSide(keys []expr.Expr) *joinSide {
+// newJoinSide compiles one side's key expressions, written over child's
+// logical schema, against the child's physical rows.
+func newJoinSide(child *mqo.Op, logical []expr.Expr, lay layouts) *joinSide {
+	keys := make([]expr.Expr, len(logical))
+	for c, k := range logical {
+		keys[c] = lay.over(child, k)
+	}
 	s := &joinSide{
 		arr:     &joinArr{},
 		keys:    keys,
@@ -254,8 +300,9 @@ func (j *joinExec) runPhase(self, other *joinSide, tuples []delta.Tuple, selfIsL
 	return out
 }
 
-// addCand queues one candidate emission: the concatenated row is carved from
-// the output arena, markers are deferred to flushCand.
+// addCand queues one candidate emission: the row, the join's layout of the
+// two input rows, is carved from the output arena; markers are deferred to
+// flushCand.
 func (j *joinExec) addCand(l, r value.Row, bits mqo.Bitset, sign delta.Sign, count int) {
 	if bits.Empty() || count == 0 {
 		return
@@ -264,9 +311,15 @@ func (j *joinExec) addCand(l, r value.Row, bits mqo.Bitset, sign delta.Sign, cou
 	if n < 0 {
 		n, s = -n, -s
 	}
-	row := j.arena.NewRow(len(l) + len(r))
-	copy(row, l)
-	copy(row[len(l):], r)
+	row := j.arena.NewRow(len(j.cols))
+	at := 0
+	for _, run := range j.runs {
+		src := l
+		if run.right {
+			src = r
+		}
+		at += copy(row[at:], src[run.from:run.to])
+	}
 	j.cand = append(j.cand, delta.Tuple{Row: row, Bits: bits, Sign: s})
 	j.candMult = append(j.candMult, n)
 }

@@ -25,9 +25,9 @@ type operator interface {
 // applyMarkers evaluates the operator's per-query marker predicates against
 // the tuple's row and clears the bits of queries whose predicate fails
 // (SharedDB σ* semantics: marking never drops a tuple another query needs).
-// It returns the surviving bits. This is the scalar path, used where output
-// cardinality is data-dependent (join emissions, aggregate group output);
-// scan and project apply the same markers chunk-at-a-time.
+// It returns the surviving bits. This is the scalar path, used only for
+// aggregate group output; scans, projects and joins apply their compiled
+// markers chunk-at-a-time (applyMarkersChunk).
 func applyMarkers(op *mqo.Op, row value.Row, bits mqo.Bitset) mqo.Bitset {
 	for q, pred := range op.Preds {
 		if bits.Has(q) && !pred.Eval(row).Truth() {
@@ -48,14 +48,15 @@ type marker struct {
 
 // compileMarkers compiles an operator's marker predicates in query order
 // (the map's iteration order varies, but markers commute — each clears only
-// its own query's bit).
-func compileMarkers(op *mqo.Op) []marker {
+// its own query's bit), with their columns rewritten through m onto the
+// operator's physical output rows (nil: the full schema).
+func compileMarkers(op *mqo.Op, m map[int]int) []marker {
 	if len(op.Preds) == 0 {
 		return nil
 	}
 	out := make([]marker, 0, len(op.Preds))
 	for q, pred := range op.Preds {
-		out = append(out, marker{q: q, pred: vec.Compile(pred)})
+		out = append(out, marker{q: q, pred: vec.Compile(remapCols(pred, m))})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].q < out[j].q })
 	return out
@@ -103,21 +104,22 @@ type arranged interface {
 // newOperator instantiates the physical operator for a shared-plan node.
 // batch is the chunk size used for delta iteration; stateful operators
 // attach their arrangements to reg (nil keeps state private — tests that
-// drive operators directly).
-func newOperator(op *mqo.Op, batch int, reg *Registry) operator {
+// drive operators directly). lay is the graph's join layouts, which every
+// operator reading a join's rows compiles against.
+func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
 	switch op.Kind {
 	case mqo.KindScan:
-		return &scanExec{op: op, batch: batch, markers: compileMarkers(op)}
+		return &scanExec{op: op, batch: batch, markers: compileMarkers(op, nil)}
 	case mqo.KindProject:
-		return newProjectExec(op, batch)
+		return newProjectExec(op, batch, lay)
 	case mqo.KindJoin:
-		j := newJoinExec(op, batch)
+		j := newJoinExec(op, batch, lay)
 		if reg != nil {
 			j.attach(reg)
 		}
 		return j
 	case mqo.KindAggregate:
-		a := newAggExec(op, batch)
+		a := newAggExec(op, batch, lay)
 		if reg != nil {
 			a.attach(reg)
 		}
@@ -181,16 +183,16 @@ type projectExec struct {
 	outBuf  []delta.Tuple
 }
 
-func newProjectExec(op *mqo.Op, batch int) *projectExec {
+func newProjectExec(op *mqo.Op, batch int, lay layouts) *projectExec {
 	p := &projectExec{
 		op:      op,
 		batch:   batch,
-		markers: compileMarkers(op),
+		markers: compileMarkers(op, nil),
 		exprs:   make([]*vec.Eval, len(op.Exprs)),
 		cols:    make([][]value.Value, len(op.Exprs)),
 	}
 	for i, ne := range op.Exprs {
-		p.exprs[i] = vec.Compile(ne.E)
+		p.exprs[i] = vec.Compile(lay.over(op.Children[0], ne.E))
 	}
 	return p
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ishare/internal/catalog"
 	"ishare/internal/delta"
 	"ishare/internal/expr"
 	"ishare/internal/mqo"
@@ -83,15 +84,26 @@ func testCrossJoinIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
+// scansOfWidth returns scans of tables with the given column counts: the
+// children a hand-built join needs for its full-width layout.
+func scansOfWidth(widths ...int) []*mqo.Op {
+	out := make([]*mqo.Op, len(widths))
+	for i, w := range widths {
+		out[i] = &mqo.Op{Kind: mqo.KindScan, Table: &catalog.Table{Columns: make([]catalog.Column, w)}}
+	}
+	return out
+}
+
 func TestJoinNullKeysNeverMatch(t *testing.T) {
 	// NULL never equi-joins: tuples whose key evaluates to NULL leave the
 	// selection before state update and probe.
 	op := &mqo.Op{
 		Kind: mqo.KindJoin, Queries: mqo.Bit(0),
+		Children:  scansOfWidth(1, 1),
 		LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
 		RightKeys: []expr.Expr{&expr.Column{Index: 0}},
 	}
-	j := newJoinExec(op, 4)
+	j := newJoinExec(op, 4, nil)
 	left := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
 	right := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
 	out, w := j.process([][]delta.Tuple{left, right})
@@ -106,7 +118,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 
 	// An empty key list is a cross join: every pair matches.
-	cross := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0)}, 4)
+	cross := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, 4, nil)
 	out, _ = cross.process([][]delta.Tuple{
 		{{Row: value.Row{value.Int(1)}, Bits: mqo.Bit(0), Sign: delta.Insert}},
 		{{Row: value.Row{value.Int(2)}, Bits: mqo.Bit(0), Sign: delta.Insert}},
@@ -222,11 +234,11 @@ func testAggregateNullArgumentsSkipped(t *testing.T) {
 }
 
 func TestStateSizes(t *testing.T) {
-	j := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0)}, vec.DefaultBatch)
+	j := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, vec.DefaultBatch, nil)
 	if j.stateSize() != 0 {
 		t.Error("fresh join state not empty")
 	}
-	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, vec.DefaultBatch)
+	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, vec.DefaultBatch, nil)
 	if a.stateSize() != 0 {
 		t.Error("fresh agg state not empty")
 	}

@@ -60,6 +60,8 @@ type Runner struct {
 	// reg is the arrangement registry every stateful operator of this
 	// runner attaches its indexed state to (see arrange.go).
 	reg *Registry
+	// lay is Graph's join layouts (layout.go), recomputed by every Graft.
+	lay layouts
 
 	// Window-level result reuse (see reuse.go): lineage holds each
 	// subplan's scan cone and winClean the per-window clean flags; the
@@ -139,6 +141,7 @@ func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 		windowBase: make(map[string]int),
 		opts:       opts,
 		reg:        NewRegistry(!opts.NoShare),
+		lay:        planLayouts(g),
 	}
 	// A non-empty construction dataset is the first (implicit) window: if
 	// the plan is later grafted, that history must be replayable.
@@ -159,7 +162,7 @@ func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first, so child execs exist
-		se, err := NewSubplanExec(g, s, r, opts.batch(), r.reg)
+		se, err := newSubplanExec(g, s, r, opts.batch(), r.reg, r.lay)
 		if err != nil {
 			return nil, err
 		}

@@ -90,7 +90,7 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	if aggOp == nil {
 		t.Fatal("no aggregate operator in plan")
 	}
-	g := newAggExec(aggOp, vec.DefaultBatch)
+	g := newAggExec(aggOp, vec.DefaultBatch, nil)
 	seed := make([]delta.Tuple, 0, 64)
 	for i := 0; i < 64; i++ {
 		seed = append(seed, tupleFor(value.Row{value.Int(int64(i % 8)), value.Float(float64(i))}))

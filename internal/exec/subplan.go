@@ -53,12 +53,13 @@ type inputResolver interface {
 	SubplanLog(s *mqo.Subplan) (*buffer.Log, error)
 }
 
-// NewSubplanExec wires a subplan's operators and input readers. batch is the
+// newSubplanExec wires a subplan's operators and input readers. batch is the
 // chunk size the member operators iterate deltas with; it is captured per
 // operator at construction so concurrent runners never share batch state.
 // Stateful member operators attach their indexed state to reg, the runner's
-// arrangement registry (nil keeps all state private).
-func NewSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int, reg *Registry) (*SubplanExec, error) {
+// arrangement registry (nil keeps all state private). lay is g's join
+// layouts (planLayouts), computed once per graph by the caller.
+func newSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int, reg *Registry, lay layouts) (*SubplanExec, error) {
 	se := &SubplanExec{
 		Sub:    sub,
 		Out:    buffer.NewLog(fmt.Sprintf("subplan%d", sub.ID)),
@@ -72,7 +73,7 @@ func NewSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int
 		se.member[o] = true
 	}
 	for _, o := range sub.Ops {
-		se.ops[o] = newOperator(o, batch, reg)
+		se.ops[o] = newOperator(o, batch, reg, lay)
 		if o.Kind == mqo.KindScan {
 			log, err := res.TableLog(o.Table.Name)
 			if err != nil {

@@ -29,6 +29,7 @@ var batchSizes = []int{1, 8, vec.DefaultBatch}
 func BenchmarkBatchJoinProbe(b *testing.B) {
 	op := &mqo.Op{
 		Kind: mqo.KindJoin, Queries: mqo.Bit(0),
+		Children:  scansOfWidth(2, 2),
 		LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
 		RightKeys: []expr.Expr{&expr.Column{Index: 0}},
 	}
@@ -48,7 +49,7 @@ func BenchmarkBatchJoinProbe(b *testing.B) {
 	}
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			j := newJoinExec(op, batch)
+			j := newJoinExec(op, batch, nil)
 			j.process([][]delta.Tuple{nil, right})
 			in := [][]delta.Tuple{left, nil}
 			j.process(in) // warm scratch buffers
@@ -98,7 +99,7 @@ func BenchmarkBatchAgg(b *testing.B) {
 	}
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			g := newAggExec(aggOp, batch)
+			g := newAggExec(aggOp, batch, nil)
 			g.process([][]delta.Tuple{seed}) // groups pre-exist; lookups stay warm
 			in := [][]delta.Tuple{stream}
 			g.process(in) // warm pools

@@ -260,4 +260,35 @@ var shrunkSeeds = []shrunkSeed{
 			Churn: &oracle.ChurnPlan{Windows: 3, Admit: []int{0, 0, 1}, Retire: []int{-1, 1, -1}, ToggleShare: []int{1, 2}},
 		},
 	},
+	{
+		// A shared join changes its output layout under an unchanged state
+		// signature: q2 retires and q1 takes its slot at the boundary before
+		// window 2, so the t2 ⋈ t1 join keeps its query bitset but now feeds
+		// t2.c1 and t2.c2 to q1's projection instead of t2.c2 and t1.c0 to
+		// q2's aggregate. The graft must rebuild the join, and q0's root
+		// above it, rather than adopt them: adopted, they hand q1 rows in the
+		// old layout. Shrunk from generator seed 1002, which the fuzz corpus
+		// replays in full.
+		name: "churn-layout-handover",
+		w: &oracle.Workload{
+			Tables: []oracle.TableDef{
+				{Name: "t1", Cols: []catalog.Column{{Name: "c0", Type: value.KindInt}, {Name: "c1", Type: value.KindDate}}},
+				{Name: "t2", Cols: []catalog.Column{{Name: "c0", Type: value.KindInt}, {Name: "c1", Type: value.KindDate}, {Name: "c2", Type: value.KindInt}}},
+			},
+			Streams: map[string][]delta.Tuple{
+				"t1": {
+					oracle.Ins(value.Int(4), value.Date(7302)),
+				},
+				"t2": {
+					oracle.Ins(value.Int(4), value.Date(7309), value.Int(6)),
+				},
+			},
+			SQL: []string{
+				"SELECT t2.c0 FROM t2, t1 WHERE t2.c0 = t1.c0 AND t1.c0 BETWEEN 2 AND 2 AND t2.c2 IN (4, 1)",
+				"SELECT t2.c1, t2.c2 + t2.c0 FROM t2, t1 WHERE t2.c0 = t1.c0",
+				"SELECT t2.c0, MIN(t2.c2), MAX(t1.c0) FROM t2, t1 WHERE t2.c0 = t1.c0 GROUP BY t2.c0 HAVING MIN(t2.c2) = 1",
+			},
+			Churn: &oracle.ChurnPlan{Windows: 4, Admit: []int{0, 2, 0}, Retire: []int{-1, -1, 2}},
+		},
+	},
 }

@@ -60,6 +60,9 @@ func Compile(e expr.Expr) *Eval {
 	}
 }
 
+// Source returns the expression the node was compiled from.
+func (ev *Eval) Source() expr.Expr { return ev.src }
+
 // grow sizes the scratch vector for a chunk of n tuples.
 func (ev *Eval) grow(n int) []value.Value {
 	if cap(ev.buf) < n {
