@@ -50,7 +50,17 @@ bench:
 # aggExec.process ≈ 18 %, the GC's background mark ≈ 12 %,
 # vec.(*Eval).Values ≈ 10 %, runtime.mallocgc ≈ 10 % (clearing large slabs
 # ≈ 7 %). By bytes, row arenas still lead (32 %), then log appends (23 %)
-# and join entries (13 %).
+# and join entries (13 %). ChurnGraft is admission's executor cost: one
+# Session.Admit plus Retire of the same query over a dashboard session's 30
+# windows of history. Its inclusive top five since grafts reattach subplans
+# over a rebuilt scan (PROFILE_TIME=100x, ≈ 32 ms/iteration, 2 vCPUs):
+# exec.(*Runner).Graft ≈ 79 %, nearly all of it replaying the rebuilt clicks
+# scan and the subplans that must replay; scanExec.process ≈ 39 %
+# (applyMarkersChunk ≈ 34 %, vec.(*Eval).Truths ≈ 25 %);
+# buffer.(*Log).Append ≈ 23 %, the replayed output re-growing its logs
+# (85 % of bytes allocated); runtime.mallocgc ≈ 21 % (GC assist ≈ 10 %);
+# aggExec.process ≈ 15 %. The optimizer's warm re-plan is ≈ 7 %, and the 30
+# set-up windows ≈ 5 %.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

@@ -8,12 +8,14 @@ import (
 	"ishare"
 )
 
-// runChurn demonstrates online admission: a session serves two aggregate
-// queries over a stream of windows, then a third query is admitted mid-stream
-// (grafting onto the shared scan+filter state and replaying history for its
-// private aggregation), and one of the originals is retired. It prints the
-// graft statistics and the warm pace search's simulation count against a
-// cold from-scratch plan of the same final query set.
+// runChurn demonstrates online admission: a session serves three aggregate
+// queries over a stream of windows, then a fourth is admitted mid-stream and
+// one of the originals is retired. The admission rebuilds the shared events
+// scan, whose query set grows, and the aggregation the newcomer shares with
+// totals, and replays history into them; counts' aggregation, which reads the
+// rebuilt scan but serves no new query, keeps its executor. It prints how many subplan executors were carried over and how
+// many rebuilt and replayed, and the warm pace search's simulation count
+// against a cold from-scratch plan of the same final query set.
 func runChurn(out io.Writer, seed int64) error {
 	newEngine := func() *ishare.Engine {
 		e := ishare.NewEngine()
@@ -76,7 +78,7 @@ func runChurn(out io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "admitted bigspend into slot %d: %d/%d subplans carried over, %d rebuilt and caught up over %d window replays, %d shared arrangements adopted\n",
+	fmt.Fprintf(out, "admitted bigspend into slot %d: %d/%d subplan executors carried over, %d rebuilt and caught up over %d window replays, %d shared arrangements adopted\n",
 		stats.Slot, stats.MatchedSubplans, stats.MatchedSubplans+stats.FreshSubplans, stats.FreshSubplans, stats.Replayed, stats.SharedArrangements)
 
 	// Cold comparison: a fresh session over the same three queries pays the

@@ -81,6 +81,16 @@ func (l *Log) NewReader() *Reader {
 	return &Reader{log: l, limit: -1}
 }
 
+// NewReaderAt returns a cursor at position off, as if the first off tuples
+// had already been read. A graft re-points a carried-over consumer at the end
+// of a rebuilt producer's log this way.
+func (l *Log) NewReaderAt(off int) *Reader {
+	if n := l.Len(); off < 0 || off > n {
+		panic(fmt.Sprintf("buffer %s: reader at %d of %d", l.name, off, n))
+	}
+	return &Reader{log: l, off: off, limit: -1}
+}
+
 // SetLimit caps ReadNew at log position n until ClearLimit. Replay after a
 // plan graft uses this to feed an executor exactly one sealed window's worth
 // of input even though the log already holds the full history.

@@ -77,6 +77,25 @@ func TestIndependentReaders(t *testing.T) {
 	}
 }
 
+func TestReaderAt(t *testing.T) {
+	l := NewLog("t")
+	l.Append(tup(1), tup(2))
+	r := l.NewReaderAt(2)
+	if r.ReadNew() != nil || r.Offset() != 2 {
+		t.Fatalf("reader at the end read something (offset %d)", r.Offset())
+	}
+	l.Append(tup(3))
+	if got := r.ReadNew(); len(got) != 1 || got[0].Row[0].AsInt() != 3 {
+		t.Errorf("read after append = %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a position past the end")
+		}
+	}()
+	l.NewReaderAt(4)
+}
+
 func TestReset(t *testing.T) {
 	l := NewLog("t")
 	l.Append(tup(1))

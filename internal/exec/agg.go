@@ -410,6 +410,7 @@ func (g *aggExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
 		}
 	}
 	g.outBuf = out
+	g.ch.Reset(nil)
 	return out, w
 }
 

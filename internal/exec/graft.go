@@ -10,31 +10,51 @@ import (
 // This file implements online query admission at the executor level:
 // Runner.Graft swaps a running Runner onto a revised subplan graph (queries
 // admitted to or retired from the shared plan) without discarding operator
-// state. Subplans of the new graph that are state-identical to an old
-// subplan (mqo.MatchSubplans) adopt the old executor wholesale — join build
-// sides, group indexes, ordset accumulators and the materialized output log
-// carry over via their stable references — provided their joins keep the
-// same output layout (vetoLayoutChanges). Subplans with no such predecessor are
-// rebuilt fresh and *replayed* through the sealed
-// window-by-window history (Runner.winData / SubplanExec.winOut), so their
-// state, output and modeled work land exactly where a from-scratch run over
-// the same lifetime would have put them. Old subplans nothing adopted —
-// including those whose last sharer retired — are dropped and their state
-// garbage-collected.
+// state. It pairs new subplans with old executors in two passes, children
+// first:
+//
+//   - Adopt: a subplan state-identical to an old one (mqo.MatchSubplans: its
+//     whole input cone renders the same) takes over the old executor
+//     wholesale — join build sides, group indexes, ordset accumulators and
+//     the materialized output log carry over via their stable references —
+//     provided its joins keep the same output layout (vetoLayoutChanges).
+//   - Reattach: an admission or retirement changes the query set of a shared
+//     scan, and with it the state signature of everything above it, although
+//     nothing changed for the queries those subplans serve. A subplan whose
+//     own operators are unchanged (equal local signature) takes over the old
+//     executor when every input is either carried over too or a scan/project
+//     cone that looks the same to its queries (equal restricted signature).
+//     Its state, output log and per-window marks stay valid; its readers are
+//     re-pointed at the end of the rebuilt inputs' logs, and the input-tuple
+//     counts of its history are corrected to what reading the rebuilt
+//     inputs would have counted (reattacher).
+//
+// Subplans with no such predecessor are rebuilt fresh and *replayed* through
+// the sealed window-by-window history (Runner.winData /
+// SubplanExec.winOut), so their state, output and modeled work land exactly
+// where a from-scratch run over the same lifetime would have put them. Old
+// subplans nothing took over — including those whose last sharer retired —
+// are dropped and their state garbage-collected.
 
 // GraftOptions configures one plan graft.
 type GraftOptions struct {
-	// DisableTransplant rebuilds and replays every subplan even when a
-	// state-identical old executor exists. Results and modeled work must be
-	// unchanged — adoption is purely an optimization — and the churn-mode
-	// differential oracle runs every schedule both ways to prove it.
+	// DisableTransplant rebuilds and replays every subplan even when an old
+	// executor could be adopted or reattached. Results and modeled work must
+	// be unchanged — carrying state over is purely an optimization — and the
+	// churn-mode differential oracle runs every schedule both ways to prove
+	// it.
 	DisableTransplant bool
 }
 
 // GraftStats summarizes what one graft did.
 type GraftStats struct {
-	// Adopted counts subplans whose old executor state carried over.
+	// Adopted counts subplans whose old executor state carried over,
+	// Reattached included.
 	Adopted int
+	// Reattached counts the adoptions of the reattach pass: subplans whose
+	// own operators are unchanged but whose input cone changed for other
+	// queries only.
+	Reattached int
 	// Vetoed counts state-identical matches not adopted because a member
 	// join's output layout differs under the new graph, or a child's match
 	// was vetoed; they are rebuilt (and counted there) instead.
@@ -86,12 +106,13 @@ func (gr graftResolver) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
 	return se.Out, nil
 }
 
-// Graft swaps the runner onto newG, carrying operator state over where the
-// new graph is state-identical to the old one and replaying the rest from
-// the sealed window history. It must be called at a window boundary: every
-// delta of the current window appended and processed (the scheduler runtime
-// and the churn oracle both graft between windows). The current window is
-// sealed first, so post-graft arrivals start a fresh window.
+// Graft swaps the runner onto newG, carrying operator state over where a new
+// subplan is state-identical to an old one or can be reattached to it, and
+// replaying the rest from the sealed window history. It must be called at a
+// window boundary: every delta of the current window appended and processed
+// (the scheduler runtime and the churn oracle both graft between windows).
+// The current window is sealed first, so post-graft arrivals start a fresh
+// window.
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
 	// Flush any remainder of the current stream into the logs (a no-op for
 	// well-behaved window-boundary callers), then seal the window so the
@@ -131,15 +152,23 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 
 	newExecs := make([]*SubplanExec, len(newG.Subplans))
 	res := graftResolver{r: r, execs: newExecs}
+	var re *reattacher
+	if !opts.DisableTransplant {
+		re = r.newReattacher(newG, newLay, newExecs, match)
+	}
 	adoptedOld := make(map[int]bool)
+	take := func(s *mqo.Subplan, oldID int) {
+		se := r.Execs[oldID]
+		se.adopt(r.Graph.Subplans[oldID], s)
+		newExecs[s.ID] = se
+		adoptedOld[oldID] = true
+		stats.Adopted++
+	}
 	var fresh []*mqo.Subplan
+	var rebinds []rebind
 	for _, s := range newG.Subplans { // children-first
 		if oldID, ok := match[s.ID]; ok && !opts.DisableTransplant {
-			se := r.Execs[oldID]
-			se.adopt(r.Graph.Subplans[oldID], s)
-			newExecs[s.ID] = se
-			adoptedOld[oldID] = true
-			stats.Adopted++
+			take(s, oldID)
 			continue
 		}
 		if DebugGraftLooseMatch {
@@ -148,15 +177,19 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 				if adoptedOld[oldID] || !sameLayouts(r.Graph, r.Graph.Subplans[oldID], s, r.lay, newLay) {
 					continue
 				}
-				se := r.Execs[oldID]
-				se.adopt(r.Graph.Subplans[oldID], s)
-				newExecs[s.ID] = se
-				adoptedOld[oldID] = true
-				stats.Adopted++
+				take(s, oldID)
 				staleAdopted = true
 				break
 			}
 			if staleAdopted {
+				continue
+			}
+		}
+		if re != nil {
+			if oldID, rbs, ok := re.find(s, adoptedOld); ok {
+				take(s, oldID)
+				stats.Reattached++
+				rebinds = append(rebinds, rbs...)
 				continue
 			}
 		}
@@ -196,6 +229,11 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	}
 	for name := range newTables {
 		r.windowBase[name] = r.appended[name]
+	}
+	// Reattached executors read on from where their rebuilt inputs' replay
+	// ended.
+	for _, rb := range rebinds {
+		rb.apply()
 	}
 
 	// Dropped executors release their arrangement handles only now, after
@@ -250,6 +288,134 @@ func (r *Runner) vetoLayoutChanges(match map[int]int, newG *mqo.Graph, newLay la
 		}
 	}
 	return vetoed
+}
+
+// reattacher is Graft's second matching pass. Its rule and why it is exact:
+//
+//   - The new subplan's own operators render the same as the old one's (equal
+//     local signatures) and its joins keep their layouts, so they stamp,
+//     mark and combine equal inputs identically.
+//   - Every input is either the very executor the old subplan read (carried
+//     over by either pass) or a scan/project cone whose restricted signature
+//     — the cone as the subplan's queries see it — equals the old input's.
+//     Every operator of the subplan intersects each tuple's bits with its
+//     query set and drops the tuples left empty, so such an input looks the
+//     same, tuple for tuple, to all of it. Its state, output log and
+//     per-window output marks are what a from-scratch run would have built.
+//   - The one count that sees the other queries' tuples is the reading
+//     operator's Tuples, which counts every tuple read. rebind.apply corrects
+//     it window by window, so a later graft corrects from there: the
+//     corrections telescope.
+//   - The per-window correction assumes the old executor read exactly window
+//     k's input in its k-th execution. That holds when it ran once per sealed
+//     window, after its inputs (firings run children-first). A subplan paced
+//     above 1 by the scheduler is rebuilt instead.
+type reattacher struct {
+	r        *Runner
+	newG     *mqo.Graph
+	newLay   layouts
+	newExecs []*SubplanExec
+	// byLocal indexes old subplans by local state signature; matched holds
+	// the old subplans the first pass paired with a new one.
+	byLocal  map[string][]int
+	newLocal []string
+	matched  map[int]bool
+}
+
+func (r *Runner) newReattacher(newG *mqo.Graph, newLay layouts, newExecs []*SubplanExec, match map[int]int) *reattacher {
+	re := &reattacher{
+		r:        r,
+		newG:     newG,
+		newLay:   newLay,
+		newExecs: newExecs,
+		byLocal:  make(map[string][]int),
+		newLocal: mqo.LocalStateSignatures(newG),
+		matched:  make(map[int]bool, len(match)),
+	}
+	for id, sig := range mqo.LocalStateSignatures(r.Graph) {
+		re.byLocal[sig] = append(re.byLocal[sig], id)
+	}
+	for _, oldID := range match {
+		re.matched[oldID] = true
+	}
+	return re
+}
+
+// find returns an old executor the new subplan s may take over, and the
+// inputs to re-point once the rebuilt subplans have replayed. Every child of
+// s must already have its executor in newExecs (children-first).
+func (re *reattacher) find(s *mqo.Subplan, adopted map[int]bool) (int, []rebind, bool) {
+	r := re.r
+	for _, oldID := range re.byLocal[re.newLocal[s.ID]] {
+		old, se := r.Graph.Subplans[oldID], r.Execs[oldID]
+		if re.matched[oldID] || adopted[oldID] || len(se.perExec) != len(r.winData) ||
+			!sameLayouts(r.Graph, old, s, r.lay, re.newLay) {
+			continue
+		}
+		if rbs, ok := re.inputs(old, s, se); ok {
+			return oldID, rbs, true
+		}
+	}
+	return 0, nil, false
+}
+
+// inputs pairs each child-subplan input of old with the same input of s and
+// reports whether s can read every one of them through old's executor se:
+// unchanged when s's child runs on the executor old read, re-pointed when the
+// two children are scan/project cones that look the same to s's queries.
+func (re *reattacher) inputs(old, s *mqo.Subplan, se *SubplanExec) ([]rebind, bool) {
+	r := re.r
+	var rbs []rebind
+	ok := true
+	pairOps(old.Root, s.Root, func(o *mqo.Op) bool { return se.member[o] }, func(oldOp, newOp *mqo.Op) {
+		if oldOp.Kind == mqo.KindScan {
+			return
+		}
+		for i, oc := range oldOp.Children {
+			if se.member[oc] {
+				continue
+			}
+			from, to := r.Graph.SubplanOf(oc), re.newG.SubplanOf(newOp.Children[i])
+			if re.newExecs[to.ID] == r.Execs[from.ID] {
+				continue
+			}
+			oldSig, okOld := mqo.RestrictedConeSignature(r.Graph, from, s.Queries)
+			newSig, okNew := mqo.RestrictedConeSignature(re.newG, to, s.Queries)
+			if !okOld || !okNew || oldSig != newSig {
+				ok = false
+				continue
+			}
+			rbs = append(rbs, rebind{se: se, key: inputKey{newOp, i}, from: r.Execs[from.ID], to: re.newExecs[to.ID]})
+		}
+	})
+	return rbs, ok
+}
+
+// rebind moves one input of a reattached executor from the old producer's
+// log to the producer that replaced it.
+type rebind struct {
+	se       *SubplanExec
+	key      inputKey
+	from, to *SubplanExec
+}
+
+// apply starts the reader at the end of the new producer's log and adds, for
+// every sealed window, the difference between the two producers' window
+// output lengths to that execution's Tuples and to the reading operator's.
+// It runs after replay, when the new producer's marks cover every window.
+func (rb rebind) apply() {
+	rb.se.inputs[rb.key] = rb.to.Out.NewReaderAt(rb.to.Out.Len())
+	var total int64
+	fromPrev, toPrev := 0, 0
+	for k := range rb.se.perExec {
+		d := int64(rb.to.winOut[k]-toPrev) - int64(rb.from.winOut[k]-fromPrev)
+		fromPrev, toPrev = rb.from.winOut[k], rb.to.winOut[k]
+		rb.se.perExec[k].Tuples += d
+		total += d
+	}
+	w := rb.se.opWork[rb.key.op]
+	w.Tuples += total
+	rb.se.opWork[rb.key.op] = w
 }
 
 // adopt remaps the executor's per-operator bookkeeping from the old

@@ -1,0 +1,169 @@
+package exec_test
+
+// The graft's reattach pass: a subplan whose own operators are unchanged
+// keeps its executor when its input is a rebuilt scan/project cone that looks
+// the same to its queries — and only then.
+
+import (
+	"reflect"
+	"testing"
+
+	"ishare/internal/catalog"
+	"ishare/internal/exec"
+	"ishare/internal/mqo"
+	"ishare/internal/oracle"
+	"ishare/internal/plan"
+	"ishare/internal/value"
+)
+
+// TestGraftReattachesOverRebuiltScan serves two queries, each aggregating
+// over one shared filtered scan, then admits a third onto that scan and later
+// retires it. Both grafts change the scan's query set, so the scan is rebuilt;
+// the two original aggregates are reattached over it instead of replayed. The
+// negative cases put a join or an aggregate below the shared boundary, whose
+// output is no per-query view of its input: nothing is reattached. Every run
+// must end byte-equal to the all-replay graft and to a from-scratch run.
+func TestGraftReattachesOverRebuiltScan(t *testing.T) {
+	cases := []struct {
+		name       string
+		sql        [3]string
+		reattached int
+	}{
+		{"scan", [3]string{
+			"SELECT c0, SUM(c1) FROM t0 WHERE c2 > 2 GROUP BY c0",
+			"SELECT c0, COUNT(*) FROM t0 WHERE c2 > 3 GROUP BY c0",
+			"SELECT c0, MAX(c1) FROM t0 WHERE c2 < 2 GROUP BY c0",
+		}, 2},
+		{"join", [3]string{
+			"SELECT t0.c1, SUM(t1.c3) FROM t0, t1 WHERE t0.c0 = t1.c0 AND t0.c2 > 2 GROUP BY t0.c1",
+			"SELECT t0.c1, COUNT(*) FROM t0, t1 WHERE t0.c0 = t1.c0 AND t0.c2 > 3 GROUP BY t0.c1",
+			"SELECT t0.c1, MAX(t1.c3) FROM t0, t1 WHERE t0.c0 = t1.c0 AND t0.c2 < 2 GROUP BY t0.c1",
+		}, 0},
+		{"aggregate", [3]string{
+			"SELECT MAX(s) FROM (SELECT c0, SUM(c1) AS s FROM t0 WHERE c2 > 2 GROUP BY c0) x",
+			"SELECT MIN(s) FROM (SELECT c0, SUM(c1) AS s FROM t0 WHERE c2 > 3 GROUP BY c0) x",
+			"SELECT AVG(s) FROM (SELECT c0, SUM(c1) AS s FROM t0 WHERE c2 < 2 GROUP BY c0) x",
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, gs := range graftChurn(t, tc.sql) {
+				if gs.Reattached != tc.reattached || gs.Adopted < gs.Reattached {
+					t.Errorf("graft %d: %+v, want %d reattached", i, gs, tc.reattached)
+				}
+			}
+		})
+	}
+}
+
+// graftChurn runs five windows: queries 0 and 1 from the start, query 2
+// admitted before window 2 and retired before window 4. It checks the
+// transplanting run against the all-replay run after every window, and both
+// against a from-scratch run of the final plan at the end — results, report
+// and every operator's work — and returns the transplanting run's two graft
+// statistics.
+func graftChurn(t *testing.T, sql [3]string) []*exec.GraftStats {
+	t.Helper()
+	col := func(name string) catalog.Column { return catalog.Column{Name: name, Type: value.KindInt} }
+	w := &oracle.Workload{
+		Tables: []oracle.TableDef{
+			{Name: "t0", Cols: []catalog.Column{col("c0"), col("c1"), col("c2")}},
+			{Name: "t1", Cols: []catalog.Column{col("c0"), col("c3")}},
+		},
+		SQL: sql[:],
+	}
+	qs, err := w.Bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := graphOf(t, qs[:2])
+	mid := graphOf(t, qs)
+	final := graphOf(t, []plan.Query{qs[0], qs[1], {}})
+	// The original queries' subplans keep their own operators throughout;
+	// whether they are reattached depends on their inputs alone.
+	localB, localM := mqo.LocalStateSignatures(before), mqo.LocalStateSignatures(mid)
+	for q := 0; q < 2; q++ {
+		if localB[before.QueryRootSubplan[q].ID] != localM[mid.QueryRootSubplan[q].ID] {
+			t.Fatalf("query %d's root subplan changed its own operators", q)
+		}
+	}
+
+	ival := func(v int) value.Value { return value.Int(int64(v)) }
+	win := func(k int) exec.DeltaDataset {
+		ds := exec.DeltaDataset{}
+		for i := 0; i < 6; i++ {
+			ds["t0"] = append(ds["t0"], oracle.Ins(ival(i%3), ival(10*k+i), ival((i+k)%5)))
+		}
+		if k > 0 {
+			ds["t0"] = append(ds["t0"], oracle.Del(ival(0), ival(10*(k-1)), ival((k-1)%5)))
+		}
+		for i := 0; i < 3; i++ {
+			ds["t1"] = append(ds["t1"], oracle.Ins(ival(i), ival(k+i)))
+		}
+		return ds
+	}
+	step := func(r *exec.Runner, g *mqo.Graph, k int) {
+		r.StartWindow(win(k))
+		r.ArriveWindow(1, 1)
+		for id := range g.Subplans {
+			r.RunSubplan(id)
+		}
+	}
+	graphs := map[int]*mqo.Graph{2: mid, 4: final}
+	newRunner := func(g *mqo.Graph) *exec.Runner {
+		r, err := exec.NewDeltaRunner(g, exec.DeltaDataset{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	live, replay := newRunner(before), newRunner(before)
+	g := before
+	var stats []*exec.GraftStats
+	for k := 0; k < 5; k++ {
+		if ng, ok := graphs[k]; ok {
+			gs, err := live.Graft(ng, exec.GraftOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := replay.Graft(ng, exec.GraftOptions{DisableTransplant: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gs.Replayed != gs.Rebuilt*k || rs.Replayed != len(ng.Subplans)*k || rs.Reattached != 0 {
+				t.Errorf("window %d: graft %+v, all-replay graft %+v: replays must cover exactly the rebuilt subplans over %d windows", k, gs, rs, k)
+			}
+			stats = append(stats, gs)
+			g = ng
+		}
+		step(live, g, k)
+		step(replay, g, k)
+		for q := range g.QueryRootSubplan {
+			if got, want := live.SortedResults(q), replay.SortedResults(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("window %d, slot %d: transplanted %v, replayed %v", k, q, got, want)
+			}
+		}
+	}
+	ref := newRunner(final)
+	for k := 0; k < 5; k++ {
+		step(ref, final, k)
+	}
+	for name, r := range map[string]*exec.Runner{"transplanted": live, "replayed": replay} {
+		for q := 0; q < 2; q++ {
+			if got, want := r.SortedResults(q), ref.SortedResults(q); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s slot %d: %v, from scratch %v", name, q, got, want)
+			}
+		}
+		if got, want := r.ReportNow(), ref.ReportNow(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s report %+v, from scratch %+v", name, got, want)
+		}
+		for _, s := range final.Subplans {
+			for _, o := range s.Ops {
+				if got, want := r.Execs[s.ID].OpWork(o), ref.Execs[s.ID].OpWork(o); got != want {
+					t.Errorf("%s op %d: %v, from scratch %v", name, o.ID, got, want)
+				}
+			}
+		}
+	}
+	return stats
+}

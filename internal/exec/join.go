@@ -218,6 +218,8 @@ func (j *joinExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
 	out = j.runPhase(j.left, j.right, in[0], true, &w, out)
 	out = j.runPhase(j.right, j.left, in[1], false, &w, out)
 	j.outBuf = out
+	j.left.ch.Reset(nil)
+	j.right.ch.Reset(nil)
 	return out, w
 }
 

@@ -18,6 +18,10 @@ import (
 // copying rows, and emitted rows are carved from slab arenas. Chunking is
 // physical only: Work counters are computed from logical tuple counts, so
 // modeled work is bit-identical at any batch size.
+//
+// An operator reading a child subplan's log keeps no view of its input once
+// process returns: a graft may re-point it at a rebuilt producer, and the old
+// producer's log must die with the old producer.
 type operator interface {
 	process(in [][]delta.Tuple) ([]delta.Tuple, Work)
 }
@@ -233,6 +237,7 @@ func (p *projectExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
 		}
 	}
 	p.outBuf = out
+	p.ch.Reset(nil)
 	w.Output += int64(len(out))
 	return out, w
 }

@@ -18,6 +18,11 @@ import (
 // byte-for-byte what a from-scratch run of the new subplan would have built
 // over the same history.
 //
+// Two further renderings let a graft keep a subplan whose input cone changed
+// only for other queries: the local signature (child subplans as positional
+// slots) and the restricted cone signature (one query set's view of a
+// scan/project cone).
+//
 // The dedup signatures used for sharing (Op.signature / Op.BaseSignature)
 // are NOT suitable here: they embed operator IDs in private-copy suffixes
 // ("!privN"), exclude projections and predicates, and ignore query-slot
@@ -44,21 +49,69 @@ func LooseStateSignatures(g *Graph) []string {
 	return stateSignatures(g, true)
 }
 
-func stateSignatures(g *Graph, loose bool) []string {
+// LocalStateSignatures returns each subplan's *local* state signature: the
+// strict rendering with every child subplan written as a positional slot,
+// numbered by first appearance, instead of folding in the child's cone.
+// Equal local signatures mean two subplans stamp, mark and combine equal
+// inputs identically; whether their inputs are equal is left to the caller,
+// slot by slot (exec.Runner.Graft's reattach pass).
+func LocalStateSignatures(g *Graph) []string {
 	sigs := make([]string, len(g.Subplans))
-	for _, s := range g.Subplans { // children-first: child sigs exist
+	for _, s := range g.Subplans {
 		var b strings.Builder
-		stateSigOp(&b, g, s, s.Root, sigs, loose)
+		stateSigOp(&b, g, s, s.Root, nil, &sigStyle{slots: make(map[*Subplan]int)})
 		sigs[s.ID] = b.String()
 	}
 	return sigs
+}
+
+// RestrictedConeSignature renders subplan s's whole input cone as the
+// queries in q see it: every operator's query set intersected with q, and
+// only q's marker predicates. ok is false unless the cone holds scans and
+// projects only. Those operators stamp, mark and drop tuple by tuple, so two
+// such cones with equal restricted signatures emit the same tuples in the
+// same order once each tuple's bits are intersected with q and the tuples
+// left empty are dropped. An aggregate's output clusters queries with equal
+// values into shared tuples, so it has no such per-query view.
+func RestrictedConeSignature(g *Graph, s *Subplan, q Bitset) (sig string, ok bool) {
+	if !coneLinear(s.Root) {
+		return "", false
+	}
+	var b strings.Builder
+	stateSigOp(&b, g, s, s.Root, nil, &sigStyle{restrict: true, mask: q})
+	return b.String(), true
+}
+
+func stateSignatures(g *Graph, loose bool) []string {
+	sigs := make([]string, len(g.Subplans))
+	st := &sigStyle{loose: loose}
+	for _, s := range g.Subplans { // children-first: child sigs exist
+		var b strings.Builder
+		stateSigOp(&b, g, s, s.Root, sigs, st)
+		sigs[s.ID] = b.String()
+	}
+	return sigs
+}
+
+// sigStyle selects a state-signature rendering. The zero value is the strict
+// signature, which folds in each child subplan's signature from sigs.
+type sigStyle struct {
+	// loose masks query-slot bitsets and marker attribution (the fault hook).
+	loose bool
+	// slots, when non-nil, renders child subplans as positional slots
+	// (LocalStateSignatures).
+	slots map[*Subplan]int
+	// restrict renders every query set intersected with mask and only mask's
+	// markers, with child cones rendered inline (RestrictedConeSignature).
+	restrict bool
+	mask     Bitset
 }
 
 // stateSigOp renders the state signature of the operator tree rooted at o
 // within subplan s. Ops outside s are subplan roots (multi-parent or query
 // root), so the interior of a subplan is a proper tree and plain recursion
 // terminates.
-func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, loose bool) {
+func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, st *sigStyle) {
 	switch o.Kind {
 	case KindScan:
 		b.WriteString("scan(")
@@ -75,9 +128,9 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 			b.WriteString(expr.Canon(o.RightKeys[i]))
 		}
 		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], sigs, loose)
+		stateSigChild(b, g, s, o.Children[0], sigs, st)
 		b.WriteString("|")
-		stateSigChild(b, g, s, o.Children[1], sigs, loose)
+		stateSigChild(b, g, s, o.Children[1], sigs, st)
 		b.WriteString("]")
 	case KindAggregate:
 		b.WriteString("agg{")
@@ -102,7 +155,7 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 			b.WriteString(")")
 		}
 		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], sigs, loose)
+		stateSigChild(b, g, s, o.Children[0], sigs, st)
 		b.WriteString("]")
 	case KindProject:
 		b.WriteString("project{")
@@ -113,25 +166,31 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 			b.WriteString(expr.Canon(ne.E))
 		}
 		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], sigs, loose)
+		stateSigChild(b, g, s, o.Children[0], sigs, st)
 		b.WriteString("]")
 	}
 	// State identity also needs the query-slot bitset (tuples are stamped
 	// with it) and the per-query markers (they clear bits).
-	if loose {
+	switch {
+	case st.loose:
 		b.WriteString("@*")
-	} else {
+	case st.restrict:
+		b.WriteString("@")
+		b.WriteString(o.Queries.Intersect(st.mask).String())
+	default:
 		b.WriteString("@")
 		b.WriteString(o.Queries.String())
 	}
-	if len(o.Preds) > 0 {
-		qs := make([]int, 0, len(o.Preds))
-		for q := range o.Preds {
+	qs := make([]int, 0, len(o.Preds))
+	for q := range o.Preds {
+		if !st.restrict || st.mask.Has(q) {
 			qs = append(qs, q)
 		}
+	}
+	if len(qs) > 0 {
 		sort.Ints(qs)
 		b.WriteString("σ{")
-		if loose {
+		if st.loose {
 			canons := make([]string, len(qs))
 			for i, q := range qs {
 				canons[i] = expr.Canon(o.Preds[q])
@@ -163,14 +222,28 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 	}
 }
 
-func stateSigChild(b *strings.Builder, g *Graph, s *Subplan, c *Op, sigs []string, loose bool) {
-	if cs := g.SubplanOf(c); cs != s {
+func stateSigChild(b *strings.Builder, g *Graph, s *Subplan, c *Op, sigs []string, st *sigStyle) {
+	cs := g.SubplanOf(c)
+	switch {
+	case cs == s:
+		stateSigOp(b, g, s, c, sigs, st)
+	case st.slots != nil:
+		n, ok := st.slots[cs]
+		if !ok {
+			n = len(st.slots)
+			st.slots[cs] = n
+		}
+		b.WriteString("slot")
+		b.WriteString(strconv.Itoa(n))
+	case st.restrict:
+		b.WriteString("sub[")
+		stateSigOp(b, g, cs, cs.Root, sigs, st)
+		b.WriteString("]")
+	default:
 		b.WriteString("sub[")
 		b.WriteString(sigs[cs.ID])
 		b.WriteString("]")
-		return
 	}
-	stateSigOp(b, g, s, c, sigs, loose)
 }
 
 // MatchSubplans pairs each subplan of newG with a state-identical subplan of

@@ -46,10 +46,10 @@ type Live struct {
 type AdmitReport struct {
 	// Slot is the query slot admitted into or retired from.
 	Slot int
-	// Matched and Fresh count subplans that carried over from the previous
-	// revision versus subplans new to this one.
-	Matched, Fresh int
-	// MemoSeeded is the number of cost-model memo entries transplanted.
+	// MemoSeeded is the number of cost-model memo entries transplanted
+	// through the state-identical subplans (mqo.MatchSubplans) of the
+	// previous revision. How many executors carried over is the graft's to
+	// say (exec.GraftStats).
 	MemoSeeded int
 	// Sims and Evals are the warm pace search's simulation and evaluation
 	// counts — compare against a cold replan's to see the saving.
@@ -89,8 +89,8 @@ func (l *Live) NumSlots() int { return len(l.queries) }
 func (l *Live) Active(q int) bool { return q < len(l.queries) && l.queries[q].Root != nil }
 
 // Admit adds a query to the running plan under an absolute final-work
-// constraint, returning the slot it was assigned and a report on how much
-// of the previous revision carried over.
+// constraint, returning the slot it was assigned and a report on the warm
+// pace search.
 func (l *Live) Admit(q plan.Query, constraint float64) (int, *AdmitReport, error) {
 	if q.Root == nil {
 		return -1, nil, fmt.Errorf("opt: admit: query %q has no plan", q.Name)
@@ -185,11 +185,8 @@ func (l *Live) replan(apply, rollback func()) (*AdmitReport, error) {
 	}
 	rep := &AdmitReport{}
 	if l.Graph != nil {
-		match := mqo.MatchSubplans(l.Graph, g)
-		rep.Matched = len(match)
-		rep.MemoSeeded = m.AdoptMemo(l.Model, match)
+		rep.MemoSeeded = m.AdoptMemo(l.Model, mqo.MatchSubplans(l.Graph, g))
 	}
-	rep.Fresh = len(g.Subplans) - rep.Matched
 	o, err := pace.NewOptimizer(m, l.constraints, l.maxPace)
 	if err != nil {
 		return fail(err)

@@ -95,7 +95,10 @@ func (cp *ChurnPlan) validate(nq int) error {
 //     reference, which also proves them identical to each other: carrying
 //     state across a graft must be observationally indistinguishable from
 //     rebuilding it.
-func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mismatch, error) {
+//
+// Each transplant-mode graft's reattachments are added to *reattached when
+// it is non-nil.
+func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset, reattached *int) (*Mismatch, error) {
 	cp := w.Churn
 	if err := cp.validate(len(queries)); err != nil {
 		return nil, fmt.Errorf("oracle: %w", err)
@@ -240,8 +243,12 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mis
 				if err != nil {
 					return nil, fmt.Errorf("oracle: churn/%s: build at window %d: %w", mode, k, err)
 				}
-				if _, err := runner.Graft(ng, exec.GraftOptions{DisableTransplant: disable}); err != nil {
+				gs, err := runner.Graft(ng, exec.GraftOptions{DisableTransplant: disable})
+				if err != nil {
 					return nil, fmt.Errorf("oracle: churn/%s: graft at window %d: %w", mode, k, err)
+				}
+				if reattached != nil {
+					*reattached += gs.Reattached
 				}
 				g = ng
 				if m := leak(k, "graft"); m != nil {

@@ -87,7 +87,9 @@ func TestSchedulerInvariance(t *testing.T) {
 // with state transplant on and off. Every live query must match the naive
 // oracle over the ingested prefix after every window, and the final
 // modeled-work report must be byte-identical to a from-scratch run of the
-// final plan — grafting must be observationally invisible.
+// final plan — grafting must be observationally invisible. The schedules must
+// also exercise the graft's reattach pass, or a change that silently turned
+// it off would pass unnoticed.
 func TestDifferentialChurn(t *testing.T) {
 	workloads := 200
 	if !testing.Short() {
@@ -95,7 +97,8 @@ func TestDifferentialChurn(t *testing.T) {
 	}
 	genOpts := oracle.DefaultOptions()
 	genOpts.Churn = true
-	opts := oracle.CheckOptions{Churn: true, PaceVectors: 1}
+	reattached := 0
+	opts := oracle.CheckOptions{Churn: true, PaceVectors: 1, Reattached: &reattached}
 	churned := 0
 	for seed := int64(0); seed < int64(workloads); seed++ {
 		w := oracle.Generate(seed, genOpts)
@@ -113,6 +116,10 @@ func TestDifferentialChurn(t *testing.T) {
 	if churned < workloads/2 {
 		t.Errorf("only %d/%d workloads carried a churn plan; generator drifted", churned, workloads)
 	}
+	if reattached == 0 {
+		t.Error("no graft reattached an executor over a rebuilt input")
+	}
+	t.Logf("%d churned workloads, %d reattachments", churned, reattached)
 }
 
 // TestInjectedAdmissionBugCaught proves the churn oracle has teeth: with the

@@ -35,6 +35,10 @@ type CheckOptions struct {
 	// must be byte-identical to a from-scratch run of the final plan. A
 	// no-op when the workload has no churn plan.
 	Churn bool
+	// Reattached, when non-nil, accumulates exec.GraftStats.Reattached over
+	// every churn graft, so a caller can require the reattach pass to have
+	// run at all.
+	Reattached *int
 	// Arrangements adds a sharing-invariance pass: the shared plan and (with
 	// Decompose) the fully unshared decomposition — where the arrangement
 	// registry is the only sharing left — re-run with arrangement sharing
@@ -416,7 +420,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 	// Churn-invariance: admitting and retiring queries on the live plan
 	// must be observationally identical to a from-scratch run.
 	if opts.Churn && w.Churn != nil {
-		if m, err := checkChurn(w, queries, data); m != nil || err != nil {
+		if m, err := checkChurn(w, queries, data, opts.Reattached); m != nil || err != nil {
 			return m, err
 		}
 	}

@@ -15,10 +15,11 @@ import (
 // between windows without discarding the operator state (join build sides,
 // group indexes, materialized buffers) accumulated so far. Admission grafts
 // the new query onto the live plan — subplans whose state is unaffected are
-// carried over wholesale, the rest are rebuilt and caught up by replaying the
-// retained input history — and warm-starts the pace search from the previous
-// revision's memoized cost model, so it re-simulates only what changed while
-// still choosing the exact pace vector a from-scratch optimization would.
+// carried over wholesale, even when an input below them was rebuilt, and the
+// rest are rebuilt and caught up by replaying the retained input history —
+// and warm-starts the pace search from the previous revision's memoized cost
+// model, so it re-simulates only what changed while still choosing the exact
+// pace vector a from-scratch optimization would.
 //
 // A Session always runs the full iShare shared plan at batch pace (one
 // execution per subplan per window); it is the online counterpart of
@@ -42,10 +43,12 @@ type AdmitStats struct {
 	// positional and never renumbered; retired slots are reused.
 	Slot int
 	// MatchedSubplans carried their operator state over from the previous
-	// plan revision; FreshSubplans were rebuilt and replayed from history.
+	// plan revision (their executors were adopted or reattached);
+	// FreshSubplans were rebuilt and replayed from history.
 	MatchedSubplans, FreshSubplans int
 	// MemoSeeded counts cost-model memo entries transplanted into the new
-	// revision — the warm start of the pace search.
+	// revision — the warm start of the pace search. The memo pairs subplans
+	// by state signature alone, whatever the executor carried over.
 	MemoSeeded int
 	// Sims is how many cost simulations the warm pace search ran; compare
 	// against a cold replan (e.g. a fresh Session over the same queries) to
@@ -209,8 +212,8 @@ func (s *Session) Retire(name string) (*AdmitStats, error) {
 func admitStats(rep *opt.AdmitReport, gs *exec.GraftStats) *AdmitStats {
 	return &AdmitStats{
 		Slot:               rep.Slot,
-		MatchedSubplans:    rep.Matched,
-		FreshSubplans:      rep.Fresh,
+		MatchedSubplans:    gs.Adopted,
+		FreshSubplans:      gs.Rebuilt,
 		MemoSeeded:         rep.MemoSeeded,
 		Sims:               rep.Sims,
 		Evals:              rep.Evals,
