@@ -44,23 +44,24 @@ bench:
 # compiled by decompose), the memo's map probe + insert ≈ 8 %,
 # cost.(*Model).wire ≈ 6 % (arena reset ≈ 1.5 %); EvaluateDelta's own loop
 # is down to ≈ 4 % self and the GC write barrier to ≈ 4 %. ExecJob's
-# inclusive top five since joins emit only the columns their consumers read
-# (PROFILE_TIME=10x, ≈ 1.6 s/job, 2 vCPUs): joinExec.runPhase ≈ 58 %
-# (joinArr.apply ≈ 25 % with find ≈ 15 % inside it, addCand ≈ 9 %),
-# aggExec.process ≈ 18 %, the GC's background mark ≈ 12 %,
-# vec.(*Eval).Values ≈ 10 %, runtime.mallocgc ≈ 10 % (clearing large slabs
-# ≈ 7 %). By bytes, row arenas still lead (32 %), then log appends (23 %)
-# and join entries (13 %). ChurnGraft is admission's executor cost: one
-# Session.Admit plus Retire of the same query over a dashboard session's 30
-# windows of history. Its inclusive top five since grafts reattach subplans
-# over a rebuilt scan (PROFILE_TIME=100x, ≈ 32 ms/iteration, 2 vCPUs):
-# exec.(*Runner).Graft ≈ 79 %, nearly all of it replaying the rebuilt clicks
-# scan and the subplans that must replay; scanExec.process ≈ 39 %
-# (applyMarkersChunk ≈ 34 %, vec.(*Eval).Truths ≈ 25 %);
-# buffer.(*Log).Append ≈ 23 %, the replayed output re-growing its logs
-# (85 % of bytes allocated); runtime.mallocgc ≈ 21 % (GC assist ≈ 10 %);
-# aggExec.process ≈ 15 %. The optimizer's warm re-plan is ≈ 7 %, and the 30
-# set-up windows ≈ 5 %.
+# inclusive top five since delta logs are segmented (PROFILE_TIME=10x,
+# ≈ 2.3 s/job, 461 MB/job against 569 with a one-slice log, 2 vCPUs):
+# joinExec.runPhase ≈ 60 % (joinArr.apply ≈ 26 % with find ≈ 15 % inside
+# it, addCand ≈ 9 %), aggExec.process ≈ 19 %, the GC's background mark
+# ≈ 12 %, vec.(*Eval).Values ≈ 11 %, runtime.mallocgc ≈ 9 %. By bytes, row
+# arenas lead (40 %), then join entries (15 %) and hash-table growth (9 %);
+# log appends fell from 23 % to 5 %. ChurnGraft is admission's executor
+# cost: one Session.Admit plus Retire of the same query over a dashboard
+# session's 30 windows of history. Its inclusive top five since delta logs
+# are segmented (PROFILE_TIME=100x, ≈ 26 ms and 5.7 MB per iteration
+# against 38 ms and 19.9 MB with a one-slice log, 2 vCPUs):
+# exec.(*Runner).Graft ≈ 78 %, nearly all of it replaying the rebuilt
+# clicks scan and the subplans that must replay; scanExec.process ≈ 48 % (applyMarkersChunk
+# ≈ 43 %, vec.(*Eval).Truths ≈ 34 %); aggExec.process ≈ 23 % (the MIN/MAX
+# multiset ≈ 9 %); runtime.mallocgc ≈ 13 %. buffer.(*Log).Append fell from
+# 23 % to 7 % of CPU; it still allocates 52 % of the bytes, the one copy of
+# each replayed output tuple. The optimizer's warm re-plan is ≈ 5 %, and
+# the 30 set-up windows ≈ 6 %.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

@@ -3,19 +3,35 @@
 // into a Log, and each parent tracks its own read offset (the role Kafka
 // topics play in the paper's prototype). Base-table delta logs use the same
 // type.
+//
+// Like a Kafka partition, a Log is stored as segments that are never
+// reallocated: an append copies each tuple once, into the tail segment, and
+// opens a new segment when the tail is full. Readers consume the segments in
+// place as a delta.Seq of capacity-clamped views, so no path ever holds a
+// contiguous copy of a log. A segment is also the unit a future frontier will
+// truncate.
 package buffer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ishare/internal/delta"
 )
 
+// maxSegment caps a segment's capacity in tuples. Segment capacities double
+// from the first append's size up to this cap.
+const maxSegment = 1024
+
 // Log is an append-only sequence of delta tuples, safe for concurrent use.
 type Log struct {
-	mu     sync.RWMutex
-	tuples []delta.Tuple
+	mu sync.RWMutex
+	// segs holds the segments in order; every segment but the last is full.
+	// starts[i] is the log position of segs[i][0], and n the total length.
+	segs   [][]delta.Tuple
+	starts []int
+	n      int
 	name   string
 }
 
@@ -27,10 +43,28 @@ func NewLog(name string) *Log {
 // Name returns the log's diagnostic name.
 func (l *Log) Name() string { return l.name }
 
-// Append adds tuples to the end of the log.
+// Append copies tuples to the end of the log. It fills the tail segment and
+// opens new ones of capacity max(remaining tuples, twice the previous
+// segment's), capped at maxSegment; written segments never move.
 func (l *Log) Append(ts ...delta.Tuple) {
 	l.mu.Lock()
-	l.tuples = append(l.tuples, ts...)
+	for len(ts) > 0 {
+		last := len(l.segs) - 1
+		if last < 0 || len(l.segs[last]) == cap(l.segs[last]) {
+			prev := 0
+			if last >= 0 {
+				prev = cap(l.segs[last])
+			}
+			l.segs = append(l.segs, make([]delta.Tuple, 0, min(max(len(ts), 2*prev), maxSegment)))
+			l.starts = append(l.starts, l.n)
+			last++
+		}
+		seg := l.segs[last]
+		k := min(len(ts), cap(seg)-len(seg))
+		l.segs[last] = append(seg, ts[:k]...)
+		l.n += k
+		ts = ts[k:]
+	}
 	l.mu.Unlock()
 }
 
@@ -38,34 +72,26 @@ func (l *Log) Append(ts ...delta.Tuple) {
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.tuples)
+	return l.n
 }
 
-// Slice returns a read-only view of tuples [from, to). The log is
-// append-only and logged tuples are immutable, so the view stays valid (and
-// allocation-free) under concurrent appends: the capacity clamp keeps later
-// appends — which either write past to or relocate the log's storage —
-// outside the view. Callers must not write through it. Slice panics if the
-// range is invalid so offset bugs surface immediately.
-func (l *Log) Slice(from, to int) []delta.Tuple {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if from < 0 || to < from || to > len(l.tuples) {
-		panic(fmt.Sprintf("buffer %s: bad slice [%d,%d) of %d", l.name, from, to, len(l.tuples)))
+// views appends to dst the views covering log positions [from, to), one per
+// segment touched, and returns it. Each view is capacity-clamped, so nothing
+// written through an append on it can reach the log. The caller holds l.mu
+// and guarantees 0 <= from < to <= l.n.
+func (l *Log) views(dst delta.Seq, from, to int) delta.Seq {
+	// Start at the segment holding from: the last one starting at or before it.
+	i, found := slices.BinarySearch(l.starts, from)
+	if !found {
+		i--
 	}
-	return l.tuples[from:to:to]
-}
-
-// All returns a read-only view of every tuple written so far.
-func (l *Log) All() []delta.Tuple {
-	return l.Slice(0, l.Len())
-}
-
-// Reset discards all contents (used when re-running an experiment).
-func (l *Log) Reset() {
-	l.mu.Lock()
-	l.tuples = nil
-	l.mu.Unlock()
+	for ; from < to; i++ {
+		seg := l.segs[i]
+		a, b := from-l.starts[i], min(len(seg), to-l.starts[i])
+		dst = append(dst, seg[a:b:b])
+		from += b - a
+	}
+	return dst
 }
 
 // Reader is one consumer's cursor over a log. Each parent subplan owns one
@@ -74,6 +100,8 @@ type Reader struct {
 	log   *Log
 	off   int
 	limit int
+	// seq is the view list ReadNew returns, reused across calls.
+	seq delta.Seq
 }
 
 // NewReader returns a cursor at the start of the log.
@@ -91,31 +119,50 @@ func (l *Log) NewReaderAt(off int) *Reader {
 	return &Reader{log: l, off: off, limit: -1}
 }
 
-// SetLimit caps ReadNew at log position n until ClearLimit. Replay after a
-// plan graft uses this to feed an executor exactly one sealed window's worth
-// of input even though the log already holds the full history.
+// SetLimit caps ReadNew and Pending at log position n until ClearLimit.
+// Replay after a plan graft uses this to feed an executor exactly one sealed
+// window's worth of input even though the log already holds the full
+// history.
 func (r *Reader) SetLimit(n int) { r.limit = n }
 
 // ClearLimit removes the ReadNew cap.
 func (r *Reader) ClearLimit() { r.limit = -1 }
 
-// ReadNew returns all tuples appended since the previous call and advances
-// the cursor past them.
-func (r *Reader) ReadNew() []delta.Tuple {
-	end := r.log.Len()
-	if r.limit >= 0 && end > r.limit {
-		end = r.limit
+// end returns the position ReadNew would read up to: the log's length, or
+// the limit when one is set below it. The caller holds r.log.mu.
+func (r *Reader) end() int {
+	if r.limit >= 0 && r.limit < r.log.n {
+		return r.limit
 	}
+	return r.log.n
+}
+
+// ReadNew returns all tuples appended since the previous call, as views of
+// the log's segments in order, and advances the cursor past them; nil when
+// there is nothing new. The views stay valid for good and must not be
+// written through. The returned Seq itself is reused: it is valid only until
+// the reader's next ReadNew.
+func (r *Reader) ReadNew() delta.Seq {
+	l := r.log
+	l.mu.RLock()
+	end := r.end()
 	if end <= r.off {
+		l.mu.RUnlock()
 		return nil
 	}
-	out := r.log.Slice(r.off, end)
+	r.seq = l.views(r.seq[:0], r.off, end)
+	l.mu.RUnlock()
 	r.off = end
-	return out
+	return r.seq
 }
 
 // Offset returns the cursor position.
 func (r *Reader) Offset() int { return r.off }
 
-// Pending returns how many tuples are readable without advancing.
-func (r *Reader) Pending() int { return r.log.Len() - r.off }
+// Pending returns how many tuples the next ReadNew would return, honouring
+// the limit.
+func (r *Reader) Pending() int {
+	r.log.mu.RLock()
+	defer r.log.mu.RUnlock()
+	return max(r.end()-r.off, 0)
+}

@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,61 +15,63 @@ func tup(v int64) delta.Tuple {
 	return delta.Tuple{Row: value.Row{value.Int(v)}, Bits: mqo.Bit(0), Sign: delta.Insert}
 }
 
-func TestAppendAndSlice(t *testing.T) {
+// vals flattens a segmented read into its tuples' values, in order.
+func vals(seq delta.Seq) []int64 {
+	var out []int64
+	for _, seg := range seq {
+		for _, t := range seg {
+			out = append(out, t.Row[0].AsInt())
+		}
+	}
+	return out
+}
+
+func TestAppendAndRead(t *testing.T) {
 	l := NewLog("t")
 	l.Append(tup(1), tup(2), tup(3))
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	s := l.Slice(1, 3)
-	if len(s) != 2 || s[0].Row[0].AsInt() != 2 {
-		t.Errorf("Slice = %v", s)
+	if got := vals(l.NewReaderAt(1).ReadNew()); !reflect.DeepEqual(got, []int64{2, 3}) {
+		t.Errorf("read from 1 = %v", got)
 	}
-	if got := len(l.All()); got != 3 {
-		t.Errorf("All = %d", got)
+	if got := l.NewReader().ReadNew().Len(); got != 3 {
+		t.Errorf("read all = %d tuples", got)
 	}
 }
 
-func TestSliceViewIsStable(t *testing.T) {
+func TestViewIsStable(t *testing.T) {
 	l := NewLog("t")
 	l.Append(tup(1))
-	s := l.Slice(0, 1)
-	// The view is capacity-clamped: later appends can never write into it,
-	// whether they extend the same backing array or relocate it.
-	if cap(s) != 1 {
-		t.Fatalf("cap = %d, want clamped to 1", cap(s))
+	seq := l.NewReader().ReadNew()
+	// The view is capacity-clamped: appending to it can never write into the
+	// log, and the log's own appends never move the segment under it.
+	if len(seq) != 1 || cap(seq[0]) != 1 {
+		t.Fatalf("read %d views, cap %d; want one view clamped to 1", len(seq), cap(seq[0]))
 	}
-	for i := 2; i <= 64; i++ {
+	view := seq[0]
+	for i := 2; i <= 3000; i++ {
 		l.Append(tup(int64(i)))
 	}
-	if s[0].Row[0].AsInt() != 1 || s[0].Sign != delta.Insert {
+	if view[0].Row[0].AsInt() != 1 || view[0].Sign != delta.Insert {
 		t.Error("view changed under appends")
 	}
-}
-
-func TestBadSlicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on bad range")
-		}
-	}()
-	NewLog("t").Slice(0, 1)
 }
 
 func TestIndependentReaders(t *testing.T) {
 	l := NewLog("t")
 	l.Append(tup(1), tup(2))
 	r1, r2 := l.NewReader(), l.NewReader()
-	if got := r1.ReadNew(); len(got) != 2 {
-		t.Fatalf("r1 first read = %d", len(got))
+	if got := r1.ReadNew().Len(); got != 2 {
+		t.Fatalf("r1 first read = %d", got)
 	}
 	l.Append(tup(3))
-	if got := r1.ReadNew(); len(got) != 1 || got[0].Row[0].AsInt() != 3 {
+	if got := vals(r1.ReadNew()); !reflect.DeepEqual(got, []int64{3}) {
 		t.Errorf("r1 second read = %v", got)
 	}
 	// r2 is unaffected by r1's progress.
-	if got := r2.ReadNew(); len(got) != 3 {
-		t.Errorf("r2 read = %d tuples", len(got))
+	if got := r2.ReadNew().Len(); got != 3 {
+		t.Errorf("r2 read = %d tuples", got)
 	}
 	if r1.ReadNew() != nil {
 		t.Error("read past end must return nil")
@@ -85,7 +89,7 @@ func TestReaderAt(t *testing.T) {
 		t.Fatalf("reader at the end read something (offset %d)", r.Offset())
 	}
 	l.Append(tup(3))
-	if got := r.ReadNew(); len(got) != 1 || got[0].Row[0].AsInt() != 3 {
+	if got := vals(r.ReadNew()); !reflect.DeepEqual(got, []int64{3}) {
 		t.Errorf("read after append = %v", got)
 	}
 	defer func() {
@@ -96,12 +100,138 @@ func TestReaderAt(t *testing.T) {
 	l.NewReaderAt(4)
 }
 
-func TestReset(t *testing.T) {
+// TestPendingHonoursLimit: during graft replay a reader is capped at a
+// window mark below the log's end; Pending must report what ReadNew will
+// return, not what the log holds.
+func TestPendingHonoursLimit(t *testing.T) {
 	l := NewLog("t")
-	l.Append(tup(1))
-	l.Reset()
-	if l.Len() != 0 {
-		t.Error("Reset did not clear")
+	l.Append(tup(1), tup(2), tup(3), tup(4))
+	r := l.NewReaderAt(1)
+	r.SetLimit(3)
+	if p := r.Pending(); p != 2 {
+		t.Errorf("Pending under limit 3 at offset 1 = %d, want 2", p)
+	}
+	if got := vals(r.ReadNew()); !reflect.DeepEqual(got, []int64{2, 3}) {
+		t.Errorf("ReadNew under limit = %v", got)
+	}
+	if p := r.Pending(); p != 0 {
+		t.Errorf("Pending at the limit = %d, want 0", p)
+	}
+	r.SetLimit(2) // below the cursor: nothing readable
+	if p := r.Pending(); p != 0 || r.ReadNew() != nil {
+		t.Errorf("Pending under a limit behind the cursor = %d, want 0 and no read", p)
+	}
+	r.ClearLimit()
+	if p := r.Pending(); p != 1 {
+		t.Errorf("Pending without limit = %d, want 1", p)
+	}
+}
+
+// TestSegmentsProperty drives logs with random append sizes and readers
+// created at random offsets under random limits, and checks the segment
+// store: every reader's concatenated reads equal the appended stream from
+// its start, a view taken before later appends still reads the same
+// tuples, no segment exceeds the cap, and the segments' total capacity is
+// at most the length plus one segment.
+func TestSegmentsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{0, 1, 2, 3, 7, 511, 1023, 1024, 1025, 2500}
+	type reader struct {
+		r     *Reader
+		start int
+		got   []int64
+	}
+	type view struct {
+		seg  []delta.Tuple
+		vals []int64
+	}
+	for trial := 0; trial < 200; trial++ {
+		l := NewLog("prop")
+		n := 0
+		var readers []*reader
+		var views []view
+		read := func(rd *reader) {
+			pending := rd.r.Pending()
+			seq := rd.r.ReadNew()
+			if seq.Len() != pending {
+				t.Fatalf("trial %d: ReadNew returned %d tuples, Pending promised %d", trial, seq.Len(), pending)
+			}
+			for _, seg := range seq {
+				if len(seg) == 0 || cap(seg) != len(seg) {
+					t.Fatalf("trial %d: view of len %d has cap %d", trial, len(seg), cap(seg))
+				}
+				if rng.Intn(4) == 0 {
+					views = append(views, view{seg: seg, vals: vals(delta.Seq{seg})})
+				}
+			}
+			rd.got = append(rd.got, vals(seq)...)
+		}
+		for step := 0; step < 30; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				k := sizes[rng.Intn(len(sizes))]
+				if rng.Intn(2) == 0 {
+					k = rng.Intn(700)
+				}
+				ts := make([]delta.Tuple, k)
+				for i := range ts {
+					ts[i] = tup(int64(n + i))
+				}
+				l.Append(ts...)
+				n += k
+			case 2:
+				if rng.Intn(2) == 0 {
+					readers = append(readers, &reader{r: l.NewReader()})
+				} else {
+					off := rng.Intn(n + 1)
+					readers = append(readers, &reader{r: l.NewReaderAt(off), start: off})
+				}
+			case 3:
+				if len(readers) == 0 {
+					continue
+				}
+				rd := readers[rng.Intn(len(readers))]
+				if rng.Intn(2) == 0 {
+					rd.r.SetLimit(rng.Intn(n + 2))
+				} else {
+					rd.r.ClearLimit()
+				}
+				read(rd)
+			}
+		}
+		for _, rd := range readers {
+			rd.r.ClearLimit()
+			read(rd)
+			if len(rd.got) != n-rd.start {
+				t.Fatalf("trial %d: reader from %d read %d tuples of %d", trial, rd.start, len(rd.got), n-rd.start)
+			}
+			for i, v := range rd.got {
+				if v != int64(rd.start+i) {
+					t.Fatalf("trial %d: reader from %d read %d at position %d", trial, rd.start, v, rd.start+i)
+				}
+			}
+		}
+		for _, v := range views {
+			if got := vals(delta.Seq{v.seg}); !reflect.DeepEqual(got, v.vals) {
+				t.Fatalf("trial %d: a view changed under later appends: %v, was %v", trial, got, v.vals)
+			}
+		}
+		if l.Len() != n {
+			t.Fatalf("trial %d: Len = %d, appended %d", trial, l.Len(), n)
+		}
+		total := 0
+		for i, seg := range l.segs {
+			if cap(seg) > maxSegment {
+				t.Fatalf("trial %d: segment %d has cap %d > %d", trial, i, cap(seg), maxSegment)
+			}
+			if i < len(l.segs)-1 && len(seg) != cap(seg) {
+				t.Fatalf("trial %d: non-tail segment %d holds %d of %d", trial, i, len(seg), cap(seg))
+			}
+			total += cap(seg)
+		}
+		if last := len(l.segs) - 1; last >= 0 && total > n+cap(l.segs[last]) {
+			t.Fatalf("trial %d: segments hold %d capacity for %d tuples (tail cap %d)", trial, total, n, cap(l.segs[last]))
+		}
 	}
 }
 
@@ -122,10 +252,10 @@ func TestConcurrentAppendRead(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		total += len(r.ReadNew())
+		total += r.ReadNew().Len()
 		select {
 		case <-done:
-			total += len(r.ReadNew())
+			total += r.ReadNew().Len()
 			if total != 4000 {
 				t.Errorf("read %d tuples, want 4000", total)
 			}

@@ -43,33 +43,50 @@ func (t Tuple) String() string {
 	return fmt.Sprintf("%s%s%s", t.Sign, t.Bits, t.Row)
 }
 
+// Seq is a delta stream stored as segments: the stream is the segments'
+// concatenation, in order. A buffer.Log hands its readers the views of its
+// segments this way, and an in-subplan edge passes its one output slice as a
+// one-segment Seq.
+type Seq [][]Tuple
+
+// Len returns the number of tuples in the stream.
+func (s Seq) Len() int {
+	n := 0
+	for _, seg := range s {
+		n += len(seg)
+	}
+	return n
+}
+
 // Chunks iterates a delta stream in windows of at most size tuples,
-// preserving order — the executor's chunked delta iteration. A size < 1
-// yields the whole stream as one window. Windows alias the input slice;
-// no tuples are copied.
+// preserving order — the executor's chunked delta iteration. Windows never
+// cross a segment boundary; a size < 1 yields each non-empty segment as one
+// window. Windows alias the segments: no tuples are copied and no scratch is
+// kept.
 type Chunks struct {
-	ts   []Tuple
+	seq  Seq
+	cur  []Tuple
 	size int
 }
 
-// NewChunks returns an iterator over ts in windows of size.
-func NewChunks(ts []Tuple, size int) Chunks {
-	if size < 1 {
-		size = len(ts)
-	}
-	return Chunks{ts: ts, size: size}
+// NewChunks returns an iterator over seq in windows of at most size.
+func NewChunks(seq Seq, size int) Chunks {
+	return Chunks{seq: seq, size: size}
 }
 
 // Next returns the next window, or ok=false when the stream is exhausted.
 func (c *Chunks) Next() (win []Tuple, ok bool) {
-	if len(c.ts) == 0 {
-		return nil, false
+	for len(c.cur) == 0 {
+		if len(c.seq) == 0 {
+			return nil, false
+		}
+		c.cur, c.seq = c.seq[0], c.seq[1:]
 	}
-	n := c.size
-	if n > len(c.ts) {
-		n = len(c.ts)
+	n := len(c.cur)
+	if c.size >= 1 && n > c.size {
+		n = c.size
 	}
-	win, c.ts = c.ts[:n], c.ts[n:]
+	win, c.cur = c.cur[:n:n], c.cur[n:]
 	return win, true
 }
 
@@ -94,17 +111,20 @@ func Apply(tuples []Tuple, q int) map[string]int {
 }
 
 // Materialize returns the net rows (with multiplicity) for query q, or for
-// all queries when q is negative. Row order is unspecified.
-func Materialize(tuples []Tuple, q int) []value.Row {
+// all queries when q is negative, folding the stream segment by segment. Row
+// order is unspecified.
+func Materialize(seq Seq, q int) []value.Row {
 	counts := make(map[string]int)
 	rows := make(map[string]value.Row)
-	for _, t := range tuples {
-		if q >= 0 && !t.Bits.Has(q) {
-			continue
+	for _, seg := range seq {
+		for _, t := range seg {
+			if q >= 0 && !t.Bits.Has(q) {
+				continue
+			}
+			k := value.Key(t.Row)
+			counts[k] += int(t.Sign)
+			rows[k] = t.Row
 		}
-		k := value.Key(t.Row)
-		counts[k] += int(t.Sign)
-		rows[k] = t.Row
 	}
 	var out []value.Row
 	for k, n := range counts {

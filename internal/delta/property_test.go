@@ -44,7 +44,7 @@ func throughLog(t *testing.T, stream []delta.Tuple, chunk int) []value.Row {
 	t.Helper()
 	log := buffer.NewLog("prop")
 	reader := log.NewReader()
-	var seen []delta.Tuple
+	var seen delta.Seq // the views of the log's segments, which never move
 	for start := 0; start < len(stream); start += chunk {
 		end := start + chunk
 		if end > len(stream) {
@@ -67,7 +67,7 @@ func throughLog(t *testing.T, stream []delta.Tuple, chunk int) []value.Row {
 // passes through a log whole or in arbitrary chunks.
 func TestInsertDeleteReinsertRoundTrip(t *testing.T) {
 	stream := []delta.Tuple{ins(1, 10), del(1, 10), ins(1, 10), ins(2, 20)}
-	want := canon(delta.Materialize([]delta.Tuple{ins(1, 10), ins(2, 20)}, -1))
+	want := canon(delta.Materialize(delta.Seq{{ins(1, 10), ins(2, 20)}}, -1))
 	for chunk := 1; chunk <= len(stream); chunk++ {
 		got := canon(throughLog(t, stream, chunk))
 		if !reflect.DeepEqual(got, want) {
@@ -86,7 +86,7 @@ func TestUpdateAsDeleteInsertRoundTrip(t *testing.T) {
 		del(2, 20), ins(2, 22), // update row 2: 20 -> 22
 	}
 	direct := []delta.Tuple{ins(1, 11), ins(2, 22)}
-	want := canon(delta.Materialize(direct, -1))
+	want := canon(delta.Materialize(delta.Seq{direct}, -1))
 	for chunk := 1; chunk <= len(updates); chunk++ {
 		got := canon(throughLog(t, updates, chunk))
 		if !reflect.DeepEqual(got, want) {
@@ -114,7 +114,7 @@ func TestRandomStreamsChunkInvariant(t *testing.T) {
 				live = append(live, p)
 			}
 		}
-		want := canon(delta.Materialize(stream, -1))
+		want := canon(delta.Materialize(delta.Seq{stream}, -1))
 		if len(want) != len(live) {
 			t.Fatalf("trial %d: materialized %d rows, %d live", trial, len(want), len(live))
 		}
@@ -142,13 +142,13 @@ func TestMaterializePerQueryBits(t *testing.T) {
 	b := ins(2)
 	b.Bits = mqo.Bit(1)
 	stream := []delta.Tuple{a, b}
-	if got := delta.Materialize(stream, 0); len(got) != 1 || got[0][0].I != 1 {
+	if got := delta.Materialize(delta.Seq{stream}, 0); len(got) != 1 || got[0][0].I != 1 {
 		t.Fatalf("query 0 sees %v", got)
 	}
-	if got := delta.Materialize(stream, 1); len(got) != 1 || got[0][0].I != 2 {
+	if got := delta.Materialize(delta.Seq{stream}, 1); len(got) != 1 || got[0][0].I != 2 {
 		t.Fatalf("query 1 sees %v", got)
 	}
-	if got := delta.Materialize(stream, -1); len(got) != 2 {
+	if got := delta.Materialize(delta.Seq{stream}, -1); len(got) != 2 {
 		t.Fatalf("all queries see %v", got)
 	}
 }

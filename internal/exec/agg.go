@@ -291,7 +291,7 @@ func (g *aggExec) slotAt(ref int32) *aggSlot {
 	return &g.side[ref]
 }
 
-func (g *aggExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
+func (g *aggExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 	var w Work
 	g.gen++
 	g.dirty = g.dirty[:0]

@@ -186,9 +186,11 @@ func testAggregateIncrementalRetraction(t *testing.T) {
 	// Deletes must appear in the output log.
 	root := h.graph.QueryRootSubplan[0]
 	deletes := 0
-	for _, tup := range r.Execs[root.ID].Out.All() {
-		if tup.Sign == delta.Delete {
-			deletes++
+	for _, seg := range r.Execs[root.ID].Out.NewReader().ReadNew() {
+		for _, tup := range seg {
+			if tup.Sign == delta.Delete {
+				deletes++
+			}
 		}
 	}
 	if deletes == 0 {

@@ -114,9 +114,11 @@ func (r *Runner) CheckLayouts() error {
 			}
 		}
 		width := len(colsOf(se.Sub.Root))
-		for _, t := range se.Out.All() {
-			if len(t.Row) != width {
-				return fmt.Errorf("subplan %d logged a %d-value row, layout width %d", se.Sub.ID, len(t.Row), width)
+		for _, seg := range se.Out.NewReader().ReadNew() {
+			for _, t := range seg {
+				if len(t.Row) != width {
+					return fmt.Errorf("subplan %d logged a %d-value row, layout width %d", se.Sub.ID, len(t.Row), width)
+				}
 			}
 		}
 	}

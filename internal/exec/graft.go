@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ishare/internal/buffer"
+	"ishare/internal/delta"
 	"ishare/internal/mqo"
 )
 
@@ -422,7 +423,8 @@ func (rb rebind) apply() {
 // subplan's operators onto the state-identical new subplan's by walking the
 // two operator trees in lockstep (pairOps). Operator instances, input
 // readers, the output log and all accumulated work carry over untouched;
-// only the map keys change identity.
+// only the map keys change identity (the reusable input lists are rebuilt on
+// first use).
 func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
 	ops := make(map[*mqo.Op]operator, len(se.ops))
 	member := make(map[*mqo.Op]bool, len(se.member))
@@ -444,6 +446,7 @@ func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
 	})
 	se.Sub = newSub
 	se.ops, se.member, se.inputs, se.opWork = ops, member, inputs, opWork
+	se.ins = make(map[*mqo.Op][]delta.Seq, len(ops))
 }
 
 // setReplayLimits caps every input reader at window k's marks: base-table

@@ -15,9 +15,10 @@ func tupleFor(row value.Row) delta.Tuple {
 	return delta.Tuple{Row: row, Bits: mqo.Bitset(^uint64(0)), Sign: delta.Insert}
 }
 
-// materialized folds a buffer's deltas into the net rows for query q.
+// materialized folds a buffer's deltas into the net rows for query q,
+// segment by segment.
 func materialized(log *buffer.Log, q int) []value.Row {
-	return delta.Materialize(log.All(), q)
+	return delta.Materialize(log.NewReader().ReadNew(), q)
 }
 
 // sortedRows renders rows into sorted strings for order-insensitive result

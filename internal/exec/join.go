@@ -209,7 +209,7 @@ func (s *joinSide) keyMatches(e *arrEntry, key value.Row) bool {
 	return true
 }
 
-func (j *joinExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
+func (j *joinExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 	var w Work
 	out := j.outBuf[:0]
 	// Phase 1: left deltas update left state and probe the right state
@@ -225,7 +225,7 @@ func (j *joinExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
 
 // runPhase drives one side's deltas through the join in chunks. selfIsLeft
 // fixes the output column order (left row then right row).
-func (j *joinExec) runPhase(self, other *joinSide, tuples []delta.Tuple, selfIsLeft bool, w *Work, out []delta.Tuple) []delta.Tuple {
+func (j *joinExec) runPhase(self, other *joinSide, tuples delta.Seq, selfIsLeft bool, w *Work, out []delta.Tuple) []delta.Tuple {
 	it := delta.NewChunks(tuples, j.batch)
 	for tup, ok := it.Next(); ok; tup, ok = it.Next() {
 		w.Tuples += int64(len(tup))

@@ -10,7 +10,8 @@ import (
 )
 
 // operator is a stateful physical operator. process consumes one batch of
-// deltas per child and returns the output deltas plus the work done.
+// deltas per child — a delta.Seq of segments, iterated in place — and returns
+// the output deltas plus the work done.
 //
 // Operators process their input in columnar chunks (internal/vec): marker
 // predicates and key/projection expressions are evaluated column-at-a-time
@@ -23,7 +24,7 @@ import (
 // process returns: a graft may re-point it at a rebuilt producer, and the old
 // producer's log must die with the old producer.
 type operator interface {
-	process(in [][]delta.Tuple) ([]delta.Tuple, Work)
+	process(in []delta.Seq) ([]delta.Tuple, Work)
 }
 
 // applyMarkers evaluates the operator's per-query marker predicates against
@@ -135,8 +136,8 @@ func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
 
 // scanExec stamps base-table deltas with the scan's query set and applies
 // its marker predicates chunk-at-a-time. outBuf is the pooled emission
-// buffer, reused across incremental executions (downstream buffers copy
-// tuple headers, so only the slice header is recycled).
+// buffer, reused across incremental executions (a log append copies tuple
+// headers into its segments, so only the slice header is recycled).
 type scanExec struct {
 	op      *mqo.Op
 	batch   int
@@ -145,12 +146,12 @@ type scanExec struct {
 	outBuf  []delta.Tuple
 }
 
-func (s *scanExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
+func (s *scanExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 	var w Work
 	// Scan output is at most one tuple per input: size the pooled buffer
 	// once instead of append-growing through it.
-	if cap(s.outBuf) < len(in[0]) {
-		s.outBuf = make([]delta.Tuple, 0, len(in[0]))
+	if n := in[0].Len(); cap(s.outBuf) < n {
+		s.outBuf = make([]delta.Tuple, 0, n)
 	}
 	out := s.outBuf[:0]
 	it := delta.NewChunks(in[0], s.batch)
@@ -201,11 +202,11 @@ func newProjectExec(op *mqo.Op, batch int, lay layouts) *projectExec {
 	return p
 }
 
-func (p *projectExec) process(in [][]delta.Tuple) ([]delta.Tuple, Work) {
+func (p *projectExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 	var w Work
 	// Projection emits at most one tuple per input.
-	if cap(p.outBuf) < len(in[0]) {
-		p.outBuf = make([]delta.Tuple, 0, len(in[0]))
+	if n := in[0].Len(); cap(p.outBuf) < n {
+		p.outBuf = make([]delta.Tuple, 0, n)
 	}
 	out := p.outBuf[:0]
 	it := delta.NewChunks(in[0], p.batch)

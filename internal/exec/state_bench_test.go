@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ishare/internal/buffer"
 	"ishare/internal/delta"
 	"ishare/internal/mqo"
 	"ishare/internal/value"
@@ -73,7 +74,9 @@ func BenchmarkAggRetract(b *testing.B) {
 // groups exist and the pools are warm, a process call whose deltas net to
 // no output change (insert and delete of the same row in one batch) must
 // not allocate — the dirty list, group lookups, emission buffers and
-// comparison encodings all reuse operator-owned storage.
+// comparison encodings all reuse operator-owned storage. The same holds end
+// to end over a segmented log: a reader's ReadNew, chunk iteration across
+// segment boundaries and process allocate nothing either.
 func TestAggSteadyStateAllocs(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": `SELECT l_partkey, COUNT(*) AS n, SUM(l_quantity) AS s,
@@ -95,18 +98,52 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		seed = append(seed, tupleFor(value.Row{value.Int(int64(i % 8)), value.Float(float64(i))}))
 	}
-	g.process([][]delta.Tuple{seed})
+	g.process([]delta.Seq{{seed}})
 	// The insert briefly becomes the group MAX, so its deletion also
 	// exercises the extremum-retraction path allocation-free.
-	ins := tupleFor(value.Row{value.Int(3), value.Float(999)})
-	del := ins
-	del.Sign = delta.Delete
-	in := [][]delta.Tuple{{ins, del}}
+	pair := func(group int64) (delta.Tuple, delta.Tuple) {
+		ins := tupleFor(value.Row{value.Int(group), value.Float(999)})
+		del := ins
+		del.Sign = delta.Delete
+		return ins, del
+	}
+	ins, del := pair(3)
+	in := []delta.Seq{{{ins, del}}}
 	for i := 0; i < 8; i++ {
 		g.process(in) // warm the pools
 	}
 	if avg := testing.AllocsPerRun(200, func() { g.process(in) }); avg > 0 {
 		t.Errorf("steady-state process allocated %.2f allocs/run, want 0", avg)
+	}
+
+	// Each run reads the next 600 tuples of insert/delete pairs from a log
+	// of 1024-tuple segments, so windows straddle segment boundaries.
+	const pairs, warm, runs = 300, 8, 200
+	log := buffer.NewLog("t")
+	stream := make([]delta.Tuple, 0, 2*pairs*(warm+runs+1))
+	for i := 0; i < cap(stream)/2; i++ {
+		ins, del := pair(int64(i % 8))
+		stream = append(stream, ins, del)
+	}
+	log.Append(stream...)
+	rd := log.NewReader()
+	straddled := 0
+	step := func() {
+		rd.SetLimit(rd.Offset() + 2*pairs)
+		in[0] = rd.ReadNew()
+		if len(in[0]) > 1 {
+			straddled++
+		}
+		g.process(in)
+	}
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(runs, step); avg > 0 {
+		t.Errorf("steady-state ReadNew+process over segments allocated %.2f allocs/run, want 0", avg)
+	}
+	if rd.Offset() != log.Len() || straddled == 0 {
+		t.Fatalf("reader at %d of %d, %d reads over two segments: the runs did not cover the log", rd.Offset(), log.Len(), straddled)
 	}
 }
 

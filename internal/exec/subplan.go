@@ -24,12 +24,18 @@ type SubplanExec struct {
 	inputs  map[inputKey]*buffer.Reader
 	perExec []Work
 	opWork  map[*mqo.Op]Work
+	// ins is each member operator's input list, reused across executions
+	// (built on first use): slot i holds the reader's segments for an
+	// external input, or a one-segment header carrying the member child's
+	// output for an in-subplan edge.
+	ins map[*mqo.Op][]delta.Seq
 	// batch is the vectorized chunk size the member operators iterate
 	// with; batches counts the chunks they processed (cumulative), and
 	// lastBatches the chunks of the most recent RunOnce — the profiler's
-	// physical batch-count column. Chunk counts are derived here from
-	// input lengths with exactly delta.NewChunks' windowing, so they stay
-	// deterministic without threading counters through the operators.
+	// physical batch-count column. Chunk counts are derived here from the
+	// input segments' lengths with exactly delta.NewChunks' windowing, so
+	// they stay deterministic without threading counters through the
+	// operators.
 	batch       int
 	batches     int64
 	lastBatches int64
@@ -67,6 +73,7 @@ func newSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int
 		member: make(map[*mqo.Op]bool),
 		inputs: make(map[inputKey]*buffer.Reader),
 		opWork: make(map[*mqo.Op]Work),
+		ins:    make(map[*mqo.Op][]delta.Seq),
 		batch:  batch,
 	}
 	for _, o := range sub.Ops {
@@ -128,40 +135,67 @@ func (se *SubplanExec) RunOnce() Work {
 
 func (se *SubplanExec) eval(op *mqo.Op) ([]delta.Tuple, Work) {
 	var w Work
-	var ins [][]delta.Tuple
+	ins := se.opInputs(op)
 	if op.Kind == mqo.KindScan {
-		ins = [][]delta.Tuple{se.inputs[inputKey{op, 0}].ReadNew()}
+		ins[0] = se.inputs[inputKey{op, 0}].ReadNew()
 	} else {
-		ins = make([][]delta.Tuple, len(op.Children))
 		for i, c := range op.Children {
 			if se.member[c] {
 				batch, cw := se.eval(c)
 				w.Add(cw)
-				ins[i] = batch
+				ins[i][0] = batch
 			} else {
 				ins[i] = se.inputs[inputKey{op, i}].ReadNew()
 			}
 		}
 	}
-	// Count the chunks the operator is about to iterate: one window of at
-	// most batch tuples per non-empty input, the whole input when batch < 1
-	// — mirroring delta.NewChunks so the count is exact without touching
-	// the operators' hot loops.
 	for _, in := range ins {
-		if n := len(in); n > 0 {
-			if se.batch < 1 {
-				se.batches++
-			} else {
-				se.batches += int64((n + se.batch - 1) / se.batch)
-			}
-		}
+		se.batches += chunkCount(in, se.batch)
 	}
 	out, ow := se.ops[op].process(ins)
+	// Drop the input views (the readers' view lists included): a graft may
+	// re-point a reader at a rebuilt producer, and the old producer's log
+	// must not stay reachable through this list.
+	for _, in := range ins {
+		clear(in)
+	}
 	acc := se.opWork[op]
 	acc.Add(ow)
 	se.opWork[op] = acc
 	w.Add(ow)
 	return out, w
+}
+
+// opInputs returns op's reusable input list, building it on first use.
+func (se *SubplanExec) opInputs(op *mqo.Op) []delta.Seq {
+	if ins, ok := se.ins[op]; ok {
+		return ins
+	}
+	ins := make([]delta.Seq, max(len(op.Children), 1))
+	for i, c := range op.Children {
+		if se.member[c] {
+			ins[i] = make(delta.Seq, 1)
+		}
+	}
+	se.ins[op] = ins
+	return ins
+}
+
+// chunkCount returns the number of windows delta.NewChunks yields over seq:
+// per non-empty segment, one window of at most batch tuples each, or the
+// whole segment when batch < 1.
+func chunkCount(seq delta.Seq, batch int) int64 {
+	var n int64
+	for _, seg := range seq {
+		switch {
+		case len(seg) == 0:
+		case batch < 1:
+			n++
+		default:
+			n += int64((len(seg) + batch - 1) / batch)
+		}
+	}
+	return n
 }
 
 // OpWork returns the cumulative work attributed to one member operator —

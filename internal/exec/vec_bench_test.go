@@ -50,8 +50,8 @@ func BenchmarkBatchJoinProbe(b *testing.B) {
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			j := newJoinExec(op, batch, nil)
-			j.process([][]delta.Tuple{nil, right})
-			in := [][]delta.Tuple{left, nil}
+			j.process([]delta.Seq{nil, {right}})
+			in := []delta.Seq{{left}, nil}
 			j.process(in) // warm scratch buffers
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -100,8 +100,8 @@ func BenchmarkBatchAgg(b *testing.B) {
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			g := newAggExec(aggOp, batch, nil)
-			g.process([][]delta.Tuple{seed}) // groups pre-exist; lookups stay warm
-			in := [][]delta.Tuple{stream}
+			g.process([]delta.Seq{{seed}}) // groups pre-exist; lookups stay warm
+			in := []delta.Seq{{stream}}
 			g.process(in) // warm pools
 			b.ReportAllocs()
 			b.ResetTimer()

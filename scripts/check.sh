@@ -63,12 +63,13 @@ echo "== go vet + go test (bench module)"
 go vet -C bench ./...
 go test -C bench ./...
 
-# Compile-and-run smoke of the two whole-job benchmarks `make profile`
+# Compile-and-run smoke of the three whole-job benchmarks `make profile`
 # targets: one planning job of the repository benchmark's plan_tight22
-# (PlanJob, the default) and one job of its exec_batch22 (ExecJob: 22
-# queries at SF 2, planned outside the timer).
-echo "== BenchmarkPlanJob + BenchmarkExecJob smoke (-benchtime 1x)"
-go test -run '^$' -bench 'Benchmark(Plan|Exec)Job$' -benchtime 1x -benchmem .
+# (PlanJob, the default), one job of its exec_batch22 (ExecJob: 22 queries
+# at SF 2, planned outside the timer) and one admit+retire graft over
+# session_churn's shape (ChurnGraft: 30 windows of history).
+echo "== BenchmarkPlanJob + BenchmarkExecJob + BenchmarkChurnGraft smoke (-benchtime 1x)"
+go test -run '^$' -bench 'Benchmark((Plan|Exec)Job|ChurnGraft)$' -benchtime 1x -benchmem .
 
 # The observability smokes drive one built binary, so the status smoke can
 # stop the very process it started (killing a `go run` wrapper can leave its
