@@ -52,16 +52,18 @@ bench:
 # arenas lead (40 %), then join entries (15 %) and hash-table growth (9 %);
 # log appends fell from 23 % to 5 %. ChurnGraft is admission's executor
 # cost: one Session.Admit plus Retire of the same query over a dashboard
-# session's 30 windows of history. Its inclusive top five since delta logs
-# are segmented (PROFILE_TIME=100x, ≈ 26 ms and 5.7 MB per iteration
-# against 38 ms and 19.9 MB with a one-slice log, 2 vCPUs):
-# exec.(*Runner).Graft ≈ 78 %, nearly all of it replaying the rebuilt
-# clicks scan and the subplans that must replay; scanExec.process ≈ 48 % (applyMarkersChunk
-# ≈ 43 %, vec.(*Eval).Truths ≈ 34 %); aggExec.process ≈ 23 % (the MIN/MAX
-# multiset ≈ 9 %); runtime.mallocgc ≈ 13 %. buffer.(*Log).Append fell from
-# 23 % to 7 % of CPU; it still allocates 52 % of the bytes, the one copy of
-# each replayed output tuple. The optimizer's warm re-plan is ≈ 5 %, and
-# the 30 set-up windows ≈ 6 %.
+# session's 30 windows of history. Its inclusive top five since scans read
+# their markers' outcomes from truth columns (PROFILE_TIME=100x, ≈ 25 ms and
+# 5.7 MB per iteration against 33–40 ms re-evaluating every predicate in
+# replay, 2 vCPUs): exec.(*Runner).Graft ≈ 71 %, nearly all of it replaying
+# the rebuilt clicks scan and the subplans that must replay;
+# aggExec.process ≈ 36 % (the MIN/MAX multiset's ordset.Add ≈ 19 %) now
+# leads; scanExec.process ≈ 26 % (applyTruths ≈ 17 %, of which
+# vec.(*Eval).Truths ≈ 10 % — the admitted query's new predicate over the
+# history, once, and the set-up windows' fresh rows — against 48 % and
+# 34 % before); runtime.mallocgc ≈ 18 %; buffer.(*Log).Append ≈ 9 % of CPU
+# and 52 % of the bytes, the one copy of each replayed output tuple. The
+# optimizer's warm re-plan is ≈ 8 %, and the 30 set-up windows ≈ 9 %.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

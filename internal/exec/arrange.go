@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"ishare/internal/delta"
 	"ishare/internal/hashtab"
@@ -41,7 +42,8 @@ func (h *arrHeader) header() *arrHeader { return h }
 // A released arrangement whose refcount hits zero is tombstoned, not freed
 // — it stays allocated until the next window seal so anything still
 // holding chunk-scoped pointers into it finishes the window — and is
-// reclaimed by Sweep.
+// reclaimed by Sweep. Scans' truth columns (truth.go) live here under the
+// same rules, outside the arrangement accounting.
 type Registry struct {
 	mu     sync.Mutex
 	share  bool
@@ -55,14 +57,21 @@ type Registry struct {
 	sharedAttaches int64
 	freed          int64
 	swept          int64
+
+	truths                      map[string]*truthCol
+	truthLive                   map[*truthCol]struct{}
+	truthTombs                  []*truthCol
+	truthEvaluated, truthServed atomic.Int64
 }
 
 func NewRegistry(share bool) *Registry {
 	return &Registry{
-		share: share,
-		joins: make(map[string]*joinArr),
-		aggs:  make(map[string]*aggArr),
-		live:  make(map[int64]arrAny),
+		share:     share,
+		joins:     make(map[string]*joinArr),
+		aggs:      make(map[string]*aggArr),
+		live:      make(map[int64]arrAny),
+		truths:    make(map[string]*truthCol),
+		truthLive: make(map[*truthCol]struct{}),
 	}
 }
 
@@ -148,13 +157,14 @@ func (r *Registry) release(a arrAny) {
 	r.tombs = append(r.tombs, a)
 }
 
-// Sweep reclaims tombstoned arrangements; the runner calls it when a
-// window seals, so expiry is deferred past any in-flight window.
+// Sweep reclaims tombstoned arrangements and truth columns and returns how
+// many arrangements it reclaimed; the runner calls it when a window seals, so
+// expiry is deferred past any in-flight window.
 func (r *Registry) Sweep() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := len(r.tombs)
-	r.tombs = nil
+	r.tombs, r.truthTombs = nil, nil
 	r.swept += int64(n)
 	return n
 }
@@ -217,9 +227,10 @@ func (r *Registry) Stats() ArrangeStats {
 }
 
 // checkHandles verifies the refcount invariant against an externally
-// counted number of live executor handles: every live arrangement is held
-// (refs >= 1), the total matches, the signature maps only point at live
-// arrangements, and tombstone accounting balances.
+// counted number of live executor handles, arrangement and truth-column
+// handles together: every live arrangement and column is held (refs >= 1),
+// the total matches, the signature maps only point at live entries, and
+// tombstone accounting balances.
 func (r *Registry) checkHandles(handles int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -230,6 +241,12 @@ func (r *Registry) checkHandles(handles int) error {
 			return fmt.Errorf("arrangement %d live with %d refs", id, h.refs)
 		}
 		total += h.refs
+	}
+	for c := range r.truthLive {
+		if c.refs < 1 {
+			return fmt.Errorf("truth column %q live with %d refs", c.key, c.refs)
+		}
+		total += c.refs
 	}
 	if total != handles {
 		return fmt.Errorf("registry holds %d refs, executors hold %d handles", total, handles)
@@ -242,6 +259,11 @@ func (r *Registry) checkHandles(handles int) error {
 	for sig, a := range r.aggs {
 		if _, ok := r.live[a.id]; !ok || a.sig != sig {
 			return fmt.Errorf("agg signature map entry %q not live", sig)
+		}
+	}
+	for key, c := range r.truths {
+		if _, ok := r.truthLive[c]; !ok || c.key != key {
+			return fmt.Errorf("truth column map entry %q not live", key)
 		}
 	}
 	if r.freed-r.swept != int64(len(r.tombs)) {

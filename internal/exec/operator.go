@@ -31,8 +31,9 @@ type operator interface {
 // the tuple's row and clears the bits of queries whose predicate fails
 // (SharedDB σ* semantics: marking never drops a tuple another query needs).
 // It returns the surviving bits. This is the scalar path, used only for
-// aggregate group output; scans, projects and joins apply their compiled
-// markers chunk-at-a-time (applyMarkersChunk).
+// aggregate group output; projects and joins apply their compiled markers
+// chunk-at-a-time (applyMarkersChunk), and scans through their truth columns
+// (scanExec.applyTruths).
 func applyMarkers(op *mqo.Op, row value.Row, bits mqo.Bitset) mqo.Bitset {
 	for q, pred := range op.Preds {
 		if bits.Has(q) && !pred.Eval(row).Truth() {
@@ -94,12 +95,12 @@ func applyMarkersChunk(markers []marker, ch *vec.Chunk) {
 	}
 }
 
-// arranged is implemented by operators whose indexed state lives in the
-// arrangement registry: attach re-keys the state through the registry
-// (possibly onto an arrangement another operator built), release drops the
-// handles when a graft retires the operator, and handles reports how many
-// the operator currently holds — the executor side of the registry's
-// refcount invariant.
+// arranged is implemented by operators whose state lives in the registry —
+// joins' and aggregates' arrangements, scans' truth columns: attach re-keys
+// the state through the registry (possibly onto state another operator
+// built), release drops the handles when a graft retires the operator, and
+// handles reports how many the operator currently holds — the executor side
+// of the registry's refcount invariant.
 type arranged interface {
 	attach(reg *Registry)
 	release(reg *Registry)
@@ -109,12 +110,15 @@ type arranged interface {
 // newOperator instantiates the physical operator for a shared-plan node.
 // batch is the chunk size used for delta iteration; stateful operators
 // attach their arrangements to reg (nil keeps state private — tests that
-// drive operators directly). lay is the graph's join layouts, which every
+// drive joins and aggregates directly), and scans their truth columns, so a
+// scan needs a registry. lay is the graph's join layouts, which every
 // operator reading a join's rows compiles against.
 func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
 	switch op.Kind {
 	case mqo.KindScan:
-		return &scanExec{op: op, batch: batch, markers: compileMarkers(op, nil)}
+		s := &scanExec{op: op, batch: batch, markers: compileMarkers(op, nil)}
+		s.attach(reg)
+		return s
 	case mqo.KindProject:
 		return newProjectExec(op, batch, lay)
 	case mqo.KindJoin:
@@ -142,8 +146,14 @@ type scanExec struct {
 	op      *mqo.Op
 	batch   int
 	markers []marker
-	ch      vec.Chunk
-	outBuf  []delta.Tuple
+	// cols[k] memoizes markers[k]'s outcome per table row in reg (truth.go).
+	reg  *Registry
+	cols []*truthCol
+	// pos is the table log position of the next tuple process reads;
+	// SubplanExec.eval sets it from the scan's reader before each ReadNew.
+	pos    int
+	ch     vec.Chunk
+	outBuf []delta.Tuple
 }
 
 func (s *scanExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
@@ -154,13 +164,17 @@ func (s *scanExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 		s.outBuf = make([]delta.Tuple, 0, n)
 	}
 	out := s.outBuf[:0]
+	var evaluated, served int64
 	it := delta.NewChunks(in[0], s.batch)
 	for tup, ok := it.Next(); ok; tup, ok = it.Next() {
 		w.Tuples += int64(len(tup))
 		ch := &s.ch
 		ch.Reset(tup)
 		ch.InitBits(s.op.Queries, false)
-		applyMarkersChunk(s.markers, ch)
+		e, sv := s.applyTruths(ch, s.pos)
+		evaluated += e
+		served += sv
+		s.pos += len(tup)
 		for _, i := range ch.Sel {
 			if ch.Bits[i].Empty() {
 				continue
@@ -169,6 +183,10 @@ func (s *scanExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 		}
 	}
 	s.outBuf = out
+	if evaluated+served > 0 {
+		s.reg.truthEvaluated.Add(evaluated)
+		s.reg.truthServed.Add(served)
+	}
 	w.Output += int64(len(out))
 	return out, w
 }

@@ -432,12 +432,16 @@ func (r *Runner) CountWork(w Work) {
 // safe to call concurrently with running executions.
 func (r *Runner) ArrangeStats() ArrangeStats { return r.reg.Stats() }
 
+// TruthStats returns the scans' truth-column accounting (truth.go). Not safe
+// to call concurrently with running executions.
+func (r *Runner) TruthStats() TruthStats { return r.reg.TruthStats() }
+
 // CheckArrangements verifies the registry refcount invariant against the
-// live executors: every arrangement handle an operator holds is counted by
-// exactly one registry ref and vice versa, and tombstone accounting
-// balances. The churn oracle calls it after every graft; a leak (or a
-// double release) surfaces as a mismatch here long before memory numbers
-// would show it.
+// live executors: every arrangement or truth-column handle an operator holds
+// is counted by exactly one registry ref and vice versa, and tombstone
+// accounting balances. The churn oracle calls it after every graft; a leak
+// (or a double release) surfaces as a mismatch here long before memory
+// numbers would show it.
 func (r *Runner) CheckArrangements() error {
 	handles := 0
 	for _, se := range r.Execs {

@@ -137,7 +137,9 @@ func (se *SubplanExec) eval(op *mqo.Op) ([]delta.Tuple, Work) {
 	var w Work
 	ins := se.opInputs(op)
 	if op.Kind == mqo.KindScan {
-		ins[0] = se.inputs[inputKey{op, 0}].ReadNew()
+		rd := se.inputs[inputKey{op, 0}]
+		se.ops[op].(*scanExec).pos = rd.Offset()
+		ins[0] = rd.ReadNew()
 	} else {
 		for i, c := range op.Children {
 			if se.member[c] {
@@ -231,8 +233,9 @@ func (se *SubplanExec) ExecWork(i int) Work { return se.perExec[i] }
 func (se *SubplanExec) Batches() int64     { return se.batches }
 func (se *SubplanExec) LastBatches() int64 { return se.lastBatches }
 
-// release drops the member operators' arrangement handles; a graft calls
-// it on every subplan executor the new plan revision no longer carries.
+// release drops the member operators' arrangement and truth-column handles;
+// a graft calls it on every subplan executor the new plan revision no longer
+// carries.
 func (se *SubplanExec) release(reg *Registry) {
 	for _, o := range se.ops {
 		if a, ok := o.(arranged); ok {
@@ -241,7 +244,8 @@ func (se *SubplanExec) release(reg *Registry) {
 	}
 }
 
-// arrangeHandles counts the arrangement handles the member operators hold.
+// arrangeHandles counts the arrangement and truth-column handles the member
+// operators hold.
 func (se *SubplanExec) arrangeHandles() int {
 	n := 0
 	for _, o := range se.ops {

@@ -35,6 +35,10 @@ type Session struct {
 	// batch pace, so a single group with one firing per subplan.
 	group   []exec.Firing
 	windows int
+	// err is the first error Step returned. A failed window leaves operator
+	// state half-applied, so from then on every Step, Admit, Retire and
+	// Results returns it and runs nothing.
+	err error
 }
 
 // AdmitStats reports what one admission or retirement did to the live plan.
@@ -155,6 +159,9 @@ func (s *Session) QueryNames() []string {
 // replaying the retained window history, so its results are identical to
 // having been registered before the first Step.
 func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	if relConstraint <= 0 {
 		return nil, fmt.Errorf("ishare: query %s: relative constraint must be positive", name)
 	}
@@ -192,6 +199,9 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 // only by this query is freed with the plan revision; shared state the
 // remaining queries still need is carried over.
 func (s *Session) Retire(name string) (*AdmitStats, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	slot := s.Slot(name)
 	if slot < 0 {
 		return nil, fmt.Errorf("ishare: query %q is not active", name)
@@ -227,9 +237,20 @@ func admitStats(rep *opt.AdmitReport, gs *exec.GraftStats) *AdmitStats {
 // Step feeds one window of data (per table, rows in arrival order) through
 // the plan — the batch-pace schedule is a single firing group, run on the
 // calling goroutine — and returns the work units it cost. A panicking
-// operator surfaces as an error naming the subplan; the session cannot
-// continue past it.
+// operator surfaces as an error naming the subplan. The first error Step
+// returns fails the session for good: every later call returns it.
 func (s *Session) Step(data map[string][]Row) (int64, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	work, err := s.step(data)
+	if err != nil {
+		s.err = err
+	}
+	return work, err
+}
+
+func (s *Session) step(data map[string][]Row) (int64, error) {
 	ds, err := s.engine.convertDataset(data)
 	if err != nil {
 		return 0, err
@@ -315,6 +336,9 @@ func (s *Session) Drift() []float64 { return s.prof.Drifts() }
 // Results returns the named query's materialized result rows over all data
 // stepped so far.
 func (s *Session) Results(name string) ([]Row, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	slot := s.Slot(name)
 	if slot < 0 {
 		return nil, fmt.Errorf("ishare: query %q is not active", name)

@@ -86,7 +86,7 @@ func TestSessionProfileAndDrift(t *testing.T) {
 // TestSessionStepSurvivesOperatorPanic injects a panic into one subplan's
 // executions and requires Step to hand it back as an error naming the window
 // and the subplan — a failing operator must not take down the process
-// hosting the session.
+// hosting the session — and every later call to fail with that first error.
 func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 	e := ordersEngine(t)
 	if err := e.AddQuery("by_customer",
@@ -114,5 +114,25 @@ func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 	}
 	if s.Windows() != 1 {
 		t.Errorf("failed Step counted as a window: Windows() = %d, want 1", s.Windows())
+	}
+	// The failure is sticky: with the fault cleared, every later call
+	// returns the first error and runs nothing.
+	exec.DebugSlowSubplan = nil
+	work := s.TotalWork()
+	if _, err := s.Step(ordersData()); err == nil || err.Error() != want {
+		t.Errorf("Step after failure: %v, want %q", err, want)
+	}
+	if _, err := s.Admit("count", "SELECT COUNT(*) FROM orders", 1.0); err == nil || err.Error() != want {
+		t.Errorf("Admit after failure: %v, want %q", err, want)
+	}
+	if _, err := s.Retire("by_customer"); err == nil || err.Error() != want {
+		t.Errorf("Retire after failure: %v, want %q", err, want)
+	}
+	if _, err := s.Results("by_customer"); err == nil || err.Error() != want {
+		t.Errorf("Results after failure: %v, want %q", err, want)
+	}
+	if s.Windows() != 1 || s.TotalWork() != work || s.Slot("count") >= 0 || s.Slot("by_customer") < 0 {
+		t.Errorf("calls after failure ran: Windows() = %d, TotalWork %d → %d, slots count %d, by_customer %d",
+			s.Windows(), work, s.TotalWork(), s.Slot("count"), s.Slot("by_customer"))
 	}
 }
