@@ -44,26 +44,26 @@ bench:
 # compiled by decompose), the memo's map probe + insert ≈ 8 %,
 # cost.(*Model).wire ≈ 6 % (arena reset ≈ 1.5 %); EvaluateDelta's own loop
 # is down to ≈ 4 % self and the GC write barrier to ≈ 4 %. ExecJob's
-# inclusive top five since delta logs are segmented (PROFILE_TIME=10x,
-# ≈ 2.3 s/job, 461 MB/job against 569 with a one-slice log, 2 vCPUs):
-# joinExec.runPhase ≈ 60 % (joinArr.apply ≈ 26 % with find ≈ 15 % inside
-# it, addCand ≈ 9 %), aggExec.process ≈ 19 %, the GC's background mark
-# ≈ 12 %, vec.(*Eval).Values ≈ 11 %, runtime.mallocgc ≈ 9 %. By bytes, row
-# arenas lead (40 %), then join entries (15 %) and hash-table growth (9 %);
-# log appends fell from 23 % to 5 %. ChurnGraft is admission's executor
-# cost: one Session.Admit plus Retire of the same query over a dashboard
-# session's 30 windows of history. Its inclusive top five since scans read
-# their markers' outcomes from truth columns (PROFILE_TIME=100x, ≈ 25 ms and
-# 5.7 MB per iteration against 33–40 ms re-evaluating every predicate in
-# replay, 2 vCPUs): exec.(*Runner).Graft ≈ 71 %, nearly all of it replaying
-# the rebuilt clicks scan and the subplans that must replay;
-# aggExec.process ≈ 36 % (the MIN/MAX multiset's ordset.Add ≈ 19 %) now
-# leads; scanExec.process ≈ 26 % (applyTruths ≈ 17 %, of which
-# vec.(*Eval).Truths ≈ 10 % — the admitted query's new predicate over the
-# history, once, and the set-up windows' fresh rows — against 48 % and
-# 34 % before); runtime.mallocgc ≈ 18 %; buffer.(*Log).Append ≈ 9 % of CPU
-# and 52 % of the bytes, the one copy of each replayed output tuple. The
-# optimizer's warm re-plan is ≈ 8 %, and the 30 set-up windows ≈ 9 %.
+# inclusive top five since scans became views over their table logs
+# (PROFILE_TIME=10x, ≈ 3.3 s/job on a slower box than the figures above,
+# 461 MB/job, 1 CPU): joinExec.runPhase ≈ 60 % (joinArr.apply ≈ 26 % with
+# find ≈ 16 % inside it, addCand ≈ 8 %), aggExec.process ≈ 20 %,
+# vec.(*Eval).Values ≈ 12 %, the GC's background mark ≈ 11 %,
+# vec.(*Eval).Truths ≈ 8 %; scanExec.fire is ≈ 6 % (all of it filling
+# truth columns) and the view readers ≈ 3 %. By bytes, row arenas lead
+# (40 %), then join entries (15 %) and hash-table growth (10 %); log
+# appends are down to 4 %. ChurnGraft is admission's executor cost: one
+# Session.Admit plus Retire of the same query over a dashboard session's 30
+# windows of history. Its inclusive top five since scans became views
+# (PROFILE_TIME=100x, ≈ 12 ms and 2.1 MB per iteration against ≈ 25 ms and
+# 5.7 MB when every rebuilt scan re-logged the table's history, 1 CPU):
+# exec.(*Runner).Graft ≈ 63 %, now mostly the aggregates that must replay
+# — aggExec.process ≈ 44 % (the MIN/MAX multiset's ordset.Add ≈ 20 %);
+# scanExec.fill ≈ 19 %, nearly all vec.(*Eval).Truths on the admitted
+# query's new predicate over the history and the set-up windows' fresh
+# rows; the 30 set-up Steps ≈ 13 %; the optimizer's warm re-plan ≈ 11 %;
+# runtime.mallocgc ≈ 8 %. By bytes the MIN/MAX multisets lead (28 %), then
+# the cost memo (14 %); view reads allocate nothing.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

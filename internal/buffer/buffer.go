@@ -1,8 +1,9 @@
 // Package buffer provides the append-only delta logs that connect subplans:
-// a subplan whose root has multiple parent subplans materializes its output
-// into a Log, and each parent tracks its own read offset (the role Kafka
-// topics play in the paper's prototype). Base-table delta logs use the same
-// type.
+// a subplan whose root is a join, projection or aggregation with multiple
+// parent subplans materializes its output into a Log, and each parent tracks
+// its own read offset (the role Kafka topics play in the paper's prototype).
+// Base-table delta logs use the same type. A shared scan keeps no log: its
+// readers read the table log through it (see exec's scan views).
 //
 // Like a Kafka partition, a Log is stored as segments that are never
 // reallocated: an append copies each tuple once, into the tail segment, and
@@ -80,18 +81,37 @@ func (l *Log) Len() int {
 // written through an append on it can reach the log. The caller holds l.mu
 // and guarantees 0 <= from < to <= l.n.
 func (l *Log) views(dst delta.Seq, from, to int) delta.Seq {
-	// Start at the segment holding from: the last one starting at or before it.
-	i, found := slices.BinarySearch(l.starts, from)
-	if !found {
-		i--
-	}
-	for ; from < to; i++ {
+	for i := l.segment(from); from < to; i++ {
 		seg := l.segs[i]
 		a, b := from-l.starts[i], min(len(seg), to-l.starts[i])
 		dst = append(dst, seg[a:b:b])
 		from += b - a
 	}
 	return dst
+}
+
+// Segment returns the capacity-clamped view of log positions [p, e), where e
+// is the end of the segment holding p or the log's end, whichever comes
+// first. It panics unless 0 <= p < Len().
+func (l *Log) Segment(p int) []delta.Tuple {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if p < 0 || p >= l.n {
+		panic(fmt.Sprintf("buffer %s: segment at %d of %d", l.name, p, l.n))
+	}
+	i := l.segment(p)
+	seg := l.segs[i]
+	return seg[p-l.starts[i] : len(seg) : len(seg)]
+}
+
+// segment returns the index of the segment holding position p: the last one
+// starting at or before it. The caller holds l.mu.
+func (l *Log) segment(p int) int {
+	i, found := slices.BinarySearch(l.starts, p)
+	if !found {
+		i--
+	}
+	return i
 }
 
 // Reader is one consumer's cursor over a log. Each parent subplan owns one

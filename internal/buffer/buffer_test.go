@@ -270,3 +270,31 @@ func TestLogName(t *testing.T) {
 		t.Error("Name lost")
 	}
 }
+
+// TestSegmentViews: Segment(p) views positions p up to the end of p's
+// segment (or the log's end), capacity-clamped, and panics outside the log.
+func TestSegmentViews(t *testing.T) {
+	l := NewLog("t")
+	for v := int64(0); v < 3000; v++ {
+		l.Append(tup(v))
+	}
+	for p := 0; p < l.Len(); {
+		seg := l.Segment(p)
+		if len(seg) == 0 || cap(seg) != len(seg) || seg[0].Row[0].AsInt() != int64(p) {
+			t.Fatalf("Segment(%d) = %d tuples (cap %d)", p, len(seg), cap(seg))
+		}
+		if got := vals(l.NewReaderAt(p).ReadNew())[:len(seg)]; !reflect.DeepEqual(got, vals(delta.Seq{seg})) {
+			t.Fatalf("Segment(%d) disagrees with a read from %d", p, p)
+		}
+		if p+len(seg) < l.Len() && len(l.NewReaderAt(p).ReadNew()[0]) != len(seg) {
+			t.Fatalf("Segment(%d) does not end where its segment does", p)
+		}
+		p += len(seg)/2 + 1
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Segment past the log's end did not panic")
+		}
+	}()
+	l.Segment(l.Len())
+}

@@ -47,8 +47,7 @@ import (
 var DebugSkipExtremumRescan bool
 
 type aggExec struct {
-	op    *mqo.Op
-	batch int
+	op *mqo.Op
 	// arr is the (possibly shared) group index; side is this executor's
 	// per-group state, dense over the arrangement's group refs. liveGroups
 	// counts refs whose sidecar currently holds state.
@@ -109,10 +108,9 @@ type clustered struct {
 
 // newAggExec compiles the aggregation's GROUP BY and argument expressions
 // against its input's physical rows (lay).
-func newAggExec(op *mqo.Op, batch int, lay layouts) *aggExec {
+func newAggExec(op *mqo.Op, lay layouts) *aggExec {
 	g := &aggExec{
 		op:      op,
-		batch:   batch,
 		arr:     &aggArr{},
 		hasher:  value.NewHasher(),
 		queries: op.Queries.Members(),
@@ -291,18 +289,17 @@ func (g *aggExec) slotAt(ref int32) *aggSlot {
 	return &g.side[ref]
 }
 
-func (g *aggExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
+func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 	var w Work
 	g.gen++
 	g.dirty = g.dirty[:0]
 	naggs := len(g.op.Aggs)
 
-	it := delta.NewChunks(in[0], g.batch)
-	for tup, ok := it.Next(); ok; tup, ok = it.Next() {
+	for tup, ok := in[0].Next(); ok; tup, ok = in[0].Next() {
 		w.Tuples += int64(len(tup))
 		ch := &g.ch
 		ch.Reset(tup)
-		ch.InitBits(g.op.Queries, true)
+		ch.InitBits(g.op.Queries)
 		ch.NarrowNonEmpty()
 		if len(ch.Sel) == 0 {
 			continue

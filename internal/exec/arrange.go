@@ -62,6 +62,7 @@ type Registry struct {
 	truthLive                   map[*truthCol]struct{}
 	truthTombs                  []*truthCol
 	truthEvaluated, truthServed atomic.Int64
+	viewRows, viewSkipped       atomic.Int64
 }
 
 func NewRegistry(share bool) *Registry {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ishare/internal/delta"
 	"ishare/internal/expr"
 	"ishare/internal/mqo"
 	"ishare/internal/vec"
@@ -114,11 +115,9 @@ func (r *Runner) CheckLayouts() error {
 			}
 		}
 		width := len(colsOf(se.Sub.Root))
-		for _, seg := range se.Out.NewReader().ReadNew() {
-			for _, t := range seg {
-				if len(t.Row) != width {
-					return fmt.Errorf("subplan %d logged a %d-value row, layout width %d", se.Sub.ID, len(t.Row), width)
-				}
+		for _, t := range se.outputTuples() {
+			if len(t.Row) != width {
+				return fmt.Errorf("subplan %d output a %d-value row, layout width %d", se.Sub.ID, len(t.Row), width)
 			}
 		}
 	}
@@ -155,4 +154,41 @@ func (r *Runner) JoinStateStats() (entries, applied, walked int64) {
 		}
 	}
 	return entries, applied, walked
+}
+
+// sources returns opened sources over seqs in chunks of at most batch
+// tuples, for driving an operator directly.
+func sources(batch int, seqs ...delta.Seq) []source {
+	in := make([]source, len(seqs))
+	for i, seq := range seqs {
+		in[i] = &seqSource{batch: batch, seq: seq}
+	}
+	return reopen(in)
+}
+
+// reopen rewinds every source to the start of its sequence and returns in,
+// so one input can feed process repeatedly without allocating.
+func reopen(in []source) []source {
+	for _, s := range in {
+		s.open()
+	}
+	return in
+}
+
+// outputTuples returns every tuple the executor has output so far: its log,
+// or its view read afresh for all the scan's queries.
+func (se *SubplanExec) outputTuples() []delta.Tuple {
+	var out []delta.Tuple
+	if se.view == nil {
+		for _, seg := range se.Out.NewReader().ReadNew() {
+			out = append(out, seg...)
+		}
+		return out
+	}
+	v := newViewReader(se.view, se.view.op.Queries, se.batch, 0, nil)
+	v.open()
+	for tup, ok := v.Next(); ok; tup, ok = v.Next() {
+		out = append(out, tup...)
+	}
+	return out
 }

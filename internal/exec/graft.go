@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ishare/internal/buffer"
-	"ishare/internal/delta"
 	"ishare/internal/mqo"
 )
 
@@ -26,13 +25,13 @@ import (
 //     executor when every input is either carried over too or a scan/project
 //     cone that looks the same to its queries (equal restricted signature).
 //     Its state, output log and per-window marks stay valid; its readers are
-//     re-pointed at the end of the rebuilt inputs' logs, and the input-tuple
-//     counts of its history are corrected to what reading the rebuilt
-//     inputs would have counted (reattacher).
+//     re-pointed at the end of the rebuilt inputs' outputs, and the
+//     input-tuple counts of its history are corrected to what reading the
+//     rebuilt inputs would have counted (reattacher).
 //
 // Subplans with no such predecessor are rebuilt fresh and *replayed* through
 // the sealed window-by-window history (Runner.winData /
-// SubplanExec.winOut), so their state, output and modeled work land exactly
+// SubplanExec.winEnd), so their state, output and modeled work land exactly
 // where a from-scratch run over the same lifetime would have put them. Old
 // subplans nothing took over — including those whose last sharer retired —
 // are dropped and their state garbage-collected.
@@ -99,12 +98,12 @@ func (gr graftResolver) TableLog(name string) (*buffer.Log, error) {
 	return gr.r.TableLog(name)
 }
 
-func (gr graftResolver) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
+func (gr graftResolver) subplanExec(s *mqo.Subplan) (*SubplanExec, error) {
 	se := gr.execs[s.ID]
 	if se == nil {
 		return nil, fmt.Errorf("exec: graft: subplan %d has no executor yet", s.ID)
 	}
-	return se.Out, nil
+	return se, nil
 }
 
 // Graft swaps the runner onto newG, carrying operator state over where a new
@@ -207,7 +206,9 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// Replay each rebuilt subplan through the sealed windows: one execution
 	// per window, inputs capped at that window's marks. Children-first
 	// within each window, so a rebuilt parent reads its rebuilt child's
-	// freshly replayed window-k output.
+	// freshly replayed window-k output. A rebuilt scan has no tuples to
+	// replay: its executions fill any new predicate's column over history
+	// once and count the rows it passes per window.
 	for k := range r.winData {
 		marks := r.winData[k]
 		for name := range newTables {
@@ -221,7 +222,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 			se := newExecs[s.ID]
 			se.setReplayLimits(newG, marks, newExecs, k)
 			se.RunOnce()
-			se.winOut = append(se.winOut, se.Out.Len())
+			se.seal()
 			stats.Replayed++
 		}
 	}
@@ -392,20 +393,20 @@ func (re *reattacher) inputs(old, s *mqo.Subplan, se *SubplanExec) ([]rebind, bo
 	return rbs, ok
 }
 
-// rebind moves one input of a reattached executor from the old producer's
-// log to the producer that replaced it.
+// rebind moves one input of a reattached executor from the old producer to
+// the producer that replaced it.
 type rebind struct {
 	se       *SubplanExec
 	key      inputKey
 	from, to *SubplanExec
 }
 
-// apply starts the reader at the end of the new producer's log and adds, for
-// every sealed window, the difference between the two producers' window
-// output lengths to that execution's Tuples and to the reading operator's.
+// apply starts a reader at the end of the new producer's output and adds,
+// for every sealed window, the difference between the two producers' window
+// output counts to that execution's Tuples and to the reading operator's.
 // It runs after replay, when the new producer's marks cover every window.
 func (rb rebind) apply() {
-	rb.se.inputs[rb.key] = rb.to.Out.NewReaderAt(rb.to.Out.Len())
+	rb.se.srcs[rb.key.op][rb.key.slot] = rb.se.reader(rb.to, rb.key.op.Queries, rb.to.end())
 	var total int64
 	fromPrev, toPrev := 0, 0
 	for k := range rb.se.perExec {
@@ -422,50 +423,53 @@ func (rb rebind) apply() {
 // adopt remaps the executor's per-operator bookkeeping from the old
 // subplan's operators onto the state-identical new subplan's by walking the
 // two operator trees in lockstep (pairOps). Operator instances, input
-// readers, the output log and all accumulated work carry over untouched;
-// only the map keys change identity (the reusable input lists are rebuilt on
-// first use).
+// sources, the output log and all accumulated work carry over untouched;
+// only the map keys change identity.
 func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
-	ops := make(map[*mqo.Op]operator, len(se.ops))
+	ops := make(map[*mqo.Op]any, len(se.ops))
 	member := make(map[*mqo.Op]bool, len(se.member))
-	inputs := make(map[inputKey]*buffer.Reader, len(se.inputs))
+	srcs := make(map[*mqo.Op][]source, len(se.srcs))
 	opWork := make(map[*mqo.Op]Work, len(se.opWork))
 	pairOps(oldSub.Root, newSub.Root, func(o *mqo.Op) bool { return se.member[o] }, func(oldOp, newOp *mqo.Op) {
 		ops[newOp] = se.ops[oldOp]
 		member[newOp] = true
 		opWork[newOp] = se.opWork[oldOp]
-		if oldOp.Kind == mqo.KindScan {
-			inputs[inputKey{newOp, 0}] = se.inputs[inputKey{oldOp, 0}]
-			return
-		}
-		for i, oc := range oldOp.Children {
-			if !se.member[oc] {
-				inputs[inputKey{newOp, i}] = se.inputs[inputKey{oldOp, i}]
-			}
+		if s, ok := se.srcs[oldOp]; ok {
+			srcs[newOp] = s
 		}
 	})
 	se.Sub = newSub
-	se.ops, se.member, se.inputs, se.opWork = ops, member, inputs, opWork
-	se.ins = make(map[*mqo.Op][]delta.Seq, len(ops))
+	se.ops, se.member, se.srcs, se.opWork = ops, member, srcs, opWork
 }
 
-// setReplayLimits caps every input reader at window k's marks: base-table
-// readers at the stream mark, child-subplan readers at the child executor's
-// window-k output mark.
+// setReplayLimits caps every input at window k's marks: scans at the table's
+// stream mark, sources over child subplans at the child executor's window-k
+// end.
 func (se *SubplanExec) setReplayLimits(g *mqo.Graph, marks map[string]int, execs []*SubplanExec, k int) {
-	for key, rd := range se.inputs {
-		if key.op.Kind == mqo.KindScan {
-			rd.SetLimit(marks[key.op.Table.Name])
-			continue
+	for op, x := range se.ops {
+		if s, ok := x.(*scanExec); ok {
+			s.limit = marks[op.Table.Name]
 		}
-		child := g.SubplanOf(key.op.Children[key.slot])
-		rd.SetLimit(execs[child.ID].winOut[k])
+	}
+	for op, srcs := range se.srcs {
+		for i, c := range op.Children {
+			if !se.member[c] {
+				srcs[i].setLimit(execs[g.SubplanOf(c).ID].winEnd[k])
+			}
+		}
 	}
 }
 
 // clearReplayLimits removes the caps so post-graft execution reads freely.
 func (se *SubplanExec) clearReplayLimits() {
-	for _, rd := range se.inputs {
-		rd.ClearLimit()
+	for _, x := range se.ops {
+		if s, ok := x.(*scanExec); ok {
+			s.limit = -1
+		}
+	}
+	for _, srcs := range se.srcs {
+		for _, src := range srcs {
+			src.setLimit(-1)
+		}
 	}
 }

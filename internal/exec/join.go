@@ -209,7 +209,7 @@ func (s *joinSide) keyMatches(e *arrEntry, key value.Row) bool {
 	return true
 }
 
-func (j *joinExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
+func (j *joinExec) process(in []source) ([]delta.Tuple, Work) {
 	var w Work
 	out := j.outBuf[:0]
 	// Phase 1: left deltas update left state and probe the right state
@@ -225,13 +225,12 @@ func (j *joinExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
 
 // runPhase drives one side's deltas through the join in chunks. selfIsLeft
 // fixes the output column order (left row then right row).
-func (j *joinExec) runPhase(self, other *joinSide, tuples delta.Seq, selfIsLeft bool, w *Work, out []delta.Tuple) []delta.Tuple {
-	it := delta.NewChunks(tuples, j.batch)
-	for tup, ok := it.Next(); ok; tup, ok = it.Next() {
+func (j *joinExec) runPhase(self, other *joinSide, in source, selfIsLeft bool, w *Work, out []delta.Tuple) []delta.Tuple {
+	for tup, ok := in.Next(); ok; tup, ok = in.Next() {
 		w.Tuples += int64(len(tup))
 		ch := &self.ch
 		ch.Reset(tup)
-		ch.InitBits(j.op.Queries, true)
+		ch.InitBits(j.op.Queries)
 		ch.NarrowNonEmpty()
 		if len(ch.Sel) == 0 {
 			continue
@@ -335,7 +334,7 @@ func (j *joinExec) flushCand(out []delta.Tuple, w *Work) []delta.Tuple {
 	}
 	ch := &j.candCh
 	ch.Reset(j.cand)
-	ch.InitBits(j.op.Queries, true)
+	ch.InitBits(j.op.Queries)
 	applyMarkersChunk(j.markers, ch)
 	for idx, t := range j.cand {
 		bits := ch.Bits[idx]

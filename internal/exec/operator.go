@@ -9,9 +9,10 @@ import (
 	"ishare/internal/vec"
 )
 
-// operator is a stateful physical operator. process consumes one batch of
-// deltas per child — a delta.Seq of segments, iterated in place — and returns
-// the output deltas plus the work done.
+// operator is a stateful physical join, projection or aggregation. process
+// drains one execution's deltas from each child's source, chunk by chunk,
+// and returns the output deltas plus the work done. (A scan is not an
+// operator: it is a view its consumers read through, see scan.go.)
 //
 // Operators process their input in columnar chunks (internal/vec): marker
 // predicates and key/projection expressions are evaluated column-at-a-time
@@ -20,11 +21,10 @@ import (
 // physical only: Work counters are computed from logical tuple counts, so
 // modeled work is bit-identical at any batch size.
 //
-// An operator reading a child subplan's log keeps no view of its input once
-// process returns: a graft may re-point it at a rebuilt producer, and the old
-// producer's log must die with the old producer.
+// An operator keeps no reference to its sources: a graft may re-point one at
+// a rebuilt producer, and the old producer must die with the old producer.
 type operator interface {
-	process(in []delta.Seq) ([]delta.Tuple, Work)
+	process(in []source) ([]delta.Tuple, Work)
 }
 
 // applyMarkers evaluates the operator's per-query marker predicates against
@@ -33,7 +33,7 @@ type operator interface {
 // It returns the surviving bits. This is the scalar path, used only for
 // aggregate group output; projects and joins apply their compiled markers
 // chunk-at-a-time (applyMarkersChunk), and scans through their truth columns
-// (scanExec.applyTruths).
+// (scan.go).
 func applyMarkers(op *mqo.Op, row value.Row, bits mqo.Bitset) mqo.Bitset {
 	for q, pred := range op.Preds {
 		if bits.Has(q) && !pred.Eval(row).Truth() {
@@ -107,20 +107,15 @@ type arranged interface {
 	handles() int
 }
 
-// newOperator instantiates the physical operator for a shared-plan node.
-// batch is the chunk size used for delta iteration; stateful operators
-// attach their arrangements to reg (nil keeps state private — tests that
-// drive joins and aggregates directly), and scans their truth columns, so a
-// scan needs a registry. lay is the graph's join layouts, which every
-// operator reading a join's rows compiles against.
+// newOperator instantiates the physical operator for a non-scan shared-plan
+// node. batch bounds a join's pending emissions; stateful operators attach
+// their arrangements to reg (nil keeps state private — tests that drive
+// joins and aggregates directly). lay is the graph's join layouts, which
+// every operator reading a join's rows compiles against.
 func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
 	switch op.Kind {
-	case mqo.KindScan:
-		s := &scanExec{op: op, batch: batch, markers: compileMarkers(op, nil)}
-		s.attach(reg)
-		return s
 	case mqo.KindProject:
-		return newProjectExec(op, batch, lay)
+		return newProjectExec(op, lay)
 	case mqo.KindJoin:
 		j := newJoinExec(op, batch, lay)
 		if reg != nil {
@@ -128,7 +123,7 @@ func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
 		}
 		return j
 	case mqo.KindAggregate:
-		a := newAggExec(op, batch, lay)
+		a := newAggExec(op, lay)
 		if reg != nil {
 			a.attach(reg)
 		}
@@ -138,66 +133,13 @@ func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
 	}
 }
 
-// scanExec stamps base-table deltas with the scan's query set and applies
-// its marker predicates chunk-at-a-time. outBuf is the pooled emission
-// buffer, reused across incremental executions (a log append copies tuple
-// headers into its segments, so only the slice header is recycled).
-type scanExec struct {
-	op      *mqo.Op
-	batch   int
-	markers []marker
-	// cols[k] memoizes markers[k]'s outcome per table row in reg (truth.go).
-	reg  *Registry
-	cols []*truthCol
-	// pos is the table log position of the next tuple process reads;
-	// SubplanExec.eval sets it from the scan's reader before each ReadNew.
-	pos    int
-	ch     vec.Chunk
-	outBuf []delta.Tuple
-}
-
-func (s *scanExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
-	var w Work
-	// Scan output is at most one tuple per input: size the pooled buffer
-	// once instead of append-growing through it.
-	if n := in[0].Len(); cap(s.outBuf) < n {
-		s.outBuf = make([]delta.Tuple, 0, n)
-	}
-	out := s.outBuf[:0]
-	var evaluated, served int64
-	it := delta.NewChunks(in[0], s.batch)
-	for tup, ok := it.Next(); ok; tup, ok = it.Next() {
-		w.Tuples += int64(len(tup))
-		ch := &s.ch
-		ch.Reset(tup)
-		ch.InitBits(s.op.Queries, false)
-		e, sv := s.applyTruths(ch, s.pos)
-		evaluated += e
-		served += sv
-		s.pos += len(tup)
-		for _, i := range ch.Sel {
-			if ch.Bits[i].Empty() {
-				continue
-			}
-			out = append(out, delta.Tuple{Row: tup[i].Row, Bits: ch.Bits[i], Sign: tup[i].Sign})
-		}
-	}
-	s.outBuf = out
-	if evaluated+served > 0 {
-		s.reg.truthEvaluated.Add(evaluated)
-		s.reg.truthServed.Add(served)
-	}
-	w.Output += int64(len(out))
-	return out, w
-}
-
 // projectExec evaluates the projection list column-at-a-time over each
 // chunk's surviving selection, then applies its markers over the projected
 // columns before any output row is materialized. Emitted rows are carved
-// from the operator's row arena (projected rows are retained downstream).
+// from the operator's row arena (projected rows are retained downstream);
+// outBuf is the pooled emission buffer, reused across executions.
 type projectExec struct {
 	op      *mqo.Op
-	batch   int
 	exprs   []*vec.Eval
 	markers []marker
 	ch      vec.Chunk
@@ -206,10 +148,9 @@ type projectExec struct {
 	outBuf  []delta.Tuple
 }
 
-func newProjectExec(op *mqo.Op, batch int, lay layouts) *projectExec {
+func newProjectExec(op *mqo.Op, lay layouts) *projectExec {
 	p := &projectExec{
 		op:      op,
-		batch:   batch,
 		markers: compileMarkers(op, nil),
 		exprs:   make([]*vec.Eval, len(op.Exprs)),
 		cols:    make([][]value.Value, len(op.Exprs)),
@@ -220,19 +161,18 @@ func newProjectExec(op *mqo.Op, batch int, lay layouts) *projectExec {
 	return p
 }
 
-func (p *projectExec) process(in []delta.Seq) ([]delta.Tuple, Work) {
+func (p *projectExec) process(in []source) ([]delta.Tuple, Work) {
 	var w Work
 	// Projection emits at most one tuple per input.
-	if n := in[0].Len(); cap(p.outBuf) < n {
+	if n := in[0].len(); cap(p.outBuf) < n {
 		p.outBuf = make([]delta.Tuple, 0, n)
 	}
 	out := p.outBuf[:0]
-	it := delta.NewChunks(in[0], p.batch)
-	for tup, ok := it.Next(); ok; tup, ok = it.Next() {
+	for tup, ok := in[0].Next(); ok; tup, ok = in[0].Next() {
 		w.Tuples += int64(len(tup))
 		ch := &p.ch
 		ch.Reset(tup)
-		ch.InitBits(p.op.Queries, true)
+		ch.InitBits(p.op.Queries)
 		ch.NarrowNonEmpty()
 		if len(ch.Sel) == 0 {
 			continue

@@ -106,7 +106,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	j := newJoinExec(op, 4, nil)
 	left := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
 	right := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
-	out, w := j.process([]delta.Seq{{left}, {right}})
+	out, w := j.process(sources(4, delta.Seq{left}, delta.Seq{right}))
 	if len(out) != 0 {
 		t.Errorf("NULL keys joined: %v", out)
 	}
@@ -119,10 +119,10 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 
 	// An empty key list is a cross join: every pair matches.
 	cross := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, 4, nil)
-	out, _ = cross.process([]delta.Seq{
-		{{{Row: value.Row{value.Int(1)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
-		{{{Row: value.Row{value.Int(2)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
-	})
+	out, _ = cross.process(sources(4,
+		delta.Seq{{{Row: value.Row{value.Int(1)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
+		delta.Seq{{{Row: value.Row{value.Int(2)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
+	))
 	if len(out) != 1 {
 		t.Errorf("cross join emitted %d tuples, want 1", len(out))
 	}
@@ -238,7 +238,7 @@ func TestStateSizes(t *testing.T) {
 	if j.stateSize() != 0 {
 		t.Error("fresh join state not empty")
 	}
-	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, vec.DefaultBatch, nil)
+	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, nil)
 	if a.stateSize() != 0 {
 		t.Error("fresh agg state not empty")
 	}

@@ -194,11 +194,24 @@ func (r *Runner) TableLog(name string) (*buffer.Log, error) {
 	return log, nil
 }
 
-// SubplanLog implements inputResolver.
-func (r *Runner) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
+// subplanExec implements inputResolver.
+func (r *Runner) subplanExec(s *mqo.Subplan) (*SubplanExec, error) {
 	se := r.Execs[s.ID]
 	if se == nil || se.Sub != s {
 		return nil, fmt.Errorf("exec: subplan %d has no executor yet", s.ID)
+	}
+	return se, nil
+}
+
+// SubplanLog returns the output log of a subplan; an error when the subplan
+// is a scan view, which keeps no log.
+func (r *Runner) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
+	se, err := r.subplanExec(s)
+	if err != nil {
+		return nil, err
+	}
+	if se.Out == nil {
+		return nil, fmt.Errorf("exec: subplan %d is a view over table %s and keeps no log", s.ID, s.Root.Table.Name)
 	}
 	return se.Out, nil
 }
@@ -369,7 +382,7 @@ func (r *Runner) StartWindow(arrivals DeltaDataset) {
 }
 
 // sealWindow closes the current window for graft bookkeeping: it records
-// every stream's current length and every executor's current output length,
+// every stream's current length and every executor's current output marks,
 // forming one replayable unit of history. No-op when no window is open, so
 // empty windows are still sealed exactly once — a rebuilt subplan must
 // replay one execution per window even when the window carried no data (the
@@ -386,7 +399,7 @@ func (r *Runner) sealWindow() {
 	}
 	r.winData = append(r.winData, marks)
 	for _, se := range r.Execs {
-		se.winOut = append(se.winOut, se.Out.Len())
+		se.seal()
 	}
 	// Arrangements whose last holder released during the window are only
 	// reclaimed now that it is sealed — tombstone-style deferred expiry, so
@@ -457,5 +470,6 @@ func (r *Runner) Results(q int) []value.Row {
 	if root == nil {
 		return nil
 	}
+	// A query's root is always its own projection, never a scan view.
 	return materialized(r.Execs[root.ID].Out, q)
 }

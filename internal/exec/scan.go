@@ -1,0 +1,349 @@
+package exec
+
+import (
+	"math/bits"
+
+	"ishare/internal/buffer"
+	"ishare/internal/delta"
+	"ishare/internal/mqo"
+	"ishare/internal/vec"
+)
+
+// This file implements shared scans as views over their table's log. A scan
+// stores nothing: its output is fully determined by the table log and its
+// markers' truth columns (truth.go), so a firing only advances the scan's
+// cursor, fills the columns over the new rows and charges its modeled Work
+// from counts. Every consumer — the parent operator of a scan inside a
+// subplan, or a parent subplan of a scan-rooted one — reads the rows it
+// needs through its own viewReader, which recomputes each row's bits from
+// the columns word by word and yields only the rows its operator's queries
+// pass (query-set pushdown).
+
+// scanExec is a shared scan: the cursor over a table log and the truth
+// columns of its marker predicates.
+type scanExec struct {
+	op      *mqo.Op
+	batch   int
+	log     *buffer.Log
+	markers []marker
+	// cols[k] memoizes markers[k]'s outcome per table row in reg; qcols
+	// lists the scan's queries in order with the column deciding each (nil:
+	// no predicate, the query passes every row).
+	reg   *Registry
+	cols  []*truthCol
+	qcols []qcol
+	// pos is the cursor: the scan covers table log positions [0, pos).
+	// limit caps a firing's advance during graft replay (-1: none).
+	pos, limit int
+	// out counts the rows of [0, pos) some query of the scan passes: the
+	// tuples a materialized scan would have logged.
+	out int64
+	ch  vec.Chunk
+}
+
+type qcol struct {
+	bit mqo.Bitset
+	col *truthCol
+}
+
+// newScanExec builds a scan over log at cursor 0, its truth columns
+// attached to reg.
+func newScanExec(op *mqo.Op, batch int, reg *Registry, log *buffer.Log) *scanExec {
+	s := &scanExec{op: op, batch: batch, log: log, markers: compileMarkers(op, nil), limit: -1}
+	s.attach(reg)
+	return s
+}
+
+// attach keys each marker's truth column through the registry. Keys are
+// built here, once per scan; firings and readers only read the columns.
+func (s *scanExec) attach(reg *Registry) {
+	s.reg = reg
+	s.cols = make([]*truthCol, len(s.markers))
+	for k, m := range s.markers {
+		s.cols[k] = reg.attachTruth(truthKey(s.op.Table.Name, s.op.Preds[m.q]))
+	}
+	s.qcols = s.qcols[:0]
+	for _, q := range s.op.Queries.Members() {
+		qc := qcol{bit: mqo.Bit(q)}
+		for k, m := range s.markers {
+			if m.q == q {
+				qc.col = s.cols[k]
+			}
+		}
+		s.qcols = append(s.qcols, qc)
+	}
+}
+
+// release drops the scan's truth handles when a graft retires it.
+func (s *scanExec) release(reg *Registry) {
+	for _, c := range s.cols {
+		reg.releaseTruth(c)
+	}
+	s.cols, s.qcols = nil, nil
+}
+
+func (s *scanExec) handles() int { return len(s.cols) }
+
+// fire advances the cursor to the log's end (or the replay limit), fills the
+// truth columns over the rows it passes, and returns the scan's modeled
+// Work: every covered row is a tuple read, every row some query passes an
+// output tuple — what stamping and filtering the rows would have charged.
+func (s *scanExec) fire() Work {
+	from, to := s.pos, s.log.Len()
+	if s.limit >= 0 && s.limit < to {
+		to = s.limit
+	}
+	if to <= from {
+		return Work{}
+	}
+	s.fill(from, to)
+	n := s.count(from, to, s.op.Queries)
+	s.pos = to
+	s.out += n
+	return Work{Tuples: int64(to - from), Output: n}
+}
+
+// fill extends every column of the scan's queries to cover positions
+// [0, to), evaluating the rows past each column's end. This is the only
+// place marker predicates run on table rows. It counts, per column, the
+// rows of [from, to) evaluated and those another scan had already filled.
+// A column is filled under its lock in one go, so of two scans of one table
+// firing at once exactly one evaluates each row.
+func (s *scanExec) fill(from, to int) {
+	var evaluated, served int64
+	for k := range s.markers {
+		m := &s.markers[k]
+		if !s.op.Queries.Has(m.q) {
+			continue
+		}
+		c := s.cols[k]
+		c.mu.Lock()
+		served += int64(max(min(c.n, to)-from, 0))
+		evaluated += int64(max(to-c.n, 0))
+		for c.n < to {
+			tup := s.log.Segment(c.n)
+			if n := to - c.n; len(tup) > n {
+				tup = tup[:n]
+			}
+			if s.batch >= 1 && len(tup) > s.batch {
+				tup = tup[:s.batch]
+			}
+			s.ch.Reset(tup)
+			c.append(s.ch.Sel, m.pred.Truths(&s.ch, s.ch.Sel))
+		}
+		c.mu.Unlock()
+	}
+	s.ch.Reset(nil)
+	if evaluated+served > 0 {
+		s.reg.truthEvaluated.Add(evaluated)
+		s.reg.truthServed.Add(served)
+	}
+}
+
+// count returns how many rows of [from, to) some query of want the scan
+// serves passes, OR-ing those queries' columns a block of words at a time.
+func (s *scanExec) count(from, to int, want mqo.Bitset) int64 {
+	for _, qc := range s.qcols {
+		if qc.col == nil && want&qc.bit != 0 {
+			return int64(to - from)
+		}
+	}
+	var n int64
+	var acc [16]uint64
+	for lo := from; lo < to; {
+		w0 := lo >> 6
+		hi := min(to, (w0+len(acc))<<6)
+		words := acc[:(hi-1)>>6-w0+1]
+		clear(words)
+		for _, qc := range s.qcols {
+			if want&qc.bit != 0 {
+				qc.col.orWords(words, w0)
+			}
+		}
+		for i, w := range words {
+			n += int64(bits.OnesCount64(w & rangeMask(w0+i, lo, hi)))
+		}
+		lo = hi
+	}
+	return n
+}
+
+// orWords ORs the column's words w0, w0+1, ... into dst. The caller reads
+// only positions below the column's length.
+func (c *truthCol) orWords(dst []uint64, w0 int) {
+	c.mu.Lock()
+	for i, w := range c.words[w0 : w0+len(dst)] {
+		dst[i] |= w
+	}
+	c.mu.Unlock()
+}
+
+// rangeMask selects, within word w (positions 64w to 64w+63), the positions
+// in [lo, hi).
+func rangeMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := w << 6; lo > base {
+		m <<= uint(lo - base)
+	}
+	if hi < (w+1)<<6 {
+		m &= 1<<uint(hi-w<<6) - 1
+	}
+	return m
+}
+
+// viewReader is one consuming operator's cursor over a scan's view. Its
+// positions are table log positions: each execution reads [off, end), end
+// being the producing scan's cursor capped at the replay limit, so a reader
+// paces exactly like a reader of the scan's materialized output would. It
+// yields only the rows some of its queries pass, each tuple carrying those
+// queries' bits, in chunks of at most size tuples built in its scratch; it
+// counts the rows of the scan's output it skips, which the consuming
+// operator would have read and dropped.
+type viewReader struct {
+	scan *scanExec
+	// want is the consumer's queries the scan serves.
+	want     mqo.Bitset
+	off, end int
+	limit    int
+	size     int
+	seg      []delta.Tuple // table log view starting at position segOff
+	segOff   int
+	sc       *viewScratch
+	yielded  int64
+	skipped  int64
+	chunks   int64
+}
+
+// viewScratch is the chunk scratch of view readers. The readers of one
+// executor share one: its operators run one at a time and drain each source
+// before reading the next, so at most one view chunk is live.
+type viewScratch struct {
+	tup    []delta.Tuple
+	bits   []mqo.Bitset
+	yw, ow []uint64
+}
+
+// newViewReader returns a reader of the scan's view for a consumer serving
+// queries, at table position off, building its chunks in sc (nil: a
+// private scratch).
+func newViewReader(s *scanExec, queries mqo.Bitset, batch, off int, sc *viewScratch) *viewReader {
+	size := batch
+	if size < 1 {
+		size = vec.DefaultBatch
+	}
+	if sc == nil {
+		sc = &viewScratch{}
+	}
+	return &viewReader{scan: s, want: queries.Intersect(s.op.Queries), off: off, limit: -1, size: size, sc: sc}
+}
+
+func (v *viewReader) open() {
+	v.end = v.scan.pos
+	if v.limit >= 0 && v.limit < v.end {
+		v.end = v.limit
+	}
+}
+
+func (v *viewReader) setLimit(n int) { v.limit = n }
+
+// len counts the rows the rest of the read yields.
+func (v *viewReader) len() int {
+	if v.off >= v.end {
+		return 0
+	}
+	return int(v.scan.count(v.off, v.end, v.want))
+}
+
+func (v *viewReader) close() (skipped, chunks int64) {
+	if v.yielded+v.skipped > 0 {
+		v.scan.reg.viewRows.Add(v.yielded)
+		v.scan.reg.viewSkipped.Add(v.skipped)
+	}
+	skipped, chunks = v.skipped, v.chunks
+	v.yielded, v.skipped, v.chunks = 0, 0, 0
+	return skipped, chunks
+}
+
+// Next yields the next chunk: the wanted rows of consecutive blocks of one
+// log segment, until the chunk is at least half full or the segment or the
+// read ends (a chunk spans segments only while it is still empty, so chunks
+// follow the table log's segments as a log reader's windows do). A block
+// never covers more rows than the chunk has room left, so the scratch never
+// grows past size, nor past what the read covers.
+func (v *viewReader) Next() ([]delta.Tuple, bool) {
+	// The scratch fits the read, doubling up to one chunk: readers of small
+	// tables, or at high paces, never hold a chunk-sized buffer.
+	sc := v.sc
+	if n := min(v.size, v.end-v.off); cap(sc.tup) < n {
+		n = min(v.size, max(n, 2*cap(sc.tup)))
+		sc.tup = make([]delta.Tuple, 0, n)
+		sc.bits = make([]mqo.Bitset, n)
+		sc.yw = make([]uint64, n/64+2)
+		sc.ow = make([]uint64, n/64+2)
+	}
+	out := sc.tup[:0]
+	for v.off < v.end && 2*len(out) < v.size {
+		if v.off < v.segOff || v.off >= v.segOff+len(v.seg) {
+			v.seg, v.segOff = v.scan.log.Segment(v.off), v.off
+		}
+		n := min(v.end-v.off, v.segOff+len(v.seg)-v.off, v.size-len(out))
+		out = v.block(out, v.seg[v.off-v.segOff:][:n], v.off)
+		v.off += n
+		if len(out) > 0 && v.off == v.segOff+len(v.seg) {
+			break
+		}
+	}
+	if len(out) == 0 {
+		return nil, false
+	}
+	v.chunks++
+	v.yielded += int64(len(out))
+	return out, true
+}
+
+// block appends to out the wanted rows among rows, which sit at table
+// positions [p, p+len(rows)), and counts the skipped ones. Each query's
+// column is read word by word under its lock: yw collects the rows a wanted
+// query passes, ow those another query of the scan passes, and a wanted
+// query's passing rows get its bit.
+func (v *viewReader) block(out, rows []delta.Tuple, p int) []delta.Tuple {
+	q := p + len(rows)
+	w0 := p >> 6
+	nw := (q-1)>>6 - w0 + 1
+	yw, ow, rb := v.sc.yw[:nw], v.sc.ow[:nw], v.sc.bits[:len(rows)]
+	clear(yw)
+	clear(ow)
+	clear(rb)
+	for _, qc := range v.scan.qcols {
+		wanted := v.want&qc.bit != 0
+		dst := ow
+		if wanted {
+			dst = yw
+		}
+		c := qc.col
+		if c != nil {
+			c.mu.Lock()
+		}
+		for i := range dst {
+			w := rangeMask(w0+i, p, q)
+			if c != nil {
+				w &= c.words[w0+i]
+			}
+			dst[i] |= w
+			for base := (w0+i)<<6 - p; wanted && w != 0; w &= w - 1 {
+				rb[base+bits.TrailingZeros64(w)] |= qc.bit
+			}
+		}
+		if c != nil {
+			c.mu.Unlock()
+		}
+	}
+	for i, y := range yw {
+		v.skipped += int64(bits.OnesCount64(ow[i] &^ y))
+		for base := (w0+i)<<6 - p; y != 0; y &= y - 1 {
+			j := base + bits.TrailingZeros64(y)
+			out = append(out, delta.Tuple{Row: rows[j].Row, Bits: rb[j], Sign: rows[j].Sign})
+		}
+	}
+	return out
+}

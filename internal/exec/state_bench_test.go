@@ -93,12 +93,12 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	if aggOp == nil {
 		t.Fatal("no aggregate operator in plan")
 	}
-	g := newAggExec(aggOp, vec.DefaultBatch, nil)
+	g := newAggExec(aggOp, nil)
 	seed := make([]delta.Tuple, 0, 64)
 	for i := 0; i < 64; i++ {
 		seed = append(seed, tupleFor(value.Row{value.Int(int64(i % 8)), value.Float(float64(i))}))
 	}
-	g.process([]delta.Seq{{seed}})
+	g.process(sources(vec.DefaultBatch, delta.Seq{seed}))
 	// The insert briefly becomes the group MAX, so its deletion also
 	// exercises the extremum-retraction path allocation-free.
 	pair := func(group int64) (delta.Tuple, delta.Tuple) {
@@ -108,11 +108,11 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 		return ins, del
 	}
 	ins, del := pair(3)
-	in := []delta.Seq{{{ins, del}}}
+	in := sources(vec.DefaultBatch, delta.Seq{{ins, del}})
 	for i := 0; i < 8; i++ {
-		g.process(in) // warm the pools
+		g.process(reopen(in)) // warm the pools
 	}
-	if avg := testing.AllocsPerRun(200, func() { g.process(in) }); avg > 0 {
+	if avg := testing.AllocsPerRun(200, func() { g.process(reopen(in)) }); avg > 0 {
 		t.Errorf("steady-state process allocated %.2f allocs/run, want 0", avg)
 	}
 
@@ -127,14 +127,17 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	}
 	log.Append(stream...)
 	rd := log.NewReader()
+	src := &seqSource{rd: rd, batch: vec.DefaultBatch}
+	in1 := []source{src}
 	straddled := 0
 	step := func() {
 		rd.SetLimit(rd.Offset() + 2*pairs)
-		in[0] = rd.ReadNew()
-		if len(in[0]) > 1 {
+		src.open()
+		if len(src.seq) > 1 {
 			straddled++
 		}
-		g.process(in)
+		g.process(in1)
+		src.close()
 	}
 	for i := 0; i < warm; i++ {
 		step()

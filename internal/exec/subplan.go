@@ -9,40 +9,43 @@ import (
 )
 
 // SubplanExec executes one subplan incrementally. Each RunOnce consumes all
-// new tuples from the subplan's inputs (base-table delta logs and child
-// subplans' buffers, each via a private offset-tracked reader), pushes them
-// through the member operators, and materializes the root's output into the
-// subplan's buffer.
+// new tuples from the subplan's inputs (scan views and child subplans' logs,
+// each via a private cursor), pushes them through the member operators, and
+// materializes the root's output into the subplan's log — unless the root is
+// a scan, whose output is a view over its table log that parents read
+// through the scan itself.
 type SubplanExec struct {
 	// Sub is the executed subplan.
 	Sub *mqo.Subplan
-	// Out receives the root operator's output.
+	// Out receives the root operator's output; nil when the root is a scan.
 	Out *buffer.Log
+	// view is the root scan when the subplan is a view.
+	view *scanExec
 
-	ops     map[*mqo.Op]operator
+	// ops holds each member's executor: a *scanExec for a scan, an operator
+	// otherwise. srcs holds each non-scan member's input sources by child
+	// slot: a view reader for a scan child (member or not), a log reader
+	// for another child subplan, an edge for a member child.
+	ops     map[*mqo.Op]any
 	member  map[*mqo.Op]bool
-	inputs  map[inputKey]*buffer.Reader
+	srcs    map[*mqo.Op][]source
 	perExec []Work
 	opWork  map[*mqo.Op]Work
-	// ins is each member operator's input list, reused across executions
-	// (built on first use): slot i holds the reader's segments for an
-	// external input, or a one-segment header carrying the member child's
-	// output for an in-subplan edge.
-	ins map[*mqo.Op][]delta.Seq
-	// batch is the vectorized chunk size the member operators iterate
-	// with; batches counts the chunks they processed (cumulative), and
+	// batch is the vectorized chunk size the sources yield; batches counts
+	// the chunks the member operators processed (cumulative), and
 	// lastBatches the chunks of the most recent RunOnce — the profiler's
-	// physical batch-count column. Chunk counts are derived here from the
-	// input segments' lengths with exactly delta.NewChunks' windowing, so
-	// they stay deterministic without threading counters through the
-	// operators.
+	// physical batch-count column.
 	batch       int
 	batches     int64
 	lastBatches int64
-	// winOut records Out.Len() at each window seal (see Runner.sealWindow):
-	// the marks that let a graft feed a rebuilt parent subplan exactly this
-	// executor's window-k output during replay.
-	winOut []int
+	// scratch is the chunk scratch every view reader of the executor shares.
+	scratch viewScratch
+	// winOut records OutputLen at each window seal (see Runner.sealWindow),
+	// and winEnd the readable end in reader coordinates — the log's length,
+	// or a view's table position: the marks that let a graft feed a rebuilt
+	// parent subplan exactly this executor's window-k output during replay,
+	// and correct a reattached reader's counts.
+	winOut, winEnd []int
 }
 
 type inputKey struct {
@@ -50,61 +53,163 @@ type inputKey struct {
 	slot int
 }
 
-// inputResolver locates the log feeding an external input: the base-table
-// log for a scan, or the producing subplan's output buffer.
+// inputResolver locates what feeds an executor's inputs: the base-table log
+// a scan views, or the producing subplan's executor.
 type inputResolver interface {
 	// TableLog returns the delta log of a base table.
 	TableLog(name string) (*buffer.Log, error)
-	// SubplanLog returns the output buffer of a subplan.
-	SubplanLog(s *mqo.Subplan) (*buffer.Log, error)
+	// subplanExec returns the executor of a subplan.
+	subplanExec(s *mqo.Subplan) (*SubplanExec, error)
 }
 
-// newSubplanExec wires a subplan's operators and input readers. batch is the
-// chunk size the member operators iterate deltas with; it is captured per
-// operator at construction so concurrent runners never share batch state.
-// Stateful member operators attach their indexed state to reg, the runner's
-// arrangement registry (nil keeps all state private). lay is g's join
-// layouts (planLayouts), computed once per graph by the caller.
+// newSubplanExec wires a subplan's operators and input sources. batch is the
+// chunk size the sources yield; it is captured at construction so concurrent
+// runners never share batch state. Stateful member operators attach their
+// indexed state to reg, the runner's arrangement registry (nil keeps all
+// state private), and scans their truth columns. lay is g's join layouts
+// (planLayouts), computed once per graph by the caller.
 func newSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int, reg *Registry, lay layouts) (*SubplanExec, error) {
 	se := &SubplanExec{
 		Sub:    sub,
-		Out:    buffer.NewLog(fmt.Sprintf("subplan%d", sub.ID)),
-		ops:    make(map[*mqo.Op]operator),
+		ops:    make(map[*mqo.Op]any),
 		member: make(map[*mqo.Op]bool),
-		inputs: make(map[inputKey]*buffer.Reader),
+		srcs:   make(map[*mqo.Op][]source),
 		opWork: make(map[*mqo.Op]Work),
-		ins:    make(map[*mqo.Op][]delta.Seq),
 		batch:  batch,
 	}
 	for _, o := range sub.Ops {
 		se.member[o] = true
-	}
-	for _, o := range sub.Ops {
-		se.ops[o] = newOperator(o, batch, reg, lay)
-		if o.Kind == mqo.KindScan {
-			log, err := res.TableLog(o.Table.Name)
-			if err != nil {
-				return nil, err
-			}
-			se.inputs[inputKey{o, 0}] = log.NewReader()
+		if o.Kind != mqo.KindScan {
+			se.ops[o] = newOperator(o, batch, reg, lay)
 			continue
 		}
-		for i, c := range o.Children {
-			if se.member[c] {
-				continue
-			}
-			child := g.SubplanOf(c)
-			if child == nil {
-				return nil, fmt.Errorf("exec: op %d child %d not in any subplan", o.ID, c.ID)
-			}
-			log, err := res.SubplanLog(child)
-			if err != nil {
-				return nil, err
-			}
-			se.inputs[inputKey{o, i}] = log.NewReader()
+		log, err := res.TableLog(o.Table.Name)
+		if err != nil {
+			return nil, err
 		}
+		se.ops[o] = newScanExec(o, batch, reg, log)
+	}
+	if s, ok := se.ops[sub.Root].(*scanExec); ok {
+		se.view = s
+	} else {
+		se.Out = buffer.NewLog(fmt.Sprintf("subplan%d", sub.ID))
+	}
+	for _, o := range sub.Ops {
+		if o.Kind == mqo.KindScan {
+			continue
+		}
+		srcs := make([]source, len(o.Children))
+		for i, c := range o.Children {
+			switch {
+			case se.member[c] && c.Kind == mqo.KindScan:
+				srcs[i] = newViewReader(se.ops[c].(*scanExec), o.Queries, batch, 0, &se.scratch)
+			case se.member[c]:
+				srcs[i] = &seqSource{batch: batch, seq: make(delta.Seq, 1)}
+			default:
+				child := g.SubplanOf(c)
+				if child == nil {
+					return nil, fmt.Errorf("exec: op %d child %d not in any subplan", o.ID, c.ID)
+				}
+				ce, err := res.subplanExec(child)
+				if err != nil {
+					return nil, err
+				}
+				srcs[i] = se.reader(ce, o.Queries, 0)
+			}
+		}
+		se.srcs[o] = srcs
 	}
 	return se, nil
+}
+
+// reader returns a source over producer's output at position off for a
+// member operator serving queries: a view reader building its chunks in the
+// executor's scratch, or a log reader.
+func (se *SubplanExec) reader(producer *SubplanExec, queries mqo.Bitset, off int) source {
+	if producer.view != nil {
+		return newViewReader(producer.view, queries, se.batch, off, &se.scratch)
+	}
+	return &seqSource{rd: producer.Out.NewReaderAt(off), batch: se.batch}
+}
+
+// OutputLen returns the number of tuples the subplan has output so far: its
+// log's length, or for a view the rows its scan passed.
+func (se *SubplanExec) OutputLen() int {
+	if se.view != nil {
+		return int(se.view.out)
+	}
+	return se.Out.Len()
+}
+
+// end returns the position a reader caught up with the output stands at.
+func (se *SubplanExec) end() int {
+	if se.view != nil {
+		return se.view.pos
+	}
+	return se.Out.Len()
+}
+
+// seal records the executor's window marks.
+func (se *SubplanExec) seal() {
+	se.winOut = append(se.winOut, se.OutputLen())
+	se.winEnd = append(se.winEnd, se.end())
+}
+
+// source is one operator input for one execution: open starts the read,
+// the operator drains Next (len, asked first, counts the tuples it will
+// yield), and close
+// returns the tuples of the producer's output the source skipped (which the
+// operator's Tuples must still count) and the chunks it yielded. setLimit
+// caps reads at a position (< 0: none).
+type source interface {
+	open()
+	Next() ([]delta.Tuple, bool)
+	len() int
+	close() (skipped, chunks int64)
+	setLimit(n int)
+}
+
+// seqSource reads a delta.Seq in chunks of at most batch tuples: a child
+// subplan's log through rd, or (rd nil) an in-subplan edge whose one
+// segment the parent's eval sets to the member child's output.
+type seqSource struct {
+	rd     *buffer.Reader
+	batch  int
+	seq    delta.Seq
+	it     delta.Chunks
+	chunks int64
+}
+
+func (s *seqSource) open() {
+	if s.rd != nil {
+		s.seq = s.rd.ReadNew()
+	}
+	s.it = delta.NewChunks(s.seq, s.batch)
+}
+
+func (s *seqSource) Next() ([]delta.Tuple, bool) {
+	win, ok := s.it.Next()
+	if ok {
+		s.chunks++
+	}
+	return win, ok
+}
+
+func (s *seqSource) len() int { return s.seq.Len() }
+
+// close drops the views it read (the reader's view list included): a graft
+// may re-point the source at a rebuilt producer, and the old producer's log
+// must not stay reachable through it.
+func (s *seqSource) close() (skipped, chunks int64) {
+	clear(s.seq)
+	chunks, s.chunks = s.chunks, 0
+	return 0, chunks
+}
+
+func (s *seqSource) setLimit(n int) {
+	if s.rd != nil {
+		s.rd.SetLimit(n)
+	}
 }
 
 // DebugSlowSubplan, when non-nil, returns extra Fixed work charged to every
@@ -120,11 +225,16 @@ func (se *SubplanExec) RunOnce() Work {
 	b0 := se.batches
 	out, w := se.eval(se.Sub.Root)
 	se.lastBatches = se.batches - b0
-	se.Out.Append(out...)
-	// Materializing the root's output into the buffer is accounted as
-	// extra output work (the paper charges intermediate materialization),
+	// Materializing the root's output is accounted as extra output work
+	// (the paper charges intermediate materialization) — a view too,
+	// because Work models the paper's system, not this executor's storage —
 	// and every incremental execution pays the fixed startup cost.
-	w.Output += int64(len(out))
+	n := w.Output
+	if se.view == nil {
+		se.Out.Append(out...)
+		n = int64(len(out))
+	}
+	w.Output += n
 	w.Fixed += StartupCostPerOp * int64(len(se.Sub.Ops))
 	if DebugSlowSubplan != nil {
 		w.Fixed += DebugSlowSubplan(se.Sub.ID)
@@ -133,71 +243,37 @@ func (se *SubplanExec) RunOnce() Work {
 	return w
 }
 
+// eval fires op's member children depth-first, then op over its sources; a
+// scan only fires, its consumers reading it through their view readers.
 func (se *SubplanExec) eval(op *mqo.Op) ([]delta.Tuple, Work) {
-	var w Work
-	ins := se.opInputs(op)
-	if op.Kind == mqo.KindScan {
-		rd := se.inputs[inputKey{op, 0}]
-		se.ops[op].(*scanExec).pos = rd.Offset()
-		ins[0] = rd.ReadNew()
+	var w, own Work
+	var out []delta.Tuple
+	if s, ok := se.ops[op].(*scanExec); ok {
+		own = s.fire()
 	} else {
+		srcs := se.srcs[op]
 		for i, c := range op.Children {
 			if se.member[c] {
-				batch, cw := se.eval(c)
+				cout, cw := se.eval(c)
 				w.Add(cw)
-				ins[i][0] = batch
-			} else {
-				ins[i] = se.inputs[inputKey{op, i}].ReadNew()
+				if e, ok := srcs[i].(*seqSource); ok {
+					e.seq[0] = cout
+				}
 			}
+			srcs[i].open()
 		}
-	}
-	for _, in := range ins {
-		se.batches += chunkCount(in, se.batch)
-	}
-	out, ow := se.ops[op].process(ins)
-	// Drop the input views (the readers' view lists included): a graft may
-	// re-point a reader at a rebuilt producer, and the old producer's log
-	// must not stay reachable through this list.
-	for _, in := range ins {
-		clear(in)
+		out, own = se.ops[op].(operator).process(srcs)
+		for _, src := range srcs {
+			skipped, chunks := src.close()
+			own.Tuples += skipped
+			se.batches += chunks
+		}
 	}
 	acc := se.opWork[op]
-	acc.Add(ow)
+	acc.Add(own)
 	se.opWork[op] = acc
-	w.Add(ow)
+	w.Add(own)
 	return out, w
-}
-
-// opInputs returns op's reusable input list, building it on first use.
-func (se *SubplanExec) opInputs(op *mqo.Op) []delta.Seq {
-	if ins, ok := se.ins[op]; ok {
-		return ins
-	}
-	ins := make([]delta.Seq, max(len(op.Children), 1))
-	for i, c := range op.Children {
-		if se.member[c] {
-			ins[i] = make(delta.Seq, 1)
-		}
-	}
-	se.ins[op] = ins
-	return ins
-}
-
-// chunkCount returns the number of windows delta.NewChunks yields over seq:
-// per non-empty segment, one window of at most batch tuples each, or the
-// whole segment when batch < 1.
-func chunkCount(seq delta.Seq, batch int) int64 {
-	var n int64
-	for _, seg := range seq {
-		switch {
-		case len(seg) == 0:
-		case batch < 1:
-			n++
-		default:
-			n += int64((len(seg) + batch - 1) / batch)
-		}
-	}
-	return n
 }
 
 // OpWork returns the cumulative work attributed to one member operator —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ishare/internal/buffer"
@@ -12,6 +13,7 @@ import (
 	"ishare/internal/mqo"
 	"ishare/internal/plan"
 	"ishare/internal/value"
+	"ishare/internal/vec"
 )
 
 // truthPreds is the predicate pool the truth-column tests draw from: exact
@@ -140,14 +142,63 @@ func TestTruthKeySeparatesConstantKinds(t *testing.T) {
 	}
 }
 
-// TestScanTruthsProperty drives scans directly over one growing table log,
-// attached to one registry at random windows, with random predicates drawn
-// from a pool of duplicates and look-alikes, at chunk sizes 1, 7 and 1024.
-// Some scans start mid-log, so their first chunk lies past a fresh column's
-// end. Every emitted tuple's bits must equal direct evaluation, and every
-// column must agree with direct evaluation wherever it has filled — a column
-// filled across a gap would misalign. Released scans' columns must all be
-// reclaimed once every scan is gone.
+// viewWant is what direct evaluation yields to a reader of op's view
+// serving want over the table tuples rows: each row some query of want
+// passes, with those queries' bits, and the count of rows only the scan's
+// other queries pass.
+func viewWant(op *mqo.Op, want mqo.Bitset, rows []delta.Tuple) (out []delta.Tuple, skipped int64) {
+	for _, tup := range rows {
+		bits := markerBits(op, tup.Row)
+		switch {
+		case !bits.Intersect(want).Empty():
+			out = append(out, delta.Tuple{Row: tup.Row, Bits: bits.Intersect(want), Sign: tup.Sign})
+		case !bits.Empty():
+			skipped++
+		}
+	}
+	return out, skipped
+}
+
+// drain reads one execution's worth of a view reader into a fresh slice and
+// returns it with the reader's skipped count.
+func drain(v *viewReader) ([]delta.Tuple, int64) {
+	v.open()
+	var out []delta.Tuple
+	for tup, ok := v.Next(); ok; tup, ok = v.Next() {
+		if len(tup) > v.size {
+			panic(fmt.Sprintf("chunk of %d tuples from a reader of size %d", len(tup), v.size))
+		}
+		out = append(out, tup...)
+	}
+	skipped, _ := v.close()
+	return out, skipped
+}
+
+// randomStream returns n lineitem arrivals, about a fifth of them deletions
+// of rows arrived earlier (in rows, which it extends).
+func randomStream(rng *rand.Rand, n int, rows *[]value.Row) []delta.Tuple {
+	var out []delta.Tuple
+	for _, row := range randomLineitems(rng, n) {
+		if len(*rows) > 0 && rng.Intn(5) == 0 {
+			out = append(out, delta.Tuple{Row: (*rows)[rng.Intn(len(*rows))], Bits: mqo.Bitset(^uint64(0)), Sign: delta.Delete})
+			continue
+		}
+		*rows = append(*rows, row)
+		out = append(out, tupleFor(row))
+	}
+	return out
+}
+
+// TestScanTruthsProperty drives scans and view readers directly over one
+// growing table log with deletions, attached to one registry at random
+// windows, with random predicates drawn from a pool of duplicates and
+// look-alikes, at chunk sizes 1, 7 and 1024. Some scans start mid-log, so
+// their first firing lies past a fresh column's end; readers serve random
+// subsets of their scan's queries from the scan's cursor. Every firing's Work
+// and every reader's tuples and skipped count must equal direct evaluation,
+// and every column must agree with direct evaluation wherever it has filled
+// — a column filled across a gap would misalign. Released scans' columns
+// must all be reclaimed once every scan is gone.
 func TestScanTruthsProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		for _, batch := range []int{1, 7, 1024} {
@@ -167,63 +218,67 @@ func TestScanTruthsProperty(t *testing.T) {
 			}
 			reg := NewRegistry(rng.Intn(4) > 0)
 			log := buffer.NewLog("table:lineitem")
-			type scan struct {
-				s  *scanExec
-				rd *buffer.Reader
-			}
-			var scans []scan
+			var scans []*scanExec
+			var readers []*viewReader
+			var scratch viewScratch // shared, as an executor's readers share one
+			var logged []delta.Tuple
 			var rows []value.Row
 			for w := 0; w < 8; w++ {
 				for a := rng.Intn(3); a > 0; a-- {
-					s := newOperator(ops[rng.Intn(len(ops))], batch, reg, nil).(*scanExec)
-					rd := log.NewReader()
+					s := newScanExec(ops[rng.Intn(len(ops))], batch, reg, log)
 					if rng.Intn(4) == 0 {
-						rd = log.NewReaderAt(log.Len())
+						s.pos = log.Len()
 					}
-					scans = append(scans, scan{s, rd})
+					scans = append(scans, s)
 				}
-				arrivals := randomLineitems(rng, rng.Intn(40))
-				rows = append(rows, arrivals...)
-				log.Append(InsertStream(Dataset{"t": arrivals})["t"]...)
-				for _, sc := range scans {
-					from := sc.rd.Offset()
-					sc.s.pos = from
-					seq := sc.rd.ReadNew()
-					out, _ := sc.s.process([]delta.Seq{seq})
-					var want []delta.Tuple
-					for i, row := range rows[from:] {
-						if bits := markerBits(sc.s.op, row); !bits.Empty() {
-							want = append(want, delta.Tuple{Row: rows[from+i], Bits: bits, Sign: delta.Insert})
-						}
+				for a := rng.Intn(3); a > 0 && len(scans) > 0; a-- {
+					s := scans[rng.Intn(len(scans))]
+					readers = append(readers, newViewReader(s, mqo.Bitset(rng.Uint64()), batch, s.pos, &scratch))
+				}
+				arrivals := randomStream(rng, rng.Intn(40), &rows)
+				logged = append(logged, arrivals...)
+				log.Append(arrivals...)
+				for _, s := range scans {
+					from := s.pos
+					want, _ := viewWant(s.op, s.op.Queries, logged[from:])
+					if got := s.fire(); got != (Work{Tuples: int64(len(logged) - from), Output: int64(len(want))}) {
+						t.Fatalf("seed %d batch %d window %d: scan of %v from %d: %v, want %d tuples and %d output",
+							seed, batch, w, s.op.Queries, from, got, len(logged)-from, len(want))
 					}
-					if len(out) != len(want) || (len(out) > 0 && !reflect.DeepEqual(out, want)) {
-						t.Fatalf("seed %d batch %d window %d: scan of %v from %d emitted %v, want %v",
-							seed, batch, w, sc.s.op.Queries, from, out, want)
-					}
-					for k, c := range sc.s.cols {
-						pred := sc.s.op.Preds[sc.s.markers[k].q]
+					for k, c := range s.cols {
+						pred := s.op.Preds[s.markers[k].q]
 						for p := 0; p < c.n; p++ {
-							if c.bit(p) != pred.Eval(rows[p]).Truth() {
+							if c.bit(p) != pred.Eval(logged[p].Row).Truth() {
 								t.Fatalf("seed %d batch %d window %d: column %s bit %d wrong", seed, batch, w, expr.Canon(pred), p)
 							}
 						}
 					}
 				}
+				for _, v := range readers {
+					from := v.off
+					got, skipped := drain(v)
+					want, wantSkipped := viewWant(v.scan.op, v.want, logged[from:v.scan.pos])
+					if !reflect.DeepEqual(got, want) || skipped != wantSkipped {
+						t.Fatalf("seed %d batch %d window %d: reader of %v for %v from %d: %v skipping %d, want %v skipping %d",
+							seed, batch, w, v.scan.op.Queries, v.want, from, got, skipped, want, wantSkipped)
+					}
+				}
 				if len(scans) > 0 && rng.Intn(3) == 0 {
 					i := rng.Intn(len(scans))
-					scans[i].s.release(reg)
+					scans[i].release(reg)
+					readers = slices.DeleteFunc(readers, func(v *viewReader) bool { return v.scan == scans[i] })
 					scans = append(scans[:i], scans[i+1:]...)
 				}
 				handles := 0
-				for _, sc := range scans {
-					handles += sc.s.handles()
+				for _, s := range scans {
+					handles += s.handles()
 				}
 				if err := reg.checkHandles(handles); err != nil {
 					t.Fatalf("seed %d batch %d window %d: %v", seed, batch, w, err)
 				}
 			}
-			for _, sc := range scans {
-				sc.s.release(reg)
+			for _, s := range scans {
+				s.release(reg)
 			}
 			reg.Sweep()
 			if st := reg.TruthStats(); st.Live != 0 || st.Pending != 0 || st.Bits != 0 {
@@ -234,8 +289,10 @@ func TestScanTruthsProperty(t *testing.T) {
 }
 
 // TestTruthColumnNeverFillsAcrossGap starts a scan mid-log on a fresh
-// column: it evaluates its rows without recording them. A scan from the log's
-// start then fills the column, and the mid-log scan's next rows are served.
+// column: its firing fills the column from the column's end, not from its own
+// cursor, so the column never has a gap and its readers can always be
+// served. A scan from the log's start then reads the column without
+// evaluating, and the next rows are evaluated once.
 func TestTruthColumnNeverFillsAcrossGap(t *testing.T) {
 	h := truthHarness(t, truthPreds[:1])
 	op := h.graph.Subplans[0].Scans()[0]
@@ -243,49 +300,81 @@ func TestTruthColumnNeverFillsAcrossGap(t *testing.T) {
 	log := buffer.NewLog("table:lineitem")
 	rng := rand.New(rand.NewSource(1))
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rng, 10)})["t"]...)
-	run := func(s *scanExec, rd *buffer.Reader) {
-		s.pos = rd.Offset()
-		s.process([]delta.Seq{rd.ReadNew()})
+	late := newScanExec(op, 4, reg, log)
+	late.pos = 6
+	if w := late.fire(); w.Tuples != 4 {
+		t.Fatalf("mid-log scan covered %d rows, want 4", w.Tuples)
 	}
-	late := newOperator(op, 4, reg, nil).(*scanExec)
-	lateRd := log.NewReaderAt(6)
-	run(late, lateRd)
-	if st := reg.TruthStats(); st.Bits != 0 || st.Evaluated != 4 {
-		t.Fatalf("mid-log scan filled its column across the gap: %+v", st)
+	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 10 || st.Served != 0 {
+		t.Fatalf("mid-log scan on a fresh column: %+v, want 10 bits evaluated from the column's start", st)
 	}
-	early := newOperator(op, 4, reg, nil).(*scanExec)
-	earlyRd := log.NewReader()
-	run(early, earlyRd)
-	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 14 {
-		t.Fatalf("after a scan from the start: %+v, want 10 bits and 14 rows evaluated", st)
+	early := newScanExec(op, 4, reg, log)
+	early.fire()
+	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 10 || st.Served != 10 {
+		t.Fatalf("after a scan from the start: %+v, want 10 bits, 10 evaluated and 10 served", st)
 	}
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rng, 5)})["t"]...)
-	run(early, earlyRd)
-	run(late, lateRd)
-	if st := reg.TruthStats(); st.Bits != 15 || st.Evaluated != 19 || st.Served != 5 {
-		t.Fatalf("after both scans read on: %+v, want 15 bits, 19 evaluated, 5 served", st)
+	early.fire()
+	late.fire()
+	if st := reg.TruthStats(); st.Bits != 15 || st.Evaluated != 15 || st.Served != 15 {
+		t.Fatalf("after both scans read on: %+v, want 15 bits, 15 evaluated, 15 served", st)
 	}
 }
 
-// TestScanServedAllocs: a chunk served from a truth column allocates nothing.
+// TestScanServedAllocs: a steady-state firing served from its truth columns
+// and a view read over it allocate nothing.
 func TestScanServedAllocs(t *testing.T) {
 	h := truthHarness(t, truthPreds[:3])
 	op := h.graph.Subplans[0].Scans()[0]
 	reg := NewRegistry(true)
 	log := buffer.NewLog("table:lineitem")
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rand.New(rand.NewSource(2)), 3000)})["t"]...)
-	s := newOperator(op, 1024, reg, nil).(*scanExec)
-	in := []delta.Seq{log.NewReader().ReadNew()}
-	s.process(in) // fills the columns
-	before := reg.TruthStats()
-	if avg := testing.AllocsPerRun(50, func() {
-		s.pos = 0
-		s.process(in)
-	}); avg > 0 {
-		t.Errorf("served scan allocated %.2f allocs/run, want 0", avg)
+	s := newScanExec(op, 1024, reg, log)
+	v := newViewReader(s, mqo.Bit(2), 1024, 0, nil)
+	read := func() {
+		s.pos, v.off = 0, 0
+		s.fire()
+		v.open()
+		for _, ok := v.Next(); ok; _, ok = v.Next() {
+		}
+		v.close()
 	}
-	if st := reg.TruthStats(); st.Evaluated != before.Evaluated {
+	read() // fills the columns and the reader's scratch
+	before := reg.TruthStats()
+	if avg := testing.AllocsPerRun(50, read); avg > 0 {
+		t.Errorf("served firing and view read allocated %.2f allocs/run, want 0", avg)
+	}
+	st := reg.TruthStats()
+	if st.Evaluated != before.Evaluated {
 		t.Errorf("served scan evaluated %d rows", st.Evaluated-before.Evaluated)
+	}
+	if st.ViewRows == before.ViewRows || st.ViewSkipped == before.ViewSkipped {
+		t.Errorf("reads yielded %d rows and skipped %d: the test has no teeth", st.ViewRows-before.ViewRows, st.ViewSkipped-before.ViewSkipped)
+	}
+}
+
+// TestViewReadHoldsOneChunk reads a 100k-row table through one view at batch
+// pace, at the default chunk size and with one chunk per input: the reader
+// yields and retains at most one chunk of scratch, however long the range.
+func TestViewReadHoldsOneChunk(t *testing.T) {
+	h := truthHarness(t, truthPreds[:2])
+	op := h.graph.Subplans[0].Scans()[0]
+	log := buffer.NewLog("table:lineitem")
+	rows := InsertStream(Dataset{"t": randomLineitems(rand.New(rand.NewSource(3)), 100_000)})["t"]
+	log.Append(rows...)
+	want, _ := viewWant(op, op.Queries, rows)
+	for _, batch := range []int{0, -1} {
+		s := newScanExec(op, batch, NewRegistry(true), log)
+		s.fire()
+		v := newViewReader(s, op.Queries, batch, 0, nil)
+		got, _ := drain(v) // drain also checks every chunk's size
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: read %d rows, want %d", batch, len(got), len(want))
+		}
+		if cap(v.sc.tup) > vec.DefaultBatch || cap(v.sc.bits) > vec.DefaultBatch || cap(v.sc.yw) > vec.DefaultBatch/64+2 {
+			t.Errorf("batch %d: a read of %d rows holds %d tuples, %d bits and %d words of scratch",
+				batch, len(rows), cap(v.sc.tup), cap(v.sc.bits), cap(v.sc.yw))
+		}
 	}
 }
 
@@ -354,10 +443,8 @@ func TestTruthColumnsChurnProperty(t *testing.T) {
 						t.Fatalf("seed %d batch %d window %d: %v", seed, batch, k, err)
 					}
 					for _, se := range r.Execs {
-						for _, seg := range se.Out.NewReader().ReadNew() {
-							for _, tup := range seg {
-								logs[i] = append(logs[i], fmt.Sprintf("%d:%v", se.Sub.ID, tup))
-							}
+						for _, tup := range se.outputTuples() {
+							logs[i] = append(logs[i], fmt.Sprintf("%d:%v", se.Sub.ID, tup))
 						}
 					}
 				}

@@ -50,13 +50,13 @@ func BenchmarkBatchJoinProbe(b *testing.B) {
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			j := newJoinExec(op, batch, nil)
-			j.process([]delta.Seq{nil, {right}})
-			in := []delta.Seq{{left}, nil}
-			j.process(in) // warm scratch buffers
+			j.process(sources(batch, nil, delta.Seq{right}))
+			in := sources(batch, delta.Seq{left}, nil)
+			j.process(reopen(in)) // warm scratch buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j.process(in)
+				j.process(reopen(in))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(left)), "ns_tuple")
 		})
@@ -99,14 +99,14 @@ func BenchmarkBatchAgg(b *testing.B) {
 	}
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			g := newAggExec(aggOp, batch, nil)
-			g.process([]delta.Seq{{seed}}) // groups pre-exist; lookups stay warm
-			in := []delta.Seq{{stream}}
-			g.process(in) // warm pools
+			g := newAggExec(aggOp, nil)
+			g.process(sources(batch, delta.Seq{seed})) // groups pre-exist; lookups stay warm
+			in := sources(batch, delta.Seq{stream})
+			g.process(reopen(in)) // warm pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.process(in)
+				g.process(reopen(in))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns_tuple")
 		})

@@ -2,9 +2,10 @@
 // DAG: SharedDB-style bitvector-annotated tuples flow through stateful
 // physical operators (scan, project, symmetric hash join, incremental
 // aggregate) in insert/delete delta form; subplans materialize their output
-// into buffers consumed at per-parent offsets; a pace-driven runner executes
-// each subplan k times per trigger window and accounts the work of every
-// incremental execution.
+// into buffers consumed at per-parent offsets, except scans, which are views
+// over their table logs read through per-consumer cursors; a pace-driven
+// runner executes each subplan k times per trigger window and accounts the
+// work of every incremental execution.
 package exec
 
 import "fmt"

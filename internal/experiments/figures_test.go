@@ -191,3 +191,16 @@ func TestModelAccuracy(t *testing.T) {
 		t.Error("report footer missing")
 	}
 }
+
+// TestFigure10Shape asserts Figure 10's claim at the micro scale: shared batch
+// execution of the 22 queries costs clearly less than running them
+// independently, and not implausibly less.
+func TestFigure10Shape(t *testing.T) {
+	r, err := Figure10(microCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red := r.Reduction(); red < 0.25 || red > 0.55 {
+		t.Errorf("shared %d vs independent %d: reduction %.3f outside [0.25, 0.55]", r.SharedTotal, r.IndependentTotal, red)
+	}
+}

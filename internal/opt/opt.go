@@ -459,7 +459,7 @@ func (j Job) CalibrateFrom(r *exec.Runner, calib cost.Calibration) error {
 	for i, se := range r.Execs {
 		work[i] = float64(se.TotalWork().Total())
 		final[i] = float64(se.FinalWork().Total())
-		out[i] = float64(se.Out.Len())
+		out[i] = float64(se.OutputLen())
 	}
 	c, err := cost.CalibrationFromRun(j.Graph, j.Paces, work, final, out)
 	if err != nil {

@@ -76,16 +76,8 @@ func (c *Chunk) Reset(tup []delta.Tuple) {
 	c.Sel = c.Sel.Identity(len(tup))
 }
 
-// InitBits seeds the working bits: base alone when fromTuple is false (scan
-// semantics — base tuples carry all-ones bits), or the tuple's bits
-// restricted to base otherwise.
-func (c *Chunk) InitBits(base mqo.Bitset, fromTuple bool) {
-	if !fromTuple {
-		for i := range c.Bits {
-			c.Bits[i] = base
-		}
-		return
-	}
+// InitBits seeds the working bits: each tuple's bits restricted to base.
+func (c *Chunk) InitBits(base mqo.Bitset) {
 	for i, t := range c.Tup {
 		c.Bits[i] = t.Bits.Intersect(base)
 	}

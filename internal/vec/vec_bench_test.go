@@ -40,7 +40,7 @@ func BenchmarkChunkFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Reset(tup)
-		ch.InitBits(bit, false)
+		ch.InitBits(bit)
 		truths := pred.Truths(&ch, ch.Sel)
 		for _, idx := range ch.Sel {
 			if !truths[idx] {

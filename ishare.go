@@ -28,6 +28,7 @@ package ishare
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"ishare/internal/catalog"
@@ -89,7 +90,12 @@ type TableSchema struct {
 }
 
 // Row is one input or output tuple; values may be int, int64, float64,
-// string or bool.
+// string or bool, or nil for NULL. An input value must match its column's
+// type: int or int64 for Int and Date (and Float, widened), float64 for Float
+// (and Int when integral), string for String, bool for Bool. Float columns
+// accept ±Inf, which compare beyond every finite value, and reject NaN, which
+// has no order; pass nil for a missing value. A mismatch fails the Run or
+// Step with an error naming the table, row and column.
 type Row []interface{}
 
 // Engine registers tables and scheduled queries and optimizes them
@@ -148,8 +154,8 @@ func (e *Engine) MustCreateTable(s TableSchema) {
 // user is willing to pay after the trigger point (1.0 = batch latency is
 // fine, 0.1 = one tenth of it). It is the paper's proxy for a latency goal.
 func (e *Engine) AddQuery(name, sql string, relConstraint float64) error {
-	if relConstraint <= 0 {
-		return fmt.Errorf("ishare: query %s: relative constraint must be positive", name)
+	if !(relConstraint > 0) || math.IsInf(relConstraint, 1) {
+		return fmt.Errorf("ishare: query %s: relative constraint must be positive and finite", name)
 	}
 	q, err := plan.ParseAndBindQuery(name, sql, e.cat)
 	if err != nil {
@@ -473,7 +479,7 @@ func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calib Calibrat
 				Pace:       job.Paces[s.ID],
 				TotalWork:  jr.SubplanTotal[s.ID],
 				FinalWork:  jr.SubplanFinal[s.ID],
-				OutputRows: r.Execs[s.ID].Out.Len(),
+				OutputRows: r.Execs[s.ID].OutputLen(),
 			})
 		}
 		if calib == nil {
@@ -520,38 +526,55 @@ func (e *Engine) convertDataset(data map[string][]Row) (exec.Dataset, error) {
 	return ds, nil
 }
 
+// ifaceToValue converts one facade value into a value of the column's kind.
+// Apart from nil (NULL in any column) a value must match its column's kind;
+// the only conversions are the lossless widenings int/int64 → FLOAT or DATE
+// and an integral float64 → INT. Anything else — a string in a numeric
+// column, a bool outside a BOOL column, a fractional or non-finite float64
+// for an INT, a NaN anywhere — is an error rather than a silently wrong
+// value.
 func ifaceToValue(v interface{}, want value.Kind) (value.Value, error) {
 	switch x := v.(type) {
 	case nil:
 		return value.Null, nil
 	case int:
-		if want == value.KindFloat {
-			return value.Float(float64(x)), nil
-		}
-		if want == value.KindDate {
-			return value.Date(int64(x)), nil
-		}
-		return value.Int(int64(x)), nil
+		return intToValue(int64(x), want, v)
 	case int64:
-		if want == value.KindFloat {
-			return value.Float(float64(x)), nil
-		}
-		if want == value.KindDate {
-			return value.Date(x), nil
-		}
-		return value.Int(x), nil
+		return intToValue(x, want, v)
 	case float64:
-		if want == value.KindInt {
+		switch {
+		case math.IsNaN(x):
+			return value.Null, fmt.Errorf("NaN in %s column", want)
+		case want == value.KindFloat:
+			return value.Float(x), nil
+		case want == value.KindInt && x == math.Trunc(x) && x >= -(1<<63) && x < 1<<63:
 			return value.Int(int64(x)), nil
 		}
-		return value.Float(x), nil
 	case string:
-		return value.Str(x), nil
+		if want == value.KindString {
+			return value.Str(x), nil
+		}
 	case bool:
-		return value.Bool(x), nil
+		if want == value.KindBool {
+			return value.Bool(x), nil
+		}
 	default:
 		return value.Null, fmt.Errorf("unsupported value %T", v)
 	}
+	return value.Null, fmt.Errorf("%T %v in %s column", v, v, want)
+}
+
+// intToValue converts an integer facade value for a column of kind want.
+func intToValue(x int64, want value.Kind, v interface{}) (value.Value, error) {
+	switch want {
+	case value.KindInt:
+		return value.Int(x), nil
+	case value.KindFloat:
+		return value.Float(float64(x)), nil
+	case value.KindDate:
+		return value.Date(x), nil
+	}
+	return value.Null, fmt.Errorf("%T %v in %s column", v, v, want)
 }
 
 func valueToIface(v value.Value) interface{} {

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -434,5 +435,111 @@ func TestReportBreakdown(t *testing.T) {
 	rep.Breakdown(&buf)
 	if !strings.Contains(buf.String(), "q1,q2") {
 		t.Errorf("breakdown missing shared query list:\n%s", buf.String())
+	}
+}
+
+// TestStrictValueConversion feeds one row per case into a table with a
+// column of each type, through Engine.Run and through Session.Step: values
+// of a column's type and the lossless widenings convert, everything else
+// fails with an error naming the table, the row and the column.
+func TestStrictValueConversion(t *testing.T) {
+	//       i          f    s    b     d
+	good := Row{int64(7), 1.5, "x", true, 100}
+	cases := []struct {
+		name string
+		col  int
+		v    interface{}
+		ok   bool
+	}{
+		{"int in Int", 0, 7, true},
+		{"integral float64 in Int", 0, 7.0, true},
+		{"nil in Int", 0, nil, true},
+		{"int in Float", 1, 2, true},
+		{"int64 in Float", 1, int64(2), true},
+		{"+Inf in Float", 1, math.Inf(1), true},
+		{"-Inf in Float", 1, math.Inf(-1), true},
+		{"int in Date", 4, 3, true},
+		{"int64 in Date", 4, int64(3), true},
+		{"string in Int", 0, "7", false},
+		{"string in Float", 1, "1.5", false},
+		{"bool in Float", 1, true, false},
+		{"bool in Int", 0, false, false},
+		{"int in String", 2, 7, false},
+		{"float64 in String", 2, 1.5, false},
+		{"int in Bool", 3, 1, false},
+		{"fractional float64 in Int", 0, 1.5, false},
+		{"NaN float64 in Int", 0, math.NaN(), false},
+		{"+Inf float64 in Int", 0, math.Inf(1), false},
+		{"out-of-range float64 in Int", 0, 1e19, false},
+		{"NaN in Float", 1, math.NaN(), false},
+		{"float64 in Date", 4, 3.0, false},
+		{"unsupported type", 2, []byte("x"), false},
+	}
+	colNames := []string{"i", "f", "s", "b", "d"}
+	newEngine := func(t *testing.T) *Engine {
+		e := NewEngine()
+		e.MustCreateTable(TableSchema{
+			Name: "t",
+			Columns: []Column{
+				{Name: "i", Type: Int}, {Name: "f", Type: Float}, {Name: "s", Type: String},
+				{Name: "b", Type: Bool}, {Name: "d", Type: Date},
+			},
+			ExpectedRows: 10,
+		})
+		e.MustAddQuery("q", "SELECT i, f, s, b, d FROM t", 1.0)
+		return e
+	}
+	for _, c := range cases {
+		row := append(Row(nil), good...)
+		row[c.col] = c.v
+		data := map[string][]Row{"t": {good, row}}
+		check := func(t *testing.T, err error) {
+			t.Helper()
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("rejected: %v", err)
+			case !c.ok && err == nil:
+				t.Error("accepted")
+			case !c.ok && !strings.Contains(err.Error(), "table t row 1 column "+colNames[c.col]):
+				t.Errorf("error %q does not name table t, row 1 and column %s", err, colNames[c.col])
+			}
+		}
+		t.Run(c.name+"/Run", func(t *testing.T) {
+			e := newEngine(t)
+			p, err := e.Optimize(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.Run(p, data)
+			check(t, err)
+		})
+		t.Run(c.name+"/Step", func(t *testing.T) {
+			s, err := newEngine(t).StartSession(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Step(data)
+			check(t, err)
+		})
+	}
+}
+
+// TestNonFiniteConstraintsRejected: a relative constraint must be a positive
+// finite number, at registration and at live admission alike.
+func TestNonFiniteConstraintsRejected(t *testing.T) {
+	const sql = "SELECT o_customer FROM orders"
+	for _, rel := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := ordersEngine(t)
+		if err := e.AddQuery("q", sql, rel); err == nil {
+			t.Errorf("AddQuery accepted constraint %v", rel)
+		}
+		e.MustAddQuery("base", sql, 1)
+		s, err := e.StartSession(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Admit("q", sql, rel); err == nil {
+			t.Errorf("Admit accepted constraint %v", rel)
+		}
 	}
 }

@@ -7,10 +7,13 @@
 # Extracts <rev> with git archive under .bench_build/pairs/base, builds the
 # benchmark binary of that tree and of the working tree, and runs n pairs
 # (default 10) of `-workload <workload>`, alternating which side goes first.
-# It then prints, per end-to-end metric, the median of each side, the change
-# in percent, and in how many pairs the working tree was lower (every
-# end-to-end metric is better lower; an exact tie wins nothing), followed by
-# each side's failed operations. Extra benchmark flags go in BENCH_ARGS, e.g.
+# It then prints, per end-to-end metric, each side's median and quartiles
+# (q1, q3), the change of the medians in percent, in how many pairs the
+# working tree was lower (every end-to-end metric is better lower; an exact
+# tie wins nothing), and the verdict `gain?`: "yes" when the working tree won
+# at least 9 in 10 of the pairs and its median is lower than the base's by
+# more than the base's interquartile range, "no" otherwise. Each side's
+# failed operations follow. Extra benchmark flags go in BENCH_ARGS, e.g.
 # BENCH_ARGS="-seed 2". Run it on an otherwise idle machine. It builds into
 # .bench_build/ only and leaves bench/ untouched.
 set -euo pipefail
@@ -55,22 +58,29 @@ for i in $(seq 1 "$n"); do
 	echo "pair $i/$n done" >&2
 done
 
-# median SIDE METRIC prints the median of that side's values.
-median() {
+# quantile SIDE METRIC P prints the P-quantile of that side's values,
+# interpolating linearly between order statistics.
+quantile() {
 	awk -v s="$1" -v m="$2" '$1 == s && $3 == m { print $4 }' "$results" | sort -g |
-		awk '{ v[NR] = $1 } END { if (NR == 0) print "nan"; else if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+		awk -v p="$3" '{ v[NR] = $1 } END {
+			if (NR == 0) { print "nan"; exit }
+			h = (NR - 1) * p + 1; lo = int(h)
+			print (lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]))
+		}'
 }
 
 echo "workload $workload, $n interleaved pairs, base $rev vs working tree"
-printf "%-14s %16s %16s %9s %7s\n" metric base change change% wins
+printf "%-14s %14s %14s %14s %14s %14s %14s %9s %7s %6s\n" \
+	metric base_q1 base base_q3 change_q1 change change_q3 change% wins gain?
 for m in $(awk '$1 == "change" && $3 != "failed" && !seen[$3]++ { print $3 }' "$results"); do
-	b=$(median base "$m")
-	c=$(median change "$m")
+	b1=$(quantile base "$m" 0.25) b=$(quantile base "$m" 0.5) b3=$(quantile base "$m" 0.75)
+	c1=$(quantile change "$m" 0.25) c=$(quantile change "$m" 0.5) c3=$(quantile change "$m" 0.75)
 	wins=$(awk -v m="$m" '$3 == m { v[$1 " " $2] = $4; p[$2] = 1 }
 		END { w = 0; for (i in p) if (("change " i) in v && ("base " i) in v && v["change " i] < v["base " i]) w++; print w }' "$results")
-	awk -v m="$m" -v b="$b" -v c="$c" -v w="$wins" -v n="$n" 'BEGIN {
+	awk -v m="$m" -v b1="$b1" -v b="$b" -v b3="$b3" -v c1="$c1" -v c="$c" -v c3="$c3" -v w="$wins" -v n="$n" 'BEGIN {
 		pct = (b == 0 ? "n/a" : sprintf("%+.1f%%", (c - b) / b * 100))
-		printf "%-14s %16s %16s %9s %7s\n", m, b, c, pct, w "/" n }'
+		gain = (10 * w >= 9 * n && b - c > b3 - b1) ? "yes" : "no"
+		printf "%-14s %14s %14s %14s %14s %14s %14s %9s %7s %6s\n", m, b1, b, b3, c1, c, c3, pct, w "/" n, gain }'
 done
 for side in base change; do
 	echo "$side failed operations per pair: $(awk -v s="$side" '$1 == s && $3 == "failed" { printf "%s ", $4 }' "$results")"

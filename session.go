@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"fmt"
+	"math"
 
 	"ishare/internal/exec"
 	"ishare/internal/opt"
@@ -162,8 +163,8 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 	if s.err != nil {
 		return nil, s.err
 	}
-	if relConstraint <= 0 {
-		return nil, fmt.Errorf("ishare: query %s: relative constraint must be positive", name)
+	if !(relConstraint > 0) || math.IsInf(relConstraint, 1) {
+		return nil, fmt.Errorf("ishare: query %s: relative constraint must be positive and finite", name)
 	}
 	if s.Slot(name) >= 0 {
 		return nil, fmt.Errorf("ishare: query %q already active", name)
