@@ -10,24 +10,33 @@ import (
 // This file implements online query admission at the executor level:
 // Runner.Graft swaps a running Runner onto a revised subplan graph (queries
 // admitted to or retired from the shared plan) without discarding operator
-// state. It pairs new subplans with old executors in two passes, children
-// first:
+// state. Children first, a new subplan P takes over an old executor O — its
+// operator state, output log, per-window marks and work counters, re-keyed
+// onto P's operators — when all of these hold (grafter.find):
 //
-//   - Adopt: a subplan state-identical to an old one (mqo.MatchSubplans: its
-//     whole input cone renders the same) takes over the old executor
-//     wholesale — join build sides, group indexes, ordset accumulators and
-//     the materialized output log carry over via their stable references —
-//     provided its joins keep the same output layout (vetoLayoutChanges).
-//   - Reattach: an admission or retirement changes the query set of a shared
-//     scan, and with it the state signature of everything above it, although
-//     nothing changed for the queries those subplans serve. A subplan whose
-//     own operators are unchanged (equal local signature) takes over the old
-//     executor when every input is either carried over too or a scan/project
-//     cone that looks the same to its queries (equal restricted signature).
-//     Its state, output log and per-window marks stay valid; its readers are
-//     re-pointed at the end of the rebuilt inputs' outputs, and the
-//     input-tuple counts of its history are corrected to what reading the
-//     rebuilt inputs would have counted (reattacher).
+//   - O has not been taken by another new subplan;
+//   - P's own operators render the same as O's (equal local state
+//     signatures, mqo.LocalStateSignatures) and its joins keep their output
+//     layouts (sameLayouts), so they stamp, mark and combine equal inputs
+//     identically into rows of the same shape;
+//   - every input of P is either the executor O read, carried over, or a
+//     scan/project cone that looks the same to P's queries as O's input did
+//     (equal mqo.RestrictedConeSignature). Every operator intersects each
+//     tuple's bits with its query set and drops the tuples left empty, so
+//     such an input yields P the same tuples in the same order: O's state,
+//     output log and per-window output marks are what a from-scratch P would
+//     have built.
+//
+// An input of the second kind is *re-pointed* after replay (rebind): the
+// reader moves to the end of the rebuilt producer's output, and the one
+// count that sees the other queries' tuples — the reading operator's Tuples,
+// which counts every tuple read — is corrected window by window to what
+// reading the rebuilt input would have counted, so a later graft corrects
+// from there and the corrections telescope. The correction assumes O's k-th
+// execution read exactly window k's input, which holds when O ran once per
+// sealed window, after its inputs (firings run children-first); a subplan
+// paced above 1 that needs a re-pointed input is rebuilt instead. Among
+// several candidates, one that needs no re-pointing wins.
 //
 // Subplans with no such predecessor are rebuilt fresh and *replayed* through
 // the sealed window-by-window history (Runner.winData /
@@ -39,26 +48,20 @@ import (
 // GraftOptions configures one plan graft.
 type GraftOptions struct {
 	// DisableTransplant rebuilds and replays every subplan even when an old
-	// executor could be adopted or reattached. Results and modeled work must
-	// be unchanged — carrying state over is purely an optimization — and the
-	// churn-mode differential oracle runs every schedule both ways to prove
-	// it.
+	// executor could be adopted. Results and modeled work must be unchanged
+	// — carrying state over is purely an optimization — and the churn-mode
+	// differential oracle runs every schedule both ways to prove it.
 	DisableTransplant bool
 }
 
 // GraftStats summarizes what one graft did.
 type GraftStats struct {
-	// Adopted counts subplans whose old executor state carried over,
-	// Reattached included.
+	// Adopted counts new subplans that took over an old executor.
 	Adopted int
-	// Reattached counts the adoptions of the reattach pass: subplans whose
-	// own operators are unchanged but whose input cone changed for other
-	// queries only.
+	// Reattached counts the adoptions whose own operators are unchanged but
+	// whose input cone changed for other queries only: those with a
+	// re-pointed input, and those above such an adoption.
 	Reattached int
-	// Vetoed counts state-identical matches not adopted because a member
-	// join's output layout differs under the new graph, or a child's match
-	// was vetoed; they are rebuilt (and counted there) instead.
-	Vetoed int
 	// Rebuilt counts subplans built fresh and replayed from history.
 	Rebuilt int
 	// Dropped counts old executors released because no new subplan adopted
@@ -76,42 +79,22 @@ type GraftStats struct {
 	ArrangementsFreed int
 }
 
-// DebugGraftLooseMatch, when true, lets Graft adopt old executors whose
-// loose state signature matches (query-slot bitsets masked out) even though
-// the strict signature does not — the classic online-admission bug where an
-// admitted query is grafted onto existing operator state without catching
-// up: tuples stamped before admission never carry the new query's bit, and
-// future scans keep stamping the old bitset. It exists to prove the
+// DebugGraftLooseMatch, when true, lets Graft adopt, for a new subplan the
+// adoption rule rebuilds, an old executor whose loose state signature
+// matches (query-slot bitsets masked out) — the classic online-admission bug
+// where an admitted query is grafted onto existing operator state without
+// catching up: tuples stamped before admission never carry the new query's
+// bit, and future scans keep stamping the old bitset. It exists to prove the
 // churn-mode differential oracle has teeth; production code must never set
 // it.
 var DebugGraftLooseMatch bool
 
-// graftResolver resolves fresh executors' inputs during a graft, when
-// r.Execs still describes the old plan: child outputs come from the new
-// executor slice as it is being filled (children-first).
-type graftResolver struct {
-	r     *Runner
-	execs []*SubplanExec
-}
-
-func (gr graftResolver) TableLog(name string) (*buffer.Log, error) {
-	return gr.r.TableLog(name)
-}
-
-func (gr graftResolver) subplanExec(s *mqo.Subplan) (*SubplanExec, error) {
-	se := gr.execs[s.ID]
-	if se == nil {
-		return nil, fmt.Errorf("exec: graft: subplan %d has no executor yet", s.ID)
-	}
-	return se, nil
-}
-
 // Graft swaps the runner onto newG, carrying operator state over where a new
-// subplan is state-identical to an old one or can be reattached to it, and
-// replaying the rest from the sealed window history. It must be called at a
-// window boundary: every delta of the current window appended and processed
-// (the scheduler runtime and the churn oracle both graft between windows).
-// The current window is sealed first, so post-graft arrivals start a fresh
+// subplan can take over an old executor (see the rule above) and replaying
+// the rest from the sealed window history. It must be called at a window
+// boundary: every delta of the current window appended and processed (the
+// scheduler runtime and the churn oracle both graft between windows). The
+// current window is sealed first, so post-graft arrivals start a fresh
 // window.
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
 	// Flush any remainder of the current stream into the logs (a no-op for
@@ -120,21 +103,6 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	r.ArriveWindow(1, 1)
 	r.sealWindow()
 	regBefore := r.reg.Stats()
-
-	stats := &GraftStats{}
-	newLay := planLayouts(newG)
-	match := mqo.MatchSubplans(r.Graph, newG)
-	stats.Vetoed = r.vetoLayoutChanges(match, newG, newLay)
-	var looseBySig map[string][]int
-	var newLoose []string
-	if DebugGraftLooseMatch {
-		oldLoose := mqo.LooseStateSignatures(r.Graph)
-		newLoose = mqo.LooseStateSignatures(newG)
-		looseBySig = make(map[string][]int)
-		for _, s := range r.Graph.Subplans {
-			looseBySig[oldLoose[s.ID]] = append(looseBySig[oldLoose[s.ID]], s.ID)
-		}
-	}
 
 	// Tables the new plan scans that have no log yet (they may or may not
 	// have been arriving unobserved): create empty logs now and backfill
@@ -150,58 +118,43 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		}
 	}
 
-	newExecs := make([]*SubplanExec, len(newG.Subplans))
-	res := graftResolver{r: r, execs: newExecs}
-	var re *reattacher
-	if !opts.DisableTransplant {
-		re = r.newReattacher(newG, newLay, newExecs, match)
-	}
-	adoptedOld := make(map[int]bool)
-	take := func(s *mqo.Subplan, oldID int) {
-		se := r.Execs[oldID]
-		se.adopt(r.Graph.Subplans[oldID], s)
-		newExecs[s.ID] = se
-		adoptedOld[oldID] = true
-		stats.Adopted++
-	}
+	stats := &GraftStats{}
+	gr := r.newGrafter(newG)
 	var fresh []*mqo.Subplan
 	var rebinds []rebind
 	for _, s := range newG.Subplans { // children-first
-		if oldID, ok := match[s.ID]; ok && !opts.DisableTransplant {
-			take(s, oldID)
+		oldID := -1
+		if !opts.DisableTransplant {
+			if id, rbs, above, ok := gr.find(s); ok {
+				oldID = id
+				rebinds = append(rebinds, rbs...)
+				if len(rbs) > 0 || above {
+					gr.reattached[s.ID] = true
+					stats.Reattached++
+				}
+			}
+		}
+		if oldID < 0 && DebugGraftLooseMatch {
+			oldID = gr.findLoose(s)
+		}
+		if oldID >= 0 {
+			se := r.Execs[oldID]
+			se.adopt(r.Graph.Subplans[oldID], s)
+			gr.execs[s.ID] = se
+			gr.taken[oldID] = true
+			stats.Adopted++
 			continue
 		}
-		if DebugGraftLooseMatch {
-			staleAdopted := false
-			for _, oldID := range looseBySig[newLoose[s.ID]] {
-				if adoptedOld[oldID] || !sameLayouts(r.Graph, r.Graph.Subplans[oldID], s, r.lay, newLay) {
-					continue
-				}
-				take(s, oldID)
-				staleAdopted = true
-				break
-			}
-			if staleAdopted {
-				continue
-			}
-		}
-		if re != nil {
-			if oldID, rbs, ok := re.find(s, adoptedOld); ok {
-				take(s, oldID)
-				stats.Reattached++
-				rebinds = append(rebinds, rbs...)
-				continue
-			}
-		}
-		se, err := newSubplanExec(newG, s, res, r.opts.batch(), r.reg, newLay)
+		se, err := newSubplanExec(r, newG, s, gr.execs, gr.lay)
 		if err != nil {
 			return nil, fmt.Errorf("exec: graft: %w", err)
 		}
-		newExecs[s.ID] = se
+		gr.execs[s.ID] = se
 		fresh = append(fresh, s)
 		stats.Rebuilt++
 	}
-	stats.Dropped = len(r.Graph.Subplans) - len(adoptedOld)
+	newExecs := gr.execs
+	stats.Dropped = len(r.Graph.Subplans) - stats.Adopted
 
 	// Replay each rebuilt subplan through the sealed windows: one execution
 	// per window, inputs capped at that window's marks. Children-first
@@ -232,7 +185,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	for name := range newTables {
 		r.windowBase[name] = r.appended[name]
 	}
-	// Reattached executors read on from where their rebuilt inputs' replay
+	// Re-pointed inputs read on from where their rebuilt producers' replay
 	// ended.
 	for _, rb := range rebinds {
 		rb.apply()
@@ -245,7 +198,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// rebuilding it). Arrangements freed here tombstone until the next
 	// window seals.
 	for id, se := range r.Execs {
-		if !adoptedOld[id] {
+		if !gr.taken[id] {
 			se.release(r.reg)
 		}
 	}
@@ -255,7 +208,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 
 	r.Execs = newExecs
 	r.Graph = newG
-	r.lay = newLay
+	r.lay = gr.lay
 	// Scan cones and depths follow the new graph; skipping stays disabled
 	// until the next window boundary recomputes dirtiness (see reuse.go).
 	r.indexGraph()
@@ -263,112 +216,73 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	return stats, nil
 }
 
-// vetoLayoutChanges drops from match (newID → oldID) every pair the old
-// executor cannot serve although it is state-identical: one whose member
-// joins emit a different layout under the new graph — the layout is not part
-// of the state signature, so retiring a query and admitting another into
-// its slot can keep a shared join's signature while its readers change —
-// and, children-first, every matched ancestor of a vetoed pair, whose
-// adopted operators read the vetoed child's old-layout log. It returns the
-// number of pairs dropped.
-func (r *Runner) vetoLayoutChanges(match map[int]int, newG *mqo.Graph, newLay layouts) int {
-	vetoed := 0
-	for _, s := range newG.Subplans { // children-first
-		oldID, ok := match[s.ID]
-		if !ok {
-			continue
-		}
-		keep := sameLayouts(r.Graph, r.Graph.Subplans[oldID], s, r.lay, newLay)
-		for _, c := range s.Children {
-			if _, ok := match[c.ID]; !ok {
-				keep = false
-			}
-		}
-		if !keep {
-			delete(match, s.ID)
-			vetoed++
-		}
-	}
-	return vetoed
+// grafter pairs the subplans of one graft's new graph with the runner's old
+// executors.
+type grafter struct {
+	r    *Runner
+	newG *mqo.Graph
+	lay  layouts
+	// execs is the new graph's executor slice, filled children-first;
+	// taken marks the old subplans a new one took over, and reattached the
+	// new subplans counted in GraftStats.Reattached.
+	execs      []*SubplanExec
+	taken      []bool
+	reattached []bool
+	// byLocal indexes old subplans by local state signature; the loose
+	// signatures are computed only for DebugGraftLooseMatch.
+	byLocal            map[string][]int
+	newLocal           []string
+	oldLoose, newLoose []string
 }
 
-// reattacher is Graft's second matching pass. Its rule and why it is exact:
-//
-//   - The new subplan's own operators render the same as the old one's (equal
-//     local signatures) and its joins keep their layouts, so they stamp,
-//     mark and combine equal inputs identically.
-//   - Every input is either the very executor the old subplan read (carried
-//     over by either pass) or a scan/project cone whose restricted signature
-//     — the cone as the subplan's queries see it — equals the old input's.
-//     Every operator of the subplan intersects each tuple's bits with its
-//     query set and drops the tuples left empty, so such an input looks the
-//     same, tuple for tuple, to all of it. Its state, output log and
-//     per-window output marks are what a from-scratch run would have built.
-//   - The one count that sees the other queries' tuples is the reading
-//     operator's Tuples, which counts every tuple read. rebind.apply corrects
-//     it window by window, so a later graft corrects from there: the
-//     corrections telescope.
-//   - The per-window correction assumes the old executor read exactly window
-//     k's input in its k-th execution. That holds when it ran once per sealed
-//     window, after its inputs (firings run children-first). A subplan paced
-//     above 1 by the scheduler is rebuilt instead.
-type reattacher struct {
-	r        *Runner
-	newG     *mqo.Graph
-	newLay   layouts
-	newExecs []*SubplanExec
-	// byLocal indexes old subplans by local state signature; matched holds
-	// the old subplans the first pass paired with a new one.
-	byLocal  map[string][]int
-	newLocal []string
-	matched  map[int]bool
-}
-
-func (r *Runner) newReattacher(newG *mqo.Graph, newLay layouts, newExecs []*SubplanExec, match map[int]int) *reattacher {
-	re := &reattacher{
-		r:        r,
-		newG:     newG,
-		newLay:   newLay,
-		newExecs: newExecs,
-		byLocal:  make(map[string][]int),
-		newLocal: mqo.LocalStateSignatures(newG),
-		matched:  make(map[int]bool, len(match)),
+func (r *Runner) newGrafter(newG *mqo.Graph) *grafter {
+	gr := &grafter{
+		r:          r,
+		newG:       newG,
+		lay:        planLayouts(newG),
+		execs:      make([]*SubplanExec, len(newG.Subplans)),
+		taken:      make([]bool, len(r.Graph.Subplans)),
+		reattached: make([]bool, len(newG.Subplans)),
+		byLocal:    make(map[string][]int),
+		newLocal:   mqo.LocalStateSignatures(newG),
 	}
 	for id, sig := range mqo.LocalStateSignatures(r.Graph) {
-		re.byLocal[sig] = append(re.byLocal[sig], id)
+		gr.byLocal[sig] = append(gr.byLocal[sig], id)
 	}
-	for _, oldID := range match {
-		re.matched[oldID] = true
-	}
-	return re
+	return gr
 }
 
-// find returns an old executor the new subplan s may take over, and the
-// inputs to re-point once the rebuilt subplans have replayed. Every child of
-// s must already have its executor in newExecs (children-first).
-func (re *reattacher) find(s *mqo.Subplan, adopted map[int]bool) (int, []rebind, bool) {
-	r := re.r
-	for _, oldID := range re.byLocal[re.newLocal[s.ID]] {
-		old, se := r.Graph.Subplans[oldID], r.Execs[oldID]
-		if re.matched[oldID] || adopted[oldID] || len(se.perExec) != len(r.winData) ||
-			!sameLayouts(r.Graph, old, s, r.lay, re.newLay) {
+// find returns the old executor the new subplan s takes over, the inputs to
+// re-point once the rebuilt subplans have replayed, and whether an input is
+// an executor counted as reattached. Every child of s must already have its
+// executor in execs (children-first).
+func (gr *grafter) find(s *mqo.Subplan) (oldID int, rbs []rebind, above, ok bool) {
+	r := gr.r
+	for _, id := range gr.byLocal[gr.newLocal[s.ID]] {
+		old, se := r.Graph.Subplans[id], r.Execs[id]
+		if gr.taken[id] || !sameLayouts(r.Graph, old, s, r.lay, gr.lay) {
 			continue
 		}
-		if rbs, ok := re.inputs(old, s, se); ok {
-			return oldID, rbs, true
+		cand, candAbove, inputsOK := gr.inputs(old, s, se)
+		switch {
+		case !inputsOK:
+		case len(cand) == 0:
+			return id, nil, candAbove, true
+		case !ok && len(se.perExec) == len(r.winData):
+			oldID, rbs, above, ok = id, cand, candAbove, true
 		}
 	}
-	return 0, nil, false
+	return oldID, rbs, above, ok
 }
 
 // inputs pairs each child-subplan input of old with the same input of s and
 // reports whether s can read every one of them through old's executor se:
-// unchanged when s's child runs on the executor old read, re-pointed when the
-// two children are scan/project cones that look the same to s's queries.
-func (re *reattacher) inputs(old, s *mqo.Subplan, se *SubplanExec) ([]rebind, bool) {
-	r := re.r
-	var rbs []rebind
-	ok := true
+// unchanged when s's child runs on the executor old read (above reports
+// whether one of those is counted as reattached), re-pointed when the two
+// children are scan/project cones that look the same to s's queries.
+func (gr *grafter) inputs(old, s *mqo.Subplan, se *SubplanExec) (rbs []rebind, above, ok bool) {
+	r := gr.r
+	ok = true
 	pairOps(old.Root, s.Root, func(o *mqo.Op) bool { return se.member[o] }, func(oldOp, newOp *mqo.Op) {
 		if oldOp.Kind == mqo.KindScan {
 			return
@@ -377,20 +291,37 @@ func (re *reattacher) inputs(old, s *mqo.Subplan, se *SubplanExec) ([]rebind, bo
 			if se.member[oc] {
 				continue
 			}
-			from, to := r.Graph.SubplanOf(oc), re.newG.SubplanOf(newOp.Children[i])
-			if re.newExecs[to.ID] == r.Execs[from.ID] {
+			from, to := r.Graph.SubplanOf(oc), gr.newG.SubplanOf(newOp.Children[i])
+			if gr.execs[to.ID] == r.Execs[from.ID] {
+				above = above || gr.reattached[to.ID]
 				continue
 			}
 			oldSig, okOld := mqo.RestrictedConeSignature(r.Graph, from, s.Queries)
-			newSig, okNew := mqo.RestrictedConeSignature(re.newG, to, s.Queries)
+			newSig, okNew := mqo.RestrictedConeSignature(gr.newG, to, s.Queries)
 			if !okOld || !okNew || oldSig != newSig {
 				ok = false
 				continue
 			}
-			rbs = append(rbs, rebind{se: se, key: inputKey{newOp, i}, from: r.Execs[from.ID], to: re.newExecs[to.ID]})
+			rbs = append(rbs, rebind{se: se, key: inputKey{newOp, i}, from: r.Execs[from.ID], to: gr.execs[to.ID]})
 		}
 	})
-	return rbs, ok
+	return rbs, above, ok
+}
+
+// findLoose returns an old executor not yet taken whose loose state
+// signature equals s's and whose joins keep their layouts, or -1 (the
+// DebugGraftLooseMatch fault).
+func (gr *grafter) findLoose(s *mqo.Subplan) int {
+	r := gr.r
+	if gr.oldLoose == nil {
+		gr.oldLoose, gr.newLoose = mqo.LooseStateSignatures(r.Graph), mqo.LooseStateSignatures(gr.newG)
+	}
+	for id, sig := range gr.oldLoose {
+		if sig == gr.newLoose[s.ID] && !gr.taken[id] && sameLayouts(r.Graph, r.Graph.Subplans[id], s, r.lay, gr.lay) {
+			return id
+		}
+	}
+	return -1
 }
 
 // rebind moves one input of a reattached executor from the old producer to

@@ -1,10 +1,12 @@
 package exec_test
 
-// The graft's reattach pass: a subplan whose own operators are unchanged
+// The graft's adoption rule: a subplan whose own operators are unchanged
 // keeps its executor when its input is a rebuilt scan/project cone that looks
-// the same to its queries — and only then.
+// the same to its queries — and only then, and only if the executor ran once
+// per window.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -166,4 +168,112 @@ func graftChurn(t *testing.T, sql [3]string) []*exec.GraftStats {
 		}
 	}
 	return stats
+}
+
+// TestGraftPaceAboveOne grafts a plan whose subplans fired twice per window.
+// Admitting a query onto the shared t0 scan rebuilds it, so the aggregates
+// above it could only keep their executors through a re-pointed input, whose
+// per-window correction needs one execution per window: they are rebuilt.
+// The t1 query's subplans are state-identical and read nothing new, so they
+// are adopted whatever their pace. At pace 1 the same aggregates are
+// reattached.
+func TestGraftPaceAboveOne(t *testing.T) {
+	col := func(name string) catalog.Column { return catalog.Column{Name: name, Type: value.KindInt} }
+	w := &oracle.Workload{
+		Tables: []oracle.TableDef{
+			{Name: "t0", Cols: []catalog.Column{col("c0"), col("c1"), col("c2")}},
+			{Name: "t1", Cols: []catalog.Column{col("c0"), col("c3")}},
+		},
+		SQL: []string{
+			"SELECT c0, SUM(c1) FROM t0 WHERE c2 > 2 GROUP BY c0",
+			"SELECT c0, COUNT(*) FROM t0 WHERE c2 > 3 GROUP BY c0",
+			"SELECT c0, SUM(c3) FROM t1 WHERE c3 > 1 GROUP BY c0",
+			"SELECT c0, MAX(c1) FROM t0 WHERE c2 < 2 GROUP BY c0",
+		},
+	}
+	qs, err := w.Bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := graphOf(t, qs[:3]), graphOf(t, qs)
+	oldSigs := make(map[string]bool)
+	for _, sig := range mqo.StateSignatures(before) {
+		oldSigs[sig] = true
+	}
+	newSigs := mqo.StateSignatures(after)
+	identical := 0 // after's subplans state-identical to one of before's
+	for _, sig := range newSigs {
+		if oldSigs[sig] {
+			identical++
+		}
+	}
+	if identical == 0 || identical == len(after.Subplans) {
+		t.Fatalf("%d of %d subplans state-identical across the admission", identical, len(after.Subplans))
+	}
+
+	ival := func(v int) value.Value { return value.Int(int64(v)) }
+	win := func(k int) exec.DeltaDataset {
+		ds := exec.DeltaDataset{}
+		for i := 0; i < 6; i++ {
+			ds["t0"] = append(ds["t0"], oracle.Ins(ival(i%3), ival(10*k+i), ival((i+k)%5)))
+			ds["t1"] = append(ds["t1"], oracle.Ins(ival(i%2), ival(k+i)))
+		}
+		return ds
+	}
+	step := func(r *exec.Runner, g *mqo.Graph, k, pace int) {
+		r.StartWindow(win(k))
+		for j := 1; j <= pace; j++ {
+			r.ArriveWindow(j, pace)
+			for id := range g.Subplans {
+				r.RunSubplan(id)
+			}
+		}
+	}
+	for _, pace := range []int{1, 2} {
+		t.Run(fmt.Sprintf("pace=%d", pace), func(t *testing.T) {
+			runners := make([]*exec.Runner, 2) // transplanting, all-replay
+			stats := make([]*exec.GraftStats, 2)
+			for i := range runners {
+				r, err := exec.NewDeltaRunner(before, exec.DeltaDataset{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 2; k++ {
+					step(r, before, k, pace)
+				}
+				if stats[i], err = r.Graft(after, exec.GraftOptions{DisableTransplant: i == 1}); err != nil {
+					t.Fatal(err)
+				}
+				step(r, after, 2, pace)
+				runners[i] = r
+			}
+			gs := stats[0]
+			wantReattached := 2
+			if pace > 1 {
+				wantReattached = 0
+			}
+			if gs.Reattached != wantReattached || gs.Adopted != identical+gs.Reattached || gs.Rebuilt != len(after.Subplans)-gs.Adopted {
+				t.Errorf("graft %+v, want %d state-identical adopted and %d reattached", gs, identical, wantReattached)
+			}
+			live, replay := runners[0], runners[1]
+			for q := range qs {
+				if got, want := live.SortedResults(q), replay.SortedResults(q); !reflect.DeepEqual(got, want) {
+					t.Errorf("query %d: transplanted %v, replayed %v", q, got, want)
+				}
+			}
+			// Every subplan that is not state-identical carries the history
+			// a from-scratch run over the same windows would have — rebuilt
+			// or reattached, it matches the all-replay run.
+			for _, s := range after.Subplans {
+				if oldSigs[newSigs[s.ID]] {
+					continue
+				}
+				l, rp := live.Execs[s.ID], replay.Execs[s.ID]
+				if l.Executions() != rp.Executions() || l.TotalWork() != rp.TotalWork() {
+					t.Errorf("subplan %d: %d executions %+v, all-replay %d executions %+v",
+						s.ID, l.Executions(), l.TotalWork(), rp.Executions(), rp.TotalWork())
+				}
+			}
+		})
+	}
 }

@@ -162,7 +162,7 @@ func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first, so child execs exist
-		se, err := newSubplanExec(g, s, r, opts.batch(), r.reg, r.lay)
+		se, err := newSubplanExec(r, g, s, r.Execs, r.lay)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func (r *Runner) SetOptions(opts Options) {
 	r.reg.SetShare(!opts.NoShare)
 }
 
-// TableLog implements inputResolver.
+// TableLog returns the delta log of a base table the plan scans.
 func (r *Runner) TableLog(name string) (*buffer.Log, error) {
 	log, ok := r.tables[name]
 	if !ok {
@@ -194,21 +194,12 @@ func (r *Runner) TableLog(name string) (*buffer.Log, error) {
 	return log, nil
 }
 
-// subplanExec implements inputResolver.
-func (r *Runner) subplanExec(s *mqo.Subplan) (*SubplanExec, error) {
-	se := r.Execs[s.ID]
-	if se == nil || se.Sub != s {
-		return nil, fmt.Errorf("exec: subplan %d has no executor yet", s.ID)
-	}
-	return se, nil
-}
-
 // SubplanLog returns the output log of a subplan; an error when the subplan
 // is a scan view, which keeps no log.
 func (r *Runner) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
-	se, err := r.subplanExec(s)
-	if err != nil {
-		return nil, err
+	se := r.Execs[s.ID]
+	if se == nil || se.Sub != s {
+		return nil, fmt.Errorf("exec: subplan %d has no executor", s.ID)
 	}
 	if se.Out == nil {
 		return nil, fmt.Errorf("exec: subplan %d is a view over table %s and keeps no log", s.ID, s.Root.Table.Name)

@@ -53,22 +53,16 @@ type inputKey struct {
 	slot int
 }
 
-// inputResolver locates what feeds an executor's inputs: the base-table log
-// a scan views, or the producing subplan's executor.
-type inputResolver interface {
-	// TableLog returns the delta log of a base table.
-	TableLog(name string) (*buffer.Log, error)
-	// subplanExec returns the executor of a subplan.
-	subplanExec(s *mqo.Subplan) (*SubplanExec, error)
-}
-
-// newSubplanExec wires a subplan's operators and input sources. batch is the
-// chunk size the sources yield; it is captured at construction so concurrent
-// runners never share batch state. Stateful member operators attach their
-// indexed state to reg, the runner's arrangement registry (nil keeps all
-// state private), and scans their truth columns. lay is g's join layouts
-// (planLayouts), computed once per graph by the caller.
-func newSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int, reg *Registry, lay layouts) (*SubplanExec, error) {
+// newSubplanExec wires a subplan of g to r's table logs and to its child
+// subplans' executors in execs, the executor slice being filled
+// children-first (r.Execs at construction; a graft's new slice). lay is g's
+// join layouts (planLayouts), computed once per graph by the caller. The
+// sources yield chunks of r's batch size, captured at construction so
+// concurrent runners never share batch state; stateful member operators
+// attach their indexed state, and scans their truth columns, to r's
+// arrangement registry.
+func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanExec, lay layouts) (*SubplanExec, error) {
+	batch, reg := r.opts.batch(), r.reg
 	se := &SubplanExec{
 		Sub:    sub,
 		ops:    make(map[*mqo.Op]any),
@@ -83,7 +77,7 @@ func newSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int
 			se.ops[o] = newOperator(o, batch, reg, lay)
 			continue
 		}
-		log, err := res.TableLog(o.Table.Name)
+		log, err := r.TableLog(o.Table.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -110,9 +104,9 @@ func newSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int
 				if child == nil {
 					return nil, fmt.Errorf("exec: op %d child %d not in any subplan", o.ID, c.ID)
 				}
-				ce, err := res.subplanExec(child)
-				if err != nil {
-					return nil, err
+				ce := execs[child.ID]
+				if ce == nil {
+					return nil, fmt.Errorf("exec: subplan %d has no executor yet", child.ID)
 				}
 				srcs[i] = se.reader(ce, o.Queries, 0)
 			}

@@ -54,7 +54,7 @@ func LooseStateSignatures(g *Graph) []string {
 // numbered by first appearance, instead of folding in the child's cone.
 // Equal local signatures mean two subplans stamp, mark and combine equal
 // inputs identically; whether their inputs are equal is left to the caller,
-// slot by slot (exec.Runner.Graft's reattach pass).
+// slot by slot (exec.Runner.Graft's adoption rule).
 func LocalStateSignatures(g *Graph) []string {
 	sigs := make([]string, len(g.Subplans))
 	for _, s := range g.Subplans {
@@ -252,7 +252,7 @@ func stateSigChild(b *strings.Builder, g *Graph, s *Subplan, c *Op, sigs []strin
 // subplan's child in the same slot), so adopted state always sits on an
 // adopted input cone. Old subplans are consumed at most once. Unmatched new
 // subplans are simply absent from the map — a conservative miss is always
-// safe (the graft replays them from history instead of adopting state).
+// safe (opt.Live's memo adoption simulates them afresh).
 func MatchSubplans(oldG, newG *Graph) map[int]int {
 	oldSigs := StateSignatures(oldG)
 	newSigs := StateSignatures(newG)

@@ -96,8 +96,9 @@ func (cp *ChurnPlan) validate(nq int) error {
 //     state across a graft must be observationally indistinguishable from
 //     rebuilding it.
 //
-// Each transplant-mode graft's reattachments are added to *reattached when
-// it is non-nil.
+// Every graft's statistics must also add up (graftAccounting). Each
+// transplant-mode graft's reattachments are added to *reattached when it is
+// non-nil.
 func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset, reattached *int) (*Mismatch, error) {
 	cp := w.Churn
 	if err := cp.validate(len(queries)); err != nil {
@@ -247,6 +248,15 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset, reatt
 				if err != nil {
 					return nil, fmt.Errorf("oracle: churn/%s: graft at window %d: %w", mode, k, err)
 				}
+				if bad := graftAccounting(gs, len(g.Subplans), len(ng.Subplans), k, disable); bad != "" {
+					return &Mismatch{
+						Config: fmt.Sprintf("churn/%s/window=%d/admit=%v/retire=%v", mode, k, cp.Admit, cp.Retire),
+						Query:  -1,
+						SQL:    "graft accounting",
+						Got:    []string{fmt.Sprintf("%+v: %s", *gs, bad)},
+						Want:   []string{"every new subplan adopted or rebuilt, every old one adopted or dropped, one replay per rebuilt subplan and sealed window"},
+					}, nil
+				}
 				if reattached != nil {
 					*reattached += gs.Reattached
 				}
@@ -285,4 +295,23 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset, reatt
 		}
 	}
 	return nil, nil
+}
+
+// graftAccounting checks one graft's statistics against the plan sizes
+// before (oldN subplans) and after (newN) and the windows sealed so far,
+// and returns what does not add up ("" when everything does).
+func graftAccounting(gs *exec.GraftStats, oldN, newN, sealed int, disable bool) string {
+	switch {
+	case gs.Adopted+gs.Rebuilt != newN:
+		return fmt.Sprintf("adopted + rebuilt != %d new subplans", newN)
+	case gs.Dropped != oldN-gs.Adopted:
+		return fmt.Sprintf("dropped != %d old subplans - adopted", oldN)
+	case gs.Reattached > gs.Adopted:
+		return "reattached > adopted"
+	case gs.Replayed != gs.Rebuilt*sealed:
+		return fmt.Sprintf("replayed != rebuilt × %d sealed windows", sealed)
+	case disable && !exec.DebugGraftLooseMatch && gs.Adopted != 0:
+		return "adopted under DisableTransplant"
+	}
+	return ""
 }

@@ -88,8 +88,8 @@ func TestSchedulerInvariance(t *testing.T) {
 // oracle over the ingested prefix after every window, and the final
 // modeled-work report must be byte-identical to a from-scratch run of the
 // final plan — grafting must be observationally invisible. The schedules must
-// also exercise the graft's reattach pass, or a change that silently turned
-// it off would pass unnoticed.
+// also make the graft reattach executors over re-pointed inputs, or a change
+// that silently stopped it would pass unnoticed.
 func TestDifferentialChurn(t *testing.T) {
 	workloads := 200
 	if !testing.Short() {

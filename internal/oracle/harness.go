@@ -36,8 +36,8 @@ type CheckOptions struct {
 	// no-op when the workload has no churn plan.
 	Churn bool
 	// Reattached, when non-nil, accumulates exec.GraftStats.Reattached over
-	// every churn graft, so a caller can require the reattach pass to have
-	// run at all.
+	// every churn graft, so a caller can require the graft to have re-pointed
+	// an input at all.
 	Reattached *int
 	// Arrangements adds a sharing-invariance pass: the shared plan and (with
 	// Decompose) the fully unshared decomposition — where the arrangement

@@ -1,14 +1,14 @@
 #!/bin/sh
 # check.sh — the repo's merge gate, defined here once; CI only calls it.
-# Build, a syntax check of scripts/bench_pairs.sh, the environment-read,
-# single-owner-optimizer and scheduler-report greps, vet, the full test suite
-# under the race detector (the wave-parallel executor, the scheduler's workers
-# and the HTTP servers must stay data-race-free), the benchmark module, the
-# observability smokes, the deterministic benchmark gate, then the soaks and a
-# fuzz smoke through their make targets. Set SKIP_FUZZ=1 to stop before the
-# soaks (CI runs them as separate jobs), and FUZZTIME / SOAKTIME / CHURNTIME /
-# RECALTIME (default 10s each) to change the per-target fuzz budget and the
-# three soak budgets.
+# Build, a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
+# environment-read, single-owner-optimizer and scheduler-report greps, vet,
+# the full test suite under the race detector (the wave-parallel executor,
+# the scheduler's workers and the HTTP servers must stay data-race-free), the
+# benchmark module, the observability smokes, the deterministic benchmark
+# gate, then the soaks and a fuzz smoke through their make targets. Set
+# SKIP_FUZZ=1 to stop before the soaks (CI runs them as separate jobs), and
+# FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME (default 10s each) to change
+# the per-target fuzz budget and the three soak budgets.
 set -eu
 
 FUZZTIME="${FUZZTIME:-10s}"
@@ -21,9 +21,11 @@ cd "$(dirname "$0")/.."
 echo "== go build ./..."
 go build ./...
 
-# The interleaved-pairs timing script runs only by hand; keep it parseable.
-echo "== bash -n scripts/bench_pairs.sh"
+# The interleaved-pairs timing script and the line counter run only by
+# hand; keep them parseable.
+echo "== bash -n scripts/bench_pairs.sh scripts/loc.sh"
 bash -n scripts/bench_pairs.sh
+bash -n scripts/loc.sh
 
 # The engine takes its configuration through exec.Options and function
 # arguments only: an environment read under internal/ would be a knob no
