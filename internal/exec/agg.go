@@ -52,8 +52,6 @@ type aggExec struct {
 	// per-group state, dense over the arrangement's group refs. liveGroups
 	// counts refs whose sidecar currently holds state.
 	arr        *aggArr
-	reg        *Registry
-	released   bool
 	side       []aggSlot
 	liveGroups int64
 	hasher     *value.Hasher
@@ -134,26 +132,11 @@ func newAggExec(op *mqo.Op, lay layouts) *aggExec {
 	return g
 }
 
-// attach re-keys the group index through the registry; accumulator state
-// stays private regardless (it is per-query by construction).
-func (g *aggExec) attach(reg *Registry) {
-	g.reg = reg
-	g.arr = reg.attachAgg(mqo.AggIndexArrangeKey(g.op))
-}
-
-func (g *aggExec) release(reg *Registry) {
-	if g.reg == nil || g.released {
-		return
-	}
-	g.released = true
-	reg.release(g.arr)
-}
-
-func (g *aggExec) handles() int {
-	if g.reg == nil || g.released {
-		return 0
-	}
-	return 1
+// attach re-keys the group index through the executor's holder;
+// accumulator state stays private regardless (it is per-query by
+// construction).
+func (g *aggExec) attach(h *holder) {
+	g.arr = h.attach(aggState, mqo.AggIndexArrangeKey(g.op).Sig).(*aggArr)
 }
 
 // aggSlot is this executor's state for one shared group: the group key

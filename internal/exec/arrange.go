@@ -13,165 +13,184 @@ import (
 	"ishare/internal/vec"
 )
 
-// This file is the arrangement registry: "arrange once, probe many" for the
-// two kinds of indexed operator state the executor keeps — join build sides
-// and aggregation group indexes. An arrangement is identified by
-// mqo.ArrangeKey (relation lineage, key columns, kind); every executor
-// whose key renders to the same signature attaches to one physical
-// arrangement and probes it through its own handle. Sharing is purely
-// physical: each handle carries its own stream position and a bitset
-// remapping into the arrangement's canonical query space, so results and
-// modeled Work are bit-identical whether an arrangement has one holder or
-// twenty — only the actual build work and resident memory change.
+// This file is the registry: one keyed, refcounted store for the three kinds
+// of state the executor shares — join build sides and aggregation group
+// indexes ("arrange once, probe many"), and scans' truth columns (truth.go).
+// A state is identified by its kind and a key (mqo.ArrangeKey's signature,
+// or truthKey); every operator whose key renders alike attaches to one
+// physical state and reads it through its own handle. Sharing is purely
+// physical: each join or aggregate handle carries its own stream position
+// and a bitset remapping into the arrangement's canonical query space, and a
+// truth column holds what every sharer would compute, so results and modeled
+// Work are bit-identical whether a state has one holder or twenty — only the
+// actual build work and resident memory change.
 
-// arrHeader is the registry-facing identity of an arrangement.
-type arrHeader struct {
-	id   int64
-	sig  string // "" while unregistered or registered private
-	agg  bool   // which registry map sig lives in
-	refs int    // attached handles
+// stateKind names a kind of shared state.
+type stateKind uint8
+
+const (
+	joinState  stateKind = iota // a join build side, *joinArr
+	aggState                    // an aggregation group index, *aggArr
+	truthState                  // a scan predicate's truth column, *truthCol
+	numKinds
+)
+
+var kindNames = [numKinds]string{"join arrangement", "agg arrangement", "truth column"}
+
+func (k stateKind) String() string { return kindNames[k] }
+
+// newState builds an empty state of each kind.
+var newState = [numKinds]func() shared{
+	joinState:  func() shared { return new(joinArr) },
+	aggState:   func() shared { return new(aggArr) },
+	truthState: func() shared { return new(truthCol) },
 }
 
-type arrAny interface{ header() *arrHeader }
+// stateHeader is the registry-facing identity of one shared state.
+type stateHeader struct {
+	id       int64
+	kind     stateKind
+	key      string // "" while unregistered or registered private
+	refcount int    // attached handles
+}
 
-func (h *arrHeader) header() *arrHeader { return h }
+type shared interface{ header() *stateHeader }
 
-// Registry owns every arrangement of one Runner, shared or private, and
-// refcounts them against the live plan: executors attach on construction
-// (Runner build or Graft) and release when a graft drops their subplan.
-// A released arrangement whose refcount hits zero is tombstoned, not freed
-// — it stays allocated until the next window seal so anything still
-// holding chunk-scoped pointers into it finishes the window — and is
-// reclaimed by Sweep. Scans' truth columns (truth.go) live here under the
-// same rules, outside the arrangement accounting.
+func (h *stateHeader) header() *stateHeader { return h }
+
+type stateKey struct {
+	kind stateKind
+	key  string
+}
+
+// Registry owns every shared state of one Runner, shared or private, and
+// refcounts it against the live plan: operators attach on construction
+// (Runner build or Graft) through their executor's holder, which releases
+// them all when a graft drops the executor. A state whose refcount hits zero
+// is tombstoned, not freed — it stays allocated until the next window seal so
+// anything still holding chunk-scoped pointers into it finishes the window —
+// and is reclaimed by Sweep. Accounting is per kind: Stats covers the
+// arrangements, TruthStats the truth columns.
 type Registry struct {
 	mu     sync.Mutex
 	share  bool
 	nextID int64
-	joins  map[string]*joinArr
-	aggs   map[string]*aggArr
-	live   map[int64]arrAny
-	tombs  []arrAny
+	keyed  map[stateKey]shared
+	live   map[int64]shared
+	tombs  []shared
 
-	built          int64
-	sharedAttaches int64
-	freed          int64
-	swept          int64
+	// Lifetime counters per kind: states built, attaches served by a live
+	// state, last releases and tombstones reclaimed.
+	built, sharedAttaches, freed, swept [numKinds]int64
 
-	truths                      map[string]*truthCol
-	truthLive                   map[*truthCol]struct{}
-	truthTombs                  []*truthCol
-	truthEvaluated, truthServed atomic.Int64
-	viewRows, viewSkipped       atomic.Int64
+	counts scanCounts
+}
+
+// scanCounts are the scans' and views' lifetime counters (TruthStats),
+// added to concurrently by wave-parallel firings.
+type scanCounts struct {
+	evaluated, served atomic.Int64
+	viewRows, skipped atomic.Int64
 }
 
 func NewRegistry(share bool) *Registry {
 	return &Registry{
-		share:     share,
-		joins:     make(map[string]*joinArr),
-		aggs:      make(map[string]*aggArr),
-		live:      make(map[int64]arrAny),
-		truths:    make(map[string]*truthCol),
-		truthLive: make(map[*truthCol]struct{}),
+		share: share,
+		keyed: make(map[stateKey]shared),
+		live:  make(map[int64]shared),
 	}
 }
 
-// SetShare flips sharing for attaches from now on. Already-shared
-// arrangements keep their holders; the flag only decides whether the next
-// attach may join an existing arrangement or register a new one.
+// SetShare flips sharing for attaches from now on. Already-shared states keep
+// their holders; the flag only decides whether the next attach may join an
+// existing state or register a new one.
 func (r *Registry) SetShare(v bool) {
 	r.mu.Lock()
 	r.share = v
 	r.mu.Unlock()
 }
 
-func (r *Registry) register(a arrAny, key mqo.ArrangeKey, agg bool) {
-	h := a.header()
-	h.id = r.nextID
+// attach returns the state of kind for key, reusing a live one when sharing
+// is on and the key is shareable (non-empty). Otherwise it builds one,
+// registered private when it cannot be shared, so refcount accounting is
+// uniform either way.
+func (r *Registry) attach(kind stateKind, key string) shared {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := stateKey{kind, key}
+	keyed := r.share && key != ""
+	if s, ok := r.keyed[k]; ok && keyed {
+		s.header().refcount++
+		r.sharedAttaches[kind]++
+		return s
+	}
+	s := newState[kind]()
+	h := s.header()
+	h.id, h.kind, h.refcount = r.nextID, kind, 1
 	r.nextID++
-	h.refs = 1
-	r.built++
-	r.live[h.id] = a
-	if r.share && key.Sig != "" {
-		h.sig, h.agg = key.Sig, agg
-		if agg {
-			r.aggs[key.Sig] = a.(*aggArr)
-		} else {
-			r.joins[key.Sig] = a.(*joinArr)
-		}
+	r.built[kind]++
+	r.live[h.id] = s
+	if keyed {
+		h.key = key
+		r.keyed[k] = s
 	}
+	return s
 }
 
-// attachJoin returns the arrangement for one join build side, reusing a
-// live arrangement when sharing is on and the key is shareable.
-func (r *Registry) attachJoin(key mqo.ArrangeKey) *joinArr {
+// release drops one handle on each of states. The last holder tombstones a
+// state: it leaves the key map immediately (a later attach builds fresh) but
+// is only reclaimed at the next Sweep.
+func (r *Registry) release(states ...shared) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.share && key.Sig != "" {
-		if a, ok := r.joins[key.Sig]; ok {
-			a.refs++
-			r.sharedAttaches++
-			return a
+	for _, s := range states {
+		h := s.header()
+		if h.refcount--; h.refcount > 0 {
+			continue
 		}
+		delete(r.live, h.id)
+		if h.key != "" {
+			delete(r.keyed, stateKey{h.kind, h.key})
+		}
+		r.freed[h.kind]++
+		r.tombs = append(r.tombs, s)
 	}
-	a := &joinArr{}
-	r.register(a, key, false)
-	return a
 }
 
-// attachAgg returns the group-index arrangement for an aggregation.
-func (r *Registry) attachAgg(key mqo.ArrangeKey) *aggArr {
+// Sweep reclaims the tombstoned states; the runner calls it when a window
+// seals, so expiry is deferred past any in-flight window.
+func (r *Registry) Sweep() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.share && key.Sig != "" {
-		if a, ok := r.aggs[key.Sig]; ok {
-			a.refs++
-			r.sharedAttaches++
-			return a
-		}
+	for _, s := range r.tombs {
+		r.swept[s.header().kind]++
 	}
-	a := &aggArr{}
-	r.register(a, key, true)
-	return a
+	r.tombs = nil
 }
 
-// release drops one handle. The last holder tombstones the arrangement:
-// it leaves the signature maps immediately (a later attach builds fresh)
-// but is only reclaimed at the next Sweep.
-func (r *Registry) release(a arrAny) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := a.header()
-	h.refs--
-	if h.refs > 0 {
-		return
-	}
-	delete(r.live, h.id)
-	if h.sig != "" {
-		if h.agg {
-			delete(r.aggs, h.sig)
-		} else {
-			delete(r.joins, h.sig)
-		}
-	}
-	r.freed++
-	r.tombs = append(r.tombs, a)
+// holder is the registry handles of one subplan executor's operators: the
+// executor owns them, counts them against the registry's refcounts and
+// releases them together when a graft drops it.
+type holder struct {
+	reg  *Registry
+	held []shared
 }
 
-// Sweep reclaims tombstoned arrangements and truth columns and returns how
-// many arrangements it reclaimed; the runner calls it when a window seals, so
-// expiry is deferred past any in-flight window.
-func (r *Registry) Sweep() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.tombs)
-	r.tombs, r.truthTombs = nil, nil
-	r.swept += int64(n)
-	return n
+// attach attaches the state of kind for key and records the handle.
+func (h *holder) attach(kind stateKind, key string) shared {
+	s := h.reg.attach(kind, key)
+	h.held = append(h.held, s)
+	return s
 }
 
-// ArrangeStats is a point-in-time accounting of the registry. Live/
-// Handles/MultiUse/Entries describe the current population; Built/
+// release drops every recorded handle.
+func (h *holder) release() {
+	h.reg.release(h.held...)
+	h.held = nil
+}
+
+// ArrangeStats is a point-in-time accounting of the registry's arrangements.
+// Live/Handles/MultiUse/Entries describe the current population; Built/
 // SharedAttaches/Freed/Swept are monotone lifetime counters.
 type ArrangeStats struct {
 	// Live arrangements currently refcounted; Handles is the sum of their
@@ -201,74 +220,68 @@ type ArrangeStats struct {
 func (r *Registry) Stats() ArrangeStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	arr := func(c *[numKinds]int64) int64 { return c[joinState] + c[aggState] }
 	st := ArrangeStats{
-		Live:           len(r.live),
-		Built:          r.built,
-		SharedAttaches: r.sharedAttaches,
-		Freed:          r.freed,
-		Swept:          r.swept,
-		Pending:        len(r.tombs),
+		Built:          arr(&r.built),
+		SharedAttaches: arr(&r.sharedAttaches),
+		Freed:          arr(&r.freed),
+		Swept:          arr(&r.swept),
 	}
-	for _, a := range r.live {
-		h := a.header()
-		st.Handles += h.refs
-		if h.refs > 1 {
+	for _, s := range r.live {
+		switch a := s.(type) {
+		case *joinArr:
+			st.Entries += int64(a.arena.Len())
+			st.LongestChain = max(st.LongestChain, a.longest)
+			st.IndexedEntries += int64(a.idx.Len())
+		case *aggArr:
+			st.Entries += int64(a.arena.Len())
+		default:
+			continue
+		}
+		h := s.header()
+		st.Live++
+		st.Handles += h.refcount
+		if h.refcount > 1 {
 			st.MultiUse++
 		}
-		switch arr := a.(type) {
-		case *joinArr:
-			st.Entries += int64(arr.arena.Len())
-			st.LongestChain = max(st.LongestChain, arr.longest)
-			st.IndexedEntries += int64(arr.idx.Len())
-		case *aggArr:
-			st.Entries += int64(arr.arena.Len())
+	}
+	for _, s := range r.tombs {
+		if s.header().kind != truthState {
+			st.Pending++
 		}
 	}
 	return st
 }
 
-// checkHandles verifies the refcount invariant against an externally
-// counted number of live executor handles, arrangement and truth-column
-// handles together: every live arrangement and column is held (refs >= 1),
-// the total matches, the signature maps only point at live entries, and
-// tombstone accounting balances.
+// checkHandles verifies the refcount invariant against the number of
+// handles the live executors hold: every live state is held (refcount >= 1),
+// the total matches, the key map only points at live states, and tombstone
+// accounting balances.
 func (r *Registry) checkHandles(handles int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := 0
-	for id, a := range r.live {
-		h := a.header()
-		if h.refs < 1 {
-			return fmt.Errorf("arrangement %d live with %d refs", id, h.refs)
+	for id, s := range r.live {
+		h := s.header()
+		if h.refcount < 1 {
+			return fmt.Errorf("%v %d live with %d refs", h.kind, id, h.refcount)
 		}
-		total += h.refs
-	}
-	for c := range r.truthLive {
-		if c.refs < 1 {
-			return fmt.Errorf("truth column %q live with %d refs", c.key, c.refs)
-		}
-		total += c.refs
+		total += h.refcount
 	}
 	if total != handles {
 		return fmt.Errorf("registry holds %d refs, executors hold %d handles", total, handles)
 	}
-	for sig, a := range r.joins {
-		if _, ok := r.live[a.id]; !ok || a.sig != sig {
-			return fmt.Errorf("join signature map entry %q not live", sig)
+	for k, s := range r.keyed {
+		if h := s.header(); r.live[h.id] != s || h.kind != k.kind || h.key != k.key {
+			return fmt.Errorf("%v key %q not live", k.kind, k.key)
 		}
 	}
-	for sig, a := range r.aggs {
-		if _, ok := r.live[a.id]; !ok || a.sig != sig {
-			return fmt.Errorf("agg signature map entry %q not live", sig)
-		}
+	pending := int64(len(r.tombs))
+	for k := range numKinds {
+		pending -= r.freed[k] - r.swept[k]
 	}
-	for key, c := range r.truths {
-		if _, ok := r.truthLive[c]; !ok || c.key != key {
-			return fmt.Errorf("truth column map entry %q not live", key)
-		}
-	}
-	if r.freed-r.swept != int64(len(r.tombs)) {
-		return fmt.Errorf("tombstone imbalance: freed %d, swept %d, pending %d", r.freed, r.swept, len(r.tombs))
+	if pending != 0 {
+		return fmt.Errorf("tombstone imbalance: %d tombstones, %d more than freed minus swept", len(r.tombs), pending)
 	}
 	return nil
 }
@@ -368,7 +381,7 @@ var identityHash = func(row value.Row, cb mqo.Bitset, h uint64) (uint64, bool) {
 // back to the walk, and walkOnly retires it for good once any row proves
 // unhashable.
 type joinArr struct {
-	arrHeader
+	stateHeader
 	mu       sync.Mutex
 	tab, idx hashtab.Table
 	arena    hashtab.Arena[arrEntry]
@@ -556,7 +569,7 @@ type sharedGroup struct {
 
 // aggArr is a shared aggregation group index.
 type aggArr struct {
-	arrHeader
+	stateHeader
 	mu       sync.Mutex
 	tab      hashtab.Table
 	arena    hashtab.Arena[sharedGroup]

@@ -38,66 +38,74 @@ func reportsEqual(a, b *Report) bool {
 // TestRegistryRefcountProperty drives the registry through random
 // attach/release/sweep/toggle sequences while mirroring the handle count
 // externally, and asserts the refcount invariant (checkHandles) after every
-// step. Once every handle is released, nothing may stay live, and one sweep
-// must reclaim every tombstone.
+// step: over the two arrangement kinds, then over all three kinds of state.
+// Once every handle is released, nothing may stay live, and one sweep must
+// reclaim every tombstone.
 func TestRegistryRefcountProperty(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		reg := NewRegistry(true)
-		var handles []arrAny
-		// "" is a private (never shared) key; the rest collide on purpose so
-		// attaches exercise both the build and the reuse path. Join and agg
-		// arrangements live in separate signature namespaces.
-		sigs := []string{"", "", "sigA", "sigB", "sigC"}
-		attach := func() {
-			key := mqo.ArrangeKey{Sig: sigs[rng.Intn(len(sigs))]}
-			if rng.Intn(2) == 0 {
-				handles = append(handles, reg.attachJoin(key))
-			} else {
-				handles = append(handles, reg.attachAgg(key))
-			}
+	for _, kinds := range []int{int(truthState), int(numKinds)} {
+		for seed := int64(0); seed < 5; seed++ {
+			checkRegistryRefcounts(t, kinds, seed)
 		}
-		release := func() {
-			if len(handles) == 0 {
-				return
-			}
-			i := rng.Intn(len(handles))
-			reg.release(handles[i])
-			handles[i] = handles[len(handles)-1]
-			handles = handles[:len(handles)-1]
+	}
+}
+
+func checkRegistryRefcounts(t *testing.T, kinds int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	reg := NewRegistry(true)
+	var handles []shared
+	// "" is a private (never shared) key; the rest collide on purpose so
+	// attaches exercise both the build and the reuse path. Each kind of
+	// state has its own key namespace.
+	sigs := []string{"", "", "sigA", "sigB", "sigC"}
+	attach := func() {
+		sig := sigs[rng.Intn(len(sigs))]
+		handles = append(handles, reg.attach(stateKind(rng.Intn(kinds)), sig))
+	}
+	release := func() {
+		if len(handles) == 0 {
+			return
 		}
-		for step := 0; step < 3000; step++ {
-			switch rng.Intn(8) {
-			case 0, 1, 2:
-				attach()
-			case 3, 4, 5:
-				release()
-			case 6:
-				reg.Sweep()
-			case 7:
-				reg.SetShare(rng.Intn(2) == 0)
-			}
-			if err := reg.checkHandles(len(handles)); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-		}
-		for len(handles) > 0 {
+		i := rng.Intn(len(handles))
+		reg.release(handles[i])
+		handles[i] = handles[len(handles)-1]
+		handles = handles[:len(handles)-1]
+	}
+	for step := 0; step < 3000; step++ {
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			attach()
+		case 3, 4, 5:
 			release()
+		case 6:
+			reg.Sweep()
+		case 7:
+			reg.SetShare(rng.Intn(2) == 0)
 		}
-		if err := reg.checkHandles(0); err != nil {
-			t.Fatalf("seed %d after drain: %v", seed, err)
+		if err := reg.checkHandles(len(handles)); err != nil {
+			t.Fatalf("%d kinds, seed %d step %d: %v", kinds, seed, step, err)
 		}
-		st := reg.Stats()
-		if st.Live != 0 || st.Handles != 0 {
-			t.Fatalf("seed %d: %d arrangements (%d handles) retained after all sharers released", seed, st.Live, st.Handles)
-		}
-		if st.Built != st.Freed {
-			t.Fatalf("seed %d: built %d arrangements but freed only %d", seed, st.Built, st.Freed)
-		}
-		reg.Sweep()
-		st = reg.Stats()
-		if st.Pending != 0 || st.Freed != st.Swept {
-			t.Fatalf("seed %d: sweep left %d tombstones (freed %d, swept %d)", seed, st.Pending, st.Freed, st.Swept)
+	}
+	for len(handles) > 0 {
+		release()
+	}
+	if err := reg.checkHandles(0); err != nil {
+		t.Fatalf("%d kinds, seed %d after drain: %v", kinds, seed, err)
+	}
+	st := reg.Stats()
+	if st.Live != 0 || st.Handles != 0 {
+		t.Fatalf("%d kinds, seed %d: %d arrangements (%d handles) retained after all sharers released", kinds, seed, st.Live, st.Handles)
+	}
+	if st.Built != st.Freed {
+		t.Fatalf("%d kinds, seed %d: built %d arrangements but freed only %d", kinds, seed, st.Built, st.Freed)
+	}
+	reg.Sweep()
+	st = reg.Stats()
+	if st.Pending != 0 || st.Freed != st.Swept {
+		t.Fatalf("%d kinds, seed %d: sweep left %d tombstones (freed %d, swept %d)", kinds, seed, st.Pending, st.Freed, st.Swept)
+	}
+	if kinds > int(truthState) {
+		if tr := reg.TruthStats(); tr.Live != 0 || tr.Pending != 0 || tr.Bits != 0 {
+			t.Fatalf("%d kinds, seed %d: truth columns retained after all sharers released and a sweep: %+v", kinds, seed, tr)
 		}
 	}
 }

@@ -77,6 +77,11 @@ type GraftStats struct {
 	// ArrangementsFreed counts arrangements whose last handle released in
 	// the graft; they stay tombstoned until the next window seals.
 	ArrangementsFreed int
+	// AdoptedFrom maps each new subplan id to the id of the old executor it
+	// took over, or -1 for a rebuilt subplan. A graft renumbers subplans —
+	// new ids are the new graph's children-first order — so anything kept
+	// per subplan id follows this map across the graft.
+	AdoptedFrom []int
 }
 
 // DebugGraftLooseMatch, when true, lets Graft adopt, for a new subplan the
@@ -95,7 +100,9 @@ var DebugGraftLooseMatch bool
 // boundary: every delta of the current window appended and processed (the
 // scheduler runtime and the churn oracle both graft between windows). The
 // current window is sealed first, so post-graft arrivals start a fresh
-// window.
+// window. A panic in replay returns as an error naming the new subplan. An
+// error can come after old executors were re-keyed onto the new graph, so a
+// runner whose graft failed must not be used again.
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
 	// Flush any remainder of the current stream into the logs (a no-op for
 	// well-behaved window-boundary callers), then seal the window so the
@@ -118,7 +125,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		}
 	}
 
-	stats := &GraftStats{}
+	stats := &GraftStats{AdoptedFrom: make([]int, len(newG.Subplans))}
 	gr := r.newGrafter(newG)
 	var fresh []*mqo.Subplan
 	var rebinds []rebind
@@ -137,6 +144,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		if oldID < 0 && DebugGraftLooseMatch {
 			oldID = gr.findLoose(s)
 		}
+		stats.AdoptedFrom[s.ID] = oldID
 		if oldID >= 0 {
 			se := r.Execs[oldID]
 			se.adopt(r.Graph.Subplans[oldID], s)
@@ -174,7 +182,9 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		for _, s := range fresh {
 			se := newExecs[s.ID]
 			se.setReplayLimits(newG, marks, newExecs, k)
-			se.RunOnce()
+			if err := guard(s.ID, func() { se.RunOnce() }); err != nil {
+				return nil, fmt.Errorf("exec: graft: replay of window %d: %w", k, err)
+			}
 			se.seal()
 			stats.Replayed++
 		}
@@ -191,15 +201,15 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		rb.apply()
 	}
 
-	// Dropped executors release their arrangement handles only now, after
-	// the fresh executors attached and replayed: a rebuilt subplan indexing
-	// the same state re-keyed onto the still-live arrangement (a warm
-	// attach — its replay deduplicated against the built state instead of
-	// rebuilding it). Arrangements freed here tombstone until the next
-	// window seals.
+	// Dropped executors release their registry handles only now, after the
+	// fresh executors attached and replayed: a rebuilt subplan keying the
+	// same state attached to the still-live arrangement or truth column (a
+	// warm attach — its replay deduplicated against the built state instead
+	// of rebuilding it). State freed here tombstones until the next window
+	// seals.
 	for id, se := range r.Execs {
 		if !gr.taken[id] {
-			se.release(r.reg)
+			se.state.release()
 		}
 	}
 	regAfter := r.reg.Stats()

@@ -78,21 +78,29 @@ func (r *Runner) RunGroup(group []Firing, n int, phase string, walls []int64) ([
 
 // fire runs group[i] through the reuse gate into works[i] (and walls[i]),
 // turning a panic anywhere below into an error.
-func (r *Runner) fire(group []Firing, i int, works []Work, walls []int64) (err error) {
+func (r *Runner) fire(group []Firing, i int, works []Work, walls []int64) error {
 	id := group[i].Subplan
+	return guard(id, func() {
+		var t0 time.Time
+		if walls != nil {
+			t0 = time.Now()
+		}
+		works[i] = r.runOnce(id)
+		if walls != nil {
+			walls[i] = time.Since(t0).Nanoseconds()
+		}
+	})
+}
+
+// guard runs f, an execution of subplan id, turning a panic into an error
+// naming the subplan.
+func guard(id int, f func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("exec: subplan %d panicked: %v", id, p)
 		}
 	}()
-	var t0 time.Time
-	if walls != nil {
-		t0 = time.Now()
-	}
-	works[i] = r.runOnce(id)
-	if walls != nil {
-		walls[i] = time.Since(t0).Nanoseconds()
-	}
+	f()
 	return nil
 }
 

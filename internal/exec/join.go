@@ -39,10 +39,6 @@ type joinExec struct {
 	batch       int
 	markers     []marker
 	left, right *joinSide
-	// reg is the registry the sides are attached to (nil for the private
-	// arrangements tests build directly); released guards double-release.
-	reg      *Registry
-	released bool
 	// Pending emissions for the current chunk: markers run over up to a
 	// batch of candidates at once, then survivors are appended (with
 	// multiplicity) in probe order.
@@ -106,34 +102,19 @@ func newJoinExec(op *mqo.Op, batch int, lay layouts) *joinExec {
 	return j
 }
 
-// attach re-keys both sides through the registry. A side whose arrangement
-// key matches one already built probes it in place of building its own; an
-// unshareable (or sharing-disabled) side gets a private registered
-// arrangement, so refcount accounting is uniform either way.
-func (j *joinExec) attach(reg *Registry) {
-	j.reg = reg
+// attach re-keys both sides through the executor's holder. A side whose
+// arrangement key matches one already built probes it in place of building
+// its own; an unshareable (or sharing-disabled) side gets a private
+// registered arrangement, so refcount accounting is uniform either way. A
+// join a test builds without attaching keeps private unregistered
+// arrangements.
+func (j *joinExec) attach(h *holder) {
 	lk := mqo.JoinSideArrangeKey(j.op, 0)
 	rk := mqo.JoinSideArrangeKey(j.op, 1)
-	j.left.arr = reg.attachJoin(lk)
+	j.left.arr = h.attach(joinState, lk.Sig).(*joinArr)
 	j.left.toCanon, j.left.fromCanon = newBitMaps(lk.Order)
-	j.right.arr = reg.attachJoin(rk)
+	j.right.arr = h.attach(joinState, rk.Sig).(*joinArr)
 	j.right.toCanon, j.right.fromCanon = newBitMaps(rk.Order)
-}
-
-func (j *joinExec) release(reg *Registry) {
-	if j.reg == nil || j.released {
-		return
-	}
-	j.released = true
-	reg.release(j.left.arr)
-	reg.release(j.right.arr)
-}
-
-func (j *joinExec) handles() int {
-	if j.reg == nil || j.released {
-		return 0
-	}
-	return 2
 }
 
 // joinSide is one side's handle onto its build arrangement plus the

@@ -95,38 +95,22 @@ func applyMarkersChunk(markers []marker, ch *vec.Chunk) {
 	}
 }
 
-// arranged is implemented by operators whose state lives in the registry —
-// joins' and aggregates' arrangements, scans' truth columns: attach re-keys
-// the state through the registry (possibly onto state another operator
-// built), release drops the handles when a graft retires the operator, and
-// handles reports how many the operator currently holds — the executor side
-// of the registry's refcount invariant.
-type arranged interface {
-	attach(reg *Registry)
-	release(reg *Registry)
-	handles() int
-}
-
 // newOperator instantiates the physical operator for a non-scan shared-plan
-// node. batch bounds a join's pending emissions; stateful operators attach
-// their arrangements to reg (nil keeps state private — tests that drive
-// joins and aggregates directly). lay is the graph's join layouts, which
-// every operator reading a join's rows compiles against.
-func newOperator(op *mqo.Op, batch int, reg *Registry, lay layouts) operator {
+// node. batch bounds a join's pending emissions; joins and aggregates attach
+// their arrangements through h, the holder of the executor they belong to.
+// lay is the graph's join layouts, which every operator reading a join's
+// rows compiles against.
+func newOperator(op *mqo.Op, batch int, h *holder, lay layouts) operator {
 	switch op.Kind {
 	case mqo.KindProject:
 		return newProjectExec(op, lay)
 	case mqo.KindJoin:
 		j := newJoinExec(op, batch, lay)
-		if reg != nil {
-			j.attach(reg)
-		}
+		j.attach(h)
 		return j
 	case mqo.KindAggregate:
 		a := newAggExec(op, lay)
-		if reg != nil {
-			a.attach(reg)
-		}
+		a.attach(h)
 		return a
 	default:
 		panic("exec: unknown operator kind")

@@ -57,8 +57,8 @@ type Runner struct {
 	// winOpen reports whether deltas have arrived since the last seal.
 	winOpen bool
 
-	// reg is the arrangement registry every stateful operator of this
-	// runner attaches its indexed state to (see arrange.go).
+	// reg is the registry every join, aggregate and scan of this runner
+	// attaches its shared state to (see arrange.go).
 	reg *Registry
 	// lay is Graph's join layouts (layout.go), recomputed by every Graft.
 	lay layouts
@@ -392,7 +392,7 @@ func (r *Runner) sealWindow() {
 	for _, se := range r.Execs {
 		se.seal()
 	}
-	// Arrangements whose last holder released during the window are only
+	// Shared state whose last holder released during the window is only
 	// reclaimed now that it is sealed — tombstone-style deferred expiry, so
 	// in-flight executions never see their state disappear.
 	r.reg.Sweep()
@@ -441,15 +441,14 @@ func (r *Runner) ArrangeStats() ArrangeStats { return r.reg.Stats() }
 func (r *Runner) TruthStats() TruthStats { return r.reg.TruthStats() }
 
 // CheckArrangements verifies the registry refcount invariant against the
-// live executors: every arrangement or truth-column handle an operator holds
-// is counted by exactly one registry ref and vice versa, and tombstone
-// accounting balances. The churn oracle calls it after every graft; a leak
-// (or a double release) surfaces as a mismatch here long before memory
-// numbers would show it.
+// live executors: every handle an executor holds is counted by exactly one
+// registry ref and vice versa, and tombstone accounting balances. The churn
+// oracle calls it after every graft; a leak (or a double release) surfaces
+// as a mismatch here long before memory numbers would show it.
 func (r *Runner) CheckArrangements() error {
 	handles := 0
 	for _, se := range r.Execs {
-		handles += se.arrangeHandles()
+		handles += len(se.state.held)
 	}
 	return r.reg.checkHandles(handles)
 }

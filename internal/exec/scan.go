@@ -26,12 +26,13 @@ type scanExec struct {
 	batch   int
 	log     *buffer.Log
 	markers []marker
-	// cols[k] memoizes markers[k]'s outcome per table row in reg; qcols
-	// lists the scan's queries in order with the column deciding each (nil:
-	// no predicate, the query passes every row).
-	reg   *Registry
-	cols  []*truthCol
-	qcols []qcol
+	// cols[k] memoizes markers[k]'s outcome per table row; qcols lists the
+	// scan's queries in order with the column deciding each (nil: no
+	// predicate, the query passes every row). counts is the registry's
+	// lifetime counters.
+	cols   []*truthCol
+	qcols  []qcol
+	counts *scanCounts
 	// pos is the cursor: the scan covers table log positions [0, pos).
 	// limit caps a firing's advance during graft replay (-1: none).
 	pos, limit int
@@ -46,24 +47,16 @@ type qcol struct {
 	col *truthCol
 }
 
-// newScanExec builds a scan over log at cursor 0, its truth columns
-// attached to reg.
-func newScanExec(op *mqo.Op, batch int, reg *Registry, log *buffer.Log) *scanExec {
-	s := &scanExec{op: op, batch: batch, log: log, markers: compileMarkers(op, nil), limit: -1}
-	s.attach(reg)
-	return s
-}
-
-// attach keys each marker's truth column through the registry. Keys are
+// newScanExec builds a scan over log at cursor 0, each marker's truth column
+// attached through h, the holder of the executor it belongs to. Keys are
 // built here, once per scan; firings and readers only read the columns.
-func (s *scanExec) attach(reg *Registry) {
-	s.reg = reg
+func newScanExec(op *mqo.Op, batch int, h *holder, log *buffer.Log) *scanExec {
+	s := &scanExec{op: op, batch: batch, log: log, markers: compileMarkers(op, nil), limit: -1, counts: &h.reg.counts}
 	s.cols = make([]*truthCol, len(s.markers))
 	for k, m := range s.markers {
-		s.cols[k] = reg.attachTruth(truthKey(s.op.Table.Name, s.op.Preds[m.q]))
+		s.cols[k] = h.attach(truthState, truthKey(op.Table.Name, op.Preds[m.q])).(*truthCol)
 	}
-	s.qcols = s.qcols[:0]
-	for _, q := range s.op.Queries.Members() {
+	for _, q := range op.Queries.Members() {
 		qc := qcol{bit: mqo.Bit(q)}
 		for k, m := range s.markers {
 			if m.q == q {
@@ -72,17 +65,8 @@ func (s *scanExec) attach(reg *Registry) {
 		}
 		s.qcols = append(s.qcols, qc)
 	}
+	return s
 }
-
-// release drops the scan's truth handles when a graft retires it.
-func (s *scanExec) release(reg *Registry) {
-	for _, c := range s.cols {
-		reg.releaseTruth(c)
-	}
-	s.cols, s.qcols = nil, nil
-}
-
-func (s *scanExec) handles() int { return len(s.cols) }
 
 // fire advances the cursor to the log's end (or the replay limit), fills the
 // truth columns over the rows it passes, and returns the scan's modeled
@@ -135,8 +119,8 @@ func (s *scanExec) fill(from, to int) {
 	}
 	s.ch.Reset(nil)
 	if evaluated+served > 0 {
-		s.reg.truthEvaluated.Add(evaluated)
-		s.reg.truthServed.Add(served)
+		s.counts.evaluated.Add(evaluated)
+		s.counts.served.Add(served)
 	}
 }
 
@@ -256,8 +240,8 @@ func (v *viewReader) len() int {
 
 func (v *viewReader) close() (skipped, chunks int64) {
 	if v.yielded+v.skipped > 0 {
-		v.scan.reg.viewRows.Add(v.yielded)
-		v.scan.reg.viewSkipped.Add(v.skipped)
+		v.scan.counts.viewRows.Add(v.yielded)
+		v.scan.counts.skipped.Add(v.skipped)
 	}
 	skipped, chunks = v.skipped, v.chunks
 	v.yielded, v.skipped, v.chunks = 0, 0, 0

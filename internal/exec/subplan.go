@@ -40,6 +40,8 @@ type SubplanExec struct {
 	lastBatches int64
 	// scratch is the chunk scratch every view reader of the executor shares.
 	scratch viewScratch
+	// state holds the registry handles the member operators attached.
+	state holder
 	// winOut records OutputLen at each window seal (see Runner.sealWindow),
 	// and winEnd the readable end in reader coordinates — the log's length,
 	// or a view's table position: the marks that let a graft feed a rebuilt
@@ -58,11 +60,11 @@ type inputKey struct {
 // children-first (r.Execs at construction; a graft's new slice). lay is g's
 // join layouts (planLayouts), computed once per graph by the caller. The
 // sources yield chunks of r's batch size, captured at construction so
-// concurrent runners never share batch state; stateful member operators
-// attach their indexed state, and scans their truth columns, to r's
-// arrangement registry.
+// concurrent runners never share batch state; joins and aggregates attach
+// their indexed state, and scans their truth columns, to r's registry
+// through the executor's holder.
 func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanExec, lay layouts) (*SubplanExec, error) {
-	batch, reg := r.opts.batch(), r.reg
+	batch := r.opts.batch()
 	se := &SubplanExec{
 		Sub:    sub,
 		ops:    make(map[*mqo.Op]any),
@@ -70,18 +72,19 @@ func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanE
 		srcs:   make(map[*mqo.Op][]source),
 		opWork: make(map[*mqo.Op]Work),
 		batch:  batch,
+		state:  holder{reg: r.reg},
 	}
 	for _, o := range sub.Ops {
 		se.member[o] = true
 		if o.Kind != mqo.KindScan {
-			se.ops[o] = newOperator(o, batch, reg, lay)
+			se.ops[o] = newOperator(o, batch, &se.state, lay)
 			continue
 		}
 		log, err := r.TableLog(o.Table.Name)
 		if err != nil {
 			return nil, err
 		}
-		se.ops[o] = newScanExec(o, batch, reg, log)
+		se.ops[o] = newScanExec(o, batch, &se.state, log)
 	}
 	if s, ok := se.ops[sub.Root].(*scanExec); ok {
 		se.view = s
@@ -302,26 +305,3 @@ func (se *SubplanExec) ExecWork(i int) Work { return se.perExec[i] }
 // they vary with the batch size, unlike the modeled Work counters.
 func (se *SubplanExec) Batches() int64     { return se.batches }
 func (se *SubplanExec) LastBatches() int64 { return se.lastBatches }
-
-// release drops the member operators' arrangement and truth-column handles;
-// a graft calls it on every subplan executor the new plan revision no longer
-// carries.
-func (se *SubplanExec) release(reg *Registry) {
-	for _, o := range se.ops {
-		if a, ok := o.(arranged); ok {
-			a.release(reg)
-		}
-	}
-}
-
-// arrangeHandles counts the arrangement and truth-column handles the member
-// operators hold.
-func (se *SubplanExec) arrangeHandles() int {
-	n := 0
-	for _, o := range se.ops {
-		if a, ok := o.(arranged); ok {
-			n += a.handles()
-		}
-	}
-	return n
-}

@@ -14,10 +14,10 @@ import (
 // alike — and to every reader of those scans' views (scan.go). A scan tags table rows, which never change once logged, with pure
 // predicates, so a memoized outcome is exactly what re-evaluation would
 // compute: the columns change only how often Truths runs, never a marker bit
-// or a Work counter. They live in the Registry beside the arrangements and
-// follow the same lifecycle: attached when a scan is built, released with its
-// executor at graft, tombstoned at the last release and reclaimed at the
-// next window seal.
+// or a Work counter. They are one kind of the Registry's shared state
+// (arrange.go): attached when a scan is built, released with its executor at
+// graft, tombstoned at the last release and reclaimed at the next window
+// seal.
 
 // truthCol holds the bit-packed outcome of one marker predicate over one
 // table log's positions [0, n). It only ever grows at n, so it has no gaps:
@@ -25,8 +25,7 @@ import (
 // fill and read — wave-parallel firings may run two scans of one table, and
 // readers of either, at once.
 type truthCol struct {
-	key  string // registry key; "" for a private column
-	refs int    // attached scan markers; guarded by Registry.mu
+	stateHeader
 
 	mu    sync.Mutex
 	words []uint64
@@ -70,42 +69,6 @@ func truthKey(table string, pred expr.Expr) string {
 	return table + "\x00" + expr.Canon(pred) + string(kinds)
 }
 
-// attachTruth returns the truth column for key, sharing a live one when
-// sharing is on; otherwise the caller gets a private column of its own.
-func (r *Registry) attachTruth(key string) *truthCol {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.share {
-		if c, ok := r.truths[key]; ok {
-			c.refs++
-			return c
-		}
-	}
-	c := &truthCol{refs: 1}
-	if r.share {
-		c.key = key
-		r.truths[key] = c
-	}
-	r.truthLive[c] = struct{}{}
-	return c
-}
-
-// releaseTruth drops one handle; the last holder tombstones the column until
-// the next Sweep, as release does for arrangements.
-func (r *Registry) releaseTruth(c *truthCol) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.refs--
-	if c.refs > 0 {
-		return
-	}
-	delete(r.truthLive, c)
-	if c.key != "" {
-		delete(r.truths, c.key)
-	}
-	r.truthTombs = append(r.truthTombs, c)
-}
-
 // TruthStats is a point-in-time accounting of the truth columns.
 type TruthStats struct {
 	// Live counts refcounted columns, Pending the tombstoned ones awaiting a
@@ -127,18 +90,22 @@ func (r *Registry) TruthStats() TruthStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := TruthStats{
-		Live:        len(r.truthLive),
-		Pending:     len(r.truthTombs),
-		Evaluated:   r.truthEvaluated.Load(),
-		Served:      r.truthServed.Load(),
-		ViewRows:    r.viewRows.Load(),
-		ViewSkipped: r.viewSkipped.Load(),
+		Evaluated:   r.counts.evaluated.Load(),
+		Served:      r.counts.served.Load(),
+		ViewRows:    r.counts.viewRows.Load(),
+		ViewSkipped: r.counts.skipped.Load(),
 	}
-	for c := range r.truthLive {
-		st.Bits += int64(c.n)
+	for _, s := range r.live {
+		if c, ok := s.(*truthCol); ok {
+			st.Live++
+			st.Bits += int64(c.n)
+		}
 	}
-	for _, c := range r.truthTombs {
-		st.Bits += int64(c.n)
+	for _, s := range r.tombs {
+		if c, ok := s.(*truthCol); ok {
+			st.Pending++
+			st.Bits += int64(c.n)
+		}
 	}
 	return st
 }

@@ -219,17 +219,20 @@ func TestScanTruthsProperty(t *testing.T) {
 			reg := NewRegistry(rng.Intn(4) > 0)
 			log := buffer.NewLog("table:lineitem")
 			var scans []*scanExec
+			var holders []*holder
 			var readers []*viewReader
 			var scratch viewScratch // shared, as an executor's readers share one
 			var logged []delta.Tuple
 			var rows []value.Row
 			for w := 0; w < 8; w++ {
 				for a := rng.Intn(3); a > 0; a-- {
-					s := newScanExec(ops[rng.Intn(len(ops))], batch, reg, log)
+					h := &holder{reg: reg}
+					s := newScanExec(ops[rng.Intn(len(ops))], batch, h, log)
 					if rng.Intn(4) == 0 {
 						s.pos = log.Len()
 					}
 					scans = append(scans, s)
+					holders = append(holders, h)
 				}
 				for a := rng.Intn(3); a > 0 && len(scans) > 0; a-- {
 					s := scans[rng.Intn(len(scans))]
@@ -265,20 +268,21 @@ func TestScanTruthsProperty(t *testing.T) {
 				}
 				if len(scans) > 0 && rng.Intn(3) == 0 {
 					i := rng.Intn(len(scans))
-					scans[i].release(reg)
+					holders[i].release()
 					readers = slices.DeleteFunc(readers, func(v *viewReader) bool { return v.scan == scans[i] })
 					scans = append(scans[:i], scans[i+1:]...)
+					holders = append(holders[:i], holders[i+1:]...)
 				}
 				handles := 0
-				for _, s := range scans {
-					handles += s.handles()
+				for _, h := range holders {
+					handles += len(h.held)
 				}
 				if err := reg.checkHandles(handles); err != nil {
 					t.Fatalf("seed %d batch %d window %d: %v", seed, batch, w, err)
 				}
 			}
-			for _, s := range scans {
-				s.release(reg)
+			for _, h := range holders {
+				h.release()
 			}
 			reg.Sweep()
 			if st := reg.TruthStats(); st.Live != 0 || st.Pending != 0 || st.Bits != 0 {
@@ -300,7 +304,7 @@ func TestTruthColumnNeverFillsAcrossGap(t *testing.T) {
 	log := buffer.NewLog("table:lineitem")
 	rng := rand.New(rand.NewSource(1))
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rng, 10)})["t"]...)
-	late := newScanExec(op, 4, reg, log)
+	late := newScanExec(op, 4, &holder{reg: reg}, log)
 	late.pos = 6
 	if w := late.fire(); w.Tuples != 4 {
 		t.Fatalf("mid-log scan covered %d rows, want 4", w.Tuples)
@@ -308,7 +312,7 @@ func TestTruthColumnNeverFillsAcrossGap(t *testing.T) {
 	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 10 || st.Served != 0 {
 		t.Fatalf("mid-log scan on a fresh column: %+v, want 10 bits evaluated from the column's start", st)
 	}
-	early := newScanExec(op, 4, reg, log)
+	early := newScanExec(op, 4, &holder{reg: reg}, log)
 	early.fire()
 	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 10 || st.Served != 10 {
 		t.Fatalf("after a scan from the start: %+v, want 10 bits, 10 evaluated and 10 served", st)
@@ -329,7 +333,7 @@ func TestScanServedAllocs(t *testing.T) {
 	reg := NewRegistry(true)
 	log := buffer.NewLog("table:lineitem")
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rand.New(rand.NewSource(2)), 3000)})["t"]...)
-	s := newScanExec(op, 1024, reg, log)
+	s := newScanExec(op, 1024, &holder{reg: reg}, log)
 	v := newViewReader(s, mqo.Bit(2), 1024, 0, nil)
 	read := func() {
 		s.pos, v.off = 0, 0
@@ -364,7 +368,7 @@ func TestViewReadHoldsOneChunk(t *testing.T) {
 	log.Append(rows...)
 	want, _ := viewWant(op, op.Queries, rows)
 	for _, batch := range []int{0, -1} {
-		s := newScanExec(op, batch, NewRegistry(true), log)
+		s := newScanExec(op, batch, &holder{reg: NewRegistry(true)}, log)
 		s.fire()
 		v := newViewReader(s, op.Queries, batch, 0, nil)
 		got, _ := drain(v) // drain also checks every chunk's size

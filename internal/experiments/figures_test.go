@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +128,19 @@ func TestFigure14Driver(t *testing.T) {
 			if r.Total[i][j] <= 0 {
 				t.Errorf("rel %.2f %s: total %d", r.Rels[i], r.Approaches[j], r.Total[i][j])
 			}
+		}
+	}
+	// iShare (clustering) does not track iShare (Brute-Force) within 1 % at
+	// this scale: the totals are equal except at rel 0.2, where the
+	// clustering's split costs 141 units (1.2 %) more. The gap is pinned as
+	// measured (EXPERIMENTS.md, Figure 14).
+	col := func(a opt.Approach) int { return slices.Index(r.Approaches, a) }
+	cl, bf := col(opt.IShare), col(opt.IShareBruteForce)
+	wantGap := []int64{0, 0, 141, 0}
+	for i, rel := range r.Rels {
+		if gap := r.Total[i][cl] - r.Total[i][bf]; gap != wantGap[i] {
+			t.Errorf("rel %.2f: clustering %d, brute force %d: gap %d, want %d",
+				rel, r.Total[i][cl], r.Total[i][bf], gap, wantGap[i])
 		}
 	}
 	var buf bytes.Buffer

@@ -312,6 +312,21 @@ func graftAccounting(gs *exec.GraftStats, oldN, newN, sealed int, disable bool) 
 		return fmt.Sprintf("replayed != rebuilt × %d sealed windows", sealed)
 	case disable && !exec.DebugGraftLooseMatch && gs.Adopted != 0:
 		return "adopted under DisableTransplant"
+	case len(gs.AdoptedFrom) != newN:
+		return fmt.Sprintf("adopted-from map has %d entries for %d new subplans", len(gs.AdoptedFrom), newN)
+	}
+	taken := make(map[int]bool)
+	for _, o := range gs.AdoptedFrom {
+		if o < 0 {
+			continue
+		}
+		if o >= oldN || taken[o] {
+			return fmt.Sprintf("adopted-from map names old subplan %d out of range or twice", o)
+		}
+		taken[o] = true
+	}
+	if len(taken) != gs.Adopted {
+		return fmt.Sprintf("adopted-from map adopts %d old subplans, adopted %d", len(taken), gs.Adopted)
 	}
 	return ""
 }

@@ -136,27 +136,17 @@ func New(cfg Config) *Profiler {
 	return p
 }
 
-// size (re)allocates the per-subplan state for n subplans, preserving the
-// EWMA of subplan ids that survive (plan grafts keep subplan ids
-// slot-stable, so a surviving id is the same logical subplan).
+// size allocates fresh per-subplan state for n subplans: empty accumulators
+// and unobserved EWMAs.
 func (p *Profiler) size(n int) {
-	grow := func(s []int64) []int64 {
-		out := make([]int64, n)
-		copy(out, s)
-		return out
+	p.work = make([]int64, n)
+	p.wall = make([]int64, n)
+	p.batches = make([]int64, n)
+	p.firings = make([]int, n)
+	p.ewma = make([]float64, n)
+	for i := range p.ewma {
+		p.ewma[i] = math.NaN()
 	}
-	p.work = grow(p.work)
-	p.wall = grow(p.wall)
-	p.batches = grow(p.batches)
-	f := make([]int, n)
-	copy(f, p.firings)
-	p.firings = f
-	e := make([]float64, n)
-	for i := range e {
-		e[i] = math.NaN()
-	}
-	copy(e, p.ewma)
-	p.ewma = e
 }
 
 // Enabled reports whether the profiler records anything.
@@ -358,27 +348,31 @@ func (p *Profiler) Rebase(modeled []float64) {
 	}
 }
 
-// Graft resizes the profiler to a new plan revision with n subplans and the
-// given baseline (nil disables drift updates until SetModeled). Surviving
-// subplan ids keep their drift EWMA — graft keeps ids slot-stable — while
-// ids beyond the new count are dropped and brand-new ids start unobserved.
-// Pending window accumulators are discarded: grafts happen between windows,
-// when they are empty.
-func (p *Profiler) Graft(n int, modeled []float64) {
+// Graft moves the profiler to a new plan revision with n subplans and the
+// given baseline (nil disables drift updates until SetModeled). A graft
+// renumbers subplans, so from maps each new id to the old id of the executor
+// it took over, or -1 (exec.GraftStats.AdoptedFrom): an adopted subplan keeps
+// its drift EWMA under its new id, a rebuilt one starts unobserved, and old
+// ids nothing took over are dropped. A from without one entry per new
+// subplan starts every subplan unobserved. Pending window accumulators
+// follow the same map; grafts happen between windows, when they are empty.
+func (p *Profiler) Graft(n int, modeled []float64, from []int) {
 	if p == nil || n < 1 {
 		return
 	}
 	if modeled != nil && len(modeled) != n {
 		modeled = nil
 	}
-	if n < p.cfg.Subplans {
-		p.work = p.work[:n]
-		p.wall = p.wall[:n]
-		p.batches = p.batches[:n]
-		p.firings = p.firings[:n]
-		p.ewma = p.ewma[:n]
+	if len(from) != n {
+		from = nil
+	}
+	work, wall, batches, firings, ewma := p.work, p.wall, p.batches, p.firings, p.ewma
+	p.size(n)
+	for i, o := range from {
+		if o >= 0 && o < len(ewma) {
+			p.work[i], p.wall[i], p.batches[i], p.firings[i], p.ewma[i] = work[o], wall[o], batches[o], firings[o], ewma[o]
+		}
 	}
 	p.cfg.Subplans = n
-	p.size(n)
 	p.cfg.Modeled = modeled
 }

@@ -149,6 +149,9 @@ func TestFlushReturnsOnlyFiredSubplans(t *testing.T) {
 	}
 }
 
+// TestGraftPreservesSurvivingEWMA: a graft carries each adopted subplan's
+// EWMA to its new id, drops old ids nothing took over and starts rebuilt
+// ones unobserved.
 func TestGraftPreservesSurvivingEWMA(t *testing.T) {
 	p := New(Config{Subplans: 3, Modeled: []float64{100, 100, 100}, Alpha: 1})
 	for sub := 0; sub < 3; sub++ {
@@ -156,26 +159,31 @@ func TestGraftPreservesSurvivingEWMA(t *testing.T) {
 	}
 	p.FlushWindow(0)
 
-	p.Graft(2, nil) // shrink: subplan 2 dropped
+	p.Graft(2, nil, []int{0, 2}) // shrink: old 1 dropped, old 2 renumbered to 1
 	if got := p.Subplans(); got != 2 {
 		t.Fatalf("Subplans() after shrink = %d", got)
 	}
-	if d := p.Drifts(); len(d) != 2 || d[0] != 1 || d[1] != 2 {
+	if d := p.Drifts(); len(d) != 2 || d[0] != 1 || d[1] != 3 {
 		t.Fatalf("Drifts() after shrink = %v", d)
 	}
 
-	p.Graft(4, []float64{100, 100, 100, 100}) // grow with a fresh baseline
+	p.Graft(4, []float64{100, 100, 100, 100}, []int{-1, 1, -1, 0}) // grow with a fresh baseline
 	d := p.Drifts()
-	if len(d) != 4 || d[0] != 1 || d[1] != 2 || d[2] != 0 || d[3] != 0 {
+	if len(d) != 4 || d[0] != 0 || d[1] != 3 || d[2] != 0 || d[3] != 1 {
 		t.Fatalf("Drifts() after grow = %v", d)
 	}
-	// New ids start unobserved; survivors keep folding into their EWMA.
-	p.Observe(3, 100, 0, 0)
+	// Rebuilt ids start unobserved; adopted ones keep folding into their EWMA.
+	p.Observe(2, 100, 0, 0)
 	if _, alerts := p.FlushWindow(1); len(alerts) != 0 {
 		t.Fatalf("fresh id alerted on a calibrated window: %+v", alerts)
 	}
-	if got := p.Drift(3); got != 1 {
+	if got := p.Drift(2); got != 1 {
 		t.Errorf("fresh id drift = %v, want 1", got)
+	}
+
+	p.Graft(4, nil, nil) // no map: every subplan starts unobserved
+	if d := p.Drifts(); len(d) != 4 || d[0] != 0 || d[1] != 0 || d[2] != 0 || d[3] != 0 {
+		t.Fatalf("Drifts() after a graft without a map = %v", d)
 	}
 }
 
@@ -195,7 +203,7 @@ func TestNilProfilerNoOps(t *testing.T) {
 		t.Error("nil scalars non-zero")
 	}
 	p.SetModeled([]float64{1})
-	p.Graft(2, nil)
+	p.Graft(2, nil, nil)
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		p.Observe(0, 1, 2, 3)

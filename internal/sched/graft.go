@@ -20,7 +20,9 @@ import (
 // Graft is only legal between windows (after Tick closes one and before it
 // opens the next, or before the first Tick) and before the run completes.
 // The pace vector and deadlines must fit the new graph, exactly as New
-// requires.
+// requires. A panic while the runner replays a rebuilt subplan returns as an
+// error; a graft that fails past its preconditions may leave the runner half
+// grafted, and the scheduler must not be used again.
 func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) (*exec.GraftStats, error) {
 	if s.done {
 		return nil, fmt.Errorf("sched: graft after run completed")
@@ -35,10 +37,11 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	if err != nil {
 		return nil, err
 	}
-	// Graft keeps subplan ids slot-stable, so the profiler preserves the
-	// drift EWMA of surviving ids; the baseline is cleared until the caller
-	// supplies one for the new revision (profile.SetModeled).
-	s.cfg.Profile.Graft(len(g.Subplans), nil)
+	// A graft renumbers subplans: the profiler carries each adopted
+	// subplan's drift EWMA to its new id and starts rebuilt ones
+	// unobserved; the baseline is cleared until the caller supplies one for
+	// the new revision (profile.SetModeled).
+	s.cfg.Profile.Graft(len(g.Subplans), nil, stats.AdoptedFrom)
 	s.graph = g
 	s.paces = append([]int(nil), paces...)
 	s.cfg.Deadlines = append([]time.Duration(nil), deadlines...)

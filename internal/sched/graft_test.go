@@ -249,3 +249,32 @@ func TestGraftPreconditions(t *testing.T) {
 		t.Error("graft accepted after run completion")
 	}
 }
+
+// TestGraftReplayPanicReturnsError: a panic while the runner replays a
+// rebuilt subplan through the sealed windows returns from Graft as an error
+// naming the subplan, instead of escaping the scheduler.
+func TestGraftReplayPanicReturnsError(t *testing.T) {
+	cp := buildChurnPlan(t, 7)
+	s, err := sched.New(cp.gA, cp.pacesA, sched.Slices{Data: cp.data, N: 3}, sched.Config{
+		Window:    time.Second,
+		Windows:   3,
+		Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+		WorkRate:  50_000,
+		Deadlines: make([]time.Duration, cp.gA.Plan.NumQueries()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(s.Result().Windows) < 1 {
+		if _, err := s.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec.DebugSlowSubplan = func(int) int64 { panic("injected replay failure") }
+	defer func() { exec.DebugSlowSubplan = nil }()
+	_, err = s.Graft(cp.gB, cp.pacesB, make([]time.Duration, cp.gB.Plan.NumQueries()))
+	if err == nil || !strings.Contains(err.Error(), "exec: graft: replay of window 0: exec: subplan ") ||
+		!strings.HasSuffix(err.Error(), " panicked: injected replay failure") {
+		t.Fatalf("Graft error %v, want the replay panic naming its subplan", err)
+	}
+}

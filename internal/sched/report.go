@@ -47,8 +47,9 @@ func (s *Scheduler) reportStart() {
 }
 
 // reportSubplans resolves the current graph's per-subplan counters and
-// tracer tracks. Counters are registry-backed by name, so a subplan id that
-// survives a graft keeps accumulating into the same counter.
+// tracer tracks. Counters are registry-backed by name and named by subplan
+// id, so after a graft an id keeps accumulating into the same counter even
+// when the graft renumbered it onto another subplan.
 func (s *Scheduler) reportSubplans() {
 	s.subExecs, s.subWork = s.subExecs[:0], s.subWork[:0]
 	for i, sub := range s.graph.Subplans {

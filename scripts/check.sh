@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh — the repo's merge gate, defined here once; CI only calls it.
 # Build, a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
-# environment-read, single-owner-optimizer and scheduler-report greps, vet,
-# the full test suite under the race detector (the wave-parallel executor,
-# the scheduler's workers and the HTTP servers must stay data-race-free), the
-# benchmark module, the observability smokes, the deterministic benchmark
-# gate, then the soaks and a fuzz smoke through their make targets. Set
+# environment-read, single-owner-optimizer, scheduler-report and
+# registry-refcount greps, vet, the full test suite under the race detector
+# (the wave-parallel executor, the scheduler's workers and the HTTP servers
+# must stay data-race-free), the benchmark module, the observability smokes,
+# the deterministic benchmark gate, then the soaks and a fuzz smoke through
+# their make targets. Set
 # SKIP_FUZZ=1 to stop before the soaks (CI runs them as separate jobs), and
 # FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME (default 10s each) to change
 # the per-target fuzz budget and the three soak budgets.
@@ -53,6 +54,16 @@ echo "== scheduler observations leave through report.go only"
 if grep -rnE '\.(Emit|Publish|Span|Instant|DecideAt|Counter|Gauge|Histogram)\(|CountWork\(|CountArrangements\(' \
 	internal/sched --include='*.go' | grep -v '_test\.go:' | grep -v '^internal/sched/report\.go:'; then
 	echo "internal/sched writes observations outside report.go" >&2
+	exit 1
+fi
+
+# One lifecycle for shared executor state: the registry alone attaches,
+# releases and refcounts arrangements and truth columns, so a refcount that
+# changes anywhere else would escape its invariant check (checkHandles).
+echo "== registry refcounts change in internal/exec/arrange.go only"
+if grep -rnE 'refcount[[:space:]]*(\+\+|--|[-+*/]?=([^=]|$))|refcount:' . --include='*.go' |
+	grep -v '_test\.go:' | grep -v '^\./internal/exec/arrange\.go:'; then
+	echo "a registry refcount changes outside internal/exec/arrange.go" >&2
 	exit 1
 fi
 

@@ -36,8 +36,9 @@ type Session struct {
 	// batch pace, so a single group with one firing per subplan.
 	group   []exec.Firing
 	windows int
-	// err is the first error Step returned. A failed window leaves operator
-	// state half-applied, so from then on every Step, Admit, Retire and
+	// err is the first error a Step or a graft (Admit, Retire) returned. A
+	// failed window leaves operator state half-applied, and a failed graft
+	// executors half re-keyed, so from then on every Step, Admit, Retire and
 	// Results returns it and runs nothing.
 	err error
 }
@@ -116,19 +117,22 @@ func batchBaseline(live *opt.Live) []float64 {
 }
 
 // graft moves the runner, the window's firing group and the profiler's drift
-// baseline to the live plan's new revision.
+// baseline to the live plan's new revision. A failure fails the session for
+// good: the live plan has already moved on, and the runner may be half
+// grafted.
 func (s *Session) graft() (*exec.GraftStats, error) {
 	n := len(s.live.Graph.Subplans)
 	group, err := exec.Schedule(pace.Ones(n))
-	if err != nil {
-		return nil, err
+	var gs *exec.GraftStats
+	if err == nil {
+		gs, err = s.runner.Graft(s.live.Graph, exec.GraftOptions{})
 	}
-	gs, err := s.runner.Graft(s.live.Graph, exec.GraftOptions{})
 	if err != nil {
-		return nil, err
+		s.err = fmt.Errorf("ishare: graft: %w", err)
+		return nil, s.err
 	}
 	s.group = group
-	s.prof.Graft(n, batchBaseline(s.live))
+	s.prof.Graft(n, batchBaseline(s.live), gs.AdoptedFrom)
 	return gs, nil
 }
 
@@ -158,7 +162,8 @@ func (s *Session) QueryNames() []string {
 // the beginning of the stream: shared subplans it joins are either adopted
 // as-is (when their state is provably identical) or rebuilt and caught up by
 // replaying the retained window history, so its results are identical to
-// having been registered before the first Step.
+// having been registered before the first Step. A failed graft — a panic in
+// catch-up replay included — fails the session as a failed Step does.
 func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -183,8 +188,6 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 	}
 	gs, err := s.graft()
 	if err != nil {
-		// Best effort: put the plan back so the session stays usable.
-		s.live.Retire(slot)
 		return nil, err
 	}
 	for slot >= len(s.names) {
@@ -198,7 +201,8 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 
 // Retire removes the named query from the running plan. Operator state used
 // only by this query is freed with the plan revision; shared state the
-// remaining queries still need is carried over.
+// remaining queries still need is carried over. A failed graft fails the
+// session as a failed Step does.
 func (s *Session) Retire(name string) (*AdmitStats, error) {
 	if s.err != nil {
 		return nil, s.err
