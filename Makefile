@@ -44,26 +44,26 @@ bench:
 # compiled by decompose), the memo's map probe + insert ≈ 8 %,
 # cost.(*Model).wire ≈ 6 % (arena reset ≈ 1.5 %); EvaluateDelta's own loop
 # is down to ≈ 4 % self and the GC write barrier to ≈ 4 %. ExecJob's
-# inclusive top five since scans became views over their table logs
-# (PROFILE_TIME=10x, ≈ 3.3 s/job on a slower box than the figures above,
-# 461 MB/job, 1 CPU): joinExec.runPhase ≈ 60 % (joinArr.apply ≈ 26 % with
-# find ≈ 16 % inside it, addCand ≈ 8 %), aggExec.process ≈ 20 %,
-# vec.(*Eval).Values ≈ 12 %, the GC's background mark ≈ 11 %,
-# vec.(*Eval).Truths ≈ 8 %; scanExec.fire is ≈ 6 % (all of it filling
-# truth columns) and the view readers ≈ 3 %. By bytes, row arenas lead
-# (40 %), then join entries (15 %) and hash-table growth (10 %); log
-# appends are down to 4 %. ChurnGraft is admission's executor cost: one
+# inclusive top five since operators allocate only what they keep
+# (PROFILE_TIME=10x, ≈ 2.1 s and 391 MB per job against 459 MB before,
+# 1 CPU): joinExec.runPhase ≈ 62 % (joinArr.apply ≈ 29 % with find ≈ 18 %
+# inside it, emit ≈ 7 %), aggExec.process ≈ 20 %, vec.(*Eval).Values
+# ≈ 11 %, the GC's background mark ≈ 9 %, vec.(*Eval).Truths ≈ 8 %;
+# scanExec.fire is ≈ 6 % (all of it filling truth columns). By bytes, row
+# arenas lead (36 %, from 40 %: joins carve marker survivors only), then
+# join entries (18 %), hash-table growth (11 %) and log appends (5 %);
+# expression scratch is down to 4 % (from 7 %) and the aggregate sidecar
+# to 3 % (from 6 %). ChurnGraft is admission's executor cost: one
 # Session.Admit plus Retire of the same query over a dashboard session's 30
-# windows of history. Its inclusive top five since scans became views
-# (PROFILE_TIME=100x, ≈ 12 ms and 2.1 MB per iteration against ≈ 25 ms and
-# 5.7 MB when every rebuilt scan re-logged the table's history, 1 CPU):
-# exec.(*Runner).Graft ≈ 63 %, now mostly the aggregates that must replay
-# — aggExec.process ≈ 44 % (the MIN/MAX multiset's ordset.Add ≈ 20 %);
-# scanExec.fill ≈ 19 %, nearly all vec.(*Eval).Truths on the admitted
-# query's new predicate over the history and the set-up windows' fresh
-# rows; the 30 set-up Steps ≈ 13 %; the optimizer's warm re-plan ≈ 11 %;
-# runtime.mallocgc ≈ 8 %. By bytes the MIN/MAX multisets lead (28 %), then
-# the cost memo (14 %); view reads allocate nothing.
+# windows of history. Its inclusive top five (PROFILE_TIME=100x, ≈ 12 ms
+# and 2.05 MB per iteration, 1 CPU): exec.(*Runner).Graft ≈ 58 %, mostly
+# the aggregates that must replay — aggExec.process ≈ 39 % (the MIN/MAX
+# multiset's ordset.Add ≈ 18 %) — and scanExec.fill ≈ 17 %, nearly all
+# vec.(*Eval).Truths on the admitted query's new predicate over the
+# history; the optimizer's warm re-plan ≈ 16 %; runtime.mallocgc ≈ 13 %;
+# the 30 set-up Steps ≈ 12 %; Retire ≈ 8 %. By bytes the MIN/MAX multisets
+# lead (34 %), then the cost memo (9 %) and Runner.StartWindow's history
+# append (9 %); view reads allocate nothing.
 PROFILE_BENCH ?= PlanJob
 PROFILE_TIME ?= 10x
 PROFILE_OUT = .bench_build/$(shell echo $(PROFILE_BENCH) | tr A-Z a-z)

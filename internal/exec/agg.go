@@ -139,15 +139,14 @@ func (g *aggExec) attach(h *holder) {
 	g.arr = h.attach(aggState, mqo.AggIndexArrangeKey(g.op).Sig).(*aggArr)
 }
 
-// aggSlot is this executor's state for one shared group: the group key
-// (cached off the arrangement so sorting and emission never touch shared
-// memory), dense per-query-slot contribution counts and accumulators
-// (naggs per query, flattened), and the group's previously emitted output.
-// n == nil means the slot holds no state — either never touched by this
-// sharer, or reset after the group drained and its retractions flushed.
+// aggSlot is this executor's state for one shared group: dense
+// per-query-slot contribution counts and accumulators (naggs per query,
+// flattened), and the group's previously emitted output. The group's key
+// string and key row are read from the index entry, which never changes
+// once created. n == nil means the slot holds no state — either never
+// touched by this sharer, or reset after the group drained and its
+// retractions flushed.
 type aggSlot struct {
-	key      string
-	keyRow   value.Row
 	dirtyGen uint64
 	// n counts contributing input tuples per query slot; the group exists
 	// for a query while its count is > 0.
@@ -264,10 +263,13 @@ func (a *accum) result(spec plan.AggSpec) value.Value {
 }
 
 // slotAt returns the sidecar slot for a group ref, growing the dense side
-// slice to cover refs other sharers allocated.
+// slice to cover refs other sharers allocated: at first to the index's
+// group count, geometrically after that. Caller holds g.arr.mu.
 func (g *aggExec) slotAt(ref int32) *aggSlot {
-	for int(ref) >= len(g.side) {
-		g.side = append(g.side, aggSlot{})
+	if int(ref) >= len(g.side) {
+		side := make([]aggSlot, max(g.arr.arena.Len(), 2*len(g.side)))
+		copy(side, g.side)
+		g.side = side
 	}
 	return &g.side[ref]
 }
@@ -315,9 +317,6 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			ref := g.arr.lookupOrCreate(hashes[i], keyRow)
 			sl := g.slotAt(ref)
 			if sl.n == nil {
-				gs := g.arr.arena.At(ref)
-				sl.key = gs.key
-				sl.keyRow = gs.keyRow
 				sl.n = g.nArena.New(len(g.queries))
 				sl.accs = g.accArena.New(len(g.queries) * naggs)
 				g.liveGroups++
@@ -348,14 +347,16 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 	// Emit retractions and updated rows for every dirty group, in sorted
 	// key order so execution work is deterministic (index iteration order
 	// would otherwise vary the processing order of downstream deletes and
-	// with it the MIN/MAX rescan count). Everything below reads only the
-	// sidecar — key strings and key rows were cached at first touch — so
-	// emission runs lock-free.
+	// with it the MIN/MAX rescan count). Key strings and key rows are read
+	// from the index entries, so emission holds the index lock: another
+	// sharer may be growing the index meanwhile.
+	g.arr.mu.Lock()
+	defer g.arr.mu.Unlock()
 	sort.Sort(&g.sorter)
 	out := g.outBuf[:0]
 	for _, ref := range g.dirty {
 		sl := &g.side[ref]
-		newOut := g.groupOutput(sl)
+		newOut := g.groupOutput(g.arr.arena.At(ref).keyRow, sl)
 		if g.sameTuples(sl.lastOut, newOut) {
 			continue
 		}
@@ -402,19 +403,20 @@ type dirtySorter struct {
 
 func (s *dirtySorter) Len() int { return len(s.g.dirty) }
 func (s *dirtySorter) Less(i, j int) bool {
-	return s.g.side[s.g.dirty[i]].key < s.g.side[s.g.dirty[j]].key
+	a := &s.g.arr.arena
+	return a.At(s.g.dirty[i]).key < a.At(s.g.dirty[j]).key
 }
 func (s *dirtySorter) Swap(i, j int) {
 	d := s.g.dirty
 	d[i], d[j] = d[j], d[i]
 }
 
-// groupOutput computes the group's current output rows into pooled scratch:
-// queries with equal aggregate values (grouping-key equality) cluster into
-// one tuple carrying their combined bits. The returned tuples (and their
-// rows) alias pooled buffers valid until the next call; callers clone what
-// they retain.
-func (g *aggExec) groupOutput(sl *aggSlot) []delta.Tuple {
+// groupOutput computes the current output rows of the group keyed keyRow
+// into pooled scratch: queries with equal aggregate values (grouping-key
+// equality) cluster into one tuple carrying their combined bits. The
+// returned tuples (and their rows) alias pooled buffers valid until the
+// next call; callers clone what they retain.
+func (g *aggExec) groupOutput(keyRow value.Row, sl *aggSlot) []delta.Tuple {
 	clusters := g.clusters[:0]
 	clRows := g.clRows
 	naggs := len(g.op.Aggs)
@@ -423,7 +425,7 @@ func (g *aggExec) groupOutput(sl *aggSlot) []delta.Tuple {
 			continue
 		}
 		row := g.rowBuf[:0]
-		row = append(row, sl.keyRow...)
+		row = append(row, keyRow...)
 		base := slot * naggs
 		for i, spec := range g.op.Aggs {
 			row = append(row, sl.accs[base+i].result(spec))

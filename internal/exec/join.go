@@ -39,12 +39,18 @@ type joinExec struct {
 	batch       int
 	markers     []marker
 	left, right *joinSide
-	// Pending emissions for the current chunk: markers run over up to a
-	// batch of candidates at once, then survivors are appended (with
-	// multiplicity) in probe order.
-	cand     []delta.Tuple
-	candMult []int
-	candCh   vec.Chunk
+	// Candidates queued for the markers, in probe order: the two input rows
+	// by reference, the candidate's bits and sign (cand, the chunk the
+	// markers run over) and its multiplicity. flushCand evaluates the
+	// markers over a column view of the pairs (view, filled only at the
+	// columns in markCols) and carves rows for the survivors alone. A join
+	// without markers carves at probe time and queues nothing.
+	cand         []delta.Tuple
+	candL, candR []value.Row
+	candMult     []int
+	candCh       vec.Chunk
+	view         [][]value.Value
+	markCols     []markCol
 	// cols is the join's output layout (see layouts): the logical columns
 	// it emits. runs tile an output row with contiguous copies out of the
 	// two input rows.
@@ -53,10 +59,27 @@ type joinExec struct {
 	// arena carves the output rows; emitted rows are retained downstream
 	// and never rewritten.
 	arena vec.RowArena
+	// transient is set, by newSubplanExec, for a join whose sole consumer
+	// is an aggregate or project of its own subplan: both copy every value
+	// they keep out of their input rows before the join runs again. Such a
+	// join carves its output rows from scratch slabs that every execution
+	// reuses from the first (slab, at: the next free value) instead of
+	// from the arena.
+	transient bool
+	slabs     [][]value.Value
+	slab, at  int
 	// outBuf is the pooled emission buffer, reused across incremental
 	// executions; callers consume the returned slice before the next
 	// process call.
 	outBuf []delta.Tuple
+}
+
+// markCol is one output column a marker reads: its physical position in
+// the join's layout and the input value it copies.
+type markCol struct {
+	pos   int
+	right bool
+	from  int
 }
 
 // colRun is one contiguous copy into an output row: values from:to of the
@@ -97,6 +120,24 @@ func newJoinExec(op *mqo.Op, batch int, lay layouts) *joinExec {
 			j.runs[n-1].to++
 		} else {
 			j.runs = append(j.runs, colRun{right: right, from: p, to: p + 1})
+		}
+	}
+	if len(j.markers) > 0 {
+		j.view = make([][]value.Value, len(j.cols))
+		read := make([]bool, len(j.cols))
+		for _, m := range j.markers {
+			for _, c := range expr.Columns(m.pred.Source()) {
+				read[c] = true
+			}
+		}
+		at := 0
+		for _, run := range j.runs {
+			for from := run.from; from < run.to; from++ {
+				if read[at] {
+					j.markCols = append(j.markCols, markCol{pos: at, right: run.right, from: from})
+				}
+				at++
+			}
 		}
 	}
 	return j
@@ -193,6 +234,7 @@ func (s *joinSide) keyMatches(e *arrEntry, key value.Row) bool {
 func (j *joinExec) process(in []source) ([]delta.Tuple, Work) {
 	var w Work
 	out := j.outBuf[:0]
+	j.slab, j.at = 0, 0
 	// Phase 1: left deltas update left state and probe the right state
 	// before the right batch is applied. Phase 2: right deltas update right
 	// state and probe the left state including the tuples just added.
@@ -241,10 +283,10 @@ func (j *joinExec) runPhase(self, other *joinSide, in source, selfIsLeft bool, w
 		refs := self.refs[:len(tup)]
 		self.hasher.HashCols(cols, ch.Sel, hashes)
 		// Updates and probes for the chunk run under both arrangements'
-		// locks: other executors may share either side. Candidate rows are
-		// copied into the exec's own arena inside the critical section, so
-		// marker evaluation and emission (flushCand) run outside it, except
-		// for full batches of a high fan-out chunk.
+		// locks: other executors may share either side. Candidates hold the
+		// matched entry's row by reference — entry rows are immutable — so
+		// marker evaluation and emission (flushCand) run outside the
+		// critical section, except for full batches of a high fan-out chunk.
 		lockArrs(self.arr, other.arr)
 		other.arr.tab.GetBatch(hashes, ch.Sel, refs)
 		for _, i := range ch.Sel {
@@ -262,13 +304,27 @@ func (j *joinExec) runPhase(self, other *joinSide, in source, selfIsLeft bool, w
 				if !other.keyMatches(e, key) {
 					continue
 				}
-				count := other.arr.countAt(e, other.pos)
+				count := int(other.arr.countAt(e, other.pos))
 				bits := other.fromCanon.apply(e.bits.Intersect(probeBits))
-				if selfIsLeft {
-					j.addCand(t.Row, e.row, bits, t.Sign, int(count))
-				} else {
-					j.addCand(e.row, t.Row, bits, t.Sign, int(count))
+				if bits.Empty() || count == 0 {
+					continue
 				}
+				sign := t.Sign
+				if count < 0 {
+					count, sign = -count, -sign
+				}
+				l, r := t.Row, e.row
+				if !selfIsLeft {
+					l, r = r, l
+				}
+				if len(j.markers) == 0 {
+					out = j.emit(out, l, r, bits, sign, count, w)
+					continue
+				}
+				j.cand = append(j.cand, delta.Tuple{Bits: bits, Sign: sign})
+				j.candL = append(j.candL, l)
+				j.candR = append(j.candR, r)
+				j.candMult = append(j.candMult, count)
 				// A high fan-out chunk flushes every batch of candidates, so
 				// marker evaluation's scratch stays batch-sized.
 				if len(j.cand) >= j.batch {
@@ -282,18 +338,10 @@ func (j *joinExec) runPhase(self, other *joinSide, in source, selfIsLeft bool, w
 	return out
 }
 
-// addCand queues one candidate emission: the row, the join's layout of the
-// two input rows, is carved from the output arena; markers are deferred to
-// flushCand.
-func (j *joinExec) addCand(l, r value.Row, bits mqo.Bitset, sign delta.Sign, count int) {
-	if bits.Empty() || count == 0 {
-		return
-	}
-	n, s := count, sign
-	if n < 0 {
-		n, s = -n, -s
-	}
-	row := j.arena.NewRow(len(j.cols))
+// emit carves one output row, the join's layout of the two input rows, and
+// appends it n times to out.
+func (j *joinExec) emit(out []delta.Tuple, l, r value.Row, bits mqo.Bitset, sign delta.Sign, n int, w *Work) []delta.Tuple {
+	row := j.newRow()
 	at := 0
 	for _, run := range j.runs {
 		src := l
@@ -302,34 +350,75 @@ func (j *joinExec) addCand(l, r value.Row, bits mqo.Bitset, sign delta.Sign, cou
 		}
 		at += copy(row[at:], src[run.from:run.to])
 	}
-	j.cand = append(j.cand, delta.Tuple{Row: row, Bits: bits, Sign: s})
-	j.candMult = append(j.candMult, n)
+	tup := delta.Tuple{Row: row, Bits: bits, Sign: sign}
+	for k := 0; k < n; k++ {
+		out = append(out, tup)
+	}
+	w.Output += int64(n)
+	return out
 }
 
-// flushCand applies the join's markers over the queued candidate emissions
-// column-at-a-time, then appends the survivors (with multiplicity) to out in
-// probe order.
+// Transient scratch slabs grow geometrically between these sizes, in
+// values, like the arena's.
+const (
+	minRowSlab = 128
+	maxRowSlab = 4096
+)
+
+// newRow returns an output row: carved from the arena, or for a transient
+// join from the scratch slabs, which the join allocates only once an
+// execution outgrows all that earlier ones did.
+func (j *joinExec) newRow() value.Row {
+	n := len(j.cols)
+	if !j.transient {
+		return j.arena.NewRow(n)
+	}
+	for j.slab < len(j.slabs) && len(j.slabs[j.slab])-j.at < n {
+		j.slab, j.at = j.slab+1, 0
+	}
+	if j.slab == len(j.slabs) {
+		size := minRowSlab
+		if k := len(j.slabs); k > 0 {
+			size = min(2*len(j.slabs[k-1]), maxRowSlab)
+		}
+		j.slabs = append(j.slabs, make([]value.Value, max(size, n)))
+	}
+	j.at += n
+	return j.slabs[j.slab][j.at-n : j.at : j.at]
+}
+
+// flushCand applies the join's markers to the queued candidates
+// column-at-a-time, over a view holding only the columns they read, then
+// emits the survivors (with multiplicity) in probe order.
 func (j *joinExec) flushCand(out []delta.Tuple, w *Work) []delta.Tuple {
 	if len(j.cand) == 0 {
 		return out
 	}
+	for _, c := range j.markCols {
+		col := j.view[c.pos][:0]
+		src := j.candL
+		if c.right {
+			src = j.candR
+		}
+		for _, row := range src {
+			col = append(col, row[c.from])
+		}
+		j.view[c.pos] = col
+	}
 	ch := &j.candCh
 	ch.Reset(j.cand)
 	ch.InitBits(j.op.Queries)
+	ch.Proj = j.view
 	applyMarkersChunk(j.markers, ch)
+	ch.Proj = nil
 	for idx, t := range j.cand {
-		bits := ch.Bits[idx]
-		if bits.Empty() {
-			continue
+		if bits := ch.Bits[idx]; !bits.Empty() {
+			out = j.emit(out, j.candL[idx], j.candR[idx], bits, t.Sign, j.candMult[idx], w)
 		}
-		n := j.candMult[idx]
-		tup := delta.Tuple{Row: t.Row, Bits: bits, Sign: t.Sign}
-		for k := 0; k < n; k++ {
-			out = append(out, tup)
-		}
-		w.Output += int64(n)
 	}
 	j.cand = j.cand[:0]
+	j.candL = j.candL[:0]
+	j.candR = j.candR[:0]
 	j.candMult = j.candMult[:0]
 	return out
 }

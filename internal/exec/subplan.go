@@ -86,6 +86,14 @@ func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanE
 		}
 		se.ops[o] = newScanExec(o, batch, &se.state, log)
 	}
+	// A member join below the root has one parent, in this subplan; an
+	// aggregate or project parent copies what it keeps, a join parent
+	// stores the rows in its arrangement.
+	for _, o := range sub.Ops {
+		if j, ok := se.ops[o].(*joinExec); ok && o != sub.Root && o.Parents[0].Kind != mqo.KindJoin {
+			j.transient = true
+		}
+	}
 	if s, ok := se.ops[sub.Root].(*scanExec); ok {
 		se.view = s
 	} else {

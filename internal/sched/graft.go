@@ -21,9 +21,13 @@ import (
 // opens the next, or before the first Tick) and before the run completes.
 // The pace vector and deadlines must fit the new graph, exactly as New
 // requires. A panic while the runner replays a rebuilt subplan returns as an
-// error; a graft that fails past its preconditions may leave the runner half
-// grafted, and the scheduler must not be used again.
+// error. A graft that fails past its preconditions may leave the runner half
+// grafted, so its error is sticky: every later Tick, Graft and Run returns
+// it.
 func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) (*exec.GraftStats, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	if s.done {
 		return nil, fmt.Errorf("sched: graft after run completed")
 	}
@@ -35,6 +39,7 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	}
 	stats, err := s.runner.Graft(g, exec.GraftOptions{})
 	if err != nil {
+		s.err = err
 		return nil, err
 	}
 	// A graft renumbers subplans: the profiler carries each adopted

@@ -252,7 +252,8 @@ func TestGraftPreconditions(t *testing.T) {
 
 // TestGraftReplayPanicReturnsError: a panic while the runner replays a
 // rebuilt subplan through the sealed windows returns from Graft as an error
-// naming the subplan, instead of escaping the scheduler.
+// naming the subplan, instead of escaping the scheduler, and every later
+// Tick, Graft and Run returns that error.
 func TestGraftReplayPanicReturnsError(t *testing.T) {
 	cp := buildChurnPlan(t, 7)
 	s, err := sched.New(cp.gA, cp.pacesA, sched.Slices{Data: cp.data, N: 3}, sched.Config{
@@ -276,5 +277,18 @@ func TestGraftReplayPanicReturnsError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exec: graft: replay of window 0: exec: subplan ") ||
 		!strings.HasSuffix(err.Error(), " panicked: injected replay failure") {
 		t.Fatalf("Graft error %v, want the replay panic naming its subplan", err)
+	}
+	exec.DebugSlowSubplan = nil
+
+	// The runner may be half grafted: the scheduler refuses to go on, with
+	// the graft's error.
+	if _, tickErr := s.Tick(); tickErr != err {
+		t.Errorf("Tick after a failed graft: %v, want the graft's error", tickErr)
+	}
+	if _, graftErr := s.Graft(cp.gA, cp.pacesA, make([]time.Duration, cp.gA.Plan.NumQueries())); graftErr != err {
+		t.Errorf("Graft after a failed graft: %v, want the first graft's error", graftErr)
+	}
+	if _, runErr := s.Run(); runErr != err {
+		t.Errorf("Run after a failed graft: %v, want the graft's error", runErr)
 	}
 }

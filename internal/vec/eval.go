@@ -63,17 +63,20 @@ func Compile(e expr.Expr) *Eval {
 // Source returns the expression the node was compiled from.
 func (ev *Eval) Source() expr.Expr { return ev.src }
 
-// grow sizes the scratch vector for a chunk of n tuples.
+// grow sizes the scratch vector for a chunk of n tuples. Capacity at least
+// doubles, so chunks growing a row at a time reallocate O(log n) times,
+// while a node that only ever sees small chunks keeps small scratch.
 func (ev *Eval) grow(n int) []value.Value {
 	if cap(ev.buf) < n {
-		ev.buf = make([]value.Value, n)
+		ev.buf = make([]value.Value, max(n, 2*cap(ev.buf)))
 	}
 	return ev.buf[:n]
 }
 
+// growT is grow for the Truths scratch.
 func (ev *Eval) growT(n int) []bool {
 	if cap(ev.tbuf) < n {
-		ev.tbuf = make([]bool, n)
+		ev.tbuf = make([]bool, max(n, 2*cap(ev.tbuf)))
 	}
 	return ev.tbuf[:n]
 }
