@@ -6,11 +6,13 @@
 // readers read the table log through it (see exec's scan views).
 //
 // Like a Kafka partition, a Log is stored as segments that are never
-// reallocated: an append copies each tuple once, into the tail segment, and
-// opens a new segment when the tail is full. Readers consume the segments in
-// place as a delta.Seq of capacity-clamped views, so no path ever holds a
-// contiguous copy of a log. A segment is also the unit a future frontier will
-// truncate.
+// reallocated. A table log keeps each trigger window's arrivals as one staged
+// segment, the caller's slice, revealed prefix by prefix as the window's data
+// arrives. Only Append copies: a subplan's producer reuses its buffers, so
+// each tuple is copied once into the tail segment, and a new segment opens
+// when the tail is full. Readers consume the segments in place as a
+// delta.Seq of capacity-clamped views, so no path ever holds a contiguous
+// copy of a log. A segment is also the unit a future frontier will truncate.
 package buffer
 
 import (
@@ -28,8 +30,9 @@ const maxSegment = 1024
 // Log is an append-only sequence of delta tuples, safe for concurrent use.
 type Log struct {
 	mu sync.RWMutex
-	// segs holds the segments in order; every segment but the last is full.
-	// starts[i] is the log position of segs[i][0], and n the total length.
+	// segs holds the segments in order; none is empty, and every appended
+	// one but the last is full. starts[i] is the log position of segs[i][0],
+	// and n the length readers see.
 	segs   [][]delta.Tuple
 	starts []int
 	n      int
@@ -46,7 +49,8 @@ func (l *Log) Name() string { return l.name }
 
 // Append copies tuples to the end of the log. It fills the tail segment and
 // opens new ones of capacity max(remaining tuples, twice the previous
-// segment's), capped at maxSegment; written segments never move.
+// segment's), capped at maxSegment; written segments never move. A log is
+// either appended to or staged to, never both.
 func (l *Log) Append(ts ...delta.Tuple) {
 	l.mu.Lock()
 	for len(ts) > 0 {
@@ -69,7 +73,35 @@ func (l *Log) Append(ts ...delta.Tuple) {
 	l.mu.Unlock()
 }
 
-// Len returns the number of tuples written so far.
+// Stage adds ts to the end of the log as one segment without copying it: the
+// log keeps ts itself, capacity-clamped, and the caller must not write its
+// tuples afterwards. They stay invisible to Len, Segment and readers until
+// revealed; whatever was staged before becomes visible. Staging an empty ts
+// is a no-op.
+func (l *Log) Stage(ts []delta.Tuple) {
+	if len(ts) == 0 {
+		return
+	}
+	l.mu.Lock()
+	if last := len(l.segs) - 1; last >= 0 {
+		l.n = l.starts[last] + len(l.segs[last])
+	}
+	l.starts = append(l.starts, l.n)
+	l.segs = append(l.segs, ts[:len(ts):len(ts)])
+	l.mu.Unlock()
+}
+
+// Reveal makes the first k tuples of the last staged segment visible. It
+// never hides a tuple: revealing fewer than are visible is a no-op.
+func (l *Log) Reveal(k int) {
+	l.mu.Lock()
+	if last := len(l.segs) - 1; last >= 0 {
+		l.n = max(l.n, l.starts[last]+min(k, len(l.segs[last])))
+	}
+	l.mu.Unlock()
+}
+
+// Len returns the number of tuples written and revealed so far.
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -100,8 +132,8 @@ func (l *Log) Segment(p int) []delta.Tuple {
 		panic(fmt.Sprintf("buffer %s: segment at %d of %d", l.name, p, l.n))
 	}
 	i := l.segment(p)
-	seg := l.segs[i]
-	return seg[p-l.starts[i] : len(seg) : len(seg)]
+	e := min(len(l.segs[i]), l.n-l.starts[i])
+	return l.segs[i][p-l.starts[i] : e : e]
 }
 
 // segment returns the index of the segment holding position p: the last one
@@ -157,7 +189,7 @@ func (r *Reader) end() int {
 	return r.log.n
 }
 
-// ReadNew returns all tuples appended since the previous call, as views of
+// ReadNew returns all tuples written since the previous call, as views of
 // the log's segments in order, and advances the cursor past them; nil when
 // there is nothing new. The views stay valid for good and must not be
 // written through. The returned Seq itself is reused: it is valid only until

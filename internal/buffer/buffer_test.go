@@ -298,3 +298,57 @@ func TestSegmentViews(t *testing.T) {
 	}()
 	l.Segment(l.Len())
 }
+
+// TestStagedSegments: a staged slice becomes one segment without a copy,
+// invisible until revealed; Reveal counts into the last staged segment,
+// never hides a tuple, and staging nothing changes nothing.
+func TestStagedSegments(t *testing.T) {
+	l := NewLog("table")
+	w0 := []delta.Tuple{tup(0), tup(1), tup(2), tup(3)}
+	l.Stage(w0)
+	r := l.NewReader()
+	if l.Len() != 0 || r.Pending() != 0 || r.ReadNew() != nil {
+		t.Fatalf("staged tuples visible before Reveal: Len %d", l.Len())
+	}
+	l.Reveal(3)
+	if got := vals(r.ReadNew()); !reflect.DeepEqual(got, []int64{0, 1, 2}) {
+		t.Fatalf("read after Reveal(3) = %v", got)
+	}
+	seg := l.Segment(1)
+	if len(seg) != 2 || cap(seg) != 2 || &seg[0] != &w0[1] {
+		t.Fatalf("Segment(1) = %d tuples (cap %d), aliasing the staged slice: %v", len(seg), cap(seg), &seg[0] == &w0[1])
+	}
+	l.Reveal(1) // monotone: hides nothing
+	if l.Len() != 3 {
+		t.Fatalf("Reveal(1) after Reveal(3): Len %d", l.Len())
+	}
+	l.Stage(nil)
+	l.Reveal(4)
+	if l.Len() != 4 {
+		t.Fatalf("empty stage moved Reveal off the staged segment: Len %d", l.Len())
+	}
+	// Staging the next window reveals nothing of it, and Reveal counts into it.
+	w1 := []delta.Tuple{tup(4), tup(5)}
+	l.Stage(w1)
+	if l.Len() != 4 || r.Pending() != 1 {
+		t.Fatalf("after staging w1: Len %d, pending %d", l.Len(), r.Pending())
+	}
+	l.Reveal(1)
+	if got := vals(r.ReadNew()); !reflect.DeepEqual(got, []int64{3, 4}) {
+		t.Fatalf("read after revealing 1 of w1 = %v", got)
+	}
+	if seg := l.Segment(4); len(seg) != 1 || &seg[0] != &w1[0] {
+		t.Fatalf("Segment(4) = %d tuples; want w1's revealed prefix, aliased", len(seg))
+	}
+	l.Reveal(9)
+	if l.Len() != 6 || vals(delta.Seq{l.Segment(5)})[0] != 5 {
+		t.Fatalf("Reveal past the segment: Len %d", l.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Segment past the revealed end did not panic")
+		}
+	}()
+	l.Stage([]delta.Tuple{tup(6)})
+	l.Segment(6)
+}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"ishare/internal/buffer"
 	"ishare/internal/mqo"
 )
 
@@ -104,26 +103,12 @@ var DebugGraftLooseMatch bool
 // error can come after old executors were re-keyed onto the new graph, so a
 // runner whose graft failed must not be used again.
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
-	// Flush any remainder of the current stream into the logs (a no-op for
-	// well-behaved window-boundary callers), then seal the window so the
-	// history below is complete.
+	// Reveal any remainder of the current window (a no-op for well-behaved
+	// window-boundary callers), then seal it so the history below is
+	// complete: every table's log holds all that arrived, scanned or not.
 	r.ArriveWindow(1, 1)
 	r.sealWindow()
 	regBefore := r.reg.Stats()
-
-	// Tables the new plan scans that have no log yet (they may or may not
-	// have been arriving unobserved): create empty logs now and backfill
-	// them window by window during replay.
-	newTables := make(map[string]bool)
-	for _, s := range newG.Subplans {
-		for _, o := range s.Scans() {
-			name := o.Table.Name
-			if _, ok := r.tables[name]; !ok {
-				r.tables[name] = buffer.NewLog("table:" + name)
-				newTables[name] = true
-			}
-		}
-	}
 
 	stats := &GraftStats{AdoptedFrom: make([]int, len(newG.Subplans))}
 	gr := r.newGrafter(newG)
@@ -170,15 +155,7 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// freshly replayed window-k output. A rebuilt scan has no tuples to
 	// replay: its executions fill any new predicate's column over history
 	// once and count the rows it passes per window.
-	for k := range r.winData {
-		marks := r.winData[k]
-		for name := range newTables {
-			target := marks[name] // zero if the table had not arrived yet
-			if from := r.appended[name]; target > from {
-				r.tables[name].Append(r.Data[name][from:target]...)
-				r.appended[name] = target
-			}
-		}
+	for k, marks := range r.winData {
 		for _, s := range fresh {
 			se := newExecs[s.ID]
 			se.setReplayLimits(newG, marks, newExecs, k)
@@ -191,9 +168,6 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	}
 	for _, s := range fresh {
 		newExecs[s.ID].clearReplayLimits()
-	}
-	for name := range newTables {
-		r.windowBase[name] = r.appended[name]
 	}
 	// Re-pointed inputs read on from where their rebuilt producers' replay
 	// ended.
@@ -383,9 +357,9 @@ func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
 	se.ops, se.member, se.srcs, se.opWork = ops, member, srcs, opWork
 }
 
-// setReplayLimits caps every input at window k's marks: scans at the table's
-// stream mark, sources over child subplans at the child executor's window-k
-// end.
+// setReplayLimits caps every input at window k's marks: scans at the table
+// log's length at the seal (zero if the table had not arrived yet), sources
+// over child subplans at the child executor's window-k end.
 func (se *SubplanExec) setReplayLimits(g *mqo.Graph, marks map[string]int, execs []*SubplanExec, k int) {
 	for op, x := range se.ops {
 		if s, ok := x.(*scanExec); ok {

@@ -277,3 +277,85 @@ func TestGraftPaceAboveOne(t *testing.T) {
 		})
 	}
 }
+
+// TestGraftScansTableThatArrivedUnscanned feeds a runner windows of two
+// tables while its plan scans only t0, then admits a query over t1. The
+// graft must see t1's whole history — arrived in the construction dataset or
+// in later windows, never scanned — and end with the results and report of a
+// from-scratch runner of the final plan over the same windows.
+func TestGraftScansTableThatArrivedUnscanned(t *testing.T) {
+	col := func(name string) catalog.Column { return catalog.Column{Name: name, Type: value.KindInt} }
+	w := &oracle.Workload{
+		Tables: []oracle.TableDef{
+			{Name: "t0", Cols: []catalog.Column{col("c0"), col("c1"), col("c2")}},
+			{Name: "t1", Cols: []catalog.Column{col("c0"), col("c3")}},
+		},
+		SQL: []string{
+			"SELECT c0, SUM(c1) FROM t0 WHERE c2 > 1 GROUP BY c0",
+			"SELECT c0, COUNT(*), SUM(c3) FROM t1 WHERE c3 > 1 GROUP BY c0",
+		},
+	}
+	qs, err := w.Bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := graphOf(t, []plan.Query{qs[0], {}}), graphOf(t, qs)
+	ival := func(v int) value.Value { return value.Int(int64(v)) }
+	win := func(k int) exec.DeltaDataset {
+		ds := exec.DeltaDataset{}
+		for i := 0; i < 5; i++ {
+			ds["t0"] = append(ds["t0"], oracle.Ins(ival(i%2), ival(10*k+i), ival((i+k)%4)))
+			ds["t1"] = append(ds["t1"], oracle.Ins(ival(i%3), ival(k+i)))
+		}
+		if k > 0 {
+			ds["t1"] = append(ds["t1"], oracle.Del(ival(0), ival(k-1)))
+		}
+		return ds
+	}
+	const graftAt, windows = 3, 5
+	for _, inConstruction := range []bool{false, true} {
+		t.Run(fmt.Sprintf("construction=%v", inConstruction), func(t *testing.T) {
+			// run drives g's runner through windows [from, to); window 0 is
+			// the construction dataset when inConstruction.
+			run := func(r *exec.Runner, g *mqo.Graph, from, to int) {
+				for k := from; k < to; k++ {
+					if k > 0 || !inConstruction {
+						r.StartWindow(win(k))
+					}
+					r.ArriveWindow(1, 1)
+					for id := range g.Subplans {
+						r.RunSubplan(id)
+					}
+				}
+			}
+			newRunner := func(g *mqo.Graph) *exec.Runner {
+				data := exec.DeltaDataset{}
+				if inConstruction {
+					data = win(0)
+				}
+				r, err := exec.NewDeltaRunner(g, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			live := newRunner(before)
+			run(live, before, 0, graftAt)
+			if _, err := live.Graft(after, exec.GraftOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			run(live, after, graftAt, windows)
+			ref := newRunner(after)
+			run(ref, after, 0, windows)
+			for q := range qs {
+				got, want := live.SortedResults(q), ref.SortedResults(q)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Errorf("query %d: grafted %v, from scratch %v", q, got, want)
+				}
+			}
+			if got, want := live.ReportNow(), ref.ReportNow(); !reflect.DeepEqual(got, want) {
+				t.Errorf("grafted report %+v, from scratch %+v", got, want)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -65,29 +66,16 @@ func (r *Runner) computeLineage() {
 }
 
 // computeWinClean refreshes the per-subplan clean flags for the current
-// window: a subplan is clean iff no table in its scan cone has deltas past
-// its window base. Called at construction (the implicit first window) and by
-// StartWindow after the window's arrivals are appended; a Graft instead
-// starts every subplan dirty (fresh all-false flags) until the next boundary.
+// window: a subplan is clean iff no table in its scan cone has arrivals in
+// it. Called whenever a window's arrivals are staged (the construction
+// dataset's included); a Graft instead starts every subplan dirty (fresh
+// all-false flags) until the next boundary.
 func (r *Runner) computeWinClean() {
-	if r.winClean == nil || len(r.winClean) != len(r.Graph.Subplans) {
+	if len(r.winClean) != len(r.Graph.Subplans) {
 		r.winClean = make([]bool, len(r.Graph.Subplans))
 	}
-	dirty := make(map[string]bool, len(r.tables))
-	for name := range r.tables {
-		if len(r.Data[name]) > r.windowBase[name] {
-			dirty[name] = true
-		}
-	}
 	for i, cone := range r.lineage {
-		clean := true
-		for _, name := range cone {
-			if dirty[name] {
-				clean = false
-				break
-			}
-		}
-		r.winClean[i] = clean
+		r.winClean[i] = !slices.ContainsFunc(cone, func(name string) bool { return len(r.arrivals[name]) > 0 })
 	}
 }
 

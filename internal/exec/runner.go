@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"ishare/internal/buffer"
@@ -29,6 +30,8 @@ type DeltaDataset map[string][]delta.Tuple
 // execution at the trigger point.
 type Runner struct {
 	Graph *mqo.Graph
+	// Data mirrors every stream that has arrived, per table, in arrival
+	// order. The executor only writes it: the table logs are its record.
 	Data  DeltaDataset
 	Execs []*SubplanExec
 	// Trace optionally receives per-execution spans and shared work
@@ -38,21 +41,21 @@ type Runner struct {
 	// order-independent counters only, so traces stay worker-count-invariant.
 	Trace *trace.Tracer
 
+	// tables holds the log of every table that has arrived or that a scan
+	// reads. The current window's arrivals (the construction dataset until
+	// the first StartWindow) are each one staged segment of their log.
 	tables   map[string]*buffer.Log
-	appended map[string]int
-	// windowBase marks, per table, where the current trigger window's
-	// stream starts (see StartWindow); zero for single-window Run use.
-	windowBase map[string]int
+	arrivals DeltaDataset
 
 	// opts is the executor configuration in force (see Options); Graft
 	// builds fresh executors under it.
 	opts Options
-	// winData records, at each window seal, the length of every stream in
-	// Data (all names, not just scanned tables — a later plan revision may
-	// start scanning a table that has been arriving unobserved). Together
-	// with each executor's per-seal output marks it lets Graft replay a
-	// rebuilt subplan through the exact same window-by-window history a
-	// from-scratch run would have seen.
+	// winData records, at each window seal, the length of every table log
+	// (scanned or not — a later plan revision may start scanning a table
+	// that has been arriving unobserved). Together with each executor's
+	// per-seal output marks it lets Graft replay a rebuilt subplan through
+	// the exact same window-by-window history a from-scratch run would have
+	// seen.
 	winData []map[string]int
 	// winOpen reports whether deltas have arrived since the last seal.
 	winOpen bool
@@ -130,35 +133,17 @@ func NewDeltaRunner(g *mqo.Graph, data DeltaDataset) (*Runner, error) {
 }
 
 // New builds fresh operator state, buffers and table logs for the graph over
-// signed change streams. It is the one general constructor; NewRunner and
-// NewDeltaRunner are its zero-Options forms.
+// signed change streams, which arrive as the first window. It is the one
+// general constructor; NewRunner and NewDeltaRunner are its zero-Options
+// forms.
 func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	r := &Runner{
-		Graph:      g,
-		Data:       data,
-		tables:     make(map[string]*buffer.Log),
-		appended:   make(map[string]int),
-		windowBase: make(map[string]int),
-		opts:       opts,
-		reg:        NewRegistry(!opts.NoShare),
-		lay:        planLayouts(g),
-	}
-	// A non-empty construction dataset is the first (implicit) window: if
-	// the plan is later grafted, that history must be replayable.
-	for _, ts := range data {
-		if len(ts) > 0 {
-			r.winOpen = true
-			break
-		}
-	}
-	// Every scanned table needs data (possibly empty).
-	for _, s := range g.Subplans {
-		for _, o := range s.Scans() {
-			name := o.Table.Name
-			if _, ok := r.tables[name]; !ok {
-				r.tables[name] = buffer.NewLog("table:" + name)
-			}
-		}
+		Graph:  g,
+		Data:   make(DeltaDataset, len(data)),
+		tables: make(map[string]*buffer.Log),
+		opts:   opts,
+		reg:    NewRegistry(!opts.NoShare),
+		lay:    planLayouts(g),
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first, so child execs exist
@@ -169,7 +154,9 @@ func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 		r.Execs[s.ID] = se
 	}
 	r.indexGraph()
-	r.computeWinClean() // the construction dataset is the implicit first window
+	// An all-empty construction dataset opens no window: a sealed empty
+	// window would cost every later rebuilt subplan a replay execution.
+	r.winOpen = r.stage(data)
 	return r, nil
 }
 
@@ -185,13 +172,23 @@ func (r *Runner) SetOptions(opts Options) {
 	r.reg.SetShare(!opts.NoShare)
 }
 
-// TableLog returns the delta log of a base table the plan scans.
+// TableLog returns the delta log of a base table that arrived or is scanned.
 func (r *Runner) TableLog(name string) (*buffer.Log, error) {
 	log, ok := r.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("exec: no log for table %q", name)
 	}
 	return log, nil
+}
+
+// tableLog returns a table's log, creating it on first use.
+func (r *Runner) tableLog(name string) *buffer.Log {
+	log, ok := r.tables[name]
+	if !ok {
+		log = buffer.NewLog("table:" + name)
+		r.tables[name] = log
+	}
+	return log
 }
 
 // SubplanLog returns the output log of a subplan; an error when the subplan
@@ -337,43 +334,52 @@ func (r *Runner) report(paces []int, wall time.Duration) *Report {
 // RunSubplan) driving mode's equivalent of Run's return value.
 func (r *Runner) ReportNow() *Report { return r.report(nil, 0) }
 
-// ArriveWindow appends each table's deltas up to fraction j/p of the current
-// window's stream (the construction dataset when StartWindow was never
-// called).
+// ArriveWindow reveals the first j/p of each table's arrivals in the current
+// window (the construction dataset when StartWindow was never called).
 func (r *Runner) ArriveWindow(j, p int) {
-	for name, log := range r.tables {
-		tuples := r.Data[name]
-		base := r.windowBase[name]
-		target := base + (len(tuples)-base)*j/p
-		from := r.appended[name]
-		if target > from {
-			log.Append(tuples[from:target]...)
-			r.appended[name] = target
-		}
+	for name, ts := range r.arrivals {
+		r.tables[name].Reveal(len(ts) * j / p)
 	}
 }
 
-// StartWindow begins a new trigger window: the given deltas are appended to
-// each table's stream and become the window's arrivals, and fractions passed
-// to ArriveWindow are measured over them alone. Operator and buffer state
+// StartWindow begins a new trigger window: the rest of the current window
+// arrives and is sealed, and the given deltas become the new window's
+// arrivals, each stream staged as one segment of its table's log (kept, not
+// copied: the caller must not modify it afterwards); fractions passed to
+// ArriveWindow are measured over them alone. Operator and buffer state
 // carries over — the engine keeps ingesting, as the paper's recurring
 // trigger windows do. The scheduler runtime (internal/sched) and Session
 // drive multi-window executions through this; Run and RunParallel consume
 // the single window the Runner was constructed with.
 func (r *Runner) StartWindow(arrivals DeltaDataset) {
+	r.ArriveWindow(1, 1)
 	r.sealWindow()
+	r.stage(arrivals)
 	r.winOpen = true
-	for name := range r.tables {
-		r.windowBase[name] = len(r.Data[name])
-	}
+}
+
+// stage makes arrivals the current window's: each stream is staged, without
+// copying, as one segment of its table's log, and Data's mirror grows by it.
+// It reports whether any tuple arrived.
+func (r *Runner) stage(arrivals DeltaDataset) (arrived bool) {
+	r.arrivals = arrivals
 	for name, ts := range arrivals {
-		r.Data[name] = append(r.Data[name], ts...)
+		r.tableLog(name).Stage(ts)
+		if len(r.Data[name]) == 0 {
+			// Clipped, so a later window's append copies instead of
+			// writing into the caller's array.
+			r.Data[name] = slices.Clip(ts)
+		} else {
+			r.Data[name] = append(r.Data[name], ts...)
+		}
+		arrived = arrived || len(ts) > 0
 	}
 	r.computeWinClean()
+	return arrived
 }
 
 // sealWindow closes the current window for graft bookkeeping: it records
-// every stream's current length and every executor's current output marks,
+// every table log's length and every executor's current output marks,
 // forming one replayable unit of history. No-op when no window is open, so
 // empty windows are still sealed exactly once — a rebuilt subplan must
 // replay one execution per window even when the window carried no data (the
@@ -384,9 +390,9 @@ func (r *Runner) sealWindow() {
 		return
 	}
 	r.winOpen = false
-	marks := make(map[string]int, len(r.Data))
-	for name, ts := range r.Data {
-		marks[name] = len(ts)
+	marks := make(map[string]int, len(r.tables))
+	for name, log := range r.tables {
+		marks[name] = log.Len()
 	}
 	r.winData = append(r.winData, marks)
 	for _, se := range r.Execs {

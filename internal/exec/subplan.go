@@ -55,14 +55,14 @@ type inputKey struct {
 	slot int
 }
 
-// newSubplanExec wires a subplan of g to r's table logs and to its child
-// subplans' executors in execs, the executor slice being filled
-// children-first (r.Execs at construction; a graft's new slice). lay is g's
-// join layouts (planLayouts), computed once per graph by the caller. The
-// sources yield chunks of r's batch size, captured at construction so
-// concurrent runners never share batch state; joins and aggregates attach
-// their indexed state, and scans their truth columns, to r's registry
-// through the executor's holder.
+// newSubplanExec wires a subplan of g to r's table logs (creating those not
+// yet arrived) and to its child subplans' executors in execs, the executor
+// slice being filled children-first (r.Execs at construction; a graft's new
+// slice). lay is g's join layouts (planLayouts), computed once per graph by
+// the caller. The sources yield chunks of r's batch size, captured at
+// construction so concurrent runners never share batch state; joins and
+// aggregates attach their indexed state, and scans their truth columns, to
+// r's registry through the executor's holder.
 func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanExec, lay layouts) (*SubplanExec, error) {
 	batch := r.opts.batch()
 	se := &SubplanExec{
@@ -80,11 +80,7 @@ func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanE
 			se.ops[o] = newOperator(o, batch, &se.state, lay)
 			continue
 		}
-		log, err := r.TableLog(o.Table.Name)
-		if err != nil {
-			return nil, err
-		}
-		se.ops[o] = newScanExec(o, batch, &se.state, log)
+		se.ops[o] = newScanExec(o, batch, &se.state, r.tableLog(o.Table.Name))
 	}
 	// A member join below the root has one parent, in this subplan; an
 	// aggregate or project parent copies what it keeps, a join parent

@@ -55,18 +55,10 @@ func b2u(v bool) uint64 {
 	return 0
 }
 
-// truthKey identifies a scan predicate's truth column: the table, the
-// predicate's canonical form and the kinds of its constants, which Canon
-// does not render (Int 2450 and Float 2450.0 print alike but need not
-// compare alike).
+// truthKey identifies a scan predicate's truth column: the table and the
+// predicate's canonical form.
 func truthKey(table string, pred expr.Expr) string {
-	kinds := []byte{0}
-	pred.Walk(func(e expr.Expr) {
-		if c, ok := e.(*expr.Const); ok {
-			kinds = append(kinds, byte(c.Val.K))
-		}
-	})
-	return table + "\x00" + expr.Canon(pred) + string(kinds)
+	return table + "\x00" + expr.Canon(pred)
 }
 
 // TruthStats is a point-in-time accounting of the truth columns.

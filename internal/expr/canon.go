@@ -1,12 +1,19 @@
 package expr
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+
+	"ishare/internal/value"
+)
 
 // Canon renders a canonical form of the expression that is unambiguous
 // about column identity: columns render as name#index, so two columns that
 // merely share a name (e.g. self-join aliases) never collide. Plan
 // signatures and merge-time expression dedup use Canon; String remains the
-// human-readable display form.
+// human-readable display form. Constants render their kind too: an integral
+// Float keeps a decimal point, so it never merges with the equal Int, which
+// computes differently (integer arithmetic wraps and stays an integer).
 func Canon(e Expr) string {
 	if e == nil {
 		return "<nil>"
@@ -15,7 +22,11 @@ func Canon(e Expr) string {
 	case *Column:
 		return n.Name + "#" + strconv.Itoa(n.Index)
 	case *Const:
-		return n.String()
+		s := n.String()
+		if n.Val.K == value.KindFloat && !strings.ContainsAny(s, ".eIN") {
+			s += ".0" // "2.5", "1e+21", "+Inf" and "NaN" already differ from any Int
+		}
+		return s
 	case *Binary:
 		return "(" + Canon(n.L) + " " + n.Op.String() + " " + Canon(n.R) + ")"
 	case *Unary:

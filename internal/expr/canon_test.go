@@ -24,6 +24,10 @@ func TestCanonForms(t *testing.T) {
 	}{
 		{col(2, "x", value.KindInt), "x#2"},
 		{lit(value.Int(5)), "5"},
+		{lit(value.Float(5)), "5.0"},
+		{lit(value.Float(-2)), "-2.0"},
+		{lit(value.Float(2.5)), "2.5"},
+		{lit(value.Float(1e21)), "1e+21"},
 		{lit(value.Str("s")), "'s'"},
 		{&Binary{OpAdd, col(0, "a", value.KindInt), lit(value.Int(1))}, "(a#0 + 1)"},
 		{&Unary{OpNot, lit(value.Bool(true))}, "(NOT true)"},

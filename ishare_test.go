@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -541,5 +542,57 @@ func TestNonFiniteConstraintsRejected(t *testing.T) {
 		if _, err := s.Admit("q", sql, rel); err == nil {
 			t.Errorf("Admit accepted constraint %v", rel)
 		}
+	}
+}
+
+// TestSharingKeepsResultTypes: SUM(x * 2.0) returns floats alone and beside
+// SUM(x * 2), whose constant prints alike. Sharing must not merge the two
+// aggregates — only their scan — so neither query gets the other's type.
+func TestSharingKeepsResultTypes(t *testing.T) {
+	run := func(sqls ...string) (*Plan, *Report) {
+		t.Helper()
+		e := NewEngine()
+		e.MustCreateTable(TableSchema{
+			Name:         "t",
+			Columns:      []Column{{Name: "k", Type: Int, Distinct: 2}, {Name: "x", Type: Int}},
+			ExpectedRows: 3,
+		})
+		for i, sql := range sqls {
+			e.MustAddQuery(fmt.Sprintf("q%d", i), sql, 1.0)
+		}
+		p, err := e.Optimize(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(p, map[string][]Row{"t": {{1, 2}, {1, 3}, {2, 7}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, rep
+	}
+	const floatSQL, intSQL = "SELECT k, SUM(x * 2.0) AS s FROM t GROUP BY k", "SELECT k, SUM(x * 2) AS s FROM t GROUP BY k"
+	// sums renders each row's sum with its Go type, in order.
+	sums := func(rows []Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%T(%v)", r[1], r[1])
+		}
+		sort.Strings(out)
+		return out
+	}
+	floats, ints := []string{"float64(10)", "float64(14)"}, []string{"int64(10)", "int64(14)"}
+	_, alone := run(floatSQL)
+	if got := sums(alone.Results("q0")); !reflect.DeepEqual(got, floats) {
+		t.Fatalf("alone: sums %v, want %v", got, floats)
+	}
+	p, both := run(floatSQL, intSQL)
+	if got := sums(both.Results("q0")); !reflect.DeepEqual(got, floats) {
+		t.Errorf("beside SUM(x * 2): sums %v, want %v", got, floats)
+	}
+	if got := sums(both.Results("q1")); !reflect.DeepEqual(got, ints) {
+		t.Errorf("SUM(x * 2): sums %v, want %v", got, ints)
+	}
+	if n := p.SharedOperators(); n != 1 {
+		t.Errorf("SharedOperators = %d, want 1 (the scan only)", n)
 	}
 }
