@@ -31,7 +31,8 @@ type Options struct {
 	// Deadline, when nonzero, aborts optimization with pace.ErrDeadline.
 	Deadline time.Time
 	// Deprecated: ignored; the pace search runs on the caller's goroutine.
-	// Removed with ROADMAP item 4(c).
+	// Removed once the benchmark stops setting it (ROADMAP, "One
+	// observation seam").
 	Workers int
 	// Calibration carries per-subplan correction factors learned from a
 	// previous recurrence (paper §3.2); base signatures survive rebuilds,

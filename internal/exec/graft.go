@@ -252,7 +252,7 @@ func (gr *grafter) find(s *mqo.Subplan) (oldID int, rbs []rebind, above, ok bool
 		case !inputsOK:
 		case len(cand) == 0:
 			return id, nil, candAbove, true
-		case !ok && len(se.perExec) == len(r.winData):
+		case !ok && se.runs == len(r.winData):
 			oldID, rbs, above, ok = id, cand, candAbove, true
 		}
 	}
@@ -318,21 +318,26 @@ type rebind struct {
 
 // apply starts a reader at the end of the new producer's output and adds,
 // for every sealed window, the difference between the two producers' window
-// output counts to that execution's Tuples and to the reading operator's.
-// It runs after replay, when the new producer's marks cover every window.
+// output counts to the executor's total Tuples and to the reading
+// operator's, and the last window's difference to the last execution's. The
+// executor ran once per sealed window (grafter.find), so execution k is
+// window k's. It runs after replay, when the new producer's marks cover
+// every window.
 func (rb rebind) apply() {
-	rb.se.srcs[rb.key.op][rb.key.slot] = rb.se.reader(rb.to, rb.key.op.Queries, rb.to.end())
-	var total int64
+	se := rb.se
+	se.srcs[rb.key.op][rb.key.slot] = se.reader(rb.to, rb.key.op.Queries, rb.to.end())
+	var total, d int64
 	fromPrev, toPrev := 0, 0
-	for k := range rb.se.perExec {
-		d := int64(rb.to.winOut[k]-toPrev) - int64(rb.from.winOut[k]-fromPrev)
+	for k := range se.runs {
+		d = int64(rb.to.winOut[k]-toPrev) - int64(rb.from.winOut[k]-fromPrev)
 		fromPrev, toPrev = rb.from.winOut[k], rb.to.winOut[k]
-		rb.se.perExec[k].Tuples += d
 		total += d
 	}
-	w := rb.se.opWork[rb.key.op]
+	se.total.Tuples += total
+	se.last.Tuples += d
+	w := se.opWork[rb.key.op]
 	w.Tuples += total
-	rb.se.opWork[rb.key.op] = w
+	se.opWork[rb.key.op] = w
 }
 
 // adopt remaps the executor's per-operator bookkeeping from the old

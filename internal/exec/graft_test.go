@@ -244,7 +244,6 @@ func TestGraftPaceAboveOne(t *testing.T) {
 				if stats[i], err = r.Graft(after, exec.GraftOptions{DisableTransplant: i == 1}); err != nil {
 					t.Fatal(err)
 				}
-				step(r, after, 2, pace)
 				runners[i] = r
 			}
 			gs := stats[0]
@@ -256,22 +255,31 @@ func TestGraftPaceAboveOne(t *testing.T) {
 				t.Errorf("graft %+v, want %d state-identical adopted and %d reattached", gs, identical, wantReattached)
 			}
 			live, replay := runners[0], runners[1]
+			// Every subplan that is not state-identical carries the history
+			// a from-scratch run over the same windows would have — rebuilt
+			// or reattached, it matches the all-replay run, down to its last
+			// execution, which right after the graft is the last sealed
+			// window's.
+			sameHistory := func(when string) {
+				for _, s := range after.Subplans {
+					if oldSigs[newSigs[s.ID]] {
+						continue
+					}
+					l, rp := live.Execs[s.ID], replay.Execs[s.ID]
+					if l.Executions() != rp.Executions() || l.TotalWork() != rp.TotalWork() || l.FinalWork() != rp.FinalWork() {
+						t.Errorf("%s: subplan %d: %d executions %+v last %+v, all-replay %d executions %+v last %+v", when,
+							s.ID, l.Executions(), l.TotalWork(), l.FinalWork(), rp.Executions(), rp.TotalWork(), rp.FinalWork())
+					}
+				}
+			}
+			sameHistory("after the graft")
+			for _, r := range runners {
+				step(r, after, 2, pace)
+			}
+			sameHistory("after window 2")
 			for q := range qs {
 				if got, want := live.SortedResults(q), replay.SortedResults(q); !reflect.DeepEqual(got, want) {
 					t.Errorf("query %d: transplanted %v, replayed %v", q, got, want)
-				}
-			}
-			// Every subplan that is not state-identical carries the history
-			// a from-scratch run over the same windows would have — rebuilt
-			// or reattached, it matches the all-replay run.
-			for _, s := range after.Subplans {
-				if oldSigs[newSigs[s.ID]] {
-					continue
-				}
-				l, rp := live.Execs[s.ID], replay.Execs[s.ID]
-				if l.Executions() != rp.Executions() || l.TotalWork() != rp.TotalWork() {
-					t.Errorf("subplan %d: %d executions %+v, all-replay %d executions %+v",
-						s.ID, l.Executions(), l.TotalWork(), rp.Executions(), rp.TotalWork())
 				}
 			}
 		})

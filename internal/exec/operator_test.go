@@ -157,7 +157,7 @@ func testJoinLateDeleteCancels(t *testing.T) {
 	if se.Executions() != 2 {
 		t.Errorf("Executions = %d", se.Executions())
 	}
-	if se.ExecWork(0).Total() <= 0 {
+	if se.TotalWork().Total() <= se.FinalWork().Total() {
 		t.Error("no work recorded for first execution")
 	}
 }

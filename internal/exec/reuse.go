@@ -106,6 +106,6 @@ func (se *SubplanExec) skipOnce() Work {
 		w.Fixed += DebugSlowSubplan(se.Sub.ID)
 	}
 	se.lastBatches = 0
-	se.perExec = append(se.perExec, w)
+	se.record(w)
 	return w
 }

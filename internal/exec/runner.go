@@ -9,7 +9,6 @@ import (
 	"ishare/internal/buffer"
 	"ishare/internal/delta"
 	"ishare/internal/mqo"
-	"ishare/internal/trace"
 	"ishare/internal/value"
 	"ishare/internal/vec"
 )
@@ -34,12 +33,6 @@ type Runner struct {
 	// order. The executor only writes it: the table logs are its record.
 	Data  DeltaDataset
 	Execs []*SubplanExec
-	// Trace optionally receives per-execution spans and shared work
-	// counters. Spans are recorded only by Run (one worker, so a firing can
-	// be bracketed on the caller's goroutine); every other driver — the
-	// scheduler runtime records its own canonically ordered spans — feeds
-	// order-independent counters only, so traces stay worker-count-invariant.
-	Trace *trace.Tracer
 
 	// tables holds the log of every table that has arrived or that a scan
 	// reads. The current window's arrivals (the construction dataset until
@@ -224,8 +217,8 @@ type Report struct {
 }
 
 // Run executes the configured paces over the full dataset on the calling
-// goroutine, recording one tracer span per firing when Trace is set. It must
-// be called once per Runner; operator state is not reset between runs.
+// goroutine. It must be called once per Runner; operator state is not reset
+// between runs.
 func (r *Runner) Run(paces []int) (*Report, error) { return r.drive(paces, 1) }
 
 // RunParallel executes the pace configuration like Run, but runs independent
@@ -244,7 +237,7 @@ func (r *Runner) RunParallel(paces []int, workers int) (*Report, error) {
 
 // drive runs one window's firing sequence group by group on n ≥ 1 workers.
 // With one worker every firing is its own group — firing order already runs
-// children first — so each can be bracketed by a span.
+// children first — so each takes RunGroup's single-firing path.
 func (r *Runner) drive(paces []int, n int) (*Report, error) {
 	if len(paces) != len(r.Graph.Subplans) {
 		return nil, fmt.Errorf("exec: %d paces for %d subplans", len(paces), len(r.Graph.Subplans))
@@ -252,12 +245,6 @@ func (r *Runner) drive(paces []int, n int) (*Report, error) {
 	fs, err := Schedule(paces)
 	if err != nil {
 		return nil, err
-	}
-	tr := r.Trace
-	spans := tr != nil && n == 1
-	pid := 0
-	if spans {
-		pid = r.traceProcess()
 	}
 	start := time.Now()
 	for lo, hi := 0, 0; lo < len(fs); lo = hi {
@@ -267,44 +254,11 @@ func (r *Runner) drive(paces []int, n int) (*Report, error) {
 		}
 		f := fs[lo]
 		r.ArriveWindow(f.Index, f.Pace)
-		runStart := tr.Since()
-		works, err := r.RunGroup(fs[lo:hi], n, "exec", nil)
-		if err != nil {
+		if _, err := r.RunGroup(fs[lo:hi], n, "exec", nil); err != nil {
 			return nil, err
 		}
-		if spans {
-			w := works[0]
-			tr.Span(pid, 1+f.Subplan, "exec", fmt.Sprintf("run %d/%d", f.Index, f.Pace), runStart, tr.Since(),
-				trace.Arg{Key: "tuples", Value: w.Tuples},
-				trace.Arg{Key: "output", Value: w.Output},
-				trace.Arg{Key: "rescan", Value: w.Rescan},
-				trace.Arg{Key: "work", Value: w.Total()})
-		}
-		for _, w := range works {
-			r.CountWork(w)
-		}
 	}
-	r.CountArrangements()
 	return r.report(paces, time.Since(start)), nil
-}
-
-// CountArrangements publishes the registry's sharing/memory accounting to
-// the tracer's counters. The values are end-state gauges, not deltas, so
-// callers emit them exactly once per run — Run does it after the last
-// firing, and the scheduler runtime after its final window closes. No-op
-// without a tracer.
-func (r *Runner) CountArrangements() {
-	tr := r.Trace
-	if tr == nil {
-		return
-	}
-	st := r.reg.Stats()
-	tr.Count("exec.arr.live", int64(st.Live))
-	tr.Count("exec.arr.handles", int64(st.Handles))
-	tr.Count("exec.arr.multiuse", int64(st.MultiUse))
-	tr.Count("exec.arr.entries", st.Entries)
-	tr.Count("exec.arr.built", st.Built)
-	tr.Count("exec.arr.shared_attaches", st.SharedAttaches)
 }
 
 // report builds the cumulative modeled-work report.
@@ -408,35 +362,6 @@ func (r *Runner) sealWindow() {
 // returns its work: one firing of RunGroup without the waves or the panic
 // recovery, for callers that hand-drive a window (the oracle, the benchmark).
 func (r *Runner) RunSubplan(id int) Work { return r.runOnce(id) }
-
-// traceProcess registers the "exec" tracer process and its per-subplan
-// thread tracks (tid 1+id) for Run's spans and returns the pid.
-func (r *Runner) traceProcess() int {
-	pid := r.Trace.Process("exec")
-	for _, s := range r.Graph.Subplans {
-		r.Trace.Thread(pid, 1+s.ID, fmt.Sprintf("subplan %d", s.ID))
-	}
-	return pid
-}
-
-// CountWork publishes one execution's work to the tracer's shared counters —
-// the same attribution path the scheduler runtime's per-subplan metrics use.
-// Counter adds commute, so concurrent executions leave totals deterministic.
-// No-op without a tracer.
-func (r *Runner) CountWork(w Work) {
-	tr := r.Trace
-	if tr == nil {
-		return
-	}
-	tr.Count("exec.executions", 1)
-	tr.Count("exec.tuples", w.Tuples)
-	tr.Count("exec.state", w.State)
-	tr.Count("exec.output", w.Output)
-	if w.Rescan > 0 {
-		tr.Count("exec.rescans", 1)
-		tr.Count("exec.rescan_work", w.Rescan)
-	}
-}
 
 // ArrangeStats returns the arrangement registry's current accounting. Not
 // safe to call concurrently with running executions.

@@ -26,11 +26,14 @@ type SubplanExec struct {
 	// otherwise. srcs holds each non-scan member's input sources by child
 	// slot: a view reader for a scan child (member or not), a log reader
 	// for another child subplan, an edge for a member child.
-	ops     map[*mqo.Op]any
-	member  map[*mqo.Op]bool
-	srcs    map[*mqo.Op][]source
-	perExec []Work
-	opWork  map[*mqo.Op]Work
+	ops    map[*mqo.Op]any
+	member map[*mqo.Op]bool
+	srcs   map[*mqo.Op][]source
+	opWork map[*mqo.Op]Work
+	// runs counts the incremental executions so far, total sums their
+	// work and last is the most recent one's.
+	runs        int
+	total, last Work
 	// batch is the vectorized chunk size the sources yield; batches counts
 	// the chunks the member operators processed (cumulative), and
 	// lastBatches the chunks of the most recent RunOnce — the profiler's
@@ -240,8 +243,15 @@ func (se *SubplanExec) RunOnce() Work {
 	if DebugSlowSubplan != nil {
 		w.Fixed += DebugSlowSubplan(se.Sub.ID)
 	}
-	se.perExec = append(se.perExec, w)
+	se.record(w)
 	return w
+}
+
+// record accounts one execution's work.
+func (se *SubplanExec) record(w Work) {
+	se.runs++
+	se.total.Add(w)
+	se.last = w
 }
 
 // eval fires op's member children depth-first, then op over its sources; a
@@ -282,27 +292,13 @@ func (se *SubplanExec) eval(op *mqo.Op) ([]delta.Tuple, Work) {
 func (se *SubplanExec) OpWork(op *mqo.Op) Work { return se.opWork[op] }
 
 // Executions returns the number of incremental executions so far.
-func (se *SubplanExec) Executions() int { return len(se.perExec) }
+func (se *SubplanExec) Executions() int { return se.runs }
 
-// TotalWork sums the work of all executions.
-func (se *SubplanExec) TotalWork() Work {
-	var w Work
-	for _, e := range se.perExec {
-		w.Add(e)
-	}
-	return w
-}
+// TotalWork returns the summed work of all executions.
+func (se *SubplanExec) TotalWork() Work { return se.total }
 
 // FinalWork returns the work of the last execution (zero before any run).
-func (se *SubplanExec) FinalWork() Work {
-	if len(se.perExec) == 0 {
-		return Work{}
-	}
-	return se.perExec[len(se.perExec)-1]
-}
-
-// ExecWork returns the work of execution i.
-func (se *SubplanExec) ExecWork(i int) Work { return se.perExec[i] }
+func (se *SubplanExec) FinalWork() Work { return se.last }
 
 // Batches returns the cumulative vectorized chunk count across executions;
 // LastBatches the chunks of the most recent execution. Physical metrics:

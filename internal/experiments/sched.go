@@ -106,11 +106,17 @@ func SchedulerLatency(cfg Config, reg *metrics.Registry) (*SchedResult, error) {
 				// Baseline each subplan on the cost model's per-window
 				// prediction under the scheduled pace vector — the same
 				// evaluation that chose the paces, so drift means "reality
-				// left the plan's assumptions".
+				// left the plan's assumptions". The evaluation covers the
+				// whole dataset and each window gets 1/windows of it, the
+				// scale RecalibratePolicy.BaselineScale defaults to.
 				if ev, err := job.Model.Evaluate(job.Paces); err == nil {
+					base := make([]float64, len(ev.SubTotal))
+					for i, v := range ev.SubTotal {
+						base[i] = v / windows
+					}
 					prof = profile.New(profile.Config{
 						Subplans: len(job.Graph.Subplans),
-						Modeled:  ev.SubTotal,
+						Modeled:  base,
 					})
 				}
 			}

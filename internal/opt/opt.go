@@ -102,7 +102,8 @@ type Request struct {
 	// from a previous recurrence (see Job.CalibrateFrom).
 	Calibration cost.Calibration
 	// Deprecated: ignored; the pace search runs on the caller's goroutine.
-	// Removed with ROADMAP item 4(c).
+	// Removed once the benchmark stops setting it (ROADMAP, "One
+	// observation seam").
 	Workers int
 	// Trace optionally records the whole optimization: build/search spans,
 	// memo counters and the pace/decomposition decision logs EXPLAIN and

@@ -38,7 +38,8 @@ type Optimizer struct {
 	// Deadline, when nonzero, aborts the search with ErrDeadline.
 	Deadline time.Time
 	// Deprecated: ignored; the pace search runs on the caller's goroutine.
-	// Removed with ROADMAP item 4(c).
+	// Removed once the benchmark stops setting it (ROADMAP, "One
+	// observation seam").
 	Workers int
 	// Trace optionally records the search as one span plus one structured
 	// Decision per greedy step (every candidate considered with its

@@ -3,10 +3,10 @@
 // window, an execution profile {modeled baseline work, observed modeled
 // work, measured wall time, firings, vectorized batch count} into a bounded
 // ring, maintains an observed/modeled drift EWMA per subplan, and raises an
-// Alert whenever a subplan's drift leaves the configured band. ROADMAP item
-// 5 (online recalibration and drift-triggered pace re-search) consumes this
-// layer; today the profiles feed the event log, the statusz endpoint and the
-// ishare facade.
+// Alert whenever a subplan's drift leaves the configured band. The
+// scheduler's online recalibration and drift-triggered pace re-search
+// (sched.RecalibratePolicy) consume this layer; the profiles also feed the
+// event log, the statusz endpoint and the ishare facade.
 //
 // Determinism: Observe and FlushWindow are driven from the scheduler's
 // canonical accounting loop (never from worker goroutines), and drift is a

@@ -41,7 +41,6 @@ func (s *Scheduler) reportStart() {
 		s.tracePid = tr.Process(cmp.Or(s.cfg.TraceName, "sched"))
 		s.traceBase = tr.Since()
 		tr.Thread(s.tracePid, 0, "windows")
-		s.runner.Trace = tr
 	}
 	s.reportSubplans()
 }
@@ -71,9 +70,14 @@ func (s *Scheduler) reportGroup(fs []firing) {
 		s.workTotal.Add(w)
 		s.lagHist.Observe(ms(f.start - f.due))
 		if tr != nil {
-			// The shared exec counters are fed here too, keeping the
-			// concurrent execution path free of tracer work.
-			s.runner.CountWork(f.work)
+			tr.Count("exec.executions", 1)
+			tr.Count("exec.tuples", f.work.Tuples)
+			tr.Count("exec.state", f.work.State)
+			tr.Count("exec.output", f.work.Output)
+			if f.work.Rescan > 0 {
+				tr.Count("exec.rescans", 1)
+				tr.Count("exec.rescan_work", f.work.Rescan)
+			}
 			tr.Span(s.tracePid, 1+f.Subplan, "sched", fmt.Sprintf("fire %d/%d", f.Index, f.Pace),
 				s.traceBase+f.start, s.traceBase+f.finish,
 				trace.Arg{Key: "window", Value: s.window},
@@ -88,7 +92,7 @@ func (s *Scheduler) reportGroup(fs []firing) {
 // from the window's records, deadline and overload accounting, the
 // degradation or recalibration taken, the runner's arrangement and reuse
 // deltas, and the status view. After the run's last window it also publishes
-// the runner's end-state arrangement gauges.
+// the runner's end-state arrangement gauges to the tracer.
 func (s *Scheduler) reportWindow(ws WindowStats, alerts []profile.Alert) {
 	for _, f := range s.fired {
 		s.subExecs[f.Subplan].Inc()
@@ -154,6 +158,16 @@ func (s *Scheduler) reportWindow(ws WindowStats, alerts []profile.Alert) {
 					rec.Window, len(rec.Subplans), rec.OldPaces, rec.NewPaces, rec.Adopted, rec.Evals),
 			})
 		}
+		if ws.Window == s.cfg.Windows-1 {
+			// End-state gauges, not deltas: published once per run.
+			st := s.runner.ArrangeStats()
+			tr.Count("exec.arr.live", int64(st.Live))
+			tr.Count("exec.arr.handles", int64(st.Handles))
+			tr.Count("exec.arr.multiuse", int64(st.MultiUse))
+			tr.Count("exec.arr.entries", st.Entries)
+			tr.Count("exec.arr.built", st.Built)
+			tr.Count("exec.arr.shared_attaches", st.SharedAttaches)
+		}
 	}
 
 	if ev := s.cfg.Events; ev.Enabled() {
@@ -202,9 +216,6 @@ func (s *Scheduler) reportWindow(ws WindowStats, alerts []profile.Alert) {
 
 	if b := s.cfg.Status; b != nil {
 		b.Publish(s.buildStatus(ws))
-	}
-	if ws.Window == s.cfg.Windows-1 {
-		s.runner.CountArrangements()
 	}
 }
 

@@ -15,8 +15,8 @@
 // clock time, so overload (eager paces whose executions outrun the window)
 // is observable and reproducible.
 //
-// When a window overloads (a missed deadline, or firings starting later than
-// Config.LagThreshold after their due times), the degradation policy
+// When a window overloads (a missed deadline, or firings starting more than
+// a tenth of a window after their due times), the degradation policy
 // coarsens paces toward batch: it halves the pace of the subplan whose
 // eager (pre-trigger) executions consumed the most window time — the
 // highest spend per unit of slack bought, since under overload it is the
@@ -70,16 +70,13 @@ type Config struct {
 	// DisableDegradation turns the overload policy off: paces then stay
 	// fixed for the whole run no matter how many deadlines miss.
 	DisableDegradation bool
-	// LagThreshold is the start-lag beyond which a window counts as
-	// overloaded even when every deadline was met; 0 defaults to
-	// Window/10.
-	LagThreshold time.Duration
 	// Metrics receives the scheduler's counters and histograms; nil
 	// allocates a private registry, readable via Scheduler.Snapshot.
 	Metrics *metrics.Registry
 	// Tracer optionally receives the run's spans: per-firing execution
 	// spans on per-subplan tracks, a window span plus deadline-settlement
-	// instants on the control track (tid 0), and degradation decisions.
+	// instants on the control track (tid 0), and degradation decisions;
+	// and the exec.* work counters and end-state exec.arr.* gauges.
 	// Span offsets come from the canonical sequential accounting loop, so
 	// exports are byte-identical at any Workers setting.
 	Tracer *trace.Tracer
@@ -212,9 +209,6 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
-	}
-	if cfg.LagThreshold == 0 {
-		cfg.LagThreshold = cfg.Window / 10
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -444,7 +438,9 @@ func (s *Scheduler) closeWindow() {
 	}
 	s.res.Met += ws.Met
 	s.res.Missed += ws.Missed
-	ws.Overloaded = ws.Missed > 0 || s.maxLag > s.cfg.LagThreshold
+	// A start lag over a tenth of a window overloads it even when every
+	// deadline was met.
+	ws.Overloaded = ws.Missed > 0 || s.maxLag > s.cfg.Window/10
 	// Drift settles before the degradation check so a recalibration —
 	// which retunes the model the paces came from — can preempt the blunt
 	// pace-halving response in the window that triggers it.

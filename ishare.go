@@ -244,7 +244,8 @@ type Options struct {
 	// paper supports both forms, §2.1). Keyed by query name.
 	AbsoluteConstraints map[string]float64
 	// Deprecated: ignored; the pace search runs on the caller's goroutine.
-	// Removed with ROADMAP item 4(c).
+	// Removed once the benchmark stops setting it (ROADMAP, "One
+	// observation seam").
 	OptWorkers int
 }
 

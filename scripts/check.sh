@@ -47,11 +47,20 @@ if grep -rnE '(^|[^[:alnum:]_])go (func|[[:alnum:]_.]+\()|"sync/atomic"|sync\.(R
 	exit 1
 fi
 
+# The executor computes, its callers observe: internal/exec returns Work and
+# keeps the state execution and grafts read, and writes no observation
+# surface itself.
+echo "== internal/exec imports no observation surface"
+if grep -rnE '"ishare/internal/(trace|metrics|eventlog)"' internal/exec --include='*.go' | grep -v '_test\.go:'; then
+	echo "internal/exec must not import internal/{trace,metrics,eventlog}; report from its caller" >&2
+	exit 1
+fi
+
 # One way out of the scheduler: its accounting loop only records, and the
 # per-occasion reports in internal/sched/report.go are the only code there
-# that writes a metric, span, decision, event or status.
+# that writes a metric, span, decision, event, tracer counter or status.
 echo "== scheduler observations leave through report.go only"
-if grep -rnE '\.(Emit|Publish|Span|Instant|DecideAt|Counter|Gauge|Histogram)\(|CountWork\(|CountArrangements\(' \
+if grep -rnE '\.(Emit|Publish|Span|Instant|DecideAt|Counter|Gauge|Histogram|Count)\(' \
 	internal/sched --include='*.go' | grep -v '_test\.go:' | grep -v '^internal/sched/report\.go:'; then
 	echo "internal/sched writes observations outside report.go" >&2
 	exit 1
