@@ -105,7 +105,8 @@ func TestTransientJoinsFeedAggregatesAndProjects(t *testing.T) {
 	}
 	joins, transient := 0, 0
 	for _, se := range r.Execs {
-		for op, x := range se.ops {
+		for _, n := range se.nodes {
+			op, x := n.op, n.x
 			j, ok := x.(*joinExec)
 			if !ok {
 				continue

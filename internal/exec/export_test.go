@@ -38,8 +38,10 @@ func IndexRegimes(t *testing.T, f func(t *testing.T)) {
 // as wide as its root's layout — full for scans, projects and aggregates.
 func (r *Runner) CheckLayouts() error {
 	colsOf := func(o *mqo.Op) []int {
-		if j, ok := r.Execs[r.Graph.SubplanOf(o).ID].ops[o].(*joinExec); ok {
-			return j.cols
+		for _, n := range r.Execs[r.Graph.SubplanOf(o).ID].nodes {
+			if j, ok := n.x.(*joinExec); ok && n.op == o {
+				return j.cols
+			}
 		}
 		return layouts(nil).cols(o)
 	}
@@ -72,7 +74,8 @@ func (r *Runner) CheckLayouts() error {
 		}
 	}
 	for _, se := range r.Execs {
-		for o, x := range se.ops {
+		for _, n := range se.nodes {
+			o, x := n.op, n.x
 			var err error
 			switch x := x.(type) {
 			case *scanExec:

@@ -10,8 +10,9 @@ import (
 // Runner.Graft swaps a running Runner onto a revised subplan graph (queries
 // admitted to or retired from the shared plan) without discarding operator
 // state. Children first, a new subplan P takes over an old executor O — its
-// operator state, output log, per-window marks and work counters, re-keyed
-// onto P's operators — when all of these hold (grafter.find):
+// operator state, output log, per-window marks and work counters, each of
+// O's operator nodes taking P's operator of the same pre-order number
+// (opNode) — when all of these hold (grafter.find):
 //
 //   - O has not been taken by another new subplan;
 //   - P's own operators render the same as O's (equal local state
@@ -99,9 +100,10 @@ var DebugGraftLooseMatch bool
 // boundary: every delta of the current window appended and processed (the
 // scheduler runtime and the churn oracle both graft between windows). The
 // current window is sealed first, so post-graft arrivals start a fresh
-// window. A panic in replay returns as an error naming the new subplan. An
-// error can come after old executors were re-keyed onto the new graph, so a
-// runner whose graft failed must not be used again.
+// window. The graft changes no old executor until every rebuilt subplan has
+// replayed: a construction error, or a panic in replay (returned as an error
+// naming the new subplan), releases the rebuilt executors' registry handles
+// and leaves the runner on its old graph and executors, as if never called.
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
 	// Reveal any remainder of the current window (a no-op for well-behaved
 	// window-boundary callers), then seal it so the history below is
@@ -112,8 +114,14 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 
 	stats := &GraftStats{AdoptedFrom: make([]int, len(newG.Subplans))}
 	gr := r.newGrafter(newG)
-	var fresh []*mqo.Subplan
+	var fresh []*SubplanExec
 	var rebinds []rebind
+	fail := func(err error) (*GraftStats, error) {
+		for _, se := range fresh {
+			se.state.release()
+		}
+		return nil, fmt.Errorf("exec: graft: %w", err)
+	}
 	for _, s := range newG.Subplans { // children-first
 		oldID := -1
 		if !opts.DisableTransplant {
@@ -131,19 +139,17 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		}
 		stats.AdoptedFrom[s.ID] = oldID
 		if oldID >= 0 {
-			se := r.Execs[oldID]
-			se.adopt(r.Graph.Subplans[oldID], s)
-			gr.execs[s.ID] = se
+			gr.execs[s.ID] = r.Execs[oldID]
 			gr.taken[oldID] = true
 			stats.Adopted++
 			continue
 		}
 		se, err := newSubplanExec(r, newG, s, gr.execs, gr.lay)
 		if err != nil {
-			return nil, fmt.Errorf("exec: graft: %w", err)
+			return fail(err)
 		}
 		gr.execs[s.ID] = se
-		fresh = append(fresh, s)
+		fresh = append(fresh, se)
 		stats.Rebuilt++
 	}
 	newExecs := gr.execs
@@ -154,23 +160,30 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// within each window, so a rebuilt parent reads its rebuilt child's
 	// freshly replayed window-k output. A rebuilt scan has no tuples to
 	// replay: its executions fill any new predicate's column over history
-	// once and count the rows it passes per window.
+	// once and count the rows it passes per window. Replay reads the old
+	// executors and changes none of them.
 	for k, marks := range r.winData {
-		for _, s := range fresh {
-			se := newExecs[s.ID]
+		for _, se := range fresh {
 			se.setReplayLimits(newG, marks, newExecs, k)
-			if err := guard(s.ID, func() { se.RunOnce() }); err != nil {
-				return nil, fmt.Errorf("exec: graft: replay of window %d: %w", k, err)
+			if err := guard(se.Sub.ID, func() { se.RunOnce() }); err != nil {
+				return fail(fmt.Errorf("replay of window %d: %w", k, err))
 			}
 			se.seal()
 			stats.Replayed++
 		}
 	}
-	for _, s := range fresh {
-		newExecs[s.ID].clearReplayLimits()
+	for _, se := range fresh {
+		se.clearReplayLimits()
 	}
-	// Re-pointed inputs read on from where their rebuilt producers' replay
+
+	// The graft commits: adopted executors move onto their new subplans, and
+	// re-pointed inputs read on from where their rebuilt producers' replay
 	// ended.
+	for id, oldID := range stats.AdoptedFrom {
+		if oldID >= 0 {
+			newExecs[id].adopt(newG.Subplans[id])
+		}
+	}
 	for _, rb := range rebinds {
 		rb.apply()
 	}
@@ -243,11 +256,11 @@ func (r *Runner) newGrafter(newG *mqo.Graph) *grafter {
 func (gr *grafter) find(s *mqo.Subplan) (oldID int, rbs []rebind, above, ok bool) {
 	r := gr.r
 	for _, id := range gr.byLocal[gr.newLocal[s.ID]] {
-		old, se := r.Graph.Subplans[id], r.Execs[id]
-		if gr.taken[id] || !sameLayouts(r.Graph, old, s, r.lay, gr.lay) {
+		se := r.Execs[id]
+		if gr.taken[id] || !sameLayouts(se, s, r.lay, gr.lay) {
 			continue
 		}
-		cand, candAbove, inputsOK := gr.inputs(old, s, se)
+		cand, candAbove, inputsOK := gr.inputs(se, s)
 		switch {
 		case !inputsOK:
 		case len(cand) == 0:
@@ -259,23 +272,19 @@ func (gr *grafter) find(s *mqo.Subplan) (oldID int, rbs []rebind, above, ok bool
 	return oldID, rbs, above, ok
 }
 
-// inputs pairs each child-subplan input of old with the same input of s and
-// reports whether s can read every one of them through old's executor se:
-// unchanged when s's child runs on the executor old read (above reports
-// whether one of those is counted as reattached), re-pointed when the two
-// children are scan/project cones that look the same to s's queries.
-func (gr *grafter) inputs(old, s *mqo.Subplan, se *SubplanExec) (rbs []rebind, above, ok bool) {
-	r := gr.r
-	ok = true
-	pairOps(old.Root, s.Root, func(o *mqo.Op) bool { return se.member[o] }, func(oldOp, newOp *mqo.Op) {
-		if oldOp.Kind == mqo.KindScan {
-			return
-		}
-		for i, oc := range oldOp.Children {
-			if se.member[oc] {
+// inputs pairs each child-subplan input of old executor se with the same
+// input of s, node by node, and reports whether s can read every one of them
+// through se: unchanged when s's child runs on the executor se read (above
+// reports whether one of those is counted as reattached), re-pointed when
+// the two children are scan/project cones that look the same to s's queries.
+func (gr *grafter) inputs(se *SubplanExec, s *mqo.Subplan) (rbs []rebind, above, ok bool) {
+	r, ops := gr.r, se.pair(s)
+	for i, n := range se.nodes {
+		for slot, k := range n.kids {
+			if k >= 0 {
 				continue
 			}
-			from, to := r.Graph.SubplanOf(oc), gr.newG.SubplanOf(newOp.Children[i])
+			from, to := r.Graph.SubplanOf(n.op.Children[slot]), gr.newG.SubplanOf(ops[i].Children[slot])
 			if gr.execs[to.ID] == r.Execs[from.ID] {
 				above = above || gr.reattached[to.ID]
 				continue
@@ -283,13 +292,12 @@ func (gr *grafter) inputs(old, s *mqo.Subplan, se *SubplanExec) (rbs []rebind, a
 			oldSig, okOld := mqo.RestrictedConeSignature(r.Graph, from, s.Queries)
 			newSig, okNew := mqo.RestrictedConeSignature(gr.newG, to, s.Queries)
 			if !okOld || !okNew || oldSig != newSig {
-				ok = false
-				continue
+				return nil, false, false
 			}
-			rbs = append(rbs, rebind{se: se, key: inputKey{newOp, i}, from: r.Execs[from.ID], to: gr.execs[to.ID]})
+			rbs = append(rbs, rebind{se: se, node: i, slot: slot, from: r.Execs[from.ID], to: gr.execs[to.ID]})
 		}
-	})
-	return rbs, above, ok
+	}
+	return rbs, above, true
 }
 
 // findLoose returns an old executor not yet taken whose loose state
@@ -301,7 +309,7 @@ func (gr *grafter) findLoose(s *mqo.Subplan) int {
 		gr.oldLoose, gr.newLoose = mqo.LooseStateSignatures(r.Graph), mqo.LooseStateSignatures(gr.newG)
 	}
 	for id, sig := range gr.oldLoose {
-		if sig == gr.newLoose[s.ID] && !gr.taken[id] && sameLayouts(r.Graph, r.Graph.Subplans[id], s, r.lay, gr.lay) {
+		if sig == gr.newLoose[s.ID] && !gr.taken[id] && sameLayouts(r.Execs[id], s, r.lay, gr.lay) {
 			return id
 		}
 	}
@@ -311,9 +319,9 @@ func (gr *grafter) findLoose(s *mqo.Subplan) int {
 // rebind moves one input of a reattached executor from the old producer to
 // the producer that replaced it.
 type rebind struct {
-	se       *SubplanExec
-	key      inputKey
-	from, to *SubplanExec
+	se         *SubplanExec
+	node, slot int
+	from, to   *SubplanExec
 }
 
 // apply starts a reader at the end of the new producer's output and adds,
@@ -325,7 +333,8 @@ type rebind struct {
 // every window.
 func (rb rebind) apply() {
 	se := rb.se
-	se.srcs[rb.key.op][rb.key.slot] = se.reader(rb.to, rb.key.op.Queries, rb.to.end())
+	n := &se.nodes[rb.node]
+	n.srcs[rb.slot] = se.reader(rb.to, n.op.Queries, rb.to.end())
 	var total, d int64
 	fromPrev, toPrev := 0, 0
 	for k := range se.runs {
@@ -335,46 +344,46 @@ func (rb rebind) apply() {
 	}
 	se.total.Tuples += total
 	se.last.Tuples += d
-	w := se.opWork[rb.key.op]
-	w.Tuples += total
-	se.opWork[rb.key.op] = w
+	n.work.Tuples += total
 }
 
-// adopt remaps the executor's per-operator bookkeeping from the old
-// subplan's operators onto the state-identical new subplan's by walking the
-// two operator trees in lockstep (pairOps). Operator instances, input
-// sources, the output log and all accumulated work carry over untouched;
-// only the map keys change identity.
-func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
-	ops := make(map[*mqo.Op]any, len(se.ops))
-	member := make(map[*mqo.Op]bool, len(se.member))
-	srcs := make(map[*mqo.Op][]source, len(se.srcs))
-	opWork := make(map[*mqo.Op]Work, len(se.opWork))
-	pairOps(oldSub.Root, newSub.Root, func(o *mqo.Op) bool { return se.member[o] }, func(oldOp, newOp *mqo.Op) {
-		ops[newOp] = se.ops[oldOp]
-		member[newOp] = true
-		opWork[newOp] = se.opWork[oldOp]
-		if s, ok := se.srcs[oldOp]; ok {
-			srcs[newOp] = s
+// adopt moves the executor onto the state-identical new subplan sub: each
+// node takes its counterpart operator (pair), and everything else — operator
+// instances, input sources, the output log and all accumulated work —
+// carries over untouched.
+func (se *SubplanExec) adopt(sub *mqo.Subplan) {
+	for i, o := range se.pair(sub) {
+		se.nodes[i].op = o
+	}
+	se.Sub = sub
+}
+
+// pair lists the member operators of sub, a subplan whose member tree has
+// the executor's shape, in node order: sub's pre-order list.
+func (se *SubplanExec) pair(sub *mqo.Subplan) []*mqo.Op {
+	ops := make([]*mqo.Op, len(se.nodes))
+	ops[0] = sub.Root
+	for i, n := range se.nodes { // parents before children
+		for slot, k := range n.kids {
+			if k >= 0 {
+				ops[k] = ops[i].Children[slot]
+			}
 		}
-	})
-	se.Sub = newSub
-	se.ops, se.member, se.srcs, se.opWork = ops, member, srcs, opWork
+	}
+	return ops
 }
 
 // setReplayLimits caps every input at window k's marks: scans at the table
 // log's length at the seal (zero if the table had not arrived yet), sources
 // over child subplans at the child executor's window-k end.
 func (se *SubplanExec) setReplayLimits(g *mqo.Graph, marks map[string]int, execs []*SubplanExec, k int) {
-	for op, x := range se.ops {
-		if s, ok := x.(*scanExec); ok {
-			s.limit = marks[op.Table.Name]
+	for _, n := range se.nodes {
+		if s, ok := n.x.(*scanExec); ok {
+			s.limit = marks[n.op.Table.Name]
 		}
-	}
-	for op, srcs := range se.srcs {
-		for i, c := range op.Children {
-			if !se.member[c] {
-				srcs[i].setLimit(execs[g.SubplanOf(c).ID].winEnd[k])
+		for slot, kid := range n.kids {
+			if kid < 0 {
+				n.srcs[slot].setLimit(execs[g.SubplanOf(n.op.Children[slot]).ID].winEnd[k])
 			}
 		}
 	}
@@ -382,13 +391,11 @@ func (se *SubplanExec) setReplayLimits(g *mqo.Graph, marks map[string]int, execs
 
 // clearReplayLimits removes the caps so post-graft execution reads freely.
 func (se *SubplanExec) clearReplayLimits() {
-	for _, x := range se.ops {
-		if s, ok := x.(*scanExec); ok {
+	for _, n := range se.nodes {
+		if s, ok := n.x.(*scanExec); ok {
 			s.limit = -1
 		}
-	}
-	for _, srcs := range se.srcs {
-		for _, src := range srcs {
+		for _, src := range n.srcs {
 			src.setLimit(-1)
 		}
 	}

@@ -8,6 +8,7 @@ package exec_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ishare/internal/catalog"
@@ -59,11 +60,12 @@ func TestGraftReattachesOverRebuiltScan(t *testing.T) {
 }
 
 // graftChurn runs five windows: queries 0 and 1 from the start, query 2
-// admitted before window 2 and retired before window 4. It checks the
-// transplanting run against the all-replay run after every window, and both
-// against a from-scratch run of the final plan at the end — results, report
-// and every operator's work — and returns the transplanting run's two graft
-// statistics.
+// admitted before window 2 and retired before window 4. Each of the
+// transplanting run's grafts comes after one that fails (failGraft). It
+// checks the transplanting run against the all-replay run after every
+// window, and both against a from-scratch run of the final plan at the end —
+// results, report and every operator's work — and returns the transplanting
+// run's two graft statistics.
 func graftChurn(t *testing.T, sql [3]string) []*exec.GraftStats {
 	t.Helper()
 	col := func(name string) catalog.Column { return catalog.Column{Name: name, Type: value.KindInt} }
@@ -124,6 +126,7 @@ func graftChurn(t *testing.T, sql [3]string) []*exec.GraftStats {
 	var stats []*exec.GraftStats
 	for k := 0; k < 5; k++ {
 		if ng, ok := graphs[k]; ok {
+			failGraft(t, live, ng)
 			gs, err := live.Graft(ng, exec.GraftOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -168,6 +171,28 @@ func graftChurn(t *testing.T, sql [3]string) []*exec.GraftStats {
 		}
 	}
 	return stats
+}
+
+// failGraft grafts r onto g with a replay that panics on its second
+// execution, after one rebuilt subplan replayed a window, and requires the
+// error back and the registry's refcounts to balance against r's executors:
+// the failed graft must leave no executor, handle or state behind.
+func failGraft(t *testing.T, r *exec.Runner, g *mqo.Graph) {
+	t.Helper()
+	replays := 0
+	exec.DebugSlowSubplan = func(int) int64 {
+		if replays++; replays == 2 {
+			panic("injected replay failure")
+		}
+		return 0
+	}
+	defer func() { exec.DebugSlowSubplan = nil }()
+	if _, err := r.Graft(g, exec.GraftOptions{}); err == nil || !strings.HasSuffix(err.Error(), " panicked: injected replay failure") {
+		t.Fatalf("graft with a panicking replay returned %v", err)
+	}
+	if err := r.CheckArrangements(); err != nil {
+		t.Fatalf("after a failed graft: %v", err)
+	}
 }
 
 // TestGraftPaceAboveOne grafts a plan whose subplans fired twice per window.

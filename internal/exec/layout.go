@@ -156,31 +156,16 @@ func remapCols(e expr.Expr, m map[int]int) expr.Expr {
 	return expr.Remap(e, m)
 }
 
-// sameLayouts reports whether every member join of the old subplan keeps
-// the same columns under the new graph as its state-identical counterpart:
-// the condition for a graft to adopt the old executor, whose output log,
-// arrangements and compiled expressions are all in the old layout.
-func sameLayouts(oldG *mqo.Graph, oldSub, newSub *mqo.Subplan, oldLay, newLay layouts) bool {
-	same := true
-	pairOps(oldSub.Root, newSub.Root, func(o *mqo.Op) bool { return oldG.SubplanOf(o) == oldSub },
-		func(o, n *mqo.Op) {
-			if o.Kind == mqo.KindJoin && !slices.Equal(oldLay.cols(o), newLay.cols(n)) {
-				same = false
-			}
-		})
-	return same
-}
-
-// pairOps walks two state-identical subplans' operator trees in lockstep
-// from their roots, calling fn on each pair of member operators; member
-// reports whether an old operator belongs to the old subplan. A subplan's
-// interior is a proper tree — multi-parent operators are always subplan
-// roots — so the walk visits each member once.
-func pairOps(o, n *mqo.Op, member func(*mqo.Op) bool, fn func(o, n *mqo.Op)) {
-	fn(o, n)
-	for i, oc := range o.Children {
-		if member(oc) {
-			pairOps(oc, n.Children[i], member, fn)
+// sameLayouts reports whether every member join of the old executor se keeps
+// the same columns under the new graph as its state-identical counterpart in
+// the new subplan sub: the condition for a graft to adopt se, whose output
+// log, arrangements and compiled expressions are all in the old layout.
+func sameLayouts(se *SubplanExec, sub *mqo.Subplan, oldLay, newLay layouts) bool {
+	ops := se.pair(sub)
+	for i, n := range se.nodes {
+		if n.op.Kind == mqo.KindJoin && !slices.Equal(oldLay.cols(n.op), newLay.cols(ops[i])) {
+			return false
 		}
 	}
+	return true
 }

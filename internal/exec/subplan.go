@@ -22,14 +22,9 @@ type SubplanExec struct {
 	// view is the root scan when the subplan is a view.
 	view *scanExec
 
-	// ops holds each member's executor: a *scanExec for a scan, an operator
-	// otherwise. srcs holds each non-scan member's input sources by child
-	// slot: a view reader for a scan child (member or not), a log reader
-	// for another child subplan, an edge for a member child.
-	ops    map[*mqo.Op]any
-	member map[*mqo.Op]bool
-	srcs   map[*mqo.Op][]source
-	opWork map[*mqo.Op]Work
+	// nodes holds the member operators in pre-order from the root, children
+	// in slot order (see opNode).
+	nodes []opNode
 	// runs counts the incremental executions so far, total sums their
 	// work and last is the most recent one's.
 	runs        int
@@ -53,9 +48,23 @@ type SubplanExec struct {
 	winOut, winEnd []int
 }
 
-type inputKey struct {
-	op   *mqo.Op
-	slot int
+// opNode is one member operator of an executor. An executor numbers its
+// members in pre-order from the root, children in slot order, so subplans
+// with equal local state signatures — member trees of one shape — number
+// their operators alike, and a graft adopts an executor by handing each node
+// its new operator (adopt).
+type opNode struct {
+	op *mqo.Op
+	// x executes op: a *scanExec for a scan, an operator otherwise.
+	x any
+	// srcs holds a non-scan's input sources by child slot: a view reader for
+	// a scan child (member or not), a log reader for another child subplan,
+	// an edge for a member child. kids holds each member child's node index
+	// by slot, -1 for another subplan's output.
+	srcs []source
+	kids []int
+	// work is the cumulative work attributed to op.
+	work Work
 }
 
 // newSubplanExec wires a subplan of g to r's table logs (creating those not
@@ -65,65 +74,67 @@ type inputKey struct {
 // the caller. The sources yield chunks of r's batch size, captured at
 // construction so concurrent runners never share batch state; joins and
 // aggregates attach their indexed state, and scans their truth columns, to
-// r's registry through the executor's holder.
+// r's registry through the executor's holder, which an error releases.
 func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanExec, lay layouts) (*SubplanExec, error) {
-	batch := r.opts.batch()
 	se := &SubplanExec{
-		Sub:    sub,
-		ops:    make(map[*mqo.Op]any),
-		member: make(map[*mqo.Op]bool),
-		srcs:   make(map[*mqo.Op][]source),
-		opWork: make(map[*mqo.Op]Work),
-		batch:  batch,
-		state:  holder{reg: r.reg},
+		Sub:   sub,
+		nodes: make([]opNode, 0, len(sub.Ops)),
+		batch: r.opts.batch(),
+		state: holder{reg: r.reg},
 	}
-	for _, o := range sub.Ops {
-		se.member[o] = true
-		if o.Kind != mqo.KindScan {
-			se.ops[o] = newOperator(o, batch, &se.state, lay)
-			continue
-		}
-		se.ops[o] = newScanExec(o, batch, &se.state, r.tableLog(o.Table.Name))
+	if _, err := se.build(r, g, sub.Root, execs, lay); err != nil {
+		se.state.release()
+		return nil, err
 	}
-	// A member join below the root has one parent, in this subplan; an
-	// aggregate or project parent copies what it keeps, a join parent
-	// stores the rows in its arrangement.
-	for _, o := range sub.Ops {
-		if j, ok := se.ops[o].(*joinExec); ok && o != sub.Root && o.Parents[0].Kind != mqo.KindJoin {
-			j.transient = true
-		}
-	}
-	if s, ok := se.ops[sub.Root].(*scanExec); ok {
+	if s, ok := se.nodes[0].x.(*scanExec); ok {
 		se.view = s
 	} else {
 		se.Out = buffer.NewLog(fmt.Sprintf("subplan%d", sub.ID))
 	}
-	for _, o := range sub.Ops {
-		if o.Kind == mqo.KindScan {
-			continue
-		}
-		srcs := make([]source, len(o.Children))
-		for i, c := range o.Children {
-			switch {
-			case se.member[c] && c.Kind == mqo.KindScan:
-				srcs[i] = newViewReader(se.ops[c].(*scanExec), o.Queries, batch, 0, &se.scratch)
-			case se.member[c]:
-				srcs[i] = &seqSource{batch: batch, seq: make(delta.Seq, 1)}
-			default:
-				child := g.SubplanOf(c)
-				if child == nil {
-					return nil, fmt.Errorf("exec: op %d child %d not in any subplan", o.ID, c.ID)
-				}
-				ce := execs[child.ID]
-				if ce == nil {
-					return nil, fmt.Errorf("exec: subplan %d has no executor yet", child.ID)
-				}
-				srcs[i] = se.reader(ce, o.Queries, 0)
-			}
-		}
-		se.srcs[o] = srcs
-	}
 	return se, nil
+}
+
+// build appends o's node, then its member children's depth-first, and
+// returns o's node index.
+func (se *SubplanExec) build(r *Runner, g *mqo.Graph, o *mqo.Op, execs []*SubplanExec, lay layouts) (int, error) {
+	i := len(se.nodes)
+	if o.Kind == mqo.KindScan {
+		se.nodes = append(se.nodes, opNode{op: o, x: newScanExec(o, se.batch, &se.state, r.tableLog(o.Table.Name))})
+		return i, nil
+	}
+	x := newOperator(o, se.batch, &se.state, lay)
+	// A member join below the root has one parent, in this subplan; an
+	// aggregate or project parent copies what it keeps, a join parent
+	// stores the rows in its arrangement.
+	if j, ok := x.(*joinExec); ok && o != se.Sub.Root && o.Parents[0].Kind != mqo.KindJoin {
+		j.transient = true
+	}
+	srcs, kids := make([]source, len(o.Children)), make([]int, len(o.Children))
+	se.nodes = append(se.nodes, opNode{op: o, x: x, srcs: srcs, kids: kids})
+	for slot, c := range o.Children {
+		child := g.SubplanOf(c)
+		switch {
+		case child == se.Sub:
+			k, err := se.build(r, g, c, execs, lay)
+			if err != nil {
+				return 0, err
+			}
+			kids[slot] = k
+			if s, ok := se.nodes[k].x.(*scanExec); ok {
+				srcs[slot] = newViewReader(s, o.Queries, se.batch, 0, &se.scratch)
+			} else {
+				srcs[slot] = &seqSource{batch: se.batch, seq: make(delta.Seq, 1)}
+			}
+		case child == nil:
+			return 0, fmt.Errorf("exec: op %d child %d not in any subplan", o.ID, c.ID)
+		case execs[child.ID] == nil:
+			return 0, fmt.Errorf("exec: subplan %d has no executor yet", child.ID)
+		default:
+			kids[slot] = -1
+			srcs[slot] = se.reader(execs[child.ID], o.Queries, 0)
+		}
+	}
+	return i, nil
 }
 
 // reader returns a source over producer's output at position off for a
@@ -227,7 +238,7 @@ var DebugSlowSubplan func(subplanID int) int64
 // RunOnce performs one incremental execution and returns its work.
 func (se *SubplanExec) RunOnce() Work {
 	b0 := se.batches
-	out, w := se.eval(se.Sub.Root)
+	out, w := se.eval(0)
 	se.lastBatches = se.batches - b0
 	// Materializing the root's output is accounted as extra output work
 	// (the paper charges intermediate materialization) — a view too,
@@ -254,42 +265,48 @@ func (se *SubplanExec) record(w Work) {
 	se.last = w
 }
 
-// eval fires op's member children depth-first, then op over its sources; a
-// scan only fires, its consumers reading it through their view readers.
-func (se *SubplanExec) eval(op *mqo.Op) ([]delta.Tuple, Work) {
+// eval fires node i's member children depth-first, then its operator over
+// its sources; a scan only fires, its consumers reading it through their
+// view readers.
+func (se *SubplanExec) eval(i int) ([]delta.Tuple, Work) {
+	n := &se.nodes[i]
 	var w, own Work
 	var out []delta.Tuple
-	if s, ok := se.ops[op].(*scanExec); ok {
+	if s, ok := n.x.(*scanExec); ok {
 		own = s.fire()
 	} else {
-		srcs := se.srcs[op]
-		for i, c := range op.Children {
-			if se.member[c] {
-				cout, cw := se.eval(c)
+		for slot, k := range n.kids {
+			if k >= 0 {
+				cout, cw := se.eval(k)
 				w.Add(cw)
-				if e, ok := srcs[i].(*seqSource); ok {
+				if e, ok := n.srcs[slot].(*seqSource); ok {
 					e.seq[0] = cout
 				}
 			}
-			srcs[i].open()
+			n.srcs[slot].open()
 		}
-		out, own = se.ops[op].(operator).process(srcs)
-		for _, src := range srcs {
+		out, own = n.x.(operator).process(n.srcs)
+		for _, src := range n.srcs {
 			skipped, chunks := src.close()
 			own.Tuples += skipped
 			se.batches += chunks
 		}
 	}
-	acc := se.opWork[op]
-	acc.Add(own)
-	se.opWork[op] = acc
+	n.work.Add(own)
 	w.Add(own)
 	return out, w
 }
 
 // OpWork returns the cumulative work attributed to one member operator —
 // the per-operator breakdown behind the subplan totals.
-func (se *SubplanExec) OpWork(op *mqo.Op) Work { return se.opWork[op] }
+func (se *SubplanExec) OpWork(op *mqo.Op) Work {
+	for _, n := range se.nodes {
+		if n.op == op {
+			return n.work
+		}
+	}
+	return Work{}
+}
 
 // Executions returns the number of incremental executions so far.
 func (se *SubplanExec) Executions() int { return se.runs }

@@ -93,7 +93,8 @@ func markerBits(op *mqo.Op, row value.Row) mqo.Bitset {
 // the outcome on the row at log position p, for every p the column covers.
 func checkTruthColumns(r *Runner) error {
 	for _, se := range r.Execs {
-		for op, x := range se.ops {
+		for _, n := range se.nodes {
+			op, x := n.op, n.x
 			s, ok := x.(*scanExec)
 			if !ok {
 				continue

@@ -32,8 +32,8 @@ func viewHarness(t testing.TB, preds []string, agg []bool) *harness {
 // operator.
 func viewCursors(se *SubplanExec) map[*viewReader]int {
 	at := make(map[*viewReader]int)
-	for _, srcs := range se.srcs {
-		for _, src := range srcs {
+	for _, n := range se.nodes {
+		for _, src := range n.srcs {
 			if v, ok := src.(*viewReader); ok {
 				at[v] = v.off
 			}
@@ -104,17 +104,18 @@ func TestViewProperty(t *testing.T) {
 						at := viewCursors(se)
 						scanAt := make(map[*mqo.Op]int) // by the op keying the scan's work
 						opBefore := make(map[*mqo.Op]Work)
-						for op, x := range se.ops {
-							opBefore[op] = se.OpWork(op)
-							if s, ok := x.(*scanExec); ok {
-								scanAt[op] = s.pos
+						scans := make(map[*mqo.Op]*scanExec)
+						for _, n := range se.nodes {
+							opBefore[n.op] = n.work
+							if s, ok := n.x.(*scanExec); ok {
+								scanAt[n.op], scans[n.op] = s.pos, s
 							}
 						}
 						before := r.TruthStats()
 						w := r.RunSubplan(id)
 						after := r.TruthStats() // before the re-reads below count too
 						for op, from := range scanAt {
-							s := se.ops[op].(*scanExec)
+							s := scans[op]
 							want, _ := viewWant(s.op, s.op.Queries, logged[from:s.pos])
 							got := se.OpWork(op)
 							got.Add(Work{Tuples: -opBefore[op].Tuples, Output: -opBefore[op].Output})
@@ -127,8 +128,9 @@ func TestViewProperty(t *testing.T) {
 						}
 						var rowsRead, skippedRead int64
 						readBy := make(map[*mqo.Op]int64)
-						for op, srcs := range se.srcs {
-							for _, src := range srcs {
+						for _, n := range se.nodes {
+							op := n.op
+							for _, src := range n.srcs {
 								v, ok := src.(*viewReader)
 								if !ok {
 									continue
@@ -203,8 +205,8 @@ func scanOf(t *testing.T, g *mqo.Graph, q int) *mqo.Op {
 
 // isMember reports whether s is one of se's member scans.
 func isMember(se *SubplanExec, s *scanExec) bool {
-	for _, x := range se.ops {
-		if x == any(s) {
+	for _, n := range se.nodes {
+		if n.x == any(s) {
 			return true
 		}
 	}

@@ -104,7 +104,7 @@ type Profiler struct {
 	rlen  int
 	total int // samples ever recorded (diagnostics)
 
-	alerts []Alert // every alert raised, in order
+	alerts []Alert // the last flushed window's alerts, reused by every flush
 }
 
 // New builds a profiler. Subplans must be ≥ 1; a Modeled slice, when given,
@@ -189,12 +189,13 @@ func (p *Profiler) modeledAt(window, subplan int) float64 {
 // folds the window's observed/modeled ratio into the subplan's drift EWMA,
 // raising an Alert if the EWMA leaves [1/Bound, Bound]. It returns the
 // window's samples (valid until the next flush overwrites the ring) and the
-// alerts raised. Nil receivers return nothing.
+// window's alerts (valid until the next flush reuses their slice): the
+// profiler keeps no alert history. Nil receivers return nothing.
 func (p *Profiler) FlushWindow(window int) ([]Sample, []Alert) {
 	if p == nil {
 		return nil, nil
 	}
-	firstAlert := len(p.alerts)
+	p.alerts = p.alerts[:0]
 	var first, n int = -1, 0
 	for sub := range p.work {
 		if p.firings[sub] == 0 {
@@ -244,7 +245,7 @@ func (p *Profiler) FlushWindow(window int) ([]Sample, []Alert) {
 			out = append(out, p.ring[:n-(len(p.ring)-first)]...)
 		}
 	}
-	return out, p.alerts[firstAlert:]
+	return out, p.alerts
 }
 
 // push appends one sample to the ring, overwriting the oldest entry when
@@ -310,14 +311,6 @@ func (p *Profiler) Drifts() []float64 {
 		out[i] = p.Drift(i)
 	}
 	return out
-}
-
-// Alerts returns every alert raised so far, in order.
-func (p *Profiler) Alerts() []Alert {
-	if p == nil {
-		return nil
-	}
-	return append([]Alert(nil), p.alerts...)
 }
 
 // SetModeled replaces the static per-subplan baseline — the closed loop's

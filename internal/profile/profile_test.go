@@ -65,9 +65,6 @@ func TestDriftEWMAAndAlerts(t *testing.T) {
 	if a.Window != 2 || a.Subplan != 0 || a.Drift != 2.5 || a.Modeled != 100 || a.Work != 300 {
 		t.Errorf("alert = %+v", a)
 	}
-	if got := p.Alerts(); len(got) != 1 || got[0] != a {
-		t.Errorf("Alerts() = %+v", got)
-	}
 
 	// Subplan 1 never fired: no drift, no samples.
 	if got := p.Drift(1); got != 0 {
@@ -196,7 +193,7 @@ func TestNilProfilerNoOps(t *testing.T) {
 	if s, a := p.FlushWindow(0); s != nil || a != nil {
 		t.Error("nil FlushWindow returned data")
 	}
-	if p.Samples() != nil || p.Alerts() != nil || p.Drifts() != nil {
+	if p.Samples() != nil || p.Drifts() != nil {
 		t.Error("nil accessors returned data")
 	}
 	if p.Drift(0) != 0 || p.Subplans() != 0 || p.Recorded() != 0 {
@@ -221,5 +218,22 @@ func TestDriftNaNGuard(t *testing.T) {
 	}
 	if d := p.Drift(99); d != 0 {
 		t.Errorf("out-of-range drift = %v, want 0", d)
+	}
+}
+
+// TestAlertStorageBounded: the profiler keeps only the last window's alerts,
+// so a model that stays out of band for 1 000 windows holds no more alert
+// storage than one window raises.
+func TestAlertStorageBounded(t *testing.T) {
+	p := New(Config{Subplans: 2, Modeled: []float64{100, 100}, Bound: 2})
+	for w := 0; w < 1000; w++ {
+		p.Observe(0, 400, 0, 0)
+		p.Observe(1, 25, 0, 0)
+		if _, alerts := p.FlushWindow(w); len(alerts) != 2 || alerts[0].Window != w || alerts[1].Subplan != 1 {
+			t.Fatalf("window %d: alerts %+v, want one per subplan", w, alerts)
+		}
+	}
+	if n := cap(p.alerts); n > 2 {
+		t.Errorf("after 1000 out-of-band windows the profiler retains room for %d alerts, want at most 2", n)
 	}
 }

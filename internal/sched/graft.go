@@ -20,14 +20,11 @@ import (
 // Graft is only legal between windows (after Tick closes one and before it
 // opens the next, or before the first Tick) and before the run completes.
 // The pace vector and deadlines must fit the new graph, exactly as New
-// requires. A panic while the runner replays a rebuilt subplan returns as an
-// error. A graft that fails past its preconditions may leave the runner half
-// grafted, so its error is sticky: every later Tick, Graft and Run returns
-// it.
+// requires. A failed graft — a panic while the runner replays a rebuilt
+// subplan included — returns its error and changes nothing: the runner keeps
+// its old executors (exec.Runner.Graft), and the run goes on under the old
+// plan, paces and deadlines.
 func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) (*exec.GraftStats, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
 	if s.done {
 		return nil, fmt.Errorf("sched: graft after run completed")
 	}
@@ -39,7 +36,6 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	}
 	stats, err := s.runner.Graft(g, exec.GraftOptions{})
 	if err != nil {
-		s.err = err
 		return nil, err
 	}
 	// A graft renumbers subplans: the profiler carries each adopted

@@ -252,43 +252,55 @@ func TestGraftPreconditions(t *testing.T) {
 
 // TestGraftReplayPanicReturnsError: a panic while the runner replays a
 // rebuilt subplan through the sealed windows returns from Graft as an error
-// naming the subplan, instead of escaping the scheduler, and every later
-// Tick, Graft and Run returns that error.
+// naming the subplan, instead of escaping the scheduler, and changes
+// nothing: the run goes on under the old plan, a later graft succeeds, and
+// the run's Result is byte-identical to that of a run without the attempt.
 func TestGraftReplayPanicReturnsError(t *testing.T) {
 	cp := buildChurnPlan(t, 7)
-	s, err := sched.New(cp.gA, cp.pacesA, sched.Slices{Data: cp.data, N: 3}, sched.Config{
-		Window:    time.Second,
-		Windows:   3,
-		Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
-		WorkRate:  50_000,
-		Deadlines: make([]time.Duration, cp.gA.Plan.NumQueries()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(s.Result().Windows) < 1 {
-		if _, err := s.Tick(); err != nil {
+	defer func() { exec.DebugSlowSubplan = nil }()
+	run := func(attempt bool) []byte {
+		s, err := sched.New(cp.gA, cp.pacesA, sched.Slices{Data: cp.data, N: 4}, sched.Config{
+			Window:    time.Second,
+			Windows:   4,
+			Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+			WorkRate:  50_000,
+			Deadlines: make([]time.Duration, cp.gA.Plan.NumQueries()),
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		tickTo := func(windows int) {
+			for len(s.Result().Windows) < windows {
+				if _, err := s.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		tickTo(1)
+		if attempt {
+			exec.DebugSlowSubplan = func(int) int64 { panic("injected replay failure") }
+			_, err := s.Graft(cp.gB, cp.pacesB, make([]time.Duration, cp.gB.Plan.NumQueries()))
+			exec.DebugSlowSubplan = nil
+			if err == nil || !strings.Contains(err.Error(), "exec: graft: replay of window 0: exec: subplan ") ||
+				!strings.HasSuffix(err.Error(), " panicked: injected replay failure") {
+				t.Fatalf("Graft error %v, want the replay panic naming its subplan", err)
+			}
+		}
+		tickTo(2)
+		if _, err := s.Graft(cp.gB, cp.pacesB, make([]time.Duration, cp.gB.Plan.NumQueries())); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	exec.DebugSlowSubplan = func(int) int64 { panic("injected replay failure") }
-	defer func() { exec.DebugSlowSubplan = nil }()
-	_, err = s.Graft(cp.gB, cp.pacesB, make([]time.Duration, cp.gB.Plan.NumQueries()))
-	if err == nil || !strings.Contains(err.Error(), "exec: graft: replay of window 0: exec: subplan ") ||
-		!strings.HasSuffix(err.Error(), " panicked: injected replay failure") {
-		t.Fatalf("Graft error %v, want the replay panic naming its subplan", err)
-	}
-	exec.DebugSlowSubplan = nil
-
-	// The runner may be half grafted: the scheduler refuses to go on, with
-	// the graft's error.
-	if _, tickErr := s.Tick(); tickErr != err {
-		t.Errorf("Tick after a failed graft: %v, want the graft's error", tickErr)
-	}
-	if _, graftErr := s.Graft(cp.gA, cp.pacesA, make([]time.Duration, cp.gA.Plan.NumQueries())); graftErr != err {
-		t.Errorf("Graft after a failed graft: %v, want the first graft's error", graftErr)
-	}
-	if _, runErr := s.Run(); runErr != err {
-		t.Errorf("Run after a failed graft: %v, want the graft's error", runErr)
+	if got, want := run(true), run(false); string(got) != string(want) {
+		t.Errorf("run after a failed graft:\n%s\nwithout the attempt:\n%s", got, want)
 	}
 }

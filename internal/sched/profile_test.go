@@ -77,6 +77,21 @@ func runObserved(t testing.TB, tp *testPlan, paces []int, windows int, o obsOpts
 	return s, append(append(resJSON, '\n'), snapJSON...)
 }
 
+// driftAlerts reads back the drift alerts a run published as drift.alert
+// events.
+func driftAlerts(ev *eventlog.Log) []profile.Alert {
+	var out []profile.Alert
+	for _, e := range ev.Events() {
+		if e.Type == "drift.alert" {
+			out = append(out, profile.Alert{
+				Window: e.Window, Subplan: e.Subplan, Drift: e.Attrs["drift"].(float64),
+				Modeled: e.Attrs["modeled"].(float64), Work: e.Attrs["work"].(int64),
+			})
+		}
+	}
+	return out
+}
+
 // calibrate runs the plan once with a bare profiler (no baseline, so no
 // alerts) and returns the observed per-window per-subplan work matrix — the
 // measured baseline a verification run's ModeledAt serves back.
@@ -114,8 +129,9 @@ func TestDriftDetectorFiresOnSlowSubplan(t *testing.T) {
 		calm := profile.New(profile.Config{
 			Subplans: len(tp.graph.Subplans), ModeledAt: modeledAt, Bound: 1.05,
 		})
-		runObserved(t, tp, paces, windows, obsOpts{prof: calm, workers: workers, noDegrade: true})
-		if alerts := calm.Alerts(); len(alerts) != 0 {
+		calmEv := eventlog.New(nil, 0)
+		runObserved(t, tp, paces, windows, obsOpts{prof: calm, ev: calmEv, workers: workers, noDegrade: true})
+		if alerts := driftAlerts(calmEv); len(alerts) != 0 {
 			t.Fatalf("workers=%d: calibrated run alerted: %+v", workers, alerts)
 		}
 		for sub, d := range calm.Drifts() {
@@ -139,7 +155,7 @@ func TestDriftDetectorFiresOnSlowSubplan(t *testing.T) {
 		runObserved(t, tp, paces, windows, obsOpts{prof: hot, ev: ev, workers: workers, noDegrade: true})
 		exec.DebugSlowSubplan = nil
 
-		alerts := hot.Alerts()
+		alerts := driftAlerts(ev)
 		if len(alerts) == 0 {
 			t.Fatalf("workers=%d: injected slowdown raised no drift alerts", workers)
 		}
@@ -159,21 +175,21 @@ func TestDriftDetectorFiresOnSlowSubplan(t *testing.T) {
 			t.Errorf("workers=%d: slow subplan drift EWMA = %v, want above the bound", workers, d)
 		}
 
-		// The alerts reached the event log alongside the window closes.
-		var drifts, closes int
+		// Every window sample whose drift left the band reached the event
+		// log as an alert, alongside the window closes.
+		outOfBand, closes := 0, 0
+		for _, s := range hot.Samples() {
+			if s.Modeled > 0 && (s.Drift > 1.05 || s.Drift < 1/1.05) {
+				outOfBand++
+			}
+		}
 		for _, e := range ev.Events() {
-			switch e.Type {
-			case "drift.alert":
-				drifts++
-				if e.Subplan != slowID {
-					t.Errorf("workers=%d: drift event for subplan %d", workers, e.Subplan)
-				}
-			case "window.close":
+			if e.Type == "window.close" {
 				closes++
 			}
 		}
-		if drifts != len(alerts) {
-			t.Errorf("workers=%d: %d drift events for %d alerts", workers, drifts, len(alerts))
+		if outOfBand != len(alerts) {
+			t.Errorf("workers=%d: %d drift events for %d out-of-band samples", workers, len(alerts), outOfBand)
 		}
 		if closes != windows {
 			t.Errorf("workers=%d: %d window.close events for %d windows", workers, closes, windows)
@@ -206,8 +222,9 @@ func TestDriftSilentOverCalibratedRuns(t *testing.T) {
 				},
 				Bound: tightest,
 			})
-			s, _ := runObserved(t, tp, paces, windows, obsOpts{prof: prof, workers: 1, noDegrade: true})
-			if alerts := prof.Alerts(); len(alerts) != 0 {
+			ev := eventlog.New(nil, 0)
+			s, _ := runObserved(t, tp, paces, windows, obsOpts{prof: prof, ev: ev, workers: 1, noDegrade: true})
+			if alerts := driftAlerts(ev); len(alerts) != 0 {
 				t.Fatalf("seed %d draw %d: calibrated run alerted: %+v", seed, draw, alerts)
 			}
 			if draw == 0 {

@@ -189,9 +189,6 @@ type Scheduler struct {
 
 	res  Result
 	done bool
-	// err is the error of a failed runner graft, returned by every later
-	// Tick, Graft and Run (see Graft).
-	err error
 }
 
 // New builds a scheduler over the graph with the given starting pace vector
@@ -272,9 +269,6 @@ func (s *Scheduler) Run() (*Result, error) {
 // remains. A panicking operator surfaces as an error naming the subplan; the
 // run cannot continue past it.
 func (s *Scheduler) Tick() (bool, error) {
-	if s.err != nil {
-		return false, s.err
-	}
 	if s.done {
 		return false, nil
 	}

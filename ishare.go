@@ -154,17 +154,27 @@ func (e *Engine) MustCreateTable(s TableSchema) {
 // user is willing to pay after the trigger point (1.0 = batch latency is
 // fine, 0.1 = one tenth of it). It is the paper's proxy for a latency goal.
 func (e *Engine) AddQuery(name, sql string, relConstraint float64) error {
-	if !(relConstraint > 0) || math.IsInf(relConstraint, 1) {
-		return fmt.Errorf("ishare: query %s: relative constraint must be positive and finite", name)
-	}
-	q, err := plan.ParseAndBindQuery(name, sql, e.cat)
+	q, err := e.bindQuery(name, sql, relConstraint)
 	if err != nil {
-		return fmt.Errorf("ishare: query %s: %w", name, err)
+		return err
 	}
 	e.queries = append(e.queries, q)
 	e.names = append(e.names, name)
 	e.rel = append(e.rel, relConstraint)
 	return nil
+}
+
+// bindQuery checks a relative constraint and parses and binds sql as query
+// name against the engine's catalog: registration and live admission alike.
+func (e *Engine) bindQuery(name, sql string, relConstraint float64) (plan.Query, error) {
+	if !(relConstraint > 0) || math.IsInf(relConstraint, 1) {
+		return plan.Query{}, fmt.Errorf("ishare: query %s: relative constraint must be positive and finite", name)
+	}
+	q, err := plan.ParseAndBindQuery(name, sql, e.cat)
+	if err != nil {
+		return plan.Query{}, fmt.Errorf("ishare: query %s: %w", name, err)
+	}
+	return q, nil
 }
 
 // MustAddQuery is AddQuery, panicking on error (for examples).

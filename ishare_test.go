@@ -442,7 +442,9 @@ func TestReportBreakdown(t *testing.T) {
 // TestStrictValueConversion feeds one row per case into a table with a
 // column of each type, through Engine.Run and through Session.Step: values
 // of a column's type and the lossless widenings convert, everything else
-// fails with an error naming the table, the row and the column.
+// fails with an error naming the table, the row and the column. A Step
+// rejected so changes nothing: the session takes the next window as if the
+// rejected one had never been offered.
 func TestStrictValueConversion(t *testing.T) {
 	//       i          f    s    b     d
 	good := Row{int64(7), 1.5, "x", true, 100}
@@ -521,6 +523,31 @@ func TestStrictValueConversion(t *testing.T) {
 			}
 			_, err = s.Step(data)
 			check(t, err)
+			if c.ok {
+				return
+			}
+			// The rejected window changed nothing: the session goes on, as
+			// one that only ever saw the good row.
+			only := map[string][]Row{"t": {good}}
+			if _, err := s.Step(only); err != nil {
+				t.Fatalf("Step after a rejected Step: %v", err)
+			}
+			ref, err := newEngine(t).StartSession(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Step(only); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Results("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := ref.Results("q")
+			if !reflect.DeepEqual(got, want) || s.Windows() != ref.Windows() || s.TotalWork() != ref.TotalWork() {
+				t.Errorf("after a rejected Step: %v over %d windows, work %d; want %v over %d, work %d",
+					got, s.Windows(), s.TotalWork(), want, ref.Windows(), ref.TotalWork())
+			}
 		})
 	}
 }

@@ -1,15 +1,16 @@
 #!/bin/sh
 # check.sh — the repo's merge gate, defined here once; CI only calls it.
 # Build, a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
-# environment-read, single-owner-optimizer, scheduler-report and
-# registry-refcount greps, vet, the full test suite under the race detector
-# (the wave-parallel executor, the scheduler's workers and the HTTP servers
-# must stay data-race-free), the benchmark module, the observability smokes,
-# the deterministic benchmark gate, then the soaks and a fuzz smoke through
-# their make targets. Set
-# SKIP_FUZZ=1 to stop before the soaks (CI runs them as separate jobs), and
-# FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME (default 10s each) to change
-# the per-target fuzz budget and the three soak budgets.
+# gofmt check of every Go file, the environment-read,
+# single-owner-optimizer, scheduler-report and registry-refcount greps,
+# vet, the full test suite under the race detector (the wave-parallel
+# executor, the scheduler's workers and the HTTP servers must stay
+# data-race-free), the benchmark module, the observability smokes, the
+# deterministic benchmark gate, then the soaks and a fuzz smoke through
+# their make targets. Set SKIP_FUZZ=1 to stop before the soaks (CI runs
+# them as separate jobs), and FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME
+# (default 10s each) to change the per-target fuzz budget and the three
+# soak budgets.
 set -eu
 
 FUZZTIME="${FUZZTIME:-10s}"
@@ -27,6 +28,17 @@ go build ./...
 echo "== bash -n scripts/bench_pairs.sh scripts/loc.sh"
 bash -n scripts/bench_pairs.sh
 bash -n scripts/loc.sh
+
+# Every Go file of the root module and of the benchmark module is
+# gofmt-clean. .bench_build/ holds other revisions' checkouts, not this
+# tree's source.
+echo "== gofmt -l"
+UNFORMATTED=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$UNFORMATTED" ]; then
+	echo "$UNFORMATTED" >&2
+	echo "these files are not gofmt-clean; run gofmt -w on them" >&2
+	exit 1
+fi
 
 # The engine takes its configuration through exec.Options and function
 # arguments only: an environment read under internal/ would be a knob no

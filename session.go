@@ -2,7 +2,6 @@ package ishare
 
 import (
 	"fmt"
-	"math"
 
 	"ishare/internal/exec"
 	"ishare/internal/opt"
@@ -36,10 +35,11 @@ type Session struct {
 	// batch pace, so a single group with one firing per subplan.
 	group   []exec.Firing
 	windows int
-	// err is the first error a Step or a graft (Admit, Retire) returned. A
-	// failed window leaves operator state half-applied, and a failed graft
-	// executors half re-keyed, so from then on every Step, Admit, Retire and
-	// Results returns it and runs nothing.
+	// err is the first error a started window or a graft (Admit, Retire)
+	// returned. A failed window leaves operator state half-applied, and a
+	// failed graft leaves the live plan on a revision the runner never
+	// reached, so from then on every Step, Admit, Retire and Results returns
+	// it and runs nothing.
 	err error
 }
 
@@ -118,8 +118,8 @@ func batchBaseline(live *opt.Live) []float64 {
 
 // graft moves the runner, the window's firing group and the profiler's drift
 // baseline to the live plan's new revision. A failure fails the session for
-// good: the live plan has already moved on, and the runner may be half
-// grafted.
+// good: the runner stays on its old executors, but the live plan has
+// already moved on.
 func (s *Session) graft() (*exec.GraftStats, error) {
 	n := len(s.live.Graph.Subplans)
 	group, err := exec.Schedule(pace.Ones(n))
@@ -168,15 +168,12 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 	if s.err != nil {
 		return nil, s.err
 	}
-	if !(relConstraint > 0) || math.IsInf(relConstraint, 1) {
-		return nil, fmt.Errorf("ishare: query %s: relative constraint must be positive and finite", name)
-	}
 	if s.Slot(name) >= 0 {
 		return nil, fmt.Errorf("ishare: query %q already active", name)
 	}
-	q, err := plan.ParseAndBindQuery(name, sql, s.engine.cat)
+	q, err := s.engine.bindQuery(name, sql, relConstraint)
 	if err != nil {
-		return nil, fmt.Errorf("ishare: query %s: %w", name, err)
+		return nil, err
 	}
 	abs, err := opt.AbsoluteConstraints([]plan.Query{q}, []float64{relConstraint})
 	if err != nil {
@@ -242,24 +239,27 @@ func admitStats(rep *opt.AdmitReport, gs *exec.GraftStats) *AdmitStats {
 // Step feeds one window of data (per table, rows in arrival order) through
 // the plan — the batch-pace schedule is a single firing group, run on the
 // calling goroutine — and returns the work units it cost. A panicking
-// operator surfaces as an error naming the subplan. The first error Step
-// returns fails the session for good: every later call returns it.
+// operator surfaces as an error naming the subplan. A row that does not
+// convert to its column's type is rejected before the window starts: Step
+// returns the error, nothing changed, and the session goes on. An error
+// after the window started fails the session for good: every later call
+// returns it.
 func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if s.err != nil {
 		return 0, s.err
 	}
-	work, err := s.step(data)
+	ds, err := s.engine.convertDataset(data)
+	if err != nil {
+		return 0, err
+	}
+	work, err := s.step(ds)
 	if err != nil {
 		s.err = err
 	}
 	return work, err
 }
 
-func (s *Session) step(data map[string][]Row) (int64, error) {
-	ds, err := s.engine.convertDataset(data)
-	if err != nil {
-		return 0, err
-	}
+func (s *Session) step(ds exec.Dataset) (int64, error) {
 	s.runner.StartWindow(exec.InsertStream(ds))
 	s.runner.ArriveWindow(1, 1)
 	walls := make([]int64, len(s.group))

@@ -141,8 +141,8 @@ func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 
 // TestSessionAdmitFailsOnReplayPanic: a panic in an admission's catch-up
 // replay returns from Admit as an error naming the subplan instead of
-// escaping the facade, and fails the session for good — the graft may have
-// re-keyed executors before the replay failed.
+// escaping the facade, and fails the session for good: the runner keeps its
+// old executors, but the live plan has already moved to the new revision.
 func TestSessionAdmitFailsOnReplayPanic(t *testing.T) {
 	e := ordersEngine(t)
 	if err := e.AddQuery("by_region",
