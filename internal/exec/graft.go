@@ -104,7 +104,11 @@ var DebugGraftLooseMatch bool
 // replayed: a construction error, or a panic in replay (returned as an error
 // naming the new subplan), releases the rebuilt executors' registry handles
 // and leaves the runner on its old graph and executors, as if never called.
+// After a failed firing group Graft returns an error wrapping it (RunGroup).
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
+	if r.err != nil {
+		return nil, r.failed()
+	}
 	// Reveal any remainder of the current window (a no-op for well-behaved
 	// window-boundary callers), then seal it so the history below is
 	// complete: every table's log holds all that arrived, scanned or not.

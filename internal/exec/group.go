@@ -22,13 +22,20 @@ import (
 //
 // A panicking operator does not take the process down: each firing recovers
 // its own panic, the wave it belongs to still finishes, and RunGroup returns
-// an error naming the subplan (the first in wave, then group, order — the
-// same one at any n) without starting the next wave. The runner's operator
-// state is then unspecified.
+// the works so far and an error naming the subplan (the first in wave, then
+// group, order — the same one at any n) without starting the next wave.
+// Operator state is then half-applied, so the runner keeps that first
+// failure (Err): every later RunGroup — and so Run, RunParallel and the
+// drivers above them — and Graft runs nothing and returns an error wrapping
+// it.
 func (r *Runner) RunGroup(group []Firing, n int, phase string, walls []int64) ([]Work, error) {
+	if r.err != nil {
+		return nil, r.failed()
+	}
 	works := make([]Work, len(group))
 	if len(group) == 1 {
-		return works, r.fire(group, 0, works, walls)
+		r.err = r.fire(group, 0, works, walls)
+		return works, r.err
 	}
 	for _, d := range r.depths {
 		r.byDepth[d] = r.byDepth[d][:0]
@@ -69,12 +76,19 @@ func (r *Runner) RunGroup(group []Firing, n int, phase string, walls []int64) ([
 		}
 		for _, i := range wave {
 			if errs[i] != nil {
-				return works, errs[i]
+				r.err = errs[i]
+				return works, r.err
 			}
 		}
 	}
 	return works, nil
 }
+
+// Err returns the first failed firing group's error; nil while none failed.
+func (r *Runner) Err() error { return r.err }
+
+// failed wraps Err for the calls a failed runner refuses.
+func (r *Runner) failed() error { return fmt.Errorf("exec: runner failed earlier: %w", r.err) }
 
 // fire runs group[i] through the reuse gate into works[i] (and walls[i]),
 // turning a panic anywhere below into an error.

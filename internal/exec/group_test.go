@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -145,6 +146,54 @@ func testOperatorPanicIsAnError(t *testing.T) {
 				t.Errorf("RunGroup n=%d: subplan %d (depth %d) did not run", n, f.Subplan, r.depth[f.Subplan])
 			}
 		}
+	}
+}
+
+// TestRunnerKeepsFirstFailure: a failed firing group leaves operator state
+// half-applied, so the runner keeps its error. With the fault cleared, every
+// later RunGroup, Run, RunParallel and Graft runs nothing and returns an
+// error wrapping that first failure; RunSubplan stays a bare execution.
+func TestRunnerKeepsFirstFailure(t *testing.T) {
+	h, data := parallelHarness(t)
+	r, err := New(h.graph, InsertStream(data), h.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := Schedule(make1s(len(h.graph.Subplans)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Err() != nil {
+		t.Fatalf("fresh runner reports %v", r.Err())
+	}
+	DebugSlowSubplan = func(int) int64 { panic("injected operator failure") }
+	defer func() { DebugSlowSubplan = nil }()
+	r.ArriveWindow(1, 1)
+	_, err = r.RunGroup(group, 4, "exec", nil)
+	DebugSlowSubplan = nil
+	first := r.Err()
+	if err == nil || first != err {
+		t.Fatalf("RunGroup error %v, runner keeps %v; want the same failure", err, first)
+	}
+	work := r.ReportNow().TotalWork
+	if works, err := r.RunGroup(group, 1, "exec", nil); works != nil || !errors.Is(err, first) {
+		t.Errorf("RunGroup after failure: %v, %v; want no works and an error wrapping %q", works, err, first)
+	}
+	if _, err := r.Run(make1s(len(h.graph.Subplans))); !errors.Is(err, first) {
+		t.Errorf("Run after failure: %v, want an error wrapping %q", err, first)
+	}
+	if _, err := r.RunParallel(make1s(len(h.graph.Subplans)), 4); !errors.Is(err, first) {
+		t.Errorf("RunParallel after failure: %v, want an error wrapping %q", err, first)
+	}
+	g := r.Graph
+	if _, err := r.Graft(g, GraftOptions{}); !errors.Is(err, first) || r.Graph != g {
+		t.Errorf("Graft after failure: %v, want an error wrapping %q and the old graph", err, first)
+	}
+	if got := r.ReportNow().TotalWork; got != work || r.Err() != first {
+		t.Errorf("calls after failure ran: TotalWork %d → %d, Err %v", work, got, r.Err())
+	}
+	if w := r.RunSubplan(group[0].Subplan); w.Total() == 0 {
+		t.Error("RunSubplan after failure did nothing")
 	}
 }
 

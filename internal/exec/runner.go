@@ -73,6 +73,8 @@ type Runner struct {
 	depth   []int
 	byDepth [][]int
 	depths  []int
+	// err is the first failed firing group's error (RunGroup).
+	err error
 }
 
 // Options is the executor's whole configuration. The zero value is the

@@ -79,6 +79,21 @@ func TestFigure11And12Drivers(t *testing.T) {
 			}
 			t.Logf("%s rel %.2f: %v", r.Figure, r.Rels[i], row)
 		}
+		// Share-Uniform's cost never falls as constraints tighten (Rels
+		// descend). The paper's growth does not show at this scale: its one
+		// uniform pace sits at MaxPace 5 from rel 1.0 on, so its total is
+		// flat — 14 360 (Fig 11) and 10 126 (Fig 12) — which is pinned
+		// (EXPERIMENTS.md, Deviation 5).
+		su := slices.Index(r.Approaches, opt.ShareUniform)
+		for i := 1; i < len(r.Total); i++ {
+			if r.Rels[i] >= r.Rels[i-1] || r.Total[i][su] < r.Total[i-1][su] {
+				t.Errorf("%s: Share-Uniform %d at rel %.2f falls to %d at rel %.2f",
+					r.Figure, r.Total[i-1][su], r.Rels[i-1], r.Total[i][su], r.Rels[i])
+			}
+		}
+		if first, last := r.Total[0][su], r.Total[len(r.Total)-1][su]; first != last {
+			t.Errorf("%s: Share-Uniform grows from %d to %d; Deviation 5 no longer holds", r.Figure, first, last)
+		}
 		var buf bytes.Buffer
 		r.Report(&buf)
 		if !strings.Contains(buf.String(), "uniform relative") {
@@ -243,10 +258,11 @@ func TestModelAccuracy(t *testing.T) {
 			t.Errorf("%s: non-positive ratio %v", r.Names[i], ratio)
 		}
 	}
-	// The model must stay within an order of magnitude per query — the
-	// optimizer's decisions are only as good as this.
-	if worst := r.WorstRatio(); worst > 10 {
-		t.Errorf("worst model deviation %.1fx exceeds 10x", worst)
+	// The optimizer's decisions are only as good as the model. The worst
+	// per-query deviation measures 1.68x here (Q19's); 2x leaves that
+	// about a fifth of headroom.
+	if worst := r.WorstRatio(); worst > 2 {
+		t.Errorf("worst model deviation %.2fx exceeds 2x", worst)
 	}
 	var buf bytes.Buffer
 	r.Report(&buf)

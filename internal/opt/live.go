@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ishare/internal/cost"
 	"ishare/internal/decompose"
@@ -76,50 +77,60 @@ func NewLive(req Request, splits map[string][]mqo.Bitset) (*Live, error) {
 		maxPace:     req.MaxPace,
 		calib:       req.Calibration,
 	}
-	if _, err := l.replan(nil, nil); err != nil {
+	if _, err := l.replan(); err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// Clone returns a copy that Admit and Retire move without changing l: it
+// owns its slots and constraints and shares the revision, which a replan
+// only reads. A caller that must first commit a revision elsewhere (a graft)
+// admits into a clone and keeps it only if that succeeds.
+func (l *Live) Clone() *Live {
+	c := *l
+	c.queries = slices.Clone(l.queries)
+	c.constraints = slices.Clone(l.constraints)
+	return &c
 }
 
 // NumSlots returns the number of query slots, active or not.
 func (l *Live) NumSlots() int { return len(l.queries) }
 
 // Active reports whether slot q currently serves a query.
-func (l *Live) Active(q int) bool { return q < len(l.queries) && l.queries[q].Root != nil }
+func (l *Live) Active(q int) bool { return l.Query(q).Root != nil }
+
+// Query returns the query in slot q; the zero Query if it is not active.
+func (l *Live) Query(q int) plan.Query {
+	if q < 0 || q >= len(l.queries) {
+		return plan.Query{}
+	}
+	return l.queries[q]
+}
 
 // Admit adds a query to the running plan under an absolute final-work
 // constraint, returning the slot it was assigned and a report on the warm
-// pace search.
+// pace search. On error l is unchanged.
 func (l *Live) Admit(q plan.Query, constraint float64) (int, *AdmitReport, error) {
 	if q.Root == nil {
 		return -1, nil, fmt.Errorf("opt: admit: query %q has no plan", q.Name)
 	}
-	slot := -1
-	for i := range l.queries {
-		if l.queries[i].Root == nil {
-			slot = i
-			break
-		}
-	}
+	next := l.Clone()
+	slot := slices.IndexFunc(next.queries, func(q plan.Query) bool { return q.Root == nil })
 	if slot == -1 {
-		if len(l.queries) >= mqo.MaxQueries {
+		if len(next.queries) >= mqo.MaxQueries {
 			return -1, nil, fmt.Errorf("opt: admit: all %d query slots active", mqo.MaxQueries)
 		}
-		slot = len(l.queries)
-		l.queries = append(l.queries, plan.Query{})
-		l.constraints = append(l.constraints, math.Inf(1))
+		slot = len(next.queries)
+		next.queries = append(next.queries, plan.Query{})
+		next.constraints = append(next.constraints, 0)
 	}
-	rep, err := l.replan(func() {
-		l.queries[slot] = q
-		l.constraints[slot] = constraint
-	}, func() {
-		l.queries[slot] = plan.Query{}
-		l.constraints[slot] = math.Inf(1)
-	})
+	next.queries[slot], next.constraints[slot] = q, constraint
+	rep, err := next.replan()
 	if err != nil {
 		return -1, nil, err
 	}
+	*l = *next
 	rep.Slot = slot
 	return slot, rep, nil
 }
@@ -127,7 +138,7 @@ func (l *Live) Admit(q plan.Query, constraint float64) (int, *AdmitReport, error
 // Retire removes the query in slot q from the running plan. The slot goes
 // inactive (it is never renumbered) and may be reused by a later admission.
 // The last active query cannot be retired — a shared plan must serve
-// something.
+// something. On error l is unchanged.
 func (l *Live) Retire(q int) (*AdmitReport, error) {
 	if !l.Active(q) {
 		return nil, fmt.Errorf("opt: retire: slot %d is not active", q)
@@ -141,43 +152,29 @@ func (l *Live) Retire(q int) (*AdmitReport, error) {
 	if active == 1 {
 		return nil, fmt.Errorf("opt: retire: slot %d is the last active query", q)
 	}
-	old, oldC := l.queries[q], l.constraints[q]
-	rep, err := l.replan(func() {
-		l.queries[q] = plan.Query{}
-		l.constraints[q] = math.Inf(1)
-	}, func() {
-		l.queries[q] = old
-		l.constraints[q] = oldC
-	})
+	next := l.Clone()
+	next.queries[q], next.constraints[q] = plan.Query{}, math.Inf(1)
+	rep, err := next.replan()
 	if err != nil {
 		return nil, err
 	}
+	*l = *next
 	rep.Slot = q
 	return rep, nil
 }
 
-// replan rebuilds the shared graph over the current slots (after applying
-// the optional mutation), transplants the memoized cost model from the
-// previous revision, and re-runs the pace search from the batch start. On
-// any error the mutation is rolled back and the previous revision stays
-// installed.
-func (l *Live) replan(apply, rollback func()) (*AdmitReport, error) {
-	if apply != nil {
-		apply()
-	}
-	fail := func(err error) (*AdmitReport, error) {
-		if rollback != nil {
-			rollback()
-		}
-		return nil, err
-	}
+// replan rebuilds the shared graph over the current slots, transplants the
+// memoized cost model from the previous revision, and re-runs the pace
+// search from the batch start. It installs the new revision only on
+// success.
+func (l *Live) replan() (*AdmitReport, error) {
 	sp, err := mqo.BuildWithOptions(l.queries, mqo.BuildOptions{Classes: l.classes})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	g, err := mqo.Extract(sp)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	m := cost.NewModel(g)
 	if l.calib != nil {
@@ -189,11 +186,11 @@ func (l *Live) replan(apply, rollback func()) (*AdmitReport, error) {
 	}
 	o, err := pace.NewOptimizer(m, l.constraints, l.maxPace)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	paces, _, err := o.GreedyFrom(pace.Ones(len(g.Subplans)))
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	l.Graph, l.Model, l.Paces = g, m, paces
 	rep.Sims, rep.Evals = m.Sims, o.Evals

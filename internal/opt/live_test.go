@@ -144,3 +144,40 @@ func TestLiveRetireGuards(t *testing.T) {
 		t.Error("failed admission replaced the installed revision")
 	}
 }
+
+// TestLiveCloneIsolates: Admit and Retire on a clone leave the original live
+// plan as it was — slots, revision and memo — so a caller that discards the
+// clone (a failed graft) admits next exactly as if it had never tried.
+func TestLiveCloneIsolates(t *testing.T) {
+	req, queries, abs := liveRequest(t, []float64{0.5, 0.5, 0.5}, "Q1", "Q22", "Q6")
+	live, err := NewLive(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched, err := NewLive(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, m, paces, sims := live.Graph, live.Model, live.Paces, live.Model.Sims
+	if _, _, err := live.Clone().Admit(queries[2], abs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Clone().Retire(0); err != nil {
+		t.Fatal(err)
+	}
+	if live.Graph != g || live.Model != m || !reflect.DeepEqual(live.Paces, paces) || m.Sims != sims ||
+		live.NumSlots() != 2 || !live.Active(0) || live.Query(0).Name != queries[0].Name || live.Active(2) {
+		t.Fatalf("admitting into and retiring from clones changed the original")
+	}
+	_, got, err := live.Admit(queries[2], abs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := untouched.Admit(queries[2], abs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("admission after discarded clones: %+v, want %+v", got, want)
+	}
+}

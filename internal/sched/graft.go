@@ -23,8 +23,12 @@ import (
 // requires. A failed graft — a panic while the runner replays a rebuilt
 // subplan included — returns its error and changes nothing: the runner keeps
 // its old executors (exec.Runner.Graft), and the run goes on under the old
-// plan, paces and deadlines.
+// plan, paces and deadlines. After a failed Tick, Graft returns an error
+// wrapping the runner's first failure.
 func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) (*exec.GraftStats, error) {
+	if err := s.runner.Err(); err != nil {
+		return nil, fmt.Errorf("sched: graft after a failed tick: %w", err)
+	}
 	if s.done {
 		return nil, fmt.Errorf("sched: graft after run completed")
 	}
@@ -43,7 +47,6 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	// unobserved; the baseline is cleared until the caller supplies one for
 	// the new revision (profile.SetModeled).
 	s.cfg.Profile.Graft(len(g.Subplans), nil, stats.AdoptedFrom)
-	s.graph = g
 	s.paces = append([]int(nil), paces...)
 	s.cfg.Deadlines = append([]time.Duration(nil), deadlines...)
 	// The recalibration trigger restarts from scratch on the new revision:

@@ -71,7 +71,7 @@ func (s *Scheduler) degrade(querySlack []time.Duration) *Decision {
 // already satisfies the bound the second time, so recursion terminates
 // without a visited set.
 func (s *Scheduler) clampAncestors(sub, np int, d *Decision) {
-	for _, par := range s.graph.Subplans[sub].Parents {
+	for _, par := range s.runner.Graph.Subplans[sub].Parents {
 		if s.paces[par.ID] > np {
 			s.paces[par.ID] = np
 			d.Clamped = append(d.Clamped, par.ID)
@@ -85,7 +85,7 @@ func (s *Scheduler) minSlackOf(sub int, querySlack []time.Duration) time.Duratio
 	min := time.Duration(0)
 	first := true
 	for q := range querySlack {
-		if !s.graph.Subplans[sub].Queries.Has(q) {
+		if !s.runner.Graph.Subplans[sub].Queries.Has(q) {
 			continue
 		}
 		if first || querySlack[q] < min {

@@ -138,11 +138,11 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	// profiles are calibration-stable (Out factors never move), so those
 	// cached simulations remain exact — then greedy restarts from batch
 	// (greedy only ever raises paces, so Ones is the correct warm start).
-	next := cost.NewModel(s.graph)
+	next := cost.NewModel(s.runner.Graph)
 	next.SetCalibration(newCalib)
 	oldCalib := rp.Model.Calibration()
-	match := make(map[int]int, len(s.graph.Subplans))
-	for _, sub := range s.graph.Subplans {
+	match := make(map[int]int, len(s.runner.Graph.Subplans))
+	for _, sub := range s.runner.Graph.Subplans {
 		sig := sub.Root.BaseSignature()
 		if newCalib[sig] == oldCalib[sig] {
 			match[sub.ID] = sub.ID
@@ -153,7 +153,7 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	if err != nil {
 		return nil
 	}
-	newPaces, ev, err := opt.GreedyFrom(pace.Ones(len(s.graph.Subplans)))
+	newPaces, ev, err := opt.GreedyFrom(pace.Ones(len(s.runner.Graph.Subplans)))
 	if err != nil {
 		return nil
 	}

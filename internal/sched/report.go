@@ -51,7 +51,7 @@ func (s *Scheduler) reportStart() {
 // when the graft renumbered it onto another subplan.
 func (s *Scheduler) reportSubplans() {
 	s.subExecs, s.subWork = s.subExecs[:0], s.subWork[:0]
-	for i, sub := range s.graph.Subplans {
+	for i, sub := range s.runner.Graph.Subplans {
 		s.subExecs = append(s.subExecs, s.cfg.Metrics.Counter(fmt.Sprintf("sched.subplan.%d.executions", i)))
 		s.subWork = append(s.subWork, s.cfg.Metrics.Counter(fmt.Sprintf("sched.subplan.%d.work", i)))
 		if tr := s.cfg.Tracer; tr != nil {
@@ -227,7 +227,7 @@ func (s *Scheduler) reportGraft(stats *exec.GraftStats) {
 	if ev := s.cfg.Events; ev.Enabled() {
 		atNS := (time.Duration(s.window) * s.cfg.Window).Nanoseconds()
 		ev.Emit("graft", atNS, s.window, -1, -1, map[string]interface{}{
-			"subplans": len(s.graph.Subplans), "queries": s.graph.Plan.NumQueries(),
+			"subplans": len(s.runner.Graph.Subplans), "queries": s.runner.Graph.Plan.NumQueries(),
 			"adopted": stats.Adopted, "rebuilt": stats.Rebuilt,
 			"replayed":            stats.Replayed,
 			"arrangements_built":  arr.Built,

@@ -157,8 +157,7 @@ type Result struct {
 // firing group at a time.
 type Scheduler struct {
 	cfg     Config
-	graph   *mqo.Graph
-	runner  *exec.Runner
+	runner  *exec.Runner // owns the plan revision being run (Runner.Graph)
 	src     Source
 	paces   []int
 	workers int // Config.Workers resolved to n ≥ 1
@@ -219,7 +218,6 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	}
 	s := &Scheduler{
 		cfg:    cfg,
-		graph:  g,
 		runner: runner,
 		src:    src,
 		paces:  append([]int(nil), paces...),
@@ -266,8 +264,11 @@ func (s *Scheduler) Run() (*Result, error) {
 // Tick executes the next firing group (every firing due at the same
 // instant); when the group closes a window it also settles the window's
 // deadlines and applies the degradation policy. It reports whether any work
-// remains. A panicking operator surfaces as an error naming the subplan; the
-// run cannot continue past it.
+// remains. A panicking operator surfaces as an error naming the window and
+// the subplan, and the run cannot continue past it: the runner keeps that
+// first failure (exec.Runner.RunGroup), so every later Tick, Run and Graft
+// returns an error wrapping it and changes neither the Result nor the
+// metrics.
 func (s *Scheduler) Tick() (bool, error) {
 	if s.done {
 		return false, nil
@@ -320,7 +321,7 @@ func (s *Scheduler) openWindow() error {
 	s.winStart = s.epoch.Add(time.Duration(s.window) * s.cfg.Window)
 	s.runner.StartWindow(s.src.WindowData(s.window))
 	winEnd := s.winStart.Add(s.cfg.Window)
-	if n := len(s.graph.Subplans); len(s.finish) != n {
+	if n := len(s.runner.Graph.Subplans); len(s.finish) != n {
 		s.finish, s.spent = make([]time.Time, n), make([]time.Duration, n)
 	}
 	for i := range s.finish {
@@ -413,11 +414,11 @@ func (s *Scheduler) closeWindow() {
 		Work:       s.winWork,
 		MaxLag:     s.maxLag,
 	}
-	nq := s.graph.Plan.NumQueries()
+	nq := s.runner.Graph.Plan.NumQueries()
 	ws.QuerySlack = make([]time.Duration, nq)
 	for q := 0; q < nq; q++ {
 		completion := winEnd
-		for _, sub := range s.graph.QuerySubplans(q) {
+		for _, sub := range s.runner.Graph.QuerySubplans(q) {
 			if s.finish[sub.ID].After(completion) {
 				completion = s.finish[sub.ID]
 			}

@@ -3,8 +3,10 @@ package sched_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,6 +293,60 @@ func TestOperatorPanicFailsTick(t *testing.T) {
 		}
 		if _, err := s.Run(); err == nil || err.Error() != want {
 			t.Errorf("workers=%d: Run error %v, want %q", workers, err, want)
+		}
+	}
+}
+
+// TestFailedTickStopsTheRun: after a Tick returns an injected operator
+// panic, the run cannot continue past it, even with the fault cleared. The
+// runner keeps the first failure, so every later Tick, Run and Graft returns
+// an error wrapping it, and nothing re-runs the failed group over the state
+// it half-applied: the Result's work and windows and the metrics stay put.
+func TestFailedTickStopsTheRun(t *testing.T) {
+	cp := buildChurnPlan(t, 7)
+	defer func() { exec.DebugSlowSubplan = nil }()
+	for _, workers := range []int{1, 4} {
+		s, err := sched.New(cp.gA, cp.pacesA, sched.Slices{Data: cp.data, N: 3}, sched.Config{
+			Window:    time.Second,
+			Windows:   3,
+			Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+			WorkRate:  50_000,
+			Deadlines: make([]time.Duration, cp.gA.Plan.NumQueries()),
+			Workers:   workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if more, err := s.Tick(); err != nil || !more {
+			t.Fatalf("workers=%d: first Tick: more=%v, %v", workers, more, err)
+		}
+		exec.DebugSlowSubplan = func(int) int64 { panic("injected operator failure") }
+		_, err = s.Tick()
+		exec.DebugSlowSubplan = nil
+		first := errors.Unwrap(err)
+		if err == nil || !strings.HasPrefix(err.Error(), "sched: window 0: exec: subplan ") || first == nil {
+			t.Fatalf("workers=%d: second Tick error %v, want the panic naming window 0 and its subplan", workers, err)
+		}
+		work, windows := s.Result().TotalWork, len(s.Result().Windows)
+		snap, err := s.Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Tick(); !errors.Is(err, first) {
+			t.Errorf("workers=%d: Tick after failure: %v, want an error wrapping %q", workers, err, first)
+		}
+		if _, err := s.Run(); !errors.Is(err, first) {
+			t.Errorf("workers=%d: Run after failure: %v, want an error wrapping %q", workers, err, first)
+		}
+		if _, err := s.Graft(cp.gB, cp.pacesB, make([]time.Duration, cp.gB.Plan.NumQueries())); !errors.Is(err, first) {
+			t.Errorf("workers=%d: Graft after failure: %v, want an error wrapping %q", workers, err, first)
+		}
+		if s.Result().TotalWork != work || len(s.Result().Windows) != windows {
+			t.Errorf("workers=%d: calls after failure ran: TotalWork %d → %d, windows %d → %d",
+				workers, work, s.Result().TotalWork, windows, len(s.Result().Windows))
+		}
+		if after, err := s.Snapshot().JSON(); err != nil || !bytes.Equal(after, snap) {
+			t.Errorf("workers=%d: metrics moved after failure (%v)", workers, err)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh — the repo's merge gate, defined here once; CI only calls it.
-# Build, a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
+# Build, vet of the benchmark module (it compiles bench/ against this tree),
+# a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
 # gofmt check of every Go file, the environment-read,
 # single-owner-optimizer, scheduler-report and registry-refcount greps,
 # vet, the full test suite under the race detector (the wave-parallel
 # executor, the scheduler's workers and the HTTP servers must stay
-# data-race-free), the benchmark module, the observability smokes, the
+# data-race-free), the benchmark module's tests, the observability smokes, the
 # deterministic benchmark gate, then the soaks and a fuzz smoke through
 # their make targets. Set SKIP_FUZZ=1 to stop before the soaks (CI runs
 # them as separate jobs), and FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME
@@ -22,6 +23,12 @@ cd "$(dirname "$0")/.."
 
 echo "== go build ./..."
 go build ./...
+
+# The repository benchmark is its own module, which ./... does not reach.
+# Vet compiles it against this tree, so a change to an internal package that
+# breaks the benchmark's build fails here, in seconds; its tests run below.
+echo "== go vet (bench module)"
+go vet -C bench ./...
 
 # The interleaved-pairs timing script and the line counter run only by
 # hand; keep them parseable.
@@ -95,11 +102,7 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# The repository benchmark is its own module, which ./... does not reach:
-# vet and test it here so a change to an internal package cannot silently
-# break it.
-echo "== go vet + go test (bench module)"
-go vet -C bench ./...
+echo "== go test (bench module)"
 go test -C bench ./...
 
 # Compile-and-run smoke of the three whole-job benchmarks `make profile`

@@ -24,23 +24,21 @@ import (
 // A Session always runs the full iShare shared plan at batch pace (one
 // execution per subplan per window); it is the online counterpart of
 // Engine.Run, not of the scheduler.
+//
+// Failures follow one contract. A call that fails before it changes
+// anything — a row that does not convert, an unknown or duplicate name, a
+// failed Admit or Retire, a panic in catch-up replay included — returns its
+// error and leaves the session exactly as it was. A window that fails after
+// it started (a panicking operator) leaves operator state half-applied: the
+// runner keeps that first failure (exec.Runner.Err), and every later Step,
+// Admit, Retire and Results returns an error wrapping it and runs nothing.
 type Session struct {
-	engine  *Engine
+	engine *Engine
+	// live owns the query slots: which are active, and each one's query.
 	live    *opt.Live
 	runner  *exec.Runner
 	prof    *profile.Profiler
-	names   []string     // slot-indexed; "" = inactive
-	queries []plan.Query // slot-indexed; zero value = inactive
-	// group is one window's firing sequence for the current plan revision:
-	// batch pace, so a single group with one firing per subplan.
-	group   []exec.Firing
 	windows int
-	// err is the first error a started window or a graft (Admit, Retire)
-	// returned. A failed window leaves operator state half-applied, and a
-	// failed graft leaves the live plan on a revision the runner never
-	// reached, so from then on every Step, Admit, Retire and Results returns
-	// it and runs nothing.
-	err error
 }
 
 // AdmitStats reports what one admission or retirement did to the live plan.
@@ -86,21 +84,14 @@ func (e *Engine) StartSession(o Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	group, err := exec.Schedule(pace.Ones(len(live.Graph.Subplans)))
-	if err != nil {
-		return nil, err
-	}
 	return &Session{
 		engine: e,
 		live:   live,
 		runner: runner,
-		group:  group,
 		prof: profile.New(profile.Config{
 			Subplans: len(live.Graph.Subplans),
 			Modeled:  batchBaseline(live),
 		}),
-		names:   append([]string(nil), e.names...),
-		queries: append([]plan.Query(nil), e.queries...),
 	}, nil
 }
 
@@ -116,30 +107,33 @@ func batchBaseline(live *opt.Live) []float64 {
 	return ev.SubTotal
 }
 
-// graft moves the runner, the window's firing group and the profiler's drift
-// baseline to the live plan's new revision. A failure fails the session for
-// good: the runner stays on its old executors, but the live plan has
-// already moved on.
-func (s *Session) graft() (*exec.GraftStats, error) {
-	n := len(s.live.Graph.Subplans)
-	group, err := exec.Schedule(pace.Ones(n))
-	var gs *exec.GraftStats
-	if err == nil {
-		gs, err = s.runner.Graft(s.live.Graph, exec.GraftOptions{})
-	}
+// graft moves the runner onto next, a clone of the live plan that Admit or
+// Retire moved to a new revision, and only then installs next and rebases
+// the profiler's drift baseline. A failed graft leaves the runner on its old
+// executors (exec.Runner.Graft) and the session on its old revision.
+func (s *Session) graft(next *opt.Live) (*exec.GraftStats, error) {
+	gs, err := s.runner.Graft(next.Graph, exec.GraftOptions{})
 	if err != nil {
-		s.err = fmt.Errorf("ishare: graft: %w", err)
-		return nil, s.err
+		return nil, fmt.Errorf("ishare: graft: %w", err)
 	}
-	s.group = group
-	s.prof.Graft(n, batchBaseline(s.live), gs.AdoptedFrom)
+	s.live = next
+	s.prof.Graft(len(next.Graph.Subplans), batchBaseline(next), gs.AdoptedFrom)
 	return gs, nil
+}
+
+// failed returns an error wrapping the runner's first failed window, or nil
+// while every window has run.
+func (s *Session) failed() error {
+	if err := s.runner.Err(); err != nil {
+		return fmt.Errorf("ishare: session failed earlier: %w", err)
+	}
+	return nil
 }
 
 // Slot returns the slot serving the named query, or -1.
 func (s *Session) Slot(name string) int {
-	for i, n := range s.names {
-		if n == name && n != "" {
+	for i := range s.live.NumSlots() {
+		if q := s.live.Query(i); q.Root != nil && q.Name == name {
 			return i
 		}
 	}
@@ -148,10 +142,10 @@ func (s *Session) Slot(name string) int {
 
 // QueryNames lists the currently active query names in slot order.
 func (s *Session) QueryNames() []string {
-	out := make([]string, 0, len(s.names))
-	for _, n := range s.names {
-		if n != "" {
-			out = append(out, n)
+	var out []string
+	for i := range s.live.NumSlots() {
+		if q := s.live.Query(i); q.Root != nil {
+			out = append(out, q.Name)
 		}
 	}
 	return out
@@ -162,11 +156,13 @@ func (s *Session) QueryNames() []string {
 // the beginning of the stream: shared subplans it joins are either adopted
 // as-is (when their state is provably identical) or rebuilt and caught up by
 // replaying the retained window history, so its results are identical to
-// having been registered before the first Step. A failed graft — a panic in
-// catch-up replay included — fails the session as a failed Step does.
+// having been registered before the first Step. A failed Admit — a panic in
+// catch-up replay included — returns its error and changes nothing: the
+// session serves its old plan as if never called. After a failed Step it
+// returns an error wrapping that failure.
 func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, error) {
-	if s.err != nil {
-		return nil, s.err
+	if err := s.failed(); err != nil {
+		return nil, err
 	}
 	if s.Slot(name) >= 0 {
 		return nil, fmt.Errorf("ishare: query %q already active", name)
@@ -179,45 +175,40 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 	if err != nil {
 		return nil, err
 	}
-	slot, rep, err := s.live.Admit(q, abs[0])
+	next := s.live.Clone()
+	_, rep, err := next.Admit(q, abs[0])
 	if err != nil {
 		return nil, err
 	}
-	gs, err := s.graft()
+	gs, err := s.graft(next)
 	if err != nil {
 		return nil, err
 	}
-	for slot >= len(s.names) {
-		s.names = append(s.names, "")
-		s.queries = append(s.queries, plan.Query{})
-	}
-	s.names[slot] = name
-	s.queries[slot] = q
 	return admitStats(rep, gs), nil
 }
 
 // Retire removes the named query from the running plan. Operator state used
 // only by this query is freed with the plan revision; shared state the
-// remaining queries still need is carried over. A failed graft fails the
-// session as a failed Step does.
+// remaining queries still need is carried over. Failures follow Admit's
+// contract: a failed Retire changes nothing, and after a failed Step Retire
+// returns an error wrapping that failure.
 func (s *Session) Retire(name string) (*AdmitStats, error) {
-	if s.err != nil {
-		return nil, s.err
+	if err := s.failed(); err != nil {
+		return nil, err
 	}
 	slot := s.Slot(name)
 	if slot < 0 {
 		return nil, fmt.Errorf("ishare: query %q is not active", name)
 	}
-	rep, err := s.live.Retire(slot)
+	next := s.live.Clone()
+	rep, err := next.Retire(slot)
 	if err != nil {
 		return nil, err
 	}
-	gs, err := s.graft()
+	gs, err := s.graft(next)
 	if err != nil {
 		return nil, err
 	}
-	s.names[slot] = ""
-	s.queries[slot] = plan.Query{}
 	return admitStats(rep, gs), nil
 }
 
@@ -239,36 +230,33 @@ func admitStats(rep *opt.AdmitReport, gs *exec.GraftStats) *AdmitStats {
 // Step feeds one window of data (per table, rows in arrival order) through
 // the plan — the batch-pace schedule is a single firing group, run on the
 // calling goroutine — and returns the work units it cost. A panicking
-// operator surfaces as an error naming the subplan. A row that does not
-// convert to its column's type is rejected before the window starts: Step
-// returns the error, nothing changed, and the session goes on. An error
-// after the window started fails the session for good: every later call
-// returns it.
+// operator surfaces as an error naming the window and the subplan. A row
+// that does not convert to its column's type is rejected before the window
+// starts: Step returns the error, nothing changed, and the session goes on.
+// An error after the window started fails the session for good: the runner
+// keeps it, and every later Step, Admit, Retire and Results returns an error
+// wrapping it.
 func (s *Session) Step(data map[string][]Row) (int64, error) {
-	if s.err != nil {
-		return 0, s.err
+	if err := s.failed(); err != nil {
+		return 0, err
 	}
 	ds, err := s.engine.convertDataset(data)
 	if err != nil {
 		return 0, err
 	}
-	work, err := s.step(ds)
+	group, err := exec.Schedule(pace.Ones(len(s.live.Graph.Subplans)))
 	if err != nil {
-		s.err = err
+		return 0, err
 	}
-	return work, err
-}
-
-func (s *Session) step(ds exec.Dataset) (int64, error) {
 	s.runner.StartWindow(exec.InsertStream(ds))
 	s.runner.ArriveWindow(1, 1)
-	walls := make([]int64, len(s.group))
-	works, err := s.runner.RunGroup(s.group, 1, "exec", walls)
+	walls := make([]int64, len(group))
+	works, err := s.runner.RunGroup(group, 1, "exec", walls)
 	if err != nil {
 		return 0, fmt.Errorf("ishare: window %d: %w", s.windows, err)
 	}
 	var work int64
-	for i, f := range s.group {
+	for i, f := range group {
 		w := works[i].Total()
 		s.prof.Observe(f.Subplan, w, walls[i], s.runner.Execs[f.Subplan].LastBatches())
 		work += w
@@ -295,43 +283,15 @@ func (s *Session) Paces() []int { return append([]int(nil), s.live.Paces...) }
 
 // DriftSample is one subplan's execution profile for one stepped window:
 // the cost model's predicted work at batch pace against the work the window
-// actually cost, plus physical detail (measured wall time, vectorized batch
-// count) and the subplan's observed/modeled drift EWMA after the window.
-type DriftSample struct {
-	Window  int
-	Subplan int
-	// Modeled is the cost model's per-window work prediction (0 when the
-	// model could not evaluate).
-	Modeled float64
-	// Work is the window's observed work units.
-	Work int64
-	// WallNS is the window's measured execution wall time in nanoseconds.
-	WallNS int64
-	// Batches counts the vectorized chunks the window processed.
-	Batches int64
-	// Drift is the observed/modeled EWMA after this window.
-	Drift float64
-}
+// actually cost, plus physical detail (measured wall time, firings,
+// vectorized batch count) and the subplan's observed/modeled drift EWMA
+// after the window.
+type DriftSample = profile.Sample
 
 // Profile returns the retained per-subplan per-window execution profiles in
 // chronological order — the session's closed-loop view of how far reality
 // has drifted from the cost model that chose its pace vector.
-func (s *Session) Profile() []DriftSample {
-	samples := s.prof.Samples()
-	out := make([]DriftSample, len(samples))
-	for i, sm := range samples {
-		out[i] = DriftSample{
-			Window:  sm.Window,
-			Subplan: sm.Subplan,
-			Modeled: sm.Modeled,
-			Work:    sm.Work,
-			WallNS:  sm.WallNS,
-			Batches: sm.Batches,
-			Drift:   sm.Drift,
-		}
-	}
-	return out
-}
+func (s *Session) Profile() []DriftSample { return s.prof.Samples() }
 
 // Drift returns each subplan's current observed/modeled work EWMA: 1 means
 // the cost model predicts this subplan perfectly, above 1 it underestimates,
@@ -339,14 +299,15 @@ func (s *Session) Profile() []DriftSample {
 func (s *Session) Drift() []float64 { return s.prof.Drifts() }
 
 // Results returns the named query's materialized result rows over all data
-// stepped so far.
+// stepped so far. After a failed Step it returns an error wrapping that
+// failure.
 func (s *Session) Results(name string) ([]Row, error) {
-	if s.err != nil {
-		return nil, s.err
+	if err := s.failed(); err != nil {
+		return nil, err
 	}
 	slot := s.Slot(name)
 	if slot < 0 {
 		return nil, fmt.Errorf("ishare: query %q is not active", name)
 	}
-	return facadeRows(s.queries[slot].Present.Apply(s.runner.Results(slot))), nil
+	return facadeRows(s.live.Query(slot).Present.Apply(s.runner.Results(slot))), nil
 }

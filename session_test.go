@@ -1,6 +1,9 @@
 package ishare
 
 import (
+	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,7 +91,8 @@ func TestSessionProfileAndDrift(t *testing.T) {
 // TestSessionStepSurvivesOperatorPanic injects a panic into one subplan's
 // executions and requires Step to hand it back as an error naming the window
 // and the subplan — a failing operator must not take down the process
-// hosting the session — and every later call to fail with that first error.
+// hosting the session — and every later call to fail with an error wrapping
+// the runner's first failure.
 func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 	e := ordersEngine(t)
 	if err := e.AddQuery("by_customer",
@@ -114,24 +118,28 @@ func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("Step error %v, want %q", err, want)
 	}
+	first := s.runner.Err()
+	if first == nil || !errors.Is(err, first) {
+		t.Fatalf("runner keeps %v, want the failure Step returned (%v)", first, err)
+	}
 	if s.Windows() != 1 {
 		t.Errorf("failed Step counted as a window: Windows() = %d, want 1", s.Windows())
 	}
 	// The failure is sticky: with the fault cleared, every later call
-	// returns the first error and runs nothing.
+	// returns an error wrapping the first and runs nothing.
 	exec.DebugSlowSubplan = nil
 	work := s.TotalWork()
-	if _, err := s.Step(ordersData()); err == nil || err.Error() != want {
-		t.Errorf("Step after failure: %v, want %q", err, want)
+	if _, err := s.Step(ordersData()); !errors.Is(err, first) {
+		t.Errorf("Step after failure: %v, want an error wrapping %q", err, first)
 	}
-	if _, err := s.Admit("count", "SELECT COUNT(*) FROM orders", 1.0); err == nil || err.Error() != want {
-		t.Errorf("Admit after failure: %v, want %q", err, want)
+	if _, err := s.Admit("count", "SELECT COUNT(*) FROM orders", 1.0); !errors.Is(err, first) {
+		t.Errorf("Admit after failure: %v, want an error wrapping %q", err, first)
 	}
-	if _, err := s.Retire("by_customer"); err == nil || err.Error() != want {
-		t.Errorf("Retire after failure: %v, want %q", err, want)
+	if _, err := s.Retire("by_customer"); !errors.Is(err, first) {
+		t.Errorf("Retire after failure: %v, want an error wrapping %q", err, first)
 	}
-	if _, err := s.Results("by_customer"); err == nil || err.Error() != want {
-		t.Errorf("Results after failure: %v, want %q", err, want)
+	if _, err := s.Results("by_customer"); !errors.Is(err, first) {
+		t.Errorf("Results after failure: %v, want an error wrapping %q", err, first)
 	}
 	if s.Windows() != 1 || s.TotalWork() != work || s.Slot("count") >= 0 || s.Slot("by_customer") < 0 {
 		t.Errorf("calls after failure ran: Windows() = %d, TotalWork %d → %d, slots count %d, by_customer %d",
@@ -139,47 +147,117 @@ func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 	}
 }
 
-// TestSessionAdmitFailsOnReplayPanic: a panic in an admission's catch-up
-// replay returns from Admit as an error naming the subplan instead of
-// escaping the facade, and fails the session for good: the runner keeps its
-// old executors, but the live plan has already moved to the new revision.
+// TestSessionAdmitFailsOnReplayPanic: a panic in the catch-up replay of an
+// Admit or a Retire returns from the call as an error naming the subplan,
+// instead of escaping the facade, and changes nothing. With the fault
+// cleared, the session's later windows, results, work, drift and next
+// admission equal those of a session that never made the call.
 func TestSessionAdmitFailsOnReplayPanic(t *testing.T) {
-	e := ordersEngine(t)
-	if err := e.AddQuery("by_region",
-		`SELECT c_region, SUM(o_amount) AS total FROM orders, customers
-		 WHERE o_customer = c_name GROUP BY c_region`, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	s, err := e.StartSession(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Step(ordersData()); err != nil {
-		t.Fatal(err)
-	}
-	exec.DebugSlowSubplan = func(int) int64 { panic("injected replay failure") }
-	defer func() { exec.DebugSlowSubplan = nil }()
-	_, err = s.Admit("by_customer", "SELECT o_customer, SUM(o_amount) AS total FROM orders GROUP BY o_customer", 1.0)
-	if err == nil || !strings.Contains(err.Error(), "panicked: injected replay failure") ||
-		!strings.HasPrefix(err.Error(), "ishare: graft: exec: graft: replay of window 0: exec: subplan ") {
-		t.Fatalf("Admit error %v, want the replay panic naming its subplan", err)
-	}
-	exec.DebugSlowSubplan = nil
-	first := err.Error()
-	if _, err := s.Step(ordersData()); err == nil || err.Error() != first {
-		t.Errorf("Step after failed graft: %v, want %q", err, first)
-	}
-	if _, err := s.Admit("count", "SELECT COUNT(*) FROM orders", 1.0); err == nil || err.Error() != first {
-		t.Errorf("Admit after failed graft: %v, want %q", err, first)
-	}
-	if _, err := s.Retire("by_region"); err == nil || err.Error() != first {
-		t.Errorf("Retire after failed graft: %v, want %q", err, first)
-	}
-	if _, err := s.Results("by_region"); err == nil || err.Error() != first {
-		t.Errorf("Results after failed graft: %v, want %q", err, first)
-	}
-	if s.Windows() != 1 || s.Slot("by_customer") >= 0 {
-		t.Errorf("calls after failed graft ran: Windows() = %d, by_customer slot %d", s.Windows(), s.Slot("by_customer"))
+	const regions = "SELECT c_region, COUNT(*) FROM customers GROUP BY c_region"
+	for _, tc := range []struct {
+		name string
+		call func(*Session) (*AdmitStats, error)
+	}{
+		// by_customer joins by_region's orders scan: rebuilt subplans
+		// replay window 0.
+		{"Admit", func(s *Session) (*AdmitStats, error) {
+			return s.Admit("by_customer", "SELECT o_customer, SUM(o_amount) AS total FROM orders GROUP BY o_customer", 1.0)
+		}},
+		// regions holds the customers scan apart from by_region's join;
+		// retiring it rebuilds that join's subplan.
+		{"Retire", func(s *Session) (*AdmitStats, error) { return s.Retire("regions") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := func() *Session {
+				e := ordersEngine(t)
+				if err := e.AddQuery("by_region",
+					`SELECT c_region, SUM(o_amount) AS total FROM orders, customers
+					 WHERE o_customer = c_name GROUP BY c_region`, 1.0); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.AddQuery("regions", regions, 1.0); err != nil {
+					t.Fatal(err)
+				}
+				s, err := e.StartSession(Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Step(ordersData()); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s, clean := start(), start()
+			names, paces := s.QueryNames(), s.Paces()
+			exec.DebugSlowSubplan = func(int) int64 { panic("injected replay failure") }
+			defer func() { exec.DebugSlowSubplan = nil }()
+			_, err := tc.call(s)
+			exec.DebugSlowSubplan = nil
+			if err == nil || !strings.Contains(err.Error(), "panicked: injected replay failure") ||
+				!strings.HasPrefix(err.Error(), "ishare: graft: exec: graft: replay of window 0: exec: subplan ") {
+				t.Fatalf("%s error %v, want the replay panic naming its subplan", tc.name, err)
+			}
+			if !slices.Equal(s.QueryNames(), names) || !slices.Equal(s.Paces(), paces) || s.runner.Err() != nil {
+				t.Fatalf("failed %s changed the session: queries %v → %v, paces %v → %v, runner error %v",
+					tc.name, names, s.QueryNames(), paces, s.Paces(), s.runner.Err())
+			}
+			same := func(when string) {
+				t.Helper()
+				if got, want := s.TotalWork(), clean.TotalWork(); got != want {
+					t.Errorf("%s: TotalWork %d, want %d", when, got, want)
+				}
+				if got, want := s.Drift(), clean.Drift(); !slices.Equal(got, want) {
+					t.Errorf("%s: Drift %v, want %v", when, got, want)
+				}
+				for _, name := range clean.QueryNames() {
+					got, err := s.Results(name)
+					if err != nil {
+						t.Fatalf("%s: Results(%s): %v", when, name, err)
+					}
+					want, err := clean.Results(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// A query without ORDER BY returns its rows in no fixed
+					// order.
+					if got, want := renderRows(got), renderRows(want); !slices.Equal(got, want) {
+						t.Errorf("%s: %s results %v, want %v", when, name, got, want)
+					}
+				}
+			}
+			same("after the failed call")
+			for w := 1; w <= 2; w++ {
+				got, err := s.Step(ordersData())
+				if err != nil {
+					t.Fatalf("Step %d after the failed call: %v", w, err)
+				}
+				want, err := clean.Step(ordersData())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("Step %d work %d, want %d", w, got, want)
+				}
+			}
+			same("after two more windows")
+			got, err := s.Admit("count", "SELECT COUNT(*) FROM orders", 0.5)
+			if err != nil {
+				t.Fatalf("Admit after the failed call: %v", err)
+			}
+			want, err := clean.Admit("count", "SELECT COUNT(*) FROM orders", 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("next Admit: %+v, want %+v", got, want)
+			}
+			for _, st := range []*Session{s, clean} {
+				if _, err := st.Step(ordersData()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("after the next Admit")
+		})
 	}
 }
 
