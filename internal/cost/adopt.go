@@ -8,23 +8,21 @@ import (
 
 // AdoptMemo warm-starts this model's memo tables from a model built for a
 // previous revision of the same plan, using match (new subplan ID → old
-// subplan ID, from mqo.MatchSubplans). A memo key is the subplan's own pace
-// plus its children's entry ids, so adopting an entry means translating
-// those ids from the old children's tables into the new ones': subplans are
-// adopted children-first, each entry keeping its pace and taking its
-// children's translated ids. A subplan adopts only if each of its children
-// is matched to a child of its old counterpart and adopted in turn — so its
-// entire descendant cone is matched (MatchSubplans guarantees that for
-// matched subplans, but the check is cheap and keeps this safe against
-// weaker matchings) — and only if the two serve the same queries. Both
-// models must apply the same calibration: call SetCalibration (which clears
-// the memo) before adopting. old must not be m. Evaluations of m made before
-// the call are no longer evaluated relative to (see EvaluateDelta). Returns
-// the number of entries adopted.
+// subplan ID). A memo key is the subplan's own pace plus its children's
+// entry ids, so adopting an entry means translating those ids from the old
+// children's tables into the new ones': subplans are adopted children-first,
+// each entry keeping its pace and taking its children's translated ids. A
+// subplan adopts only if each of its children is matched to a child of its
+// old counterpart and adopted in turn — so its entire descendant cone is
+// matched — and only if the two serve the same queries. The caller vouches
+// that each matched pair simulates identically: same inputs and the same
+// correction factors. old must not be m. Evaluations of m made before the
+// call are no longer evaluated relative to (see EvaluateDelta). Returns the
+// number of entries adopted.
 //
-// This is what makes online admission's pace search warm: the old greedy
-// search memoized every private configuration it simulated, so the new
-// search re-simulates only subplans the admission actually changed.
+// pace.Replan is its one caller: it matches subplans with mqo.MatchSubplans
+// and keeps the pairs whose factors the revision left unchanged, so a warm
+// search re-simulates only subplans the revision actually changed.
 func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 	adopted := 0
 	// remap[i] translates the entry ids of subplan i's old counterpart into

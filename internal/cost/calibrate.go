@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"maps"
 
 	"ishare/internal/mqo"
 )
@@ -108,9 +109,9 @@ func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, 
 }
 
 // CalibrateFromProfile folds per-subplan observed/modeled drift EWMAs (the
-// profiler's closed-loop measurement, indexed by subplan id; entries ≤ 0
-// mean "unobserved" and keep the existing factors) into the model's
-// calibration: a subplan observed running drift× its calibrated estimate has
+// profiler's closed-loop measurement, indexed by the subplan ids of g;
+// entries ≤ 0 mean "unobserved" and keep the existing factors) into a copy of
+// calib: a subplan observed running drift× its calibrated estimate has
 // its Work and Final factors scaled by that same ratio. Per-factor clamping
 // to [1/8, 8] keeps one bad stretch of windows from destabilizing the next
 // search, and Final factors never drop below 1 — CalibrationFromRun's
@@ -118,25 +119,24 @@ func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, 
 // correction can silently relax a non-incrementable subplan into missing its
 // deadline. Out factors are never touched: drift measures work, not
 // cardinality, so every subplan's output profile is identical under the old
-// and new calibration — which is exactly what lets a warm re-search adopt
-// the memo entries of undrifted subplans across the swap (see AdoptMemo).
-func CalibrateFromProfile(m *Model, drifts []float64) (Calibration, error) {
-	g := m.Graph
+// and new calibration — which is exactly what lets a warm re-plan adopt the
+// memo entries of undrifted subplans across the swap (pace.Replan). Factors
+// are keyed by base signature, so calib may come from an earlier revision of
+// the plan than g.
+func CalibrateFromProfile(g *mqo.Graph, calib Calibration, drifts []float64) (Calibration, error) {
 	if len(drifts) != len(g.Subplans) {
 		return nil, fmt.Errorf("cost: %d drifts for %d subplans", len(drifts), len(g.Subplans))
 	}
 	const maxFactor = 8.0
-	calib := make(Calibration, len(g.Subplans))
-	for sig, f := range m.Calibration() {
-		calib[sig] = f
-	}
+	next := make(Calibration, len(g.Subplans))
+	maps.Copy(next, calib)
 	for _, s := range g.Subplans {
 		d := drifts[s.ID]
 		if d <= 0 || d == 1 {
 			continue
 		}
 		sig := s.Root.BaseSignature()
-		f := calib[sig]
+		f := next[sig]
 		work, final := f.Work, f.Final
 		if work <= 0 {
 			work = 1
@@ -149,9 +149,9 @@ func CalibrateFromProfile(m *Model, drifts []float64) (Calibration, error) {
 		if f.Final < 1 {
 			f.Final = 1
 		}
-		calib[sig] = f
+		next[sig] = f
 	}
-	return calib, nil
+	return next, nil
 }
 
 func clampFactor(f, max float64) float64 {

@@ -171,10 +171,10 @@ func TestAdoptMemoMatchedRevision(t *testing.T) {
 		n := len(bound) - 1
 		oldG, newG := sharedGraph(t, bound[:n]), sharedGraph(t, bound)
 		old := cost.NewModel(oldG)
-		search(t, old, abs[:n], nil)
+		search(t, old, abs[:n])
 		m := cost.NewModel(newG)
 		adopted := m.AdoptMemo(old, mqo.MatchSubplans(oldG, newG))
-		search(t, m, abs, pace.Ones(len(newG.Subplans)))
+		search(t, m, abs)
 		if old.Sims != tc.oldSims || adopted != tc.adopted || m.Sims != int64(tc.warmSims) {
 			t.Errorf("%s: old search %d sims, %d entries adopted, warm search %d sims; want %d, %d, %d",
 				tc.name, old.Sims, adopted, m.Sims, tc.oldSims, tc.adopted, tc.warmSims)
@@ -182,19 +182,14 @@ func TestAdoptMemoMatchedRevision(t *testing.T) {
 	}
 }
 
-// search runs the greedy pace search on m at MaxPace 10, from start if given.
-func search(t *testing.T, m *cost.Model, constraints []float64, start []int) {
+// search runs the greedy pace search on m at MaxPace 10.
+func search(t *testing.T, m *cost.Model, constraints []float64) {
 	t.Helper()
 	o, err := pace.NewOptimizer(m, constraints, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start == nil {
-		_, _, err = o.Greedy()
-	} else {
-		_, _, err = o.GreedyFrom(start)
-	}
-	if err != nil {
+	if _, _, err = o.Greedy(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -111,25 +111,37 @@ func Apply(tuples []Tuple, q int) map[string]int {
 }
 
 // Materialize returns the net rows (with multiplicity) for query q, or for
-// all queries when q is negative, folding the stream segment by segment. Row
-// order is unspecified.
+// all queries when q is negative, folding the stream segment by segment.
+// Rows come in the order each distinct row key first arrives, so equal
+// streams materialize identically; a key's row is its last arrival's (keys
+// equate numeric look-alikes, value.Key).
 func Materialize(seq Seq, q int) []value.Row {
-	counts := make(map[string]int)
-	rows := make(map[string]value.Row)
+	type net struct {
+		row value.Row
+		n   int
+	}
+	var nets []net
+	idx := make(map[string]int)
 	for _, seg := range seq {
 		for _, t := range seg {
 			if q >= 0 && !t.Bits.Has(q) {
 				continue
 			}
 			k := value.Key(t.Row)
-			counts[k] += int(t.Sign)
-			rows[k] = t.Row
+			i, ok := idx[k]
+			if !ok {
+				i = len(nets)
+				idx[k] = i
+				nets = append(nets, net{})
+			}
+			nets[i].row = t.Row
+			nets[i].n += int(t.Sign)
 		}
 	}
 	var out []value.Row
-	for k, n := range counts {
-		for i := 0; i < n; i++ {
-			out = append(out, rows[k])
+	for _, e := range nets {
+		for range e.n {
+			out = append(out, e.row)
 		}
 	}
 	return out

@@ -221,17 +221,8 @@ func TestGraftPaceAboveOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, after := graphOf(t, qs[:3]), graphOf(t, qs)
-	oldSigs := make(map[string]bool)
-	for _, sig := range mqo.StateSignatures(before) {
-		oldSigs[sig] = true
-	}
-	newSigs := mqo.StateSignatures(after)
-	identical := 0 // after's subplans state-identical to one of before's
-	for _, sig := range newSigs {
-		if oldSigs[sig] {
-			identical++
-		}
-	}
+	match := mqo.MatchSubplans(before, after) // after's subplans state-identical to one of before's
+	identical := len(match)
 	if identical == 0 || identical == len(after.Subplans) {
 		t.Fatalf("%d of %d subplans state-identical across the admission", identical, len(after.Subplans))
 	}
@@ -287,7 +278,7 @@ func TestGraftPaceAboveOne(t *testing.T) {
 			// window's.
 			sameHistory := func(when string) {
 				for _, s := range after.Subplans {
-					if oldSigs[newSigs[s.ID]] {
+					if _, ok := match[s.ID]; ok {
 						continue
 					}
 					l, rp := live.Execs[s.ID], replay.Execs[s.ID]

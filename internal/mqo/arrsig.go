@@ -134,7 +134,7 @@ func coneFingerprint(o *Op, q int) string {
 }
 
 // coneSig renders the cone restricted to the arranged operator's query
-// set, with queries renamed to canonical slots. Unlike StateSignatures it
+// set, with queries renamed to canonical slots. Unlike the state signatures it
 // ignores subplan boundaries on purpose: materializing a cone prefix into
 // a buffer relays the stream verbatim, so decomposed and shared builds of
 // the same cone must render — and share — identically.

@@ -9,19 +9,19 @@ import (
 )
 
 // This file computes *state signatures*: ID-free structural identities for
-// subplans, used to decide which operator state may be carried over when a
-// query is admitted to or retired from a running plan (online admission,
-// exec.Runner.Graft). Two subplans with equal state signatures process their
-// inputs identically — same operator tree, same query-slot bitsets, same
-// per-query marker predicates — so the old subplan's accumulated state
+// subplans, used to decide what a plan revision (a query admitted to or
+// retired from a running plan) keeps — operator state (exec.Runner.Graft) and
+// memoized simulations (pace.Replan). Two subplans with equal local state
+// signatures process equal inputs identically — same operator tree, same
+// query-slot bitsets, same per-query marker predicates — so when their
+// inputs are paired too (MatchSubplans) the old subplan's accumulated state
 // (join build sides, group indexes, ordset accumulators, output log) is
 // byte-for-byte what a from-scratch run of the new subplan would have built
 // over the same history.
 //
-// Two further renderings let a graft keep a subplan whose input cone changed
-// only for other queries: the local signature (child subplans as positional
-// slots) and the restricted cone signature (one query set's view of a
-// scan/project cone).
+// The restricted cone signature (one query set's view of a scan/project
+// cone) lets a graft keep a subplan whose input cone changed only for other
+// queries.
 //
 // The dedup signatures used for sharing (Op.signature / Op.BaseSignature)
 // are NOT suitable here: they embed operator IDs in private-copy suffixes
@@ -29,37 +29,34 @@ import (
 // membership — all of which matter for state identity. State signatures are
 // rendered directly from structure and never touch sigDedup/SigBase.
 
-// StateSignatures returns each subplan's state signature, indexed by subplan
-// ID. External child subplans are folded in recursively, so a signature
-// pins the whole input cone: equal signatures imply equal inputs, equal
-// bit-stamping, and therefore equal state after equal histories.
-func StateSignatures(g *Graph) []string {
-	return stateSignatures(g, false)
-}
-
-// LooseStateSignatures is the deliberately unsound variant backing the
-// admission fault hook (exec.DebugGraftLooseMatch): query-slot bitsets are
-// masked out and marker predicates lose their query attribution. Two
-// subplans that differ only in which query slots they serve become
-// "equal" — exactly the classic admission bug where an admitted query is
-// grafted onto existing state without catching up its bits. Production code
-// must never call this; the churn differential oracle proves it would be
-// caught if it did.
-func LooseStateSignatures(g *Graph) []string {
-	return stateSignatures(g, true)
-}
-
-// LocalStateSignatures returns each subplan's *local* state signature: the
-// strict rendering with every child subplan written as a positional slot,
-// numbered by first appearance, instead of folding in the child's cone.
-// Equal local signatures mean two subplans stamp, mark and combine equal
-// inputs identically; whether their inputs are equal is left to the caller,
-// slot by slot (exec.Runner.Graft's adoption rule).
+// LocalStateSignatures returns each subplan's *local* state signature,
+// indexed by subplan ID: its member operators, query-slot bitsets and
+// per-query markers, with every child subplan written as a positional slot,
+// numbered by first appearance. Equal local signatures mean two subplans
+// stamp, mark and combine equal inputs identically; whether their inputs are
+// equal is left to the caller, input by input (MatchSubplans,
+// exec.Runner.Graft).
 func LocalStateSignatures(g *Graph) []string {
+	return localSignatures(g, false)
+}
+
+// LooseStateSignatures is the deliberately unsound variant of the local
+// signature backing the admission fault hook (exec.DebugGraftLooseMatch):
+// query-slot bitsets are masked out and marker predicates lose their query
+// attribution. Two subplans that differ only in which query slots they serve
+// become "equal" — exactly the classic admission bug where an admitted query
+// is grafted onto existing state without catching up its bits. Production
+// code must never call this; the churn differential oracle proves it would
+// be caught if it did.
+func LooseStateSignatures(g *Graph) []string {
+	return localSignatures(g, true)
+}
+
+func localSignatures(g *Graph, loose bool) []string {
 	sigs := make([]string, len(g.Subplans))
 	for _, s := range g.Subplans {
 		var b strings.Builder
-		stateSigOp(&b, g, s, s.Root, nil, &sigStyle{slots: make(map[*Subplan]int)})
+		stateSigOp(&b, g, s, s.Root, &sigStyle{loose: loose, slots: make(map[*Subplan]int)})
 		sigs[s.ID] = b.String()
 	}
 	return sigs
@@ -78,28 +75,17 @@ func RestrictedConeSignature(g *Graph, s *Subplan, q Bitset) (sig string, ok boo
 		return "", false
 	}
 	var b strings.Builder
-	stateSigOp(&b, g, s, s.Root, nil, &sigStyle{restrict: true, mask: q})
+	stateSigOp(&b, g, s, s.Root, &sigStyle{restrict: true, mask: q})
 	return b.String(), true
 }
 
-func stateSignatures(g *Graph, loose bool) []string {
-	sigs := make([]string, len(g.Subplans))
-	st := &sigStyle{loose: loose}
-	for _, s := range g.Subplans { // children-first: child sigs exist
-		var b strings.Builder
-		stateSigOp(&b, g, s, s.Root, sigs, st)
-		sigs[s.ID] = b.String()
-	}
-	return sigs
-}
-
-// sigStyle selects a state-signature rendering. The zero value is the strict
-// signature, which folds in each child subplan's signature from sigs.
+// sigStyle selects a state-signature rendering: the local signature, which
+// renders child subplans as positional slots, or the restricted cone
+// signature, which renders them inline.
 type sigStyle struct {
 	// loose masks query-slot bitsets and marker attribution (the fault hook).
 	loose bool
-	// slots, when non-nil, renders child subplans as positional slots
-	// (LocalStateSignatures).
+	// slots numbers the child subplans of a local signature.
 	slots map[*Subplan]int
 	// restrict renders every query set intersected with mask and only mask's
 	// markers, with child cones rendered inline (RestrictedConeSignature).
@@ -111,7 +97,7 @@ type sigStyle struct {
 // within subplan s. Ops outside s are subplan roots (multi-parent or query
 // root), so the interior of a subplan is a proper tree and plain recursion
 // terminates.
-func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, st *sigStyle) {
+func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, st *sigStyle) {
 	switch o.Kind {
 	case KindScan:
 		b.WriteString("scan(")
@@ -128,9 +114,9 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 			b.WriteString(expr.Canon(o.RightKeys[i]))
 		}
 		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], sigs, st)
+		stateSigChild(b, g, s, o.Children[0], st)
 		b.WriteString("|")
-		stateSigChild(b, g, s, o.Children[1], sigs, st)
+		stateSigChild(b, g, s, o.Children[1], st)
 		b.WriteString("]")
 	case KindAggregate:
 		b.WriteString("agg{")
@@ -155,7 +141,7 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 			b.WriteString(")")
 		}
 		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], sigs, st)
+		stateSigChild(b, g, s, o.Children[0], st)
 		b.WriteString("]")
 	case KindProject:
 		b.WriteString("project{")
@@ -166,7 +152,7 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 			b.WriteString(expr.Canon(ne.E))
 		}
 		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], sigs, st)
+		stateSigChild(b, g, s, o.Children[0], st)
 		b.WriteString("]")
 	}
 	// State identity also needs the query-slot bitset (tuples are stamped
@@ -222,12 +208,16 @@ func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, sigs []string, 
 	}
 }
 
-func stateSigChild(b *strings.Builder, g *Graph, s *Subplan, c *Op, sigs []string, st *sigStyle) {
+func stateSigChild(b *strings.Builder, g *Graph, s *Subplan, c *Op, st *sigStyle) {
 	cs := g.SubplanOf(c)
 	switch {
 	case cs == s:
-		stateSigOp(b, g, s, c, sigs, st)
-	case st.slots != nil:
+		stateSigOp(b, g, s, c, st)
+	case st.restrict:
+		b.WriteString("sub[")
+		stateSigOp(b, g, cs, cs.Root, st)
+		b.WriteString("]")
+	default:
 		n, ok := st.slots[cs]
 		if !ok {
 			n = len(st.slots)
@@ -235,49 +225,52 @@ func stateSigChild(b *strings.Builder, g *Graph, s *Subplan, c *Op, sigs []strin
 		}
 		b.WriteString("slot")
 		b.WriteString(strconv.Itoa(n))
-	case st.restrict:
-		b.WriteString("sub[")
-		stateSigOp(b, g, cs, cs.Root, sigs, st)
-		b.WriteString("]")
-	default:
-		b.WriteString("sub[")
-		b.WriteString(sigs[cs.ID])
-		b.WriteString("]")
 	}
 }
 
 // MatchSubplans pairs each subplan of newG with a state-identical subplan of
-// oldG, returning newID → oldID. A pair must have equal state signatures
-// AND positionally corresponding children (each already matched to the old
-// subplan's child in the same slot), so adopted state always sits on an
-// adopted input cone. Old subplans are consumed at most once. Unmatched new
-// subplans are simply absent from the map — a conservative miss is always
-// safe (opt.Live's memo adoption simulates them afresh).
+// oldG, returning newID → oldID. A pair has equal local state signatures and
+// paired inputs: walking both member trees in operator pre-order, each
+// child-subplan input of the new subplan is already paired with the old
+// subplan's input in the same place — the rule exec.Runner.Graft applies to
+// an unchanged input. A pair's whole input cones are therefore pairs, so its
+// accumulated state and its memoized simulations carry over. Old subplans
+// are consumed at most once. Unmatched new subplans are simply absent from
+// the map — a conservative miss is always safe (pace.Replan simulates them
+// afresh).
 func MatchSubplans(oldG, newG *Graph) map[int]int {
-	oldSigs := StateSignatures(oldG)
-	newSigs := StateSignatures(newG)
+	oldSigs, newSigs := LocalStateSignatures(oldG), LocalStateSignatures(newG)
 	bySig := make(map[string][]*Subplan)
 	for _, s := range oldG.Subplans {
 		bySig[oldSigs[s.ID]] = append(bySig[oldSigs[s.ID]], s)
 	}
-	used := make(map[int]bool)
+	used := make([]bool, len(oldG.Subplans))
 	match := make(map[int]int)
-	for _, s := range newG.Subplans { // children-first: child matches exist
-	cands:
+	for _, s := range newG.Subplans { // children-first: inputs are paired first
 		for _, cand := range bySig[newSigs[s.ID]] {
-			if used[cand.ID] || len(cand.Children) != len(s.Children) {
-				continue
+			if !used[cand.ID] && inputsPaired(oldG, newG, cand.Root, s.Root, match) {
+				used[cand.ID] = true
+				match[s.ID] = cand.ID
+				break
 			}
-			for i, c := range s.Children {
-				got, ok := match[c.ID]
-				if !ok || got != cand.Children[i].ID {
-					continue cands
-				}
-			}
-			used[cand.ID] = true
-			match[s.ID] = cand.ID
-			break
 		}
 	}
 	return match
+}
+
+// inputsPaired walks two member trees of equal local signature from o and n
+// in operator pre-order and reports whether each child-subplan input of n is
+// paired in match with o's input in the same place.
+func inputsPaired(oldG, newG *Graph, o, n *Op, match map[int]int) bool {
+	for i, nc := range n.Children {
+		oc := o.Children[i]
+		if ns := newG.SubplanOf(nc); ns != newG.SubplanOf(n) {
+			if got, ok := match[ns.ID]; !ok || got != oldG.SubplanOf(oc).ID {
+				return false
+			}
+		} else if !inputsPaired(oldG, newG, oc, nc, match) {
+			return false
+		}
+	}
+	return true
 }

@@ -21,13 +21,9 @@ import (
 //
 // Every revision is planned by rebuilding the shared graph over the active
 // slots (deterministically, so the result is identical to a from-scratch
-// build of the same query set), then warm-starting the pace search:
-// state-identical subplans are matched against the previous revision
-// (mqo.MatchSubplans) and the memoized cost model transplanted across
-// (cost.Model.AdoptMemo), so the greedy search re-simulates only the
-// subplan chain the admission actually changed while still walking the
-// exact same search path — and therefore choosing the exact same pace
-// vector — as a cold replan.
+// build of the same query set), then re-planning it warm from the previous
+// revision (pace.Replan): the same pace vector as a cold replan, re-simulating
+// only the subplans the admission or retirement changed.
 type Live struct {
 	// Graph, Model and Paces describe the current plan revision. Callers
 	// execute it (exec.Runner.Graft / sched.Scheduler.Graft) but must treat
@@ -47,10 +43,9 @@ type Live struct {
 type AdmitReport struct {
 	// Slot is the query slot admitted into or retired from.
 	Slot int
-	// MemoSeeded is the number of cost-model memo entries transplanted
-	// through the state-identical subplans (mqo.MatchSubplans) of the
-	// previous revision. How many executors carried over is the graft's to
-	// say (exec.GraftStats).
+	// MemoSeeded is the number of cost-model memo entries carried over from
+	// the previous revision (pace.Revision.Adopted). How many executors
+	// carried over is the graft's to say (exec.GraftStats).
 	MemoSeeded int
 	// Sims and Evals are the warm pace search's simulation and evaluation
 	// counts — compare against a cold replan's to see the saving.
@@ -163,10 +158,8 @@ func (l *Live) Retire(q int) (*AdmitReport, error) {
 	return rep, nil
 }
 
-// replan rebuilds the shared graph over the current slots, transplants the
-// memoized cost model from the previous revision, and re-runs the pace
-// search from the batch start. It installs the new revision only on
-// success.
+// replan rebuilds the shared graph over the current slots and re-plans it.
+// It installs the new revision only on success.
 func (l *Live) replan() (*AdmitReport, error) {
 	sp, err := mqo.BuildWithOptions(l.queries, mqo.BuildOptions{Classes: l.classes})
 	if err != nil {
@@ -176,24 +169,15 @@ func (l *Live) replan() (*AdmitReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := cost.NewModel(g)
-	if l.calib != nil {
-		m.SetCalibration(l.calib)
-	}
-	rep := &AdmitReport{}
-	if l.Graph != nil {
-		rep.MemoSeeded = m.AdoptMemo(l.Model, mqo.MatchSubplans(l.Graph, g))
-	}
-	o, err := pace.NewOptimizer(m, l.constraints, l.maxPace)
+	rev, err := pace.Replan(l.Model, g, l.calib, l.constraints, l.maxPace)
 	if err != nil {
 		return nil, err
 	}
-	paces, _, err := o.GreedyFrom(pace.Ones(len(g.Subplans)))
-	if err != nil {
-		return nil, err
-	}
-	l.Graph, l.Model, l.Paces = g, m, paces
-	rep.Sims, rep.Evals = m.Sims, o.Evals
-	rep.Paces = append([]int(nil), paces...)
-	return rep, nil
+	l.Graph, l.Model, l.Paces = g, rev.Model, rev.Paces
+	return &AdmitReport{
+		MemoSeeded: rev.Adopted,
+		Sims:       rev.Model.Sims,
+		Evals:      rev.Evals,
+		Paces:      append([]int(nil), rev.Paces...),
+	}, nil
 }

@@ -80,6 +80,50 @@ func (cp *ChurnPlan) validate(nq int) error {
 	return nil
 }
 
+// layouts returns the slot layout of each window under opt.Live's
+// lowest-inactive-reuse policy, the slot of each query during each window
+// (slotAt[k][q], -1 when inactive), and whether boundary k changes the
+// layout.
+func (cp *ChurnPlan) layouts(queries []plan.Query) (layouts [][]plan.Query, slotAt [][]int, events []bool) {
+	layouts, slotAt, events = make([][]plan.Query, cp.Windows), make([][]int, cp.Windows), make([]bool, cp.Windows)
+	var slots []plan.Query
+	slotOf := make([]int, len(queries))
+	for q := range slotOf {
+		slotOf[q] = -1
+	}
+	for k := 0; k < cp.Windows; k++ {
+		for q := range queries {
+			if cp.Retire[q] == k {
+				slots[slotOf[q]] = plan.Query{}
+				slotOf[q] = -1
+				events[k] = true
+			}
+		}
+		for q := range queries {
+			if cp.Admit[q] != k {
+				continue
+			}
+			slot := -1
+			for i := range slots {
+				if slots[i].Root == nil {
+					slot = i
+					break
+				}
+			}
+			if slot == -1 {
+				slots = append(slots, plan.Query{})
+				slot = len(slots) - 1
+			}
+			slots[slot] = queries[q]
+			slotOf[q] = slot
+			events[k] = true
+		}
+		layouts[k] = append([]plan.Query(nil), slots...)
+		slotAt[k] = append([]int(nil), slotOf...)
+	}
+	return layouts, slotAt, events
+}
+
 // checkChurn is the online-admission differential pass: the workload's churn
 // schedule is driven through the live engine twice — once with state
 // transplant enabled and once with every subplan force-rebuilt and replayed
@@ -121,45 +165,7 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset, reatt
 		return FinalTables(pre)
 	}
 
-	// Slot layouts per window under the lowest-inactive-reuse policy.
-	layouts := make([][]plan.Query, W)
-	slotAt := make([][]int, W) // [k][q] = slot of query q during window k, -1 inactive
-	var slots []plan.Query
-	slotOf := make([]int, len(queries))
-	events := make([]bool, W) // does boundary k change the layout?
-	for q := range slotOf {
-		slotOf[q] = -1
-	}
-	for k := 0; k < W; k++ {
-		for q := range queries {
-			if cp.Retire[q] == k {
-				slots[slotOf[q]] = plan.Query{}
-				slotOf[q] = -1
-				events[k] = true
-			}
-		}
-		for q := range queries {
-			if cp.Admit[q] != k {
-				continue
-			}
-			slot := -1
-			for i := range slots {
-				if slots[i].Root == nil {
-					slot = i
-					break
-				}
-			}
-			if slot == -1 {
-				slots = append(slots, plan.Query{})
-				slot = len(slots) - 1
-			}
-			slots[slot] = queries[q]
-			slotOf[q] = slot
-			events[k] = true
-		}
-		layouts[k] = append([]plan.Query(nil), slots...)
-		slotAt[k] = append([]int(nil), slotOf...)
-	}
+	layouts, slotAt, events := cp.layouts(queries)
 
 	build := func(qs []plan.Query) (*mqo.Graph, error) {
 		sp, err := mqo.BuildWithOptions(qs, mqo.BuildOptions{})

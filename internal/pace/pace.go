@@ -335,28 +335,22 @@ func (st *searchTrace) decide(action string, chosen int, score float64, accepted
 // Greedy finds a pace configuration starting from batch execution (all
 // paces 1), repeatedly raising the pace of the subplan with the highest
 // incrementability until every constraint is met, every pace reaches
-// MaxPace, or no single increment yields any benefit. The search carries the
-// pprof label phase=opt, so CPU profiles attribute search samples.
-func (o *Optimizer) Greedy() ([]int, cost.Eval, error) {
-	return o.GreedyFrom(Ones(len(o.Model.Graph.Subplans)))
-}
-
-// GreedyFrom is Greedy from an explicit starting configuration. Online
-// admission (opt.Live) uses it with the batch start plus a memo-transplanted
-// model: the search path — and therefore the resulting pace vector — is
-// identical to a cold search, only the simulations already performed on the
-// previous plan revision are skipped.
-func (o *Optimizer) GreedyFrom(start []int) (p []int, ev cost.Eval, err error) {
+// MaxPace, or no single increment yields any benefit. Greedy only ever
+// raises paces, so on a memo-transplanted model (Replan) it walks the path —
+// and picks the pace vector — of a cold search, skipping only the
+// simulations an earlier plan revision already performed. The search carries
+// the pprof label phase=opt, so CPU profiles attribute search samples.
+func (o *Optimizer) Greedy() (p []int, ev cost.Eval, err error) {
 	pprof.Do(context.Background(), pprof.Labels("phase", "opt"), func(context.Context) {
-		p, ev, err = o.greedyFrom(start)
+		p, ev, err = o.greedy()
 	})
 	return p, ev, err
 }
 
-func (o *Optimizer) greedyFrom(start []int) ([]int, cost.Eval, error) {
+func (o *Optimizer) greedy() ([]int, cost.Eval, error) {
 	st := o.beginSearch(tidGreedy, "pace.greedy")
 	defer st.end(o)
-	s, err := o.startSearch(start, st.t != nil)
+	s, err := o.startSearch(Ones(len(o.Model.Graph.Subplans)), st.t != nil)
 	if err != nil {
 		return nil, cost.Eval{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ishare/internal/cost"
 	"ishare/internal/exec"
 	"ishare/internal/mqo"
 )
@@ -49,19 +48,14 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	s.cfg.Profile.Graft(len(g.Subplans), nil, stats.AdoptedFrom)
 	s.paces = append([]int(nil), paces...)
 	s.cfg.Deadlines = append([]time.Duration(nil), deadlines...)
-	// The recalibration trigger restarts from scratch on the new revision:
-	// alert streaks describe the old graph's subplans, and the policy's
-	// model — if one is installed — was built over the old graph. A model
-	// over the new graph starts uncalibrated (the profiler's baseline is
-	// cleared too, so no alerts fire until the caller rebases); constraints
-	// that no longer fit the new query count disable the policy entirely.
+	// The recalibration trigger restarts: alert streaks describe the old
+	// graph's subplans, and the profiler's baseline is cleared until the
+	// caller rebases. The model stays, so the next recalibration re-plans
+	// across the revision. Constraints that no longer fit the new query
+	// count disable the policy.
 	s.streak, s.recalCooldown = make([]int, len(g.Subplans)), 0
-	if rp := s.cfg.Recalibrate; rp != nil {
-		if len(rp.Constraints) == g.Plan.NumQueries() {
-			rp.Model = cost.NewModel(g)
-		} else {
-			s.cfg.Recalibrate = nil
-		}
+	if rp := s.cfg.Recalibrate; rp != nil && len(rp.Constraints) != g.Plan.NumQueries() {
+		s.cfg.Recalibrate = nil
 	}
 	s.reportGraft(stats)
 	return stats, nil

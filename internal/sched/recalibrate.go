@@ -7,16 +7,17 @@ import (
 )
 
 // RecalibratePolicy closes the cost loop: when the drift detector's alerts
-// persist, the scheduler folds the observed drift back into the cost model
-// (cost.CalibrateFromProfile), re-runs the pace search warm-started from the
-// live memo (cost.AdoptMemo + pace.GreedyFrom), and swaps the new pace
-// vector in at the window boundary — the same safe point Graft uses. The
-// whole sequence is driven from the canonical accounting loop, so on a
-// virtual clock it is byte-identical at any worker count.
+// persist, the scheduler folds the observed drift into its model's
+// calibration (cost.CalibrateFromProfile), re-plans warm from that model
+// (pace.Replan), and swaps the new pace vector in at the window boundary —
+// the same safe point Graft uses. The whole sequence is driven from the
+// canonical accounting loop, so on a virtual clock it is byte-identical at
+// any worker count. New reads the policy; the scheduler never writes it.
 type RecalibratePolicy struct {
-	// Model is the live cost model the scheduled paces were found with; each
-	// recalibration replaces it with a freshly calibrated model that adopted
-	// the undrifted subplans' memo entries.
+	// Model is the cost model the starting paces were found with; nil
+	// disables the policy. The scheduler starts from it and keeps its own:
+	// each recalibration replaces that with its re-plan's, and a graft
+	// keeps it, so factors learned before a graft carry over.
 	Model *cost.Model
 	// Constraints holds each query's final-work constraint for the
 	// re-search (pace.Optimizer semantics; length = query count).
@@ -78,13 +79,13 @@ func (rp *RecalibratePolicy) cooldown() int {
 // maybeRecalibrate updates the per-subplan alert streaks with this window's
 // drift alerts and, when any streak reaches the persistence threshold
 // (outside the post-recalibration cooldown), performs the recalibration:
-// derive new correction factors from the drift EWMAs, warm-start a re-search
-// on the recalibrated model, swap the pace vector, and rebase the profiler's
-// baseline so drift tracking restarts against the corrected model. It
-// returns the audit record, or nil when nothing fired.
+// fold the drift EWMAs into the model's factors, re-plan warm from the model,
+// swap paces and model, and rebase the profiler's baseline so drift tracking
+// restarts against the corrected model. It returns the audit record, or nil
+// when nothing fired.
 func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	rp := s.cfg.Recalibrate
-	if rp == nil || rp.Model == nil || s.cfg.Profile == nil {
+	if rp == nil || s.model == nil || s.cfg.Profile == nil {
 		return nil
 	}
 	alerted := make([]bool, len(s.streak))
@@ -128,43 +129,20 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 		rec.Subplans = append(rec.Subplans, id)
 		rec.Drifts = append(rec.Drifts, drifts[id])
 	}
-	newCalib, err := cost.CalibrateFromProfile(rp.Model, sel)
+	calib, err := cost.CalibrateFromProfile(s.runner.Graph, s.model.Calibration(), sel)
 	if err != nil {
 		return nil
 	}
-
-	// Warm re-search: a fresh model under the new calibration adopts the
-	// memo entries of every subplan whose factors did not change — output
-	// profiles are calibration-stable (Out factors never move), so those
-	// cached simulations remain exact — then greedy restarts from batch
-	// (greedy only ever raises paces, so Ones is the correct warm start).
-	next := cost.NewModel(s.runner.Graph)
-	next.SetCalibration(newCalib)
-	oldCalib := rp.Model.Calibration()
-	match := make(map[int]int, len(s.runner.Graph.Subplans))
-	for _, sub := range s.runner.Graph.Subplans {
-		sig := sub.Root.BaseSignature()
-		if newCalib[sig] == oldCalib[sig] {
-			match[sub.ID] = sub.ID
-		}
-	}
-	rec.Adopted = next.AdoptMemo(rp.Model, match)
-	opt, err := pace.NewOptimizer(next, rp.Constraints, rp.MaxPace)
+	rev, err := pace.Replan(s.model, s.runner.Graph, calib, rp.Constraints, rp.MaxPace)
 	if err != nil {
 		return nil
 	}
-	newPaces, ev, err := opt.GreedyFrom(pace.Ones(len(s.runner.Graph.Subplans)))
-	if err != nil {
-		return nil
-	}
-	rec.NewPaces = append([]int(nil), newPaces...)
-	rec.Steps, rec.Evals = opt.Steps, opt.Evals
+	rec.NewPaces = append([]int(nil), rev.Paces...)
+	rec.Adopted, rec.Steps, rec.Evals = rev.Adopted, rev.Steps, rev.Evals
 
 	// Swap at the boundary (closeWindow runs after the window's final
-	// firing; openWindow schedules the next window from s.paces) and make
-	// the recalibrated model the live one for the next round.
-	s.paces = append([]int(nil), newPaces...)
-	rp.Model = next
+	// firing; openWindow schedules the next window from s.paces).
+	s.paces, s.model = rev.Paces, rev.Model
 
 	// The corrected model is the new normal: rebase the profiler's
 	// per-window baseline on the re-search's evaluation and restart every
@@ -173,8 +151,8 @@ func (s *Scheduler) maybeRecalibrate(alerts []profile.Alert) *Recalibration {
 	if scale <= 0 {
 		scale = 1 / float64(s.cfg.Windows)
 	}
-	base := make([]float64, len(ev.SubTotal))
-	for i, v := range ev.SubTotal {
+	base := make([]float64, len(rev.Eval.SubTotal))
+	for i, v := range rev.Eval.SubTotal {
 		base[i] = v * scale
 	}
 	s.cfg.Profile.Rebase(base)

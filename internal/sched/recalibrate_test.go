@@ -3,23 +3,25 @@ package sched_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"ishare/internal/cost"
 	"ishare/internal/eventlog"
 	"ishare/internal/exec"
+	"ishare/internal/mqo"
+	"ishare/internal/oracle"
 	"ishare/internal/pace"
 	"ishare/internal/profile"
 	"ishare/internal/sched"
 )
 
-// recalRun drives one closed-loop run: an eager all-8 pace vector, an
-// injected per-execution slowdown on one subplan, degradation disabled, and
-// a RecalibratePolicy whose model's memo was warmed by the original pace
-// search. Returns the run's determinism bytes (result JSON + event JSONL)
-// alongside the pieces the assertions need.
-func recalRun(t *testing.T, tp *testPlan, base []float64, windows, workers int) (*sched.Result, []eventlog.Event, sched.Status, []byte) {
+// recalScheduler builds one closed-loop run: an eager all-8 pace vector,
+// degradation disabled, 500 ms deadlines, and a RecalibratePolicy whose
+// model's memo was warmed by the original pace search. The profiler's
+// per-window baseline is base.
+func recalScheduler(t *testing.T, tp *testPlan, base []float64, windows, workers int, ev *eventlog.Log, status *sched.StatusBoard) (*sched.Scheduler, *profile.Profiler, *sched.RecalibratePolicy) {
 	t.Helper()
 	nq := tp.graph.Plan.NumQueries()
 	constraints := make([]float64, nq)
@@ -39,39 +41,70 @@ func recalRun(t *testing.T, tp *testPlan, base []float64, windows, workers int) 
 	for i := range paces {
 		paces[i] = 8
 	}
-	deadlines := make([]time.Duration, nq)
-	for i := range deadlines {
-		deadlines[i] = 500 * time.Millisecond
-	}
 	prof := profile.New(profile.Config{
 		Subplans: len(tp.graph.Subplans),
 		Modeled:  base,
 		Bound:    3,
 	})
-	ev := eventlog.New(nil, 0)
-	status := &sched.StatusBoard{}
+	policy := &sched.RecalibratePolicy{
+		Model:         model,
+		Constraints:   constraints,
+		MaxPace:       8,
+		Persistence:   2,
+		BaselineScale: 1, // Replay feeds the full stream every window
+	}
 	s, err := sched.New(tp.graph, paces, sched.Replay{Data: tp.data}, sched.Config{
 		Window:             time.Second,
 		Windows:            windows,
 		Clock:              sched.NewVirtualClock(time.Unix(0, 0)),
 		WorkRate:           100_000,
-		Deadlines:          deadlines,
+		Deadlines:          recalDeadlines(nq),
 		Workers:            workers,
 		DisableDegradation: true,
 		Profile:            prof,
 		Events:             ev,
 		Status:             status,
-		Recalibrate: &sched.RecalibratePolicy{
-			Model:         model,
-			Constraints:   constraints,
-			MaxPace:       8,
-			Persistence:   2,
-			BaselineScale: 1, // Replay feeds the full stream every window
-		},
+		Recalibrate:        policy,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, prof, policy
+}
+
+func recalDeadlines(nq int) []time.Duration {
+	deadlines := make([]time.Duration, nq)
+	for i := range deadlines {
+		deadlines[i] = 500 * time.Millisecond
+	}
+	return deadlines
+}
+
+// recalBaseline is a clean calibration pass at all-8 paces: per-subplan
+// window-0 work is the profiler's per-window baseline (Replay replays the
+// same deltas every window).
+func recalBaseline(t *testing.T, tp *testPlan) []float64 {
+	t.Helper()
+	paces := make([]int, len(tp.graph.Subplans))
+	for i := range paces {
+		paces[i] = 8
+	}
+	matrix := calibrate(t, tp, paces, 1)
+	base := make([]float64, len(tp.graph.Subplans))
+	for i := range base {
+		base[i] = matrix[[2]int{0, i}]
+	}
+	return base
+}
+
+// recalRun drives one closed-loop run (recalScheduler) to completion.
+// Returns the run's determinism bytes (result JSON + event JSONL) alongside
+// the pieces the assertions need.
+func recalRun(t *testing.T, tp *testPlan, base []float64, windows, workers int) (*sched.Result, []eventlog.Event, sched.Status, []byte) {
+	t.Helper()
+	ev := eventlog.New(nil, 0)
+	status := &sched.StatusBoard{}
+	s, _, _ := recalScheduler(t, tp, base, windows, workers, ev, status)
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -112,17 +145,7 @@ func TestRecalibrationRecoversDrift(t *testing.T) {
 	// memo entries adoptable across the recalibration.
 	slowID := len(tp.graph.Subplans) - 1
 
-	// Clean calibration pass: per-subplan window-0 work is the profiler's
-	// per-window baseline (Replay replays the same deltas every window).
-	calib := make([]int, len(tp.graph.Subplans))
-	for i := range calib {
-		calib[i] = 8
-	}
-	matrix := calibrate(t, tp, calib, 1)
-	base := make([]float64, len(tp.graph.Subplans))
-	for i := range base {
-		base[i] = matrix[[2]int{0, i}]
-	}
+	base := recalBaseline(t, tp)
 
 	exec.DebugSlowSubplan = func(id int) int64 {
 		if id == slowID {
@@ -220,4 +243,99 @@ func TestRecalibrationRecoversDrift(t *testing.T) {
 	if _, _, _, again := recalRun(t, tp, base, windows, 1); !bytes.Equal(first, again) {
 		t.Error("recalibration run is not deterministic")
 	}
+}
+
+// TestRecalibrationAfterGraft: a graft keeps the scheduler's model, so the
+// next recalibration folds its drift into the factors learned before the
+// graft and re-plans warm across the revision, adopting memo entries of the
+// subplans the revision kept. The policy passed to New is never written.
+func TestRecalibrationAfterGraft(t *testing.T) {
+	tp := buildPlan(t, 11)
+	slowID := len(tp.graph.Subplans) - 1
+	base := recalBaseline(t, tp)
+	const penalty = 1_000 // drifts the slow subplan below the factor clamp after the graft
+	exec.DebugSlowSubplan = func(id int) int64 {
+		if id == slowID {
+			return penalty
+		}
+		return 0
+	}
+	defer func() { exec.DebugSlowSubplan = nil }()
+
+	const windows = 8
+	s, prof, policy := recalScheduler(t, tp, base, windows, 1, nil, nil)
+	given, model, sims := *policy, policy.Model, policy.Model.Sims
+	untilRecalibrations := func(n int) {
+		t.Helper()
+		for len(s.Result().Recalibrations) < n {
+			more, err := s.Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !more {
+				t.Fatalf("run ended after %d recalibrations, want %d", len(s.Result().Recalibrations), n)
+			}
+		}
+	}
+	untilRecalibrations(1)
+	learned := s.Calibration()
+
+	// Graft a rebuild of the same query set (every subplan kept) and give
+	// the profiler its baseline back: the slowdown persists, so drift alerts
+	// fire again.
+	g := rebuild(t, 11)
+	if _, err := s.Graft(g, s.Paces(), recalDeadlines(g.Plan.NumQueries())); err != nil {
+		t.Fatal(err)
+	}
+	prof.SetModeled(base)
+	untilRecalibrations(2)
+
+	rec := s.Result().Recalibrations[1]
+	drifts := make([]float64, len(g.Subplans))
+	for i, id := range rec.Subplans {
+		drifts[id] = rec.Drifts[i]
+	}
+	want, err := cost.CalibrateFromProfile(g, learned, drifts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := cost.CalibrateFromProfile(g, nil, drifts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want, cold) {
+		t.Fatalf("the scenario cannot tell kept factors %v from factors restarted at 1", learned)
+	}
+	if got := s.Calibration(); !reflect.DeepEqual(got, want) {
+		t.Errorf("factors after the graft's recalibration\n %v\nwant the drift folded into the factors learned before it\n %v", got, want)
+	}
+	if rec.Adopted == 0 {
+		t.Error("the recalibration after the graft adopted no memo entries")
+	}
+
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if policy.Model != model || model.Sims != sims || !reflect.DeepEqual(*policy, given) {
+		t.Error("the scheduler wrote the RecalibratePolicy passed to New")
+	}
+}
+
+// rebuild binds and plans oracle workload seed again: a graph equal to
+// buildPlan's, with its own operators.
+func rebuild(t *testing.T, seed int64) *mqo.Graph {
+	t.Helper()
+	queries, err := oracle.Generate(seed, oracle.DefaultOptions()).Bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := mqo.Build(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := mqo.Extract(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -31,6 +31,7 @@ import (
 	"runtime"
 	"time"
 
+	"ishare/internal/cost"
 	"ishare/internal/eventlog"
 	"ishare/internal/exec"
 	"ishare/internal/metrics"
@@ -172,8 +173,10 @@ type Scheduler struct {
 	maxLag   time.Duration
 	winWork  int64
 	fired    []firing // this window's executions in canonical order, for the reports
-	// streak counts each subplan's consecutive alert windows for the
-	// recalibration trigger; recalCooldown disarms it after a firing.
+	// model is the cost model recalibration re-plans from; streak counts
+	// each subplan's consecutive alert windows for its trigger, and
+	// recalCooldown disarms it after a firing.
+	model         *cost.Model
 	streak        []int
 	recalCooldown int
 
@@ -225,6 +228,9 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	s.workers = max(cfg.Workers, 1)
 	if cfg.Workers < 0 {
 		s.workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Recalibrate != nil {
+		s.model = cfg.Recalibrate.Model
 	}
 	s.streak = make([]int, len(g.Subplans))
 	s.epoch = s.cfg.Clock.Now()

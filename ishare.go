@@ -251,7 +251,8 @@ type Options struct {
 	Calibration Calibration
 	// AbsoluteConstraints, when non-nil, overrides the queries' relative
 	// constraints with absolute final-work limits in work units (the
-	// paper supports both forms, §2.1). Keyed by query name.
+	// paper supports both forms, §2.1). Keyed by query name; each limit
+	// must be positive and finite.
 	AbsoluteConstraints map[string]float64
 	// Deprecated: ignored; the pace search runs on the caller's goroutine.
 	// Removed once the benchmark stops setting it (ROADMAP, "One
@@ -301,6 +302,9 @@ func (e *Engine) request(o Options) (opt.Request, error) {
 		return opt.Request{}, err
 	}
 	for name, v := range o.AbsoluteConstraints {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return opt.Request{}, fmt.Errorf("ishare: query %s: absolute constraint %v must be positive and finite", name, v)
+		}
 		found := false
 		for q, qn := range e.names {
 			if qn == name {

@@ -302,6 +302,31 @@ func TestAbsoluteConstraintOverride(t *testing.T) {
 	}
 }
 
+// TestAbsoluteConstraintRejected: an absolute constraint that is not
+// positive and finite is rejected, naming its query, by Optimize and by
+// StartSession alike.
+func TestAbsoluteConstraintRejected(t *testing.T) {
+	e := ordersEngine(t)
+	e.MustAddQuery("q", "SELECT o_customer, SUM(o_amount) FROM orders GROUP BY o_customer", 1.0)
+	for _, v := range []float64{math.NaN(), 0, -5, math.Inf(1), math.Inf(-1)} {
+		o := Options{AbsoluteConstraints: map[string]float64{"q": v}}
+		for call, run := range map[string]func() error{
+			"Optimize": func() error {
+				_, err := e.Optimize(o)
+				return err
+			},
+			"StartSession": func() error {
+				_, err := e.StartSession(o)
+				return err
+			},
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "query q: absolute constraint") {
+				t.Errorf("%s with absolute constraint %v: error %v, want one naming query q", call, v, err)
+			}
+		}
+	}
+}
+
 func TestWriteDOT(t *testing.T) {
 	e := ordersEngine(t)
 	e.MustAddQuery("q", "SELECT o_customer, SUM(o_amount) FROM orders GROUP BY o_customer", 1.0)

@@ -3,12 +3,12 @@
 # Build, vet of the benchmark module (it compiles bench/ against this tree),
 # a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
 # gofmt check of every Go file, the environment-read,
-# single-owner-optimizer, scheduler-report and registry-refcount greps,
-# vet, the full test suite under the race detector (the wave-parallel
-# executor, the scheduler's workers and the HTTP servers must stay
-# data-race-free), the benchmark module's tests, the observability smokes, the
-# deterministic benchmark gate, then the soaks and a fuzz smoke through
-# their make targets. Set SKIP_FUZZ=1 to stop before the soaks (CI runs
+# single-owner-optimizer, scheduler-report, memo-carry-over and
+# registry-refcount greps, vet, the full test suite under the race detector
+# (the wave-parallel executor, the scheduler's workers and the HTTP servers
+# must stay data-race-free), the benchmark module's tests, the observability
+# and EXPLAIN smokes, the deterministic benchmark gate, then the soaks and a
+# fuzz smoke through their make targets. Set SKIP_FUZZ=1 to stop before the soaks (CI runs
 # them as separate jobs), and FUZZTIME / SOAKTIME / CHURNTIME / RECALTIME
 # (default 10s each) to change the per-target fuzz budget and the three
 # soak budgets.
@@ -85,6 +85,17 @@ if grep -rnE '\.(Emit|Publish|Span|Instant|DecideAt|Counter|Gauge|Histogram|Coun
 	exit 1
 fi
 
+# One owner for what a plan revision keeps of the cost model: pace.Replan
+# alone carries memo entries over (cost.Model.AdoptMemo) along subplan pairs
+# (mqo.MatchSubplans), so admission and recalibration cannot drift apart.
+echo "== memo carry-over in internal/pace only"
+if grep -rnE '(AdoptMemo|MatchSubplans)\(' . --include='*.go' --exclude-dir=.bench_build |
+	grep -v '_test\.go:' | grep -v '^\./internal/pace/' |
+	grep -vE '^\./internal/(cost/adopt\.go:[0-9]+:func \(m \*Model\) AdoptMemo|mqo/statesig\.go:[0-9]+:func MatchSubplans)\('; then
+	echo "AdoptMemo/MatchSubplans called outside internal/pace; re-plan through pace.Replan" >&2
+	exit 1
+fi
+
 # One lifecycle for shared executor state: the registry alone attaches,
 # releases and refcounts arrangements and truth columns, so a refcount that
 # changes anywhere else would escape its invariant check (checkHandles).
@@ -130,6 +141,10 @@ go run ./cmd/tracecheck "$SMOKE_DIR/trace.json"
 echo "== event-log smoke (-experiment sched -events)"
 "$SMOKE_DIR/ishare" -experiment sched -sf 0.02 -events "$SMOKE_DIR/events.jsonl" >/dev/null
 go run ./cmd/eventcheck -types window.close "$SMOKE_DIR/events.jsonl"
+
+# The optimizer's EXPLAIN report must carry the pace search's decision log.
+echo "== explain smoke (-explain)"
+"$SMOKE_DIR/ishare" -explain Q1,Q6,Q14 -sf 0.02 | grep -q '^pace-search decision log'
 
 # Status smoke: serve the run's metrics (JSON and Prometheus text) and the
 # live statusz view, and require all three endpoints to answer once the run

@@ -147,6 +147,52 @@ func TestSessionStepSurvivesOperatorPanic(t *testing.T) {
 	}
 }
 
+// TestResultOrderIsStable: a query without ORDER BY returns its rows in the
+// order each first arrived, so two identically driven sessions agree row for
+// row, and so do two calls on one session.
+func TestResultOrderIsStable(t *testing.T) {
+	queries := map[string]string{
+		"orders":      "SELECT o_id, o_customer FROM orders WHERE o_amount > 1",
+		"by_customer": "SELECT o_customer, SUM(o_amount) AS total FROM orders GROUP BY o_customer",
+	}
+	start := func() *Session {
+		e := ordersEngine(t)
+		for name, sql := range queries {
+			e.MustAddQuery(name, sql, 1.0)
+		}
+		s, err := e.StartSession(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, err := s.Step(ordersData()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	for range 20 {
+		a, b := start(), start()
+		for name := range queries {
+			first, err := a.Results(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, _ := a.Results(name)
+			other, _ := b.Results(name)
+			if len(first) < 3 {
+				t.Fatalf("%s: %d rows, too few to show an order", name, len(first))
+			}
+			if !reflect.DeepEqual(again, first) {
+				t.Fatalf("%s: a second call returned %v, the first %v", name, again, first)
+			}
+			if !reflect.DeepEqual(other, first) {
+				t.Fatalf("%s: an identical session returned %v, the first %v", name, other, first)
+			}
+		}
+	}
+}
+
 // TestSessionAdmitFailsOnReplayPanic: a panic in the catch-up replay of an
 // Admit or a Retire returns from the call as an error naming the subplan,
 // instead of escaping the facade, and changes nothing. With the fault
@@ -218,10 +264,8 @@ func TestSessionAdmitFailsOnReplayPanic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// A query without ORDER BY returns its rows in no fixed
-					// order.
-					if got, want := renderRows(got), renderRows(want); !slices.Equal(got, want) {
-						t.Errorf("%s: %s results %v, want %v", when, name, got, want)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %s results %v, want %v in that order", when, name, got, want)
 					}
 				}
 			}
