@@ -114,31 +114,40 @@ func Apply(tuples []Tuple, q int) map[string]int {
 // all queries when q is negative, folding the stream segment by segment.
 // Rows come in the order each distinct row key first arrives, so equal
 // streams materialize identically; a key's row is its last arrival's (keys
-// equate numeric look-alikes, value.Key).
+// equate numeric look-alikes, value.Key). Each tuple's key is encoded into
+// one reused buffer, so only a new distinct row allocates a key.
 func Materialize(seq Seq, q int) []value.Row {
 	type net struct {
 		row value.Row
 		n   int
 	}
 	var nets []net
+	var key []byte
 	idx := make(map[string]int)
 	for _, seg := range seq {
 		for _, t := range seg {
 			if q >= 0 && !t.Bits.Has(q) {
 				continue
 			}
-			k := value.Key(t.Row)
-			i, ok := idx[k]
+			key = value.AppendKey(key[:0], t.Row)
+			i, ok := idx[string(key)]
 			if !ok {
 				i = len(nets)
-				idx[k] = i
+				idx[string(key)] = i
 				nets = append(nets, net{})
 			}
 			nets[i].row = t.Row
 			nets[i].n += int(t.Sign)
 		}
 	}
-	var out []value.Row
+	total := 0
+	for _, e := range nets {
+		total += max(e.n, 0)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]value.Row, 0, total)
 	for _, e := range nets {
 		for range e.n {
 			out = append(out, e.row)

@@ -152,3 +152,90 @@ func TestMaterializePerQueryBits(t *testing.T) {
 		t.Fatalf("all queries see %v", got)
 	}
 }
+
+// keyFold is the string-key fold Materialize is specified by: one
+// value.Key string per tuple, rows in first-arrival order of their key, a
+// key's row its last arrival's.
+func keyFold(seq delta.Seq, q int) []value.Row {
+	var keys []string
+	rows := map[string]value.Row{}
+	nets := map[string]int{}
+	for _, seg := range seq {
+		for _, t := range seg {
+			if q >= 0 && !t.Bits.Has(q) {
+				continue
+			}
+			k := value.Key(t.Row)
+			if _, ok := rows[k]; !ok {
+				keys = append(keys, k)
+			}
+			rows[k] = t.Row
+			nets[k] += int(t.Sign)
+		}
+	}
+	var out []value.Row
+	for _, k := range keys {
+		for range nets[k] {
+			out = append(out, rows[k])
+		}
+	}
+	return out
+}
+
+// TestMaterializeEqualsKeyFold: on random segmented streams of look-alike
+// values — Int and Float images of one number, NULLs, strings — with
+// retractions and per-query bits, Materialize returns exactly the
+// string-key fold's rows, in its order and with its representatives.
+func TestMaterializeEqualsKeyFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	val := func() value.Value {
+		switch n := rng.Intn(4); rng.Intn(4) {
+		case 0:
+			return value.Int(int64(n))
+		case 1:
+			return value.Float(float64(n))
+		case 2:
+			return value.Null
+		default:
+			return value.Str(string(rune('a' + n)))
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		width := 1 + rng.Intn(3)
+		var seq delta.Seq
+		for range rng.Intn(5) {
+			seg := make([]delta.Tuple, rng.Intn(30))
+			for i := range seg {
+				row := make(value.Row, width)
+				for c := range row {
+					row[c] = val()
+				}
+				sign := delta.Insert
+				if rng.Intn(3) == 0 {
+					sign = delta.Delete
+				}
+				seg[i] = delta.Tuple{Row: row, Bits: mqo.Bitset(rng.Intn(4)), Sign: sign}
+			}
+			seq = append(seq, seg)
+		}
+		for q := -1; q < 2; q++ {
+			if got, want := delta.Materialize(seq, q), keyFold(seq, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d query %d: Materialize = %v, the key fold = %v", trial, q, got, want)
+			}
+		}
+	}
+}
+
+// TestMaterializeAllocatesPerDistinctRow: a 10 000-tuple stream over 10
+// distinct rows allocates a few dozen times, not once per tuple.
+func TestMaterializeAllocatesPerDistinctRow(t *testing.T) {
+	seg := make([]delta.Tuple, 10000)
+	for i := range seg {
+		seg[i] = ins(int64(i%10), 7)
+	}
+	seq := delta.Seq{seg[:5000], seg[5000:]}
+	allocs := testing.AllocsPerRun(5, func() { delta.Materialize(seq, 0) })
+	if allocs > 40 {
+		t.Errorf("Materialize of 10 000 tuples over 10 rows allocated %v times, want at most 40", allocs)
+	}
+}

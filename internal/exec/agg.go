@@ -29,7 +29,9 @@ import (
 // sidecar, indexed by the arrangement's stable group refs. Group refs are
 // monotone — a drained group's sidecar state is reset but the index entry
 // remains — so sidecar slots never alias across sharers no matter who
-// created which group first.
+// created which group first. A slot holds no counts or accumulators itself:
+// it addresses a stripe of the executor's paged state (groupState), and a
+// drained group's stripe is zeroed and handed to the next new group.
 //
 // Input is processed in chunks: group-by and argument expressions evaluate
 // column-at-a-time and the whole key column set is hashed in one pass; the
@@ -53,6 +55,7 @@ type aggExec struct {
 	// counts refs whose sidecar currently holds state.
 	arr        *aggArr
 	side       []aggSlot
+	state      groupState
 	liveGroups int64
 	hasher     *value.Hasher
 	// queries caches op.Queries.Members(); qslot maps a query id to its
@@ -90,12 +93,9 @@ type aggExec struct {
 	// sameTuples scratch.
 	cmpUsed []bool
 
-	// Slab arenas for retained per-query state and emissions: dense
-	// counter/accumulator arrays and emitted output rows are carved from
-	// slabs instead of allocated per group.
+	// Slab arenas for retained emissions: emitted output rows and tuples
+	// are carved from slabs instead of allocated per group.
 	rowArena vec.RowArena
-	nArena   vec.SlabArena[int64]
-	accArena vec.SlabArena[accum]
 	tupArena vec.SlabArena[delta.Tuple]
 }
 
@@ -117,6 +117,7 @@ func newAggExec(op *mqo.Op, lay layouts) *aggExec {
 		gbCols:  make([][]value.Value, len(op.GroupBy)),
 		args:    make([][]value.Value, len(op.Aggs)),
 	}
+	g.state = newGroupState(len(g.queries), len(op.Aggs))
 	for i, ge := range op.GroupBy {
 		g.gbEvs[i] = vec.Compile(lay.over(op.Children[0], ge.E))
 	}
@@ -139,21 +140,100 @@ func (g *aggExec) attach(h *holder) {
 	g.arr = h.attach(aggState, mqo.AggIndexArrangeKey(g.op).Sig).(*aggArr)
 }
 
-// aggSlot is this executor's state for one shared group: dense
-// per-query-slot contribution counts and accumulators (naggs per query,
-// flattened), and the group's previously emitted output. The group's key
-// string and key row are read from the index entry, which never changes
-// once created. n == nil means the slot holds no state — either never
-// touched by this sharer, or reset after the group drained and its
-// retractions flushed.
+// aggSlot is this executor's state for one shared group: the stripe of
+// paged state holding its per-query counts and accumulators, and the
+// group's previously emitted output. The group's key string and key row are
+// read from the index entry, which never changes once created. stripe == 0
+// means the slot holds no state — either never touched by this sharer, or
+// reset after the group drained and its retractions flushed.
 type aggSlot struct {
 	dirtyGen uint64
-	// n counts contributing input tuples per query slot; the group exists
-	// for a query while its count is > 0.
-	n    []int64
-	accs []accum
 	// lastOut is the group's previously emitted output.
 	lastOut []delta.Tuple
+	// stripe is the group's stripe ref in the executor's groupState.
+	stripe int32
+}
+
+// groupState keeps an aggregate's per-group counts and accumulators in
+// pages. A group's state is one stripe: width contribution counts (one per
+// query slot; the group exists for a query while its count is > 0) and
+// width*naggs accumulators (naggs per query slot, flattened). Pages double
+// from firstStripes stripes until a page holds about pageElems elements,
+// and keep that size after: a small aggregate pays for a small page, a
+// large one wastes at most one page, and growth never copies. A drained
+// group's stripe is zeroed and reused by the next new group. Stripe refs
+// start at 1, so a zero ref means no stripe.
+type groupState struct {
+	width, naggs int
+	// doublings is the number of growing pages; every later page holds
+	// firstStripes<<doublings stripes.
+	doublings int
+	counts    [][]int64
+	accs      [][]accum
+	used      int     // stripes handed out, freed ones included
+	free      []int32 // refs of zeroed stripes
+}
+
+// Page sizing: the first page holds firstStripes = 1<<firstShift stripes,
+// a full-size page about pageElems elements (counts or accumulators,
+// whichever a stripe has more of).
+const (
+	firstShift   = 2
+	firstStripes = 1 << firstShift
+	pageElems    = 4096
+)
+
+func newGroupState(width, naggs int) groupState {
+	p := groupState{width: width, naggs: naggs}
+	for elems := max(width*naggs, width, 1) * firstStripes; elems < pageElems; elems *= 2 {
+		p.doublings++
+	}
+	return p
+}
+
+// locate returns stripe i's page and its index within the page; page sizes
+// are powers of two, so it only shifts and masks.
+func (p *groupState) locate(i int) (page, off int) {
+	u := uint(i)
+	if doubled := uint(firstStripes<<p.doublings - firstStripes); u >= doubled {
+		shift := firstShift + p.doublings
+		return p.doublings + int((u-doubled)>>shift), int((u - doubled) & (1<<shift - 1))
+	}
+	page = bits.Len(u>>firstShift+1) - 1
+	return page, i - (firstStripes<<page - firstStripes)
+}
+
+// alloc returns the ref of a zeroed stripe: a freed one if any, else the
+// next.
+func (p *groupState) alloc() int32 {
+	if n := len(p.free); n > 0 {
+		ref := p.free[n-1]
+		p.free = p.free[:n-1]
+		return ref
+	}
+	if page, _ := p.locate(p.used); page == len(p.counts) {
+		stripes := firstStripes << min(page, p.doublings)
+		p.counts = append(p.counts, make([]int64, stripes*p.width))
+		p.accs = append(p.accs, make([]accum, stripes*p.width*p.naggs))
+	}
+	p.used++
+	return int32(p.used)
+}
+
+// at returns the counts and accumulators of the stripe ref addresses.
+func (p *groupState) at(ref int32) ([]int64, []accum) {
+	page, off := p.locate(int(ref) - 1)
+	n, a := p.width, p.width*p.naggs
+	return p.counts[page][off*n : (off+1)*n : (off+1)*n], p.accs[page][off*a : (off+1)*a : (off+1)*a]
+}
+
+// release zeroes the stripe ref addresses, dropping its MIN/MAX multisets,
+// and frees it.
+func (p *groupState) release(ref int32) {
+	n, accs := p.at(ref)
+	clear(n)
+	clear(accs)
+	p.free = append(p.free, ref)
 }
 
 type accum struct {
@@ -316,11 +396,11 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			g.keyRow = keyRow
 			ref := g.arr.lookupOrCreate(hashes[i], keyRow)
 			sl := g.slotAt(ref)
-			if sl.n == nil {
-				sl.n = g.nArena.New(len(g.queries))
-				sl.accs = g.accArena.New(len(g.queries) * naggs)
+			if sl.stripe == 0 {
+				sl.stripe = g.state.alloc()
 				g.liveGroups++
 			}
+			ns, accs := g.state.at(sl.stripe)
 			if sl.dirtyGen != g.gen {
 				sl.dirtyGen = g.gen
 				g.dirty = append(g.dirty, ref)
@@ -329,7 +409,7 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			for b := uint64(ch.Bits[i]); b != 0; b &^= b & (-b) {
 				q := bits.TrailingZeros64(b)
 				slot := g.qslot[q]
-				sl.n[slot] += int64(sign)
+				ns[slot] += int64(sign)
 				base := int(slot) * naggs
 				for k, spec := range g.op.Aggs {
 					var v value.Value
@@ -337,7 +417,7 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 						v = g.args[k][i]
 					}
 					w.State++
-					w.Rescan += sl.accs[base+k].update(spec, v, sign)
+					w.Rescan += accs[base+k].update(spec, v, sign)
 				}
 			}
 		}
@@ -381,12 +461,13 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			w.Output++
 		}
 		sl.lastOut = retained
-		if len(retained) == 0 && groupDead(sl.n) {
-			// The group drained for every query this sharer serves: drop the
-			// per-query state. The index entry itself is monotone — it stays
-			// in the arrangement (other sharers may still hold it), and a
-			// recreated group reuses the same ref with fresh accumulators.
-			sl.n, sl.accs, sl.lastOut = nil, nil, nil
+		if ns, _ := g.state.at(sl.stripe); len(retained) == 0 && groupDead(ns) {
+			// The group drained for every query this sharer serves: free
+			// its stripe. The index entry itself is monotone — it stays in
+			// the arrangement (other sharers may still hold it), and a
+			// recreated group reuses the same ref with a fresh stripe.
+			g.state.release(sl.stripe)
+			sl.stripe, sl.lastOut = 0, nil
 			g.liveGroups--
 		}
 	}
@@ -420,15 +501,16 @@ func (g *aggExec) groupOutput(keyRow value.Row, sl *aggSlot) []delta.Tuple {
 	clusters := g.clusters[:0]
 	clRows := g.clRows
 	naggs := len(g.op.Aggs)
+	ns, accs := g.state.at(sl.stripe)
 	for slot, q := range g.queries {
-		if sl.n[slot] <= 0 {
+		if ns[slot] <= 0 {
 			continue
 		}
 		row := g.rowBuf[:0]
 		row = append(row, keyRow...)
 		base := slot * naggs
 		for i, spec := range g.op.Aggs {
-			row = append(row, sl.accs[base+i].result(spec))
+			row = append(row, accs[base+i].result(spec))
 		}
 		g.rowBuf = row
 		found := -1
@@ -463,6 +545,7 @@ func (g *aggExec) groupOutput(keyRow value.Row, sl *aggSlot) []delta.Tuple {
 	return out
 }
 
+// groupDead reports whether a group's counts say it exists for no query.
 func groupDead(n []int64) bool {
 	for _, c := range n {
 		if c > 0 {

@@ -28,11 +28,11 @@ func markedJoin(limit int64, n int) (*joinExec, delta.Tuple) {
 	}
 	right := make([]delta.Tuple, n)
 	for i := range right {
-		right[i] = tupleFor(value.Row{value.Int(1), value.Int(int64(i))})
+		right[i] = InsertTuple(value.Row{value.Int(1), value.Int(int64(i))})
 	}
 	j := newJoinExec(op, vec.DefaultBatch, nil)
 	j.process(sources(vec.DefaultBatch, delta.Seq{}, delta.Seq{right}))
-	return j, tupleFor(value.Row{value.Int(1), value.Int(-1)})
+	return j, InsertTuple(value.Row{value.Int(1), value.Int(-1)})
 }
 
 // probe feeds the left tuple through the join: it meets all n right tuples.
@@ -136,7 +136,7 @@ func TestAggSidecarSizedOnce(t *testing.T) {
 	builder := newAggExec(op, nil)
 	in := make([]delta.Tuple, n)
 	for i := range in {
-		in[i] = tupleFor(value.Row{value.Int(int64(i))})
+		in[i] = InsertTuple(value.Row{value.Int(int64(i))})
 	}
 	builder.process(sources(vec.DefaultBatch, delta.Seq{in}))
 	if got := builder.arr.arena.Len(); got != n {
@@ -159,8 +159,8 @@ func TestAggSidecarSizedOnce(t *testing.T) {
 	if cap(g.side) != n {
 		t.Errorf("sidecar capacity %d, want the group count %d", cap(g.side), n)
 	}
-	if size := unsafe.Sizeof(aggSlot{}); size > 80 {
-		t.Errorf("sidecar slots are %d bytes, want at most 80: %d groups take %d bytes", size, n, uintptr(n)*size)
+	if size := unsafe.Sizeof(aggSlot{}); size > 40 {
+		t.Errorf("sidecar slots are %d bytes, want at most 40: %d groups take %d bytes", size, n, uintptr(n)*size)
 	}
 
 	// The attached aggregate's emission reads the keys from the index.

@@ -9,9 +9,10 @@ import (
 	"ishare/internal/value"
 )
 
-// tupleFor wraps a base-table row as an insert delta. Scan operators stamp
-// the query bits, so base tuples carry an all-ones bitvector.
-func tupleFor(row value.Row) delta.Tuple {
+// InsertTuple wraps a base-table row as an insert delta valid for all
+// queries. Scan operators stamp the query bits, so base tuples carry an
+// all-ones bitvector.
+func InsertTuple(row value.Row) delta.Tuple {
 	return delta.Tuple{Row: row, Bits: mqo.Bitset(^uint64(0)), Sign: delta.Insert}
 }
 

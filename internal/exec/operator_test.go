@@ -144,12 +144,12 @@ func testJoinLateDeleteCancels(t *testing.T) {
 	se := r.Execs[h.graph.QueryRootSubplan[0].ID]
 
 	row := partRows([3]interface{}{1, "A", 5})[0]
-	del := tupleFor(row)
+	del := InsertTuple(row)
 	del.Sign = delta.Delete
 	partLog.Append(del) // delete before insert
-	lineLog.Append(tupleFor(lineitemRows([2]int64{1, 10})[0]))
+	lineLog.Append(InsertTuple(lineitemRows([2]int64{1, 10})[0]))
 	se.RunOnce()
-	partLog.Append(tupleFor(row)) // the matching insert cancels
+	partLog.Append(InsertTuple(row)) // the matching insert cancels
 	se.RunOnce()
 	if got := r.Results(0); len(got) != 0 {
 		t.Errorf("results = %v, want empty (delete+insert cancel)", got)
@@ -198,12 +198,12 @@ func testHavingRetractsWhenGroupFallsBelow(t *testing.T) {
 	}
 	log, _ := r.TableLog("lineitem")
 	se := r.Execs[h.graph.QueryRootSubplan[0].ID]
-	log.Append(tupleFor(lineitemRows([2]int64{1, 20})[0]))
+	log.Append(InsertTuple(lineitemRows([2]int64{1, 20})[0]))
 	se.RunOnce()
 	if got := r.SortedResults(0); !reflect.DeepEqual(got, []string{"1|20"}) {
 		t.Fatalf("after insert: %v", got)
 	}
-	del := tupleFor(lineitemRows([2]int64{1, 10})[0])
+	del := InsertTuple(lineitemRows([2]int64{1, 10})[0])
 	del.Sign = delta.Delete
 	log.Append(del)
 	se.RunOnce()

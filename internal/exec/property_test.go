@@ -93,7 +93,7 @@ func testPropertyDeletesCancel(t *testing.T) {
 	}
 	rows := lineitemRows([2]int64{1, 10}, [2]int64{2, 7}, [2]int64{1, 3})
 	for _, row := range rows {
-		log.Append(tupleFor(row))
+		log.Append(InsertTuple(row))
 	}
 	se := r.Execs[h.graph.QueryRootSubplan[0].ID]
 	se.RunOnce()
@@ -102,7 +102,7 @@ func testPropertyDeletesCancel(t *testing.T) {
 	}
 	// Delete everything.
 	for _, row := range rows {
-		tup := tupleFor(row)
+		tup := InsertTuple(row)
 		tup.Sign = -1
 		log.Append(tup)
 	}

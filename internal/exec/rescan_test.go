@@ -40,7 +40,7 @@ func testModeledRescanCharge(t *testing.T) {
 	}, []string{"q"})
 	inserts := make([]delta.Tuple, 0, n)
 	for i := 1; i <= n; i++ {
-		inserts = append(inserts, tupleFor(value.Row{value.Int(0), value.Float(float64(i))}))
+		inserts = append(inserts, InsertTuple(value.Row{value.Int(0), value.Float(float64(i))}))
 	}
 	r, err := New(h.graph, DeltaDataset{"lineitem": inserts}, h.opts)
 	if err != nil {
@@ -59,7 +59,7 @@ func testModeledRescanCharge(t *testing.T) {
 
 	// Delete the current maximum: the modeled rescan scans the n-1
 	// remaining values.
-	del := tupleFor(value.Row{value.Int(0), value.Float(float64(n))})
+	del := InsertTuple(value.Row{value.Int(0), value.Float(float64(n))})
 	del.Sign = delta.Delete
 	r.StartWindow(DeltaDataset{"lineitem": []delta.Tuple{del}})
 	r.ArriveWindow(1, 1)
@@ -74,7 +74,7 @@ func testModeledRescanCharge(t *testing.T) {
 	}
 
 	// Deleting a non-extremum value charges nothing.
-	del2 := tupleFor(value.Row{value.Int(0), value.Float(1)})
+	del2 := InsertTuple(value.Row{value.Int(0), value.Float(1)})
 	del2.Sign = delta.Delete
 	r.StartWindow(DeltaDataset{"lineitem": []delta.Tuple{del2}})
 	r.ArriveWindow(1, 1)

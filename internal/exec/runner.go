@@ -31,6 +31,8 @@ type Runner struct {
 	Graph *mqo.Graph
 	// Data mirrors every stream that has arrived, per table, in arrival
 	// order. The executor only writes it: the table logs are its record.
+	// An owner that never hands the runner out sets Data to nil after
+	// construction, and nothing is mirrored.
 	Data  DeltaDataset
 	Execs []*SubplanExec
 
@@ -115,7 +117,7 @@ func InsertStream(data Dataset) DeltaDataset {
 	for name, rows := range data {
 		ts := make([]delta.Tuple, len(rows))
 		for i, row := range rows {
-			ts[i] = tupleFor(row)
+			ts[i] = InsertTuple(row)
 		}
 		deltas[name] = ts
 	}
@@ -285,9 +287,12 @@ func (r *Runner) report(paces []int, wall time.Duration) *Report {
 	return rep
 }
 
-// ReportNow returns the cumulative modeled-work report of everything
-// executed so far, without running anything — the windowed (StartWindow /
-// RunSubplan) driving mode's equivalent of Run's return value.
+// ReportNow returns the cumulative modeled-work report of the current
+// executors, without running anything — the windowed (StartWindow /
+// RunSubplan) driving mode's equivalent of Run's return value. After a
+// Graft it is what a from-scratch run of the new graph over the same
+// windows would report: rebuilt executors count their replays, and the work
+// of executors the graft dropped is gone.
 func (r *Runner) ReportNow() *Report { return r.report(nil, 0) }
 
 // ArriveWindow reveals the first j/p of each table's arrivals in the current
@@ -315,12 +320,16 @@ func (r *Runner) StartWindow(arrivals DeltaDataset) {
 }
 
 // stage makes arrivals the current window's: each stream is staged, without
-// copying, as one segment of its table's log, and Data's mirror grows by it.
-// It reports whether any tuple arrived.
+// copying, as one segment of its table's log, and Data's mirror, unless nil,
+// grows by it. It reports whether any tuple arrived.
 func (r *Runner) stage(arrivals DeltaDataset) (arrived bool) {
 	r.arrivals = arrivals
 	for name, ts := range arrivals {
 		r.tableLog(name).Stage(ts)
+		arrived = arrived || len(ts) > 0
+		if r.Data == nil {
+			continue
+		}
 		if len(r.Data[name]) == 0 {
 			// Clipped, so a later window's append copies instead of
 			// writing into the caller's array.
@@ -328,7 +337,6 @@ func (r *Runner) stage(arrivals DeltaDataset) (arrived bool) {
 		} else {
 			r.Data[name] = append(r.Data[name], ts...)
 		}
-		arrived = arrived || len(ts) > 0
 	}
 	r.computeWinClean()
 	return arrived

@@ -28,10 +28,10 @@ import (
 func retractStream(n int) []delta.Tuple {
 	stream := make([]delta.Tuple, 0, n+n/2)
 	for i := 1; i <= n; i++ {
-		stream = append(stream, tupleFor(value.Row{value.Int(0), value.Float(float64(i))}))
+		stream = append(stream, InsertTuple(value.Row{value.Int(0), value.Float(float64(i))}))
 	}
 	for i := n; i > n/2; i-- {
-		t := tupleFor(value.Row{value.Int(0), value.Float(float64(i))})
+		t := InsertTuple(value.Row{value.Int(0), value.Float(float64(i))})
 		t.Sign = delta.Delete
 		stream = append(stream, t)
 	}
@@ -96,13 +96,13 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	g := newAggExec(aggOp, nil)
 	seed := make([]delta.Tuple, 0, 64)
 	for i := 0; i < 64; i++ {
-		seed = append(seed, tupleFor(value.Row{value.Int(int64(i % 8)), value.Float(float64(i))}))
+		seed = append(seed, InsertTuple(value.Row{value.Int(int64(i % 8)), value.Float(float64(i))}))
 	}
 	g.process(sources(vec.DefaultBatch, delta.Seq{seed}))
 	// The insert briefly becomes the group MAX, so its deletion also
 	// exercises the extremum-retraction path allocation-free.
 	pair := func(group int64) (delta.Tuple, delta.Tuple) {
-		ins := tupleFor(value.Row{value.Int(group), value.Float(999)})
+		ins := InsertTuple(value.Row{value.Int(group), value.Float(999)})
 		del := ins
 		del.Sign = delta.Delete
 		return ins, del

@@ -186,7 +186,7 @@ func randomStream(rng *rand.Rand, n int, rows *[]value.Row) []delta.Tuple {
 			continue
 		}
 		*rows = append(*rows, row)
-		out = append(out, tupleFor(row))
+		out = append(out, InsertTuple(row))
 	}
 	return out
 }

@@ -36,11 +36,11 @@ func BenchmarkBatchJoinProbe(b *testing.B) {
 	const rightRows, leftRows = 1024, 2048
 	right := make([]delta.Tuple, 0, rightRows)
 	for i := 0; i < rightRows; i++ {
-		right = append(right, tupleFor(value.Row{value.Int(int64(i)), value.Str("brand")}))
+		right = append(right, InsertTuple(value.Row{value.Int(int64(i)), value.Str("brand")}))
 	}
 	left := make([]delta.Tuple, 0, 2*leftRows)
 	for i := 0; i < leftRows; i++ {
-		left = append(left, tupleFor(value.Row{value.Int(int64(i % rightRows)), value.Float(float64(i))}))
+		left = append(left, InsertTuple(value.Row{value.Int(int64(i % rightRows)), value.Float(float64(i))}))
 	}
 	for i := 0; i < leftRows; i++ {
 		t := left[i]
@@ -86,11 +86,11 @@ func BenchmarkBatchAgg(b *testing.B) {
 	const groups, deltas = 256, 2048
 	seed := make([]delta.Tuple, 0, groups)
 	for i := 0; i < groups; i++ {
-		seed = append(seed, tupleFor(value.Row{value.Int(int64(i)), value.Float(1)}))
+		seed = append(seed, InsertTuple(value.Row{value.Int(int64(i)), value.Float(1)}))
 	}
 	stream := make([]delta.Tuple, 0, 2*deltas)
 	for i := 0; i < deltas; i++ {
-		stream = append(stream, tupleFor(value.Row{value.Int(int64(i % groups)), value.Float(float64(i))}))
+		stream = append(stream, InsertTuple(value.Row{value.Int(int64(i % groups)), value.Float(float64(i))}))
 	}
 	for i := 0; i < deltas; i++ {
 		t := stream[i]

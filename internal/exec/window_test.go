@@ -138,3 +138,51 @@ func testDebugSlowSubplanChargesFixedWork(t *testing.T) {
 		t.Errorf("penalty leaked into other work classes: base %v slow %v", base, slow)
 	}
 }
+
+// TestDataMirrorFollowsItsOwner pins the two contracts of Runner.Data: a
+// runner from New mirrors every window's arrivals in arrival order (what
+// the benchmark reads); one whose owner set Data to nil keeps it nil
+// through windows and grafts, with the same results and work.
+func TestDataMirrorFollowsItsOwner(t *testing.T) {
+	h := newHarness(t, map[string]string{
+		"q": "SELECT l_partkey, SUM(l_quantity) FROM lineitem GROUP BY l_partkey",
+	}, []string{"q"})
+	stream := InsertStream(Dataset{"lineitem": lineitemRows(
+		[2]int64{1, 10}, [2]int64{2, 20}, [2]int64{1, 5}, [2]int64{3, 7}, [2]int64{2, 2}, [2]int64{3, 3},
+	)})["lineitem"]
+	run := func(mirror bool) *Runner {
+		r, err := New(h.graph, DeltaDataset{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mirror {
+			r.Data = nil
+		}
+		for w := 0; w < 3; w++ {
+			if w == 2 {
+				if _, err := r.Graft(h.graph, GraftOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.StartWindow(DeltaDataset{"lineitem": stream[2*w : 2*w+2]})
+			r.ArriveWindow(1, 1)
+			for id := range h.graph.Subplans {
+				r.RunSubplan(id)
+			}
+			if mirror && !reflect.DeepEqual(r.Data["lineitem"], stream[:2*w+2]) {
+				t.Errorf("window %d: mirror holds %v, want %v", w, r.Data["lineitem"], stream[:2*w+2])
+			}
+			if !mirror && r.Data != nil {
+				t.Errorf("window %d: an unmirrored runner holds %d tables", w, len(r.Data))
+			}
+		}
+		return r
+	}
+	mirrored, bare := run(true), run(false)
+	if got, want := bare.SortedResults(0), mirrored.SortedResults(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("results without the mirror = %v, want %v", got, want)
+	}
+	if got, want := bare.ReportNow().TotalWork, mirrored.ReportNow().TotalWork; got != want {
+		t.Errorf("work without the mirror = %d, want %d", got, want)
+	}
+}

@@ -13,3 +13,7 @@ func (s *Scheduler) SetExecOptions(o exec.Options) { s.runner.SetOptions(o) }
 
 // Calibration returns the correction factors of the scheduler's model.
 func (s *Scheduler) Calibration() cost.Calibration { return s.model.Calibration() }
+
+// RunnerData returns the runner's Data mirror, which a scheduler's private
+// runner keeps nil.
+func (s *Scheduler) RunnerData() exec.DeltaDataset { return s.runner.Data }

@@ -304,3 +304,20 @@ func TestGraftReplayPanicReturnsError(t *testing.T) {
 		t.Errorf("run after a failed graft:\n%s\nwithout the attempt:\n%s", got, want)
 	}
 }
+
+// TestRunnerKeepsNoMirror: no caller reaches a scheduler's runner, so it
+// keeps no Data mirror through its ticks and a graft; the results are the
+// full stream's all the same.
+func TestRunnerKeepsNoMirror(t *testing.T) {
+	cp := buildChurnPlan(t, 7)
+	s, _ := driveChurn(t, cp, 1, 4, 2, func(win int, s *sched.Scheduler) {
+		if d := s.RunnerData(); d != nil {
+			t.Errorf("window %d: the runner mirrors %d tables", win, len(d))
+		}
+	})
+	for q := 0; q < 2; q++ {
+		if got := oracle.Canon(s.Results(q)); !eqStrings(got, cp.want[q]) {
+			t.Errorf("query %d = %v, want %v", q, got, cp.want[q])
+		}
+	}
+}

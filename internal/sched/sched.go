@@ -219,6 +219,9 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	if err != nil {
 		return nil, err
 	}
+	// No caller reaches the runner, so it keeps no Data mirror: the table
+	// logs are the one record of arrivals.
+	runner.Data = nil
 	s := &Scheduler{
 		cfg:    cfg,
 		runner: runner,

@@ -469,7 +469,7 @@ func (e *Engine) Run(p *Plan, data map[string][]Row) (*Report, error) {
 // rows and per-subplan stats off its runner; a non-nil calib additionally
 // collects every job's calibration factors from that same runner.
 func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calib Calibration) (*Report, error) {
-	ds, err := e.convertDataset(data)
+	ds, err := convertData(e.cat, data, func(row value.Row) value.Row { return row })
 	if err != nil {
 		return nil, err
 	}
@@ -512,20 +512,28 @@ func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calib Calibrat
 	return rep, nil
 }
 
-func (e *Engine) convertDataset(data map[string][]Row) (exec.Dataset, error) {
-	ds := make(exec.Dataset, len(data))
+// convertData converts facade rows into engine values and hands each row
+// to wrap: the one converter behind Engine.Run (rows as they are) and
+// Session.Step (rows as insert deltas). Per table it allocates one slab of
+// values and one []T, whatever the row count; each row is carved from the
+// slab with cap == len, so an append to a row never writes into its
+// neighbour. A row that does not convert fails the whole dataset.
+func convertData[T any](cat *catalog.Catalog, data map[string][]Row, wrap func(value.Row) T) (map[string][]T, error) {
+	out := make(map[string][]T, len(data))
 	for name, rows := range data {
-		t, err := e.cat.Lookup(name)
+		t, err := cat.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]value.Row, len(rows))
+		n := len(t.Columns)
+		slab := make([]value.Value, len(rows)*n)
+		conv := make([]T, len(rows))
 		for i, row := range rows {
-			if len(row) != len(t.Columns) {
+			if len(row) != n {
 				return nil, fmt.Errorf("ishare: table %s row %d has %d values, schema has %d",
-					name, i, len(row), len(t.Columns))
+					name, i, len(row), n)
 			}
-			vr := make(value.Row, len(row))
+			vr := slab[i*n : (i+1)*n : (i+1)*n]
 			for j, v := range row {
 				cv, err := ifaceToValue(v, t.Columns[j].Type)
 				if err != nil {
@@ -534,11 +542,11 @@ func (e *Engine) convertDataset(data map[string][]Row) (exec.Dataset, error) {
 				}
 				vr[j] = cv
 			}
-			out[i] = vr
+			conv[i] = wrap(vr)
 		}
-		ds[name] = out
+		out[name] = conv
 	}
-	return ds, nil
+	return out, nil
 }
 
 // ifaceToValue converts one facade value into a value of the column's kind.

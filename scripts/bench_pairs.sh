@@ -13,7 +13,9 @@
 # tie wins nothing), and the verdict `gain?`: "yes" when the working tree won
 # at least 9 in 10 of the pairs and its median is lower than the base's by
 # more than the base's interquartile range, "no" otherwise. Each side's
-# failed operations follow. Extra benchmark flags go in BENCH_ARGS, e.g.
+# failed operations per pair follow, then every FAILED line a run printed,
+# with its side and pair, so a late window reads apart from a wrong result.
+# Extra benchmark flags go in BENCH_ARGS, e.g.
 # BENCH_ARGS="-seed 2". Run it on an otherwise idle machine. It builds into
 # .bench_build/ only and leaves bench/ untouched.
 set -euo pipefail
@@ -33,9 +35,12 @@ go build -C "$out/base/bench" -o "$out/base.bin" .
 go build -C "$root/bench" -o "$out/change.bin" .
 
 # run SIDE PAIR appends "SIDE PAIR METRIC VALUE" per printed metric and
-# "SIDE PAIR failed N" to the results file. Each side runs in its own tree.
-results="$out/results"
+# "SIDE PAIR failed N" to the results file, and the run's FAILED lines,
+# prefixed with side and pair, to the failures file. Each side runs in its
+# own tree.
+results="$out/results" failures="$out/failures"
 : >"$results"
+: >"$failures"
 run() {
 	local dir=$root
 	[ "$1" = base ] && dir=$out/base
@@ -46,6 +51,8 @@ run() {
 		/^\{/ { f = $0; sub(/.*"failed":/, "", f); sub(/[^0-9].*/, "", f); failed = f }
 		END { print side, pair, "failed", (failed == "" ? "run-failed" : failed) }
 	' "$out/$1.out" >>"$results"
+	awk -v side="$1" -v pair="$2" '$1 == "FAILED" { sub(/^ *FAILED /, ""); print side, "pair", pair ": " $0 }' \
+		"$out/$1.out" >>"$failures"
 }
 for i in $(seq 1 "$n"); do
 	if [ $((i % 2)) -eq 1 ]; then
@@ -85,3 +92,7 @@ done
 for side in base change; do
 	echo "$side failed operations per pair: $(awk -v s="$side" '$1 == s && $3 == "failed" { printf "%s ", $4 }' "$results")"
 done
+if [ -s "$failures" ]; then
+	echo "FAILED lines of the failing runs:"
+	cat "$failures"
+fi

@@ -84,6 +84,9 @@ func (e *Engine) StartSession(o Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// No caller reaches the runner, so it keeps no Data mirror: the table
+	// logs are the one record of arrivals.
+	runner.Data = nil
 	return &Session{
 		engine: e,
 		live:   live,
@@ -240,7 +243,7 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err := s.failed(); err != nil {
 		return 0, err
 	}
-	ds, err := s.engine.convertDataset(data)
+	arrivals, err := convertData(s.engine.cat, data, exec.InsertTuple)
 	if err != nil {
 		return 0, err
 	}
@@ -248,7 +251,7 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.runner.StartWindow(exec.InsertStream(ds))
+	s.runner.StartWindow(arrivals)
 	s.runner.ArriveWindow(1, 1)
 	walls := make([]int64, len(group))
 	works, err := s.runner.RunGroup(group, 1, "exec", walls)
@@ -269,8 +272,11 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 // Windows returns how many windows have been stepped.
 func (s *Session) Windows() int { return s.windows }
 
-// TotalWork returns the summed work units of every execution so far,
-// including catch-up replays performed by admissions.
+// TotalWork returns the modeled work that a from-scratch run of the current
+// plan over every stepped window would report: the summed work units of the
+// current executors, catch-up replays of rebuilt subplans included. The
+// work of executors that an Admit or a Retire dropped is not in it, so it
+// can fall after a graft.
 func (s *Session) TotalWork() int64 { return s.runner.ReportNow().TotalWork }
 
 // SearchSims returns the cumulative number of cost simulations the current

@@ -9,6 +9,7 @@ import (
 
 	"ishare/internal/exec"
 	"ishare/internal/mqo"
+	"ishare/internal/value"
 )
 
 // TestSessionProfileAndDrift exercises the facade's observability surface:
@@ -373,5 +374,158 @@ func TestSessionDriftFollowsGraft(t *testing.T) {
 	}
 	if carried != st.MatchedSubplans || st.FreshSubplans == 0 {
 		t.Errorf("%d subplans carry a drift after the graft, want the %d adopted (%d rebuilt)", carried, st.MatchedSubplans, st.FreshSubplans)
+	}
+}
+
+// sessionQueries are the two queries of the session tests below: one over
+// orders alone, one joining customers.
+var sessionQueries = map[string]string{
+	"by_customer": "SELECT o_customer, SUM(o_amount) AS total FROM orders GROUP BY o_customer",
+	"by_region": `SELECT c_region, SUM(o_amount) AS total FROM orders, customers
+		 WHERE o_customer = c_name GROUP BY c_region`,
+}
+
+// sessionWindow is window w's arrivals: ordersData with fresh order ids and
+// amounts.
+func sessionWindow(w int) map[string][]Row {
+	data := ordersData()
+	for i, row := range data["orders"] {
+		data["orders"][i] = Row{10*w + i, row[1], float64(w+1) * row[2].(float64), row[3]}
+	}
+	return data
+}
+
+// steppedSession starts a session over the named queries and steps it
+// through windows 0 … windows-1.
+func steppedSession(t *testing.T, windows int, names ...string) *Session {
+	t.Helper()
+	e := ordersEngine(t)
+	for _, name := range names {
+		e.MustAddQuery(name, sessionQueries[name], 0.5)
+	}
+	s, err := e.StartSession(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range windows {
+		if _, err := s.Step(sessionWindow(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestSessionTotalWorkIsTheCurrentPlans pins what TotalWork means: the
+// modeled work a from-scratch run of the current plan over every stepped
+// window would report. After an Admit, and again after a Retire, it equals
+// a fresh session's over the live queries stepped through the same windows;
+// the work of executors a graft dropped is not in it.
+func TestSessionTotalWorkIsTheCurrentPlans(t *testing.T) {
+	s := steppedSession(t, 2, "by_customer")
+	if _, err := s.Admit("by_region", sessionQueries["by_region"], 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.TotalWork(), steppedSession(t, 2, "by_customer", "by_region").TotalWork(); got != want {
+		t.Errorf("after Admit: TotalWork = %d, a fresh session's = %d", got, want)
+	}
+	if _, err := s.Step(sessionWindow(2)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.TotalWork()
+	if _, err := s.Retire("by_region"); err != nil {
+		t.Fatal(err)
+	}
+	got, want := s.TotalWork(), steppedSession(t, 3, "by_customer").TotalWork()
+	if got != want {
+		t.Errorf("after Retire: TotalWork = %d, a fresh session's = %d", got, want)
+	}
+	if got >= before {
+		t.Errorf("TotalWork did not fall with the retired query's executors: %d, before %d", got, before)
+	}
+}
+
+// TestSessionKeepsNoMirror: no caller reaches a session's runner, so it
+// keeps no Data mirror through Step, Admit and Retire; the table logs are
+// the one record of arrivals.
+func TestSessionKeepsNoMirror(t *testing.T) {
+	s := steppedSession(t, 0, "by_customer")
+	check := func(when string) {
+		t.Helper()
+		if s.runner.Data != nil {
+			t.Errorf("after %s: the runner mirrors %d tables", when, len(s.runner.Data))
+		}
+	}
+	check("StartSession")
+	for w, call := range []func() error{
+		func() error { _, err := s.Admit("by_region", sessionQueries["by_region"], 0.5); return err },
+		func() error { _, err := s.Retire("by_customer"); return err },
+	} {
+		if _, err := s.Step(sessionWindow(w)); err != nil {
+			t.Fatal(err)
+		}
+		check("Step")
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		check("a graft")
+	}
+	got, err := s.Results("by_region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := steppedSession(t, 2, "by_region").Results("by_region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(renderRows(got), renderRows(want)) {
+		t.Errorf("by_region = %v, want a fresh session's %v", got, want)
+	}
+}
+
+// TestConvertDataAllocsPerTable: the facade converter allocates per table,
+// not per row — for either sink — and carves every row with cap == len, so
+// an append to one row cannot write into the next.
+func TestConvertDataAllocsPerTable(t *testing.T) {
+	e := ordersEngine(t)
+	data := func(n int) map[string][]Row {
+		d := map[string][]Row{"orders": make([]Row, n), "customers": make([]Row, n)}
+		for i := range n {
+			d["orders"][i] = Row{i, "acme", float64(i), i%5 + 1}
+			d["customers"][i] = Row{"acme", nil}
+		}
+		return d
+	}
+	small, large := data(1000), data(10000)
+	allocs := func(d map[string][]Row, sink func(map[string][]Row) error) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := sink(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, sink := range map[string]func(map[string][]Row) error{
+		"rows": func(d map[string][]Row) error {
+			_, err := convertData(e.cat, d, func(row value.Row) value.Row { return row })
+			return err
+		},
+		"deltas": func(d map[string][]Row) error {
+			_, err := convertData(e.cat, d, exec.InsertTuple)
+			return err
+		},
+	} {
+		if a, b := allocs(small, sink), allocs(large, sink); a != b {
+			t.Errorf("%s: %v allocations at 1 000 rows per table, %v at 10 000", name, a, b)
+		}
+	}
+	conv, err := convertData(e.cat, small, exec.InsertTuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ts := range conv {
+		for i, tup := range ts {
+			if cap(tup.Row) != len(tup.Row) {
+				t.Fatalf("%s row %d: cap %d, len %d", name, i, cap(tup.Row), len(tup.Row))
+			}
+		}
 	}
 }
