@@ -82,6 +82,7 @@ check:
 # minimized by the go tool and land under testdata/fuzz/ as new corpus seeds.
 fuzz:
 	$(GO) test ./internal/oracle -run '^$$' -fuzz FuzzEngineVsOracle -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzSessionVsOracle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParserRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse$$ -fuzztime $(FUZZTIME)
 

@@ -7,12 +7,17 @@
 //
 // Like a Kafka partition, a Log is stored as segments that are never
 // reallocated. A table log keeps each trigger window's arrivals as one staged
-// segment, the caller's slice, revealed prefix by prefix as the window's data
-// arrives. Only Append copies: a subplan's producer reuses its buffers, so
-// each tuple is copied once into the tail segment, and a new segment opens
-// when the tail is full. Readers consume the segments in place as a
-// delta.Seq of capacity-clamped views, so no path ever holds a contiguous
-// copy of a log. A segment is also the unit a future frontier will truncate.
+// segment, revealed prefix by prefix as the window's data arrives, in one of
+// two encodings chosen by who owns the memory. A row segment is the caller's
+// slice of tuples, kept as it is: the caller holds those rows anyway. A
+// column segment (Columns) is what the log keeps when no one else holds the
+// rows: the log materializes the rows of its latest column segment, the open
+// window's, into a slab it reuses for the next one, and a sealed column
+// segment is read column by column (Span). Only Append copies: a subplan's
+// producer reuses its buffers, so each tuple is copied once into the tail
+// segment, and a new segment opens when the tail is full. Readers consume
+// the segments in place, so no path ever holds a contiguous copy of a log.
+// A segment is also the unit a future frontier will truncate.
 package buffer
 
 import (
@@ -21,6 +26,7 @@ import (
 	"sync"
 
 	"ishare/internal/delta"
+	"ishare/internal/value"
 )
 
 // maxSegment caps a segment's capacity in tuples. Segment capacities double
@@ -31,17 +37,36 @@ const maxSegment = 1024
 type Log struct {
 	mu sync.RWMutex
 	// segs holds the segments in order; none is empty, and every appended
-	// one but the last is full. starts[i] is the log position of segs[i][0],
-	// and n the length readers see.
-	segs   [][]delta.Tuple
+	// one but the last is full. starts[i] is the log position of segs[i]'s
+	// first tuple, and n the length readers see.
+	segs   []segment
 	starts []int
 	n      int
 	name   string
+	// slab and tups hold the rows of the latest column segment, segs[open]
+	// (open < 0: none), and are rewritten by the next StageColumns.
+	slab []value.Value
+	tups []delta.Tuple
+	open int
+}
+
+// segment is one segment of a log: rows, or columns whose rows are set
+// only while the segment is the latest column segment staged.
+type segment struct {
+	rows []delta.Tuple
+	cols *Columns
+}
+
+func (s segment) len() int {
+	if s.cols != nil {
+		return s.cols.Len()
+	}
+	return len(s.rows)
 }
 
 // NewLog returns an empty log with a diagnostic name.
 func NewLog(name string) *Log {
-	return &Log{name: name}
+	return &Log{name: name, open: -1}
 }
 
 // Name returns the log's diagnostic name.
@@ -55,18 +80,18 @@ func (l *Log) Append(ts ...delta.Tuple) {
 	l.mu.Lock()
 	for len(ts) > 0 {
 		last := len(l.segs) - 1
-		if last < 0 || len(l.segs[last]) == cap(l.segs[last]) {
+		if last < 0 || len(l.segs[last].rows) == cap(l.segs[last].rows) {
 			prev := 0
 			if last >= 0 {
-				prev = cap(l.segs[last])
+				prev = cap(l.segs[last].rows)
 			}
-			l.segs = append(l.segs, make([]delta.Tuple, 0, min(max(len(ts), 2*prev), maxSegment)))
+			l.segs = append(l.segs, segment{rows: make([]delta.Tuple, 0, min(max(len(ts), 2*prev), maxSegment))})
 			l.starts = append(l.starts, l.n)
 			last++
 		}
-		seg := l.segs[last]
+		seg := l.segs[last].rows
 		k := min(len(ts), cap(seg)-len(seg))
-		l.segs[last] = append(seg, ts[:k]...)
+		l.segs[last].rows = append(seg, ts[:k]...)
 		l.n += k
 		ts = ts[k:]
 	}
@@ -83,12 +108,38 @@ func (l *Log) Stage(ts []delta.Tuple) {
 		return
 	}
 	l.mu.Lock()
+	l.stage(segment{rows: ts[:len(ts):len(ts)]})
+	l.mu.Unlock()
+}
+
+// StageColumns is Stage for a column segment: the log keeps c and
+// materializes its rows into the log's own slab, which the previous column
+// segment's rows occupied; that segment is read from its columns from now
+// on. The rows of c are valid only until the next StageColumns, so a reader
+// that keeps one past its chunk copies it (Span.Cols tells). Staging an
+// empty c is a no-op.
+func (l *Log) StageColumns(c *Columns) {
+	if c.Len() == 0 {
+		return
+	}
+	l.mu.Lock()
+	if l.open >= 0 {
+		l.segs[l.open].rows = nil
+	}
+	l.slab, l.tups = c.materialize(l.slab, l.tups)
+	l.open = len(l.segs)
+	l.stage(segment{rows: l.tups[:c.Len():c.Len()], cols: c})
+	l.mu.Unlock()
+}
+
+// stage adds seg, making whatever was staged before visible. The caller
+// holds l.mu.
+func (l *Log) stage(seg segment) {
 	if last := len(l.segs) - 1; last >= 0 {
-		l.n = l.starts[last] + len(l.segs[last])
+		l.n = l.starts[last] + l.segs[last].len()
 	}
 	l.starts = append(l.starts, l.n)
-	l.segs = append(l.segs, ts[:len(ts):len(ts)])
-	l.mu.Unlock()
+	l.segs = append(l.segs, seg)
 }
 
 // Reveal makes the first k tuples of the last staged segment visible. It
@@ -96,7 +147,7 @@ func (l *Log) Stage(ts []delta.Tuple) {
 func (l *Log) Reveal(k int) {
 	l.mu.Lock()
 	if last := len(l.segs) - 1; last >= 0 {
-		l.n = max(l.n, l.starts[last]+min(k, len(l.segs[last])))
+		l.n = max(l.n, l.starts[last]+min(k, l.segs[last].len()))
 	}
 	l.mu.Unlock()
 }
@@ -111,29 +162,50 @@ func (l *Log) Len() int {
 // views appends to dst the views covering log positions [from, to), one per
 // segment touched, and returns it. Each view is capacity-clamped, so nothing
 // written through an append on it can reach the log. The caller holds l.mu
-// and guarantees 0 <= from < to <= l.n.
+// and guarantees 0 <= from < to <= l.n; a sealed column segment has no rows
+// to view (Span reads it).
 func (l *Log) views(dst delta.Seq, from, to int) delta.Seq {
 	for i := l.segment(from); from < to; i++ {
 		seg := l.segs[i]
-		a, b := from-l.starts[i], min(len(seg), to-l.starts[i])
-		dst = append(dst, seg[a:b:b])
+		if seg.rows == nil {
+			panic(fmt.Sprintf("buffer %s: reader over the sealed column segment at %d", l.name, l.starts[i]))
+		}
+		a, b := from-l.starts[i], min(len(seg.rows), to-l.starts[i])
+		dst = append(dst, seg.rows[a:b:b])
 		from += b - a
 	}
 	return dst
 }
 
-// Segment returns the capacity-clamped view of log positions [p, e), where e
-// is the end of the segment holding p or the log's end, whichever comes
-// first. It panics unless 0 <= p < Len().
-func (l *Log) Segment(p int) []delta.Tuple {
+// Span is the part of one segment from a log position to the segment's end
+// or the log's, whichever comes first.
+type Span struct {
+	// Rows are the span's tuples, capacity-clamped, when its segment has
+	// rows: a row segment's, or the latest column segment's, which the log
+	// rewrites at the next StageColumns. nil for a sealed column segment.
+	Rows []delta.Tuple
+	// Cols is the span's column segment, nil for a row segment; the span
+	// is its rows [Off, Off+N). A reader that keeps a row of a span with
+	// Cols set past its chunk copies it.
+	Cols   *Columns
+	Off, N int
+}
+
+// Span returns the span at log position p. It panics unless 0 <= p < Len().
+func (l *Log) Span(p int) Span {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if p < 0 || p >= l.n {
 		panic(fmt.Sprintf("buffer %s: segment at %d of %d", l.name, p, l.n))
 	}
 	i := l.segment(p)
-	e := min(len(l.segs[i]), l.n-l.starts[i])
-	return l.segs[i][p-l.starts[i] : e : e]
+	seg := l.segs[i]
+	a, e := p-l.starts[i], min(seg.len(), l.n-l.starts[i])
+	sp := Span{Cols: seg.cols, Off: a, N: e - a}
+	if seg.rows != nil {
+		sp.Rows = seg.rows[a:e:e]
+	}
+	return sp
 }
 
 // segment returns the index of the segment holding position p: the last one

@@ -220,7 +220,8 @@ func TestSegmentsProperty(t *testing.T) {
 			t.Fatalf("trial %d: Len = %d, appended %d", trial, l.Len(), n)
 		}
 		total := 0
-		for i, seg := range l.segs {
+		for i, sg := range l.segs {
+			seg := sg.rows
 			if cap(seg) > maxSegment {
 				t.Fatalf("trial %d: segment %d has cap %d > %d", trial, i, cap(seg), maxSegment)
 			}
@@ -229,8 +230,8 @@ func TestSegmentsProperty(t *testing.T) {
 			}
 			total += cap(seg)
 		}
-		if last := len(l.segs) - 1; last >= 0 && total > n+cap(l.segs[last]) {
-			t.Fatalf("trial %d: segments hold %d capacity for %d tuples (tail cap %d)", trial, total, n, cap(l.segs[last]))
+		if last := len(l.segs) - 1; last >= 0 && total > n+cap(l.segs[last].rows) {
+			t.Fatalf("trial %d: segments hold %d capacity for %d tuples (tail cap %d)", trial, total, n, cap(l.segs[last].rows))
 		}
 	}
 }
@@ -271,32 +272,32 @@ func TestLogName(t *testing.T) {
 	}
 }
 
-// TestSegmentViews: Segment(p) views positions p up to the end of p's
-// segment (or the log's end), capacity-clamped, and panics outside the log.
+// TestSegmentViews: Span(p) views positions p up to the end of p's segment
+// (or the log's end), capacity-clamped, and panics outside the log.
 func TestSegmentViews(t *testing.T) {
 	l := NewLog("t")
 	for v := int64(0); v < 3000; v++ {
 		l.Append(tup(v))
 	}
 	for p := 0; p < l.Len(); {
-		seg := l.Segment(p)
+		seg := l.Span(p).Rows
 		if len(seg) == 0 || cap(seg) != len(seg) || seg[0].Row[0].AsInt() != int64(p) {
-			t.Fatalf("Segment(%d) = %d tuples (cap %d)", p, len(seg), cap(seg))
+			t.Fatalf("Span(%d) = %d tuples (cap %d)", p, len(seg), cap(seg))
 		}
 		if got := vals(l.NewReaderAt(p).ReadNew())[:len(seg)]; !reflect.DeepEqual(got, vals(delta.Seq{seg})) {
-			t.Fatalf("Segment(%d) disagrees with a read from %d", p, p)
+			t.Fatalf("Span(%d) disagrees with a read from %d", p, p)
 		}
 		if p+len(seg) < l.Len() && len(l.NewReaderAt(p).ReadNew()[0]) != len(seg) {
-			t.Fatalf("Segment(%d) does not end where its segment does", p)
+			t.Fatalf("Span(%d) does not end where its segment does", p)
 		}
 		p += len(seg)/2 + 1
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Segment past the log's end did not panic")
+			t.Error("Span past the log's end did not panic")
 		}
 	}()
-	l.Segment(l.Len())
+	l.Span(l.Len())
 }
 
 // TestStagedSegments: a staged slice becomes one segment without a copy,
@@ -314,9 +315,9 @@ func TestStagedSegments(t *testing.T) {
 	if got := vals(r.ReadNew()); !reflect.DeepEqual(got, []int64{0, 1, 2}) {
 		t.Fatalf("read after Reveal(3) = %v", got)
 	}
-	seg := l.Segment(1)
+	seg := l.Span(1).Rows
 	if len(seg) != 2 || cap(seg) != 2 || &seg[0] != &w0[1] {
-		t.Fatalf("Segment(1) = %d tuples (cap %d), aliasing the staged slice: %v", len(seg), cap(seg), &seg[0] == &w0[1])
+		t.Fatalf("Span(1) = %d tuples (cap %d), aliasing the staged slice: %v", len(seg), cap(seg), &seg[0] == &w0[1])
 	}
 	l.Reveal(1) // monotone: hides nothing
 	if l.Len() != 3 {
@@ -337,18 +338,18 @@ func TestStagedSegments(t *testing.T) {
 	if got := vals(r.ReadNew()); !reflect.DeepEqual(got, []int64{3, 4}) {
 		t.Fatalf("read after revealing 1 of w1 = %v", got)
 	}
-	if seg := l.Segment(4); len(seg) != 1 || &seg[0] != &w1[0] {
-		t.Fatalf("Segment(4) = %d tuples; want w1's revealed prefix, aliased", len(seg))
+	if seg := l.Span(4).Rows; len(seg) != 1 || &seg[0] != &w1[0] {
+		t.Fatalf("Span(4) = %d tuples; want w1's revealed prefix, aliased", len(seg))
 	}
 	l.Reveal(9)
-	if l.Len() != 6 || vals(delta.Seq{l.Segment(5)})[0] != 5 {
+	if l.Len() != 6 || vals(delta.Seq{l.Span(5).Rows})[0] != 5 {
 		t.Fatalf("Reveal past the segment: Len %d", l.Len())
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Segment past the revealed end did not panic")
+			t.Error("Span past the revealed end did not panic")
 		}
 	}()
 	l.Stage([]delta.Tuple{tup(6)})
-	l.Segment(6)
+	l.Span(6)
 }

@@ -476,7 +476,7 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 	return out, w
 }
 
-// dirtySorter orders the dirty list by interned group key, matching the
+// dirtySorter orders the dirty list by encoded group key, matching the
 // sorted-map-key emission order of the map-based implementation.
 type dirtySorter struct {
 	g *aggExec

@@ -386,6 +386,8 @@ type joinArr struct {
 	tab, idx hashtab.Table
 	arena    hashtab.Arena[arrEntry]
 	hists    hashtab.Arena[[]countVer]
+	// rows holds the entries' copies of borrowed input rows.
+	rows     vec.RowArena
 	pos      int64
 	live     int64
 	longest  int32
@@ -421,8 +423,10 @@ func (a *joinArr) countAt(e *arrEntry, pos int64) int32 {
 // apply advances one handle past survivor t. If another holder already
 // applied this position the physical work is skipped — that is the entire
 // sharing win — but the modeled state work (the return value) is charged
-// either way, keeping Work counters independent of who built what.
-func (a *joinArr) apply(pos *int64, to bitMap, t delta.Tuple, h uint64) int64 {
+// either way, keeping Work counters independent of who built what. A new
+// entry keeps t.Row itself unless borrowed: a row its source rewrites
+// later (source.borrowed) is copied into the arrangement's rows arena.
+func (a *joinArr) apply(pos *int64, to bitMap, t delta.Tuple, h uint64, borrowed bool) int64 {
 	p := *pos
 	*pos = p + 1
 	if p < a.pos {
@@ -449,8 +453,13 @@ func (a *joinArr) apply(pos *int64, to bitMap, t delta.Tuple, h uint64) int64 {
 		headRef = ref
 		a.tab.Put(h, ref)
 	}
+	row := t.Row
+	if borrowed {
+		row = a.rows.NewRow(len(t.Row))
+		copy(row, t.Row)
+	}
 	head := a.arena.At(headRef)
-	*a.arena.At(ref) = arrEntry{row: t.Row, bits: cb, created: p, count: d, next: -1, hist: -1, head: headRef}
+	*a.arena.At(ref) = arrEntry{row: row, bits: cb, created: p, count: d, next: -1, hist: -1, head: headRef}
 	if ok {
 		a.arena.At(head.tail).next = ref
 	}
@@ -574,7 +583,6 @@ type aggArr struct {
 	tab      hashtab.Table
 	arena    hashtab.Arena[sharedGroup]
 	keyArena vec.RowArena
-	intern   vec.Interner
 	keyBuf   []byte
 }
 
@@ -594,7 +602,7 @@ func (a *aggArr) lookupOrCreate(h uint64, keyRow value.Row) int32 {
 	ref := a.arena.Alloc()
 	gs := a.arena.At(ref)
 	a.keyBuf = value.AppendKey(a.keyBuf[:0], keyRow)
-	gs.key = a.intern.Intern(a.keyBuf)
+	gs.key = string(a.keyBuf)
 	gs.hash = h
 	gs.next = -1
 	kr := a.keyArena.NewRow(len(keyRow))

@@ -219,7 +219,7 @@ func stepArr(a *joinArr, ref *refArr, hd *propHandle, stream []propDelta, mutate
 		ref.apply(p, d)
 	}
 	t := delta.Tuple{Row: d.row, Bits: hd.from.apply(d.cb), Sign: d.sign}
-	if w := a.apply(&hd.pos, hd.to, t, d.h); w != 1 {
+	if w := a.apply(&hd.pos, hd.to, t, d.h, false); w != 1 {
 		return fmt.Errorf("apply charged %d state work, want 1", w)
 	}
 	if hd.pos != p+1 || a.pos < hd.pos {
@@ -387,7 +387,7 @@ func BenchmarkArrangeSkew(b *testing.B) {
 				a := &joinArr{}
 				var pos int64
 				for j, t := range stream {
-					a.apply(&pos, nil, t, hashes[j])
+					a.apply(&pos, nil, t, hashes[j], false)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/delta")

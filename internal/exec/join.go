@@ -251,6 +251,7 @@ func (j *joinExec) process(in []source) ([]delta.Tuple, Work) {
 func (j *joinExec) runPhase(self, other *joinSide, in source, selfIsLeft bool, w *Work, out []delta.Tuple) []delta.Tuple {
 	for tup, ok := in.Next(); ok; tup, ok = in.Next() {
 		w.Tuples += int64(len(tup))
+		borrowed := in.borrowed()
 		ch := &self.ch
 		ch.Reset(tup)
 		ch.InitBits(j.op.Queries)
@@ -296,7 +297,7 @@ func (j *joinExec) runPhase(self, other *joinSide, in source, selfIsLeft bool, w
 			}
 			self.keyBuf = key
 			t := delta.Tuple{Row: tup[i].Row, Bits: ch.Bits[i], Sign: tup[i].Sign}
-			w.State += self.arr.apply(&self.pos, self.toCanon, t, hashes[i])
+			w.State += self.arr.apply(&self.pos, self.toCanon, t, hashes[i], borrowed)
 			probeBits := other.toCanon.apply(t.Bits)
 			for ref := refs[i]; ref >= 0; {
 				e := other.arr.arena.At(ref)

@@ -75,7 +75,7 @@ func (r *Runner) computeWinClean() {
 		r.winClean = make([]bool, len(r.Graph.Subplans))
 	}
 	for i, cone := range r.lineage {
-		r.winClean[i] = !slices.ContainsFunc(cone, func(name string) bool { return len(r.arrivals[name]) > 0 })
+		r.winClean[i] = !slices.ContainsFunc(cone, func(name string) bool { return r.arrivals[name] > 0 })
 	}
 }
 

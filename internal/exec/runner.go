@@ -38,9 +38,10 @@ type Runner struct {
 
 	// tables holds the log of every table that has arrived or that a scan
 	// reads. The current window's arrivals (the construction dataset until
-	// the first StartWindow) are each one staged segment of their log.
+	// the first StartWindow) are each one staged segment of their log, and
+	// arrivals counts them per table.
 	tables   map[string]*buffer.Log
-	arrivals DeltaDataset
+	arrivals map[string]int
 
 	// opts is the executor configuration in force (see Options); Graft
 	// builds fresh executors under it.
@@ -135,12 +136,13 @@ func NewDeltaRunner(g *mqo.Graph, data DeltaDataset) (*Runner, error) {
 // forms.
 func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	r := &Runner{
-		Graph:  g,
-		Data:   make(DeltaDataset, len(data)),
-		tables: make(map[string]*buffer.Log),
-		opts:   opts,
-		reg:    NewRegistry(!opts.NoShare),
-		lay:    planLayouts(g),
+		Graph:    g,
+		Data:     make(DeltaDataset, len(data)),
+		tables:   make(map[string]*buffer.Log),
+		arrivals: make(map[string]int),
+		opts:     opts,
+		reg:      NewRegistry(!opts.NoShare),
+		lay:      planLayouts(g),
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first, so child execs exist
@@ -298,20 +300,20 @@ func (r *Runner) ReportNow() *Report { return r.report(nil, 0) }
 // ArriveWindow reveals the first j/p of each table's arrivals in the current
 // window (the construction dataset when StartWindow was never called).
 func (r *Runner) ArriveWindow(j, p int) {
-	for name, ts := range r.arrivals {
-		r.tables[name].Reveal(len(ts) * j / p)
+	for name, n := range r.arrivals {
+		r.tables[name].Reveal(n * j / p)
 	}
 }
 
 // StartWindow begins a new trigger window: the rest of the current window
 // arrives and is sealed, and the given deltas become the new window's
-// arrivals, each stream staged as one segment of its table's log (kept, not
-// copied: the caller must not modify it afterwards); fractions passed to
+// arrivals, each stream staged as one row segment of its table's log (kept,
+// not copied: the caller must not modify it afterwards); fractions passed to
 // ArriveWindow are measured over them alone. Operator and buffer state
 // carries over — the engine keeps ingesting, as the paper's recurring
-// trigger windows do. The scheduler runtime (internal/sched) and Session
-// drive multi-window executions through this; Run and RunParallel consume
-// the single window the Runner was constructed with.
+// trigger windows do. The scheduler runtime (internal/sched) drives
+// multi-window executions through this; Run and RunParallel consume the
+// single window the Runner was constructed with.
 func (r *Runner) StartWindow(arrivals DeltaDataset) {
 	r.ArriveWindow(1, 1)
 	r.sealWindow()
@@ -319,13 +321,35 @@ func (r *Runner) StartWindow(arrivals DeltaDataset) {
 	r.winOpen = true
 }
 
+// StartColumnWindow is StartWindow for insertions whose rows no caller
+// holds (Session.Step's): each table's arrivals are staged as one column
+// segment of its log (buffer.Log.StageColumns), whose rows the log
+// materializes into a slab that the next column window reuses. The columns
+// are kept, not copied; the caller must not modify them afterwards.
+func (r *Runner) StartColumnWindow(arrivals map[string]*buffer.Columns) {
+	r.ArriveWindow(1, 1)
+	r.sealWindow()
+	clear(r.arrivals)
+	for name, c := range arrivals {
+		r.tableLog(name).StageColumns(c)
+		r.arrivals[name] = c.Len()
+		if r.Data != nil {
+			// The log's rows of c are rewritten next window: mirror copies.
+			r.Data[name] = append(r.Data[name], InsertStream(Dataset{name: c.Rows()})[name]...)
+		}
+	}
+	r.computeWinClean()
+	r.winOpen = true
+}
+
 // stage makes arrivals the current window's: each stream is staged, without
 // copying, as one segment of its table's log, and Data's mirror, unless nil,
 // grows by it. It reports whether any tuple arrived.
 func (r *Runner) stage(arrivals DeltaDataset) (arrived bool) {
-	r.arrivals = arrivals
+	clear(r.arrivals)
 	for name, ts := range arrivals {
 		r.tableLog(name).Stage(ts)
+		r.arrivals[name] = len(ts)
 		arrived = arrived || len(ts) > 0
 		if r.Data == nil {
 			continue

@@ -5,7 +5,9 @@ import (
 
 	"ishare/internal/buffer"
 	"ishare/internal/delta"
+	"ishare/internal/expr"
 	"ishare/internal/mqo"
+	"ishare/internal/value"
 	"ishare/internal/vec"
 )
 
@@ -18,6 +20,13 @@ import (
 // needs through its own viewReader, which recomputes each row's bits from
 // the columns word by word and yields only the rows its operator's queries
 // pass (query-set pushdown).
+//
+// The table log keeps a window's rows in one of two encodings (see
+// buffer.Log): rows its caller keeps, read in place, or columns. The latest
+// column segment, the open window's, is also rows, materialized once into
+// the log's slab, so a Session's steps read rows in place too. A sealed
+// column segment is read from its columns: a fill materializes only its
+// predicate's columns, a view reader only the rows it yields.
 
 // scanExec is a shared scan: the cursor over a table log and the truth
 // columns of its marker predicates.
@@ -40,6 +49,11 @@ type scanExec struct {
 	// tuples a materialized scan would have logged.
 	out int64
 	ch  vec.Chunk
+	// predCols[k] lists the columns markers[k] reads. A fill over a sealed
+	// column segment gathers them into sc, the scratch of the executor's
+	// view readers (a private one until newSubplanExec sets it).
+	predCols [][]int
+	sc       *viewScratch
 }
 
 type qcol struct {
@@ -53,8 +67,10 @@ type qcol struct {
 func newScanExec(op *mqo.Op, batch int, h *holder, log *buffer.Log) *scanExec {
 	s := &scanExec{op: op, batch: batch, log: log, markers: compileMarkers(op, nil), limit: -1, counts: &h.reg.counts}
 	s.cols = make([]*truthCol, len(s.markers))
+	s.predCols = make([][]int, len(s.markers))
 	for k, m := range s.markers {
 		s.cols[k] = h.attach(truthState, truthKey(op.Table.Name, op.Preds[m.q])).(*truthCol)
+		s.predCols[k] = expr.Columns(m.pred.Source())
 	}
 	for _, q := range op.Queries.Members() {
 		qc := qcol{bit: mqo.Bit(q)}
@@ -105,14 +121,16 @@ func (s *scanExec) fill(from, to int) {
 		served += int64(max(min(c.n, to)-from, 0))
 		evaluated += int64(max(to-c.n, 0))
 		for c.n < to {
-			tup := s.log.Segment(c.n)
-			if n := to - c.n; len(tup) > n {
-				tup = tup[:n]
+			sp := s.log.Span(c.n)
+			n := min(sp.N, to-c.n)
+			if s.batch >= 1 {
+				n = min(n, s.batch)
 			}
-			if s.batch >= 1 && len(tup) > s.batch {
-				tup = tup[:s.batch]
+			if sp.Rows != nil {
+				s.ch.Reset(sp.Rows[:n])
+			} else {
+				s.columnView(sp.Cols, sp.Off, n, s.predCols[k])
 			}
-			s.ch.Reset(tup)
 			c.append(s.ch.Sel, m.pred.Truths(&s.ch, s.ch.Sel))
 		}
 		c.mu.Unlock()
@@ -122,6 +140,45 @@ func (s *scanExec) fill(from, to int) {
 		s.counts.evaluated.Add(evaluated)
 		s.counts.served.Add(served)
 	}
+}
+
+// columnView points the scan's chunk at rows [off, off+n) of cols as a
+// column view (vec.Chunk.Proj) holding only the columns listed in which:
+// what a marker predicate reads. The chunk's tuples only carry its length.
+// The view's vectors live in the executor's scratch and double up to one
+// chunk, so a scan that fills little never holds a chunk-sized buffer.
+// Fill runs before any view reader of the executor opens, so no chunk of
+// theirs is live.
+func (s *scanExec) columnView(cols *buffer.Columns, off, n int, which []int) {
+	if s.sc == nil {
+		s.sc = &viewScratch{}
+	}
+	sc := s.sc
+	if cap(sc.tup) < n {
+		sc.tup = make([]delta.Tuple, 0, grow(cap(sc.tup), n, s.batch))
+	}
+	if w := cols.Width(); len(sc.proj) < w {
+		sc.proj = append(sc.proj, make([][]value.Value, w-len(sc.proj))...)
+	}
+	for _, j := range which {
+		if cap(sc.proj[j]) < n {
+			sc.proj[j] = make([]value.Value, grow(cap(sc.proj[j]), n, s.batch))
+		}
+		sc.proj[j] = sc.proj[j][:n]
+		cols.Column(sc.proj[j], j, off)
+	}
+	s.ch.Reset(sc.tup[:n])
+	s.ch.Proj = sc.proj
+}
+
+// grow returns the capacity a scratch of capacity c grows to for n
+// elements: at least n, doubling, and no more than limit when limit ≥ 1.
+func grow(c, n, limit int) int {
+	size := max(n, 2*c)
+	if limit >= 1 {
+		size = max(n, min(size, limit))
+	}
+	return size
 }
 
 // count returns how many rows of [from, to) some query of want the scan
@@ -183,6 +240,16 @@ func rangeMask(w, lo, hi int) uint64 {
 // queries' bits, in chunks of at most size tuples built in its scratch; it
 // counts the rows of the scan's output it skips, which the consuming
 // operator would have read and dropped.
+//
+// A chunk's rows are the table log's own rows (a row segment, or the open
+// window's slab) or rows materialized into the scratch from a sealed column
+// segment; borrowed reports the last two, whose rows are rewritten by the
+// next chunk or the next window. Only a join arrangement keeps an input row
+// past its chunk, and it copies a borrowed one when it creates an entry
+// (joinArr.apply). Every other consumer keeps values, not rows: projections
+// and joins carve new output rows, a join flushes its marker candidates
+// within the chunk, aggregates copy group keys into their index's keyArena
+// and feed accumulators (MIN/MAX's ordset included) plain numbers.
 type viewReader struct {
 	scan *scanExec
 	// want is the consumer's queries the scan serves.
@@ -190,21 +257,30 @@ type viewReader struct {
 	off, end int
 	limit    int
 	size     int
-	seg      []delta.Tuple // table log view starting at position segOff
-	segOff   int
-	sc       *viewScratch
-	yielded  int64
-	skipped  int64
-	chunks   int64
+	// span is the table log span starting at position spanAt, dropped at
+	// open: the next window may have rewritten its rows.
+	span    buffer.Span
+	spanAt  int
+	fromCol bool // the last chunk came from a column segment
+	sc      *viewScratch
+	yielded int64
+	skipped int64
+	chunks  int64
 }
 
 // viewScratch is the chunk scratch of view readers. The readers of one
 // executor share one: its operators run one at a time and drain each source
-// before reading the next, so at most one view chunk is live.
+// before reading the next, so at most one view chunk is live. vals holds
+// the rows a chunk materializes from a sealed column segment and idx a
+// block's wanted rows in it; proj is the column view a scan's fill gathers
+// from one (scanExec.columnView).
 type viewScratch struct {
 	tup    []delta.Tuple
 	bits   []mqo.Bitset
 	yw, ow []uint64
+	vals   []value.Value
+	idx    []int32
+	proj   [][]value.Value
 }
 
 // newViewReader returns a reader of the scan's view for a consumer serving
@@ -222,6 +298,7 @@ func newViewReader(s *scanExec, queries mqo.Bitset, batch, off int, sc *viewScra
 }
 
 func (v *viewReader) open() {
+	v.span, v.spanAt = buffer.Span{}, 0
 	v.end = v.scan.pos
 	if v.limit >= 0 && v.limit < v.end {
 		v.end = v.limit
@@ -229,6 +306,8 @@ func (v *viewReader) open() {
 }
 
 func (v *viewReader) setLimit(n int) { v.limit = n }
+
+func (v *viewReader) borrowed() bool { return v.fromCol }
 
 // len counts the rows the rest of the read yields.
 func (v *viewReader) len() int {
@@ -258,43 +337,47 @@ func (v *viewReader) Next() ([]delta.Tuple, bool) {
 	// The scratch fits the read, doubling up to one chunk: readers of small
 	// tables, or at high paces, never hold a chunk-sized buffer.
 	sc := v.sc
-	if n := min(v.size, v.end-v.off); cap(sc.tup) < n {
-		n = min(v.size, max(n, 2*cap(sc.tup)))
-		sc.tup = make([]delta.Tuple, 0, n)
+	if n := min(v.size, v.end-v.off); len(sc.bits) < n {
+		n = min(v.size, max(n, 2*len(sc.bits)))
+		if cap(sc.tup) < n {
+			sc.tup = make([]delta.Tuple, 0, n)
+		}
 		sc.bits = make([]mqo.Bitset, n)
 		sc.yw = make([]uint64, n/64+2)
 		sc.ow = make([]uint64, n/64+2)
 	}
 	out := sc.tup[:0]
 	for v.off < v.end && 2*len(out) < v.size {
-		if v.off < v.segOff || v.off >= v.segOff+len(v.seg) {
-			v.seg, v.segOff = v.scan.log.Segment(v.off), v.off
+		if v.off < v.spanAt || v.off >= v.spanAt+v.span.N {
+			v.span, v.spanAt = v.scan.log.Span(v.off), v.off
 		}
-		n := min(v.end-v.off, v.segOff+len(v.seg)-v.off, v.size-len(out))
-		out = v.block(out, v.seg[v.off-v.segOff:][:n], v.off)
+		n := min(v.end-v.off, v.spanAt+v.span.N-v.off, v.size-len(out))
+		out = v.block(out, v.off-v.spanAt, n, v.off)
 		v.off += n
-		if len(out) > 0 && v.off == v.segOff+len(v.seg) {
+		if len(out) > 0 && v.off == v.spanAt+v.span.N {
 			break
 		}
 	}
 	if len(out) == 0 {
 		return nil, false
 	}
+	v.fromCol = v.span.Cols != nil
 	v.chunks++
 	v.yielded += int64(len(out))
 	return out, true
 }
 
-// block appends to out the wanted rows among rows, which sit at table
-// positions [p, p+len(rows)), and counts the skipped ones. Each query's
-// column is read word by word under its lock: yw collects the rows a wanted
-// query passes, ow those another query of the scan passes, and a wanted
-// query's passing rows get its bit.
-func (v *viewReader) block(out, rows []delta.Tuple, p int) []delta.Tuple {
-	q := p + len(rows)
+// block appends to out the wanted rows among the n rows of the span from
+// its row first, which sit at table positions [p, p+n), and counts the
+// skipped ones. Each query's column is read word by word under its lock:
+// yw collects the rows a wanted query passes, ow those another query of
+// the scan passes, and a wanted query's passing rows get its bit. A span
+// without rows materializes the wanted ones into the scratch.
+func (v *viewReader) block(out []delta.Tuple, first, n, p int) []delta.Tuple {
+	q := p + n
 	w0 := p >> 6
 	nw := (q-1)>>6 - w0 + 1
-	yw, ow, rb := v.sc.yw[:nw], v.sc.ow[:nw], v.sc.bits[:len(rows)]
+	yw, ow, rb := v.sc.yw[:nw], v.sc.ow[:nw], v.sc.bits[:n]
 	clear(yw)
 	clear(ow)
 	clear(rb)
@@ -322,12 +405,39 @@ func (v *viewReader) block(out, rows []delta.Tuple, p int) []delta.Tuple {
 			c.mu.Unlock()
 		}
 	}
-	for i, y := range yw {
-		v.skipped += int64(bits.OnesCount64(ow[i] &^ y))
-		for base := (w0+i)<<6 - p; y != 0; y &= y - 1 {
+	if rows := v.span.Rows; rows != nil {
+		rows = rows[first : first+n]
+		for k, y := range yw {
+			v.skipped += int64(bits.OnesCount64(ow[k] &^ y))
+			for base := (w0+k)<<6 - p; y != 0; y &= y - 1 {
+				j := base + bits.TrailingZeros64(y)
+				out = append(out, delta.Tuple{Row: rows[j].Row, Bits: rb[j], Sign: rows[j].Sign})
+			}
+		}
+		return out
+	}
+	// A sealed column segment: carve the wanted rows, then gather them
+	// column by column. vals grows, doubling, to what chunks yield; rows
+	// carved before a growth stay in the old array.
+	cols, width, at := v.span.Cols, v.span.Cols.Width(), len(out)
+	wanted := 0
+	for _, y := range yw {
+		wanted += bits.OnesCount64(y)
+	}
+	if need := (at + wanted) * width; len(v.sc.vals) < need {
+		v.sc.vals = make([]value.Value, grow(len(v.sc.vals), need, v.size*width))
+	}
+	idx := v.sc.idx[:0]
+	for k, y := range yw {
+		v.skipped += int64(bits.OnesCount64(ow[k] &^ y))
+		for base := (w0+k)<<6 - p; y != 0; y &= y - 1 {
 			j := base + bits.TrailingZeros64(y)
-			out = append(out, delta.Tuple{Row: rows[j].Row, Bits: rb[j], Sign: rows[j].Sign})
+			r := len(out) * width
+			out = append(out, delta.Tuple{Row: v.sc.vals[r : r+width : r+width], Bits: rb[j], Sign: delta.Insert})
+			idx = append(idx, int32(j))
 		}
 	}
+	cols.Gather(v.sc.vals[at*width:], v.span.Off+first, idx, len(idx), nil)
+	v.sc.idx = idx
 	return out
 }

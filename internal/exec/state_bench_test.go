@@ -152,7 +152,7 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkGroupLookup measures the aggregation group index: a grouped
 // COUNT/SUM over a stream cycling through 4096 distinct group keys, so the
-// dominant cost is the per-tuple group lookup (hash, probe, intern).
+// dominant cost is the per-tuple group lookup (hash, probe, key encoding).
 func BenchmarkGroupLookup(b *testing.B) {
 	h := newHarness(b, map[string]string{
 		"q": `SELECT l_partkey, COUNT(*) AS n, SUM(l_quantity) AS s

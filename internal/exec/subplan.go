@@ -99,7 +99,9 @@ func newSubplanExec(r *Runner, g *mqo.Graph, sub *mqo.Subplan, execs []*SubplanE
 func (se *SubplanExec) build(r *Runner, g *mqo.Graph, o *mqo.Op, execs []*SubplanExec, lay layouts) (int, error) {
 	i := len(se.nodes)
 	if o.Kind == mqo.KindScan {
-		se.nodes = append(se.nodes, opNode{op: o, x: newScanExec(o, se.batch, &se.state, r.tableLog(o.Table.Name))})
+		s := newScanExec(o, se.batch, &se.state, r.tableLog(o.Table.Name))
+		s.sc = &se.scratch
+		se.nodes = append(se.nodes, opNode{op: o, x: s})
 		return i, nil
 	}
 	x := newOperator(o, se.batch, &se.state, lay)
@@ -172,15 +174,18 @@ func (se *SubplanExec) seal() {
 
 // source is one operator input for one execution: open starts the read,
 // the operator drains Next (len, asked first, counts the tuples it will
-// yield), and close
-// returns the tuples of the producer's output the source skipped (which the
-// operator's Tuples must still count) and the chunks it yielded. setLimit
-// caps reads at a position (< 0: none).
+// yield), and close returns the tuples of the producer's output the source
+// skipped (which the operator's Tuples must still count) and the chunks it
+// yielded. borrowed reports whether the rows of the chunk Next last yielded
+// are rewritten later (a view reader's over a column segment): an operator
+// that keeps such a row past the chunk copies it. setLimit caps reads at a
+// position (< 0: none).
 type source interface {
 	open()
 	Next() ([]delta.Tuple, bool)
 	len() int
 	close() (skipped, chunks int64)
+	borrowed() bool
 	setLimit(n int)
 }
 
@@ -220,6 +225,10 @@ func (s *seqSource) close() (skipped, chunks int64) {
 	chunks, s.chunks = s.chunks, 0
 	return 0, chunks
 }
+
+// borrowed is false: a log's rows and an edge's are carved by their
+// producer and never rewritten.
+func (s *seqSource) borrowed() bool { return false }
 
 func (s *seqSource) setLimit(n int) {
 	if s.rd != nil {

@@ -1,9 +1,8 @@
 // Package vec provides the executor's vectorized batch infrastructure:
 // chunks of ~1024 delta tuples processed operator-at-a-time, selection
 // vectors that deactivate tuples without copying rows, column vectors
-// holding expression results evaluated column-at-a-time, a row arena that
-// carves emitted rows out of slab allocations, and a string interner for
-// group keys.
+// holding expression results evaluated column-at-a-time, and a row arena
+// that carves emitted rows out of slab allocations.
 //
 // The modeled-vs-actual split is the package's contract with the rest of
 // the engine: chunking is a physical execution detail only. Operators
@@ -166,39 +165,3 @@ type RowArena struct {
 func (a *RowArena) NewRow(n int) value.Row {
 	return value.Row(a.a.New(n))
 }
-
-// Interner deduplicates strings: Intern returns one canonical instance per
-// distinct byte content, allocating only on first sight. Group indexes use
-// it so recreated groups (delete-then-reinsert churn) reuse their key
-// string instead of re-allocating it.
-type Interner struct {
-	m map[string]string
-}
-
-// Intern returns the canonical string for b.
-func (in *Interner) Intern(b []byte) string {
-	if s, ok := in.m[string(b)]; ok { // compiles without allocating
-		return s
-	}
-	if in.m == nil {
-		in.m = make(map[string]string)
-	}
-	s := string(b)
-	in.m[s] = s
-	return s
-}
-
-// InternString returns the canonical instance of s.
-func (in *Interner) InternString(s string) string {
-	if c, ok := in.m[s]; ok {
-		return c
-	}
-	if in.m == nil {
-		in.m = make(map[string]string)
-	}
-	in.m[s] = s
-	return s
-}
-
-// Len returns the number of distinct strings interned.
-func (in *Interner) Len() int { return len(in.m) }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"ishare/internal/delta"
 	"ishare/internal/expr"
@@ -64,26 +63,6 @@ func TestSelVectorIdentityReusesBacking(t *testing.T) {
 	s = s.Identity(64)
 	if &s[0] != p {
 		t.Error("Identity reallocated despite sufficient capacity")
-	}
-}
-
-func TestInternerRoundTrips(t *testing.T) {
-	var in vec.Interner
-	a := in.Intern([]byte("shared-key"))
-	b := in.InternString("shared" + "-key")
-	c := in.Intern([]byte("shared-key"))
-	if a != "shared-key" || b != a || c != a {
-		t.Fatalf("round-trip content mismatch: %q %q %q", a, b, c)
-	}
-	// All three must be the same canonical instance, not just equal bytes.
-	if unsafe.StringData(b) != unsafe.StringData(a) || unsafe.StringData(c) != unsafe.StringData(a) {
-		t.Error("interner returned distinct instances for identical content")
-	}
-	if in.Len() != 1 {
-		t.Errorf("Len = %d, want 1", in.Len())
-	}
-	if in.InternString("other") != "other" || in.Len() != 2 {
-		t.Error("distinct content must intern separately")
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"math"
 	"strings"
 
+	"ishare/internal/buffer"
 	"ishare/internal/catalog"
 	"ishare/internal/cost"
 	"ishare/internal/exec"
@@ -469,9 +470,13 @@ func (e *Engine) Run(p *Plan, data map[string][]Row) (*Report, error) {
 // rows and per-subplan stats off its runner; a non-nil calib additionally
 // collects every job's calibration factors from that same runner.
 func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calib Calibration) (*Report, error) {
-	ds, err := convertData(e.cat, data, func(row value.Row) value.Row { return row })
+	cols, err := convertData(e.cat, data)
 	if err != nil {
 		return nil, err
+	}
+	ds := make(exec.Dataset, len(cols))
+	for name, c := range cols {
+		ds[name] = c.Rows()
 	}
 	rep := &Report{
 		FinalWork: make(map[string]int64, len(e.names)),
@@ -512,39 +517,39 @@ func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calib Calibrat
 	return rep, nil
 }
 
-// convertData converts facade rows into engine values and hands each row
-// to wrap: the one converter behind Engine.Run (rows as they are) and
-// Session.Step (rows as insert deltas). Per table it allocates one slab of
-// values and one []T, whatever the row count; each row is carved from the
-// slab with cap == len, so an append to a row never writes into its
-// neighbour. A row that does not convert fails the whole dataset.
-func convertData[T any](cat *catalog.Catalog, data map[string][]Row, wrap func(value.Row) T) (map[string][]T, error) {
-	out := make(map[string][]T, len(data))
+// convertData converts facade rows into engine values, written straight
+// into one column segment per table: the one converter behind Session.Step
+// (which stages the columns) and Engine.Run (which reads their rows). Per
+// table it allocates a fixed number of slices, whatever the row count. A
+// row that does not convert fails the whole dataset.
+func convertData(cat *catalog.Catalog, data map[string][]Row) (map[string]*buffer.Columns, error) {
+	out := make(map[string]*buffer.Columns, len(data))
 	for name, rows := range data {
 		t, err := cat.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
 		n := len(t.Columns)
-		slab := make([]value.Value, len(rows)*n)
-		conv := make([]T, len(rows))
+		kinds := make([]value.Kind, n)
+		for j, c := range t.Columns {
+			kinds[j] = c.Type
+		}
+		cols := buffer.NewColumns(kinds, len(rows))
 		for i, row := range rows {
 			if len(row) != n {
 				return nil, fmt.Errorf("ishare: table %s row %d has %d values, schema has %d",
 					name, i, len(row), n)
 			}
-			vr := slab[i*n : (i+1)*n : (i+1)*n]
 			for j, v := range row {
-				cv, err := ifaceToValue(v, t.Columns[j].Type)
+				cv, err := ifaceToValue(v, kinds[j])
 				if err != nil {
 					return nil, fmt.Errorf("ishare: table %s row %d column %s: %w",
 						name, i, t.Columns[j].Name, err)
 				}
-				vr[j] = cv
+				cols.Set(i, j, cv)
 			}
-			conv[i] = wrap(vr)
 		}
-		out[name] = conv
+		out[name] = cols
 	}
 	return out, nil
 }

@@ -243,7 +243,7 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err := s.failed(); err != nil {
 		return 0, err
 	}
-	arrivals, err := convertData(s.engine.cat, data, exec.InsertTuple)
+	arrivals, err := convertData(s.engine.cat, data)
 	if err != nil {
 		return 0, err
 	}
@@ -251,7 +251,7 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.runner.StartWindow(arrivals)
+	s.runner.StartColumnWindow(arrivals)
 	s.runner.ArriveWindow(1, 1)
 	walls := make([]int64, len(group))
 	works, err := s.runner.RunGroup(group, 1, "exec", walls)

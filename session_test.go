@@ -3,13 +3,13 @@ package ishare
 import (
 	"errors"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 
 	"ishare/internal/exec"
 	"ishare/internal/mqo"
-	"ishare/internal/value"
 )
 
 // TestSessionProfileAndDrift exercises the facade's observability surface:
@@ -483,8 +483,9 @@ func TestSessionKeepsNoMirror(t *testing.T) {
 }
 
 // TestConvertDataAllocsPerTable: the facade converter allocates per table,
-// not per row — for either sink — and carves every row with cap == len, so
-// an append to one row cannot write into the next.
+// not per row — for the column segments Step stages and for the rows Run
+// reads off them — and carves every row with cap == len, so an append to
+// one row cannot write into the next.
 func TestConvertDataAllocsPerTable(t *testing.T) {
 	e := ordersEngine(t)
 	data := func(n int) map[string][]Row {
@@ -496,6 +497,10 @@ func TestConvertDataAllocsPerTable(t *testing.T) {
 		return d
 	}
 	small, large := data(1000), data(10000)
+	// The collector stays off while counting: the runtime allocates a few
+	// objects of its own per GC cycle (the unique package's cleanup), and
+	// larger inputs run more cycles.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(d map[string][]Row, sink func(map[string][]Row) error) float64 {
 		return testing.AllocsPerRun(5, func() {
 			if err := sink(d); err != nil {
@@ -504,12 +509,15 @@ func TestConvertDataAllocsPerTable(t *testing.T) {
 		})
 	}
 	for name, sink := range map[string]func(map[string][]Row) error{
-		"rows": func(d map[string][]Row) error {
-			_, err := convertData(e.cat, d, func(row value.Row) value.Row { return row })
+		"columns": func(d map[string][]Row) error {
+			_, err := convertData(e.cat, d)
 			return err
 		},
-		"deltas": func(d map[string][]Row) error {
-			_, err := convertData(e.cat, d, exec.InsertTuple)
+		"rows": func(d map[string][]Row) error {
+			cols, err := convertData(e.cat, d)
+			for _, c := range cols {
+				c.Rows()
+			}
 			return err
 		},
 	} {
@@ -517,14 +525,14 @@ func TestConvertDataAllocsPerTable(t *testing.T) {
 			t.Errorf("%s: %v allocations at 1 000 rows per table, %v at 10 000", name, a, b)
 		}
 	}
-	conv, err := convertData(e.cat, small, exec.InsertTuple)
+	conv, err := convertData(e.cat, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, ts := range conv {
-		for i, tup := range ts {
-			if cap(tup.Row) != len(tup.Row) {
-				t.Fatalf("%s row %d: cap %d, len %d", name, i, cap(tup.Row), len(tup.Row))
+	for name, c := range conv {
+		for i, row := range c.Rows() {
+			if cap(row) != len(row) {
+				t.Fatalf("%s row %d: cap %d, len %d", name, i, cap(row), len(row))
 			}
 		}
 	}
