@@ -110,17 +110,11 @@ func (lp *LocalProblem) restrict(part mqo.Bitset) (*mqo.Subplan, map[*mqo.Op][]c
 	sub := &mqo.Subplan{Queries: part}
 	for _, o := range lp.Sub.Ops {
 		c := &mqo.Op{
-			ID:        o.ID,
-			Kind:      o.Kind,
-			Queries:   o.Queries.Intersect(part),
-			Preds:     make(map[int]expr.Expr),
-			Table:     o.Table,
-			LeftKeys:  o.LeftKeys,
-			RightKeys: o.RightKeys,
-			GroupBy:   o.GroupBy,
-			Aggs:      o.Aggs,
-			Exprs:     o.Exprs,
-			SigBase:   o.SigBase,
+			ID:      o.ID,
+			Payload: o.Payload,
+			Queries: o.Queries.Intersect(part),
+			Preds:   make(map[int]expr.Expr),
+			SigBase: o.SigBase,
 		}
 		for q, p := range o.Preds {
 			if part.Has(q) {

@@ -70,13 +70,14 @@ func TestGroupStatePages(t *testing.T) {
 // zeroed stripes, and every execution's output and Work equal those of an
 // executor that never reuses a stripe.
 func TestAggStripeReuseIsInvisible(t *testing.T) {
-	op := &mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0).With(1), Children: scansOfWidth(2),
+	op := &mqo.Op{Queries: mqo.Bit(0).With(1), Children: scansOfWidth(2), Payload: mqo.Payload{
+		Kind:    mqo.KindAggregate,
 		GroupBy: []plan.NamedExpr{{E: &expr.Column{Index: 0, Kind: value.KindInt}}},
 		Aggs: []plan.AggSpec{
 			{Func: plan.AggMin, Arg: &expr.Column{Index: 1, Kind: value.KindFloat}},
 			{Func: plan.AggSum, Arg: &expr.Column{Index: 1, Kind: value.KindFloat}},
 			{Func: plan.AggCount},
-		}}
+		}}}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		reusing, fresh := newAggExec(op, nil), newAggExec(op, nil)

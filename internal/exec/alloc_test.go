@@ -19,10 +19,11 @@ import (
 // tuple of that key.
 func markedJoin(limit int64, n int) (*joinExec, delta.Tuple) {
 	op := &mqo.Op{
-		Kind: mqo.KindJoin, Queries: mqo.Bit(0),
-		Children:  scansOfWidth(2, 2),
-		LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
-		RightKeys: []expr.Expr{&expr.Column{Index: 0}},
+		Payload: mqo.Payload{Kind: mqo.KindJoin,
+			LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
+			RightKeys: []expr.Expr{&expr.Column{Index: 0}}},
+		Queries:  mqo.Bit(0),
+		Children: scansOfWidth(2, 2),
 		Preds: map[int]expr.Expr{0: &expr.Binary{Op: expr.OpLt,
 			L: &expr.Column{Index: 3}, R: &expr.Const{Val: value.Int(limit)}}},
 	}
@@ -131,8 +132,8 @@ func TestTransientJoinsFeedAggregatesAndProjects(t *testing.T) {
 // count, in slots that hold no copy of the index's keys.
 func TestAggSidecarSizedOnce(t *testing.T) {
 	const n = 20000
-	op := &mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0),
-		Children: scansOfWidth(1), GroupBy: []plan.NamedExpr{{E: &expr.Column{Index: 0}}}}
+	op := &mqo.Op{Queries: mqo.Bit(0), Children: scansOfWidth(1),
+		Payload: mqo.Payload{Kind: mqo.KindAggregate, GroupBy: []plan.NamedExpr{{E: &expr.Column{Index: 0}}}}}
 	builder := newAggExec(op, nil)
 	in := make([]delta.Tuple, n)
 	for i := range in {

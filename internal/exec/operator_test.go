@@ -89,7 +89,7 @@ func testCrossJoinIncrementalMatchesBatch(t *testing.T) {
 func scansOfWidth(widths ...int) []*mqo.Op {
 	out := make([]*mqo.Op, len(widths))
 	for i, w := range widths {
-		out[i] = &mqo.Op{Kind: mqo.KindScan, Table: &catalog.Table{Columns: make([]catalog.Column, w)}}
+		out[i] = &mqo.Op{Payload: mqo.Payload{Kind: mqo.KindScan, Table: &catalog.Table{Columns: make([]catalog.Column, w)}}}
 	}
 	return out
 }
@@ -98,10 +98,11 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	// NULL never equi-joins: tuples whose key evaluates to NULL leave the
 	// selection before state update and probe.
 	op := &mqo.Op{
-		Kind: mqo.KindJoin, Queries: mqo.Bit(0),
-		Children:  scansOfWidth(1, 1),
-		LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
-		RightKeys: []expr.Expr{&expr.Column{Index: 0}},
+		Payload: mqo.Payload{Kind: mqo.KindJoin,
+			LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
+			RightKeys: []expr.Expr{&expr.Column{Index: 0}}},
+		Queries:  mqo.Bit(0),
+		Children: scansOfWidth(1, 1),
 	}
 	j := newJoinExec(op, 4, nil)
 	left := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
@@ -118,7 +119,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 
 	// An empty key list is a cross join: every pair matches.
-	cross := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, 4, nil)
+	cross := newJoinExec(&mqo.Op{Payload: mqo.Payload{Kind: mqo.KindJoin}, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, 4, nil)
 	out, _ = cross.process(sources(4,
 		delta.Seq{{{Row: value.Row{value.Int(1)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
 		delta.Seq{{{Row: value.Row{value.Int(2)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
@@ -234,11 +235,11 @@ func testAggregateNullArgumentsSkipped(t *testing.T) {
 }
 
 func TestStateSizes(t *testing.T) {
-	j := newJoinExec(&mqo.Op{Kind: mqo.KindJoin, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, vec.DefaultBatch, nil)
+	j := newJoinExec(&mqo.Op{Payload: mqo.Payload{Kind: mqo.KindJoin}, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, vec.DefaultBatch, nil)
 	if j.stateSize() != 0 {
 		t.Error("fresh join state not empty")
 	}
-	a := newAggExec(&mqo.Op{Kind: mqo.KindAggregate, Queries: mqo.Bit(0)}, nil)
+	a := newAggExec(&mqo.Op{Payload: mqo.Payload{Kind: mqo.KindAggregate}, Queries: mqo.Bit(0)}, nil)
 	if a.stateSize() != 0 {
 		t.Error("fresh agg state not empty")
 	}

@@ -28,10 +28,11 @@ var batchSizes = []int{1, 8, vec.DefaultBatch}
 // chunk's hash/marker scratch.
 func BenchmarkBatchJoinProbe(b *testing.B) {
 	op := &mqo.Op{
-		Kind: mqo.KindJoin, Queries: mqo.Bit(0),
-		Children:  scansOfWidth(2, 2),
-		LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
-		RightKeys: []expr.Expr{&expr.Column{Index: 0}},
+		Payload: mqo.Payload{Kind: mqo.KindJoin,
+			LeftKeys:  []expr.Expr{&expr.Column{Index: 0}},
+			RightKeys: []expr.Expr{&expr.Column{Index: 0}}},
+		Queries:  mqo.Bit(0),
+		Children: scansOfWidth(2, 2),
 	}
 	const rightRows, leftRows = 1024, 2048
 	right := make([]delta.Tuple, 0, rightRows)

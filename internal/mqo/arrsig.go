@@ -139,23 +139,7 @@ func coneFingerprint(o *Op, q int) string {
 // a buffer relays the stream verbatim, so decomposed and shared builds of
 // the same cone must render — and share — identically.
 func coneSig(b *strings.Builder, o *Op, members []int, slot map[int]int) {
-	switch o.Kind {
-	case KindScan:
-		b.WriteString("scan(")
-		b.WriteString(o.Table.Name)
-		b.WriteString(")")
-	case KindProject:
-		b.WriteString("project{")
-		for i, ne := range o.Exprs {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(expr.Canon(ne.E))
-		}
-		b.WriteString("}[")
-		coneSig(b, o.Children[0], members, slot)
-		b.WriteString("]")
-	}
+	o.render(b, func(i int) { coneSig(b, o.Children[i], members, slot) })
 	type slotPred struct {
 		slot  int
 		canon string

@@ -2,8 +2,8 @@ package mqo
 
 import (
 	"fmt"
+	"strconv"
 
-	"ishare/internal/catalog"
 	"ishare/internal/expr"
 	"ishare/internal/plan"
 	"ishare/internal/trace"
@@ -69,10 +69,14 @@ func BuildWithOptions(queries []plan.Query, opts BuildOptions) (*SharedPlan, err
 		if err != nil {
 			return nil, fmt.Errorf("mqo: query %s: %w", query.Name, err)
 		}
-		root := sp.NewOp(KindProject)
-		root.Exprs = projExprs
+		// A root projection is private to its query, so its query, not its
+		// list, identifies it.
+		root := sp.NewOp(Payload{Kind: KindProject, Exprs: projExprs})
 		root.Queries = Bit(q)
 		root.Children = []*Op{coreOp}
+		at := "project@" + root.Queries.String()
+		root.SigBase = at + "[" + coreOp.SigBase + "]"
+		root.sigDedup = at + "[" + coreOp.sigDedup + "]"
 		coreOp.Parents = append(coreOp.Parents, root)
 		sp.QueryRoots = append(sp.QueryRoots, root)
 		sp.QueryNames = append(sp.QueryNames, query.Name)
@@ -117,7 +121,7 @@ func (b *builder) buildOp(c *cnode, q int) (*Op, error) {
 		}
 		children[i] = op
 	}
-	baseSig := coreSig(c, children, func(o *Op) string { return o.BaseSignature() })
+	baseSig := c.signatureOver(children, func(o *Op) string { return o.SigBase })
 	class := 0
 	if b.classes != nil {
 		class = b.classes(baseSig, q)
@@ -125,7 +129,7 @@ func (b *builder) buildOp(c *cnode, q int) (*Op, error) {
 	// The dedup signature composes the children's classed signatures, so a
 	// parent of differently-classed children splits automatically — the
 	// paper's query-set subsumption alignment.
-	sig := fmt.Sprintf("%s@%d", coreSig(c, children, func(o *Op) string { return o.signature() }), class)
+	sig := c.signatureOver(children, func(o *Op) string { return o.sigDedup }) + "@" + strconv.Itoa(class)
 	op, shared := b.bySig[sig]
 	predConflict := false
 	if shared && c.pred != nil {
@@ -139,10 +143,7 @@ func (b *builder) buildOp(c *cnode, q int) (*Op, error) {
 		}
 	}
 	if !shared || predConflict {
-		op = b.sp.NewOp(c.kind)
-		op.Table = c.table
-		op.LeftKeys, op.RightKeys = c.lkeys, c.rkeys
-		op.GroupBy, op.Aggs = c.groupBy, c.aggs
+		op = b.sp.NewOp(c.Payload)
 		op.Children = children
 		op.SigBase = baseSig
 		op.sigDedup = sig
@@ -171,69 +172,23 @@ func (b *builder) buildOp(c *cnode, q int) (*Op, error) {
 	return op, nil
 }
 
-// coreSig computes the sharing signature of a core node over already-merged
-// children (so shared substructure yields identical child signatures).
-// childSig selects classed or base child signatures.
-func coreSig(c *cnode, children []*Op, childSig func(*Op) string) string {
-	switch c.kind {
-	case KindScan:
-		return "scan(" + c.table.Name + ")"
-	case KindJoin:
-		keys := ""
-		for i := range c.lkeys {
-			if i > 0 {
-				keys += ","
-			}
-			keys += expr.Canon(c.lkeys[i]) + "=" + expr.Canon(c.rkeys[i])
-		}
-		return "join{" + keys + "}[" + childSig(children[0]) + "|" + childSig(children[1]) + "]"
-	case KindAggregate:
-		groups := ""
-		for i, g := range c.groupBy {
-			if i > 0 {
-				groups += ","
-			}
-			groups += expr.Canon(g.E)
-		}
-		aggs := ""
-		for i, a := range c.aggs {
-			if i > 0 {
-				aggs += ","
-			}
-			arg := "*"
-			if a.Arg != nil {
-				arg = expr.Canon(a.Arg)
-			}
-			aggs += a.Func.String() + "(" + arg + ")"
-		}
-		return "agg{" + groups + "|" + aggs + "}[" + childSig(children[0]) + "]"
-	default:
-		return fmt.Sprintf("private#%p", c)
-	}
-}
-
 // cnode is a normalized plan node: scans, joins and aggregates only, with
 // select predicates folded into pred (applied to this node's output) and all
 // interior projections inlined.
 type cnode struct {
-	kind     Kind
+	Payload
 	pred     expr.Expr
 	children []*cnode
-
-	table        *catalog.Table
-	lkeys, rkeys []expr.Expr
-	groupBy      []plan.NamedExpr
-	aggs         []plan.AggSpec
 }
 
 func (c *cnode) width() int {
-	switch c.kind {
+	switch c.Kind {
 	case KindScan:
-		return len(c.table.Columns)
+		return len(c.Table.Columns)
 	case KindJoin:
 		return c.children[0].width() + c.children[1].width()
 	case KindAggregate:
-		return len(c.groupBy) + len(c.aggs)
+		return len(c.GroupBy) + len(c.Aggs)
 	default:
 		return 0
 	}
@@ -269,7 +224,7 @@ func normalize(root plan.Node) (*cnode, []plan.NamedExpr, error) {
 func rewrite(n plan.Node) (*cnode, []expr.Expr, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
-		c := &cnode{kind: KindScan, table: x.Table}
+		c := &cnode{Payload: Payload{Kind: KindScan, Table: x.Table}}
 		m := identityMap(n.Schema())
 		return c, m, nil
 	case *plan.Select:
@@ -295,18 +250,18 @@ func rewrite(n plan.Node) (*cnode, []expr.Expr, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		c := &cnode{kind: KindAggregate, children: []*cnode{in}}
-		c.groupBy = make([]plan.NamedExpr, len(x.GroupBy))
+		c := &cnode{Payload: Payload{Kind: KindAggregate}, children: []*cnode{in}}
+		c.GroupBy = make([]plan.NamedExpr, len(x.GroupBy))
 		for i, g := range x.GroupBy {
-			c.groupBy[i] = plan.NamedExpr{Name: g.Name, E: subst(g.E, m)}
+			c.GroupBy[i] = plan.NamedExpr{Name: g.Name, E: subst(g.E, m)}
 		}
-		c.aggs = make([]plan.AggSpec, len(x.Aggs))
+		c.Aggs = make([]plan.AggSpec, len(x.Aggs))
 		for i, a := range x.Aggs {
 			spec := plan.AggSpec{Func: a.Func, Name: a.Name}
 			if a.Arg != nil {
 				spec.Arg = subst(a.Arg, m)
 			}
-			c.aggs[i] = spec
+			c.Aggs[i] = spec
 		}
 		return c, identityMap(x.Schema()), nil
 	case *plan.Join:
@@ -318,10 +273,10 @@ func rewrite(n plan.Node) (*cnode, []expr.Expr, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		c := &cnode{kind: KindJoin, children: []*cnode{l, r}}
+		c := &cnode{Payload: Payload{Kind: KindJoin}, children: []*cnode{l, r}}
 		for i := range x.LeftKeys {
-			c.lkeys = append(c.lkeys, lm[x.LeftKeys[i]])
-			c.rkeys = append(c.rkeys, rm[x.RightKeys[i]])
+			c.LeftKeys = append(c.LeftKeys, lm[x.LeftKeys[i]])
+			c.RightKeys = append(c.RightKeys, rm[x.RightKeys[i]])
 		}
 		lw := l.width()
 		shift := make(map[int]int)

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"ishare/internal/catalog"
 	"ishare/internal/expr"
 	"ishare/internal/plan"
 )
@@ -54,8 +53,8 @@ func (k Kind) String() string {
 type Op struct {
 	// ID is unique within the shared plan.
 	ID int
-	// Kind selects the payload fields below.
-	Kind Kind
+	// Payload is what the operator computes; its fields are promoted.
+	Payload
 	// Queries is the set of queries sharing this operator.
 	Queries Bitset
 	// Children are the input operators (0 for scans, 2 for joins, else 1).
@@ -66,22 +65,11 @@ type Op struct {
 	// operator's output for that query. Queries without an entry pass.
 	Preds map[int]expr.Expr
 
-	// Table is the scanned base relation (KindScan).
-	Table *catalog.Table
-	// LeftKeys and RightKeys are equi-join key expressions over the left
-	// and right child schemas (KindJoin). Empty lists mean a cross join.
-	LeftKeys, RightKeys []expr.Expr
-	// GroupBy and Aggs define the aggregation (KindAggregate).
-	GroupBy []plan.NamedExpr
-	Aggs    []plan.AggSpec
-	// Exprs is the projection list (KindProject).
-	Exprs []plan.NamedExpr
-
 	// SigBase is the operator's sharing signature with class suffixes
 	// stripped: a stable identity that survives decomposition rebuilds.
 	SigBase string
 	// sigDedup is the signature used for merging, including sharing-class
-	// suffixes; empty means it equals the structural signature.
+	// suffixes.
 	sigDedup string
 
 	schema []plan.Field
@@ -124,58 +112,9 @@ func (o *Op) Schema() []plan.Field {
 	return o.schema
 }
 
-// signature returns the dedup signature of the subtree rooted at o,
-// including sharing-class suffixes. Predicates are excluded; projections are
-// private per query and never deduplicated.
-func (o *Op) signature() string {
-	if o.sigDedup != "" {
-		return o.sigDedup
-	}
-	return o.structSig(func(c *Op) string { return c.signature() })
-}
-
 // BaseSignature returns the structural signature without class suffixes: a
 // stable operator identity across decomposition rebuilds.
-func (o *Op) BaseSignature() string {
-	if o.SigBase != "" {
-		return o.SigBase
-	}
-	return o.structSig(func(c *Op) string { return c.BaseSignature() })
-}
-
-// structSig renders the operator's own structure over child signatures
-// produced by childSig.
-func (o *Op) structSig(childSig func(*Op) string) string {
-	switch o.Kind {
-	case KindScan:
-		return "scan(" + o.Table.Name + ")"
-	case KindJoin:
-		keys := make([]string, len(o.LeftKeys))
-		for i := range o.LeftKeys {
-			keys[i] = expr.Canon(o.LeftKeys[i]) + "=" + expr.Canon(o.RightKeys[i])
-		}
-		return "join{" + strings.Join(keys, ",") + "}[" + childSig(o.Children[0]) + "|" + childSig(o.Children[1]) + "]"
-	case KindAggregate:
-		groups := make([]string, len(o.GroupBy))
-		for i, g := range o.GroupBy {
-			groups[i] = expr.Canon(g.E)
-		}
-		aggs := make([]string, len(o.Aggs))
-		for i, a := range o.Aggs {
-			arg := "*"
-			if a.Arg != nil {
-				arg = expr.Canon(a.Arg)
-			}
-			aggs[i] = a.Func.String() + "(" + arg + ")"
-		}
-		return "agg{" + strings.Join(groups, ",") + "|" + strings.Join(aggs, ",") + "}[" + childSig(o.Children[0]) + "]"
-	case KindProject:
-		// Root projections are private: identify by query.
-		return fmt.Sprintf("project@%s[%s]", o.Queries, childSig(o.Children[0]))
-	default:
-		return "?"
-	}
-}
+func (o *Op) BaseSignature() string { return o.SigBase }
 
 // Describe renders a one-line summary including the query set and markers.
 func (o *Op) Describe() string {
@@ -241,9 +180,9 @@ func (sp *SharedPlan) AllQueries() Bitset {
 	return b
 }
 
-// NewOp allocates an operator with a fresh id and registers it.
-func (sp *SharedPlan) NewOp(kind Kind) *Op {
-	op := &Op{ID: sp.nextID, Kind: kind, Preds: make(map[int]expr.Expr)}
+// NewOp allocates an operator computing p with a fresh id and registers it.
+func (sp *SharedPlan) NewOp(p Payload) *Op {
+	op := &Op{ID: sp.nextID, Payload: p, Preds: make(map[int]expr.Expr)}
 	sp.nextID++
 	sp.Ops = append(sp.Ops, op)
 	return op

@@ -23,11 +23,12 @@ import (
 // cone) lets a graft keep a subplan whose input cone changed only for other
 // queries.
 //
-// The dedup signatures used for sharing (Op.signature / Op.BaseSignature)
-// are NOT suitable here: they embed operator IDs in private-copy suffixes
-// ("!privN"), exclude projections and predicates, and ignore query-slot
-// membership — all of which matter for state identity. State signatures are
-// rendered directly from structure and never touch sigDedup/SigBase.
+// The merge and base signatures used for sharing (Op.BaseSignature) are NOT
+// suitable here: they embed operator IDs in private-copy suffixes ("!privN"),
+// identify root projections by query instead of by list, exclude predicates,
+// and ignore query-slot membership — all of which matter for state identity.
+// State signatures render each operator's payload (Payload.render) with
+// their own decorations and never touch sigDedup/SigBase.
 
 // LocalStateSignatures returns each subplan's *local* state signature,
 // indexed by subplan ID: its member operators, query-slot bitsets and
@@ -98,63 +99,7 @@ type sigStyle struct {
 // root), so the interior of a subplan is a proper tree and plain recursion
 // terminates.
 func stateSigOp(b *strings.Builder, g *Graph, s *Subplan, o *Op, st *sigStyle) {
-	switch o.Kind {
-	case KindScan:
-		b.WriteString("scan(")
-		b.WriteString(o.Table.Name)
-		b.WriteString(")")
-	case KindJoin:
-		b.WriteString("join{")
-		for i := range o.LeftKeys {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(expr.Canon(o.LeftKeys[i]))
-			b.WriteString("=")
-			b.WriteString(expr.Canon(o.RightKeys[i]))
-		}
-		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], st)
-		b.WriteString("|")
-		stateSigChild(b, g, s, o.Children[1], st)
-		b.WriteString("]")
-	case KindAggregate:
-		b.WriteString("agg{")
-		for i, gb := range o.GroupBy {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(expr.Canon(gb.E))
-		}
-		b.WriteString("|")
-		for i, a := range o.Aggs {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(a.Func.String())
-			b.WriteString("(")
-			if a.Arg != nil {
-				b.WriteString(expr.Canon(a.Arg))
-			} else {
-				b.WriteString("*")
-			}
-			b.WriteString(")")
-		}
-		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], st)
-		b.WriteString("]")
-	case KindProject:
-		b.WriteString("project{")
-		for i, ne := range o.Exprs {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(expr.Canon(ne.E))
-		}
-		b.WriteString("}[")
-		stateSigChild(b, g, s, o.Children[0], st)
-		b.WriteString("]")
-	}
+	o.render(b, func(i int) { stateSigChild(b, g, s, o.Children[i], st) })
 	// State identity also needs the query-slot bitset (tuples are stamped
 	// with it) and the per-query markers (they clear bits).
 	switch {

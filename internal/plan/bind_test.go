@@ -236,22 +236,6 @@ func TestBindAmbiguousColumn(t *testing.T) {
 	}
 }
 
-func TestSignatureSharability(t *testing.T) {
-	c := testCatalog(t)
-	// Same structure with different select predicates: sharable.
-	a := mustBind(t, "SELECT p_partkey FROM part WHERE p_size > 10", c)
-	b := mustBind(t, "SELECT p_brand FROM part WHERE p_size < 3", c)
-	if a.Signature() != b.Signature() {
-		t.Errorf("selects/projects must not affect signatures:\n%s\n%s", a.Signature(), b.Signature())
-	}
-	// Different aggregate: not sharable.
-	g1 := mustBind(t, "SELECT SUM(l_quantity) FROM lineitem GROUP BY l_partkey", c)
-	g2 := mustBind(t, "SELECT MAX(l_quantity) FROM lineitem GROUP BY l_partkey", c)
-	if g1.Signature() == g2.Signature() {
-		t.Error("different aggregates must have different signatures")
-	}
-}
-
 func TestExplainAndOperators(t *testing.T) {
 	n := mustBind(t, `SELECT p_brand, SUM(l_quantity) FROM part, lineitem
 		WHERE p_partkey = l_partkey GROUP BY p_brand`, testCatalog(t))

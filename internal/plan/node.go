@@ -1,8 +1,8 @@
 // Package plan defines single-query logical plans: immutable operator trees
 // over scan, select, project, aggregate and inner equi-join — the operator
 // set supported by the paper's shared incremental execution engine — plus
-// name binding from parsed SQL and the string signatures used by the
-// multi-query optimizer to detect sharable subplans.
+// name binding from parsed SQL. The multi-query optimizer normalizes these
+// trees and identifies sharable subplans on its own operators (mqo.Payload).
 package plan
 
 import (
@@ -26,11 +26,6 @@ type Node interface {
 	Schema() []Field
 	// Children returns the input operators, left to right.
 	Children() []Node
-	// Signature returns the sharing signature of the subtree rooted here.
-	// Following the paper (§2.3), two subplans are sharable iff their
-	// signatures are equal: same structure and operators, but select
-	// predicates and project lists are excluded from the signature.
-	Signature() string
 	// Describe renders a one-line summary for explain output.
 	Describe() string
 }
@@ -53,9 +48,6 @@ func (s *Scan) Schema() []Field {
 // Children returns no inputs.
 func (s *Scan) Children() []Node { return nil }
 
-// Signature identifies the scanned table.
-func (s *Scan) Signature() string { return "scan(" + s.Table.Name + ")" }
-
 // Describe renders the scan.
 func (s *Scan) Describe() string { return "Scan " + s.Table.Name }
 
@@ -70,13 +62,6 @@ func (s *Select) Schema() []Field { return s.Input.Schema() }
 
 // Children returns the single input.
 func (s *Select) Children() []Node { return []Node{s.Input} }
-
-// Signature passes through to the input: selects are invisible to sharing.
-// Two subplans that differ only in select operators (including a select
-// present on one side and absent on the other, as in the paper's Q_A/Q_B
-// example) are sharable; the multi-query optimizer turns the differing
-// predicates into marker selects.
-func (s *Select) Signature() string { return s.Input.Signature() }
 
 // Describe renders the predicate.
 func (s *Select) Describe() string { return "Select " + expr.Describe(s.Pred) }
@@ -104,10 +89,6 @@ func (p *Project) Schema() []Field {
 
 // Children returns the single input.
 func (p *Project) Children() []Node { return []Node{p.Input} }
-
-// Signature excludes the projection list (projects may differ between
-// sharable plans; merging unions their expressions).
-func (p *Project) Signature() string { return "project[" + p.Input.Signature() + "]" }
 
 // Describe renders the projection names.
 func (p *Project) Describe() string {
@@ -211,21 +192,6 @@ func (a *Aggregate) Schema() []Field {
 // Children returns the single input.
 func (a *Aggregate) Children() []Node { return []Node{a.Input} }
 
-// Signature includes group-by expressions and aggregate functions: two
-// aggregates are only sharable if they compute the same grouping and
-// functions.
-func (a *Aggregate) Signature() string {
-	groups := make([]string, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		groups[i] = expr.Canon(g.E)
-	}
-	aggs := make([]string, len(a.Aggs))
-	for i, s := range a.Aggs {
-		aggs[i] = s.signature()
-	}
-	return "agg{" + strings.Join(groups, ",") + "|" + strings.Join(aggs, ",") + "}[" + a.Input.Signature() + "]"
-}
-
 // Describe renders the aggregate.
 func (a *Aggregate) Describe() string {
 	parts := make([]string, 0, len(a.Aggs))
@@ -253,15 +219,6 @@ func (j *Join) Schema() []Field {
 
 // Children returns both inputs.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
-
-// Signature includes the join keys by name so only identical joins share.
-func (j *Join) Signature() string {
-	keys := make([]string, len(j.LeftKeys))
-	for i := range j.LeftKeys {
-		keys[i] = fmt.Sprintf("%d=%d", j.LeftKeys[i], j.RightKeys[i])
-	}
-	return "join{" + strings.Join(keys, ",") + "}[" + j.Left.Signature() + "|" + j.Right.Signature() + "]"
-}
 
 // Describe renders the join keys.
 func (j *Join) Describe() string {
