@@ -67,21 +67,20 @@ type stateKey struct {
 // refcounts it against the live plan: operators attach on construction
 // (Runner build or Graft) through their executor's holder, which releases
 // them all when a graft drops the executor. A state whose refcount hits zero
-// is tombstoned, not freed — it stays allocated until the next window seal so
-// anything still holding chunk-scoped pointers into it finishes the window —
-// and is reclaimed by Sweep. Accounting is per kind: Stats covers the
-// arrangements, TruthStats the truth columns.
+// leaves the registry at once: releases happen only in a graft, which seals
+// the window first, or when a construction fails, so no execution holds a
+// pointer into it. Accounting is per kind: Stats covers the arrangements,
+// TruthStats the truth columns.
 type Registry struct {
 	mu     sync.Mutex
 	share  bool
 	nextID int64
 	keyed  map[stateKey]shared
 	live   map[int64]shared
-	tombs  []shared
 
 	// Lifetime counters per kind: states built, attaches served by a live
-	// state, last releases and tombstones reclaimed.
-	built, sharedAttaches, freed, swept [numKinds]int64
+	// state and last releases.
+	built, sharedAttaches, freed [numKinds]int64
 
 	counts scanCounts
 }
@@ -137,9 +136,8 @@ func (r *Registry) attach(kind stateKind, key string) shared {
 	return s
 }
 
-// release drops one handle on each of states. The last holder tombstones a
-// state: it leaves the key map immediately (a later attach builds fresh) but
-// is only reclaimed at the next Sweep.
+// release drops one handle on each of states. The last holder's release
+// removes a state from the registry, so a later attach builds it fresh.
 func (r *Registry) release(states ...shared) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -153,19 +151,7 @@ func (r *Registry) release(states ...shared) {
 			delete(r.keyed, stateKey{h.kind, h.key})
 		}
 		r.freed[h.kind]++
-		r.tombs = append(r.tombs, s)
 	}
-}
-
-// Sweep reclaims the tombstoned states; the runner calls it when a window
-// seals, so expiry is deferred past any in-flight window.
-func (r *Registry) Sweep() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.tombs {
-		r.swept[s.header().kind]++
-	}
-	r.tombs = nil
 }
 
 // holder is the registry handles of one subplan executor's operators: the
@@ -191,7 +177,7 @@ func (h *holder) release() {
 
 // ArrangeStats is a point-in-time accounting of the registry's arrangements.
 // Live/Handles/MultiUse/Entries describe the current population; Built/
-// SharedAttaches/Freed/Swept are monotone lifetime counters.
+// SharedAttaches/Freed are monotone lifetime counters.
 type ArrangeStats struct {
 	// Live arrangements currently refcounted; Handles is the sum of their
 	// refcounts, MultiUse how many have more than one holder.
@@ -208,11 +194,8 @@ type ArrangeStats struct {
 	// Built counts arrangements ever constructed; SharedAttaches counts
 	// attaches served by an existing arrangement instead of a build.
 	Built, SharedAttaches int64
-	// Freed counts arrangements whose last holder released; Swept how
-	// many tombstones were reclaimed; Pending is Freed-Swept still
-	// awaiting a window seal.
-	Freed, Swept int64
-	Pending      int
+	// Freed counts arrangements whose last holder released.
+	Freed int64
 }
 
 // Stats must not race running executions: call it between windows or
@@ -225,7 +208,6 @@ func (r *Registry) Stats() ArrangeStats {
 		Built:          arr(&r.built),
 		SharedAttaches: arr(&r.sharedAttaches),
 		Freed:          arr(&r.freed),
-		Swept:          arr(&r.swept),
 	}
 	for _, s := range r.live {
 		switch a := s.(type) {
@@ -245,18 +227,12 @@ func (r *Registry) Stats() ArrangeStats {
 			st.MultiUse++
 		}
 	}
-	for _, s := range r.tombs {
-		if s.header().kind != truthState {
-			st.Pending++
-		}
-	}
 	return st
 }
 
 // checkHandles verifies the refcount invariant against the number of
 // handles the live executors hold: every live state is held (refcount >= 1),
-// the total matches, the key map only points at live states, and tombstone
-// accounting balances.
+// the total matches, and the key map only points at live states.
 func (r *Registry) checkHandles(handles int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -275,13 +251,6 @@ func (r *Registry) checkHandles(handles int) error {
 		if h := s.header(); r.live[h.id] != s || h.kind != k.kind || h.key != k.key {
 			return fmt.Errorf("%v key %q not live", k.kind, k.key)
 		}
-	}
-	pending := int64(len(r.tombs))
-	for k := range numKinds {
-		pending -= r.freed[k] - r.swept[k]
-	}
-	if pending != 0 {
-		return fmt.Errorf("tombstone imbalance: %d tombstones, %d more than freed minus swept", len(r.tombs), pending)
 	}
 	return nil
 }

@@ -36,11 +36,10 @@ func reportsEqual(a, b *Report) bool {
 }
 
 // TestRegistryRefcountProperty drives the registry through random
-// attach/release/sweep/toggle sequences while mirroring the handle count
+// attach/release/toggle sequences while mirroring the handle count
 // externally, and asserts the refcount invariant (checkHandles) after every
 // step: over the two arrangement kinds, then over all three kinds of state.
-// Once every handle is released, nothing may stay live, and one sweep must
-// reclaim every tombstone.
+// Once every handle is released, nothing may stay live.
 func TestRegistryRefcountProperty(t *testing.T) {
 	for _, kinds := range []int{int(truthState), int(numKinds)} {
 		for seed := int64(0); seed < 5; seed++ {
@@ -71,14 +70,12 @@ func checkRegistryRefcounts(t *testing.T, kinds int, seed int64) {
 		handles = handles[:len(handles)-1]
 	}
 	for step := 0; step < 3000; step++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(7) {
 		case 0, 1, 2:
 			attach()
 		case 3, 4, 5:
 			release()
 		case 6:
-			reg.Sweep()
-		case 7:
 			reg.SetShare(rng.Intn(2) == 0)
 		}
 		if err := reg.checkHandles(len(handles)); err != nil {
@@ -98,14 +95,9 @@ func checkRegistryRefcounts(t *testing.T, kinds int, seed int64) {
 	if st.Built != st.Freed {
 		t.Fatalf("%d kinds, seed %d: built %d arrangements but freed only %d", kinds, seed, st.Built, st.Freed)
 	}
-	reg.Sweep()
-	st = reg.Stats()
-	if st.Pending != 0 || st.Freed != st.Swept {
-		t.Fatalf("%d kinds, seed %d: sweep left %d tombstones (freed %d, swept %d)", kinds, seed, st.Pending, st.Freed, st.Swept)
-	}
 	if kinds > int(truthState) {
-		if tr := reg.TruthStats(); tr.Live != 0 || tr.Pending != 0 || tr.Bits != 0 {
-			t.Fatalf("%d kinds, seed %d: truth columns retained after all sharers released and a sweep: %+v", kinds, seed, tr)
+		if tr := reg.TruthStats(); tr.Live != 0 || tr.Bits != 0 {
+			t.Fatalf("%d kinds, seed %d: truth columns retained after all sharers released: %+v", kinds, seed, tr)
 		}
 	}
 }
@@ -267,10 +259,9 @@ func parallelSharedArrangements(t *testing.T) {
 
 // TestGraftArrangementLifecycle covers the registry across plan revisions:
 // an admitted twin warm-attaches to the live arrangement instead of
-// rebuilding (ArrangementsShared), retiring the last sharers tombstones the
-// arrangements (ArrangementsFreed, deferred to the next window seal), and
-// the refcount invariant holds after every step with zero retained state
-// once all sharers are gone.
+// rebuilding (ArrangementsShared), retiring the last sharers drops the
+// arrangements from the registry at once (ArrangementsFreed), and the
+// refcount invariant holds after every step.
 func TestGraftArrangementLifecycle(t *testing.T) { overOptions(t, testGraftArrangementLifecycle) }
 
 func testGraftArrangementLifecycle(t *testing.T) {
@@ -331,7 +322,8 @@ func testGraftArrangementLifecycle(t *testing.T) {
 	runWindow(r, gABC, win(2))
 
 	// Retire both join sharers: the two build sides lose their last
-	// holders, tombstone immediately, and are reclaimed at the next seal.
+	// holders and leave the registry with the graft.
+	before := r.ArrangeStats()
 	gA := build(0)
 	gs, err = r.Graft(gA, GraftOptions{})
 	if err != nil {
@@ -343,14 +335,10 @@ func testGraftArrangementLifecycle(t *testing.T) {
 	if err := r.CheckArrangements(); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.ArrangeStats(); st.Pending != 2 {
-		t.Errorf("freed arrangements not tombstoned until seal: %+v", st)
+	if st := r.ArrangeStats(); st.Live != before.Live-2 {
+		t.Errorf("retire joins: %d live arrangements, want %d: %+v", st.Live, before.Live-2, st)
 	}
 	runWindow(r, gA, win(3))
-	r.StartWindow(DeltaDataset{}) // seals window 3 -> sweep
-	if st := r.ArrangeStats(); st.Pending != 0 || st.Freed != st.Swept {
-		t.Errorf("tombstones survived the window seal: %+v", st)
-	}
 	if err := r.CheckArrangements(); err != nil {
 		t.Fatal(err)
 	}

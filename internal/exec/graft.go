@@ -75,7 +75,7 @@ type GraftStats struct {
 	// — the warm-reuse the registry buys a rebuilt sharer.
 	ArrangementsShared int
 	// ArrangementsFreed counts arrangements whose last handle released in
-	// the graft; they stay tombstoned until the next window seals.
+	// the graft; the registry drops them at once.
 	ArrangementsFreed int
 	// AdoptedFrom maps each new subplan id to the id of the old executor it
 	// took over, or -1 for a rebuilt subplan. A graft renumbers subplans —
@@ -196,8 +196,8 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// fresh executors attached and replayed: a rebuilt subplan keying the
 	// same state attached to the still-live arrangement or truth column (a
 	// warm attach — its replay deduplicated against the built state instead
-	// of rebuilding it). State freed here tombstones until the next window
-	// seals.
+	// of rebuilding it). State freed here leaves the registry at once: the
+	// window was sealed above, so no execution still reads it.
 	for id, se := range r.Execs {
 		if !gr.taken[id] {
 			se.state.release()

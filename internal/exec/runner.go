@@ -386,10 +386,6 @@ func (r *Runner) sealWindow() {
 	for _, se := range r.Execs {
 		se.seal()
 	}
-	// Shared state whose last holder released during the window is only
-	// reclaimed now that it is sealed — tombstone-style deferred expiry, so
-	// in-flight executions never see their state disappear.
-	r.reg.Sweep()
 }
 
 // RunSubplan performs one bare incremental execution of subplan id and
@@ -407,7 +403,7 @@ func (r *Runner) TruthStats() TruthStats { return r.reg.TruthStats() }
 
 // CheckArrangements verifies the registry refcount invariant against the
 // live executors: every handle an executor holds is counted by exactly one
-// registry ref and vice versa, and tombstone accounting balances. The churn
+// registry ref and vice versa. The churn
 // oracle calls it after every graft; a leak (or a double release) surfaces
 // as a mismatch here long before memory numbers would show it.
 func (r *Runner) CheckArrangements() error {

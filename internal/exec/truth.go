@@ -16,8 +16,7 @@ import (
 // compute: the columns change only how often Truths runs, never a marker bit
 // or a Work counter. They are one kind of the Registry's shared state
 // (arrange.go): attached when a scan is built, released with its executor at
-// graft, tombstoned at the last release and reclaimed at the next window
-// seal.
+// graft, and dropped from the registry at the last release.
 
 // truthCol holds the bit-packed outcome of one marker predicate over one
 // table log's positions [0, n). It only ever grows at n, so it has no gaps:
@@ -63,10 +62,9 @@ func truthKey(table string, pred expr.Expr) string {
 
 // TruthStats is a point-in-time accounting of the truth columns.
 type TruthStats struct {
-	// Live counts refcounted columns, Pending the tombstoned ones awaiting a
-	// window seal; Bits is the outcomes both hold.
-	Live, Pending int
-	Bits          int64
+	// Live counts refcounted columns; Bits is the outcomes they hold.
+	Live int
+	Bits int64
 	// Evaluated counts (row, predicate) outcomes scans computed with Truths;
 	// Served counts those they read from a column instead. Both are
 	// lifetime counters.
@@ -90,12 +88,6 @@ func (r *Registry) TruthStats() TruthStats {
 	for _, s := range r.live {
 		if c, ok := s.(*truthCol); ok {
 			st.Live++
-			st.Bits += int64(c.n)
-		}
-	}
-	for _, s := range r.tombs {
-		if c, ok := s.(*truthCol); ok {
-			st.Pending++
 			st.Bits += int64(c.n)
 		}
 	}

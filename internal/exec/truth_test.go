@@ -286,8 +286,7 @@ func TestScanTruthsProperty(t *testing.T) {
 			for _, h := range holders {
 				h.release()
 			}
-			reg.Sweep()
-			if st := reg.TruthStats(); st.Live != 0 || st.Pending != 0 || st.Bits != 0 {
+			if st := reg.TruthStats(); st.Live != 0 || st.Bits != 0 {
 				t.Fatalf("seed %d batch %d: columns retained after every scan released: %+v", seed, batch, st)
 			}
 		}
@@ -469,7 +468,7 @@ func TestTruthColumnsChurnProperty(t *testing.T) {
 // over a shared lineitem scan: a retirement's rebuilt scan evaluates no
 // history, an admission whose predicate is already live evaluates none
 // either, and one with a new predicate evaluates exactly the table's history
-// once; the column only a retired query used is reclaimed at the next seal.
+// once; the column only a retired query used leaves with the graft.
 func TestGraftTruthColumns(t *testing.T) { overOptions(t, testGraftTruthColumns) }
 
 func testGraftTruthColumns(t *testing.T) {
@@ -525,19 +524,16 @@ func testGraftTruthColumns(t *testing.T) {
 	}
 
 	// Retire query 1: the rebuilt scan reads query 0's history from its
-	// column, and query 1's column tombstones until the next seal.
+	// column, and query 1's column leaves the registry with the graft.
 	st := graft("retire", graph(0), 0, rows)
-	if st.Live != 1 || st.Pending != 1 || st.Bits != 2*rows {
-		t.Errorf("retire: %+v, want 1 live and 1 pending column holding %d bits", st, 2*rows)
+	if st.Live != 1 || st.Bits != rows {
+		t.Errorf("retire: %+v, want one live column of %d bits", st, rows)
 	}
 	step()
-	if st := r.TruthStats(); st.Pending != 1 {
-		t.Errorf("column reclaimed before its window sealed: %+v", st)
-	}
-	step() // seals the window after the graft
+	step()
 	rows = int64(r.tables["lineitem"].Len())
-	if st := r.TruthStats(); st.Live != 1 || st.Pending != 0 || st.Bits != rows {
-		t.Errorf("after the next seal: %+v, want one live column of %d bits", st, rows)
+	if st := r.TruthStats(); st.Live != 1 || st.Bits != rows {
+		t.Errorf("two windows after the retirement: %+v, want one live column of %d bits", st, rows)
 	}
 
 	// Admit query 2, whose predicate query 0's column already holds.

@@ -63,7 +63,7 @@ type AdmitStats struct {
 	// SharedArrangements counts indexed-state attaches during the graft
 	// served by an existing arrangement instead of a rebuild;
 	// FreedArrangements counts arrangements whose last sharer left with
-	// this revision (reclaimed at the next window boundary).
+	// this revision; they are dropped with it.
 	SharedArrangements, FreedArrangements int
 	// Paces is the pace vector of the new revision.
 	Paces []int
