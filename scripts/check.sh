@@ -3,7 +3,9 @@
 # Build, vet of the benchmark module (it compiles bench/ against this tree),
 # a syntax check of scripts/bench_pairs.sh and scripts/loc.sh, the
 # gofmt check of every Go file, the environment-read,
-# single-owner-optimizer, scheduler-report, memo-carry-over and
+# single-owner-optimizer, scheduler-report, memo-carry-over,
+# operator-identity (no non-test Go file but internal/mqo/payload.go writes
+# the rendering literals "scan(", "join{", "agg{" or "project{") and
 # registry-refcount greps, vet, the full test suite under the race detector
 # (the wave-parallel executor, the scheduler's workers and the HTTP servers
 # must stay data-race-free), the benchmark module's tests, the observability
@@ -93,6 +95,17 @@ if grep -rnE '(AdoptMemo|MatchSubplans)\(' . --include='*.go' --exclude-dir=.ben
 	grep -v '_test\.go:' | grep -v '^\./internal/pace/' |
 	grep -vE '^\./internal/(cost/adopt\.go:[0-9]+:func \(m \*Model\) AdoptMemo|mqo/statesig\.go:[0-9]+:func MatchSubplans)\('; then
 	echo "AdoptMemo/MatchSubplans called outside internal/pace; re-plan through pace.Replan" >&2
+	exit 1
+fi
+
+# One rendering of an operator's identity: mqo.Payload.render alone writes an
+# operator's structure, and every signature and arrangement key decorates
+# that rendering, so a payload field cannot reach one identity and miss
+# another.
+echo "== operator identity rendered in internal/mqo/payload.go only"
+if grep -rnF -e '"scan(' -e '"join{' -e '"agg{' -e '"project{' . --include='*.go' --exclude-dir=.bench_build |
+	grep -v '_test\.go:' | grep -v '^\./internal/mqo/payload\.go:'; then
+	echo "an operator identity is rendered outside internal/mqo/payload.go; use mqo.Payload.render" >&2
 	exit 1
 fi
 
