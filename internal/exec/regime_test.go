@@ -24,10 +24,9 @@ import (
 
 var jobSF = flag.Float64("jobsf", 0.1, "scale factor of TestJobWalkComparisons; 2 is the repository benchmark's exec_batch22 job")
 
-// runJob executes the repository benchmark's job — the 22 queries, query q
-// at relative constraint level q mod 4, planned by opt.Plan(IShare) — and
-// returns its runners.
-func runJob(t *testing.T, sf float64, opts exec.Options) []*exec.Runner {
+// planJob plans the repository benchmark's job — the 22 queries, query q
+// at relative constraint level q mod 4, by opt.Plan(IShare) — at scale sf.
+func planJob(t *testing.T, sf float64) []opt.Job {
 	t.Helper()
 	cat, err := tpch.NewCatalog(sf)
 	if err != nil {
@@ -50,9 +49,16 @@ func runJob(t *testing.T, sf float64, opts exec.Options) []*exec.Runner {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return planned.Jobs
+}
+
+// runJob executes the repository benchmark's job (planJob) and returns its
+// runners.
+func runJob(t *testing.T, sf float64, opts exec.Options) []*exec.Runner {
+	t.Helper()
 	data := tpch.Generate(sf, 1)
 	var runners []*exec.Runner
-	for _, pj := range planned.Jobs {
+	for _, pj := range planJob(t, sf) {
 		r, err := exec.New(pj.Graph, exec.InsertStream(data), opts)
 		if err != nil {
 			t.Fatal(err)
