@@ -2,7 +2,8 @@ package exec
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"ishare/internal/delta"
 	"ishare/internal/mqo"
@@ -37,9 +38,10 @@ import (
 // column-at-a-time and the whole key column set is hashed in one pass; the
 // per-tuple remainder is a chain walk comparing key rows under grouping-key
 // semantics (value.RowKeyEqual — the same equivalence as the AppendKey
-// encoding) and a dense-slice accumulator update. All per-execution scratch
-// (the dirty set, emission buffers) is pooled on the operator and reused
-// across incremental executions.
+// encoding) and a dense-slice accumulator update. The aggregate is
+// blocking: finish emits every changed group through the outlet. All
+// per-execution scratch (the dirty set, emission buffers) is pooled on the
+// operator and reused across incremental executions.
 //
 // DebugSkipExtremumRescan, when set, makes MIN/MAX accumulators skip the
 // multiset rescan after their current extremum is retracted, leaving a stale
@@ -49,6 +51,7 @@ import (
 var DebugSkipExtremumRescan bool
 
 type aggExec struct {
+	opBase
 	op *mqo.Op
 	// arr is the (possibly shared) group index; side is this executor's
 	// per-group state, dense over the arrangement's group refs. liveGroups
@@ -68,11 +71,10 @@ type aggExec struct {
 	gbEvs  []*vec.Eval
 	argEvs []*vec.Eval
 
-	// gen stamps the current process call; groups whose dirtyGen matches
-	// are already in the dirty list.
-	gen    uint64
-	dirty  []int32
-	sorter dirtySorter
+	// gen stamps the current execution (from 1); groups whose dirtyGen
+	// matches are already in the dirty list.
+	gen   uint64
+	dirty []int32
 
 	// Scratch buffers, reused across chunks and executions; sidecar slots
 	// clone what they retain.
@@ -81,7 +83,6 @@ type aggExec struct {
 	args   [][]value.Value
 	hashes []uint64
 	keyRow value.Row
-	outBuf []delta.Tuple
 
 	// groupOutput scratch: cluster rows live in pooled per-index buffers
 	// (clRows) and are cloned only when an emission actually happens.
@@ -109,6 +110,7 @@ type clustered struct {
 func newAggExec(op *mqo.Op, lay layouts) *aggExec {
 	g := &aggExec{
 		op:      op,
+		gen:     1,
 		arr:     &aggArr{},
 		hasher:  value.NewHasher(),
 		queries: op.Queries.Members(),
@@ -129,7 +131,6 @@ func newAggExec(op *mqo.Op, lay layouts) *aggExec {
 	for i, q := range g.queries {
 		g.qslot[q] = int32(i)
 	}
-	g.sorter = dirtySorter{g: g}
 	return g
 }
 
@@ -354,86 +355,84 @@ func (g *aggExec) slotAt(ref int32) *aggSlot {
 	return &g.side[ref]
 }
 
-func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
-	var w Work
-	g.gen++
-	g.dirty = g.dirty[:0]
+func (g *aggExec) push(_ int, tup []delta.Tuple, _ bool) {
+	w := &g.w
 	naggs := len(g.op.Aggs)
-
-	for tup, ok := in[0].Next(); ok; tup, ok = in[0].Next() {
-		w.Tuples += int64(len(tup))
-		ch := &g.ch
-		ch.Reset(tup)
-		ch.InitBits(g.op.Queries)
-		ch.NarrowNonEmpty()
-		if len(ch.Sel) == 0 {
-			continue
-		}
-		// Group keys and aggregate arguments, column-at-a-time; the whole
-		// key column set is hashed in one pass.
-		for c, ev := range g.gbEvs {
-			g.gbCols[c] = ev.Values(ch, ch.Sel)
-		}
-		for a, ev := range g.argEvs {
-			if ev != nil {
-				g.args[a] = ev.Values(ch, ch.Sel)
-			}
-		}
-		if cap(g.hashes) < len(tup) {
-			g.hashes = make([]uint64, len(tup))
-		}
-		hashes := g.hashes[:len(tup)]
-		g.hasher.HashCols(g.gbCols, ch.Sel, hashes)
-		// The chunk's index lookups run under the arrangement lock (other
-		// aggregations may share it); sidecar state is private but cheap
-		// enough to update inside the same critical section.
-		g.arr.mu.Lock()
-		for _, i := range ch.Sel {
-			keyRow := g.keyRow[:0]
-			for _, col := range g.gbCols {
-				keyRow = append(keyRow, col[i])
-			}
-			g.keyRow = keyRow
-			ref := g.arr.lookupOrCreate(hashes[i], keyRow)
-			sl := g.slotAt(ref)
-			if sl.stripe == 0 {
-				sl.stripe = g.state.alloc()
-				g.liveGroups++
-			}
-			ns, accs := g.state.at(sl.stripe)
-			if sl.dirtyGen != g.gen {
-				sl.dirtyGen = g.gen
-				g.dirty = append(g.dirty, ref)
-			}
-			sign := tup[i].Sign
-			for b := uint64(ch.Bits[i]); b != 0; b &^= b & (-b) {
-				q := bits.TrailingZeros64(b)
-				slot := g.qslot[q]
-				ns[slot] += int64(sign)
-				base := int(slot) * naggs
-				for k, spec := range g.op.Aggs {
-					var v value.Value
-					if g.argEvs[k] != nil {
-						v = g.args[k][i]
-					}
-					w.State++
-					w.Rescan += accs[base+k].update(spec, v, sign)
-				}
-			}
-		}
-		g.arr.mu.Unlock()
+	w.Tuples += int64(len(tup))
+	ch := &g.ch
+	ch.Reset(tup)
+	ch.InitBits(g.op.Queries)
+	ch.NarrowNonEmpty()
+	if len(ch.Sel) == 0 {
+		return
 	}
-
-	// Emit retractions and updated rows for every dirty group, in sorted
-	// key order so execution work is deterministic (index iteration order
-	// would otherwise vary the processing order of downstream deletes and
-	// with it the MIN/MAX rescan count). Key strings and key rows are read
-	// from the index entries, so emission holds the index lock: another
-	// sharer may be growing the index meanwhile.
+	// Group keys and aggregate arguments, column-at-a-time; the whole key
+	// column set is hashed in one pass.
+	for c, ev := range g.gbEvs {
+		g.gbCols[c] = ev.Values(ch, ch.Sel)
+	}
+	for a, ev := range g.argEvs {
+		if ev != nil {
+			g.args[a] = ev.Values(ch, ch.Sel)
+		}
+	}
+	if cap(g.hashes) < len(tup) {
+		g.hashes = make([]uint64, len(tup))
+	}
+	hashes := g.hashes[:len(tup)]
+	g.hasher.HashCols(g.gbCols, ch.Sel, hashes)
+	// The chunk's index lookups run under the arrangement lock (other
+	// aggregations may share it); sidecar state is private but cheap
+	// enough to update inside the same critical section.
 	g.arr.mu.Lock()
-	defer g.arr.mu.Unlock()
-	sort.Sort(&g.sorter)
-	out := g.outBuf[:0]
+	for _, i := range ch.Sel {
+		keyRow := g.keyRow[:0]
+		for _, col := range g.gbCols {
+			keyRow = append(keyRow, col[i])
+		}
+		g.keyRow = keyRow
+		ref := g.arr.lookupOrCreate(hashes[i], keyRow)
+		sl := g.slotAt(ref)
+		if sl.stripe == 0 {
+			sl.stripe = g.state.alloc()
+			g.liveGroups++
+		}
+		ns, accs := g.state.at(sl.stripe)
+		if sl.dirtyGen != g.gen {
+			sl.dirtyGen = g.gen
+			g.dirty = append(g.dirty, ref)
+		}
+		sign := tup[i].Sign
+		for b := uint64(ch.Bits[i]); b != 0; b &^= b & (-b) {
+			q := bits.TrailingZeros64(b)
+			slot := g.qslot[q]
+			ns[slot] += int64(sign)
+			base := int(slot) * naggs
+			for k, spec := range g.op.Aggs {
+				var v value.Value
+				if g.argEvs[k] != nil {
+					v = g.args[k][i]
+				}
+				w.State++
+				w.Rescan += accs[base+k].update(spec, v, sign)
+			}
+		}
+	}
+	g.arr.mu.Unlock()
+}
+
+// finish emits retractions and updated rows for every dirty group, in
+// sorted key order so execution work is deterministic (index iteration
+// order would otherwise vary the processing order of downstream deletes
+// and with it the MIN/MAX rescan count), and starts the next execution.
+// Key strings and key rows are read from the index entries, so emission
+// holds the index lock, except around a hand-off: another sharer may be
+// growing the index meanwhile.
+func (g *aggExec) finish() {
+	g.arr.mu.Lock()
+	// Encoded keys order like the sorted map keys of a map-based index.
+	arena := &g.arr.arena
+	slices.SortFunc(g.dirty, func(a, b int32) int { return strings.Compare(arena.At(a).key, arena.At(b).key) })
 	for _, ref := range g.dirty {
 		sl := &g.side[ref]
 		newOut := g.groupOutput(g.arr.arena.At(ref).keyRow, sl)
@@ -441,14 +440,13 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			continue
 		}
 		for _, t := range sl.lastOut {
-			out = append(out, delta.Tuple{Row: t.Row, Bits: t.Bits, Sign: delta.Delete})
-			w.Output++
+			g.emit(delta.Tuple{Row: t.Row, Bits: t.Bits, Sign: delta.Delete})
 		}
 		// newOut rows alias pooled scratch; copy only now that the group is
 		// known to have changed, since emitted rows are retained downstream
 		// and as lastOut. The replaced lastOut's backing is reused (its
-		// tuples were copied into out above); rows are carved from the
-		// emission arena.
+		// tuples were staged above); rows are carved from the emission
+		// arena.
 		retained := sl.lastOut[:0]
 		if cap(retained) < len(newOut) {
 			retained = g.tupArena.New(len(newOut))[:0]
@@ -457,8 +455,7 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			row := g.rowArena.NewRow(len(t.Row))
 			copy(row, t.Row)
 			retained = append(retained, delta.Tuple{Row: row, Bits: t.Bits, Sign: t.Sign})
-			out = append(out, retained[len(retained)-1])
-			w.Output++
+			g.emit(retained[len(retained)-1])
 		}
 		sl.lastOut = retained
 		if ns, _ := g.state.at(sl.stripe); len(retained) == 0 && groupDead(ns) {
@@ -471,25 +468,21 @@ func (g *aggExec) process(in []source) ([]delta.Tuple, Work) {
 			g.liveGroups--
 		}
 	}
-	g.outBuf = out
+	g.arr.mu.Unlock()
+	g.out.flush()
+	g.dirty = g.dirty[:0]
+	g.gen++
 	g.ch.Reset(nil)
-	return out, w
 }
 
-// dirtySorter orders the dirty list by encoded group key, matching the
-// sorted-map-key emission order of the map-based implementation.
-type dirtySorter struct {
-	g *aggExec
-}
-
-func (s *dirtySorter) Len() int { return len(s.g.dirty) }
-func (s *dirtySorter) Less(i, j int) bool {
-	a := &s.g.arr.arena
-	return a.At(s.g.dirty[i]).key < a.At(s.g.dirty[j]).key
-}
-func (s *dirtySorter) Swap(i, j int) {
-	d := s.g.dirty
-	d[i], d[j] = d[j], d[i]
+// emit stages one output tuple, handing a full chunk on with the index lock
+// released.
+func (g *aggExec) emit(t delta.Tuple) {
+	if g.put(t) {
+		g.arr.mu.Unlock()
+		g.out.flush()
+		g.arr.mu.Lock()
+	}
 }
 
 // groupOutput computes the current output rows of the group keyed keyRow

@@ -100,9 +100,9 @@ func TestAggStripeReuseIsInvisible(t *testing.T) {
 				live = append(live, t)
 				in = append(in, t)
 			}
-			got, gw := reusing.process(sources(vec.DefaultBatch, delta.Seq{in}))
+			got, gw := process(reusing, sources(vec.DefaultBatch, delta.Seq{in}))
 			gotOut := fmt.Sprint(got)
-			want, ww := fresh.process(sources(vec.DefaultBatch, delta.Seq{in}))
+			want, ww := process(fresh, sources(vec.DefaultBatch, delta.Seq{in}))
 			fresh.state.free = nil // never reuse a stripe
 			if gotOut != fmt.Sprint(want) || gw != ww {
 				t.Fatalf("seed %d window %d: output %s work %+v; without reuse %v work %+v", seed, win, gotOut, gw, want, ww)

@@ -32,13 +32,13 @@ func markedJoin(limit int64, n int) (*joinExec, delta.Tuple) {
 		right[i] = InsertTuple(value.Row{value.Int(1), value.Int(int64(i))})
 	}
 	j := newJoinExec(op, vec.DefaultBatch, nil)
-	j.process(sources(vec.DefaultBatch, delta.Seq{}, delta.Seq{right}))
+	process(j, sources(vec.DefaultBatch, delta.Seq{}, delta.Seq{right}))
 	return j, InsertTuple(value.Row{value.Int(1), value.Int(-1)})
 }
 
 // probe feeds the left tuple through the join: it meets all n right tuples.
 func probe(j *joinExec, left delta.Tuple) ([]delta.Tuple, Work) {
-	return j.process(sources(vec.DefaultBatch, delta.Seq{{left}}, delta.Seq{}))
+	return process(j, sources(vec.DefaultBatch, delta.Seq{{left}}, delta.Seq{}))
 }
 
 // TestJoinCarvesSurvivorsOnly pins that a join's markers run before any
@@ -66,64 +66,126 @@ func TestJoinCarvesSurvivorsOnly(t *testing.T) {
 	}
 }
 
-// TestTransientJoinReusesScratch pins that a join whose parent copies what
-// it keeps carves its output from scratch slabs that later executions
-// reuse, and never from the persistent arena.
+// handOffs is a consumer that checks a join's chunks while they are live:
+// every chunk but the last is full, and output column col of the k-th
+// tuple holds want(k). It records where each chunk's first row lives.
+type handOffs struct {
+	opBase
+	t      *testing.T
+	size   int
+	col    int
+	want   func(k int64) int64
+	next   int64
+	firsts []*value.Value
+}
+
+func (h *handOffs) push(_ int, in []delta.Tuple, _ bool) {
+	if len(h.firsts) > 0 && len(h.firsts)*h.size != int(h.next) {
+		h.t.Errorf("chunk %d follows a partial chunk", len(h.firsts))
+	}
+	for _, tup := range in {
+		if v := tup.Row[h.col].AsInt(); v != h.want(h.next) {
+			h.t.Fatalf("tuple %d holds %d, want %d: a row was overwritten before its hand-off", h.next, v, h.want(h.next))
+		}
+		h.next++
+	}
+	h.firsts = append(h.firsts, unsafe.SliceData(in[0].Row))
+}
+
+func (h *handOffs) finish() {}
+
+// TestTransientJoinReusesScratch pins that a join whose consumer copies
+// what it keeps hands its output on one chunk at a time, carves it from
+// scratch it reuses after every hand-off — one hand-off's rows at most —
+// and never from the persistent arena.
 func TestTransientJoinReusesScratch(t *testing.T) {
-	const n = 3000
+	const n, size = 3000, 64
 	j, left := markedJoin(n, n)
-	j.transient = true
-	out, _ := probe(j, left)
-	if len(out) != n {
-		t.Fatalf("emitted %d tuples, want %d", len(out), n)
+	// Output column 3 counts up from 0: the probe order of the right rows.
+	h := &handOffs{t: t, size: size, col: 3, want: func(k int64) int64 { return k }}
+	j.out = outlet{size: size, to: h, copies: true, chunks: new(int64)}
+	probe(j, left)
+	if h.next != n || *j.out.chunks != (n+size-1)/size {
+		t.Fatalf("handed on %d tuples in %d chunks, want %d in %d", h.next, *j.out.chunks, n, (n+size-1)/size)
 	}
 	if !reflect.ValueOf(j.arena).IsZero() {
-		t.Error("a transient join carved rows from its persistent arena")
+		t.Error("a join whose consumer copies carved rows from its persistent arena")
 	}
-	slabs, first := len(j.slabs), unsafe.SliceData(out[0].Row)
-	// The left tuple's delete probes the same n entries again.
+	if width := len(j.cols); cap(j.scratch) > size*width {
+		t.Errorf("scratch holds %d values, more than one hand-off's %d", cap(j.scratch), size*width)
+	}
+	// Once the scratch holds a whole hand-off, every chunk starts at its
+	// first row: the delete's probe of the same n entries included.
+	reused := h.firsts[len(h.firsts)-1]
 	left.Sign = delta.Delete
-	if out, _ = probe(j, left); len(out) != n {
-		t.Fatalf("second execution emitted %d tuples, want %d", len(out), n)
+	h.next, h.firsts = 0, h.firsts[:0]
+	probe(j, left)
+	for k, first := range h.firsts {
+		if first != reused {
+			t.Fatalf("chunk %d of the second execution did not reuse the scratch", k)
+		}
 	}
-	if len(j.slabs) != slabs || unsafe.SliceData(out[0].Row) != first {
-		t.Errorf("an execution as large as the last one grew the scratch from %d to %d slabs or did not reuse it",
-			slabs, len(j.slabs))
+
+	// One right row applied m times is one entry of multiplicity m, whose
+	// copies straddle hand-offs: the copies after a hand-off must not share
+	// the reused scratch with the next left row's.
+	const m = 3 * size / 2
+	j, _ = markedJoin(n, 0)
+	right := make([]delta.Tuple, m)
+	for i := range right {
+		right[i] = InsertTuple(value.Row{value.Int(1), value.Int(7)})
+	}
+	process(j, sources(vec.DefaultBatch, delta.Seq{}, delta.Seq{right}))
+	h = &handOffs{t: t, size: size, col: 1, want: func(k int64) int64 { return 100 * (1 + k/m) }}
+	j.out = outlet{size: size, to: h, copies: true, chunks: new(int64)}
+	process(j, sources(vec.DefaultBatch, delta.Seq{{
+		InsertTuple(value.Row{value.Int(1), value.Int(100)}),
+		InsertTuple(value.Row{value.Int(1), value.Int(200)}),
+	}}, delta.Seq{}))
+	if h.next != 2*m {
+		t.Fatalf("handed on %d tuples, want %d", h.next, 2*m)
 	}
 }
 
-// TestTransientJoinsFeedAggregatesAndProjects pins which joins of a real
-// plan carve transiently: exactly the non-root members whose parent is an
-// aggregate or project.
+// TestTransientJoinsFeedAggregatesAndProjects pins how a real plan's
+// operators are wired: a root hands its output to the subplan's log in
+// chunks of logChunk; every other operator to its parent's input slot in
+// chunks of the executor's batch, marked as copied exactly when the parent
+// is an aggregate or project — so exactly the joins under one carve into
+// reused scratch.
 func TestTransientJoinsFeedAggregatesAndProjects(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": `SELECT p_brand, SUM(l_quantity) AS s FROM part, lineitem
 			WHERE p_partkey = l_partkey GROUP BY p_brand`,
 	}, []string{"q"})
-	r, err := New(h.graph, InsertStream(Dataset{}), h.opts)
+	r, err := New(h.graph, InsertStream(Dataset{}), Options{Batch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins, transient := 0, 0
+	copied := 0
 	for _, se := range r.Execs {
+		if out := se.nodes[0].x.(operator).base().out; out.log != se.Out || out.size != logChunk || out.to != nil || out.copies {
+			t.Errorf("root op %d hands on to %+v, want the log in chunks of %d", se.Sub.Root.ID, out, logChunk)
+		}
 		for _, n := range se.nodes {
-			op, x := n.op, n.x
-			j, ok := x.(*joinExec)
-			if !ok {
-				continue
-			}
-			joins++
-			if j.transient {
-				transient++
-			}
-			want := op != se.Sub.Root && op.Parents[0].Kind != mqo.KindJoin
-			if j.transient != want {
-				t.Errorf("join %d: transient = %v, want %v", op.ID, j.transient, want)
+			for slot, k := range n.kids {
+				c, ok := se.nodes[max(k, 0)].x.(operator)
+				if k < 0 || !ok {
+					continue
+				}
+				got := c.base().out
+				copies := n.op.Kind == mqo.KindAggregate || n.op.Kind == mqo.KindProject
+				if got.to != n.x || got.slot != slot || got.size != 7 || got.chunks != &se.batches || got.log != nil || got.copies != copies {
+					t.Errorf("op %d hands on to %+v, want slot %d of op %d in chunks of 7, copies %v", se.nodes[k].op.ID, got, slot, n.op.ID, copies)
+				}
+				if _, ok := c.(*joinExec); ok && got.copies {
+					copied++
+				}
 			}
 		}
 	}
-	if joins == 0 || transient == 0 {
-		t.Fatalf("plan has %d joins, %d of them transient; want both > 0", joins, transient)
+	if copied == 0 {
+		t.Fatal("the plan has no join feeding an aggregate or project")
 	}
 }
 
@@ -139,7 +201,7 @@ func TestAggSidecarSizedOnce(t *testing.T) {
 	for i := range in {
 		in[i] = InsertTuple(value.Row{value.Int(int64(i))})
 	}
-	builder.process(sources(vec.DefaultBatch, delta.Seq{in}))
+	process(builder, sources(vec.DefaultBatch, delta.Seq{in}))
 	if got := builder.arr.arena.Len(); got != n {
 		t.Fatalf("index holds %d groups, want %d", got, n)
 	}
@@ -165,7 +227,7 @@ func TestAggSidecarSizedOnce(t *testing.T) {
 	}
 
 	// The attached aggregate's emission reads the keys from the index.
-	out, _ := g.process(sources(vec.DefaultBatch, delta.Seq{in[:3]}))
+	out, _ := process(g, sources(vec.DefaultBatch, delta.Seq{in[:3]}))
 	var rows []value.Row
 	for _, tup := range out {
 		rows = append(rows, tup.Row)

@@ -394,7 +394,8 @@ func (a *joinArr) countAt(e *arrEntry, pos int64) int32 {
 // sharing win — but the modeled state work (the return value) is charged
 // either way, keeping Work counters independent of who built what. A new
 // entry keeps t.Row itself unless borrowed: a row its source rewrites
-// later (source.borrowed) is copied into the arrangement's rows arena.
+// later (a borrowed chunk's, see source) is copied into the arrangement's
+// rows arena.
 func (a *joinArr) apply(pos *int64, to bitMap, t delta.Tuple, h uint64, borrowed bool) int64 {
 	p := *pos
 	*pos = p + 1

@@ -160,11 +160,11 @@ func (r *Runner) JoinStateStats() (entries, applied, walked int64) {
 }
 
 // sources returns opened sources over seqs in chunks of at most batch
-// tuples, for driving an operator directly.
+// tuples, for driving an operator directly (process).
 func sources(batch int, seqs ...delta.Seq) []source {
 	in := make([]source, len(seqs))
 	for i, seq := range seqs {
-		in[i] = &seqSource{batch: batch, seq: seq}
+		in[i] = &seqInput{batch: batch, seq: seq}
 	}
 	return reopen(in)
 }
@@ -178,6 +178,61 @@ func reopen(in []source) []source {
 	return in
 }
 
+// seqInput is a test source: a delta.Seq in chunks of at most batch
+// tuples, from the start at every open.
+type seqInput struct {
+	seq   delta.Seq
+	batch int
+	it    delta.Chunks
+}
+
+func (s *seqInput) open() { s.it = delta.NewChunks(s.seq, s.batch) }
+func (s *seqInput) Next() ([]delta.Tuple, bool, bool) {
+	win, ok := s.it.Next()
+	return win, false, ok
+}
+func (s *seqInput) close() int64 { return 0 }
+func (s *seqInput) setLimit(int) {}
+
+// collector is the consumer process attaches to an operator's outlet: it
+// keeps every chunk handed to it.
+type collector struct {
+	opBase
+	got []delta.Tuple
+}
+
+func (c *collector) push(_ int, in []delta.Tuple, _ bool) { c.got = append(c.got, in...) }
+func (c *collector) finish()                              {}
+
+// process drives x through one execution over in, input slot by slot, as
+// SubplanExec.run does, and returns the execution's work and what x handed
+// on: to a collector it attaches to an outlet without a consumer (nil for
+// any other consumer). The tuples are valid until x's next execution. It is
+// the one way tests run an operator without an executor; after the first
+// call on x it allocates nothing of its own.
+func process(x operator, in []source) ([]delta.Tuple, Work) {
+	b := x.base()
+	if b.out.to == nil && b.out.log == nil {
+		b.out.to, b.out.chunks = &collector{}, new(int64)
+	}
+	c, _ := b.out.to.(*collector)
+	if c != nil {
+		c.got = c.got[:0]
+	}
+	for slot, src := range in {
+		for tup, borrowed, ok := src.Next(); ok; tup, borrowed, ok = src.Next() {
+			x.push(slot, tup, borrowed)
+		}
+	}
+	x.finish()
+	w := b.w
+	b.w = Work{}
+	if c == nil {
+		return nil, w
+	}
+	return c.got, w
+}
+
 // outputTuples returns every tuple the executor has output so far: its log,
 // or its view read afresh for all the scan's queries.
 func (se *SubplanExec) outputTuples() []delta.Tuple {
@@ -188,10 +243,51 @@ func (se *SubplanExec) outputTuples() []delta.Tuple {
 		}
 		return out
 	}
-	v := newViewReader(se.view, se.view.op.Queries, se.batch, 0, nil)
+	v := newViewReader(se.view, se.view.op.Queries, se.batch, 0, &viewScratch{})
 	v.open()
-	for tup, ok := v.Next(); ok; tup, ok = v.Next() {
+	for tup, _, ok := v.Next(); ok; tup, _, ok = v.Next() {
 		out = append(out, tup...)
 	}
 	return out
+}
+
+// staged returns what the executor's operators keep for an execution's
+// passage through them: the tuples their outlets and join candidate queues
+// hold and the values transient joins' scratch holds, by capacity.
+func (se *SubplanExec) staged() (tuples, values int) {
+	for _, n := range se.nodes {
+		x, ok := n.x.(operator)
+		if !ok {
+			continue
+		}
+		tuples += cap(x.base().out.buf)
+		if j, ok := x.(*joinExec); ok {
+			tuples += cap(j.cand)
+			values += cap(j.scratch)
+		}
+	}
+	return tuples, values
+}
+
+// SharedMemberSides counts the join arrangements that two join sides of one
+// executor share: a member join and a join above it in the same subplan
+// probing one build side, whose updates now interleave.
+func (r *Runner) SharedMemberSides() int {
+	n := 0
+	for _, se := range r.Execs {
+		seen := map[*joinArr]*joinExec{}
+		for _, nd := range se.nodes {
+			j, ok := nd.x.(*joinExec)
+			if !ok {
+				continue
+			}
+			for _, a := range []*joinArr{j.left.arr, j.right.arr} {
+				if other, ok := seen[a]; ok && other != j {
+					n++
+				}
+				seen[a] = j
+			}
+		}
+	}
+	return n
 }

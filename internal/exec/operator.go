@@ -3,16 +3,19 @@ package exec
 import (
 	"sort"
 
+	"ishare/internal/buffer"
 	"ishare/internal/delta"
 	"ishare/internal/mqo"
 	"ishare/internal/value"
 	"ishare/internal/vec"
 )
 
-// operator is a stateful physical join, projection or aggregation. process
-// drains one execution's deltas from each child's source, chunk by chunk,
-// and returns the output deltas plus the work done. (A scan is not an
-// operator: it is a view its consumers read through, see scan.go.)
+// operator is a stateful physical join, projection or aggregation, driven
+// push-style (SubplanExec.run): push consumes one chunk of child slot's
+// input, finish ends the execution, and output leaves through the outlet
+// one chunk at a time — a join's or projection's as soon as a chunk is
+// full, an aggregate's at finish. (A scan is not an operator: it is a view
+// its consumers read through, see scan.go.)
 //
 // Operators process their input in columnar chunks (internal/vec): marker
 // predicates and key/projection expressions are evaluated column-at-a-time
@@ -24,7 +27,61 @@ import (
 // An operator keeps no reference to its sources: a graft may re-point one at
 // a rebuilt producer, and the old producer must die with the old producer.
 type operator interface {
-	process(in []source) ([]delta.Tuple, Work)
+	push(slot int, in []delta.Tuple, borrowed bool)
+	finish()
+	base() *opBase
+}
+
+// opBase is every operator's outlet and the work of its current execution.
+type opBase struct {
+	out outlet
+	w   Work
+}
+
+func (b *opBase) base() *opBase { return b }
+
+// outlet is an operator's edge to its consumer: it stages at most size
+// tuples (< 1: no bound) and hands them on as one chunk, to input slot of
+// the parent operator (to), counted in chunks, or to a root's output log.
+// copies is set when the parent, an aggregate or project, copies every
+// value it keeps before the hand-off returns: the rows may be rewritten.
+type outlet struct {
+	buf    []delta.Tuple
+	size   int
+	to     operator
+	slot   int
+	copies bool
+	log    *buffer.Log
+	chunks *int64
+}
+
+// put stages t, an output tuple of the execution, and reports whether the
+// staged chunk is full: the operator then hands it on (flush) before
+// staging more.
+func (b *opBase) put(t delta.Tuple) bool {
+	b.w.Output++
+	o := &b.out
+	if len(o.buf) == cap(o.buf) {
+		o.buf = append(make([]delta.Tuple, 0, grow(cap(o.buf), len(o.buf)+1, o.size)), o.buf...)
+	}
+	o.buf = append(o.buf, t)
+	return len(o.buf) == o.size
+}
+
+// flush hands the staged tuples on, if any, and drops them, so the outlet
+// pins no row.
+func (o *outlet) flush() {
+	if len(o.buf) == 0 {
+		return
+	}
+	if o.log != nil {
+		o.log.Append(o.buf...)
+	} else {
+		*o.chunks++
+		o.to.push(o.slot, o.buf, false)
+	}
+	clear(o.buf)
+	o.buf = o.buf[:0]
 }
 
 // applyMarkers evaluates the operator's per-query marker predicates against
@@ -120,16 +177,15 @@ func newOperator(op *mqo.Op, batch int, h *holder, lay layouts) operator {
 // projectExec evaluates the projection list column-at-a-time over each
 // chunk's surviving selection, then applies its markers over the projected
 // columns before any output row is materialized. Emitted rows are carved
-// from the operator's row arena (projected rows are retained downstream);
-// outBuf is the pooled emission buffer, reused across executions.
+// from the operator's row arena: projected rows are retained downstream.
 type projectExec struct {
+	opBase
 	op      *mqo.Op
 	exprs   []*vec.Eval
 	markers []marker
 	ch      vec.Chunk
 	cols    [][]value.Value
 	arena   vec.RowArena
-	outBuf  []delta.Tuple
 }
 
 func newProjectExec(op *mqo.Op, lay layouts) *projectExec {
@@ -145,42 +201,37 @@ func newProjectExec(op *mqo.Op, lay layouts) *projectExec {
 	return p
 }
 
-func (p *projectExec) process(in []source) ([]delta.Tuple, Work) {
-	var w Work
-	// Projection emits at most one tuple per input.
-	if n := in[0].len(); cap(p.outBuf) < n {
-		p.outBuf = make([]delta.Tuple, 0, n)
+func (p *projectExec) push(_ int, tup []delta.Tuple, _ bool) {
+	p.w.Tuples += int64(len(tup))
+	ch := &p.ch
+	ch.Reset(tup)
+	ch.InitBits(p.op.Queries)
+	ch.NarrowNonEmpty()
+	if len(ch.Sel) == 0 {
+		return
 	}
-	out := p.outBuf[:0]
-	for tup, ok := in[0].Next(); ok; tup, ok = in[0].Next() {
-		w.Tuples += int64(len(tup))
-		ch := &p.ch
-		ch.Reset(tup)
-		ch.InitBits(p.op.Queries)
-		ch.NarrowNonEmpty()
-		if len(ch.Sel) == 0 {
+	for c, ev := range p.exprs {
+		p.cols[c] = ev.Values(ch, ch.Sel)
+	}
+	// Markers see the projected columns, not the input rows.
+	ch.Proj = p.cols
+	applyMarkersChunk(p.markers, ch)
+	ch.Proj = nil
+	for _, i := range ch.Sel {
+		if ch.Bits[i].Empty() {
 			continue
 		}
-		for c, ev := range p.exprs {
-			p.cols[c] = ev.Values(ch, ch.Sel)
+		row := p.arena.NewRow(len(p.cols))
+		for c := range p.cols {
+			row[c] = p.cols[c][i]
 		}
-		// Markers see the projected columns, not the input rows.
-		ch.Proj = p.cols
-		applyMarkersChunk(p.markers, ch)
-		ch.Proj = nil
-		for _, i := range ch.Sel {
-			if ch.Bits[i].Empty() {
-				continue
-			}
-			row := p.arena.NewRow(len(p.cols))
-			for c := range p.cols {
-				row[c] = p.cols[c][i]
-			}
-			out = append(out, delta.Tuple{Row: row, Bits: ch.Bits[i], Sign: tup[i].Sign})
+		if p.put(delta.Tuple{Row: row, Bits: ch.Bits[i], Sign: tup[i].Sign}) {
+			p.out.flush()
 		}
 	}
-	p.outBuf = out
+}
+
+func (p *projectExec) finish() {
+	p.out.flush()
 	p.ch.Reset(nil)
-	w.Output += int64(len(out))
-	return out, w
 }

@@ -107,7 +107,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	j := newJoinExec(op, 4, nil)
 	left := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
 	right := []delta.Tuple{{Row: value.Row{value.Null}, Bits: mqo.Bit(0), Sign: delta.Insert}}
-	out, w := j.process(sources(4, delta.Seq{left}, delta.Seq{right}))
+	out, w := process(j, sources(4, delta.Seq{left}, delta.Seq{right}))
 	if len(out) != 0 {
 		t.Errorf("NULL keys joined: %v", out)
 	}
@@ -120,7 +120,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 
 	// An empty key list is a cross join: every pair matches.
 	cross := newJoinExec(&mqo.Op{Payload: mqo.Payload{Kind: mqo.KindJoin}, Queries: mqo.Bit(0), Children: scansOfWidth(1, 1)}, 4, nil)
-	out, _ = cross.process(sources(4,
+	out, _ = process(cross, sources(4,
 		delta.Seq{{{Row: value.Row{value.Int(1)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
 		delta.Seq{{{Row: value.Row{value.Int(2)}, Bits: mqo.Bit(0), Sign: delta.Insert}}},
 	))

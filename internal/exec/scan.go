@@ -51,7 +51,7 @@ type scanExec struct {
 	ch  vec.Chunk
 	// predCols[k] lists the columns markers[k] reads. A fill over a sealed
 	// column segment gathers them into sc, the scratch of the executor's
-	// view readers (a private one until newSubplanExec sets it).
+	// view readers.
 	predCols [][]int
 	sc       *viewScratch
 }
@@ -62,10 +62,11 @@ type qcol struct {
 }
 
 // newScanExec builds a scan over log at cursor 0, each marker's truth column
-// attached through h, the holder of the executor it belongs to. Keys are
-// built here, once per scan; firings and readers only read the columns.
-func newScanExec(op *mqo.Op, batch int, h *holder, log *buffer.Log) *scanExec {
-	s := &scanExec{op: op, batch: batch, log: log, markers: compileMarkers(op, nil), limit: -1, counts: &h.reg.counts}
+// attached through h, the holder of the executor it belongs to, whose view
+// scratch is sc. Keys are built here, once per scan; firings and readers
+// only read the columns.
+func newScanExec(op *mqo.Op, batch int, h *holder, log *buffer.Log, sc *viewScratch) *scanExec {
+	s := &scanExec{op: op, batch: batch, log: log, markers: compileMarkers(op, nil), limit: -1, counts: &h.reg.counts, sc: sc}
 	s.cols = make([]*truthCol, len(s.markers))
 	s.predCols = make([][]int, len(s.markers))
 	for k, m := range s.markers {
@@ -147,12 +148,9 @@ func (s *scanExec) fill(from, to int) {
 // what a marker predicate reads. The chunk's tuples only carry its length.
 // The view's vectors live in the executor's scratch and double up to one
 // chunk, so a scan that fills little never holds a chunk-sized buffer.
-// Fill runs before any view reader of the executor opens, so no chunk of
-// theirs is live.
+// A scan fires between two sources' reads (SubplanExec.run), so no view
+// chunk of the executor is live.
 func (s *scanExec) columnView(cols *buffer.Columns, off, n int, which []int) {
-	if s.sc == nil {
-		s.sc = &viewScratch{}
-	}
 	sc := s.sc
 	if cap(sc.tup) < n {
 		sc.tup = make([]delta.Tuple, 0, grow(cap(sc.tup), n, s.batch))
@@ -243,8 +241,8 @@ func rangeMask(w, lo, hi int) uint64 {
 //
 // A chunk's rows are the table log's own rows (a row segment, or the open
 // window's slab) or rows materialized into the scratch from a sealed column
-// segment; borrowed reports the last two, whose rows are rewritten by the
-// next chunk or the next window. Only a join arrangement keeps an input row
+// segment; Next reports the last two as borrowed: their rows are rewritten
+// by the next chunk or the next window. Only a join arrangement keeps an input row
 // past its chunk, and it copies a borrowed one when it creates an entry
 // (joinArr.apply). Every other consumer keeps values, not rows: projections
 // and joins carve new output rows, a join flushes its marker candidates
@@ -261,19 +259,18 @@ type viewReader struct {
 	// open: the next window may have rewritten its rows.
 	span    buffer.Span
 	spanAt  int
-	fromCol bool // the last chunk came from a column segment
 	sc      *viewScratch
 	yielded int64
 	skipped int64
-	chunks  int64
 }
 
 // viewScratch is the chunk scratch of view readers. The readers of one
-// executor share one: its operators run one at a time and drain each source
-// before reading the next, so at most one view chunk is live. vals holds
-// the rows a chunk materializes from a sealed column segment and idx a
-// block's wanted rows in it; proj is the column view a scan's fill gathers
-// from one (scanExec.columnView).
+// executor share one: it reads one source at a time, a chunk lives only
+// while the pushes it causes run, and hand-offs carry rows operators carved,
+// never a view's, so at most one view chunk is live. vals holds the rows a
+// chunk materializes from a sealed column segment and idx a block's wanted
+// rows in it; proj is the column view a scan's fill gathers from one
+// (scanExec.columnView).
 type viewScratch struct {
 	tup    []delta.Tuple
 	bits   []mqo.Bitset
@@ -284,15 +281,11 @@ type viewScratch struct {
 }
 
 // newViewReader returns a reader of the scan's view for a consumer serving
-// queries, at table position off, building its chunks in sc (nil: a
-// private scratch).
+// queries, at table position off, building its chunks in sc.
 func newViewReader(s *scanExec, queries mqo.Bitset, batch, off int, sc *viewScratch) *viewReader {
 	size := batch
 	if size < 1 {
 		size = vec.DefaultBatch
-	}
-	if sc == nil {
-		sc = &viewScratch{}
 	}
 	return &viewReader{scan: s, want: queries.Intersect(s.op.Queries), off: off, limit: -1, size: size, sc: sc}
 }
@@ -307,24 +300,14 @@ func (v *viewReader) open() {
 
 func (v *viewReader) setLimit(n int) { v.limit = n }
 
-func (v *viewReader) borrowed() bool { return v.fromCol }
-
-// len counts the rows the rest of the read yields.
-func (v *viewReader) len() int {
-	if v.off >= v.end {
-		return 0
-	}
-	return int(v.scan.count(v.off, v.end, v.want))
-}
-
-func (v *viewReader) close() (skipped, chunks int64) {
+func (v *viewReader) close() (skipped int64) {
 	if v.yielded+v.skipped > 0 {
 		v.scan.counts.viewRows.Add(v.yielded)
 		v.scan.counts.skipped.Add(v.skipped)
 	}
-	skipped, chunks = v.skipped, v.chunks
-	v.yielded, v.skipped, v.chunks = 0, 0, 0
-	return skipped, chunks
+	skipped = v.skipped
+	v.yielded, v.skipped = 0, 0
+	return skipped
 }
 
 // Next yields the next chunk: the wanted rows of consecutive blocks of one
@@ -333,7 +316,7 @@ func (v *viewReader) close() (skipped, chunks int64) {
 // follow the table log's segments as a log reader's windows do). A block
 // never covers more rows than the chunk has room left, so the scratch never
 // grows past size, nor past what the read covers.
-func (v *viewReader) Next() ([]delta.Tuple, bool) {
+func (v *viewReader) Next() ([]delta.Tuple, bool, bool) {
 	// The scratch fits the read, doubling up to one chunk: readers of small
 	// tables, or at high paces, never hold a chunk-sized buffer.
 	sc := v.sc
@@ -359,12 +342,10 @@ func (v *viewReader) Next() ([]delta.Tuple, bool) {
 		}
 	}
 	if len(out) == 0 {
-		return nil, false
+		return nil, false, false
 	}
-	v.fromCol = v.span.Cols != nil
-	v.chunks++
 	v.yielded += int64(len(out))
-	return out, true
+	return out, v.span.Cols != nil, true
 }
 
 // block appends to out the wanted rows among the n rows of the span from

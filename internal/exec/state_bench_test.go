@@ -98,7 +98,7 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		seed = append(seed, InsertTuple(value.Row{value.Int(int64(i % 8)), value.Float(float64(i))}))
 	}
-	g.process(sources(vec.DefaultBatch, delta.Seq{seed}))
+	process(g, sources(vec.DefaultBatch, delta.Seq{seed}))
 	// The insert briefly becomes the group MAX, so its deletion also
 	// exercises the extremum-retraction path allocation-free.
 	pair := func(group int64) (delta.Tuple, delta.Tuple) {
@@ -110,9 +110,9 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 	ins, del := pair(3)
 	in := sources(vec.DefaultBatch, delta.Seq{{ins, del}})
 	for i := 0; i < 8; i++ {
-		g.process(reopen(in)) // warm the pools
+		process(g, reopen(in)) // warm the pools
 	}
-	if avg := testing.AllocsPerRun(200, func() { g.process(reopen(in)) }); avg > 0 {
+	if avg := testing.AllocsPerRun(200, func() { process(g, reopen(in)) }); avg > 0 {
 		t.Errorf("steady-state process allocated %.2f allocs/run, want 0", avg)
 	}
 
@@ -136,7 +136,7 @@ func TestAggSteadyStateAllocs(t *testing.T) {
 		if len(src.seq) > 1 {
 			straddled++
 		}
-		g.process(in1)
+		process(g, in1)
 		src.close()
 	}
 	for i := 0; i < warm; i++ {

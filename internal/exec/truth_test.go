@@ -166,13 +166,13 @@ func viewWant(op *mqo.Op, want mqo.Bitset, rows []delta.Tuple) (out []delta.Tupl
 func drain(v *viewReader) ([]delta.Tuple, int64) {
 	v.open()
 	var out []delta.Tuple
-	for tup, ok := v.Next(); ok; tup, ok = v.Next() {
+	for tup, _, ok := v.Next(); ok; tup, _, ok = v.Next() {
 		if len(tup) > v.size {
 			panic(fmt.Sprintf("chunk of %d tuples from a reader of size %d", len(tup), v.size))
 		}
 		out = append(out, tup...)
 	}
-	skipped, _ := v.close()
+	skipped := v.close()
 	return out, skipped
 }
 
@@ -229,7 +229,7 @@ func TestScanTruthsProperty(t *testing.T) {
 			for w := 0; w < 8; w++ {
 				for a := rng.Intn(3); a > 0; a-- {
 					h := &holder{reg: reg}
-					s := newScanExec(ops[rng.Intn(len(ops))], batch, h, log)
+					s := newScanExec(ops[rng.Intn(len(ops))], batch, h, log, &viewScratch{})
 					if rng.Intn(4) == 0 {
 						s.pos = log.Len()
 					}
@@ -305,7 +305,7 @@ func TestTruthColumnNeverFillsAcrossGap(t *testing.T) {
 	log := buffer.NewLog("table:lineitem")
 	rng := rand.New(rand.NewSource(1))
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rng, 10)})["t"]...)
-	late := newScanExec(op, 4, &holder{reg: reg}, log)
+	late := newScanExec(op, 4, &holder{reg: reg}, log, &viewScratch{})
 	late.pos = 6
 	if w := late.fire(); w.Tuples != 4 {
 		t.Fatalf("mid-log scan covered %d rows, want 4", w.Tuples)
@@ -313,7 +313,7 @@ func TestTruthColumnNeverFillsAcrossGap(t *testing.T) {
 	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 10 || st.Served != 0 {
 		t.Fatalf("mid-log scan on a fresh column: %+v, want 10 bits evaluated from the column's start", st)
 	}
-	early := newScanExec(op, 4, &holder{reg: reg}, log)
+	early := newScanExec(op, 4, &holder{reg: reg}, log, &viewScratch{})
 	early.fire()
 	if st := reg.TruthStats(); st.Bits != 10 || st.Evaluated != 10 || st.Served != 10 {
 		t.Fatalf("after a scan from the start: %+v, want 10 bits, 10 evaluated and 10 served", st)
@@ -334,13 +334,13 @@ func TestScanServedAllocs(t *testing.T) {
 	reg := NewRegistry(true)
 	log := buffer.NewLog("table:lineitem")
 	log.Append(InsertStream(Dataset{"t": randomLineitems(rand.New(rand.NewSource(2)), 3000)})["t"]...)
-	s := newScanExec(op, 1024, &holder{reg: reg}, log)
-	v := newViewReader(s, mqo.Bit(2), 1024, 0, nil)
+	s := newScanExec(op, 1024, &holder{reg: reg}, log, &viewScratch{})
+	v := newViewReader(s, mqo.Bit(2), 1024, 0, &viewScratch{})
 	read := func() {
 		s.pos, v.off = 0, 0
 		s.fire()
 		v.open()
-		for _, ok := v.Next(); ok; _, ok = v.Next() {
+		for _, _, ok := v.Next(); ok; _, _, ok = v.Next() {
 		}
 		v.close()
 	}
@@ -369,9 +369,9 @@ func TestViewReadHoldsOneChunk(t *testing.T) {
 	log.Append(rows...)
 	want, _ := viewWant(op, op.Queries, rows)
 	for _, batch := range []int{0, -1} {
-		s := newScanExec(op, batch, &holder{reg: NewRegistry(true)}, log)
+		s := newScanExec(op, batch, &holder{reg: NewRegistry(true)}, log, &viewScratch{})
 		s.fire()
-		v := newViewReader(s, op.Queries, batch, 0, nil)
+		v := newViewReader(s, op.Queries, batch, 0, &viewScratch{})
 		got, _ := drain(v) // drain also checks every chunk's size
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch %d: read %d rows, want %d", batch, len(got), len(want))

@@ -51,13 +51,13 @@ func BenchmarkBatchJoinProbe(b *testing.B) {
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			j := newJoinExec(op, batch, nil)
-			j.process(sources(batch, nil, delta.Seq{right}))
+			process(j, sources(batch, nil, delta.Seq{right}))
 			in := sources(batch, delta.Seq{left}, nil)
-			j.process(reopen(in)) // warm scratch buffers
+			process(j, reopen(in)) // warm scratch buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j.process(reopen(in))
+				process(j, reopen(in))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(left)), "ns_tuple")
 		})
@@ -101,13 +101,13 @@ func BenchmarkBatchAgg(b *testing.B) {
 	for _, batch := range batchSizes {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			g := newAggExec(aggOp, nil)
-			g.process(sources(batch, delta.Seq{seed})) // groups pre-exist; lookups stay warm
+			process(g, sources(batch, delta.Seq{seed})) // groups pre-exist; lookups stay warm
 			in := sources(batch, delta.Seq{stream})
-			g.process(reopen(in)) // warm pools
+			process(g, reopen(in)) // warm pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.process(reopen(in))
+				process(g, reopen(in))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns_tuple")
 		})

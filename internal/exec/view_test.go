@@ -137,7 +137,7 @@ func TestViewProperty(t *testing.T) {
 								}
 								from := at[v]
 								want, wantSkipped := viewWant(v.scan.op, v.want, logged[from:v.off])
-								again := newViewReader(v.scan, v.want, batch, from, nil)
+								again := newViewReader(v.scan, v.want, batch, from, &viewScratch{})
 								again.limit = v.off
 								got, skipped := drain(again)
 								if !reflect.DeepEqual(got, want) || skipped != wantSkipped {

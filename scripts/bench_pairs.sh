@@ -15,6 +15,10 @@
 # more than the base's interquartile range, "no" otherwise. Each side's
 # failed operations per pair follow, then every FAILED line a run printed,
 # with its side and pair, so a late window reads apart from a wrong result.
+# The last line is all of that but the FAILED lines as one JSON object —
+# workload, base rev, pair count, per metric each side's q1/median/q3, wins
+# and gain, and each side's failed operations per pair — for a record to
+# quote verbatim.
 # Extra benchmark flags go in BENCH_ARGS, e.g.
 # BENCH_ARGS="-seed 2". Run it on an otherwise idle machine. It builds into
 # .bench_build/ only and leaves bench/ untouched.
@@ -38,9 +42,10 @@ go build -C "$root/bench" -o "$out/change.bin" .
 # "SIDE PAIR failed N" to the results file, and the run's FAILED lines,
 # prefixed with side and pair, to the failures file. Each side runs in its
 # own tree.
-results="$out/results" failures="$out/failures"
+results="$out/results" failures="$out/failures" summary="$out/summary"
 : >"$results"
 : >"$failures"
+: >"$summary"
 run() {
 	local dir=$root
 	[ "$1" = base ] && dir=$out/base
@@ -84,10 +89,11 @@ for m in $(awk '$1 == "change" && $3 != "failed" && !seen[$3]++ { print $3 }' "$
 	c1=$(quantile change "$m" 0.25) c=$(quantile change "$m" 0.5) c3=$(quantile change "$m" 0.75)
 	wins=$(awk -v m="$m" '$3 == m { v[$1 " " $2] = $4; p[$2] = 1 }
 		END { w = 0; for (i in p) if (("change " i) in v && ("base " i) in v && v["change " i] < v["base " i]) w++; print w }' "$results")
-	awk -v m="$m" -v b1="$b1" -v b="$b" -v b3="$b3" -v c1="$c1" -v c="$c" -v c3="$c3" -v w="$wins" -v n="$n" 'BEGIN {
+	awk -v m="$m" -v b1="$b1" -v b="$b" -v b3="$b3" -v c1="$c1" -v c="$c" -v c3="$c3" -v w="$wins" -v n="$n" -v summary="$summary" 'BEGIN {
 		pct = (b == 0 ? "n/a" : sprintf("%+.1f%%", (c - b) / b * 100))
 		gain = (10 * w >= 9 * n && b - c > b3 - b1) ? "yes" : "no"
-		printf "%-14s %14s %14s %14s %14s %14s %14s %9s %7s %6s\n", m, b1, b, b3, c1, c, c3, pct, w "/" n, gain }'
+		printf "%-14s %14s %14s %14s %14s %14s %14s %9s %7s %6s\n", m, b1, b, b3, c1, c, c3, pct, w "/" n, gain
+		print m, b1, b, b3, c1, c, c3, w, gain >>summary }'
 done
 for side in base change; do
 	echo "$side failed operations per pair: $(awk -v s="$side" '$1 == s && $3 == "failed" { printf "%s ", $4 }' "$results")"
@@ -96,3 +102,14 @@ if [ -s "$failures" ]; then
 	echo "FAILED lines of the failing runs:"
 	cat "$failures"
 fi
+awk -v wl="$workload" -v rev="$rev" -v n="$n" '
+	function num(v) { return v ~ /^-?[0-9.]+([eE][-+]?[0-9]+)?$/ ? v + 0 : (v == "nan" ? "null" : "\"" v "\"") }
+	function side(q1, med, q3) { return "{\"q1\":" num(q1) ",\"median\":" num(med) ",\"q3\":" num(q3) "}" }
+	FILENAME == ARGV[1] {
+		ms = ms (ms == "" ? "" : ",") "\"" $1 "\":{\"base\":" side($2, $3, $4) ",\"change\":" side($5, $6, $7) ",\"wins\":" $8 ",\"gain?\":\"" $9 "\"}"
+		next
+	}
+	$3 == "failed" { f[$1] = f[$1] (f[$1] == "" ? "" : ",") num($4) }
+	END {
+		printf "{\"workload\":\"%s\",\"base\":\"%s\",\"pairs\":%d,\"metrics\":{%s},\"failed\":{\"base\":[%s],\"change\":[%s]}}\n", wl, rev, n, ms, f["base"], f["change"]
+	}' "$summary" "$results"
