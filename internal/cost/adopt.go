@@ -39,14 +39,14 @@ func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 		if !ok || src.queries != dst.queries || src.width != dst.width {
 			continue
 		}
-		ids := make([]int32, len(src.entries))
-		for e := range src.entries {
-			key := src.keys[e*src.arity : (e+1)*src.arity]
+		ids := make([]int32, src.n)
+		for e := range src.n {
+			key := src.keyOf(e)
 			kids = kids[:0]
 			for i, c := range s.Children {
 				kids = append(kids, remap[c.ID][key[1+slots[i]]])
 			}
-			ids[e] = dst.adopt(src, int32(e), kids)
+			ids[e] = dst.adopt(src, e, kids)
 		}
 		remap[s.ID] = ids
 		adopted += len(ids)

@@ -47,7 +47,7 @@ func (m *Model) applyCalibration(s *mqo.Subplan, t *memoTable, id int32) {
 	if !ok {
 		return
 	}
-	e := &t.entries[id]
+	e := t.entry(id)
 	if f.Work > 0 {
 		e.pT *= f.Work
 	}
@@ -93,12 +93,9 @@ func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, 
 			// is the latency proxy, and an optimistic correction measured
 			// at one pace can silently relax a non-incrementable subplan
 			// (Q15) into missing its goal at another.
-			f.Final = clampFactor(measuredFinal[s.ID]/est, maxFactor)
-			if f.Final < 1 {
-				f.Final = 1
-			}
+			f.Final = max(clampFactor(measuredFinal[s.ID]/est, maxFactor), 1)
 		}
-		if est := m.memo[s.ID].entries[ev.ids[s.ID]].gross; est > 0 && measuredOut[s.ID] > 0 {
+		if est := m.memo[s.ID].entry(ev.ids[s.ID]).gross; est > 0 && measuredOut[s.ID] > 0 {
 			f.Out = clampFactor(measuredOut[s.ID]/est, maxFactor)
 		}
 		if f.Work > 0 || f.Out > 0 || f.Final > 0 {
@@ -145,10 +142,7 @@ func CalibrateFromProfile(g *mqo.Graph, calib Calibration, drifts []float64) (Ca
 			final = 1
 		}
 		f.Work = clampFactor(work*d, maxFactor)
-		f.Final = clampFactor(final*d, maxFactor)
-		if f.Final < 1 {
-			f.Final = 1
-		}
+		f.Final = max(clampFactor(final*d, maxFactor), 1)
 		next[sig] = f
 	}
 	return next, nil

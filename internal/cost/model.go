@@ -114,11 +114,12 @@ func NewModel(g *mqo.Graph) *Model {
 		arenas:  make([]Arena, len(g.Subplans)),
 	}
 	m.querySubplans = make([][]int, g.Plan.NumQueries())
+	shapes := make(map[*mqo.Op][]colShape) // shared: shapes reach across subplans
 	for i, s := range g.Subplans {
 		for _, q := range s.Queries.Members() {
 			m.querySubplans[q] = append(m.querySubplans[q], i)
 		}
-		p := CompileSubplan(s)
+		p := compile(s, shapes)
 		m.plans[i] = p
 		m.memo[i] = newMemoTable(s, p)
 		m.sources[i] = make([]inputSource, len(p.ext))
@@ -358,7 +359,8 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 				}
 			}
 			out.ids[id] = e
-			out.SubTotal[id], out.SubFinal[id] = t.entries[e].pT, t.entries[e].pF
+			en := t.entry(e)
+			out.SubTotal[id], out.SubFinal[id] = en.pT, en.pF
 		}
 	}
 	for id := first; id < n; id++ {

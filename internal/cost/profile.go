@@ -147,11 +147,7 @@ func distinctOf(e expr.Expr, distinct []float64, n float64, dm *domain) float64 
 			return dm.drawn(d, n)
 		}
 	}
-	d := n / 3
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(n/3, 1)
 }
 
 // domain remembers log(1-1/d) for the domain size d it was last drawn from:
@@ -179,14 +175,7 @@ func (dm *domain) drawn(d, n float64) float64 {
 			dm.missLog = math.Log1p(-x)
 		}
 	}
-	got := d * (1 - math.Exp(n*dm.missLog))
-	if got < 1 {
-		got = 1
-	}
-	if got > n {
-		got = n
-	}
-	return got
+	return min(max(d*(1-math.Exp(n*dm.missLog)), 1), n)
 }
 
 // drawnDistinct is domain.drawn for a one-off domain.
@@ -195,12 +184,4 @@ func drawnDistinct(d, n float64) float64 {
 	return dm.drawn(d, n)
 }
 
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
+func clamp01(x float64) float64 { return min(max(x, 0), 1) }

@@ -92,8 +92,10 @@ type simOp struct {
 type simPred struct {
 	slot int
 	pred expr.Expr
-	// first marks the first slot, in ascending order, of its class of
-	// identical predicates: the union survival counts each class once.
+	// class numbers the operator's classes of identical predicates; first
+	// marks the first slot, in ascending order, of its class: the union
+	// survival counts each class once.
+	class int
 	first bool
 }
 
@@ -146,6 +148,12 @@ func resize[T any](s []T, n int) []T {
 
 // CompileSubplan compiles a subplan for simulation.
 func CompileSubplan(s *mqo.Subplan) *SimPlan {
+	return compile(s, make(map[*mqo.Op][]colShape))
+}
+
+// compile compiles a subplan for simulation, taking operators' shapes from
+// and adding them to shapes.
+func compile(s *mqo.Subplan, shapes map[*mqo.Op][]colShape) *SimPlan {
 	p := &SimPlan{
 		queries: s.Queries.Members(),
 		mask:    s.Queries,
@@ -156,7 +164,6 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 		member[o] = true
 	}
 	n := len(p.queries)
-	shapes := make(map[*mqo.Op][]colShape)
 	external := func(o *mqo.Op, child int) int {
 		src := o // a scan reads its table, whose columns it passes on
 		if o.Kind != mqo.KindScan {
@@ -165,7 +172,7 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 		p.ext = append(p.ext, extInput{op: o, child: child, shape: shapeOf(src, shapes)})
 		return ^(len(p.ext) - 1)
 	}
-	classes := make(map[string]bool)
+	classes := make(map[string]int)
 	var visit func(o *mqo.Op) int
 	visit = func(o *mqo.Op) int {
 		c := simOp{op: o, shape: shapeOf(o, shapes)}
@@ -188,8 +195,12 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 		for slot, q := range p.queries {
 			if pred, ok := o.Preds[q]; ok {
 				canon := expr.Canon(pred)
-				c.preds = append(c.preds, simPred{slot: slot, pred: pred, first: !classes[canon]})
-				classes[canon] = true
+				class, seen := classes[canon]
+				if !seen {
+					class = len(classes)
+					classes[canon] = class
+				}
+				c.preds = append(c.preds, simPred{slot: slot, pred: pred, class: class, first: !seen})
 			}
 		}
 		switch o.Kind {
@@ -201,8 +212,6 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 			c.colSrc = columnSources(o.Exprs)
 		case mqo.KindJoin:
 			c.colsVary = childColsVary
-			c.state = p.stateFloats
-			p.stateFloats += 2 * n
 			c.domain = p.domains
 			p.domains += len(o.LeftKeys) + len(o.RightKeys)
 		case mqo.KindAggregate:
@@ -213,14 +222,66 @@ func CompileSubplan(s *mqo.Subplan) *SimPlan {
 					c.hasExtremum = true
 				}
 			}
-			c.state = p.stateFloats
-			p.stateFloats += n
 		}
+		p.stateFloats = c.placeState(p.stateFloats, n)
 		p.ops = append(p.ops, c)
 		return len(p.ops) - 1
 	}
 	visit(s.Root)
 	return p
+}
+
+// placeState sets the operator's per-query state to start at offset off of
+// the arena's floats, for n query slots, and returns the offset after it.
+func (c *simOp) placeState(off, n int) int {
+	c.state = off
+	switch c.op.Kind {
+	case mqo.KindJoin:
+		return off + 2*n
+	case mqo.KindAggregate:
+		return off + n
+	}
+	return off
+}
+
+// Restrict returns the plan restricted to the queries of part, a subset of
+// the plan's: only their slots and marker predicates are kept, the slots
+// renumbered in ascending query order, each predicate class's first slot
+// and the per-query state offsets recomputed. Without the other queries'
+// markers, the operators drop the tuples only those queries needed — the
+// work saving un-sharing buys. External inputs, shapes and operator order are
+// p's, so the result simulates exactly as the subplan's copy restricted to
+// part, compiled, would.
+func (p *SimPlan) Restrict(part mqo.Bitset) *SimPlan {
+	r := &SimPlan{mask: part, ops: slices.Clone(p.ops), ext: p.ext, startup: p.startup,
+		domains: p.domains, distincts: p.distincts}
+	slot := make([]int, len(p.queries)) // p's slot → r's, or -1
+	for s, q := range p.queries {
+		slot[s] = -1
+		if part.Has(q) {
+			slot[s] = len(r.queries)
+			r.queries = append(r.queries, q)
+		}
+	}
+	total := 0
+	for i := range p.ops {
+		total += len(p.ops[i].preds)
+	}
+	kept := make([]simPred, 0, total) // backs every operator's predicates
+	for i := range r.ops {
+		o := &r.ops[i]
+		start := len(kept)
+		var seen uint64 // the classes kept so far: fewer than 64, one per query at most
+		for _, sp := range o.preds {
+			if s := slot[sp.slot]; s >= 0 {
+				kept = append(kept, simPred{slot: s, pred: sp.pred, class: sp.class, first: seen&(1<<sp.class) == 0})
+				seen |= 1 << sp.class
+			}
+		}
+		o.preds = kept[start:len(kept):len(kept)]
+		r.stateFloats = o.placeState(r.stateFloats, len(r.queries))
+	}
+	return r
 }
 
 // shapeOf returns the value ranges of o's output columns. Only a column's
@@ -510,14 +571,7 @@ func (p *SimPlan) stepJoin(a *Arena, o *simOp, out *stream, st *opState, first b
 		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Distinct, st.leftNet+l.Net, doms)
 		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Distinct, st.rightNet+r.Net, doms[len(o.op.LeftKeys):])
 	}
-	d := leftKeyDist
-	if rightKeyDist > d {
-		d = rightKeyDist
-	}
-	if d < 1 {
-		d = 1
-	}
-	sel := 1 / d
+	sel := 1 / max(leftKeyDist, rightKeyDist, 1)
 
 	work := l.Gross + r.Gross // tuples
 	work += l.Gross + r.Gross // state updates
@@ -565,10 +619,7 @@ func compositeDistinct(keys []expr.Expr, distinct []float64, n float64, doms []d
 	if n >= 1 && d > n {
 		d = n
 	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(d, 1)
 }
 
 // combineDeleteShare: a join output delta is a delete when exactly one of
@@ -594,7 +645,7 @@ func (p *SimPlan) stepAgg(a *Arena, o *simOp, out *stream, st *opState, first bo
 		for _, v := range in.PerQuery {
 			sum += v
 		}
-		avgBits = maxf(0, sum/in.Gross)
+		avgBits = max(0, sum/in.Gross)
 	}
 	work += in.Gross * avgBits * float64(max(1, len(o.op.Aggs)))
 
@@ -604,13 +655,9 @@ func (p *SimPlan) stepAgg(a *Arena, o *simOp, out *stream, st *opState, first bo
 	if o.hasExtremum && deletes > 0 {
 		valsPerGroup := 1.0
 		if groupsNow > 0 {
-			valsPerGroup = maxf(1, st.netState/groupsNow)
+			valsPerGroup = max(1, st.netState/groupsNow)
 		}
-		hits := deletes
-		if hits > groupsNow {
-			hits = groupsNow
-		}
-		work += hits * valsPerGroup * maxDeleteHitFraction
+		work += min(deletes, groupsNow) * valsPerGroup * maxDeleteHitFraction
 	}
 
 	// Affected groups this execution. The groups before it are the previous
@@ -619,13 +666,7 @@ func (p *SimPlan) stepAgg(a *Arena, o *simOp, out *stream, st *opState, first bo
 	st.groups = groupsNow
 	inserts := in.Gross * (1 - in.DeleteShare)
 	affected := st.affectedDraw.drawn(groupsNow, in.Gross)
-	newGroups := groupsNow - groupsBefore
-	if newGroups < 0 {
-		newGroups = 0
-	}
-	if newGroups > affected {
-		newGroups = affected
-	}
+	newGroups := min(max(groupsNow-groupsBefore, 0), affected)
 	// Queries that aggregate different subsets of the input (divergent
 	// marker predicates upstream) accumulate different values, so the
 	// shared aggregate emits one output row per value class instead of one
@@ -716,13 +757,6 @@ func groupDomain(groups []plan.NamedExpr, distinct []float64) float64 {
 		}
 	}
 	return d
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func minf(a, b float64) float64 {

@@ -10,7 +10,7 @@ import "ishare/internal/mqo"
 func Cluster(lp *LocalProblem) []Partition {
 	var parts []Partition
 	for _, q := range lp.Sub.Queries.Members() {
-		parts = append(parts, lp.SelectedPace(bitOf(q), 1))
+		parts = append(parts, lp.SelectedPace(mqo.Bit(q), 1))
 	}
 	for len(parts) > 1 {
 		bestI, bestJ := -1, -1
@@ -18,11 +18,7 @@ func Cluster(lp *LocalProblem) []Partition {
 		var bestMerged Partition
 		for i := 0; i < len(parts); i++ {
 			for j := i + 1; j < len(parts); j++ {
-				start := parts[i].Pace
-				if parts[j].Pace > start {
-					start = parts[j].Pace
-				}
-				merged := lp.SelectedPace(parts[i].Queries.Union(parts[j].Queries), start)
+				merged := lp.SelectedPace(parts[i].Queries.Union(parts[j].Queries), max(parts[i].Pace, parts[j].Pace))
 				benefit := parts[i].Total + parts[j].Total - merged.Total
 				if benefit > bestBenefit {
 					bestI, bestJ, bestBenefit, bestMerged = i, j, benefit, merged
@@ -48,8 +44,8 @@ func BruteForce(lp *LocalProblem) []Partition {
 	bestTotal := 0.0
 	first := true
 
-	var assign func(i int, groups []mqoBitset)
-	assign = func(i int, groups []mqoBitset) {
+	var assign func(i int, groups []mqo.Bitset)
+	assign = func(i int, groups []mqo.Bitset) {
 		if i == len(queries) {
 			var parts []Partition
 			total := 0.0
@@ -69,9 +65,9 @@ func BruteForce(lp *LocalProblem) []Partition {
 		for gi := range groups {
 			groups[gi] = groups[gi].With(q)
 			assign(i+1, groups)
-			groups[gi] = groups[gi].Minus(bitOf(q))
+			groups[gi] = groups[gi].Minus(mqo.Bit(q))
 		}
-		assign(i+1, append(groups, bitOf(q)))
+		assign(i+1, append(groups, mqo.Bit(q)))
 	}
 	assign(0, nil)
 	return best
@@ -85,9 +81,3 @@ func SplitTotal(parts []Partition) float64 {
 	}
 	return t
 }
-
-// bitOf returns the singleton query set {q}.
-func bitOf(q int) mqo.Bitset { return mqo.Bit(q) }
-
-// mqoBitset keeps the enumeration signatures short.
-type mqoBitset = mqo.Bitset

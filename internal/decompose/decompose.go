@@ -2,6 +2,7 @@ package decompose
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -135,14 +136,9 @@ func (d *Decomposer) Optimize() (*Result, error) {
 // order.
 func (d *Decomposer) nextShared(g *mqo.Graph, processed map[string]bool) *mqo.Subplan {
 	for i := len(g.Subplans) - 1; i >= 0; i-- {
-		s := g.Subplans[i]
-		if s.Queries.Count() < 2 {
-			continue
+		if s := g.Subplans[i]; s.Queries.Count() >= 2 && !processed[s.Root.BaseSignature()] {
+			return s
 		}
-		if processed[s.Root.BaseSignature()] {
-			continue
-		}
-		return s
 	}
 	return nil
 }
@@ -219,6 +215,9 @@ func (d *Decomposer) Candidates(res *Result, s *mqo.Subplan) ([]Candidate, error
 		} else {
 			parts = Cluster(lp)
 		}
+		if testHookSolved != nil {
+			testHookSolved(lp)
+		}
 		if len(parts) < 2 {
 			continue
 		}
@@ -237,6 +236,9 @@ func (d *Decomposer) Candidates(res *Result, s *mqo.Subplan) ([]Candidate, error
 	sort.Slice(cands, func(i, j int) bool { return cands[i].LocalGain > cands[j].LocalGain })
 	return cands, nil
 }
+
+// testHookSolved, when set, sees every local problem Candidates has solved.
+var testHookSolved func(*LocalProblem)
 
 // subtreeCandidates grows root-sharing subtrees by repeatedly adding the
 // operator closest to the root (BFS order), excluding the full subplan
@@ -275,6 +277,10 @@ func (d *Decomposer) localProblem(s *mqo.Subplan, ops []*mqo.Op, shares map[int]
 	for _, o := range ops {
 		member[o] = true
 	}
+	pos := make(map[*mqo.Op]int, len(s.Ops)) // s's members, by position
+	for i, o := range s.Ops {
+		pos[o] = i
+	}
 	lpInputs := make(map[*mqo.Op][]cost.Profile)
 	for _, o := range ops {
 		if o.Kind == mqo.KindScan {
@@ -283,10 +289,11 @@ func (d *Decomposer) localProblem(s *mqo.Subplan, ops []*mqo.Op, shares map[int]
 		}
 		profs := make([]cost.Profile, len(o.Children))
 		for i, c := range o.Children {
+			_, inSub := pos[c]
 			switch {
 			case member[c]:
 				// Simulated inline.
-			case subplanMember(s, c):
+			case inSub:
 				// Below the subtree cut but inside the subplan: its
 				// simulated output under the current configuration.
 				profs[i] = opOuts[c]
@@ -302,10 +309,6 @@ func (d *Decomposer) localProblem(s *mqo.Subplan, ops []*mqo.Op, shares map[int]
 	}
 	// Subtree ops must be ordered children-first for simulation; s.Ops is,
 	// so sort by position within it.
-	pos := make(map[*mqo.Op]int, len(s.Ops))
-	for i, o := range s.Ops {
-		pos[o] = i
-	}
 	ordered := append([]*mqo.Op(nil), ops...)
 	sort.Slice(ordered, func(i, j int) bool { return pos[ordered[i]] < pos[ordered[j]] })
 	return &LocalProblem{
@@ -315,15 +318,6 @@ func (d *Decomposer) localProblem(s *mqo.Subplan, ops []*mqo.Op, shares map[int]
 		MaxPace:     d.Opts.MaxPace,
 		arena:       &d.arena,
 	}
-}
-
-func subplanMember(s *mqo.Subplan, o *mqo.Op) bool {
-	for _, x := range s.Ops {
-		if x == o {
-			return true
-		}
-	}
-	return false
 }
 
 // localShares computes, per query, the fraction of the query's batch final
@@ -351,9 +345,7 @@ func (d *Decomposer) localShares(res *Result, s *mqo.Subplan) (map[int]float64, 
 func (d *Decomposer) tryRebuild(res *Result, cand Candidate, sid int) error {
 	d.Rebuilds++
 	splits := make(map[string][]mqo.Bitset, len(res.Splits)+len(cand.Ops))
-	for k, v := range res.Splits {
-		splits[k] = v
-	}
+	maps.Copy(splits, res.Splits)
 	parts := make([]mqo.Bitset, len(cand.Parts))
 	for i, p := range cand.Parts {
 		parts[i] = p.Queries
@@ -375,22 +367,17 @@ func (d *Decomposer) tryRebuild(res *Result, cand Candidate, sid int) error {
 	}
 	p0 := make([]int, len(g2.Subplans))
 	for _, s2 := range g2.Subplans {
-		p := 1
+		p0[s2.ID] = 1
 		for _, o := range s2.Ops {
-			if op, ok := origPace[o.BaseSignature()]; ok && op > p {
-				p = op
-			}
+			p0[s2.ID] = max(p0[s2.ID], origPace[o.BaseSignature()])
 		}
-		p0[s2.ID] = p
 	}
 	// Enforce parent <= child on the derived start (splits can reshape
 	// edges).
 	for i := len(g2.Subplans) - 1; i >= 0; i-- {
 		s2 := g2.Subplans[i]
 		for _, c := range s2.Children {
-			if p0[c.ID] < p0[s2.ID] {
-				p0[c.ID] = p0[s2.ID]
-			}
+			p0[c.ID] = max(p0[c.ID], p0[s2.ID])
 		}
 	}
 	opt, err := d.newOptimizer(m2)

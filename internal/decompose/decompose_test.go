@@ -135,9 +135,9 @@ func TestSelectedPaceMonotoneUnderMerge(t *testing.T) {
 		1: batch.SubFinal[s.ID] * 0.15,
 	}
 	lp := newLocalProblem(t, m, s, constraints, 100)
-	p0 := lp.SelectedPace(bitOf(0), 1)
-	p1 := lp.SelectedPace(bitOf(1), 1)
-	merged := lp.SelectedPace(bitOf(0).Union(bitOf(1)), 1)
+	p0 := lp.SelectedPace(mqo.Bit(0), 1)
+	p1 := lp.SelectedPace(mqo.Bit(1), 1)
+	merged := lp.SelectedPace(mqo.Bit(0).Union(mqo.Bit(1)), 1)
 	if merged.Pace < p0.Pace || merged.Pace < p1.Pace {
 		t.Errorf("merged pace %d below parts %d/%d", merged.Pace, p0.Pace, p1.Pace)
 	}

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"ishare/internal/cost"
-	"ishare/internal/expr"
 	"ishare/internal/mqo"
 )
 
@@ -34,27 +33,28 @@ type LocalProblem struct {
 	// Sims counts partition simulations (optimization-overhead metric).
 	Sims int64
 
-	// cache holds, per partition and pace, the two floats SelectedPace
-	// reads: the private total and final work.
-	cache map[simKey]cost.SimResult
-	// parts caches, per partition, the restricted subplan copy compiled
-	// for simulation: neither depends on the pace being tried.
+	// plan is Sub compiled for simulation, once: each partition simulates
+	// it restricted to its queries.
+	plan *cost.SimPlan
+	// parts caches, per partition, the restricted plan and its simulations
+	// at each pace tried.
 	parts map[mqo.Bitset]*restricted
 	// arena is the state every partition's simulations write in turn, the
 	// Decomposer's when it built the problem.
 	arena *cost.Arena
 }
 
-// restricted is the subplan copy for one partition, compiled, with the
-// copies' external inputs.
+// restricted is the plan restricted to one partition, with its simulation
+// at each pace up to MaxPace where done.
 type restricted struct {
-	plan   *cost.SimPlan
-	inputs map[*mqo.Op][]cost.Profile
+	plan *cost.SimPlan
+	sims []paceSim
 }
 
-type simKey struct {
-	part mqo.Bitset
-	pace int
+// paceSim is a partition's simulation at one pace, once done.
+type paceSim struct {
+	r    cost.SimResult
+	done bool
 }
 
 // Partition is one element of a split with its selected pace and cost.
@@ -68,76 +68,27 @@ type Partition struct {
 	Total float64
 }
 
-// simulate estimates the work of the restricted subplan copy for one
-// partition at one pace.
+// simulate estimates the work of the subplan restricted to one partition at
+// one pace, at most MaxPace.
 func (lp *LocalProblem) simulate(part mqo.Bitset, pace int) cost.SimResult {
-	if lp.cache == nil {
-		lp.cache = make(map[simKey]cost.SimResult)
-	}
-	k := simKey{part: part, pace: pace}
-	if r, ok := lp.cache[k]; ok {
-		return r
-	}
 	rp, ok := lp.parts[part]
 	if !ok {
-		sub, inputs := lp.restrict(part)
-		rp = &restricted{plan: cost.CompileSubplan(sub), inputs: inputs}
-		if lp.parts == nil {
+		if lp.plan == nil {
+			lp.plan = cost.CompileSubplan(lp.Sub)
 			lp.parts = make(map[mqo.Bitset]*restricted)
 		}
+		rp = &restricted{plan: lp.plan.Restrict(part), sims: make([]paceSim, lp.MaxPace+1)}
 		lp.parts[part] = rp
 	}
-	if lp.arena == nil {
-		lp.arena = new(cost.Arena)
-	}
-	lp.Sims++
-	r := rp.plan.Simulate(lp.arena, pace, rp.inputs)
-	lp.cache[k] = r
-	return r
-}
-
-// restrict copies the subplan's operators restricted to the partition's
-// queries: excluded queries' marker predicates are dropped, so former
-// markers now actually drop tuples no partition member needs — the work
-// saving that un-sharing buys.
-func (lp *LocalProblem) restrict(part mqo.Bitset) (*mqo.Subplan, map[*mqo.Op][]cost.Profile) {
-	copies := make(map[*mqo.Op]*mqo.Op, len(lp.Sub.Ops))
-	inputs := make(map[*mqo.Op][]cost.Profile)
-	member := make(map[*mqo.Op]bool, len(lp.Sub.Ops))
-	for _, o := range lp.Sub.Ops {
-		member[o] = true
-	}
-	sub := &mqo.Subplan{Queries: part}
-	for _, o := range lp.Sub.Ops {
-		c := &mqo.Op{
-			ID:      o.ID,
-			Payload: o.Payload,
-			Queries: o.Queries.Intersect(part),
-			Preds:   make(map[int]expr.Expr),
-			SigBase: o.SigBase,
+	s := &rp.sims[pace]
+	if !s.done {
+		if lp.arena == nil {
+			lp.arena = new(cost.Arena)
 		}
-		for q, p := range o.Preds {
-			if part.Has(q) {
-				c.Preds[q] = p
-			}
-		}
-		c.Children = make([]*mqo.Op, len(o.Children))
-		for i, ch := range o.Children {
-			if member[ch] {
-				c.Children[i] = copies[ch]
-				copies[ch].Parents = append(copies[ch].Parents, c)
-			} else {
-				// External child: keep the original pointer purely as a
-				// placeholder; the simulator resolves it via Inputs.
-				c.Children[i] = ch
-			}
-		}
-		copies[o] = c
-		sub.Ops = append(sub.Ops, c)
-		inputs[c] = lp.Inputs[o]
+		lp.Sims++
+		*s = paceSim{r: rp.plan.Simulate(lp.arena, pace, lp.Inputs), done: true}
 	}
-	sub.Root = copies[lp.Sub.Root]
-	return sub, inputs
+	return s.r
 }
 
 // minConstraint returns the partition's binding local constraint.
@@ -158,9 +109,7 @@ func (lp *LocalProblem) minConstraint(part mqo.Bitset) float64 {
 // best-effort answer is the pace with the lowest final work.
 func (lp *LocalProblem) SelectedPace(part mqo.Bitset, start int) Partition {
 	limit := lp.minConstraint(part)
-	if start < 1 {
-		start = 1
-	}
+	start = max(start, 1)
 	best := Partition{Queries: part, Pace: start}
 	bestFinal := math.Inf(1)
 	for p := start; p <= lp.MaxPace; p++ {
@@ -179,10 +128,6 @@ func (lp *LocalProblem) SelectedPace(part mqo.Bitset, start int) Partition {
 // SharingBenefit implements Equation 4: the work saved by keeping two
 // partitions merged rather than separate.
 func (lp *LocalProblem) SharingBenefit(a, b Partition) float64 {
-	start := a.Pace
-	if b.Pace > start {
-		start = b.Pace
-	}
-	merged := lp.SelectedPace(a.Queries.Union(b.Queries), start)
+	merged := lp.SelectedPace(a.Queries.Union(b.Queries), max(a.Pace, b.Pace))
 	return a.Total + b.Total - merged.Total
 }

@@ -3,6 +3,8 @@ package decompose
 import (
 	"testing"
 
+	"ishare/internal/cost"
+	"ishare/internal/expr"
 	"ishare/internal/mqo"
 	"ishare/internal/pace"
 )
@@ -30,30 +32,41 @@ func TestSharingBenefitConsistentWithCluster(t *testing.T) {
 	}
 }
 
+// TestRestrictDropsOtherQueriesPredicates checks that a plan restricted to
+// query 0 keeps none of query 1's marker predicates: rewriting them all into
+// query 0's leaves the restricted simulation bit for bit as it was, while the
+// unrestricted plan, which counts the two queries' predicate classes, moves.
+// Restricting leaves the plan it restricts as it was.
 func TestRestrictDropsOtherQueriesPredicates(t *testing.T) {
 	g, m := sharedGraph(t, q15Pair(t, testCatalog(t)))
 	s := findShared(t, g)
 	lp := newLocalProblem(t, m, s, map[int]float64{0: 1e12, 1: 1e12}, 10)
-	sub, inputs := lp.restrict(mqo.Bit(0))
-	if !sub.Queries.Has(0) || sub.Queries.Has(1) {
-		t.Errorf("restricted queries = %s", sub.Queries)
+	var arena cost.Arena
+	simulate := func(p *cost.SimPlan) cost.SimResult { return p.Simulate(&arena, 4, lp.Inputs) }
+	whole := cost.CompileSubplan(s)
+	merged := simulate(whole)
+	single := simulate(whole.Restrict(mqo.Bit(0)))
+	if got := simulate(whole); got != merged {
+		t.Errorf("Restrict changed the plan it restricts: %+v, was %+v", got, merged)
 	}
-	for _, o := range sub.Ops {
-		if o.Queries.Has(1) {
-			t.Errorf("op %d retains excluded query", o.ID)
-		}
-		if _, ok := o.Preds[1]; ok {
-			t.Errorf("op %d retains excluded predicate", o.ID)
-		}
-		if _, ok := inputs[o]; !ok && o.Kind == mqo.KindScan {
-			t.Errorf("scan %d lost its input profile", o.ID)
-		}
-	}
-	// The original subplan is untouched.
+	rewritten := 0
 	for _, o := range s.Ops {
-		if !o.Queries.Has(1) {
-			t.Error("restrict mutated the original subplan")
+		if p0, ok := o.Preds[0]; ok {
+			if p1, ok := o.Preds[1]; ok && expr.Canon(p1) != expr.Canon(p0) {
+				o.Preds[1] = p0
+				rewritten++
+			}
 		}
+	}
+	if rewritten == 0 {
+		t.Fatal("no operator carries distinct predicates of both queries: the test has no teeth")
+	}
+	whole = cost.CompileSubplan(s)
+	if got := simulate(whole.Restrict(mqo.Bit(0))); got != single {
+		t.Errorf("query 0's partition depends on query 1's predicates: %+v, was %+v", got, single)
+	}
+	if got := simulate(whole); got == merged {
+		t.Errorf("the merged plan ignores query 1's predicates: %+v both times", got)
 	}
 }
 
@@ -67,7 +80,7 @@ func TestRestrictedSimulationCheaper(t *testing.T) {
 	single := lp.simulate(mqo.Bit(0), 4)
 	merged := lp.simulate(s.Queries, 4)
 	if single.PrivateTotal >= merged.PrivateTotal {
-		t.Errorf("restricted copy %.0f not cheaper than merged %.0f",
+		t.Errorf("restricted plan %.0f not cheaper than merged %.0f",
 			single.PrivateTotal, merged.PrivateTotal)
 	}
 }

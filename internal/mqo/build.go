@@ -132,15 +132,14 @@ func (b *builder) buildOp(c *cnode, q int) (*Op, error) {
 	sig := c.signatureOver(children, func(o *Op) string { return o.sigDedup }) + "@" + strconv.Itoa(class)
 	op, shared := b.bySig[sig]
 	predConflict := false
-	if shared && c.pred != nil {
-		if existing, ok := op.Preds[q]; ok && expr.Canon(existing) != expr.Canon(c.pred) {
-			// The same query reaches this operator twice with different
-			// predicates (e.g. a self-join over differently filtered
-			// instances). Marker semantics cannot express two different
-			// filters for one query at one operator, so this occurrence
-			// gets a private copy.
-			predConflict = true
-		}
+	if shared && op.Queries.Has(q) {
+		// The same query reaches this operator twice with different
+		// predicates, no predicate counting as one that passes every row
+		// (e.g. a self-join over differently filtered instances). Marker
+		// semantics cannot express two different filters for one query at
+		// one operator, so this occurrence gets a private copy.
+		existing, filtered := op.Preds[q]
+		predConflict = filtered != (c.pred != nil) || filtered && expr.Canon(existing) != expr.Canon(c.pred)
 	}
 	if !shared || predConflict {
 		op = b.sp.NewOp(c.Payload)

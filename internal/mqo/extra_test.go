@@ -31,6 +31,21 @@ func TestPredConflictPrivateCopy(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
+	// An occurrence without a predicate passes every row, so it conflicts
+	// with a filtered one too, whichever the query reaches first.
+	for _, filter := range []string{"p1.p_size = 1", "p2.p_size = 2"} {
+		sp := buildShared(t, bindQuery(t, c, "q", `SELECT p1.p_brand FROM part p1, part p2
+		WHERE p1.p_partkey = p2.p_partkey AND `+filter))
+		scans := 0
+		for _, o := range sp.Ops {
+			if o.Kind == KindScan {
+				scans++
+			}
+		}
+		if scans != 2 {
+			t.Errorf("filtered on %s only: scans = %d, want 2\n%s", filter, scans, sp.Explain())
+		}
+	}
 }
 
 func TestExtractWithCuts(t *testing.T) {

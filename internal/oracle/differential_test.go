@@ -6,6 +6,7 @@ import (
 
 	"ishare/internal/exec"
 	"ishare/internal/oracle"
+	"ishare/internal/plan"
 )
 
 // failingFor builds the shrinker predicate: a workload "fails" when the
@@ -53,6 +54,67 @@ func TestDifferential(t *testing.T) {
 		if m != nil {
 			reportMismatch(t, w, m, opts)
 		}
+	}
+}
+
+// TestDifferentialDeepJoins runs the main differential pass over workloads
+// that carry a deep-join family: a join feeding a join, a join under a
+// projection, one table on both sides of a self-join. The generator must
+// keep producing each shape, or the pass would silently stop covering it.
+func TestDifferentialDeepJoins(t *testing.T) {
+	workloads := 60
+	if !testing.Short() {
+		workloads = 200
+	}
+	genOpts := oracle.DefaultOptions()
+	genOpts.DeepJoins = true
+	opts := oracle.DefaultCheckOptions()
+	var joinOverJoin, joinUnderProject, selfJoin int
+	for seed := int64(0); seed < int64(workloads); seed++ {
+		w := oracle.Generate(seed, genOpts)
+		queries, err := w.Bind()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var walk func(n plan.Node)
+		walk = func(n plan.Node) {
+			switch x := n.(type) {
+			case *plan.Join:
+				_, l := x.Left.(*plan.Join)
+				_, r := x.Right.(*plan.Join)
+				if l || r {
+					joinOverJoin++
+				}
+				ls, lok := x.Left.(*plan.Scan)
+				rs, rok := x.Right.(*plan.Scan)
+				if lok && rok && ls.Table == rs.Table {
+					selfJoin++
+				}
+			case *plan.Project:
+				if _, ok := x.Input.(*plan.Join); ok {
+					joinUnderProject++
+				}
+			}
+			for _, c := range n.Children() {
+				walk(c)
+			}
+		}
+		for _, q := range queries {
+			walk(q.Root)
+		}
+		m, err := oracle.Check(w, opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v\nSQL: %v", seed, err, w.SQL)
+		}
+		if m != nil {
+			reportMismatch(t, w, m, opts)
+		}
+	}
+	t.Logf("%d workloads: %d joins over joins, %d joins under projections, %d self-joins",
+		workloads, joinOverJoin, joinUnderProject, selfJoin)
+	if joinOverJoin == 0 || joinUnderProject == 0 || selfJoin == 0 {
+		t.Errorf("the deep-join family lost a shape: %d joins over joins, %d under projections, %d self-joins",
+			joinOverJoin, joinUnderProject, selfJoin)
 	}
 }
 

@@ -37,6 +37,14 @@ type Options struct {
 	// The mutation draws from a rand forked off the seed, so the base
 	// workload for a given seed is identical with the flag off.
 	Adversarial bool
+	// DeepJoins adds a family of 2-3 queries, projections or aggregates,
+	// over three aliased tables drawn with replacement and joined on c0: a
+	// chain a-b-c (a join feeding a join) or a star joining b and c to a,
+	// c being b's table again half the time, so that one table feeds both
+	// joins. The family draws from a rand forked off the seed and is added
+	// before the churn plan is drawn, so with the flag off every seed's
+	// workload is unchanged.
+	DeepJoins bool
 }
 
 // DefaultOptions returns the harness defaults.
@@ -173,6 +181,13 @@ func Generate(seed int64, opts Options) *Workload {
 			w.SQL = append(w.SQL, genQuery(r, from, cols, opts))
 		}
 	}
+	if opts.DeepJoins {
+		rd := rand.New(rand.NewSource(seed ^ deepJoinsSalt))
+		from, cols := genDeepFrom(rd, w.Tables)
+		for family := 2 + rd.Intn(2); family > 0; family-- {
+			w.SQL = append(w.SQL, genQuery(rd, from, cols, opts))
+		}
+	}
 	if opts.Churn && len(w.SQL) > 1 {
 		w.Churn = genChurn(r, len(w.SQL))
 	}
@@ -181,6 +196,10 @@ func Generate(seed int64, opts Options) *Workload {
 	}
 	return w
 }
+
+// deepJoinsSalt forks the deep-join family's randomness off the workload
+// seed.
+const deepJoinsSalt = 0x2545f4914f6cdd1d
 
 // adversarialSalt forks the adversarial mutation's randomness off the
 // workload seed, keeping the base generation seed-stable under the flag.
@@ -410,6 +429,32 @@ func genFrom(r *rand.Rand, tables []TableDef) (fromClause, []qcol) {
 	if len(picked) == 2 {
 		fc.join = picked[0].Name + ".c0 = " + picked[1].Name + ".c0"
 	}
+	return fc, cols
+}
+
+// genDeepFrom draws a FROM over three aliased tables, picked with
+// replacement, joined on c0: a chain a-b-c, or a star joining b and c to a.
+// Half the time c is b's table again, so that one table feeds both joins.
+func genDeepFrom(r *rand.Rand, tables []TableDef) (fromClause, []qcol) {
+	aliases := []string{"a", "b", "c"}
+	fc := fromClause{join: "a.c0 = b.c0 AND b.c0 = c.c0"}
+	if r.Intn(2) == 0 {
+		fc.join = "a.c0 = b.c0 AND a.c0 = c.c0"
+	}
+	var names []string
+	var cols []qcol
+	for _, alias := range aliases {
+		td := tables[r.Intn(len(tables))]
+		if alias == "c" && r.Intn(2) == 0 {
+			td = fc.tables[1] // b's table again: a self-join
+		}
+		fc.tables = append(fc.tables, td)
+		names = append(names, td.Name+" "+alias)
+		for _, c := range td.Cols {
+			cols = append(cols, qcol{name: alias + "." + c.Name, kind: c.Type})
+		}
+	}
+	fc.text = strings.Join(names, ", ")
 	return fc, cols
 }
 

@@ -14,10 +14,11 @@ type shrunkSeed struct {
 }
 
 // shrunkSeeds are the hardest cases the shrinker produced while the
-// DebugSkipExtremumRescan fault was injected (no real engine/oracle
-// mismatch has been found so far). Each pivots on retracting a MIN/MAX
-// extremum, so any regression in the aggregate's rescan path trips them
-// immediately — and deterministically, unlike the generative tests.
+// DebugSkipExtremumRescan fault was injected, each pivoting on retracting a
+// MIN/MAX extremum, so any regression in the aggregate's rescan path trips
+// them immediately — and deterministically, unlike the generative tests —
+// followed by the churn cases and the real mismatches the generative tests
+// found, each named after what it pins.
 var shrunkSeeds = []shrunkSeed{
 	{
 		// Delete the group's MIN while a larger value stays live.
@@ -258,6 +259,33 @@ var shrunkSeeds = []shrunkSeed{
 				"SELECT t0.c0, SUM(t0.c1) FROM t0 GROUP BY t0.c0",
 			},
 			Churn: &oracle.ChurnPlan{Windows: 3, Admit: []int{0, 0, 1}, Retire: []int{-1, 1, -1}, ToggleShare: []int{1, 2}},
+		},
+	},
+	{
+		// One query reads t1 twice, filtered on one side only: the two scans
+		// must stay apart, or the one scan they would merge into applies
+		// the filter to both sides and drops b = (5, NULL) as a partner of
+		// c (first query) or c = (5, NULL) as a partner of b (second). A
+		// real mismatch, found by the deep-join family at generator seed 2.
+		name: "self-join-filtered-on-one-side",
+		w: &oracle.Workload{
+			Tables: []oracle.TableDef{
+				{Name: "t0", Cols: []catalog.Column{{Name: "c0", Type: value.KindInt}, {Name: "c1", Type: value.KindInt}}},
+				{Name: "t1", Cols: []catalog.Column{{Name: "c0", Type: value.KindInt}, {Name: "c1", Type: value.KindInt}}},
+			},
+			Streams: map[string][]delta.Tuple{
+				"t0": {
+					oracle.Ins(value.Int(5), value.Int(3)),
+				},
+				"t1": {
+					oracle.Ins(value.Int(5), value.Null),
+					oracle.Ins(value.Int(5), value.Int(2)),
+				},
+			},
+			SQL: []string{
+				"SELECT b.c0, COUNT(*), AVG(a.c1) FROM t0 a, t1 b, t1 c WHERE a.c0 = b.c0 AND a.c0 = c.c0 AND b.c1 >= 0 AND a.c1 BETWEEN 3 AND 3 GROUP BY b.c0",
+				"SELECT b.c0, COUNT(*) FROM t0 a, t1 b, t1 c WHERE a.c0 = b.c0 AND a.c0 = c.c0 AND c.c1 >= 0 GROUP BY b.c0",
+			},
 		},
 	},
 	{

@@ -248,7 +248,6 @@ func Validate(n Node) error {
 			return err
 		}
 	}
-	width := func(m Node) int { return len(m.Schema()) }
 	switch x := n.(type) {
 	case *Select:
 		if x.Pred == nil {
@@ -310,6 +309,24 @@ func Validate(n Node) error {
 		}
 	}
 	return nil
+}
+
+// width returns the number of n's output columns, len(n.Schema()), without
+// building the schema.
+func width(n Node) int {
+	switch x := n.(type) {
+	case *Scan:
+		return len(x.Table.Columns)
+	case *Select:
+		return width(x.Input)
+	case *Project:
+		return len(x.Exprs)
+	case *Aggregate:
+		return len(x.GroupBy) + len(x.Aggs)
+	case *Join:
+		return width(x.Left) + width(x.Right)
+	}
+	return len(n.Schema())
 }
 
 func checkCols(e expr.Expr, width int) error {
