@@ -9,26 +9,27 @@ import (
 // AdoptMemo warm-starts this model's memo tables from a model built for a
 // previous revision of the same plan, using match (new subplan ID → old
 // subplan ID). A memo key is the subplan's own pace plus its children's
-// entry ids, so adopting an entry means translating those ids from the old
-// children's tables into the new ones': subplans are adopted children-first,
-// each entry keeping its pace and taking its children's translated ids. A
-// subplan adopts only if each of its children is matched to a child of its
-// old counterpart and adopted in turn — so its entire descendant cone is
-// matched — and only if the two serve the same queries. The caller vouches
-// that each matched pair simulates identically: same inputs and the same
-// correction factors. old must not be m. Evaluations of m made before the
-// call are no longer evaluated relative to (see EvaluateDelta). Returns the
-// number of entries adopted.
+// output classes, so adopting a subplan's memo means interning its old
+// output classes into the new table first, then re-keying each entry with
+// its children's classes translated into theirs: subplans are adopted
+// children-first, each entry keeping its pace and work and taking its
+// translated output class. A subplan adopts only if each of its children is
+// matched to a child of its old counterpart and adopted in turn — so its
+// entire descendant cone is matched — and only if the two serve the same
+// queries. The caller vouches that each matched pair simulates identically:
+// same inputs and the same correction factors. old must not be m.
+// Evaluations of m made before the call are no longer evaluated relative to
+// (see EvaluateDelta). Returns the number of entries adopted.
 //
 // pace.Replan is its one caller: it matches subplans with mqo.MatchSubplans
 // and keeps the pairs whose factors the revision left unchanged, so a warm
 // search re-simulates only subplans the revision actually changed.
 func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 	adopted := 0
-	// remap[i] translates the entry ids of subplan i's old counterpart into
-	// i's own; nil where i adopted nothing.
+	// remap[i] translates the output classes of subplan i's old counterpart
+	// into i's own; nil where i adopted nothing.
 	remap := make([][]int32, len(m.Graph.Subplans))
-	var kids []int32
+	var key []int32
 	for _, s := range m.Graph.Subplans { // children-first: the children's remaps are ready
 		oldID, ok := match[s.ID]
 		if !ok {
@@ -39,17 +40,24 @@ func (m *Model) AdoptMemo(old *Model, match map[int]int) int {
 		if !ok || src.queries != dst.queries || src.width != dst.width {
 			continue
 		}
-		ids := make([]int32, src.n)
-		for e := range src.n {
-			key := src.keyOf(e)
-			kids = kids[:0]
-			for i, c := range s.Children {
-				kids = append(kids, remap[c.ID][key[1+slots[i]]])
-			}
-			ids[e] = dst.adopt(src, e, kids)
+		classes := make([]int32, src.nOut)
+		for c := range src.nOut {
+			classes[c] = dst.intern(src.row(c))
 		}
-		remap[s.ID] = ids
-		adopted += len(ids)
+		for e := range src.n {
+			oldKey := src.keyOf(e)
+			key = append(key[:0], oldKey[0])
+			for i, c := range s.Children {
+				key = append(key, remap[c.ID][oldKey[1+slots[i]]])
+			}
+			if _, h, found := dst.find(key); !found {
+				en := *src.entry(e)
+				en.out = classes[en.out]
+				dst.index(h, dst.add(key, en))
+			}
+		}
+		remap[s.ID] = classes
+		adopted += int(src.n)
 	}
 	m.epoch++
 	return adopted

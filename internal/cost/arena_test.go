@@ -99,7 +99,7 @@ func TestMemoizedOutputsSurviveArenaReuse(t *testing.T) {
 // memoized evaluation allocates only its result, a memoized evaluation of a
 // single-raise candidate relative to an incumbent allocates nothing, an
 // evaluation that misses the memo allocates only the slabs its new entries
-// fill and the index's growth, and a simulation on a warm arena allocates
+// fill and the index tables' growth, and a simulation on a warm arena allocates
 // nothing — at pace 40 as at pace 2.
 func TestEvaluateAllocations(t *testing.T) {
 	g := tpchGraph(t)
@@ -163,15 +163,15 @@ func TestEvaluateAllocations(t *testing.T) {
 	}
 	// Each slab is twice the size of the one before, so a table's growth
 	// costs O(log entries) allocations: well below one per simulation
-	// (≈ 0.3 here), where a memoized output that owned its slices cost three.
+	// (≈ 0.2 here), where a memoized output that owned its slices cost three.
 	if per := float64(after.Mallocs-before.Mallocs) / float64(sims); per > 0.5 {
 		t.Errorf("evaluations that miss the memo: %.2f allocs per simulation, want <= 0.5 (slab growth only)", per)
 	}
 	// A slab is never copied, so the bytes allocated are the slabs filled,
-	// at most the unfilled tail of the last, plus the index: 1.8x here,
-	// where slabs grown by append copied each entry again (3.4x).
+	// at most the unfilled tail of the last, plus the two index tables:
+	// 1.9x here, where slabs grown by append copied each entry again (3.4x).
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*filled {
-		t.Errorf("evaluations that miss the memo allocated %d B for %d B of memo entries, want <= 2x", got, filled)
+		t.Errorf("evaluations that miss the memo allocated %d B for %d B of memo entries and classes, want <= 2x", got, filled)
 	}
 
 	var widest *mqo.Subplan

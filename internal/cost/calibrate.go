@@ -37,9 +37,9 @@ func (m *Model) SetCalibration(c Calibration) {
 // Calibration returns the installed factors (nil when uncalibrated).
 func (m *Model) Calibration() Calibration { return m.calib }
 
-// applyCalibration scales entry id of subplan s's memo table, a fresh
-// simulation result, by the subplan's factors.
-func (m *Model) applyCalibration(s *mqo.Subplan, t *memoTable, id int32) {
+// calibrate scales a fresh simulation of subplan s — its entry e and its
+// output row, before the row is interned — by the subplan's factors.
+func (m *Model) calibrate(s *mqo.Subplan, e *memoEntry, row []float64) {
 	if m.calib == nil {
 		return
 	}
@@ -47,7 +47,6 @@ func (m *Model) applyCalibration(s *mqo.Subplan, t *memoTable, id int32) {
 	if !ok {
 		return
 	}
-	e := t.entry(id)
 	if f.Work > 0 {
 		e.pT *= f.Work
 	}
@@ -55,9 +54,9 @@ func (m *Model) applyCalibration(s *mqo.Subplan, t *memoTable, id int32) {
 		e.pF *= f.Final
 	}
 	if f.Out > 0 {
-		e.gross *= f.Out
-		e.net *= f.Out
-		perQuery := t.view(id).PerQuery
+		row[0] *= f.Out // gross
+		row[1] *= f.Out // net
+		perQuery := row[outHead : outHead+m.memo[s.ID].nq]
 		for i := range perQuery {
 			perQuery[i] *= f.Out
 		}
@@ -95,7 +94,7 @@ func CalibrationFromRun(g *mqo.Graph, paces []int, measuredWork, measuredFinal, 
 			// (Q15) into missing its goal at another.
 			f.Final = max(clampFactor(measuredFinal[s.ID]/est, maxFactor), 1)
 		}
-		if est := m.memo[s.ID].entry(ev.ids[s.ID]).gross; est > 0 && measuredOut[s.ID] > 0 {
+		if est := m.memo[s.ID].view(ev.ids[s.ID]).Gross; est > 0 && measuredOut[s.ID] > 0 {
 			f.Out = clampFactor(measuredOut[s.ID]/est, maxFactor)
 		}
 		if f.Work > 0 || f.Out > 0 || f.Final > 0 {

@@ -1,68 +1,70 @@
 package cost
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 
+	"ishare/internal/hashtab"
 	"ishare/internal/mqo"
 )
 
-// keyKids is the number of child entry ids a memoKey holds inline.
-const keyKids = 3
-
-// memoKey names a subplan's private pace configuration — its own pace and
-// every descendant's — by hash-consing: its own pace and the entry ids its
-// children's configurations have in their own memo tables, in
-// Subplan.Children order. It is built in O(children) and holds no pointer.
-type memoKey struct {
-	pace int32
-	kids [keyKids]int32
-}
-
-// memoEntry is one memoized simulation, as calibrated: the subplan's private
-// total and final work and its output's scalars. The output's per-query
-// counts and column Distincts live in the table's slabs.
+// memoEntry is one memoized configuration: the subplan's private total and
+// final work, as calibrated, and the output class its simulation produced.
 type memoEntry struct {
-	pT, pF                  float64
-	gross, net, deleteShare float64
+	pT, pF float64
+	out    int32
 }
 
-// memoTable is one subplan's memo. Entries are only ever appended, so an
-// entry id stays valid until the table is reset, and nothing in a table is a
+// memoTable is one subplan's memo, in two parts, both only ever appended to,
+// so an id stays valid until the table is reset and nothing in a table is a
 // pointer the collector has to follow.
+//
+// A configuration is keyed by what its simulation reads: the subplan's own
+// pace and its children's output classes, in Subplan.Children order. An
+// output class is one distinct output — its gross, net and delete share, its
+// per-query counts and column Distincts, as calibrated — stored once however
+// many configurations produce it. Two children's configurations that differ
+// in pace but not in output so give their parent one key, and the parent is
+// simulated once.
 type memoTable struct {
-	// index maps a configuration's key to its entry; spill interns the
-	// surplus child ids of a subplan with more than keyKids children (see
-	// foldKids), fold is foldKids' scratch.
-	index, spill map[memoKey]int32
-	fold         []int32
-	// slabs[k] holds entries [slab0*(2^k-1), slab0*(2^(k+1)-1)). A slab is
-	// allocated at its full size when its first entry is added and filled in
-	// place, so no entry is ever copied to grow the table.
+	// configs maps a key's hash to its entry and classes an output row's
+	// hash to its class. Each holds the first id of a hash; a later id whose
+	// key or row differs from that one's is stored but not indexed.
+	configs, classes hashtab.Table
+	// slabs[k] holds entries [slab0*(2^k-1), slab0*(2^(k+1)-1)), and
+	// outs[k] the rows of the classes with those ids. A slab is allocated
+	// at its full size when its first id is added and filled in place, so
+	// nothing is ever copied to grow the table.
 	slabs []memoSlab
-	// n counts the entries.
-	n int32
+	outs  [][]float64
+	// n counts the entries and nOut the classes.
+	n, nOut int32
 	// queries is the subplan's query set, which the per-query counts are
-	// dense over; nq is its size.
+	// dense over; nq is its size. A class row is width floats: outHead
+	// scalars, nq per-query counts, then the column Distincts. A key is
+	// arity ids: the pace, then one class per child.
 	queries          mqo.Bitset
 	nq, width, arity int
 }
+
+// outHead is the number of scalars leading a class row: gross, net and
+// delete share.
+const outHead = 3
 
 // slab0 is the size of a table's first slab; each next one is twice the
 // size of the one before.
 const slab0 = 16
 
-// memoSlab holds the entries of one slab, each at its offset i within it:
-// the entry, then in keys at [i*arity, (i+1)*arity) its own pace and child
-// entry ids, unfolded — what AdoptMemo re-keys an entry by — and in floats
-// at [i*width, (i+1)*width) its output's per-query counts, then its column
-// Distincts.
+// memoSlab holds the entries of one slab, each at its offset i within it,
+// and in keys at [i*arity, (i+1)*arity) its key — what AdoptMemo re-keys an
+// entry by.
 type memoSlab struct {
 	entries []memoEntry
 	keys    []int32
-	floats  []float64
 }
 
-// locate returns the slab entry id lives in and its offset there.
+// locate returns the slab id lives in and its offset there.
 func locate(id int32) (k, i int) {
 	k = bits.Len(uint(id/slab0+1)) - 1
 	return k, int(id) - slab0*(1<<k-1)
@@ -71,69 +73,106 @@ func locate(id int32) (k, i int) {
 func newMemoTable(s *mqo.Subplan, p *SimPlan) memoTable {
 	nq := len(p.queries)
 	return memoTable{
-		index:   make(map[memoKey]int32),
 		queries: p.mask,
 		nq:      nq,
-		width:   nq + len(p.outShape()),
+		width:   outHead + nq + len(p.outShape()),
 		arity:   1 + len(s.Children),
 	}
 }
 
-// key returns the memo key of the configuration with own pace pace whose
-// children's configurations are the entries kids.
-func (t *memoTable) key(pace int, kids []int32) memoKey {
-	if len(kids) > keyKids {
-		kids = t.foldKids(kids)
-	}
-	k := memoKey{pace: int32(pace)}
-	copy(k.kids[:], kids)
-	return k
+// hashMul is the 64-bit golden-ratio multiplier that mixes each word into a
+// hash.
+const hashMul = 0x9E3779B97F4A7C15
+
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * hashMul
+	return h ^ h>>29
 }
 
-// foldKids shortens the child entry ids of a subplan with more children than
-// a key holds: while too many are left, the last keyKids become one id of
-// the spill table, interned first come, first served. Interning is
-// one-to-one and a subplan's child count fixed, so the fold is one-to-one.
-func (t *memoTable) foldKids(kids []int32) []int32 {
-	if t.spill == nil {
-		t.spill = make(map[memoKey]int32)
+// hashKey hashes a configuration key. hashKey and hashRow end by mixing in
+// the length: one more round, so the last word's high bits reach the low
+// bits a hashtab.Table picks its slot by.
+func hashKey(key []int32) uint64 {
+	h := uint64(hashMul)
+	for _, x := range key {
+		h = mix(h, uint64(uint32(x)))
 	}
-	f := append(t.fold[:0], kids...)
-	for len(f) > keyKids {
-		var tail memoKey
-		copy(tail.kids[:], f[len(f)-keyKids:])
-		id, ok := t.spill[tail]
-		if !ok {
-			id = int32(len(t.spill))
-			t.spill[tail] = id
+	return mix(h, uint64(len(key)))
+}
+
+// hashRow hashes an output row by its float bits.
+func hashRow(row []float64) uint64 {
+	h := uint64(hashMul)
+	for _, x := range row {
+		h = mix(h, math.Float64bits(x))
+	}
+	return mix(h, uint64(len(row)))
+}
+
+// sameBits reports whether two rows hold the same float bits: +0 and -0, or
+// two NaN payloads, are different outputs.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
-		f = append(f[:len(f)-keyKids], id)
 	}
-	t.fold = f
-	return f
+	return true
 }
 
-// add appends an entry for the configuration with own pace pace and child
-// entries kids, with the output's per-query counts and column Distincts,
-// and returns its id. It does not index the entry.
-func (t *memoTable) add(pace int, kids []int32, e memoEntry, perQuery, distinct []float64) int32 {
+// find returns the indexed entry keyed key and the key's hash, for index.
+// ok is false on a miss, and on a hash collision with another key.
+func (t *memoTable) find(key []int32) (id int32, h uint64, ok bool) {
+	h = hashKey(key)
+	id, ok = t.configs.Get(h)
+	return id, h, ok && slices.Equal(t.keyOf(id), key)
+}
+
+// index makes entry id the one found by hash h, unless another entry has it.
+func (t *memoTable) index(h uint64, id int32) {
+	if _, taken := t.configs.Get(h); !taken {
+		t.configs.Put(h, id)
+	}
+}
+
+// add appends an entry with the given key and returns its id. It does not
+// index the entry.
+func (t *memoTable) add(key []int32, e memoEntry) int32 {
 	id := t.n
 	k, i := locate(id)
 	if k == len(t.slabs) {
 		c := slab0 << k
-		t.slabs = append(t.slabs, memoSlab{
-			entries: make([]memoEntry, c), keys: make([]int32, c*t.arity), floats: make([]float64, c*t.width)})
+		t.slabs = append(t.slabs, memoSlab{entries: make([]memoEntry, c), keys: make([]int32, c*t.arity)})
 	}
 	t.n++
 	s := &t.slabs[k]
 	s.entries[i] = e
-	key := s.keys[i*t.arity : (i+1)*t.arity]
-	key[0] = int32(pace)
-	copy(key[1:], kids)
-	v := s.floats[i*t.width : (i+1)*t.width]
-	copy(v, perQuery)
-	copy(v[t.nq:], distinct)
+	copy(s.keys[i*t.arity:(i+1)*t.arity], key)
 	return id
+}
+
+// intern returns the class whose row holds row's bits, adding one if none
+// is indexed.
+func (t *memoTable) intern(row []float64) int32 {
+	h := hashRow(row)
+	c, taken := t.classes.Get(h)
+	if taken && sameBits(t.row(c), row) {
+		return c
+	}
+	c = t.nOut
+	k, i := locate(c)
+	if k == len(t.outs) {
+		t.outs = append(t.outs, make([]float64, (slab0<<k)*t.width))
+	}
+	t.nOut++
+	copy(t.outs[k][i*t.width:(i+1)*t.width], row)
+	if !taken {
+		t.classes.Put(h, c)
+	}
+	return c
 }
 
 // entry returns entry id.
@@ -142,42 +181,29 @@ func (t *memoTable) entry(id int32) *memoEntry {
 	return &t.slabs[k].entries[i]
 }
 
-// keyOf returns entry id's own pace and child entry ids; read-only.
+// keyOf returns entry id's key; read-only.
 func (t *memoTable) keyOf(id int32) []int32 {
 	k, i := locate(id)
 	return t.slabs[k].keys[i*t.arity : (i+1)*t.arity]
 }
 
+// row returns class c's row; read-only.
+func (t *memoTable) row(c int32) []float64 {
+	k, i := locate(c)
+	return t.outs[k][i*t.width : (i+1)*t.width : (i+1)*t.width]
+}
+
 // view returns entry id's output as a simulator input. Its slices alias the
 // table: read-only.
 func (t *memoTable) view(id int32) stream {
-	k, i := locate(id)
-	s := &t.slabs[k]
-	e := &s.entries[i]
-	v := s.floats[i*t.width : (i+1)*t.width : (i+1)*t.width]
-	return stream{Gross: e.gross, Net: e.net, DeleteShare: e.deleteShare, Queries: t.queries,
-		PerQuery: v[:t.nq:t.nq], Distinct: v[t.nq:]}
+	v := t.row(t.entry(id).out)
+	return stream{Gross: v[0], Net: v[1], DeleteShare: v[2], Queries: t.queries,
+		PerQuery: v[outHead : outHead+t.nq : outHead+t.nq], Distinct: v[outHead+t.nq:]}
 }
 
-// reset empties the table, keeping its slabs.
+// reset empties the table, keeping its slabs and index tables.
 func (t *memoTable) reset() {
-	clear(t.index)
-	clear(t.spill)
-	t.n = 0
-}
-
-// adopt re-keys entry e of src, a table of another model for the same
-// subplan, into t, given e's child entries translated into t's children's
-// ids, and returns the id the entry has in t: the existing one if t already
-// holds the configuration.
-func (t *memoTable) adopt(src *memoTable, e int32, kids []int32) int32 {
-	pace := int(src.keyOf(e)[0])
-	k := t.key(pace, kids)
-	if id, ok := t.index[k]; ok {
-		return id
-	}
-	v := src.view(e)
-	id := t.add(pace, kids, *src.entry(e), v.PerQuery, v.Distinct)
-	t.index[k] = id
-	return id
+	t.configs.Reset()
+	t.classes.Reset()
+	t.n, t.nOut = 0, 0
 }

@@ -1,6 +1,7 @@
 package cost_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -71,26 +72,30 @@ func pick(paces, ids []int) []int {
 }
 
 // TestMemoKeyEquivalence: a memo key is a subplan's own pace plus its
-// children's entry ids, which names its private pace configuration one to
-// one — so the model simulates, looks up and hits exactly as often as a memo
-// keyed on the configuration itself would. Random walks of full and
+// children's output classes — what its simulation reads — so the model
+// computes every float a memo-less model does, looks up exactly as often as a
+// memo keyed on the private pace configuration itself (the reference), and
+// simulates no more often: configurations whose children produce
+// bit-identical outputs share one simulation. Random walks of full and
 // incremental evaluations over random shared graphs and the 22-query graph
-// (whose subplans with four and five children fold their keys) are checked
-// against the reference after every evaluation.
+// are checked after every evaluation, and on some graph content keys must
+// hit where configuration keys missed.
 func TestMemoKeyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	graphs := []*mqo.Graph{tpchGraph(t)}
 	for i := 0; i < 6; i++ {
 		graphs = append(graphs, subsetGraph(t, rng))
 	}
+	saved := false
 	for gi, g := range graphs {
-		m := cost.NewModel(g)
+		m, noMemo := cost.NewModel(g), cost.NewModel(g)
+		noMemo.UseMemo = false
 		ref := newRefMemo(g)
 		paces := make([]int, len(g.Subplans))
 		for i := range paces {
 			paces[i] = 1 + rng.Intn(12)
 		}
-		cur, cand := new(cost.Evaluation), new(cost.Evaluation)
+		cur, cand, want := new(cost.Evaluation), new(cost.Evaluation), new(cost.Evaluation)
 		if err := m.EvaluateDelta(nil, paces, cur); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +104,7 @@ func TestMemoKeyEquivalence(t *testing.T) {
 			p := neighbour(m, rng, cur.Paces)
 			var base []int
 			if rng.Intn(4) == 0 {
-				if _, err := m.Evaluate(p); err != nil {
+				if err := m.EvaluateDelta(nil, p, cand); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -109,17 +114,26 @@ func TestMemoKeyEquivalence(t *testing.T) {
 				base = cur.Paces
 			}
 			ref.evaluate(base, p)
-			if m.Sims != ref.sims || m.Lookups != ref.lookups || m.Hits != ref.hits {
+			if err := noMemo.EvaluateDelta(nil, p, want); err != nil {
+				t.Fatal(err)
+			}
+			requireSameEvaluation(t, fmt.Sprintf("graph %d step %d", gi, step), cand, want)
+			if m.Lookups != ref.lookups || m.Sims > ref.sims || m.Hits < ref.hits {
 				t.Fatalf("graph %d step %d: sims/lookups/hits %d/%d/%d, reference %d/%d/%d",
 					gi, step, m.Sims, m.Lookups, m.Hits, ref.sims, ref.lookups, ref.hits)
 			}
-			if base != nil && rng.Intn(3) == 0 {
+			if rng.Intn(3) == 0 {
 				cur, cand = cand, cur
 			}
 		}
 		if ref.hits == 0 || ref.sims == ref.lookups {
 			t.Errorf("graph %d: the walk never hit the memo", gi)
 		}
+		t.Logf("graph %d: %d lookups, %d sims (reference %d)", gi, m.Lookups, m.Sims, ref.sims)
+		saved = saved || m.Sims < ref.sims
+	}
+	if !saved {
+		t.Error("content keys never hit where configuration keys missed")
 	}
 }
 
@@ -129,9 +143,10 @@ func TestMemoKeyEquivalence(t *testing.T) {
 // mqo.MatchSubplans, and a warm search over the new revision runs. The
 // adopted-entry count and the warm search's Sims are the ones the previous
 // memo key — the subplan's own and descendants' paces, permuted from the old
-// descendant order into the new — gave, re-pinned once when the greedy
-// stopped costing raises that cannot score: the searches take the same path
-// but memoize, and so simulate and transplant, fewer configurations.
+// descendant order into the new — gave, re-pinned twice when the searches
+// took the same path but memoized, and so simulated and transplanted, fewer
+// configurations: once when the greedy stopped costing raises that cannot
+// score, and once when the key became the children's output classes.
 func TestAdoptMemoMatchedRevision(t *testing.T) {
 	rest := func(name string) []tpch.Query {
 		var qs []tpch.Query
@@ -155,9 +170,9 @@ func TestAdoptMemoMatchedRevision(t *testing.T) {
 		adopted, warmSims int
 		oldSims           int64
 	}{
-		{"Q6 into Q1+Q22", small, 4, 47, 7},
-		{"Q6 into the other 21", rest("Q6"), 569, 2596, 3144},
-		{"Q9 into the other 21", rest("Q9"), 47, 3118, 2843},
+		{"Q6 into Q1+Q22", small, 4, 31, 7},
+		{"Q6 into the other 21", rest("Q6"), 211, 1047, 1240},
+		{"Q9 into the other 21", rest("Q9"), 36, 1222, 1109},
 	} {
 		bound := bindTPCH(t, tc.queries)
 		rel := make([]float64, len(bound))
@@ -191,5 +206,55 @@ func search(t *testing.T, m *cost.Model, constraints []float64) {
 	}
 	if _, _, err = o.Greedy(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoRepeatedSimulation: a simulation is a pure function of its subplan,
+// its pace and its inputs' float bits, so a memo keyed on what it reads never
+// runs one twice. Every simulation of the greedy searches at the four
+// constraint rotations BenchmarkPlanJob cycles through (the 22 queries,
+// MaxPace 40, query q at relative level (q+rotation) mod 4) is recorded, and
+// any repeat fails; a memo keyed on the private pace configuration repeats
+// about a third of them.
+func TestNoRepeatedSimulation(t *testing.T) {
+	bound := tpchQueries(t)
+	g := sharedGraph(t, bound)
+	levels := []float64{1.0, 0.5, 0.2, 0.1}
+	for rot := range levels {
+		rel := make([]float64, len(bound))
+		for q := range rel {
+			rel[q] = levels[(q+rot)%len(levels)]
+		}
+		abs, err := opt.AbsoluteConstraints(bound, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cost.NewModel(g)
+		seen := map[string]bool{}
+		repeats := 0
+		var key []byte
+		m.OnSimulate(func(sub, pace int, inputs []uint64) {
+			key = binary.AppendUvarint(key[:0], uint64(sub))
+			key = binary.AppendUvarint(key, uint64(pace))
+			for _, x := range inputs {
+				key = binary.LittleEndian.AppendUint64(key, x)
+			}
+			if seen[string(key)] {
+				repeats++
+			}
+			seen[string(key)] = true
+		})
+		o, err := pace.NewOptimizer(m, abs, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := o.Greedy(); err != nil {
+			t.Fatal(err)
+		}
+		if repeats > 0 {
+			t.Errorf("rotation %d: %d of %d simulations repeat one run before", rot, repeats, m.Sims)
+		}
+		t.Logf("rotation %d: %d simulations, %d memo entries holding %d output classes",
+			rot, m.Sims, m.MemoEntries(), m.MemoClasses())
 	}
 }

@@ -10,10 +10,12 @@ import (
 )
 
 // Model evaluates pace configurations over a subplan graph. With memoization
-// enabled (the default), each subplan caches simulation results keyed by its
-// private pace configuration — its own pace plus all descendant subplans'
-// paces — which fully determines its inputs and therefore its cost (the
-// paper's Algorithm 1).
+// enabled (the default), each subplan caches simulation results keyed by
+// what a simulation reads: its own pace and its children's outputs. A
+// subplan's private pace configuration — its own pace plus all descendant
+// subplans' paces — determines those and therefore its cost (the paper's
+// Algorithm 1), but configurations whose children produce bit-identical
+// outputs share one simulation.
 //
 // A model has one owner: no two of its methods may run at once.
 type Model struct {
@@ -57,8 +59,13 @@ type Model struct {
 	sources [][]inputSource
 	arenas  []Arena
 	calib   Calibration
-	// kids is scratch for the child entry ids of the subplan being re-costed.
-	kids []int32
+	// key is scratch for the memo key of the subplan being re-costed, row
+	// for the output row of the subplan being simulated.
+	key []int32
+	row []float64
+	// onSimulate, when set, sees every simulation's subplan, pace and inputs
+	// before it runs; tests use it to find repeated simulations.
+	onSimulate func(sub, pace int, inputs []stream)
 	// scratch is the Evaluation behind Evaluate, OutputProfiles,
 	// SubplanInputs and OpOutputs, whose callers want only what they return.
 	scratch Evaluation
@@ -254,18 +261,24 @@ func (m *Model) wire(id int, ids []int32) *Arena {
 	return a
 }
 
-// simulate runs subplan s at pace over the children's entries in ids — kids
-// lists them in Subplan.Children order — and appends the calibrated result
-// to s's memo table, returning the new entry's id.
-func (m *Model) simulate(s *mqo.Subplan, pace int, kids, ids []int32) int32 {
+// simulate runs subplan s at pace over the children's entries in ids and
+// appends the calibrated result to s's memo table under key, interning its
+// output, and returns the new entry's id. It does not index the entry.
+func (m *Model) simulate(s *mqo.Subplan, pace int, key []int32, ids []int32) int32 {
 	a := m.wire(s.ID, ids)
+	if m.onSimulate != nil {
+		m.onSimulate(s.ID, pace, a.inputs)
+	}
 	res, _ := m.plans[s.ID].run(a, pace, false)
 	out := &a.result
 	t := &m.memo[s.ID]
-	id := t.add(pace, kids, memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal,
-		gross: out.Gross, net: out.Net, deleteShare: out.DeleteShare}, out.PerQuery, out.Distinct)
-	m.applyCalibration(s, t, id)
-	return id
+	row := append(m.row[:0], out.Gross, out.Net, out.DeleteShare)
+	row = append(append(row, out.PerQuery...), out.Distinct...)
+	m.row = row
+	e := memoEntry{pT: res.PrivateTotal, pF: res.PrivateFinal}
+	m.calibrate(s, &e, row)
+	e.out = t.intern(row)
+	return t.add(key, e)
 }
 
 // EvaluateDelta evaluates the configuration into out relative to base, an
@@ -336,26 +349,26 @@ func (m *Model) EvaluateDelta(base *Evaluation, paces []int, out *Evaluation) er
 			first = min(first, id)
 			s := g.Subplans[id]
 			touched |= s.Queries
-			kids := m.kids[:0]
-			for _, c := range s.Children {
-				kids = append(kids, out.ids[c.ID])
-			}
-			m.kids = kids
 			t := &m.memo[id]
-			var k memoKey
-			e, hit := int32(0), false
+			key := append(m.key[:0], int32(paces[id]))
+			for _, c := range s.Children {
+				key = append(key, m.memo[c.ID].entry(out.ids[c.ID]).out)
+			}
+			m.key = key
+			var e int32
+			var h uint64
+			hit := false
 			if m.UseMemo {
-				k = t.key(paces[id], kids)
 				lookups++
-				e, hit = t.index[k]
+				e, h, hit = t.find(key)
 			}
 			if hit {
 				hits++
 			} else {
 				sims++
-				e = m.simulate(s, paces[id], kids, out.ids)
+				e = m.simulate(s, paces[id], key, out.ids)
 				if m.UseMemo {
-					t.index[k] = e
+					t.index(h, e)
 				}
 			}
 			out.ids[id] = e

@@ -30,6 +30,12 @@ const minCap = 16
 // Len returns the number of stored hashes.
 func (t *Table) Len() int { return t.n }
 
+// Reset removes every hash, keeping the slots for reuse.
+func (t *Table) Reset() {
+	clear(t.full)
+	t.n = 0
+}
+
 // Get returns the reference stored for hash h.
 func (t *Table) Get(h uint64) (int32, bool) {
 	if t.n == 0 {

@@ -136,3 +136,31 @@ func TestTableGetOnEmpty(t *testing.T) {
 		t.Fatal("Delete on empty table reported success")
 	}
 }
+
+// TestTableReset: a reset table holds nothing, and refilling it to its
+// earlier size reuses its slots without allocating.
+func TestTableReset(t *testing.T) {
+	var tab Table
+	tab.Reset() // on an unallocated table
+	fill := func(base uint64) {
+		for i := uint64(0); i < 100; i++ {
+			tab.Put((base+i)*0x9E3779B97F4A7C15, int32(i))
+		}
+	}
+	fill(0)
+	tab.Reset()
+	if tab.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", tab.Len())
+	}
+	if _, ok := tab.Get(0x9E3779B97F4A7C15); ok {
+		t.Fatal("Get after Reset found a removed hash")
+	}
+	if n := testing.AllocsPerRun(10, func() { tab.Reset(); fill(1000) }); n != 0 {
+		t.Errorf("refilling a reset table: %v allocs, want 0", n)
+	}
+	for i := uint64(0); i < 100; i++ {
+		if ref, ok := tab.Get((1000 + i) * 0x9E3779B97F4A7C15); !ok || ref != int32(i) {
+			t.Fatalf("hash %d after refill: %d, %t", i, ref, ok)
+		}
+	}
+}
